@@ -80,6 +80,19 @@ def _axis_apply(op, field, h, axis):
     return np.moveaxis(out, 0, axis), np.moveaxis(bad, 0, axis)
 
 
+def _cumulative_trapezoid(y: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Running composite-trapezoid integral along `axis`, zero at index 0.
+
+    Evaluates h * (y[k+1] + y[k]) / 2.0 and sums in index order, the same
+    expression order as scipy.integrate.cumulative_trapezoid(y, dx=h,
+    axis=axis, initial=0), so the two agree bit for bit.
+    """
+    y = np.moveaxis(np.asarray(y), axis, 0)
+    steps = np.cumsum(h * (y[1:] + y[:-1]) / 2.0, axis=0)
+    zero = np.zeros((1,) + steps.shape[1:], dtype=steps.dtype)
+    return np.moveaxis(np.concatenate([zero, steps]), 0, axis)
+
+
 def _wrap(field, vals, mask):
     cls = RealField if isinstance(field, RealField) else ComplexField
     return cls(field.grid, np.where(mask, 0, vals), mask)

@@ -87,6 +87,12 @@ class RunConfig:
     out: str = "out"
     format: str = "json"
 
+    def __post_init__(self):
+        # zero levels would compute no ratios and silently skip the ratio gate
+        for key in ("levels", "jobs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+
     def to_text(self) -> str:
         """Serialize as diff-able key=value lines (canonical order)."""
         def fmt(v):
@@ -619,7 +625,7 @@ def cmd_induce(cfg: RunConfig) -> int:
     obj_path = os.path.join(cfg.out, f"{fam.name}_surface.obj")
     csv_path = os.path.join(cfg.out, f"{fam.name}_surface.csv")
     nverts, nfaces = export_mesh(srf, obj_path)
-    surface_to_csv(srf, csv_path)
+    surface_to_csv(srf, csv_path, ff)
 
     h_num = mean_curvature_numeric(ff)
     h_pre = fam.mean_curvature.sample(grid)

@@ -10,10 +10,14 @@ derivatives d, dbar, dd, d dbar, dbar dbar) with the usual calculus rules,
 so derived quantities (quotients, square roots, products) keep analytic
 derivatives without any symbolic machinery at evaluation time. Missing
 derivative slots propagate as None.
+
+A form built by `lift` evaluates its whole jet in one pass: the jet
+operation runs once on its inputs' jets and every slot callable reads
+from that result, so nesting lifts costs time linear in the depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +29,7 @@ __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
     "lift", "field_mul", "jet_mul", "jet_div", "jet_conj", "jet_sqrt",
-    "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz", "jet_dzbar",
+    "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz",
 ]
 
 
@@ -132,8 +136,9 @@ def jet_dz(a: Jet) -> Jet:
     return Jet(a.fz, a.fzz, a.fzzb) if a.fz is not None else None
 
 
-def jet_dzbar(a: Jet) -> Jet:
-    return Jet(a.fzb, a.fzzb, a.fzbzb) if a.fzb is not None else None
+# (ClosedForm field, Jet slot) pairs in slot order
+_SLOTS = (("value", "f"), ("dz", "fz"), ("dzbar", "fzb"),
+          ("dz2", "fzz"), ("dzdzbar", "fzzb"), ("dzbar2", "fzbzb"))
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,9 @@ class ClosedForm:
 
     domain_guard(z) returns True at singular points; sampling masks them.
     Derivative callables, when present, must agree with finite differences
-    of `value` to O(h^2) on the guard-admissible region.
+    of `value` to O(h^2) on the guard-admissible region. `jet_fn`, when
+    present, computes every available slot in one pass; the slot callables
+    then read from it.
     """
 
     value: Callable
@@ -152,27 +159,28 @@ class ClosedForm:
     dzdzbar: Optional[Callable] = None
     dzbar2: Optional[Callable] = None
     domain_guard: Optional[Callable] = None
+    jet_fn: Optional[Callable] = field(default=None, repr=False)
 
     def jet(self, z) -> Jet:
+        if self.jet_fn is not None:
+            return self.jet_fn(z)
         ev = lambda fn: fn(z) if fn is not None else None
-        return Jet(self.value(z), ev(self.dz), ev(self.dzbar),
-                   ev(self.dz2), ev(self.dzdzbar), ev(self.dzbar2))
-
-    def _probe(self) -> Jet:
-        one = 1.0 + 0.0j
-        p = lambda fn: one if fn is not None else None
-        return Jet(one, p(self.dz), p(self.dzbar), p(self.dz2), p(self.dzdzbar), p(self.dzbar2))
+        return Jet(*(ev(getattr(self, name)) for name, _ in _SLOTS))
 
     def conjugate(self) -> "ClosedForm":
         wrap = lambda fn: (lambda z, _fn=fn: np.conj(_fn(z))) if fn is not None else None
+        joint = None
+        if self.jet_fn is not None:
+            joint = lambda z: jet_conj(self.jet(z))
         return ClosedForm(
-            value=lambda z: np.conj(self.value(z)),
+            value=wrap(self.value),
             dz=wrap(self.dzbar),
             dzbar=wrap(self.dz),
             dz2=wrap(self.dzbar2),
             dzdzbar=wrap(self.dzdzbar),
             dzbar2=wrap(self.dz2),
             domain_guard=self.domain_guard,
+            jet_fn=joint,
         )
 
     def derivative(self, which: str) -> Optional["ClosedForm"]:
@@ -194,30 +202,37 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     """Combine closed forms through a jet operation.
 
     `op` maps input jets to an output jet. Output derivative callables are
-    attached exactly for the slots that survive None-propagation.
+    attached exactly for the slots that survive None-propagation, which
+    `op` reports when run once on placeholder jets carrying the inputs'
+    available slots. Evaluation runs `op` once per call on the inputs'
+    jets, each distinct input evaluated once; each slot callable reads its
+    slot from that one jet.
     """
-    probe = op(*[f._probe() for f in forms])
-    guards = [f.domain_guard for f in forms if f.domain_guard is not None]
+    placeholders = [Jet(*(1.0 + 0.0j if getattr(f, name) is not None else None
+                          for name, _ in _SLOTS)) for f in forms]
+    present = op(*placeholders)
+    # an input passed more than once, as in lift(jet_mul, f, f), is evaluated once
+    first = {}
+    picks = [first.setdefault(id(f), len(first)) for f in forms]
+    distinct = list({id(f): f for f in forms}.values())
+    guards = [f.domain_guard for f in distinct if f.domain_guard is not None]
 
     def guard(z):
-        if not guards:
-            return None
         g = guards[0](z)
         for extra in guards[1:]:
             g = np.logical_or(g, extra(z))
         return g
 
-    def slot_fn(slot):
-        def call(z):
-            return getattr(op(*[f.jet(z) for f in forms]), slot)
-        return call
+    def joint(z):
+        jets = [f.jet(z) for f in distinct]
+        return op(*[jets[k] for k in picks])
 
-    kw = {}
-    for name, slot in (("dz", "fz"), ("dzbar", "fzb"), ("dz2", "fzz"),
-                       ("dzdzbar", "fzzb"), ("dzbar2", "fzbzb")):
-        if getattr(probe, slot) is not None:
-            kw[name] = slot_fn(slot)
-    return ClosedForm(value=slot_fn("f"), domain_guard=guard if guards else None, **kw)
+    def reader(slot):
+        return lambda z: getattr(joint(z), slot)
+
+    kw = {name: reader(slot) for name, slot in _SLOTS
+          if getattr(present, slot) is not None}
+    return ClosedForm(domain_guard=guard if guards else None, jet_fn=joint, **kw)
 
 
 def _broadcast(vals, z) -> np.ndarray:
@@ -295,16 +310,30 @@ def diagonal_form(expr, guard=None) -> ClosedForm:
     f0, f1, f2 = (_lambdify(_S, e) for e in (expr, d1, d2))
 
     def at(fn):
-        def call(z):
-            # complex-typed s keeps square roots of negative reals on the
-            # principal branch instead of collapsing to nan
-            s = (2.0 * np.real(np.asarray(z))).astype(complex)
-            return _broadcast(fn(s), z)
-        return call
+        return lambda z: _on_abscissae(fn, z)
 
     return ClosedForm(value=at(f0), dz=at(f1), dzbar=at(f1),
                       dz2=at(f2), dzdzbar=at(f2), dzbar2=at(f2),
                       domain_guard=guard)
+
+
+def _on_abscissae(fn, z) -> np.ndarray:
+    """fn(s) at s = z + conj(z), evaluated once per distinct abscissa of a mesh.
+
+    On a grid mesh (2-D, every row of constant real part) fn runs on one
+    column and the result is broadcast along axis 1; the inputs per point
+    are bitwise the same, so are the values. Any other z is evaluated
+    pointwise.
+    """
+    x = np.real(np.asarray(z))
+    if x.ndim == 2:
+        bits = x.view(f"u{x.itemsize}")
+        if (bits == bits[:, :1]).all():
+            x = x[:, :1]
+    # complex-typed s keeps square roots of negative reals on the
+    # principal branch instead of collapsing to nan
+    s = (2.0 * x).astype(complex)
+    return _broadcast(fn(s), z)
 
 
 def holomorphic_form(expr, guard=None) -> ClosedForm:

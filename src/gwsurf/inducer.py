@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .calculus import d_z, d_zbar, dx, dxx, dxy, dy, dyy
+from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
 from .grid import ComplexField, GridSpec, RealField
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField, density_p
@@ -90,7 +89,7 @@ def _seg_or(bad: np.ndarray, k0: int, axis: int) -> np.ndarray:
 
 
 def _cum_from(vals: np.ndarray, h: float, axis: int, k0: int) -> np.ndarray:
-    c = cumulative_trapezoid(vals, dx=h, axis=axis, initial=0.0)
+    c = _cumulative_trapezoid(vals, h, axis)
     ref = np.take(c, k0, axis=axis)
     return c - np.expand_dims(ref, axis)
 
@@ -369,37 +368,28 @@ def export_mesh(srf: Surface, path) -> tuple[int, int]:
 
     One `v` line per unmasked grid vertex in row-major (i, j) order; each
     fully-unmasked grid cell becomes two triangles. Returns (vertex
-    count, face count).
+    count, face count). Coordinates print as Python float reprs; the file
+    is written one grid row at a time.
     """
     mask = srf.mask
     if mask.all():
         raise ValueError("fully masked surface; nothing to export")
-    grid = srf.grid
-    idx = np.full(grid.shape, 0, dtype=int)
-    lines = []
-    count = 0
-    vals = (srf.x1.values, srf.x2.values, srf.x3.values)
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if mask[i, j]:
-                continue
-            count += 1
-            idx[i, j] = count
-            lines.append(f"v {float(vals[0][i, j])!r} {float(vals[1][i, j])!r} "
-                         f"{float(vals[2][i, j])!r}")
-    nfaces = 0
-    for i in range(grid.nx - 1):
-        for j in range(grid.ny - 1):
-            corners = idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1]
-            if 0 in corners:
-                continue
-            a, b, c, d = corners
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-            nfaces += 2
+    keep = ~mask
+    count = int(np.count_nonzero(keep))
+    idx = np.zeros(mask.shape, dtype=np.int64)
+    idx[keep] = np.arange(1, count + 1)
+    # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
+    whole = np.all([c > 0 for c in corners], axis=0)
+    coords = (srf.x1.values, srf.x2.values, srf.x3.values)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return count, nfaces
+        for i, row in enumerate(keep):
+            xyz = [map(repr, c[i, row].tolist()) for c in coords]
+            fh.write("".join(map("v {} {} {}\n".format, *xyz)))
+        for i, row in enumerate(whole):
+            abcd = [c[i, row].tolist() for c in corners]
+            fh.write("".join(map("f {0} {1} {2}\nf {0} {2} {3}\n".format, *abcd)))
+    return count, 2 * int(np.count_nonzero(whole))
 
 
 def load_mesh_vertices(path) -> np.ndarray:
@@ -413,17 +403,22 @@ def load_mesh_vertices(path) -> np.ndarray:
     return np.asarray(verts, dtype=float)
 
 
-def surface_to_csv(srf: Surface, path) -> None:
-    """Dump x, y, X1, X2, X3, H_num, K_num rows for external plotting."""
-    ff = fundamental_forms(srf)
-    hn = mean_curvature_numeric(ff)
-    kn = gauss_curvature_numeric(ff)
+def surface_to_csv(srf: Surface, path, ff: FundamentalForms | None = None) -> None:
+    """Dump x, y, X1, X2, X3, H_num, K_num rows for external plotting.
+
+    `ff` are the surface's fundamental forms when the caller already has
+    them; they are computed otherwise. Values print as Python float reprs,
+    each grid abscissa and ordinate formatted once; the file is written
+    one grid row at a time.
+    """
+    if ff is None:
+        ff = fundamental_forms(srf)
+    cols = (srf.x1.values, srf.x2.values, srf.x3.values,
+            mean_curvature_numeric(ff).values, gauss_curvature_numeric(ff).values)
     grid = srf.grid
-    xs, ys = grid.xs(), grid.ys()
+    ys = list(map(repr, grid.ys().tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,X1,X2,X3,H_num,K_num\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                row = (xs[i], ys[j], srf.x1.values[i, j], srf.x2.values[i, j],
-                       srf.x3.values[i, j], hn.values[i, j], kn.values[i, j])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for i, x in enumerate(map(repr, grid.xs().tolist())):
+            vals = [map(repr, c[i].tolist()) for c in cols]
+            fh.write("".join(map((x + ",{},{},{},{},{},{}\n").format, ys, *vals)))

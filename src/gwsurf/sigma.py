@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import (ClosedForm, Jet, jet_add, jet_conj, jet_div, jet_dz,
-                         jet_inv, jet_mul, jet_scale, jet_sqrt, jet_sub,
-                         lift, sample)
+from .closedform import (Jet, jet_add, jet_conj, jet_div, jet_dz, jet_inv,
+                         jet_mul, jet_scale, jet_sqrt, jet_sub, lift)
 from .grid import ComplexField, GridSpec
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField
@@ -54,11 +53,6 @@ class RhoField:
     def __post_init__(self):
         if self.branch_eps not in (+1, -1):
             raise ValueError("branch sign must be +1 or -1")
-
-    @classmethod
-    def from_closed_form(cls, form: ClosedForm, grid: GridSpec,
-                         branch_eps: int = 1, extra_mask=None) -> "RhoField":
-        return cls(sample(form, grid, extra_mask), branch_eps)
 
     @property
     def grid(self) -> GridSpec:

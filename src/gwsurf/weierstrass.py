@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .calculus import d_z, d_zbar, mixed_dzbar_dz
+from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, field_mul, sample, sample_real
 from .grid import ComplexField, GridSpec, RealField
 from .reporting import ResidualReport, report_from_parts
@@ -244,7 +243,7 @@ def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
     g = p**2 * hz.values
     gmask = mask | hz.mask
 
-    cum = cumulative_trapezoid(g, dx=grid.hx, axis=0, initial=0.0)
+    cum = _cumulative_trapezoid(g, grid.hx, axis=0)
     corr = 2.0 * (cum - cum[i0, :][None, :])
 
     # a masked integrand point poisons every target beyond it on that row

@@ -172,3 +172,22 @@ class TestReport:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0] == "family,suite,kind,max_norm,tolerance,ratio,passed"
         assert len(lines) > 1
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("flag", ["--levels", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_flag_below_one_is_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        code = run(["verify", "--family", "unimodular", "--grid", "21x21",
+                    flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["levels=0", "jobs=0"])
+    def test_config_below_one_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()

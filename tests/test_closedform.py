@@ -89,3 +89,58 @@ def test_field_mul_requires_matching_grids():
     b = sample(diagonal_form(sp.sin(_S)), GridSpec(-1, 1, -1, 1, 13, 13))
     with pytest.raises(ValueError):
         field_mul(a, b)
+
+
+def test_nested_lift_evaluates_each_leaf_once_per_level():
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return np.full(np.shape(z), 1.5 + 0.5j)
+
+    from gwsurf.closedform import ClosedForm
+    leaf = ClosedForm(value=counted, dz=counted, dzbar=counted,
+                      dz2=counted, dzdzbar=counted, dzbar2=counted)
+    depth = 4
+    form = leaf
+    for _ in range(depth):
+        form = lift(jet_mul, form, form)
+    z = GridSpec(-1, 1, -1, 1, 5, 5).zmesh()
+    for slot in ("value", "dz", "dzdzbar"):
+        calls[0] = 0
+        vals = getattr(form, slot)(z)
+        # one jet per level: at most the six leaf slots per level, where
+        # per-slot re-evaluation would cost about 12**depth leaf calls
+        assert 0 < calls[0] <= 6 * depth
+        assert np.all(np.isfinite(vals))
+    assert np.allclose(form.value(z), (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
+
+
+DIAGONAL_SLOTS = ("value", "dz", "dzbar", "dz2", "dzdzbar", "dzbar2")
+
+
+def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
+    # sqrt of a negative real argument exercises the complex branch
+    expr = sp.sqrt(_S - 0.3) * sp.sin(3 * _S) / (1 + _S**2)
+    form = diagonal_form(expr)
+    g = GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23)
+    z = g.zmesh()
+    for slot in DIAGONAL_SLOTS:
+        fn = getattr(form, slot)
+        on_mesh = fn(z)
+        pointwise = fn(z.ravel()).reshape(z.shape)
+        assert on_mesh.shape == z.shape
+        assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64))
+
+
+def test_diagonal_form_off_mesh_matches_direct_evaluation():
+    expr = sp.exp(_S) / (2 + sp.cos(_S))
+    form = diagonal_form(expr)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-1, 1, (9, 11)) + 1j * rng.uniform(-1, 1, (9, 11))
+    z[:, 0] = z[:, 1].real            # one column repeats its neighbour's abscissa
+    direct = sp.lambdify(_S, sp.diff(expr, _S), "numpy")
+    expect = direct((2.0 * z.real).astype(complex))
+    assert np.array_equal(form.dz(z), expect)
+    assert np.array_equal(form.value(z[0]),
+                          sp.lambdify(_S, expr, "numpy")((2.0 * z[0].real).astype(complex)))

@@ -241,3 +241,29 @@ def test_field_csv_snapshot(tmp_path):
     assert (x, y, re, im) == (0.0, 0.0, 0.0, 0.0)
     x, y, re, im = (float(v) for v in lines[-1].split(","))
     assert (x, y, re, im) == (1.0, 1.0, 1.0, 1.0)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_bitwise(self, axis, dtype):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        from gwsurf.calculus import _cumulative_trapezoid
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((17, 23)).astype(dtype)
+        if dtype is complex:
+            y = y + 1j * rng.standard_normal((17, 23))
+        h = 0.0371
+        expect = scipy_integrate.cumulative_trapezoid(y, dx=h, axis=axis, initial=0.0)
+        got = _cumulative_trapezoid(y, h, axis)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def test_import_does_not_load_scipy():
+    import subprocess
+    import sys
+    code = "import sys, gwsurf, gwsurf.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

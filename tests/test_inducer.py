@@ -269,3 +269,87 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,X1,X2,X3,H_num,K_num"
         assert len(lines) == 1 + 11 * 11
+
+
+def loop_export_mesh(srf, path):
+    """Per-element OBJ writer the vectorized export must reproduce byte for byte."""
+    mask = srf.mask
+    grid = srf.grid
+    idx = np.full(grid.shape, 0, dtype=int)
+    lines = []
+    count = 0
+    vals = (srf.x1.values, srf.x2.values, srf.x3.values)
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            if mask[i, j]:
+                continue
+            count += 1
+            idx[i, j] = count
+            lines.append(f"v {float(vals[0][i, j])!r} {float(vals[1][i, j])!r} "
+                         f"{float(vals[2][i, j])!r}")
+    nfaces = 0
+    for i in range(grid.nx - 1):
+        for j in range(grid.ny - 1):
+            corners = idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1]
+            if 0 in corners:
+                continue
+            a, b, c, d = corners
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+            nfaces += 2
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return count, nfaces
+
+
+def loop_surface_to_csv(srf, path):
+    """Per-element CSV writer the vectorized export must reproduce byte for byte."""
+    ff = fundamental_forms(srf)
+    hn = mean_curvature_numeric(ff)
+    kn = gauss_curvature_numeric(ff)
+    grid = srf.grid
+    xs, ys = grid.xs(), grid.ys()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("x,y,X1,X2,X3,H_num,K_num\n")
+        for i in range(grid.nx):
+            for j in range(grid.ny):
+                row = (xs[i], ys[j], srf.x1.values[i, j], srf.x2.values[i, j],
+                       srf.x3.values[i, j], hn.values[i, j], kn.values[i, j])
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def rational_surface():
+    g = GridSpec(-1, 1, -1, 1, 31, 31)
+    return induce_surface(family_rational(1.3).spinor(g), 0.0)
+
+
+def masked_surface():
+    g = GridSpec(0.5, 2.2, 0.0, 3.0, 13, 9)
+    mask = np.zeros(g.shape, bool)
+    mask[0, 0] = mask[6, 4] = mask[12, 3] = True   # a corner, an interior point, an edge
+    return param_surface(g, lambda u, v: 2 * np.sin(u) * np.cos(v),
+                         lambda u, v: 2 * np.sin(u) * np.sin(v),
+                         lambda u, v: 2 * np.cos(u) + 0 * v, mask=mask)
+
+
+@pytest.mark.parametrize("make", [rational_surface, masked_surface])
+def test_export_bytes_match_per_element_writers(make, tmp_path):
+    srf = make()
+    expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
+    assert export_mesh(srf, tmp_path / "new.obj") == expect_counts
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+
+    loop_surface_to_csv(srf, tmp_path / "loop.csv")
+    surface_to_csv(srf, tmp_path / "new.csv")
+    surface_to_csv(srf, tmp_path / "given_forms.csv", fundamental_forms(srf))
+    expect = (tmp_path / "loop.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == expect
+    assert (tmp_path / "given_forms.csv").read_bytes() == expect
+
+
+def test_masked_interior_point_drops_its_four_cells(tmp_path):
+    srf = masked_surface()
+    nv, nf = export_mesh(srf, tmp_path / "m.obj")
+    cells = (13 - 1) * (9 - 1)
+    # corner: 1 cell, interior point: 4 cells, edge point: 2 cells
+    assert (nv, nf) == (13 * 9 - 3, 2 * (cells - 1 - 4 - 2))
