@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -66,11 +68,8 @@ RATIO_MIN = 2.5
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-_CONFIG_KEYS = ("family", "lambda", "a", "h0", "grid", "domain", "basepoint",
-                "tol_scale", "levels", "jobs", "out", "format")
-
+# configuration: one row per key drives the config file, the flags, the
+# report stamp and the glue for negative values
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -95,33 +94,11 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize as diff-able key=value lines (canonical order)."""
-        def fmt(v):
-            if v is None:
-                return "default"
-            if isinstance(v, tuple):
-                return ",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                                for x in v)
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        pairs = [
-            ("family", self.family), ("lambda", self.lam), ("a", self.a),
-            ("h0", self.h0), ("grid", f"{self.grid[0]}x{self.grid[1]}"),
-            ("domain", self.domain), ("basepoint", self.basepoint),
-            ("tol_scale", self.tol_scale), ("levels", self.levels),
-            ("jobs", self.jobs), ("out", self.out), ("format", self.format),
-        ]
-        return "".join(f"{k}={fmt(v)}\n" for k, v in pairs)
+        return "".join(f"{k.key}={k.fmt(getattr(self, k.field))}\n" for k in _KEYS)
 
     def describe(self) -> dict:
-        return {
-            "family": self.family, "lambda": self.lam, "a": self.a, "h0": self.h0,
-            "grid": f"{self.grid[0]}x{self.grid[1]}",
-            "domain": list(self.domain) if self.domain else None,
-            "basepoint": list(self.basepoint) if self.basepoint else None,
-            "tol_scale": self.tol_scale, "levels": self.levels,
-        }
+        """The settings that shape results, as stamped into every report."""
+        return {k.key: k.report(getattr(self, k.field)) for k in _KEYS if k.report}
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -132,15 +109,84 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like 101x101, got {text!r}") from exc
 
 
-def _parse_floats(text: str, n: int, what: str):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+def _fmt_grid(grid: tuple[int, int]) -> str:
+    return f"{grid[0]}x{grid[1]}"
+
+
+def _floats(n: int, what: str):
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != n:
+            raise ValueError(f"{what} needs {n} comma-separated numbers, got {text!r}")
+        return tuple(float(p) for p in parts)
+    return parse
+
+
+def _choice(what: str, names):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{what} must be one of {', '.join(names)}, got {text!r}")
+        return text
+    return parse
+
+
+def _optional(parse):
+    """`parse`, plus the literal `default` for the key's default, None."""
+    return lambda text: None if text == "default" else parse(text)
+
+
+def _tol_scale(text: str) -> float:
+    value = float(text)
+    # nan or inf would make every `residual > tol` comparison False
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"tol_scale must be finite and positive, got {text!r}")
+    return value
+
+
+def _fmt_value(v) -> str:
+    if v is None:
+        return "default"
+    if isinstance(v, tuple):
+        return ",".join(map(_fmt_value, v))
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _json(v):
+    return list(v) if isinstance(v, tuple) else v
+
+
+@dataclass(frozen=True)
+class _Key:
+    key: str                    # config-file key, also the report-config key
+    field: str                  # RunConfig field
+    flag: str                   # command-line flag
+    parse: Callable             # text (flag or config file) -> value
+    fmt: Callable = _fmt_value  # value -> config-file text
+    report: Callable | None = None  # value -> report-config JSON; None: not stamped
+    signed: bool = False        # the flag takes values that begin with '-'
+
+
+_KEYS = (
+    _Key("family", "family", "--family", _choice("family", FAMILY_NAMES), report=_json),
+    _Key("lambda", "lam", "--lambda", _optional(float), report=_json, signed=True),
+    _Key("a", "a", "--A", _optional(float), report=_json, signed=True),
+    _Key("h0", "h0", "--H0", float, report=_json, signed=True),
+    _Key("grid", "grid", "--grid", _parse_grid, _fmt_grid, report=_fmt_grid),
+    _Key("domain", "domain", "--domain", _optional(_floats(4, "domain")),
+         report=_json, signed=True),
+    _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
+         report=_json, signed=True),
+    _Key("tol_scale", "tol_scale", "--tol-scale", _tol_scale, report=_json, signed=True),
+    _Key("levels", "levels", "--levels", int, report=_json),
+    _Key("jobs", "jobs", "--jobs", int),
+    _Key("out", "out", "--out", str),
+    _Key("format", "format", "--format", _choice("format", ("json", "csv"))),
+)
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse key=value lines; '#' starts a comment; unknown keys rejected."""
+    keys = {k.key: k for k in _KEYS}
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -149,62 +195,47 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key == "family":
-            cfg = replace(cfg, family=val)
-        elif key == "lambda":
-            cfg = replace(cfg, lam=None if val == "default" else float(val))
-        elif key == "a":
-            cfg = replace(cfg, a=None if val == "default" else float(val))
-        elif key == "h0":
-            cfg = replace(cfg, h0=float(val))
-        elif key == "grid":
-            cfg = replace(cfg, grid=_parse_grid(val))
-        elif key == "domain":
-            cfg = replace(cfg, domain=None if val == "default"
-                          else _parse_floats(val, 4, "domain"))
-        elif key == "basepoint":
-            cfg = replace(cfg, basepoint=None if val == "default"
-                          else _parse_floats(val, 2, "basepoint"))
-        elif key == "tol_scale":
-            cfg = replace(cfg, tol_scale=float(val))
-        elif key == "levels":
-            cfg = replace(cfg, levels=int(val))
-        elif key == "jobs":
-            cfg = replace(cfg, jobs=int(val))
-        elif key == "out":
-            cfg = replace(cfg, out=val)
-        elif key == "format":
-            if val not in ("json", "csv"):
-                raise ValueError(f"format must be json or csv, got {val!r}")
-            cfg = replace(cfg, format=val)
+        cfg = replace(cfg, **{keys[key].field: keys[key].parse(val)})
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # suite machinery
 
+def _class_of(fam: SolutionFamily) -> str:
+    """"varying_h" for the three families with nonconstant H, "constant_rho"
+    for unimodular at lambda = 0 (rho is constant: no spinor pair to check),
+    otherwise the family name."""
+    if fam.name in ("rational", "exponential", "trig"):
+        return "varying_h"
+    if fam.name == "unimodular" and not fam.params["lambda"]:
+        return "constant_rho"
+    return fam.name
+
+
+def _on(*classes):
+    """Predicate over the family: its _class_of is one of `classes`."""
+    return lambda fam: _class_of(fam) in classes
+
+
+_ALL = _on("varying_h", "unimodular", "constant_rho", "holomorphic")
+_VARYING_H = _on("varying_h")
+_SPINOR = _on("varying_h", "unimodular", "holomorphic")
+_UNIMODULAR = _on("unimodular", "constant_rho")
+
+
 @dataclass(frozen=True)
 class SuiteSpec:
     name: str
     kind: str                   # exact | fd | control | classify
+    applies: object             # fn(family) -> bool: run for this family
     runner: object              # fn(family, grid) -> ResidualReport
     tol: float = EXACT_TOL      # for exact suites
-    expect_ratio: bool = True   # fd suites: enforce the O(h^2) ratio
-
-
-def _grids(cfg: RunConfig, fam: SolutionFamily) -> list[GridSpec]:
-    if cfg.domain is not None:
-        x0, x1, y0, y1 = cfg.domain
-    else:
-        x0, x1, y0, y1 = fam.default_domain
-    g = GridSpec(x0, x1, y0, y1, cfg.grid[0], cfg.grid[1])
-    out = [g]
-    for _ in range(cfg.levels - 1):
-        g = g.refined()
-        out.append(g)
-    return out
+    # fd suites: enforce the O(h^2) ratio; fn(family) -> bool in SUITES,
+    # that function's value once _suites_for resolves the spec for a family
+    expect_ratio: object = _ALL
 
 
 def _fd_H(fam: SolutionFamily, grid: GridSpec) -> MeanCurvature:
@@ -215,33 +246,23 @@ def _param(fam: SolutionFamily) -> float:
     return fam.params.get("lambda", fam.params.get("A", 1.0))
 
 
-def _report_scalar(name, grid, value, **details) -> ResidualReport:
-    return ResidualReport(name=name, grid=grid, max_norm=float(value),
-                          l2_norm=float(value), masked_points=0,
-                          details=details)
+def _max_abs(values, mask) -> float:
+    """max |values| over the points not in `mask`; 0 when all are masked."""
+    return float(np.max(np.abs(values[~mask]), initial=0.0))
+
+
+def _report_scalar(grid, value, **details) -> ResidualReport:
+    return ResidualReport(name="scalar", grid=grid, max_norm=float(value),
+                          l2_norm=float(value), masked_points=0, details=details)
 
 
 # --- exact-path runners -----------------------------------------------------
 
-def run_dirac_exact(fam, grid):
-    return weierstrass_residual(fam.spinor(grid), fam.mean_curvature, name="dirac_exact")
-
-
-def run_sigma_exact(fam, grid):
-    return sigma_residual(fam.rho(grid), fam.mean_curvature, name="sigma_exact")
-
-
-def run_conservation_exact(fam, grid):
-    return potential_conservation_residual(fam.spinor(grid), name="conservation_exact")
-
-
 def run_roundtrip_exact(fam, grid):
     rho = fam.rho(grid)
     back = rho_from_psi(psi_from_rho(rho, fam.mean_curvature))
-    mask = rho.rho.mask | back.rho.mask
-    err = np.abs(back.rho.values - rho.rho.values)
-    val = float(np.max(err[~mask], initial=0.0))
-    return _report_scalar("roundtrip_exact", grid, val)
+    return _report_scalar(grid, _max_abs(back.rho.values - rho.rho.values,
+                                         rho.rho.mask | back.rho.mask))
 
 
 def run_transform_exact(fam, grid):
@@ -253,15 +274,10 @@ def run_transform_exact(fam, grid):
     # grows large, so that direction is judged relative to the size of the
     # second-derivative term it has to cancel
     mixed = mixed_dzbar_dz(derived.rho)
-    scale = max(1.0, float(np.max(np.abs(mixed.values[~mixed.mask]), initial=0.0)))
-    worst = max(a.max_norm, b.max_norm / scale)
-    return _report_scalar("transform_exact", grid, worst,
+    scale = max(1.0, _max_abs(mixed.values, mixed.mask))
+    return _report_scalar(grid, max(a.max_norm, b.max_norm / scale),
                           spinor_direction=a.max_norm, rho_direction=b.max_norm,
                           rho_direction_scale=scale)
-
-
-def run_spin_algebra_exact(fam, grid):
-    return spin_matrix(fam.rho(grid)).algebra_report(name="spin_algebra_exact")
 
 
 def run_current_identity_exact(fam, grid):
@@ -269,74 +285,45 @@ def run_current_identity_exact(fam, grid):
     J = current_J(s).j
     p = density_p(s)
     h = fam.mean_curvature.sample(grid)
-    mask = J.mask | p.mask | h.mask
     vals = np.abs(J.values) ** 2 - p.values**4 * h.values**2
-    val = float(np.max(np.abs(vals[~mask]), initial=0.0))
-    return _report_scalar("current_identity_exact", grid, val)
+    return _report_scalar(grid, _max_abs(vals, J.mask | p.mask | h.mask))
 
 
 def run_constraints_exact(fam, grid):
-    rep = linearization_constraint_residual(fam.spinor(grid), name="constraints_exact")
-    worst = max(rep.max_norm, rep.details.get("p_variance", 0.0))
-    return ResidualReport(name=rep.name, grid=rep.grid, max_norm=worst,
-                          l2_norm=rep.l2_norm, masked_points=rep.masked_points,
-                          parts=rep.parts, details=rep.details)
+    rep = linearization_constraint_residual(fam.spinor(grid))
+    return replace(rep, max_norm=max(rep.max_norm, rep.details.get("p_variance", 0.0)))
 
 
 def run_linear_system_exact(fam, grid):
-    p0 = abs(_param(fam))
-    return linear_system_residual(fam.spinor(grid), fam.mean_curvature, p0,
-                                  name="linear_system_exact", exclude_rings=2)
-
-
-def run_deformed_ll_exact(fam, grid):
-    return deformed_ll_residual(fam.rho(grid), fam.mean_curvature,
-                                name="deformed_ll_exact")
+    return linear_system_residual(fam.spinor(grid), fam.mean_curvature, abs(_param(fam)),
+                                  exclude_rings=2)
 
 
 def run_compatibility_exact(fam, grid):
-    return compatibility_residual(fam.rho(grid), fam.mean_curvature,
-                                  name="compatibility_exact", exclude_rings=2)
+    return compatibility_residual(fam.rho(grid), fam.mean_curvature, exclude_rings=2)
 
 
 def run_h_constancy_exact(fam, grid):
-    rep = unimodular_H_constancy_check(fam.rho(grid), fam.mean_curvature,
-                                       name="h_constancy_exact")
+    rep = unimodular_H_constancy_check(fam.rho(grid), fam.mean_curvature)
     if not rep.details.get("consistent", False):
-        return ResidualReport(name=rep.name, grid=rep.grid, max_norm=max(rep.max_norm, 1.0),
-                              l2_norm=rep.l2_norm, masked_points=rep.masked_points,
-                              details=rep.details)
+        return replace(rep, max_norm=max(rep.max_norm, 1.0))
     return rep
 
 
 def run_multisoliton_exact(fam, grid):
     rho = fam.rho(grid)
     prod = multisoliton_product(rho, rho)
-    rep = sigma_residual(prod, fam.mean_curvature, name="multisoliton_exact")
-    dev = float(np.max(np.abs(np.abs(prod.rho.values[~prod.rho.mask]) - 1.0), initial=0.0))
-    worst = max(rep.max_norm, dev)
-    return ResidualReport(name=rep.name, grid=rep.grid, max_norm=worst,
-                          l2_norm=rep.l2_norm, masked_points=rep.masked_points,
-                          parts=rep.parts, details={"unimodularity": dev})
+    rep = sigma_residual(prod, fam.mean_curvature)
+    dev = _max_abs(np.abs(prod.rho.values) - 1.0, prod.rho.mask)
+    return replace(rep, max_norm=max(rep.max_norm, dev), details={"unimodularity": dev})
 
 
 # --- finite-difference runners ----------------------------------------------
 
-def run_dirac_fd(fam, grid):
-    return weierstrass_residual(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
-                                name="dirac_fd")
-
-
 def run_sigma_fd(fam, grid):
     # the mixed second derivative composes two stencils, so the boundary
     # seam converges one order slower; the interior carries the O(h^2) claim
-    return sigma_residual(fam.rho(grid, analytic=False), _fd_H(fam, grid),
-                          name="sigma_fd", exclude_rings=2)
-
-
-def run_conservation_fd(fam, grid):
-    return potential_conservation_residual(fam.spinor(grid, analytic=False),
-                                           name="conservation_fd")
+    return sigma_residual(fam.rho(grid, analytic=False), _fd_H(fam, grid), exclude_rings=2)
 
 
 def run_roundtrip_fd(fam, grid):
@@ -350,59 +337,52 @@ def run_roundtrip_fd(fam, grid):
     sgn = -1.0 if use_minus else 1.0
     err = np.maximum(np.abs(sgn * back.psi1.values - s.psi1.values),
                      np.abs(sgn * back.psi2.values - s.psi2.values))
-    val = float(np.max(err[~mask], initial=0.0))
-    return _report_scalar("roundtrip_fd", grid, val)
+    return _report_scalar(grid, _max_abs(err, mask))
 
 
 def run_current_defect_fd(fam, grid):
-    return dbar_J_defect(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
-                         name="current_defect_fd", exclude_rings=2)
+    return dbar_J_defect(fam.spinor(grid, analytic=False), _fd_H(fam, grid), exclude_rings=2)
 
 
 def run_modified_current_fd(fam, grid):
     x0 = grid.xs()[(grid.nx - 1) // 2]
     cur = modified_current(fam.spinor(grid, analytic=False), _fd_H(fam, grid), x0)
-    return conservation_defect(cur, name="modified_current_fd", exclude_rings=2)
+    return conservation_defect(cur, exclude_rings=2)
 
 
 def run_sinh_gordon_fd(fam, grid):
     return sinh_gordon_residual(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
-                                name="sinh_gordon_fd", exclude_rings=2)
+                                exclude_rings=2)
 
 
 def run_deformed_ll_fd(fam, grid):
     return deformed_ll_residual(fam.rho(grid, analytic=False), _fd_H(fam, grid),
-                                name="deformed_ll_fd", exclude_rings=2)
+                                exclude_rings=2)
 
 
 def run_ll_fd(fam, grid):
-    S = spin_matrix(fam.rho(grid, analytic=False))
-    return landau_lifshitz_residual(S, name="ll_fd", exclude_rings=2)
+    return landau_lifshitz_residual(spin_matrix(fam.rho(grid, analytic=False)),
+                                    exclude_rings=2)
 
 
 def run_riccati_fd(fam, grid):
     rho = fam.rho(grid, analytic=False)
     coeffs = fit_riccati_coeffs(rho)
-    a = riccati_residual(rho, coeffs, name="riccati_fd", exclude_rings=2)
-    b = zero_curvature_residual(coeffs, name="zero_curvature_fd", exclude_rings=2)
-    worst = max(a.max_norm, b.max_norm)
-    return _report_scalar("riccati_fd", grid, worst,
+    a = riccati_residual(rho, coeffs, exclude_rings=2)
+    b = zero_curvature_residual(coeffs, exclude_rings=2)
+    return _report_scalar(grid, max(a.max_norm, b.max_norm),
                           constraint=a.max_norm, zero_curvature=b.max_norm)
 
 
 def run_path_independence_fd(fam, grid):
-    s = fam.spinor(grid)
-    x0, x1, y0, y1 = grid.x_min, grid.x_max, grid.y_min, grid.y_max
     i0, j0 = grid.center_index()
     z0 = (grid.xs()[i0], grid.ys()[j0])
-    z1 = (x1, y1)
-    return path_independence_report(s, z0, z1, name="path_independence_fd")
+    return path_independence_report(fam.spinor(grid), z0, (grid.x_max, grid.y_max))
 
 
 def run_linear_system_fd(fam, grid):
-    p0 = abs(_param(fam))
     return linear_system_residual(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
-                                  p0, name="linear_system_fd", exclude_rings=2)
+                                  abs(_param(fam)), exclude_rings=2)
 
 
 # --- controls and classification ---------------------------------------------
@@ -412,86 +392,63 @@ def run_ll_necessity_control(fam, grid):
     rho = fam.rho(grid, analytic=False)
     undeformed = landau_lifshitz_residual(spin_matrix(rho), exclude_rings=2)
     deformed = deformed_ll_residual(rho, _fd_H(fam, grid), exclude_rings=2)
-    return _report_scalar("ll_necessity_control", grid, undeformed.max_norm,
-                          deformed=deformed.max_norm)
+    return _report_scalar(grid, undeformed.max_norm, deformed=deformed.max_norm)
 
 
 def run_h_classification(fam, grid):
-    rep = h_integrability_residual(fam.mean_curvature, grid,
-                                   name="h_classification", exclude_rings=2)
-    lam = _param(fam)
+    rep = h_integrability_residual(fam.mean_curvature, grid, exclude_rings=2)
     details = dict(rep.details)
     if fam.name == "rational":
-        details["expected"] = 2.0 * lam**2
+        # d dbar (1/H) of the rational family is the constant 2 lambda^2
+        details["expected"] = 2.0 * _param(fam)**2
     details["classified_integrable"] = bool(rep.max_norm <= 1e-6)
-    return ResidualReport(name=rep.name, grid=rep.grid, max_norm=rep.max_norm,
-                          l2_norm=rep.l2_norm, masked_points=rep.masked_points,
-                          parts=rep.parts, details=details)
+    return replace(rep, details=details)
+
+
+SUITES = (
+    SuiteSpec("dirac_exact", "exact", _SPINOR,
+              lambda fam, g: weierstrass_residual(fam.spinor(g), fam.mean_curvature)),
+    SuiteSpec("sigma_exact", "exact", _ALL,
+              lambda fam, g: sigma_residual(fam.rho(g), fam.mean_curvature)),
+    SuiteSpec("conservation_exact", "exact", _SPINOR,
+              lambda fam, g: potential_conservation_residual(fam.spinor(g))),
+    SuiteSpec("roundtrip_exact", "exact", _VARYING_H, run_roundtrip_exact),
+    SuiteSpec("transform_exact", "exact", _VARYING_H, run_transform_exact),
+    SuiteSpec("spin_algebra_exact", "exact", _ALL,
+              lambda fam, g: spin_matrix(fam.rho(g)).algebra_report()),
+    SuiteSpec("current_identity_exact", "exact", _on("varying_h", "unimodular"),
+              run_current_identity_exact, POINTWISE_TOL),
+    SuiteSpec("constraints_exact", "exact", _VARYING_H, run_constraints_exact, POINTWISE_TOL),
+    SuiteSpec("linear_system_exact", "exact", _VARYING_H, run_linear_system_exact, POINTWISE_TOL),
+    SuiteSpec("deformed_ll_exact", "exact", _VARYING_H,
+              lambda fam, g: deformed_ll_residual(fam.rho(g), fam.mean_curvature), POINTWISE_TOL),
+    SuiteSpec("compatibility_exact", "exact", _on("unimodular"), run_compatibility_exact,
+              POINTWISE_TOL),
+    SuiteSpec("h_constancy_exact", "exact", _UNIMODULAR, run_h_constancy_exact, POINTWISE_TOL),
+    SuiteSpec("multisoliton_exact", "exact", _UNIMODULAR, run_multisoliton_exact, POINTWISE_TOL),
+    SuiteSpec("dirac_fd", "fd", _VARYING_H,
+              lambda fam, g: weierstrass_residual(fam.spinor(g, analytic=False), _fd_H(fam, g))),
+    SuiteSpec("sigma_fd", "fd", _VARYING_H, run_sigma_fd),
+    SuiteSpec("conservation_fd", "fd", _VARYING_H,
+              lambda fam, g: potential_conservation_residual(fam.spinor(g, analytic=False))),
+    SuiteSpec("roundtrip_fd", "fd", _VARYING_H, run_roundtrip_fd),
+    SuiteSpec("current_defect_fd", "fd", _on("varying_h", "unimodular"), run_current_defect_fd),
+    SuiteSpec("modified_current_fd", "fd", _VARYING_H, run_modified_current_fd),
+    SuiteSpec("sinh_gordon_fd", "fd", _VARYING_H, run_sinh_gordon_fd),
+    SuiteSpec("deformed_ll_fd", "fd", _VARYING_H, run_deformed_ll_fd),
+    SuiteSpec("riccati_fd", "fd", _VARYING_H, run_riccati_fd, expect_ratio=_on()),
+    SuiteSpec("linear_system_fd", "fd", _VARYING_H, run_linear_system_fd),
+    SuiteSpec("ll_fd", "fd", _on("unimodular", "constant_rho", "holomorphic"), run_ll_fd,
+              expect_ratio=_on("holomorphic")),
+    SuiteSpec("path_independence_fd", "fd", _on("varying_h", "holomorphic"),
+              run_path_independence_fd, expect_ratio=_on("holomorphic")),
+    SuiteSpec("ll_necessity_control", "control", _VARYING_H, run_ll_necessity_control),
+    SuiteSpec("h_classification", "classify", _VARYING_H, run_h_classification),
+)
 
 
 def _suites_for(fam: SolutionFamily) -> list[SuiteSpec]:
-    if fam.name in ("rational", "exponential", "trig"):
-        return [
-            SuiteSpec("dirac_exact", "exact", run_dirac_exact),
-            SuiteSpec("sigma_exact", "exact", run_sigma_exact),
-            SuiteSpec("conservation_exact", "exact", run_conservation_exact),
-            SuiteSpec("roundtrip_exact", "exact", run_roundtrip_exact),
-            SuiteSpec("transform_exact", "exact", run_transform_exact),
-            SuiteSpec("spin_algebra_exact", "exact", run_spin_algebra_exact),
-            SuiteSpec("current_identity_exact", "exact", run_current_identity_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("constraints_exact", "exact", run_constraints_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("linear_system_exact", "exact", run_linear_system_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("deformed_ll_exact", "exact", run_deformed_ll_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("dirac_fd", "fd", run_dirac_fd),
-            SuiteSpec("sigma_fd", "fd", run_sigma_fd),
-            SuiteSpec("conservation_fd", "fd", run_conservation_fd),
-            SuiteSpec("roundtrip_fd", "fd", run_roundtrip_fd),
-            SuiteSpec("current_defect_fd", "fd", run_current_defect_fd),
-            SuiteSpec("modified_current_fd", "fd", run_modified_current_fd),
-            SuiteSpec("sinh_gordon_fd", "fd", run_sinh_gordon_fd),
-            SuiteSpec("deformed_ll_fd", "fd", run_deformed_ll_fd),
-            SuiteSpec("riccati_fd", "fd", run_riccati_fd, expect_ratio=False),
-            SuiteSpec("linear_system_fd", "fd", run_linear_system_fd),
-            SuiteSpec("path_independence_fd", "fd", run_path_independence_fd,
-                      expect_ratio=False),
-            SuiteSpec("ll_necessity_control", "control", run_ll_necessity_control),
-            SuiteSpec("h_classification", "classify", run_h_classification),
-        ]
-    if fam.name == "unimodular":
-        suites = [
-            SuiteSpec("sigma_exact", "exact", run_sigma_exact),
-            SuiteSpec("spin_algebra_exact", "exact", run_spin_algebra_exact),
-            SuiteSpec("h_constancy_exact", "exact", run_h_constancy_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("multisoliton_exact", "exact", run_multisoliton_exact,
-                      tol=POINTWISE_TOL),
-            SuiteSpec("ll_fd", "fd", run_ll_fd, expect_ratio=False),
-        ]
-        if fam.params.get("lambda"):
-            suites[2:2] = [
-                SuiteSpec("dirac_exact", "exact", run_dirac_exact),
-                SuiteSpec("conservation_exact", "exact", run_conservation_exact),
-                SuiteSpec("current_identity_exact", "exact", run_current_identity_exact,
-                          tol=POINTWISE_TOL),
-                SuiteSpec("compatibility_exact", "exact", run_compatibility_exact,
-                          tol=POINTWISE_TOL),
-            ]
-            suites.append(SuiteSpec("current_defect_fd", "fd", run_current_defect_fd))
-        return suites
-    if fam.name == "holomorphic":
-        return [
-            SuiteSpec("sigma_exact", "exact", run_sigma_exact),
-            SuiteSpec("dirac_exact", "exact", run_dirac_exact),
-            SuiteSpec("conservation_exact", "exact", run_conservation_exact),
-            SuiteSpec("spin_algebra_exact", "exact", run_spin_algebra_exact),
-            SuiteSpec("ll_fd", "fd", run_ll_fd),
-            SuiteSpec("path_independence_fd", "fd", run_path_independence_fd),
-        ]
-    raise ValueError(f"no suites for family {fam.name!r}")
+    return [replace(s, expect_ratio=s.expect_ratio(fam)) for s in SUITES if s.applies(fam)]
 
 
 def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
@@ -500,14 +457,12 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
     ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
               for i in range(len(maxes) - 1)]
 
-    passed = True
-    notes = []
+    notes = []   # one per failed check; the suite passes when there are none
     tolerances = []
     if spec.kind == "exact":
         tol = spec.tol * tol_scale
         tolerances = [tol] * len(maxes)
         if any(m > tol for m in maxes):
-            passed = False
             notes.append(f"exceeds exact tolerance {tol:.3e}")
     elif spec.kind == "fd":
         h0 = max(grids[0].hx, grids[0].hy)
@@ -517,12 +472,10 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
             tol = max(FD_SAFETY * c_est * h**2, FD_FLOOR) * tol_scale
             tolerances.append(tol)
             if m > tol:
-                passed = False
                 notes.append(f"residual {m:.3e} above tol {tol:.3e} at h={h:.4g}")
         if spec.expect_ratio and maxes[0] > 100 * FD_FLOOR:
             for k, ratio in enumerate(ratios):
                 if ratio < RATIO_MIN:
-                    passed = False
                     notes.append(f"nonconvergent: ratio {ratio:.2f} < {RATIO_MIN} "
                                  f"at level {k} (4 expected)")
     elif spec.kind == "control":
@@ -530,27 +483,22 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
         floor = 10.0 * max(reports[-1].details.get("deformed", 0.0), FD_FLOOR)
         tolerances = [floor] * len(maxes)
         if maxes[-1] < floor:
-            passed = False
             notes.append(f"control too small: {maxes[-1]:.3e} < {floor:.3e}")
     elif spec.kind == "classify":
-        lam = _param(fam)
-        if fam.name == "rational":
-            expected = 2.0 * lam**2
+        expected = reports[-1].details.get("expected")
+        if expected is not None:
             tolerances = [1e-6 * max(1.0, expected) * tol_scale] * len(maxes)
-            err = abs(maxes[-1] - expected)
-            if err > tolerances[-1]:
-                passed = False
+            if abs(maxes[-1] - expected) > tolerances[-1]:
                 notes.append(f"classifier value {maxes[-1]:.6f} != {expected:.6f}")
         else:
             tolerances = [1e-3] * len(maxes)
             if maxes[-1] < 1e-3:
-                passed = False
                 notes.append("expected a non-integrable-class mean curvature")
 
     return {
         "suite": spec.name,
         "kind": spec.kind,
-        "passed": passed,
+        "passed": not notes,
         "notes": notes,
         "levels": [{"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy,
                     "max_norm": r.max_norm, "l2_norm": r.l2_norm,
@@ -565,13 +513,26 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
 # ---------------------------------------------------------------------------
 # commands
 
-def _build_family_checked(cfg: RunConfig) -> SolutionFamily:
-    return build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
+def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
+    """The family, and its grid refined cfg.levels - 1 times."""
+    fam = build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
+    grids = [GridSpec(*(cfg.domain or fam.default_domain), *cfg.grid)]
+    for _ in range(cfg.levels - 1):
+        grids.append(grids[-1].refined())
+    return fam, grids
+
+
+def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
+    """Stamp a suite result and write it as <family>_<suite>.json."""
+    res.update(family=fam.name, config=cfg.describe(), version=__version__)
+    path = os.path.join(cfg.out, f"{fam.name}_{res['suite']}.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(res, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    fam = _build_family_checked(cfg)
-    grids = _grids(cfg, fam)
+    fam, grids = _setup(cfg)
     suites = _suites_for(fam)
 
     def run(spec):
@@ -584,32 +545,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         results = [run(spec) for spec in suites]
 
     os.makedirs(cfg.out, exist_ok=True)
-    all_passed = True
     for res in results:
-        res["family"] = fam.name
         res["params"] = dict(sorted(fam.params.items()))
-        res["config"] = cfg.describe()
-        res["version"] = __version__
-        path = os.path.join(cfg.out, f"{fam.name}_{res['suite']}.json")
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(res, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_report(cfg, fam, res)
         status = "PASS" if res["passed"] else "FAIL"
         finest = res["levels"][-1]["max_norm"]
         print(f"{status}  {fam.name}:{res['suite']}  max={finest:.3e}"
               + (f"  [{'; '.join(res['notes'])}]" if res["notes"] else ""))
-        all_passed &= res["passed"]
 
-    if not all_passed:
-        failing = [r["suite"] for r in results if not r["passed"]]
+    failing = [r["suite"] for r in results if not r["passed"]]
+    if failing:
         print(f"FAILED suites: {', '.join(failing)}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_induce(cfg: RunConfig) -> int:
-    fam = _build_family_checked(cfg)
-    grids = _grids(cfg, fam)
+    fam, grids = _setup(cfg)
     grid = grids[0]
     s = fam.spinor(grid)
     if s.mask.all():
@@ -627,17 +579,15 @@ def cmd_induce(cfg: RunConfig) -> int:
     nverts, nfaces = export_mesh(srf, obj_path)
     surface_to_csv(srf, csv_path, ff)
 
+    rim = np.ones(grid.shape, dtype=bool)
+    rim[1:-1, 1:-1] = False
     h_num = mean_curvature_numeric(ff)
     h_pre = fam.mean_curvature.sample(grid)
-    interior = np.zeros(grid.shape, dtype=bool)
-    interior[1:-1, 1:-1] = True
-    sel = interior & ~(h_num.mask | h_pre.mask)
-    closure = float(np.max(np.abs(np.abs(h_num.values[sel]) - np.abs(h_pre.values[sel])),
-                           initial=0.0))
+    closure = _max_abs(np.abs(h_num.values) - np.abs(h_pre.values),
+                       rim | h_num.mask | h_pre.mask)
     k_num = gauss_curvature_numeric(ff)
     k_form = gaussian_curvature_from_p(density_p(s))
-    selk = interior & ~(k_num.mask | k_form.mask)
-    k_err = float(np.max(np.abs(k_num.values[selk] - k_form.values[selk]), initial=0.0))
+    k_err = _max_abs(k_num.values - k_form.values, rim | k_num.mask | k_form.mask)
 
     h = max(grid.hx, grid.hy)
     tol = max(50.0 * h**2, FD_FLOOR) * cfg.tol_scale
@@ -645,7 +595,6 @@ def cmd_induce(cfg: RunConfig) -> int:
     res = {
         "suite": "curvature_closure",
         "kind": "fd",
-        "family": fam.name,
         "passed": bool(passed),
         "notes": [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"],
         "levels": [{"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy,
@@ -656,24 +605,17 @@ def cmd_induce(cfg: RunConfig) -> int:
                                 "vertices": nverts, "faces": nfaces}}],
         "ratios": [],
         "tolerances": [tol],
-        "config": cfg.describe(),
-        "version": __version__,
     }
-    with open(os.path.join(cfg.out, f"{fam.name}_curvature_closure.json"),
-              "w", encoding="ascii") as fh:
-        json.dump(res, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_report(cfg, fam, res)
     print(f"{'PASS' if passed else 'FAIL'}  {fam.name}:curvature_closure  "
           f"|H_num - H|={closure:.3e}  K error={k_err:.3e}  ({nverts} vertices)")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    if not os.path.isdir(cfg.out):
-        print(f"no reports found in {cfg.out!r}", file=sys.stderr)
-        return EXIT_NOINPUT
     rows = []
-    for fname in sorted(os.listdir(cfg.out)):
+    names = sorted(os.listdir(cfg.out)) if os.path.isdir(cfg.out) else []
+    for fname in names:
         if not fname.endswith(".json") or fname.startswith("summary"):
             continue
         with open(os.path.join(cfg.out, fname), "r", encoding="ascii") as fh:
@@ -726,130 +668,62 @@ def cmd_report(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument handling
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _resolve(argv) -> tuple[str, RunConfig]:
+    """The command and its configuration: defaults < --config < flags < WSL_OUT.
 
+    Raises SystemExit on a command-line usage error, OSError when the config
+    file cannot be read and ValueError on a bad value."""
+    parser = argparse.ArgumentParser(
+        prog="gwsurf", description="verify and induce prescribed mean curvature surfaces")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("verify", "induce", "report"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key in _KEYS:
+            p.add_argument(key.flag, dest=key.field, metavar=key.key.upper())
+    ns = parser.parse_args(_glue_negative_values(argv))
 
-def _add_common(p: _Parser):
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--family", choices=FAMILY_NAMES)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--A", dest="a_param", type=float)
-    p.add_argument("--H0", dest="h0", type=float)
-    p.add_argument("--grid")
-    p.add_argument("--domain")
-    p.add_argument("--basepoint")
-    p.add_argument("--tol-scale", dest="tol_scale", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"))
-
-
-def _merge(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
-    if getattr(ns, "family", None) is not None:
-        cfg = replace(cfg, family=ns.family)
-    if getattr(ns, "lam", None) is not None:
-        cfg = replace(cfg, lam=ns.lam)
-    if getattr(ns, "a_param", None) is not None:
-        cfg = replace(cfg, a=ns.a_param)
-    if getattr(ns, "h0", None) is not None:
-        cfg = replace(cfg, h0=ns.h0)
-    if getattr(ns, "grid", None) is not None:
-        cfg = replace(cfg, grid=_parse_grid(ns.grid))
-    if getattr(ns, "domain", None) is not None:
-        cfg = replace(cfg, domain=None if ns.domain == "default"
-                      else _parse_floats(ns.domain, 4, "domain"))
-    if getattr(ns, "basepoint", None) is not None:
-        cfg = replace(cfg, basepoint=None if ns.basepoint == "default"
-                      else _parse_floats(ns.basepoint, 2, "basepoint"))
-    if getattr(ns, "tol_scale", None) is not None:
-        cfg = replace(cfg, tol_scale=ns.tol_scale)
-    if getattr(ns, "levels", None) is not None:
-        cfg = replace(cfg, levels=ns.levels)
-    if getattr(ns, "jobs", None) is not None:
-        cfg = replace(cfg, jobs=ns.jobs)
-    if getattr(ns, "out", None) is not None:
-        cfg = replace(cfg, out=ns.out)
-    if getattr(ns, "format", None) is not None:
-        cfg = replace(cfg, format=ns.format)
+    cfg = RunConfig()
+    if ns.config:
+        with open(ns.config, "r", encoding="ascii") as fh:
+            cfg = parse_config_text(fh.read())
+    for key in _KEYS:
+        if getattr(ns, key.field) is not None:
+            cfg = replace(cfg, **{key.field: key.parse(getattr(ns, key.field))})
     if os.environ.get("WSL_OUT"):
         cfg = replace(cfg, out=os.environ["WSL_OUT"])
-    return cfg
-
-
-_VALUE_FLAGS = ("--domain", "--basepoint", "--lambda", "--A", "--H0", "--tol-scale")
+    return ns.command, cfg
 
 
 def _glue_negative_values(argv):
-    """Join value flags with arguments that begin with a minus sign, so
-    invocations like --domain -1,1,-1,1 parse as intended."""
+    """Join signed-value flags with a next argument that begins with a minus
+    sign, so invocations like --domain -1,1,-1,1 parse as intended."""
+    signed = {key.flag for key in _KEYS if key.signed}
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok in _VALUE_FLAGS:
-            try:
-                val = next(it)
-            except StopIteration:
-                out.append(tok)
-                break
-            out.append(f"{tok}={val}" if val.startswith("-") else tok)
-            if not val.startswith("-"):
-                out.append(val)
+    for tok in argv:
+        if out and out[-1] in signed and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    parser = _Parser(prog="gwsurf",
-                     description="verify and induce prescribed mean curvature surfaces")
-    parser.add_argument("--version", action="version", version=__version__)
-    # subparsers inherit _Parser (and its 64-on-usage-error behavior)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "induce", "report"):
-        _add_common(sub.add_parser(name))
-
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _glue_negative_values(list(argv))
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return EXIT_USAGE if code not in (0,) else 0
-
-    cfg = RunConfig()
-    if ns.config:
-        if not os.path.isfile(ns.config):
-            print(f"config file not found: {ns.config}", file=sys.stderr)
+        try:
+            command, cfg = _resolve(sys.argv[1:] if argv is None else list(argv))
+        except OSError as exc:
+            print(f"cannot read config file {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
             return EXIT_NOINPUT
-        with open(ns.config, "r", encoding="ascii") as fh:
-            try:
-                cfg = parse_config_text(fh.read())
-            except ValueError as exc:
-                print(f"bad config: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-    try:
-        cfg = _merge(cfg, ns)
+        commands = {"verify": cmd_verify, "induce": cmd_induce, "report": cmd_report}
+        return commands[command](cfg)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        if ns.command == "verify":
-            return cmd_verify(cfg)
-        if ns.command == "induce":
-            return cmd_induce(cfg)
-        if ns.command == "report":
-            return cmd_report(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

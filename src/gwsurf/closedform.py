@@ -290,7 +290,9 @@ _Z = sp.Symbol("z")
 
 
 def _lambdify(var, expr):
-    fn = sp.lambdify(var, expr, modules="numpy")
+    # the module object, not the name "numpy": the name makes sympy run
+    # `from numpy import *`, which loads numpy.testing, numpy.f2py and unittest
+    fn = sp.lambdify(var, expr, modules=[np])
 
     def call(arg):
         with np.errstate(all="ignore"):

@@ -150,13 +150,21 @@ class RealField:
 
 def field_to_csv(field, path) -> None:
     """Dump a field snapshot as CSV rows (x, y, re, im), row-major in (i, j)."""
-    grid = field.grid
-    xs, ys = grid.xs(), grid.ys()
     vals = np.asarray(field.values, dtype=complex)
-    r = repr
+    _write_grid_csv(path, field.grid, "x,y,re,im", (vals.real, vals.imag))
+
+
+def _write_grid_csv(path, grid: GridSpec, header: str, cols) -> None:
+    """Write `header`, then x,y,cols[0][i, j],... for every grid point,
+    row-major in (i, j).
+
+    Values print as Python float reprs, each grid abscissa and ordinate
+    formatted once; the file is written one grid row at a time.
+    """
+    ys = list(map(repr, grid.ys().tolist()))
+    fields = ",{}" * (1 + len(cols)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,re,im\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                fh.write(f"{r(float(xs[i]))},{r(float(ys[j]))},"
-                         f"{r(float(vals[i, j].real))},{r(float(vals[i, j].imag))}\n")
+        fh.write(header + "\n")
+        for i, x in enumerate(map(repr, grid.xs().tolist())):
+            vals = [map(repr, c[i].tolist()) for c in cols]
+            fh.write("".join(map((x + fields).format, ys, *vals)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import ComplexField, GridSpec, RealField
+from .grid import ComplexField, GridSpec, RealField, _write_grid_csv
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField, density_p
 
@@ -407,18 +407,10 @@ def surface_to_csv(srf: Surface, path, ff: FundamentalForms | None = None) -> No
     """Dump x, y, X1, X2, X3, H_num, K_num rows for external plotting.
 
     `ff` are the surface's fundamental forms when the caller already has
-    them; they are computed otherwise. Values print as Python float reprs,
-    each grid abscissa and ordinate formatted once; the file is written
-    one grid row at a time.
+    them; they are computed otherwise.
     """
     if ff is None:
         ff = fundamental_forms(srf)
     cols = (srf.x1.values, srf.x2.values, srf.x3.values,
             mean_curvature_numeric(ff).values, gauss_curvature_numeric(ff).values)
-    grid = srf.grid
-    ys = list(map(repr, grid.ys().tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,X1,X2,X3,H_num,K_num\n")
-        for i, x in enumerate(map(repr, grid.xs().tolist())):
-            vals = [map(repr, c[i].tolist()) for c in cols]
-            fh.write("".join(map((x + ",{},{},{},{},{},{}\n").format, ys, *vals)))
+    _write_grid_csv(path, srf.grid, "x,y,X1,X2,X3,H_num,K_num", cols)

@@ -1,11 +1,12 @@
 """Command-line behavior: exit codes, determinism, config handling."""
+import dataclasses
 import json
 import os
 
 import pytest
 
-from gwsurf.cli import (EXIT_NOINPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                        RunConfig, main, parse_config_text)
+from gwsurf.cli import (_KEYS, EXIT_NOINPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                        RunConfig, _resolve, main, parse_config_text)
 
 
 def run(args):
@@ -42,6 +43,90 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("family rational\n")
+
+    # one non-default value per config key, as both the flag and the file spell it
+    SAMPLES = {"family": "trig", "lambda": "-1.5", "a": "1.25", "h0": "2.0",
+               "grid": "31x41", "domain": "-1.0,0.5,-0.25,1.0", "basepoint": "-0.5,0.25",
+               "tol_scale": "2.5", "levels": "3", "jobs": "2", "out": "elsewhere",
+               "format": "csv"}
+
+    @pytest.mark.parametrize("key", [k.key for k in _KEYS])
+    def test_flag_and_config_file_agree(self, key, tmp_path, monkeypatch):
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        (row,) = [k for k in _KEYS if k.key == key]
+        from_flag = _resolve(["verify", row.flag, self.SAMPLES[key]])[1]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={self.SAMPLES[key]}\n")
+        from_file = _resolve(["verify", "--config", str(cfg_file)])[1]
+        assert from_flag == from_file == parse_config_text(cfg_file.read_text())
+        assert from_flag != RunConfig()
+        assert parse_config_text(from_flag.to_text()) == from_flag
+
+    def test_table_covers_every_field_once(self):
+        fields = [k.field for k in _KEYS]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert sorted(self.SAMPLES) == sorted(k.key for k in _KEYS)
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--A", "--domain", "--basepoint"])
+    def test_default_literal_on_flags(self, flag):
+        # keys whose default is None take the literal `default`, as in the file
+        assert _resolve(["verify", flag, "default"])[1] == RunConfig()
+
+
+_E, _P = 1e-12, 1e-10   # exact and pointwise tolerances
+_VARYING_H_SUITES = {
+    ("dirac_exact", "exact", _E, True), ("sigma_exact", "exact", _E, True),
+    ("conservation_exact", "exact", _E, True), ("roundtrip_exact", "exact", _E, True),
+    ("transform_exact", "exact", _E, True), ("spin_algebra_exact", "exact", _E, True),
+    ("current_identity_exact", "exact", _P, True),
+    ("constraints_exact", "exact", _P, True),
+    ("linear_system_exact", "exact", _P, True),
+    ("deformed_ll_exact", "exact", _P, True),
+    ("dirac_fd", "fd", _E, True), ("sigma_fd", "fd", _E, True),
+    ("conservation_fd", "fd", _E, True), ("roundtrip_fd", "fd", _E, True),
+    ("current_defect_fd", "fd", _E, True), ("modified_current_fd", "fd", _E, True),
+    ("sinh_gordon_fd", "fd", _E, True), ("deformed_ll_fd", "fd", _E, True),
+    ("riccati_fd", "fd", _E, False), ("linear_system_fd", "fd", _E, True),
+    ("path_independence_fd", "fd", _E, False),
+    ("ll_necessity_control", "control", _E, True),
+    ("h_classification", "classify", _E, True),
+}
+_CONSTANT_RHO_SUITES = {
+    ("sigma_exact", "exact", _E, True), ("spin_algebra_exact", "exact", _E, True),
+    ("h_constancy_exact", "exact", _P, True), ("multisoliton_exact", "exact", _P, True),
+    ("ll_fd", "fd", _E, False),
+}
+_SUITE_SETS = {
+    "rational": _VARYING_H_SUITES,
+    "exponential": _VARYING_H_SUITES,
+    "trig": _VARYING_H_SUITES,
+    "unimodular": _CONSTANT_RHO_SUITES | {
+        ("dirac_exact", "exact", _E, True), ("conservation_exact", "exact", _E, True),
+        ("current_identity_exact", "exact", _P, True),
+        ("compatibility_exact", "exact", _P, True),
+        ("current_defect_fd", "fd", _E, True),
+    },
+    "unimodular-lambda0": _CONSTANT_RHO_SUITES,
+    "holomorphic": {
+        ("sigma_exact", "exact", _E, True), ("dirac_exact", "exact", _E, True),
+        ("conservation_exact", "exact", _E, True), ("spin_algebra_exact", "exact", _E, True),
+        ("ll_fd", "fd", _E, True), ("path_independence_fd", "fd", _E, True),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUITE_SETS))
+def test_suite_set_per_family(case):
+    """Which suites run, at which tolerance, and whether the O(h^2) ratio
+    is enforced; report bytes show expect_ratio only when a ratio fails."""
+    from gwsurf.cli import _suites_for
+    from gwsurf.families import build_family
+    name, _, lam = case.partition("-lambda")
+    fam = build_family(name, lam=float(lam) if lam else None)
+    specs = _suites_for(fam)
+    resolved = {(s.name, s.kind, s.tol, s.expect_ratio) for s in specs}
+    assert len(resolved) == len(specs)
+    assert resolved == _SUITE_SETS[case]
 
 
 class TestVerify:
@@ -175,8 +260,8 @@ class TestReport:
 
 
 class TestCountValidation:
-    @pytest.mark.parametrize("flag", ["--levels", "--jobs"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--levels", "--jobs", "--tol-scale"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_flag_below_one_is_usage_error(self, tmp_path, flag, value):
         out = tmp_path / "out"
         code = run(["verify", "--family", "unimodular", "--grid", "21x21",
@@ -184,7 +269,8 @@ class TestCountValidation:
         assert code == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["levels=0", "jobs=0"])
+    @pytest.mark.parametrize("line", ["levels=0", "jobs=0", "tol_scale=0", "tol_scale=-1",
+                                      "tol_scale=nan", "tol_scale=inf"])
     def test_config_below_one_is_usage_error(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")
