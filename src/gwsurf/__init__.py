@@ -8,7 +8,7 @@ explicit solution families attached to it.
 
 __version__ = "0.1.0"
 
-from .grid import GridSpec, ComplexField, RealField, field_to_csv
+from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown, field_to_csv
 from .closedform import ClosedForm, sample, sample_real, diagonal_form, holomorphic_form, constant_form
 from .calculus import d_z, d_zbar, mixed_dzbar_dz, dx, dy, dxx, dyy, dxy
 from .reporting import ResidualReport, ResidualPart, report_from_parts, norms

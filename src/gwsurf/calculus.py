@@ -20,57 +20,57 @@ from .closedform import ClosedForm, sample
 __all__ = ["dx", "dy", "dxx", "dyy", "dxy", "d_z", "d_zbar", "mixed_dzbar_dz"]
 
 
-def _shift(arr: np.ndarray, k: int, fill) -> np.ndarray:
-    """out[i] = arr[i + k] along axis 0, padded with `fill`."""
-    out = np.full_like(arr, fill)
-    if k == 0:
-        out[...] = arr
-    elif k > 0:
-        out[:-k] = arr[k:]
-    else:
-        out[-k:] = arr[:k]
-    return out
+def _stencil(values: np.ndarray, valid: np.ndarray, central: np.ndarray,
+             one_sided, reach: int):
+    """A second-order stencil along axis 0 with mask fallback.
+
+    `central` is the central stencil on the interior, values[1:-1]; a point
+    keeps it when both its neighbours are valid. Only the other valid
+    points (edges and neighbours of masked points) go to
+    `one_sided(a, ok)`, where a[k] and ok[k] are the values and validity k
+    steps along axis 0 for k in -reach..reach (invalid off the grid); it
+    returns (forward, can_forward, backward, can_backward). Preference
+    order per point: central, then forward, then backward. Points with no
+    admissible stencil are masked in the output.
+    """
+    n = len(values)
+    out = np.zeros_like(values, dtype=central.dtype)
+    out[1:-1] = central
+    has_central = np.zeros_like(valid)
+    has_central[1:-1] = valid[2:] & valid[:-2]
+    bad = ~valid
+
+    idx = np.nonzero(valid & ~has_central)
+    a, ok = {}, {}
+    for k in range(-reach, reach + 1):
+        i = idx[0] + k
+        at = (np.clip(i, 0, n - 1),) + idx[1:]
+        a[k] = values[at]
+        ok[k] = valid[at] & (i >= 0) & (i < n)
+    forward, can_f, backward, can_b = one_sided(a, ok)
+    out[idx] = np.where(can_f, forward, backward)
+    bad[idx] = ~(can_f | can_b)
+    out[bad] = 0
+    return out, bad
 
 
 def _d1(values: np.ndarray, valid: np.ndarray, h: float):
-    """Second-order first derivative along axis 0 with mask fallback.
+    """Second-order first derivative along axis 0 with mask fallback."""
+    def one_sided(a, ok):
+        return ((-3 * a[0] + 4 * a[1] - a[2]) / (2 * h), ok[1] & ok[2],
+                (3 * a[0] - 4 * a[-1] + a[-2]) / (2 * h), ok[-1] & ok[-2])
 
-    Preference order per point: central, then forward, then backward
-    one-sided (both second order). Points with no admissible stencil are
-    masked in the output.
-    """
-    a = lambda k: _shift(values, k, 0)
-    ok = lambda k: _shift(valid, k, False)
-
-    central = (a(1) - a(-1)) / (2 * h)
-    forward = (-3 * values + 4 * a(1) - a(2)) / (2 * h)
-    backward = (3 * values - 4 * a(-1) + a(-2)) / (2 * h)
-
-    can_c = ok(1) & ok(-1)
-    can_f = ok(1) & ok(2)
-    can_b = ok(-1) & ok(-2)
-
-    out = np.where(can_c, central, np.where(can_f, forward, backward))
-    bad = ~(valid & (can_c | can_f | can_b))
-    return np.where(bad, 0, out), bad
+    return _stencil(values, valid, (values[2:] - values[:-2]) / (2 * h), one_sided, 2)
 
 
 def _d2(values: np.ndarray, valid: np.ndarray, h: float):
     """Second-order second derivative along axis 0 with mask fallback."""
-    a = lambda k: _shift(values, k, 0)
-    ok = lambda k: _shift(valid, k, False)
+    def one_sided(a, ok):
+        return ((2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h**2, ok[1] & ok[2] & ok[3],
+                (2 * a[0] - 5 * a[-1] + 4 * a[-2] - a[-3]) / h**2, ok[-1] & ok[-2] & ok[-3])
 
-    central = (a(1) - 2 * values + a(-1)) / h**2
-    forward = (2 * values - 5 * a(1) + 4 * a(2) - a(3)) / h**2
-    backward = (2 * values - 5 * a(-1) + 4 * a(-2) - a(-3)) / h**2
-
-    can_c = ok(1) & ok(-1)
-    can_f = ok(1) & ok(2) & ok(3)
-    can_b = ok(-1) & ok(-2) & ok(-3)
-
-    out = np.where(can_c, central, np.where(can_f, forward, backward))
-    bad = ~(valid & (can_c | can_f | can_b))
-    return np.where(bad, 0, out), bad
+    central = (values[2:] - 2 * values[1:-1] + values[:-2]) / h**2
+    return _stencil(values, valid, central, one_sided, 3)
 
 
 def _axis_apply(op, field, h, axis):

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .calculus import mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
-from .grid import GridSpec
+from .grid import GridSpec, NumericalBreakdown
 from .inducer import (export_mesh, fundamental_forms, gauss_curvature_numeric,
                       induce_surface, mean_curvature_numeric,
                       path_independence_report, surface_to_csv)
@@ -197,8 +197,16 @@ def parse_config_text(text: str) -> RunConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        cfg = replace(cfg, **{keys[key].field: keys[key].parse(val)})
+        cfg = _set(cfg, keys[key], val, f"line {lineno}: {key}")
     return cfg
+
+
+def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
+    """`cfg` with `key` parsed from `text`; a bad value names `where` it came from."""
+    try:
+        return replace(cfg, **{key.field: key.parse(text)})
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +698,7 @@ def _resolve(argv) -> tuple[str, RunConfig]:
             cfg = parse_config_text(fh.read())
     for key in _KEYS:
         if getattr(ns, key.field) is not None:
-            cfg = replace(cfg, **{key.field: key.parse(getattr(ns, key.field))})
+            cfg = _set(cfg, key, getattr(ns, key.field), key.flag)
     if os.environ.get("WSL_OUT"):
         cfg = replace(cfg, out=os.environ["WSL_OUT"])
     return ns.command, cfg
@@ -721,6 +729,9 @@ def main(argv=None) -> int:
         return commands[command](cfg)
     except SystemExit as exc:
         return 0 if exc.code == 0 else EXIT_USAGE
+    except NumericalBreakdown as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

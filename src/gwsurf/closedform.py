@@ -13,7 +13,9 @@ derivative slots propagate as None.
 
 A form built by `lift` evaluates its whole jet in one pass: the jet
 operation runs once on its inputs' jets and every slot callable reads
-from that result, so nesting lifts costs time linear in the depth.
+from that result, so nesting lifts costs time linear in the depth. A
+diagonal form (one that depends on z only through s = z + conj(z)) runs
+once per distinct abscissa of a grid mesh and broadcasts along y.
 """
 from __future__ import annotations
 
@@ -149,7 +151,9 @@ class ClosedForm:
     Derivative callables, when present, must agree with finite differences
     of `value` to O(h^2) on the guard-admissible region. `jet_fn`, when
     present, computes every available slot in one pass; the slot callables
-    then read from it.
+    then read from it. `diagonal` records that every slot depends on z only
+    through s = z + conj(z) (set by `diagonal_form`, kept by `conjugate`,
+    `derivative` and by `lift` of diagonal inputs).
     """
 
     value: Callable
@@ -160,6 +164,7 @@ class ClosedForm:
     dzbar2: Optional[Callable] = None
     domain_guard: Optional[Callable] = None
     jet_fn: Optional[Callable] = field(default=None, repr=False)
+    diagonal: bool = False
 
     def jet(self, z) -> Jet:
         if self.jet_fn is not None:
@@ -181,6 +186,7 @@ class ClosedForm:
             dzbar2=wrap(self.dz2),
             domain_guard=self.domain_guard,
             jet_fn=joint,
+            diagonal=self.diagonal,
         )
 
     def derivative(self, which: str) -> Optional["ClosedForm"]:
@@ -189,12 +195,12 @@ class ClosedForm:
             if self.dz is None:
                 return None
             return ClosedForm(self.dz, dz=self.dz2, dzbar=self.dzdzbar,
-                              domain_guard=self.domain_guard)
+                              domain_guard=self.domain_guard, diagonal=self.diagonal)
         if which == "zbar":
             if self.dzbar is None:
                 return None
             return ClosedForm(self.dzbar, dz=self.dzdzbar, dzbar=self.dzbar2,
-                              domain_guard=self.domain_guard)
+                              domain_guard=self.domain_guard, diagonal=self.diagonal)
         raise ValueError(which)
 
 
@@ -206,7 +212,9 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     `op` reports when run once on placeholder jets carrying the inputs'
     available slots. Evaluation runs `op` once per call on the inputs'
     jets, each distinct input evaluated once; each slot callable reads its
-    slot from that one jet.
+    slot from that one jet. When every input is diagonal, so is the result:
+    on a grid mesh the inputs' jets and `op` run on the first column only,
+    and each slot callable broadcasts the one slot it returns.
     """
     placeholders = [Jet(*(1.0 + 0.0j if getattr(f, name) is not None else None
                           for name, _ in _SLOTS)) for f in forms]
@@ -227,12 +235,24 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
         jets = [f.jet(z) for f in distinct]
         return op(*[jets[k] for k in picks])
 
-    def reader(slot):
-        return lambda z: getattr(joint(z), slot)
+    diagonal = all(f.diagonal for f in distinct)
+    if diagonal:
+        def reader(slot):
+            return lambda z: _broadcast(getattr(joint(_mesh_column(z)), slot), z)
+
+        def jet_fn(z):
+            j = joint(_mesh_column(z))
+            return Jet(*(_broadcast(getattr(j, slot), z) if getattr(j, slot) is not None
+                         else None for _, slot in _SLOTS))
+    else:
+        def reader(slot):
+            return lambda z: getattr(joint(z), slot)
+        jet_fn = joint
 
     kw = {name: reader(slot) for name, slot in _SLOTS
           if getattr(present, slot) is not None}
-    return ClosedForm(domain_guard=guard if guards else None, jet_fn=joint, **kw)
+    return ClosedForm(domain_guard=guard if guards else None, jet_fn=jet_fn,
+                      diagonal=diagonal, **kw)
 
 
 def _broadcast(vals, z) -> np.ndarray:
@@ -316,25 +336,34 @@ def diagonal_form(expr, guard=None) -> ClosedForm:
 
     return ClosedForm(value=at(f0), dz=at(f1), dzbar=at(f1),
                       dz2=at(f2), dzdzbar=at(f2), dzbar2=at(f2),
-                      domain_guard=guard)
+                      domain_guard=guard, diagonal=True)
+
+
+def _mesh_column(z) -> np.ndarray:
+    """The first column of z when z is a grid mesh, else z itself.
+
+    A grid mesh is 2-D with every row of bitwise constant real part, so a
+    function of s = z + conj(z) takes bitwise the same inputs, hence the
+    same values, on every column.
+    """
+    z = np.asarray(z)
+    if z.ndim == 2:
+        x = np.real(z)
+        bits = x.view(f"u{x.itemsize}")
+        if (bits == bits[:, :1]).all():
+            return z[:, :1]
+    return z
 
 
 def _on_abscissae(fn, z) -> np.ndarray:
     """fn(s) at s = z + conj(z), evaluated once per distinct abscissa of a mesh.
 
-    On a grid mesh (2-D, every row of constant real part) fn runs on one
-    column and the result is broadcast along axis 1; the inputs per point
-    are bitwise the same, so are the values. Any other z is evaluated
-    pointwise.
+    On a grid mesh fn runs on one column and the result is broadcast along
+    axis 1. Any other z is evaluated pointwise.
     """
-    x = np.real(np.asarray(z))
-    if x.ndim == 2:
-        bits = x.view(f"u{x.itemsize}")
-        if (bits == bits[:, :1]).all():
-            x = x[:, :1]
     # complex-typed s keeps square roots of negative reals on the
     # principal branch instead of collapsing to nan
-    s = (2.0 * x).astype(complex)
+    s = (2.0 * np.real(_mesh_column(z))).astype(complex)
     return _broadcast(fn(s), z)
 
 

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec", "ComplexField", "RealField", "field_to_csv"]
+__all__ = ["GridSpec", "ComplexField", "RealField", "NumericalBreakdown", "field_to_csv"]
+
+
+class NumericalBreakdown(ValueError):
+    """A computed quantity left the domain a construction needs: H or the
+    density vanishes or turns negative, psi2 vanishes, or an integration
+    path crosses a masked point. The inputs were well formed; the numbers
+    they produced were not usable."""
 
 
 @dataclass(frozen=True)

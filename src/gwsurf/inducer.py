@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import ComplexField, GridSpec, RealField, _write_grid_csv
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _write_grid_csv
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField, density_p
 
@@ -169,7 +169,7 @@ def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
         phis.append(phi)
         badmask |= bad
     if badmask.all():
-        raise ValueError("every integration path crosses a masked point")
+        raise NumericalBreakdown("every integration path crosses a masked point")
 
     plus, minus, three = phis
     x1c = 0.5 * (plus + minus)
@@ -207,7 +207,7 @@ def path_independence_report(s: SpinorField, z0, z1,
         phi_a, bad_a = _integrate_path(A, B, grid, i0, j0, s.mask, "xy")
         phi_b, bad_b = _integrate_path(A, B, grid, i0, j0, s.mask, "yx")
         if bad_a[i1, j1] or bad_b[i1, j1]:
-            raise ValueError("a comparison path crosses a masked point")
+            raise NumericalBreakdown("a comparison path crosses a masked point")
         diff = abs(phi_a[i1, j1] - phi_b[i1, j1])
         per[label] = float(diff)
         worst = max(worst, float(diff))
@@ -373,7 +373,7 @@ def export_mesh(srf: Surface, path) -> tuple[int, int]:
     """
     mask = srf.mask
     if mask.all():
-        raise ValueError("fully masked surface; nothing to export")
+        raise NumericalBreakdown("fully masked surface; nothing to export")
     keep = ~mask
     count = int(np.count_nonzero(keep))
     idx = np.zeros(mask.shape, dtype=np.int64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, jet_inv, lift, sample
-from .grid import ComplexField, GridSpec, RealField
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 from .sigma import RhoField
 from .weierstrass import MeanCurvature, SpinorField, current_J, density_p
@@ -112,7 +112,7 @@ def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
     """Norm of d dbar (1/H); zero exactly for the integrable class."""
     h = H.sample(grid)
     if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
-        raise ValueError("H vanishes at unmasked points; 1/H undefined")
+        raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
     if H.form is not None and H.form.dzdzbar is not None:
         inv_form = lift(jet_inv, H.form)
         inv = sample(inv_form, grid, extra_mask=h.mask)
@@ -149,6 +149,8 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     coefficients come from two independent min-norm least-squares fits
     (one per constraint) against the monomials 1, rho, rho^2 of its
     clamped 3x3 neighborhood. Masked neighbors drop out with zero weight.
+    The pseudo-inverse runs once per distinct weighted design (bitwise),
+    which on a one-dimensional family is one per grid row.
     """
     grid = r.grid
     rho = r.rho.values
@@ -171,8 +173,12 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     w = ok_n.astype(float)
 
     design = np.stack([np.ones_like(rho_n), rho_n, rho_n**2], axis=-1)
-    design = design * w[..., None]
-    pinv = np.linalg.pinv(design)          # (nx, ny, 3, 9)
+    design = (design * w[..., None]).reshape(nx * ny, 27)
+    # the same LAPACK call on the same bytes gives the same pseudo-inverse,
+    # min-norm on rank-deficient neighborhoods included
+    keys = design.view(np.dtype((np.void, 27 * design.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    pinv = np.linalg.pinv(design[first].reshape(-1, 9, 3))[inverse].reshape(nx, ny, 3, 9)
 
     def solve(rhs_field):
         rhs = rhs_field.values[neigh_i, neigh_j] * w
@@ -224,7 +230,7 @@ def sinh_gordon_residual(s: SpinorField, H: MeanCurvature,
     h = H.sample(s.grid)
     mask = p.mask | h.mask
     if np.any((p.values <= 0) & ~mask):
-        raise ValueError("density must be positive at unmasked points")
+        raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(mask, 1.0, p.values)
     lnp = RealField(s.grid, np.where(mask, 0.0, np.log(safe)), mask)
     mix = mixed_dzbar_dz(lnp)

@@ -30,7 +30,7 @@ import numpy as np
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
 from .closedform import (Jet, jet_add, jet_conj, jet_div, jet_dz, jet_inv,
                          jet_mul, jet_scale, jet_sqrt, jet_sub, lift)
-from .grid import ComplexField, GridSpec
+from .grid import ComplexField, GridSpec, NumericalBreakdown
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField
 
@@ -67,7 +67,7 @@ def rho_from_psi(s: SpinorField) -> RhoField:
     a = np.abs(s.psi2.values)
     scale = float(np.max(a, initial=0.0))
     if scale == 0.0:
-        raise ValueError("psi2 vanishes identically; rho undefined")
+        raise NumericalBreakdown("psi2 vanishes identically; rho undefined")
     mask = s.mask | (a < 1e-14 * scale)
     with np.errstate(all="ignore"):
         vals = np.where(mask, 0, s.psi1.values / np.conj(s.psi2.values))
@@ -116,7 +116,7 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     grid = r.grid
     h = H.sample(grid)
     if np.any((h.values <= 0) & ~h.mask & ~r.rho.mask):
-        raise ValueError("transform requires H > 0 at unmasked points")
+        raise NumericalBreakdown("transform requires H > 0 at unmasked points")
 
     drho = d_z(r.rho)
     scale = float(np.max(np.abs(drho.values), initial=0.0))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, field_mul, sample, sample_real
-from .grid import ComplexField, GridSpec, RealField
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 
 __all__ = [
@@ -111,7 +111,7 @@ class MeanCurvature:
         """(d ln H, dbar ln H, mask); requires H > 0 on the unmasked region."""
         f = self.sample(grid)
         if np.any((f.values <= 0) & ~f.mask):
-            raise ValueError("ln H undefined: H <= 0 at unmasked points")
+            raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
         if self.form is not None and self.form.dz is not None and self.form.dzbar is not None:
             hz = self.d_z(grid)
             hzb = self.d_zbar(grid)
@@ -275,7 +275,7 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
     that stencils would inflict on an (analytically constant) density.
     """
     if np.any((p.values <= 0) & ~p.mask):
-        raise ValueError("density must be positive at unmasked points")
+        raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(p.mask, 1.0, p.values)
     if getattr(p, "source", None) is not None:
         from .closedform import jet_log, lift

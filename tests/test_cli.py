@@ -210,11 +210,16 @@ class TestInduce:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert read_dir_bytes(a) == read_dir_bytes(b)
 
-    def test_degenerate_spinor_is_numerical_failure(self, tmp_path):
+    @pytest.mark.parametrize("args", [
         # constant rho degenerates the transform: nothing to immerse
-        code = run(["induce", "--family", "unimodular", "--lambda", "0",
-                    "--grid", "31x31", "--out", str(tmp_path)])
-        assert code == EXIT_NUMERICAL
+        ["induce", "--family", "unimodular", "--lambda", "0", "--grid", "31x31"],
+        # H underflows below the zero guard, so 1/H is undefined
+        ["verify", "--family", "rational", "--lambda", "1e8", "--grid", "21x21"],
+        # the strip guard masks a band that the comparison paths cross
+        ["verify", "--family", "trig", "--domain", "-1,1,-1,1", "--grid", "21x21"],
+    ], ids=["degenerate-spinor", "vanishing-H", "path-crosses-mask"])
+    def test_degenerate_spinor_is_numerical_failure(self, tmp_path, args):
+        assert run(args + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
 
     def test_explicit_basepoint_flag(self, tmp_path):
         code = run(["induce", "--family", "rational", "--lambda", "1",
@@ -261,19 +266,32 @@ class TestReport:
 
 class TestCountValidation:
     @pytest.mark.parametrize("flag", ["--levels", "--jobs", "--tol-scale"])
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_flag_below_one_is_usage_error(self, tmp_path, flag, value):
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    def test_flag_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         code = run(["verify", "--family", "unimodular", "--grid", "21x21",
                     flag, value, "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "abc"), ("--A", "x"), ("--H0", ""),
+                                             ("--grid", "10"), ("--domain", "1,2"),
+                                             ("--basepoint", "a,b"), ("--family", "nope")])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run(["verify", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     @pytest.mark.parametrize("line", ["levels=0", "jobs=0", "tol_scale=0", "tol_scale=-1",
-                                      "tol_scale=nan", "tol_scale=inf"])
-    def test_config_below_one_is_usage_error(self, tmp_path, line):
+                                      "tol_scale=nan", "tol_scale=inf", "h0=x",
+                                      "lambda=abc", "grid=10"])
+    def test_config_below_one_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")
         out = tmp_path / "out"
         assert run(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+        key = line.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: line 3: {key}: ")

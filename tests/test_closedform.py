@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 from gwsurf import GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import (_S, _Z, diagonal_form, field_mul, holomorphic_form,
+from gwsurf.closedform import (_S, _SLOTS, _Z, diagonal_form, field_mul, holomorphic_form,
                                jet_conj, jet_div, jet_mul, jet_sqrt, lift)
 
 
@@ -119,18 +119,66 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
 DIAGONAL_SLOTS = ("value", "dz", "dzbar", "dz2", "dzdzbar", "dzbar2")
 
 
+def _lifted_diagonal_forms():
+    """(form, mesh) pairs: lifts of diagonal forms as the suites build them."""
+    from gwsurf import build_family, density_p, psi_from_rho
+    from gwsurf.closedform import jet_inv
+    out = []
+    for name, kw in (("rational", {"lam": 1.3}), ("exponential", {"lam": 0.7}),
+                     ("trig", {"a": 1.5})):
+        fam = build_family(name, **kw)
+        g = fam.default_grid(19, 13)
+        s = psi_from_rho(fam.rho(g), fam.mean_curvature)
+        out += [(s.psi1.source, g), (s.psi2.source, g)]
+        if name == "rational":
+            out.append((density_p(s).source, g))
+            out.append((lift(jet_inv, fam.h_form), g))
+    return out
+
+
 def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
     # sqrt of a negative real argument exercises the complex branch
     expr = sp.sqrt(_S - 0.3) * sp.sin(3 * _S) / (1 + _S**2)
-    form = diagonal_form(expr)
-    g = GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23)
-    z = g.zmesh()
-    for slot in DIAGONAL_SLOTS:
-        fn = getattr(form, slot)
-        on_mesh = fn(z)
-        pointwise = fn(z.ravel()).reshape(z.shape)
-        assert on_mesh.shape == z.shape
-        assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64))
+    cases = [(diagonal_form(expr), GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23))]
+    cases += _lifted_diagonal_forms()
+    for form, g in cases:
+        assert form.diagonal
+        z = g.zmesh()
+        jet = form.jet(z)
+        for name, slot in _SLOTS:
+            fn = getattr(form, name)
+            if fn is None:          # a slot the form does not carry
+                assert getattr(jet, slot) is None
+                continue
+            on_mesh = fn(z)
+            pointwise = fn(z.ravel()).reshape(z.shape)
+            assert on_mesh.shape == z.shape
+            assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64))
+            assert np.array_equal(getattr(jet, slot).view(np.uint64), on_mesh.view(np.uint64))
+
+
+def test_diagonal_lift_runs_its_op_on_one_column():
+    shapes = []
+
+    def op(a, b):
+        shapes.append((np.shape(a.f), np.shape(b.fzz)))
+        return jet_mul(a, b)
+
+    diag = diagonal_form(sp.exp(_S))
+    both = lift(op, diag, diagonal_form(1 + _S**2))
+    mixed = lift(op, holomorphic_form(_Z**2), diag)
+    assert both.diagonal and not mixed.diagonal
+    assert both.derivative("z").diagonal and both.conjugate().diagonal
+    z = GridSpec(-1, 1, -1, 1, 7, 5).zmesh()
+    for form, shape in ((both, (7, 1)), (mixed, (7, 5))):
+        seen = (shape, shape)
+        for slot in DIAGONAL_SLOTS:
+            shapes.clear()
+            assert getattr(form, slot)(z).shape == (7, 5)
+            assert shapes == [seen]
+        shapes.clear()
+        assert form.jet(z).fzzb.shape == (7, 5)
+        assert shapes == [seen]
 
 
 def test_diagonal_form_off_mesh_matches_direct_evaluation():

@@ -228,6 +228,79 @@ class TestStencilProperties:
         assert d.mask[2, 2]
 
 
+def _shift_reference(arr, k, fill):
+    """out[i] = arr[i + k] along axis 0, padded with `fill`."""
+    out = np.full_like(arr, fill)
+    if k == 0:
+        out[...] = arr
+    elif k > 0:
+        out[:-k] = arr[k:]
+    else:
+        out[-k:] = arr[:k]
+    return out
+
+
+def _d1_reference(values, valid, h):
+    """Shifted-copy first derivative: every stencil on the whole grid, then
+    a per-point choice (central, forward, backward)."""
+    a = lambda k: _shift_reference(values, k, 0)
+    ok = lambda k: _shift_reference(valid, k, False)
+    central = (a(1) - a(-1)) / (2 * h)
+    forward = (-3 * values + 4 * a(1) - a(2)) / (2 * h)
+    backward = (3 * values - 4 * a(-1) + a(-2)) / (2 * h)
+    can_c = ok(1) & ok(-1)
+    can_f = ok(1) & ok(2)
+    can_b = ok(-1) & ok(-2)
+    out = np.where(can_c, central, np.where(can_f, forward, backward))
+    bad = ~(valid & (can_c | can_f | can_b))
+    return np.where(bad, 0, out), bad
+
+
+def _d2_reference(values, valid, h):
+    """Shifted-copy second derivative, as _d1_reference."""
+    a = lambda k: _shift_reference(values, k, 0)
+    ok = lambda k: _shift_reference(valid, k, False)
+    central = (a(1) - 2 * values + a(-1)) / h**2
+    forward = (2 * values - 5 * a(1) + 4 * a(2) - a(3)) / h**2
+    backward = (2 * values - 5 * a(-1) + 4 * a(-2) - a(-3)) / h**2
+    can_c = ok(1) & ok(-1)
+    can_f = ok(1) & ok(2) & ok(3)
+    can_b = ok(-1) & ok(-2) & ok(-3)
+    out = np.where(can_c, central, np.where(can_f, forward, backward))
+    bad = ~(valid & (can_c | can_f | can_b))
+    return np.where(bad, 0, out), bad
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("order", [1, 2])
+def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
+    from gwsurf.calculus import _axis_apply, _d1, _d2
+    from gwsurf import RealField
+    op, reference = {1: (_d1, _d1_reference), 2: (_d2, _d2_reference)}[order]
+    rng = np.random.default_rng(100 * order + 10 * axis + (dtype is complex))
+    for trial in range(60):
+        nx, ny = rng.choice(np.arange(3, 40), 2, replace=False)
+        g = GridSpec(-1.0, 0.7, -0.3, 1.9, nx, ny)
+        vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-6, 6)
+        if dtype is complex:
+            vals = vals + 1j * rng.standard_normal(g.shape)
+        # sparse masks leave isolated masked points, dense ones isolated valid points
+        mask = rng.random(g.shape) < (0.05, 0.3, 0.8)[trial % 3]
+        if trial % 4 == 0:
+            mask[rng.integers(nx), :] = True
+        if trial % 4 == 1:
+            mask[:, rng.integers(ny)] = True
+        f = (RealField if dtype is float else ComplexField)(g, vals, mask)
+        h = (g.hx, g.hy)[axis]
+        got, got_bad = _axis_apply(op, f, h, axis)
+        ref, ref_bad = _axis_apply(reference, f, h, axis)
+        assert np.array_equal(got_bad, ref_bad)
+        assert got.dtype == ref.dtype and got.flags.c_contiguous == ref.flags.c_contiguous
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(ref).view(np.uint64))
+
+
 def test_field_csv_snapshot(tmp_path):
     from gwsurf import field_to_csv
     g = GridSpec(0, 1, 0, 1, 3, 3)
@@ -298,6 +371,12 @@ def test_import_does_not_load_scipy():
             "gwsurf.build_family('rational')\n"
             "print([m for m in ('scipy', 'numpy.testing', 'numpy.f2py', 'unittest')"
             " if m in sys.modules])")
+    import os
+    import gwsurf
+    # the child imports the same gwsurf as this process, installed or not
+    src = os.path.dirname(os.path.dirname(gwsurf.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=120, env=env)
     assert out.stdout.split("\n")[:2] == ["False", "[]"]

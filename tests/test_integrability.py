@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from gwsurf import (ComplexField, GridSpec, MeanCurvature, RhoField, SpinorField,
-                    current_J, density_p, family_exponential, family_rational,
+                    current_J, d_z, d_zbar, density_p, family_exponential,
+                    family_holomorphic, family_rational,
                     family_trigonometric, fit_riccati_coeffs, h_from_profile,
                     h_integrability_residual, linear_system_residual,
                     linearization_constraint_residual, riccati_residual,
@@ -99,6 +100,42 @@ class TestRiccati:
             c = fit_riccati_coeffs(rho)
             assert riccati_residual(rho, c, exclude_rings=2).max_norm < 1e-9, fam.name
             assert zero_curvature_residual(c, exclude_rings=2).max_norm < 1e-9, fam.name
+
+
+    @pytest.mark.parametrize("case", ["rational", "trig", "holomorphic"])
+    def test_fit_bitwise_equal_full_batch_reference(self, case):
+        # diagonal families repeat one design per grid row; the trig domain
+        # crosses the guard band (masked rows); holomorphic rho repeats nothing
+        fam, g = {
+            "rational": (family_rational(1.3), GridSpec(-1, 1, -1, 1, 41, 37)),
+            "trig": (family_trigonometric(1.5), GridSpec(0.0, 0.6, -1, 1, 41, 37)),
+            "holomorphic": (family_holomorphic(), GridSpec(-1, 1, -1, 1, 41, 37)),
+        }[case]
+        rho = fam.rho(g, analytic=False)
+        assert case != "trig" or rho.rho.mask.any()
+        got = fit_riccati_coeffs(rho)
+        for f, ref in zip(got.fields(), _fit_riccati_reference(rho)):
+            assert np.array_equal(f.values.view(np.uint64), ref.view(np.uint64))
+
+
+def _fit_riccati_reference(r):
+    """One batched pinv over every point's weighted 3x3-neighbourhood design."""
+    rho = r.rho.values
+    drho, dbrho = d_z(r.rho), d_zbar(r.rho)
+    valid = ~(r.rho.mask | drho.mask | dbrho.mask)
+    nx, ny = r.grid.shape
+    ii, jj = np.arange(nx), np.arange(ny)
+    offs = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    ni = np.stack([np.clip(ii[:, None] + di, 0, nx - 1).repeat(ny, 1)
+                   for di, _ in offs], axis=-1)
+    nj = np.stack([np.clip(jj[None, :] + dj, 0, ny - 1).repeat(nx, 0)
+                   for _, dj in offs], axis=-1)
+    rho_n = rho[ni, nj]
+    w = valid[ni, nj].astype(float)
+    design = np.stack([np.ones_like(rho_n), rho_n, rho_n**2], axis=-1) * w[..., None]
+    pinv = np.linalg.pinv(design)
+    coefs = [np.einsum("...ck,...k->...c", pinv, f.values[ni, nj] * w) for f in (drho, dbrho)]
+    return [np.where(valid, c[..., k], 0) for c in coefs for k in range(3)]
 
 
 class TestZeroCurvature:
