@@ -38,14 +38,13 @@ from . import __version__
 from .calculus import mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
 from .grid import GridSpec, NumericalBreakdown
-from .inducer import (export_mesh, fundamental_forms, gauss_curvature_numeric,
-                      induce_surface, mean_curvature_numeric,
-                      path_independence_report, surface_to_csv)
+from .inducer import (export_mesh, fundamental_forms, induce_surface,
+                      path_independence_report)
 from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import ResidualReport
+from .reporting import RATIO_MIN, ResidualReport
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, multisoliton_product, psi_from_rho,
                     rho_from_psi, sigma_residual, spin_matrix,
@@ -64,7 +63,6 @@ EXACT_TOL = 1e-12
 POINTWISE_TOL = 1e-10
 FD_FLOOR = 1e-9
 FD_SAFETY = 10.0
-RATIO_MIN = 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +162,16 @@ class _Key:
     fmt: Callable = _fmt_value  # value -> config-file text
     report: Callable | None = None  # value -> report-config JSON; None: not stamped
     signed: bool = False        # the flag takes values that begin with '-'
+    families: tuple[str, ...] | None = None  # a family parameter: the families that read it
 
 
 _KEYS = (
     _Key("family", "family", "--family", _choice("family", FAMILY_NAMES), report=_json),
-    _Key("lambda", "lam", "--lambda", _optional(float), report=_json, signed=True),
-    _Key("a", "a", "--A", _optional(float), report=_json, signed=True),
-    _Key("h0", "h0", "--H0", float, report=_json, signed=True),
+    _Key("lambda", "lam", "--lambda", _optional(float), report=_json, signed=True,
+         families=("rational", "exponential", "unimodular")),
+    _Key("a", "a", "--A", _optional(float), report=_json, signed=True, families=("trig",)),
+    _Key("h0", "h0", "--H0", float, report=_json, signed=True,
+         families=("unimodular", "holomorphic")),
     _Key("grid", "grid", "--grid", _parse_grid, _fmt_grid, report=_fmt_grid),
     _Key("domain", "domain", "--domain", _optional(_floats(4, "domain")),
          report=_json, signed=True),
@@ -522,7 +523,16 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
 # commands
 
 def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
-    """The family, and its grid refined cfg.levels - 1 times."""
+    """The family, and its grid refined cfg.levels - 1 times.
+
+    A family parameter set away from its default for a family that does not
+    read it is a usage error (ValueError): it would be stamped into every
+    report without shaping any result."""
+    for key in _KEYS:
+        if (key.families and cfg.family not in key.families
+                and getattr(cfg, key.field) != getattr(RunConfig, key.field)):
+            raise ValueError(f"{key.flag}: the {cfg.family} family takes no "
+                             f"{key.flag[2:]} (only {', '.join(key.families)} do)")
     fam = build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
     grids = [GridSpec(*(cfg.domain or fam.default_domain), *cfg.grid)]
     for _ in range(cfg.levels - 1):
@@ -582,18 +592,17 @@ def cmd_induce(cfg: RunConfig) -> int:
         return EXIT_NUMERICAL
 
     os.makedirs(cfg.out, exist_ok=True)
-    obj_path = os.path.join(cfg.out, f"{fam.name}_surface.obj")
-    csv_path = os.path.join(cfg.out, f"{fam.name}_surface.csv")
-    nverts, nfaces = export_mesh(srf, obj_path)
-    surface_to_csv(srf, csv_path, ff)
+    nverts, nfaces = export_mesh(srf, os.path.join(cfg.out, f"{fam.name}_surface.obj"),
+                                 csv_path=os.path.join(cfg.out, f"{fam.name}_surface.csv"),
+                                 ff=ff)
 
     rim = np.ones(grid.shape, dtype=bool)
     rim[1:-1, 1:-1] = False
-    h_num = mean_curvature_numeric(ff)
+    h_num = ff.mean_curvature
     h_pre = fam.mean_curvature.sample(grid)
     closure = _max_abs(np.abs(h_num.values) - np.abs(h_pre.values),
                        rim | h_num.mask | h_pre.mask)
-    k_num = gauss_curvature_numeric(ff)
+    k_num = ff.gauss_curvature
     k_form = gaussian_curvature_from_p(density_p(s))
     k_err = _max_abs(k_num.values - k_form.values, rim | k_num.mask | k_form.mask)
 

@@ -161,17 +161,25 @@ def field_to_csv(field, path) -> None:
     _write_grid_csv(path, field.grid, "x,y,re,im", (vals.real, vals.imag))
 
 
+def _csv_rows(grid: GridSpec, ncols: int):
+    """The CSV lines of one grid row, as a function of (i, cols): x_i,y,c0,c1,...
+    for every ordinate y, where each of the `ncols` iterables in `cols` yields
+    row i's value strings. Each grid abscissa and ordinate is formatted once."""
+    xs = list(map(repr, grid.xs().tolist()))
+    ys = list(map(repr, grid.ys().tolist()))
+    fields = ",{}" * (1 + ncols) + "\n"
+    return lambda i, cols: "".join(map((xs[i] + fields).format, ys, *cols))
+
+
 def _write_grid_csv(path, grid: GridSpec, header: str, cols) -> None:
     """Write `header`, then x,y,cols[0][i, j],... for every grid point,
     row-major in (i, j).
 
-    Values print as Python float reprs, each grid abscissa and ordinate
-    formatted once; the file is written one grid row at a time.
+    Values print as Python float reprs; the file is written one grid row at
+    a time.
     """
-    ys = list(map(repr, grid.ys().tolist()))
-    fields = ",{}" * (1 + len(cols)) + "\n"
+    rows = _csv_rows(grid, len(cols))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for i, x in enumerate(map(repr, grid.xs().tolist())):
-            vals = [map(repr, c[i].tolist()) for c in cols]
-            fh.write("".join(map((x + fields).format, ys, *vals)))
+        for i in range(grid.nx):
+            fh.write(rows(i, [map(repr, c[i].tolist()) for c in cols]))

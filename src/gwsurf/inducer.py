@@ -22,13 +22,16 @@ the density.
 from __future__ import annotations
 
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _write_grid_csv
-from .reporting import ResidualReport, norms, report_from_parts
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows
+from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField, density_p
 
 __all__ = [
@@ -131,40 +134,61 @@ def _resolve_basepoint(grid: GridSpec, z0) -> tuple[int, int]:
     return grid.index_of(x0, y0)
 
 
-def closedness_defect(s: SpinorField) -> float:
-    """Max norm of d(B) - dbar(A) over the three inducing one-forms."""
+def _defect(forms, grid: GridSpec, mask: np.ndarray) -> float:
+    """Max norm of d(B) - dbar(A) over the one-forms (A, B) sampled on `grid`."""
     worst = 0.0
-    mask = s.mask
-    for A, B in _one_forms(s):
-        fa = ComplexField(s.grid, np.where(mask, 0, A), mask)
-        fb = ComplexField(s.grid, np.where(mask, 0, B), mask)
+    for A, B in forms:
+        fa = ComplexField(grid, np.where(mask, 0, A), mask)
+        fb = ComplexField(grid, np.where(mask, 0, B), mask)
         da = d_zbar(fa)
         db = d_z(fb)
-        mx, _ = norms(db.values - da.values, s.grid, da.mask | db.mask)
+        mx, _ = norms(db.values - da.values, grid, da.mask | db.mask)
         worst = max(worst, mx)
     return worst
+
+
+def _shrinks_like_h2(forms, grid: GridSpec, mask: np.ndarray, defect: float) -> bool:
+    """Whether the every-other-point subgrid (spacings 2hx, 2hy) measures at
+    least RATIO_MIN times `defect`, the defect on `grid`: then `defect` is
+    the O(h^2) error of the stencils, not forms that fail to close. False
+    when that subgrid is too small for the stencils."""
+    nx, ny = (grid.nx + 1) // 2, (grid.ny + 1) // 2
+    if min(nx, ny) < 3:
+        return False
+    coarse = GridSpec(grid.x_min, grid.x_min + 2 * grid.hx * (nx - 1),
+                      grid.y_min, grid.y_min + 2 * grid.hy * (ny - 1), nx, ny)
+    sub = [(A[::2, ::2], B[::2, ::2]) for A, B in forms]
+    return _defect(sub, coarse, mask[::2, ::2]) >= RATIO_MIN * defect
+
+
+def closedness_defect(s: SpinorField) -> float:
+    """Max norm of d(B) - dbar(A) over the three inducing one-forms."""
+    return _defect(_one_forms(s), s.grid, s.mask)
 
 
 def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
     """Build the surface coordinates from a spinor by L-path integrals.
 
     Warns (does not fail) when the inducing one-forms are measurably not
-    closed, since then the result is path dependent. A vanishing spinor
-    produces the degenerate single-point surface, flagged as such.
+    closed, since then the result is path dependent: when their defect
+    exceeds `warn_tol` and does not shrink like h^2 (the stencils leave an
+    O(h^2) defect on exact solutions too). A vanishing spinor produces the
+    degenerate single-point surface, flagged as such.
     """
     grid = s.grid
     i0, j0 = _resolve_basepoint(grid, z0)
     if s.mask[i0, j0]:
         raise ValueError("basepoint is masked")
 
-    defect = closedness_defect(s)
-    if defect > warn_tol:
+    forms = _one_forms(s)
+    defect = _defect(forms, grid, s.mask)
+    if defect > warn_tol and not _shrinks_like_h2(forms, grid, s.mask, defect):
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
     phis = []
     badmask = np.zeros(grid.shape, dtype=bool)
-    for A, B in _one_forms(s):
+    for A, B in forms:
         phi, bad = _integrate_path(A, B, grid, i0, j0, s.mask, "xy")
         phis.append(phi)
         badmask |= bad
@@ -241,6 +265,16 @@ class FundamentalForms:
     def fully_degenerate(self) -> bool:
         free = ~self.E.mask
         return bool(np.all(self.degenerate_mask[free])) if free.any() else True
+
+    @cached_property
+    def mean_curvature(self) -> RealField:
+        """mean_curvature_numeric of these forms, computed once."""
+        return mean_curvature_numeric(self)
+
+    @cached_property
+    def gauss_curvature(self) -> RealField:
+        """gauss_curvature_numeric of these forms, computed once."""
+        return gauss_curvature_numeric(self)
 
 
 def fundamental_forms(srf: Surface, degeneracy_eps: float = 1e-18) -> FundamentalForms:
@@ -363,33 +397,69 @@ def rigid_string_residual(H: MeanCurvature, K: RealField, gamma: float, alpha: f
                              exclude_rings=1)
 
 
-def export_mesh(srf: Surface, path) -> tuple[int, int]:
+def _write_faces(fh, keep: np.ndarray) -> int:
+    """Write two triangles per grid cell whose four corners are all kept,
+    indexing the kept vertices 1, 2, ... in row-major order; returns the
+    face count."""
+    idx = np.zeros(keep.shape, dtype=np.int64)
+    idx[keep] = np.arange(1, np.count_nonzero(keep) + 1)
+    # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
+    whole = np.all([c > 0 for c in corners], axis=0)
+    for i, row in enumerate(whole):
+        tri = np.stack([c[i, row] for c in corners], axis=1)[:, [0, 1, 2, 0, 2, 3]]
+        fh.write("f %d %d %d\n" * (2 * len(tri)) % tuple(tri.ravel().tolist()))
+    return 2 * int(np.count_nonzero(whole))
+
+
+def _write_surface(srf: Surface, obj_path=None, csv_path=None,
+                   ff: FundamentalForms | None = None) -> tuple[int, int]:
+    """Write the OBJ mesh to `obj_path` and/or the CSV dump to `csv_path` in
+    one pass over the grid rows; returns the mesh's (vertex count, face
+    count), faces 0 without a mesh.
+
+    Each row's X1, X2, X3 are formatted once (Python float reprs) and both
+    files print those strings: the CSV at every grid point, the OBJ `v`
+    lines at the unmasked ones. The `f` lines follow the vertices.
+    """
+    keep = ~srf.mask
+    if obj_path is not None and not keep.any():
+        raise NumericalBreakdown("fully masked surface; nothing to export")
+    coords = (srf.x1.values, srf.x2.values, srf.x3.values)
+    if csv_path is not None:
+        ff = fundamental_forms(srf) if ff is None else ff
+        curvatures = (ff.mean_curvature.values, ff.gauss_curvature.values)
+        csv_lines = _csv_rows(srf.grid, 5)
+    with ExitStack() as files:
+        obj = csv = None
+        if obj_path is not None:
+            obj = files.enter_context(open(obj_path, "w", encoding="ascii", newline="\n"))
+        if csv_path is not None:
+            csv = files.enter_context(open(csv_path, "w", encoding="ascii"))
+            csv.write("x,y,X1,X2,X3,H_num,K_num\n")
+        for i, row in enumerate(keep):
+            xyz = [list(map(repr, c[i].tolist())) for c in coords]
+            if csv is not None:
+                csv.write(csv_lines(i, [*xyz, *(map(repr, c[i].tolist()) for c in curvatures)]))
+            if obj is not None:
+                kept = xyz if row.all() else [compress(s, row.tolist()) for s in xyz]
+                obj.write("".join(map("v {} {} {}\n".format, *kept)))
+        nfaces = 0 if obj is None else _write_faces(obj, keep)
+    return int(np.count_nonzero(keep)), nfaces
+
+
+def export_mesh(srf: Surface, path, csv_path=None,
+                ff: FundamentalForms | None = None) -> tuple[int, int]:
     """Write the surface as an OBJ mesh; deterministic byte-for-byte.
 
     One `v` line per unmasked grid vertex in row-major (i, j) order; each
     fully-unmasked grid cell becomes two triangles. Returns (vertex
     count, face count). Coordinates print as Python float reprs; the file
-    is written one grid row at a time.
+    is written one grid row at a time. With `csv_path`, the
+    `surface_to_csv` dump (given `ff`) is written in the same pass, each
+    coordinate formatted once for both files.
     """
-    mask = srf.mask
-    if mask.all():
-        raise NumericalBreakdown("fully masked surface; nothing to export")
-    keep = ~mask
-    count = int(np.count_nonzero(keep))
-    idx = np.zeros(mask.shape, dtype=np.int64)
-    idx[keep] = np.arange(1, count + 1)
-    # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
-    corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
-    whole = np.all([c > 0 for c in corners], axis=0)
-    coords = (srf.x1.values, srf.x2.values, srf.x3.values)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i, row in enumerate(keep):
-            xyz = [map(repr, c[i, row].tolist()) for c in coords]
-            fh.write("".join(map("v {} {} {}\n".format, *xyz)))
-        for i, row in enumerate(whole):
-            abcd = [c[i, row].tolist() for c in corners]
-            fh.write("".join(map("f {0} {1} {2}\nf {0} {2} {3}\n".format, *abcd)))
-    return count, 2 * int(np.count_nonzero(whole))
+    return _write_surface(srf, path, csv_path, ff)
 
 
 def load_mesh_vertices(path) -> np.ndarray:
@@ -409,8 +479,4 @@ def surface_to_csv(srf: Surface, path, ff: FundamentalForms | None = None) -> No
     `ff` are the surface's fundamental forms when the caller already has
     them; they are computed otherwise.
     """
-    if ff is None:
-        ff = fundamental_forms(srf)
-    cols = (srf.x1.values, srf.x2.values, srf.x3.values,
-            mean_curvature_numeric(ff).values, gauss_curvature_numeric(ff).values)
-    _write_grid_csv(path, srf.grid, "x,y,X1,X2,X3,H_num,K_num", cols)
+    _write_surface(srf, csv_path=path, ff=ff)

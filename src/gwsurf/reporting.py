@@ -21,6 +21,10 @@ from .grid import GridSpec
 
 __all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms"]
 
+# least accepted residual ratio between refinement levels where second-order
+# convergence (ratio 4) is expected
+RATIO_MIN = 2.5
+
 
 def norms(values: np.ndarray, grid: GridSpec, mask=None) -> tuple[float, float]:
     """(max |v|, sqrt(sum |v|^2 hx hy)) over unmasked points; zeros if empty."""

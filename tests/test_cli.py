@@ -2,9 +2,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import gwsurf
 from gwsurf.cli import (_KEYS, EXIT_NOINPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                         RunConfig, _resolve, main, parse_config_text)
 
@@ -221,6 +225,14 @@ class TestInduce:
     def test_degenerate_spinor_is_numerical_failure(self, tmp_path, args):
         assert run(args + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
 
+    def test_holomorphic_default_does_not_warn(self, tmp_path):
+        # an exact solution: the one-forms are closed up to the O(h^2) stencil defect
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["induce", "--family", "holomorphic", "--grid", "51x51",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_OK
+
     def test_explicit_basepoint_flag(self, tmp_path):
         code = run(["induce", "--family", "rational", "--lambda", "1",
                     "--grid", "41x41", "--domain", "-1,1,-1,1",
@@ -295,3 +307,58 @@ class TestCountValidation:
         assert not out.exists()
         key = line.split("=")[0]
         assert capsys.readouterr().err.startswith(f"error: line 3: {key}: ")
+
+
+class TestFamilyParameters:
+    @pytest.mark.parametrize("family, flag, value", [
+        ("trig", "--lambda", "1.5"), ("holomorphic", "--lambda", "1.5"),
+        ("rational", "--A", "1.5"), ("exponential", "--A", "1.5"),
+        ("unimodular", "--A", "1.5"), ("holomorphic", "--A", "1.5"),
+        ("rational", "--H0", "3"), ("exponential", "--H0", "3"), ("trig", "--H0", "3"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "induce"])
+    def test_ignored_parameter_is_usage_error(self, tmp_path, capsys, command,
+                                              family, flag, value):
+        out = tmp_path / "out"
+        code = run([command, "--family", family, flag, value, "--grid", "21x21",
+                    "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    def test_ignored_parameter_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=rational\ngrid=21x21\nh0=3\n")
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --H0: ")
+
+    @pytest.mark.parametrize("family, params", [
+        ("rational", ["--lambda", "1.5", "--H0", "1.0"]),
+        ("exponential", ["--lambda", "1.5", "--A", "default"]),
+        ("trig", ["--A", "1.5", "--lambda", "default"]),
+        ("unimodular", ["--lambda", "1.5", "--H0", "2"]),
+        ("holomorphic", ["--H0", "2"]),
+    ])
+    def test_parameters_the_family_reads_are_accepted(self, tmp_path, family, params):
+        code = run(["induce", "--family", family, *params, "--grid", "31x31",
+                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = tmp_path / f"{family}_curvature_closure.json"
+        stamped = json.loads(report.read_text())["config"]
+        assert stamped["family"] == family
+        keys = {k.flag: k.key for k in _KEYS}
+        for flag, value in zip(params[::2], params[1::2]):
+            assert stamped[keys[flag]] == (None if value == "default" else float(value))
+
+
+def test_python_dash_m_gwsurf():
+    # the child runs the same gwsurf as this process, installed or not
+    src = os.path.dirname(os.path.dirname(gwsurf.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "gwsurf", "--version"], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0
+    assert out.stdout.strip() == gwsurf.__version__

@@ -1,14 +1,17 @@
 """Surface inducing, curvature closure, rigid-string residual, OBJ export."""
+import warnings
+
 import numpy as np
 import pytest
 
 from gwsurf import (ComplexField, GridSpec, MeanCurvature, RealField, SpinorField,
-                    density_p, export_mesh, family_holomorphic, family_rational,
+                    build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gauss_curvature_consistency,
                     gauss_curvature_numeric, induce_surface, load_mesh_vertices,
                     mean_curvature_numeric, path_independence_report,
                     rigid_string_residual, surface_to_csv)
-from gwsurf.inducer import Surface
+from gwsurf.cli import main
+from gwsurf.inducer import Surface, closedness_defect
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 
@@ -63,6 +66,25 @@ class TestInduce:
                              ComplexField(G, s.psi2.values + 1.0))
         with pytest.warns(UserWarning):
             induce_surface(bumped, 0.0)
+
+    def test_nonsolution_warns_without_a_subgrid(self):
+        # 4x4 has no every-other-point subgrid with three points per axis
+        g = GridSpec(-1, 1, -1, 1, 4, 4)
+        bumped = SpinorField(ComplexField(g, g.zmesh() * np.conj(g.zmesh())),
+                             ComplexField(g, np.ones(g.shape, complex)))
+        with pytest.warns(UserWarning):
+            induce_surface(bumped)
+
+    @pytest.mark.parametrize("n", [31, 51, 101])
+    def test_exact_solution_does_not_warn(self, n):
+        # the O(h^2) stencil defect of an exact solution exceeds the absolute
+        # tolerance at these grids but shrinks like h^2, so it is not reported
+        fam = family_holomorphic(h0=1.0)
+        s = fam.spinor(GridSpec(*fam.default_domain, n, n))
+        assert closedness_defect(s) > 1e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            induce_surface(s)
 
     def test_masked_basepoint_rejected(self):
         s = family_rational(1.0).spinor(G)
@@ -345,6 +367,25 @@ def test_export_bytes_match_per_element_writers(make, tmp_path):
     expect = (tmp_path / "loop.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes() == expect
     assert (tmp_path / "given_forms.csv").read_bytes() == expect
+
+    # OBJ and CSV from one pass
+    assert export_mesh(srf, tmp_path / "both.obj", csv_path=tmp_path / "both.csv",
+                       ff=fundamental_forms(srf)) == expect_counts
+    assert (tmp_path / "both.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+    assert (tmp_path / "both.csv").read_bytes() == expect
+
+
+def test_induce_command_bytes_match_per_element_writers(tmp_path):
+    args = ["induce", "--family", "exponential", "--grid", "41x21",
+            "--basepoint", "0.5,0.5", "--out", str(tmp_path)]
+    assert main(args) == 0
+    fam = build_family("exponential")
+    srf = induce_surface(fam.spinor(GridSpec(*fam.default_domain, 41, 21)), (0.5, 0.5))
+    loop_export_mesh(srf, tmp_path / "loop.obj")
+    loop_surface_to_csv(srf, tmp_path / "loop.csv")
+    for ext in ("obj", "csv"):
+        made = (tmp_path / f"exponential_surface.{ext}").read_bytes()
+        assert made == (tmp_path / f"loop.{ext}").read_bytes()
 
 
 def test_masked_interior_point_drops_its_four_cells(tmp_path):
