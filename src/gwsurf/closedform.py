@@ -8,8 +8,12 @@ what lets exact solution families verify identities to machine precision.
 The Jet type implements second-order Wirtinger "jets" (value plus the
 derivatives d, dbar, dd, d dbar, dbar dbar) with the usual calculus rules,
 so derived quantities (quotients, square roots, products) keep analytic
-derivatives without any symbolic machinery at evaluation time. Missing
-derivative slots propagate as None.
+derivatives. Missing derivative slots propagate as None.
+
+`diagonal_form` and `holomorphic_form` build closed forms from plain
+formulas of one variable: run on a plain array a formula gives values, run
+on a `TaylorJet` it gives values and the first two derivatives in one
+forward-mode pass. No symbolic algebra is involved.
 
 A form built by `lift` evaluates its whole jet in one pass: the jet
 operation runs once on its inputs' jets and every slot callable reads
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from .grid import ComplexField, GridSpec, RealField
 
@@ -32,6 +35,7 @@ __all__ = [
     "diagonal_form", "holomorphic_form", "constant_form",
     "lift", "field_mul", "jet_mul", "jet_div", "jet_conj", "jet_sqrt",
     "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz",
+    "TaylorJet", "exp", "sin", "cos", "sqrt", "conj",
 ]
 
 
@@ -150,8 +154,8 @@ class ClosedForm:
     domain_guard(z) returns True at singular points; sampling masks them.
     Derivative callables, when present, must agree with finite differences
     of `value` to O(h^2) on the guard-admissible region. `jet_fn`, when
-    present, computes every available slot in one pass; the slot callables
-    then read from it. `diagonal` records that every slot depends on z only
+    present, computes every available slot in one pass, bitwise equal to
+    the slot callables. `diagonal` records that every slot depends on z only
     through s = z + conj(z) (set by `diagonal_form`, kept by `conjugate`,
     `derivative` and by `lift` of diagonal inputs).
     """
@@ -303,40 +307,141 @@ def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
 
 
 # ---------------------------------------------------------------------------
-# symbolic builders
+# one-variable Taylor jets and the builders that run formulas on them
 
-_S = sp.Symbol("s", real=True)
-_Z = sp.Symbol("z")
+class TaylorJet:
+    """Second-order Taylor jet (f, d1, d2) of a function of one variable t.
+
+    Arithmetic with jets and with constants (numbers, numpy scalars and
+    arrays) follows the rules of forward-mode differentiation (Griewank &
+    Walther, Evaluating Derivatives, ch. 13); `exp`, `sin`, `cos`, `sqrt`
+    and `conj` below act on jets and on plain arrays alike. A formula
+    written with them therefore runs on a plain array for its values and
+    on `TaylorJet(t, 1.0, 0.0)` for values and two derivatives in one
+    pass, and the value slot of every operation is computed exactly as on
+    the plain path, so the two agree bit for bit.
+    """
+
+    __slots__ = ("f", "d1", "d2")
+    __array_ufunc__ = None      # numpy operands defer to the reflected operators
+
+    def __init__(self, f, d1, d2):
+        self.f = f
+        self.d1 = d1
+        self.d2 = d2
+
+    def __add__(self, o):
+        if isinstance(o, TaylorJet):
+            return TaylorJet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+        return TaylorJet(self.f + o, self.d1, self.d2)
+
+    def __radd__(self, o):
+        return TaylorJet(o + self.f, self.d1, self.d2)
+
+    def __sub__(self, o):
+        if isinstance(o, TaylorJet):
+            return TaylorJet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
+        return TaylorJet(self.f - o, self.d1, self.d2)
+
+    def __rsub__(self, o):
+        return TaylorJet(o - self.f, -self.d1, -self.d2)
+
+    def __neg__(self):
+        return TaylorJet(-self.f, -self.d1, -self.d2)
+
+    def __mul__(self, o):
+        if isinstance(o, TaylorJet):
+            return TaylorJet(self.f * o.f, self.d1 * o.f + self.f * o.d1,
+                             self.d2 * o.f + 2 * self.d1 * o.d1 + self.f * o.d2)
+        return TaylorJet(self.f * o, self.d1 * o, self.d2 * o)
+
+    def __rmul__(self, o):
+        return TaylorJet(o * self.f, o * self.d1, o * self.d2)
+
+    def __truediv__(self, o):
+        if isinstance(o, TaylorJet):
+            # q = a/b: q' = (a' - q b')/b, q'' = (a'' - 2 q' b' - q b'')/b
+            q = self.f / o.f
+            d1 = (self.d1 - q * o.d1) / o.f
+            return TaylorJet(q, d1, (self.d2 - 2 * d1 * o.d1 - q * o.d2) / o.f)
+        return TaylorJet(self.f / o, self.d1 / o, self.d2 / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.f
+        d1 = -q * self.d1 / self.f
+        return TaylorJet(q, d1, -(2 * d1 * self.d1 + q * self.d2) / self.f)
 
 
-def _lambdify(var, expr):
-    # the module object, not the name "numpy": the name makes sympy run
-    # `from numpy import *`, which loads numpy.testing, numpy.f2py and unittest
-    fn = sp.lambdify(var, expr, modules=[np])
-
-    def call(arg):
-        with np.errstate(all="ignore"):
-            return fn(arg)
-    return call
+def exp(t):
+    if isinstance(t, TaylorJet):
+        e = np.exp(t.f)
+        return TaylorJet(e, e * t.d1, e * (t.d2 + t.d1 * t.d1))
+    return np.exp(t)
 
 
-def diagonal_form(expr, guard=None) -> ClosedForm:
+def sin(t):
+    if isinstance(t, TaylorJet):
+        s, c = np.sin(t.f), np.cos(t.f)
+        return TaylorJet(s, c * t.d1, c * t.d2 - s * (t.d1 * t.d1))
+    return np.sin(t)
+
+
+def cos(t):
+    if isinstance(t, TaylorJet):
+        s, c = np.sin(t.f), np.cos(t.f)
+        return TaylorJet(c, -s * t.d1, -s * t.d2 - c * (t.d1 * t.d1))
+    return np.cos(t)
+
+
+def sqrt(t):
+    if isinstance(t, TaylorJet):
+        r = np.sqrt(t.f)
+        d1 = t.d1 / (2.0 * r)
+        return TaylorJet(r, d1, (t.d2 - 2.0 * d1 * d1) / (2.0 * r))
+    return np.sqrt(t)
+
+
+def conj(t):
+    """Complex conjugate; on a jet of a real variable every slot conjugates."""
+    if isinstance(t, TaylorJet):
+        return TaylorJet(np.conj(t.f), np.conj(t.d1), np.conj(t.d2))
+    return np.conj(t)
+
+
+def _taylor_slots(out):
+    """(f, d1, d2) of a formula's output; a constant has zero derivatives."""
+    if isinstance(out, TaylorJet):
+        return out.f, out.d1, out.d2
+    return out, 0.0, 0.0
+
+
+def diagonal_form(fn, guard=None) -> ClosedForm:
     """Closed form depending on z only through s = z + conj(z).
 
-    `expr` is a sympy expression in the symbol `s` (gwsurf.closedform._S).
-    All Wirtinger derivatives collapse to d/ds, which is what makes the
-    one-dimensional solution families exactly differentiable.
+    `fn(s)` is a formula in the operators and the functions `exp`, `sin`,
+    `cos`, `sqrt`, `conj` of this module (see `TaylorJet`). All Wirtinger
+    derivatives collapse to d/ds, which is what makes the one-dimensional
+    solution families exactly differentiable: the jet is (f, f', f', f'',
+    f'', f''), from one run of `fn` on a Taylor jet per grid column.
     """
-    d1 = sp.diff(expr, _S)
-    d2 = sp.diff(d1, _S)
-    f0, f1, f2 = (_lambdify(_S, e) for e in (expr, d1, d2))
+    def value(z):
+        with np.errstate(all="ignore"):
+            return _broadcast(fn(_abscissae(z)), z)
 
-    def at(fn):
-        return lambda z: _on_abscissae(fn, z)
+    def column_slots(z):
+        with np.errstate(all="ignore"):
+            return _taylor_slots(fn(TaylorJet(_abscissae(z), 1.0, 0.0)))
 
-    return ClosedForm(value=at(f0), dz=at(f1), dzbar=at(f1),
-                      dz2=at(f2), dzdzbar=at(f2), dzbar2=at(f2),
-                      domain_guard=guard, diagonal=True)
+    def jet_fn(z):
+        f, d1, d2 = (_broadcast(v, z) for v in column_slots(z))
+        return Jet(f, d1, d1, d2, d2, d2)
+
+    def slot(k):
+        return lambda z: _broadcast(column_slots(z)[k], z)
+
+    d1, d2 = slot(1), slot(2)
+    return ClosedForm(value=value, dz=d1, dzbar=d1, dz2=d2, dzdzbar=d2, dzbar2=d2,
+                      domain_guard=guard, jet_fn=jet_fn, diagonal=True)
 
 
 def _mesh_column(z) -> np.ndarray:
@@ -355,33 +460,43 @@ def _mesh_column(z) -> np.ndarray:
     return z
 
 
-def _on_abscissae(fn, z) -> np.ndarray:
-    """fn(s) at s = z + conj(z), evaluated once per distinct abscissa of a mesh.
+def _abscissae(z) -> np.ndarray:
+    """s = z + conj(z), once per distinct abscissa of a mesh.
 
-    On a grid mesh fn runs on one column and the result is broadcast along
-    axis 1. Any other z is evaluated pointwise.
+    On a grid mesh this is one column, which the caller broadcasts along
+    axis 1; any other z gives s pointwise.
     """
     # complex-typed s keeps square roots of negative reals on the
     # principal branch instead of collapsing to nan
-    s = (2.0 * np.real(_mesh_column(z))).astype(complex)
-    return _broadcast(fn(s), z)
+    return (2.0 * np.real(_mesh_column(z))).astype(complex)
 
 
-def holomorphic_form(expr, guard=None) -> ClosedForm:
-    """Closed form holomorphic in z (sympy expression in _Z); dbar slots vanish."""
-    d1 = sp.diff(expr, _Z)
-    d2 = sp.diff(d1, _Z)
-    f0, f1, f2 = (_lambdify(_Z, e) for e in (expr, d1, d2))
+def holomorphic_form(fn, guard=None) -> ClosedForm:
+    """Closed form holomorphic in z; the dbar slots vanish.
 
-    def at(fn):
-        def call(z):
+    `fn(z)` is a formula as for `diagonal_form` without `conj`; on a
+    Taylor jet in z it gives the complex derivatives d/dz and d^2/dz^2.
+    """
+    def value(z):
+        with np.errstate(all="ignore"):
             return _broadcast(fn(np.asarray(z, dtype=complex)), z)
-        return call
+
+    def slots(z):
+        with np.errstate(all="ignore"):
+            return _taylor_slots(fn(TaylorJet(np.asarray(z, dtype=complex), 1.0, 0.0)))
+
+    def jet_fn(z):
+        f, d1, d2 = (_broadcast(v, z) for v in slots(z))
+        zero = np.zeros(np.shape(z), dtype=complex)
+        return Jet(f, d1, zero, d2, zero, zero)
+
+    def slot(k):
+        return lambda z: _broadcast(slots(z)[k], z)
 
     zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-    return ClosedForm(value=at(f0), dz=at(f1), dzbar=zero,
-                      dz2=at(f2), dzdzbar=zero, dzbar2=zero,
-                      domain_guard=guard)
+    return ClosedForm(value=value, dz=slot(1), dzbar=zero,
+                      dz2=slot(2), dzdzbar=zero, dzbar2=zero,
+                      domain_guard=guard, jet_fn=jet_fn)
 
 
 def constant_form(c) -> ClosedForm:

@@ -1,9 +1,9 @@
 """Closed-form solution families with analytic derivatives.
 
-Each family packages a compatible triple (H, rho, spinor pair) built
-symbolically, so every Wirtinger derivative needed by the residual suites
-is exact. The one-dimensional families depend on z only through
-s = z + conj(z):
+Each family packages a compatible triple (H, rho, spinor pair) written as
+formulas of one variable that also run on Taylor jets, so every Wirtinger
+derivative needed by the residual suites is exact to round-off. The
+one-dimensional families depend on z only through s = z + conj(z):
 
   rational     rho = lam*s,        H = 1/(1 + lam^2 s^2)
   exponential  rho = exp(lam*s),   H = exp(lam*s)/(1 + exp(2*lam*s))
@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .closedform import ClosedForm, _S, _Z, diagonal_form, holomorphic_form
+from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form,
+                         sin, sqrt)
 from .grid import GridSpec
 from .sigma import RhoField, psi_from_rho
 from .weierstrass import MeanCurvature, SpinorField
@@ -85,45 +85,60 @@ class SolutionFamily:
         return GridSpec(x0, x1, y0, y1, nx, ny)
 
 
-def _transform_forms(rho_expr, h_expr, eps: int, guard):
-    """psi forms from a one-dimensional rho and H via the square-root transform."""
-    drho = sp.diff(rho_expr, _S)
-    m = 1 + rho_expr * sp.conjugate(rho_expr)
-    den = sp.sqrt(h_expr) * m
-    psi2 = eps * sp.sqrt(drho) / den
-    psi1 = eps * rho_expr * sp.conjugate(sp.sqrt(drho)) / den
-    return (diagonal_form(sp.simplify(psi1), guard=guard),
-            diagonal_form(sp.simplify(psi2), guard=guard))
+def _transform_forms(rho, drho, h, eps: int, guard):
+    """psi forms of a one-dimensional rho, d(rho)/ds and H (functions of s).
+
+    The square-root transform composed as `psi_from_rho` composes its jets:
+    w = sqrt(d rho), den = sqrt(H) (1 + rho conj(rho)), psi2 = eps w / den,
+    psi1 = eps rho conj(w) / den.
+    """
+    def common(s):
+        r = rho(s)
+        return r, sqrt(drho(s)), sqrt(h(s)) * (1 + r * conj(r))
+
+    def psi1(s):
+        r, w, den = common(s)
+        return eps * (r * conj(w) / den)
+
+    def psi2(s):
+        _, w, den = common(s)
+        return eps * (w / den)
+
+    return diagonal_form(psi1, guard=guard), diagonal_form(psi2, guard=guard)
+
+
+def _one_dimensional(name, params, rho, drho, h, eps, guard=None, admissible=None,
+                     default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:
+    """A family from rho, d(rho)/ds and H, all functions of s sharing one guard."""
+    psi1, psi2 = _transform_forms(rho, drho, h, eps, guard)
+    return SolutionFamily(
+        name=name, params=params,
+        h_form=diagonal_form(h, guard=guard), rho_form=diagonal_form(rho, guard=guard),
+        psi1_form=psi1, psi2_form=psi2,
+        admissible=admissible, default_domain=default_domain, eps=eps)
 
 
 def family_rational(lam: float, eps: int = 1) -> SolutionFamily:
     """Rationally decaying mean curvature; admissible on the whole plane."""
     if lam == 0:
         raise ValueError("parameter must be nonzero (rho would be constant)")
-    lam_s = sp.Float(float(lam))
-    h = 1 / (1 + lam_s**2 * _S**2)
-    rho = lam_s * _S
-    psi1, psi2 = _transform_forms(rho, h, eps, None)
-    return SolutionFamily(
-        name="rational", params={"lambda": float(lam)},
-        h_form=diagonal_form(h), rho_form=diagonal_form(rho),
-        psi1_form=psi1, psi2_form=psi2,
-        admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+    lam = float(lam)
+    # d rho/ds is complex so that sqrt of a negative lam takes the principal branch
+    return _one_dimensional(
+        "rational", {"lambda": lam}, eps=eps,
+        rho=lambda s: lam * s, drho=lambda s: complex(lam),
+        h=lambda s: 1 / (1 + lam * lam * (s * s)))
 
 
 def family_exponential(lam: float, eps: int = 1) -> SolutionFamily:
     """Exponential profile rho = exp(lam s); H real analytic everywhere."""
     if lam == 0:
         raise ValueError("parameter must be nonzero")
-    lam_s = sp.Float(float(lam))
-    h = sp.exp(lam_s * _S) / (1 + sp.exp(2 * lam_s * _S))
-    rho = sp.exp(lam_s * _S)
-    psi1, psi2 = _transform_forms(rho, h, eps, None)
-    return SolutionFamily(
-        name="exponential", params={"lambda": float(lam)},
-        h_form=diagonal_form(h), rho_form=diagonal_form(rho),
-        psi1_form=psi1, psi2_form=psi2,
-        admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+    lam = float(lam)
+    return _one_dimensional(
+        "exponential", {"lambda": lam}, eps=eps,
+        rho=lambda s: exp(lam * s), drho=lambda s: lam * exp(lam * s),
+        h=lambda s: exp(lam * s) / (1 + exp(2 * lam * s)))
 
 
 def family_trigonometric(a: float, eps: int = 1,
@@ -136,10 +151,11 @@ def family_trigonometric(a: float, eps: int = 1,
     """
     if a == 0:
         raise ValueError("parameter must be nonzero")
-    a_s = sp.Float(float(a))
-    cos = sp.cos(a_s * _S)
-    h = cos / (2 - cos**2)
-    rho = sp.sin(a_s * _S)
+    a = float(a)
+
+    def h(s):
+        c = cos(a * s)
+        return c / (2 - c * c)
 
     s_hi = math.pi / (2 * abs(a))
     lo, hi = guard_band, s_hi - guard_band
@@ -150,38 +166,33 @@ def family_trigonometric(a: float, eps: int = 1,
         s = 2.0 * np.real(np.asarray(z))
         return (s > lo) & (s < hi)
 
-    guard = lambda z: ~admissible(z)
-    psi1, psi2 = _transform_forms(rho, h, eps, guard)
-    return SolutionFamily(
-        name="trig", params={"A": float(a)},
-        h_form=diagonal_form(h, guard=guard), rho_form=diagonal_form(rho, guard=guard),
-        psi1_form=psi1, psi2_form=psi2,
-        admissible=admissible,
-        default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0), eps=eps)
+    return _one_dimensional(
+        "trig", {"A": a}, eps=eps,
+        rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h,
+        guard=lambda z: ~admissible(z), admissible=admissible,
+        default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0))
 
 
 def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFamily:
     """Unimodular rho = exp(i lam s); exists only with constant H = h0 > 0."""
     if h0 <= 0:
         raise ValueError("constant mean curvature must be positive")
-    lam_s = sp.Float(float(lam))
-    h = sp.Float(float(h0)) + 0 * _S
-    rho = sp.exp(sp.I * lam_s * _S)
+    lam, h0 = float(lam), float(h0)
+    rho = lambda s: exp(1j * lam * s)
 
     if lam == 0:
         psi1 = psi2 = None      # rho constant: the transform degenerates
     else:
         # smooth global branch of sqrt(d rho): w = sqrt(i lam) exp(i lam s / 2)
-        w = sp.sqrt(sp.I * lam_s) * sp.exp(sp.I * lam_s * _S / 2)
-        den = sp.sqrt(sp.Float(float(h0))) * 2
-        psi2_expr = eps * w / den
-        psi1_expr = eps * rho * sp.conjugate(w) / den
-        psi1 = diagonal_form(psi1_expr)
-        psi2 = diagonal_form(psi2_expr)
+        root = np.sqrt(1j * lam)
+        w = lambda s: root * exp(1j * lam * s / 2)
+        den = math.sqrt(h0) * 2
+        psi1 = diagonal_form(lambda s: eps * (rho(s) * conj(w(s)) / den))
+        psi2 = diagonal_form(lambda s: eps * (w(s) / den))
 
     return SolutionFamily(
-        name="unimodular", params={"lambda": float(lam), "H0": float(h0)},
-        h_form=diagonal_form(h), rho_form=diagonal_form(rho),
+        name="unimodular", params={"lambda": lam, "H0": h0},
+        h_form=diagonal_form(lambda s: h0), rho_form=diagonal_form(rho),
         psi1_form=psi1, psi2_form=psi2,
         admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
 
@@ -197,11 +208,11 @@ def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
     if h0 <= 0:
         raise ValueError("constant mean curvature must be positive")
     if f is None:
-        f = holomorphic_form(_Z)
-    h = sp.Float(float(h0)) + 0 * _S
+        f = holomorphic_form(lambda z: z)
+    h0 = float(h0)
     return SolutionFamily(
-        name="holomorphic", params={"H0": float(h0)},
-        h_form=diagonal_form(h), rho_form=f,
+        name="holomorphic", params={"H0": h0},
+        h_form=diagonal_form(lambda s: h0), rho_form=f,
         psi1_form=None, psi2_form=None,
         admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
 

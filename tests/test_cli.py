@@ -146,7 +146,7 @@ class TestVerify:
         code = run(["verify", "--family", "unimodular", "--lambda", "2",
                     "--H0", "1", "--grid", "41x41", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        names = {json.load(open(tmp_path / f))["suite"]
+        names = {json.loads((tmp_path / f).read_text())["suite"]
                  for f in os.listdir(tmp_path)}
         assert "ll_fd" in names
 
@@ -191,7 +191,7 @@ class TestVerify:
         code = run(["verify", "--config", str(cfg), "--grid", "33x33",
                     "--out", str(tmp_path / "flagout")])
         assert code == EXIT_OK
-        data = json.load(open(tmp_path / "flagout" / "rational_dirac_exact.json"))
+        data = json.loads((tmp_path / "flagout" / "rational_dirac_exact.json").read_text())
         assert data["levels"][0]["nx"] == 33   # the flag wins
 
 
@@ -204,7 +204,7 @@ class TestInduce:
         obj = (tmp_path / "rational_surface.obj").read_text()
         assert obj.count("\nv ") + obj.startswith("v ") == 41 * 41
         assert (tmp_path / "rational_surface.csv").exists()
-        closure = json.load(open(tmp_path / "rational_curvature_closure.json"))
+        closure = json.loads((tmp_path / "rational_curvature_closure.json").read_text())
         assert closure["passed"] is True
 
     def test_deterministic(self, tmp_path):
@@ -245,7 +245,7 @@ class TestReport:
         assert run(["verify", "--family", "rational", "--lambda", "1",
                     "--grid", "31x31", "--out", str(tmp_path)]) == EXIT_OK
         assert run(["report", "--out", str(tmp_path)]) == EXIT_OK
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["overall_passed"] is True
         assert len(summary["suites"]) >= 10
 

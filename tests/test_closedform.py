@@ -1,11 +1,11 @@
 """Jet calculus and closed-form combinators against finite differences."""
 import numpy as np
 import pytest
-import sympy as sp
 
 from gwsurf import GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import (_S, _SLOTS, _Z, diagonal_form, field_mul, holomorphic_form,
-                               jet_conj, jet_div, jet_mul, jet_sqrt, lift)
+from gwsurf.closedform import (_SLOTS, TaylorJet, conj, cos, diagonal_form, exp,
+                               field_mul, holomorphic_form, jet_conj, jet_div, jet_mul,
+                               jet_sqrt, lift, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
@@ -23,17 +23,17 @@ def fd_check(form, op=d_z):
 
 
 def test_diagonal_form_derivatives_match_fd():
-    fd_check(diagonal_form(sp.exp(_S) / (1 + _S**2)))
-    fd_check(diagonal_form(sp.exp(_S) / (1 + _S**2)), op=d_zbar)
+    fd_check(diagonal_form(lambda s: exp(s) / (1 + s * s)))
+    fd_check(diagonal_form(lambda s: exp(s) / (1 + s * s)), op=d_zbar)
 
 
 def test_holomorphic_form_derivatives_match_fd():
-    fd_check(holomorphic_form(_Z**3 - 2 * _Z))
+    fd_check(holomorphic_form(lambda z: z * z * z - 2 * z))
 
 
 def test_conjugate_form_swaps_slots():
     g = GridSpec(-1, 1, -1, 1, 21, 21)
-    form = holomorphic_form(_Z**2)
+    form = holomorphic_form(lambda z: z * z)
     f = sample(form.conjugate(), g)
     # conj(z^2) has dbar derivative 2 conj(z) and d derivative 0
     d = d_z(f)
@@ -44,10 +44,10 @@ def test_conjugate_form_swaps_slots():
 
 def test_lift_quotient_and_sqrt_jets():
     # h = sqrt(a / b) for diagonal forms; compare with the direct expression
-    a = diagonal_form(1 + _S**2)
-    b = diagonal_form(2 + sp.cos(_S))
+    a = diagonal_form(lambda s: 1 + s * s)
+    b = diagonal_form(lambda s: 2 + cos(s))
     combo = lift(lambda ja, jb: jet_sqrt(jet_div(ja, jb)), a, b)
-    direct = diagonal_form(sp.sqrt((1 + _S**2) / (2 + sp.cos(_S))))
+    direct = diagonal_form(lambda s: sqrt((1 + s * s) / (2 + cos(s))))
     g = GridSpec(-1, 1, -1, 1, 31, 31)
     fa, fb = sample(combo, g), sample(direct, g)
     assert np.max(np.abs(fa.values - fb.values)) < 1e-13
@@ -56,7 +56,7 @@ def test_lift_quotient_and_sqrt_jets():
 
 
 def test_lift_conj_mul_jets():
-    a = diagonal_form(sp.exp(sp.I * _S))
+    a = diagonal_form(lambda s: exp(1j * s))
     combo = lift(lambda j: jet_mul(j, jet_conj(j)), a)   # |rho|^2 = 1
     g = GridSpec(-1, 1, -1, 1, 21, 21)
     f = sample(combo, g)
@@ -74,19 +74,19 @@ def test_lift_drops_unavailable_slots():
 
 def test_field_mul_combines_sources():
     g = GridSpec(-1, 1, -1, 1, 41, 41)
-    a = sample(diagonal_form(sp.sin(_S)), g)
-    b = sample(diagonal_form(sp.exp(_S)), g)
+    a = sample(diagonal_form(sin), g)
+    b = sample(diagonal_form(exp), g)
     prod = field_mul(a, b)
     assert prod.source is not None
     d = d_z(prod)
-    oracle = sp.lambdify(_S, sp.diff(sp.sin(_S) * sp.exp(_S), _S), "numpy")
-    expect = oracle(2 * np.real(g.zmesh()))
+    s = 2 * np.real(g.zmesh())
+    expect = (np.cos(s) + np.sin(s)) * np.exp(s)      # d/ds (sin s exp s)
     assert np.max(np.abs(d.values - expect)) < 1e-12
 
 
 def test_field_mul_requires_matching_grids():
-    a = sample(diagonal_form(sp.sin(_S)), GridSpec(-1, 1, -1, 1, 11, 11))
-    b = sample(diagonal_form(sp.sin(_S)), GridSpec(-1, 1, -1, 1, 13, 13))
+    a = sample(diagonal_form(sin), GridSpec(-1, 1, -1, 1, 11, 11))
+    b = sample(diagonal_form(sin), GridSpec(-1, 1, -1, 1, 13, 13))
     with pytest.raises(ValueError):
         field_mul(a, b)
 
@@ -138,8 +138,8 @@ def _lifted_diagonal_forms():
 
 def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
     # sqrt of a negative real argument exercises the complex branch
-    expr = sp.sqrt(_S - 0.3) * sp.sin(3 * _S) / (1 + _S**2)
-    cases = [(diagonal_form(expr), GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23))]
+    fn = lambda s: sqrt(s - 0.3) * sin(3 * s) / (1 + s * s)
+    cases = [(diagonal_form(fn), GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23))]
     cases += _lifted_diagonal_forms()
     for form, g in cases:
         assert form.diagonal
@@ -164,9 +164,9 @@ def test_diagonal_lift_runs_its_op_on_one_column():
         shapes.append((np.shape(a.f), np.shape(b.fzz)))
         return jet_mul(a, b)
 
-    diag = diagonal_form(sp.exp(_S))
-    both = lift(op, diag, diagonal_form(1 + _S**2))
-    mixed = lift(op, holomorphic_form(_Z**2), diag)
+    diag = diagonal_form(exp)
+    both = lift(op, diag, diagonal_form(lambda s: 1 + s * s))
+    mixed = lift(op, holomorphic_form(lambda z: z * z), diag)
     assert both.diagonal and not mixed.diagonal
     assert both.derivative("z").diagonal and both.conjugate().diagonal
     z = GridSpec(-1, 1, -1, 1, 7, 5).zmesh()
@@ -182,13 +182,67 @@ def test_diagonal_lift_runs_its_op_on_one_column():
 
 
 def test_diagonal_form_off_mesh_matches_direct_evaluation():
-    expr = sp.exp(_S) / (2 + sp.cos(_S))
-    form = diagonal_form(expr)
+    fn = lambda s: exp(s) / (2 + cos(s))
+    form = diagonal_form(fn)
     rng = np.random.default_rng(7)
     z = rng.uniform(-1, 1, (9, 11)) + 1j * rng.uniform(-1, 1, (9, 11))
     z[:, 0] = z[:, 1].real            # one column repeats its neighbour's abscissa
-    direct = sp.lambdify(_S, sp.diff(expr, _S), "numpy")
-    expect = direct((2.0 * z.real).astype(complex))
-    assert np.array_equal(form.dz(z), expect)
-    assert np.array_equal(form.value(z[0]),
-                          sp.lambdify(_S, expr, "numpy")((2.0 * z[0].real).astype(complex)))
+    direct = fn(TaylorJet((2.0 * z.real).astype(complex), 1.0, 0.0))
+    assert np.array_equal(form.dz(z), direct.d1)
+    assert np.array_equal(form.dzdzbar(z), direct.d2)
+    assert np.array_equal(form.value(z[0]), fn((2.0 * z[0].real).astype(complex)))
+
+
+def _input_jets(t):
+    """Inputs with hand-written slots: a = exp(c t) (complex), b = 2 + cos t."""
+    c = 0.7 + 0.4j
+    e = np.exp(c * t)
+    return (TaylorJet(e, c * e, c * c * e),
+            TaylorJet(2 + np.cos(t), -np.sin(t), -np.cos(t)))
+
+
+# one entry per TaylorJet rule; "constants" covers the reflected operators
+# and numpy scalars, which must defer to the jet
+JET_RULES = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "reciprocal": lambda a, b: 1.5 / b,
+    "constants": lambda a, b: ((2.5 - a) * 3 + np.float64(0.5) * a + (a - 1) + (1 + b)
+                               + b / 3 + np.complex128(2 - 1j) / b),
+    "exp": lambda a, b: exp(a),
+    "sin": lambda a, b: sin(a),
+    "cos": lambda a, b: cos(a),
+    "sqrt": lambda a, b: sqrt(a),
+    "conj": lambda a, b: conj(a),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(JET_RULES))
+def test_taylor_jet_rules_match_central_differences(rule):
+    op = JET_RULES[rule]
+    t = np.linspace(-1, 1, 9)
+    jet = op(*_input_jets(t))
+    value = lambda u: op(*(j.f for j in _input_jets(u)))
+    assert isinstance(jet, TaylorJet)
+    # the value slot is the plain computation, bit for bit
+    assert np.array_equal(np.asarray(jet.f).view(np.uint64), value(t).view(np.uint64))
+
+    def err(h):
+        up, mid, down = value(t + h), value(t), value(t - h)
+        return (np.max(np.abs((up - down) / (2 * h) - jet.d1)),
+                np.max(np.abs((up - 2 * mid + down) / (h * h) - jet.d2)))
+
+    for coarse, fine in zip(err(0.02), err(0.01)):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_formula_constant_in_its_variable_has_zero_derivatives():
+    form = diagonal_form(lambda s: 2.5)
+    z = GridSpec(-1, 1, -1, 1, 5, 3).zmesh()
+    jet = form.jet(z)
+    assert np.array_equal(form.value(z), np.full(z.shape, 2.5 + 0j))
+    for slot in ("fz", "fzb", "fzz", "fzzb", "fzbzb"):
+        assert np.array_equal(getattr(jet, slot), np.zeros(z.shape, complex))

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from gwsurf import (GridSpec, build_family, density_p,
+from gwsurf import (FAMILY_NAMES, GridSpec, build_family, density_p,
                     family_exponential, family_holomorphic, family_rational,
                     family_trigonometric, family_unimodular, psi_from_rho,
                     rho_from_psi, sigma_residual, weierstrass_residual)
 from gwsurf.calculus import d_z
-from gwsurf.closedform import _Z, holomorphic_form
+from gwsurf.closedform import holomorphic_form
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -136,8 +136,8 @@ class TestUnimodular:
 
 class TestHolomorphic:
     def test_identity_and_square_solve(self):
-        for expr in (_Z, _Z**2):
-            fam = family_holomorphic(holomorphic_form(expr), h0=1.0)
+        for fn in (lambda z: z, lambda z: z * z):
+            fam = family_holomorphic(holomorphic_form(fn), h0=1.0)
             rep = sigma_residual(fam.rho(G), fam.mean_curvature)
             assert rep.max_norm < 1e-12
 
@@ -208,3 +208,26 @@ class TestParameterSweeps:
         fam = family_trigonometric(-1.0)
         gt = fam.default_grid(41, 41)
         assert weierstrass_residual(fam.spinor(gt), fam.mean_curvature).max_norm < 1e-12
+
+
+FORMS = ("h_form", "rho_form", "psi1_form", "psi2_form")
+
+
+@pytest.mark.parametrize("name,kw", [(n, {}) for n in FAMILY_NAMES]
+                         + [("rational", {"lam": -1.3, "eps": -1}),
+                            ("exponential", {"lam": 2.0}), ("trig", {"a": 1.5}),
+                            ("unimodular", {"lam": -1.0, "h0": 2.0}),
+                            ("holomorphic", {"h0": 2.0})])
+def test_value_slot_is_the_jet_value_bitwise(name, kw):
+    fam = build_family(name, **kw)
+    x0, x1, y0, y1 = fam.default_domain
+    rng = np.random.default_rng(11)
+    off_mesh = rng.uniform(x0, x1, (6, 7)) + 1j * rng.uniform(y0, y1, (6, 7))
+    for attr in FORMS:
+        form = getattr(fam, attr)
+        if form is None:
+            continue
+        for z in (fam.default_grid(23, 17).zmesh(), off_mesh):
+            value = form.value(z)
+            assert value.shape == z.shape
+            assert np.array_equal(value.view(np.uint64), form.jet(z).f.view(np.uint64)), attr

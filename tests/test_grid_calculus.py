@@ -1,11 +1,10 @@
 """Grid construction, sampling, and Wirtinger-derivative stencils."""
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from gwsurf import ComplexField, GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import ClosedForm, _S, diagonal_form
+from gwsurf.closedform import ClosedForm, diagonal_form, exp
 
 
 def grid(n=41, lo=-1.0, hi=1.0):
@@ -145,9 +144,10 @@ class TestWirtinger:
         assert np.max(np.abs(d.values)) < 1e-11
 
     def test_mixed_log_against_symbolic_oracle(self):
+        sp = pytest.importorskip("sympy")
+        from sympy_oracle import S, lambdify
         lam = 1.5
-        expr = sp.log(1 + lam**2 * _S**2)
-        oracle = sp.lambdify(_S, sp.diff(expr, _S, 2), "numpy")
+        oracle = lambdify(S, sp.diff(sp.log(1 + lam**2 * S**2), S, 2))
 
         def err(n):
             g = grid(n)
@@ -163,7 +163,7 @@ class TestWirtinger:
 
     def test_analytic_source_bypasses_stencils(self):
         g = grid(5)
-        form = diagonal_form(sp.exp(_S))
+        form = diagonal_form(exp)
         f = sample(form, g)
         d = d_z(f)
         expect = np.exp(2 * np.real(g.zmesh()))
@@ -365,11 +365,11 @@ class TestTrapezoid:
 def test_import_does_not_load_scipy():
     import subprocess
     import sys
-    # a family build lambdifies closed forms, which must not pull in numpy's
-    # whole public namespace (numpy.testing, numpy.f2py and with them unittest)
+    # building every family must not pull in sympy, nor numpy's whole public
+    # namespace (numpy.testing, numpy.f2py and with them unittest)
     code = ("import sys, gwsurf, gwsurf.cli; print('scipy' in sys.modules)\n"
-            "gwsurf.build_family('rational')\n"
-            "print([m for m in ('scipy', 'numpy.testing', 'numpy.f2py', 'unittest')"
+            "for name in gwsurf.FAMILY_NAMES: gwsurf.build_family(name)\n"
+            "print([m for m in ('scipy', 'sympy', 'numpy.testing', 'numpy.f2py', 'unittest')"
             " if m in sys.modules])")
     import os
     import gwsurf

@@ -10,7 +10,7 @@ from gwsurf import (ComplexField, GridSpec, MeanCurvature, RhoField, SpinorField
                     landau_lifshitz_residual, multisoliton_product, psi_from_rho,
                     rho_from_psi, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
-from gwsurf.closedform import holomorphic_form, _Z
+from gwsurf.closedform import holomorphic_form
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -344,6 +344,6 @@ class TestTransformTheorem:
     def test_holomorphic_direction(self):
         fam_h = MeanCurvature.constant(1.0)
         r = RhoField(ComplexField(G, G.zmesh(),
-                                  source=holomorphic_form(_Z)), 1)
+                                  source=holomorphic_form(lambda z: z)), 1)
         s = psi_from_rho(r, fam_h)
         assert weierstrass_residual(s, fam_h).max_norm < 1e-12
