@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, RealField
-from .closedform import ClosedForm, sample
+from .closedform import sample
 
 __all__ = ["dx", "dy", "dxx", "dyy", "dxy", "d_z", "d_zbar", "mixed_dzbar_dz"]
 
@@ -156,7 +156,7 @@ def d_zbar(field) -> ComplexField:
 def mixed_dzbar_dz(field) -> ComplexField:
     """dbar(d f); equals a quarter Laplacian on the finite-difference path."""
     src = getattr(field, "source", None)
-    if src is not None and src.dzdzbar is not None:
-        mixed = ClosedForm(value=src.dzdzbar, domain_guard=src.domain_guard)
+    if src is not None and src.order >= 2:
+        mixed = src.derivative("z").derivative("zbar")
         return sample(mixed, field.grid, extra_mask=field.mask)
     return d_zbar(d_z(field))

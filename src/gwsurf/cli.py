@@ -111,12 +111,20 @@ def _fmt_grid(grid: tuple[int, int]) -> str:
     return f"{grid[0]}x{grid[1]}"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    # nan or inf would reach the families and the grid as a numerical error
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _floats(n: int, what: str):
     def parse(text: str) -> tuple[float, ...]:
         parts = text.split(",")
         if len(parts) != n:
             raise ValueError(f"{what} needs {n} comma-separated numbers, got {text!r}")
-        return tuple(float(p) for p in parts)
+        return tuple(_finite(p) for p in parts)
     return parse
 
 
@@ -167,10 +175,10 @@ class _Key:
 
 _KEYS = (
     _Key("family", "family", "--family", _choice("family", FAMILY_NAMES), report=_json),
-    _Key("lambda", "lam", "--lambda", _optional(float), report=_json, signed=True,
+    _Key("lambda", "lam", "--lambda", _optional(_finite), report=_json, signed=True,
          families=("rational", "exponential", "unimodular")),
-    _Key("a", "a", "--A", _optional(float), report=_json, signed=True, families=("trig",)),
-    _Key("h0", "h0", "--H0", float, report=_json, signed=True,
+    _Key("a", "a", "--A", _optional(_finite), report=_json, signed=True, families=("trig",)),
+    _Key("h0", "h0", "--H0", _finite, report=_json, signed=True,
          families=("unimodular", "holomorphic")),
     _Key("grid", "grid", "--grid", _parse_grid, _fmt_grid, report=_fmt_grid),
     _Key("domain", "domain", "--domain", _optional(_floats(4, "domain")),

@@ -1,25 +1,27 @@
-"""Closed-form inputs: pointwise callables with optional analytic derivatives.
+"""Closed-form inputs: pointwise functions with their analytic derivatives.
 
-A ClosedForm is a function z -> complex together with optional callables
-for its Wirtinger derivatives up to second order. Operations that would
-otherwise fall back to finite differences use these callables, which is
-what lets exact solution families verify identities to machine precision.
+A ClosedForm is a function z -> complex given by one callable,
+`jet(z, order)`, which returns its Wirtinger jet up to `order`: the value
+for order 0, with d and dbar for order 1, with dd, d dbar and dbar dbar
+for order 2. Each form states the highest order it supplies. Operations
+that would otherwise fall back to finite differences read these slots,
+which is what lets exact solution families verify identities to machine
+precision; each caller asks for the order it needs, so a value-only
+sample computes no derivative.
 
-The Jet type implements second-order Wirtinger "jets" (value plus the
-derivatives d, dbar, dd, d dbar, dbar dbar) with the usual calculus rules,
-so derived quantities (quotients, square roots, products) keep analytic
-derivatives. Missing derivative slots propagate as None.
+The Jet type holds the six slots and the jet_* operations apply the usual
+calculus rules to them, so derived quantities (quotients, square roots,
+products) keep analytic derivatives. Missing slots propagate as None.
 
 `diagonal_form` and `holomorphic_form` build closed forms from plain
 formulas of one variable: run on a plain array a formula gives values, run
 on a `TaylorJet` it gives values and the first two derivatives in one
 forward-mode pass. No symbolic algebra is involved.
 
-A form built by `lift` evaluates its whole jet in one pass: the jet
-operation runs once on its inputs' jets and every slot callable reads
-from that result, so nesting lifts costs time linear in the depth. A
-diagonal form (one that depends on z only through s = z + conj(z)) runs
-once per distinct abscissa of a grid mesh and broadcasts along y.
+A form built by `lift` runs its jet operation once per call on its
+inputs' jets, so nesting lifts costs time linear in the depth. A diagonal
+form (one that depends on z only through s = z + conj(z)) runs once per
+distinct abscissa of a grid mesh and broadcasts along y.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
     "lift", "field_mul", "jet_mul", "jet_div", "jet_conj", "jet_sqrt",
-    "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz",
+    "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz", "jet_dzbar",
     "TaylorJet", "exp", "sin", "cos", "sqrt", "conj",
 ]
 
@@ -142,87 +144,79 @@ def jet_dz(a: Jet) -> Jet:
     return Jet(a.fz, a.fzz, a.fzzb) if a.fz is not None else None
 
 
-# (ClosedForm field, Jet slot) pairs in slot order
-_SLOTS = (("value", "f"), ("dz", "fz"), ("dzbar", "fzb"),
-          ("dz2", "fzz"), ("dzdzbar", "fzzb"), ("dzbar2", "fzbzb"))
+def jet_dzbar(a: Jet) -> Jet:
+    """Jet of the zbar-derivative (third-order slots are unknown)."""
+    return Jet(a.fzb, a.fzzb, a.fzbzb) if a.fzb is not None else None
+
+
+def _order(j: Jet) -> int:
+    """Highest order whose slots, and every lower one's, a jet carries."""
+    if not _have(j.fz, j.fzb):
+        return 0
+    return 2 if _have(j.fzz, j.fzzb, j.fzbzb) else 1
 
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A pure function z -> complex with optional analytic derivatives.
+    """A pure function z -> complex and its Wirtinger jet up to `order`.
 
-    domain_guard(z) returns True at singular points; sampling masks them.
-    Derivative callables, when present, must agree with finite differences
-    of `value` to O(h^2) on the guard-admissible region. `jet_fn`, when
-    present, computes every available slot in one pass, bitwise equal to
-    the slot callables. `diagonal` records that every slot depends on z only
-    through s = z + conj(z) (set by `diagonal_form`, kept by `conjugate`,
-    `derivative` and by `lift` of diagonal inputs).
+    `jet_fn(z, order)` returns the `Jet` of the form at z with every slot
+    up to `order` (0, 1 or 2) filled and the slots above it None; it is
+    never asked for more than the form's own `order`. Every slot must
+    agree with finite differences of the value to O(h^2) on the
+    guard-admissible region, and a slot's bits must not depend on the
+    order asked for. domain_guard(z) returns True at singular points;
+    sampling masks them. `diagonal` records that every slot depends on z
+    only through s = z + conj(z) (set by `diagonal_form`, kept by
+    `conjugate`, `derivative` and by `lift` of diagonal inputs): on a grid
+    mesh `jet` then evaluates one column and broadcasts it.
     """
 
-    value: Callable
-    dz: Optional[Callable] = None
-    dzbar: Optional[Callable] = None
-    dz2: Optional[Callable] = None
-    dzdzbar: Optional[Callable] = None
-    dzbar2: Optional[Callable] = None
+    jet_fn: Callable = field(repr=False)
+    order: int = 0
     domain_guard: Optional[Callable] = None
-    jet_fn: Optional[Callable] = field(default=None, repr=False)
     diagonal: bool = False
 
-    def jet(self, z) -> Jet:
-        if self.jet_fn is not None:
-            return self.jet_fn(z)
-        ev = lambda fn: fn(z) if fn is not None else None
-        return Jet(*(ev(getattr(self, name)) for name, _ in _SLOTS))
+    def jet(self, z, order: int = 2) -> Jet:
+        """Slots up to `order`, or up to the form's own order if that is lower."""
+        order = min(order, self.order)
+        if self.diagonal:
+            column = _mesh_column(z)
+            if column.shape != np.shape(z):
+                j = self.jet_fn(column, order)
+                slots = (getattr(j, name) for name in Jet.__slots__)
+                return Jet(*(None if v is None else _broadcast(v, z) for v in slots))
+        return self.jet_fn(z, order)
 
     def conjugate(self) -> "ClosedForm":
-        wrap = lambda fn: (lambda z, _fn=fn: np.conj(_fn(z))) if fn is not None else None
-        joint = None
-        if self.jet_fn is not None:
-            joint = lambda z: jet_conj(self.jet(z))
-        return ClosedForm(
-            value=wrap(self.value),
-            dz=wrap(self.dzbar),
-            dzbar=wrap(self.dz),
-            dz2=wrap(self.dzbar2),
-            dzdzbar=wrap(self.dzdzbar),
-            dzbar2=wrap(self.dz2),
-            domain_guard=self.domain_guard,
-            jet_fn=joint,
-            diagonal=self.diagonal,
-        )
+        return ClosedForm(lambda z, order: jet_conj(self.jet(z, order)),
+                          self.order, self.domain_guard, self.diagonal)
 
     def derivative(self, which: str) -> Optional["ClosedForm"]:
-        """First-derivative form ('z' or 'zbar'), or None if unavailable."""
-        if which == "z":
-            if self.dz is None:
-                return None
-            return ClosedForm(self.dz, dz=self.dz2, dzbar=self.dzdzbar,
-                              domain_guard=self.domain_guard, diagonal=self.diagonal)
-        if which == "zbar":
-            if self.dzbar is None:
-                return None
-            return ClosedForm(self.dzbar, dz=self.dzdzbar, dzbar=self.dzbar2,
-                              domain_guard=self.domain_guard, diagonal=self.diagonal)
-        raise ValueError(which)
+        """First-derivative form ('z' or 'zbar'), or None at order 0."""
+        if which not in ("z", "zbar"):
+            raise ValueError(which)
+        step = jet_dz if which == "z" else jet_dzbar
+        if self.order == 0:
+            return None
+        return ClosedForm(lambda z, order: step(self.jet(z, order + 1)),
+                          self.order - 1, self.domain_guard, self.diagonal)
 
 
 def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     """Combine closed forms through a jet operation.
 
-    `op` maps input jets to an output jet. Output derivative callables are
-    attached exactly for the slots that survive None-propagation, which
-    `op` reports when run once on placeholder jets carrying the inputs'
-    available slots. Evaluation runs `op` once per call on the inputs'
-    jets, each distinct input evaluated once; each slot callable reads its
-    slot from that one jet. When every input is diagonal, so is the result:
-    on a grid mesh the inputs' jets and `op` run on the first column only,
-    and each slot callable broadcasts the one slot it returns.
+    `op` maps input jets to an output jet; its order is what survives
+    None-propagation when `op` runs once on placeholder jets of the
+    inputs' orders. The jet ops keep the order and `jet_dz` lowers it by
+    one, so asking the result for order k asks every input for k plus
+    the order the result gave up against it. Each distinct input is
+    evaluated once per call and `op` runs once on their jets, so nesting
+    lifts costs time linear in the depth. When every input is diagonal,
+    so is the result, and on a grid mesh the inputs and `op` run on one
+    column.
     """
-    placeholders = [Jet(*(1.0 + 0.0j if getattr(f, name) is not None else None
-                          for name, _ in _SLOTS)) for f in forms]
-    present = op(*placeholders)
+    order = _order(op(*(Jet(*[1.0 + 0.0j] * (1, 3, 6)[f.order]) for f in forms)))
     # an input passed more than once, as in lift(jet_mul, f, f), is evaluated once
     first = {}
     picks = [first.setdefault(id(f), len(first)) for f in forms]
@@ -235,28 +229,12 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
             g = np.logical_or(g, extra(z))
         return g
 
-    def joint(z):
-        jets = [f.jet(z) for f in distinct]
-        return op(*[jets[k] for k in picks])
+    def jet_fn(z, k):
+        jets = [f.jet(z, max(f.order - order + k, 0)) for f in distinct]
+        return op(*[jets[i] for i in picks])
 
-    diagonal = all(f.diagonal for f in distinct)
-    if diagonal:
-        def reader(slot):
-            return lambda z: _broadcast(getattr(joint(_mesh_column(z)), slot), z)
-
-        def jet_fn(z):
-            j = joint(_mesh_column(z))
-            return Jet(*(_broadcast(getattr(j, slot), z) if getattr(j, slot) is not None
-                         else None for _, slot in _SLOTS))
-    else:
-        def reader(slot):
-            return lambda z: getattr(joint(z), slot)
-        jet_fn = joint
-
-    kw = {name: reader(slot) for name, slot in _SLOTS
-          if getattr(present, slot) is not None}
-    return ClosedForm(domain_guard=guard if guards else None, jet_fn=jet_fn,
-                      diagonal=diagonal, **kw)
+    return ClosedForm(jet_fn, order, guard if guards else None,
+                      all(f.diagonal for f in distinct))
 
 
 def _broadcast(vals, z) -> np.ndarray:
@@ -275,7 +253,7 @@ def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
     """
     z = grid.zmesh()
     with np.errstate(all="ignore"):
-        vals = _broadcast(cf.value(z), z)
+        vals = _broadcast(cf.jet(z, 0).f, z)
     mask = np.zeros(grid.shape, dtype=bool)
     if cf.domain_guard is not None:
         mask |= np.asarray(cf.domain_guard(z), dtype=bool)
@@ -424,24 +402,17 @@ def diagonal_form(fn, guard=None) -> ClosedForm:
     solution families exactly differentiable: the jet is (f, f', f', f'',
     f'', f''), from one run of `fn` on a Taylor jet per grid column.
     """
-    def value(z):
+    def jet_fn(z, order):
+        # complex-typed s keeps square roots of negative reals on the
+        # principal branch instead of collapsing to nan
+        s = (2.0 * np.real(z)).astype(complex)
         with np.errstate(all="ignore"):
-            return _broadcast(fn(_abscissae(z)), z)
+            if order == 0:
+                return Jet(_broadcast(fn(s), z))
+            f, d1, d2 = (_broadcast(v, z) for v in _taylor_slots(fn(TaylorJet(s, 1.0, 0.0))))
+        return Jet(f, d1, d1) if order == 1 else Jet(f, d1, d1, d2, d2, d2)
 
-    def column_slots(z):
-        with np.errstate(all="ignore"):
-            return _taylor_slots(fn(TaylorJet(_abscissae(z), 1.0, 0.0)))
-
-    def jet_fn(z):
-        f, d1, d2 = (_broadcast(v, z) for v in column_slots(z))
-        return Jet(f, d1, d1, d2, d2, d2)
-
-    def slot(k):
-        return lambda z: _broadcast(column_slots(z)[k], z)
-
-    d1, d2 = slot(1), slot(2)
-    return ClosedForm(value=value, dz=d1, dzbar=d1, dz2=d2, dzdzbar=d2, dzbar2=d2,
-                      domain_guard=guard, jet_fn=jet_fn, diagonal=True)
+    return ClosedForm(jet_fn, 2, guard, diagonal=True)
 
 
 def _mesh_column(z) -> np.ndarray:
@@ -460,47 +431,24 @@ def _mesh_column(z) -> np.ndarray:
     return z
 
 
-def _abscissae(z) -> np.ndarray:
-    """s = z + conj(z), once per distinct abscissa of a mesh.
-
-    On a grid mesh this is one column, which the caller broadcasts along
-    axis 1; any other z gives s pointwise.
-    """
-    # complex-typed s keeps square roots of negative reals on the
-    # principal branch instead of collapsing to nan
-    return (2.0 * np.real(_mesh_column(z))).astype(complex)
-
-
 def holomorphic_form(fn, guard=None) -> ClosedForm:
     """Closed form holomorphic in z; the dbar slots vanish.
 
     `fn(z)` is a formula as for `diagonal_form` without `conj`; on a
     Taylor jet in z it gives the complex derivatives d/dz and d^2/dz^2.
     """
-    def value(z):
+    def jet_fn(z, order):
+        w = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            return _broadcast(fn(np.asarray(z, dtype=complex)), z)
-
-    def slots(z):
-        with np.errstate(all="ignore"):
-            return _taylor_slots(fn(TaylorJet(np.asarray(z, dtype=complex), 1.0, 0.0)))
-
-    def jet_fn(z):
-        f, d1, d2 = (_broadcast(v, z) for v in slots(z))
+            if order == 0:
+                return Jet(_broadcast(fn(w), z))
+            f, d1, d2 = (_broadcast(v, z) for v in _taylor_slots(fn(TaylorJet(w, 1.0, 0.0))))
         zero = np.zeros(np.shape(z), dtype=complex)
-        return Jet(f, d1, zero, d2, zero, zero)
+        return Jet(f, d1, zero) if order == 1 else Jet(f, d1, zero, d2, zero, zero)
 
-    def slot(k):
-        return lambda z: _broadcast(slots(z)[k], z)
-
-    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-    return ClosedForm(value=value, dz=slot(1), dzbar=zero,
-                      dz2=slot(2), dzdzbar=zero, dzbar2=zero,
-                      domain_guard=guard, jet_fn=jet_fn)
+    return ClosedForm(jet_fn, 2, guard)
 
 
 def constant_form(c) -> ClosedForm:
     c = complex(c)
-    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-    return ClosedForm(value=lambda z: np.full(np.shape(z), c, dtype=complex),
-                      dz=zero, dzbar=zero, dz2=zero, dzdzbar=zero, dzbar2=zero)
+    return holomorphic_form(lambda z: c)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form,
-                         sin, sqrt)
+                         sample, sin, sqrt)
 from .grid import GridSpec
 from .sigma import RhoField, psi_from_rho
 from .weierstrass import MeanCurvature, SpinorField
@@ -66,7 +66,6 @@ class SolutionFamily:
         return ~np.asarray(self.admissible(grid.zmesh()), dtype=bool)
 
     def rho(self, grid: GridSpec, analytic: bool = True) -> RhoField:
-        from .closedform import sample
         f = sample(self.rho_form, grid, extra_mask=self.guard_mask(grid))
         if not analytic:
             f = f.without_source()
@@ -175,7 +174,7 @@ def family_trigonometric(a: float, eps: int = 1,
 
 def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFamily:
     """Unimodular rho = exp(i lam s); exists only with constant H = h0 > 0."""
-    if h0 <= 0:
+    if not h0 > 0:      # nan fails this test too
         raise ValueError("constant mean curvature must be positive")
     lam, h0 = float(lam), float(h0)
     rho = lambda s: exp(1j * lam * s)
@@ -205,7 +204,7 @@ def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
     transform at sampling time (dbar rho vanishes, but dbar conj(rho)
     does not).
     """
-    if h0 <= 0:
+    if not h0 > 0:      # nan fails this test too
         raise ValueError("constant mean curvature must be positive")
     if f is None:
         f = holomorphic_form(lambda z: z)

@@ -113,7 +113,7 @@ def _prepare(grid: GridSpec, values, mask, dtype) -> tuple[np.ndarray, np.ndarra
 class ComplexField:
     """Complex values on a grid, optionally backed by an analytic source.
 
-    `source` (when present) is a ClosedForm whose callables produced the
+    `source` (when present) is the ClosedForm whose jet produced the
     values; derivative operators use its analytic derivatives instead of
     finite differences.
     """
@@ -139,7 +139,7 @@ class RealField:
     """Real values on a grid (densities, curvatures, coordinates).
 
     `source`, when present, is a ClosedForm with real-valued samples whose
-    derivative callables back the analytic path, as for ComplexField.
+    jet backs the analytic path, as for ComplexField.
     """
 
     def __init__(self, grid: GridSpec, values, mask=None, source=None):

@@ -32,7 +32,7 @@ import numpy as np
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows
 from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
-from .weierstrass import MeanCurvature, SpinorField, density_p
+from .weierstrass import MeanCurvature, SpinorField, density_p, gaussian_curvature_from_p
 
 __all__ = [
     "Surface", "FundamentalForms",
@@ -351,7 +351,6 @@ def gauss_curvature_numeric(ff: FundamentalForms) -> RealField:
 def gauss_curvature_consistency(ff: FundamentalForms, p: RealField,
                                 name: str = "gauss_consistency") -> ResidualReport:
     """K from the forms against K from the intrinsic density formula."""
-    from .weierstrass import gaussian_curvature_from_p
     k_num = gauss_curvature_numeric(ff)
     k_form = gaussian_curvature_from_p(p)
     mask = k_num.mask | k_form.mask

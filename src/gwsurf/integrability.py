@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import ClosedForm, jet_inv, lift, sample
+from .closedform import ClosedForm, Jet, jet_inv, lift, sample
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 from .sigma import RhoField
@@ -102,7 +102,7 @@ def h_from_profile(q, den_eps: float = 1e-12) -> MeanCurvature:
     def guard(z):
         return np.abs(denominator(z)) < den_eps
 
-    return MeanCurvature(form=ClosedForm(value=value, domain_guard=guard))
+    return MeanCurvature(form=ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard))
 
 
 def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
@@ -113,7 +113,7 @@ def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
     h = H.sample(grid)
     if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
-    if H.form is not None and H.form.dzdzbar is not None:
+    if H.form is not None and H.form.order >= 2:
         inv_form = lift(jet_inv, H.form)
         inv = sample(inv_form, grid, extra_mask=h.mask)
     else:

@@ -109,8 +109,8 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     """Invert the representation: build the spinor pair from rho and H.
 
     Points where d rho vanishes are masked (the square root degenerates
-    there); H must be positive on the unmasked region. Analytic derivative
-    callables are attached when rho and H supply enough derivatives and
+    there); H must be positive on the unmasked region. Analytic sources
+    are attached when rho's form has order 2 and H's order 1 or more, and
     the branch continuation introduced no sign flips.
     """
     grid = r.grid
@@ -136,8 +136,7 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     flips = bool(np.any((sign < 0) & ~mask))
     rs, hs = r.rho.source, H.form
     if (not flips) and rs is not None and hs is not None \
-            and rs.dz is not None and rs.dz2 is not None and rs.dzdzbar is not None \
-            and hs.dz is not None and hs.dzbar is not None:
+            and rs.order >= 2 and hs.order >= 1:
         eps = float(r.branch_eps)
 
         def common(rj, hj):

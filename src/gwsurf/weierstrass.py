@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import ClosedForm, field_mul, sample, sample_real
+from .closedform import (ClosedForm, constant_form, field_mul, jet_add, jet_conj, jet_log,
+                         jet_mul, lift, sample, sample_real)
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 
@@ -79,7 +80,6 @@ class MeanCurvature:
 
     @classmethod
     def constant(cls, c: float) -> "MeanCurvature":
-        from .closedform import constant_form
         return cls(form=constant_form(float(c)))
 
     @classmethod
@@ -98,12 +98,12 @@ class MeanCurvature:
         return f.mask | (np.abs(f.values) < eps)
 
     def d_z(self, grid: GridSpec) -> ComplexField:
-        if self.form is not None and self.form.dz is not None:
+        if self.form is not None and self.form.order >= 1:
             return sample(self.form.derivative("z"), grid)
         return d_z(self.sample(grid))
 
     def d_zbar(self, grid: GridSpec) -> ComplexField:
-        if self.form is not None and self.form.dzbar is not None:
+        if self.form is not None and self.form.order >= 1:
             return sample(self.form.derivative("zbar"), grid)
         return d_zbar(self.sample(grid))
 
@@ -112,7 +112,7 @@ class MeanCurvature:
         f = self.sample(grid)
         if np.any((f.values <= 0) & ~f.mask):
             raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
-        if self.form is not None and self.form.dz is not None and self.form.dzbar is not None:
+        if self.form is not None and self.form.order >= 1:
             hz = self.d_z(grid)
             hzb = self.d_zbar(grid)
             mask = f.mask | hz.mask | hzb.mask
@@ -136,7 +136,6 @@ def density_p(s: SpinorField) -> RealField:
     vals = np.abs(s.psi1.values) ** 2 + np.abs(s.psi2.values) ** 2
     src = None
     if s.psi1.source is not None and s.psi2.source is not None:
-        from .closedform import jet_add, jet_conj, jet_mul, lift
         src = lift(lambda j1, j2: jet_add(jet_mul(j1, jet_conj(j1)),
                                           jet_mul(j2, jet_conj(j2))),
                    s.psi1.source, s.psi2.source)
@@ -278,7 +277,6 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(p.mask, 1.0, p.values)
     if getattr(p, "source", None) is not None:
-        from .closedform import jet_log, lift
         ln = ComplexField(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask,
                           source=lift(jet_log, p.source))
     else:

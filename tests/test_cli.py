@@ -289,7 +289,9 @@ class TestCountValidation:
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "abc"), ("--A", "x"), ("--H0", ""),
                                              ("--grid", "10"), ("--domain", "1,2"),
-                                             ("--basepoint", "a,b"), ("--family", "nope")])
+                                             ("--basepoint", "a,b"), ("--family", "nope"),
+                                             ("--lambda", "nan"), ("--A", "nan"),
+                                             ("--H0", "inf"), ("--domain", "nan,1,0,1")])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert run(["verify", flag, value, "--out", str(out)]) == EXIT_USAGE
@@ -298,7 +300,7 @@ class TestCountValidation:
 
     @pytest.mark.parametrize("line", ["levels=0", "jobs=0", "tol_scale=0", "tol_scale=-1",
                                       "tol_scale=nan", "tol_scale=inf", "h0=x",
-                                      "lambda=abc", "grid=10"])
+                                      "lambda=abc", "grid=10", "h0=nan"])
     def test_config_below_one_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")

@@ -1,15 +1,17 @@
 """Jet calculus and closed-form combinators against finite differences."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gwsurf import GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import (_SLOTS, TaylorJet, conj, cos, diagonal_form, exp,
-                               field_mul, holomorphic_form, jet_conj, jet_div, jet_mul,
-                               jet_sqrt, lift, sin, sqrt)
+from gwsurf.closedform import (ClosedForm, Jet, TaylorJet, conj, cos, diagonal_form, exp,
+                               field_mul, holomorphic_form, jet_add, jet_conj, jet_div,
+                               jet_dz, jet_inv, jet_log, jet_mul, jet_scale, jet_sqrt,
+                               jet_sub, lift, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
-    """Analytic derivative callables must agree with stencils to O(h^2)."""
+    """Analytic derivative slots must agree with stencils to O(h^2)."""
     def err(n):
         g = GridSpec(-1, 1, -1, 1, n, n)
         f = sample(form, g)
@@ -65,11 +67,20 @@ def test_lift_conj_mul_jets():
 
 
 def test_lift_drops_unavailable_slots():
-    bare = lambda z: np.ones(np.shape(z), complex)
-    from gwsurf.closedform import ClosedForm
-    value_only = ClosedForm(value=bare)
+    value_only = ClosedForm(lambda z, order: Jet(np.ones(np.shape(z), complex)))
     out = lift(jet_mul, value_only, value_only)
-    assert out.dz is None and out.dzdzbar is None
+    assert out.order == 0 and out.derivative("z") is None
+    jet = out.jet(np.zeros(3, complex))
+    assert jet.fz is None and jet.fzzb is None
+    full = diagonal_form(exp)
+    assert lift(jet_mul, full, value_only).order == 0
+    assert lift(jet_mul, full, full.derivative("z")).order == 1
+    # jet_dz gives up one order, so the result asks its input for one more
+    lowered = lift(lambda j: jet_sqrt(jet_dz(j)), full)
+    assert lowered.order == 1
+    z = GridSpec(-1, 1, -1, 1, 5, 3).zmesh()
+    assert np.array_equal(lowered.jet(z, 0).f, np.sqrt(full.jet(z).fz))
+    assert lowered.jet(z, 0).fz is None
 
 
 def test_field_mul_combines_sources():
@@ -91,32 +102,60 @@ def test_field_mul_requires_matching_grids():
         field_mul(a, b)
 
 
+def _counted_leaf(asked, diagonal=False):
+    """Order-2 leaf with constant slots that records each order it is asked for."""
+    def jet_fn(z, order):
+        asked.append(order)
+        c = np.full(np.shape(z), 1.5 + 0.5j)
+        return Jet(*[c] * (1, 3, 6)[order])
+    return ClosedForm(jet_fn, 2, diagonal=diagonal)
+
+
+def _views(form):
+    """Value, d, dbar and dbar d of a form, each as its one slot on a mesh."""
+    dz = form.derivative("z")
+    return {"value": lambda z: form.jet(z, 0).f, "dz": lambda z: dz.jet(z, 0).f,
+            "dzbar": lambda z: form.derivative("zbar").jet(z, 0).f,
+            "dzdzbar": lambda z: dz.derivative("zbar").jet(z, 0).f}
+
+
 def test_nested_lift_evaluates_each_leaf_once_per_level():
-    calls = [0]
+    asked, levels = [], []
 
-    def counted(z):
-        calls[0] += 1
-        return np.full(np.shape(z), 1.5 + 0.5j)
+    def op(a, b):
+        levels.append(1)
+        return jet_mul(a, b)
 
-    from gwsurf.closedform import ClosedForm
-    leaf = ClosedForm(value=counted, dz=counted, dzbar=counted,
-                      dz2=counted, dzdzbar=counted, dzbar2=counted)
     depth = 4
-    form = leaf
+    form = _counted_leaf(asked)
     for _ in range(depth):
-        form = lift(jet_mul, form, form)
+        form = lift(op, form, form)
     z = GridSpec(-1, 1, -1, 1, 5, 5).zmesh()
-    for slot in ("value", "dz", "dzdzbar"):
-        calls[0] = 0
-        vals = getattr(form, slot)(z)
-        # one jet per level: at most the six leaf slots per level, where
-        # per-slot re-evaluation would cost about 12**depth leaf calls
-        assert 0 < calls[0] <= 6 * depth
+    for name, view in _views(form).items():
+        asked.clear()
+        levels.clear()
+        vals = view(z)
+        # one jet per level, where evaluating the two inputs separately
+        # would cost 2**depth leaf calls
+        assert len(asked) == 1 and len(levels) == depth, name
         assert np.all(np.isfinite(vals))
-    assert np.allclose(form.value(z), (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
+    assert np.allclose(form.jet(z, 0).f, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
 
 
-DIAGONAL_SLOTS = ("value", "dz", "dzbar", "dz2", "dzdzbar", "dzbar2")
+def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
+    asked = []
+    g = GridSpec(-1, 1, -1, 1, 5, 5)
+    for diagonal in (False, True):
+        leaf = _counted_leaf(asked, diagonal)
+        form = lift(lambda a, b: jet_div(jet_mul(a, jet_conj(b)), b), leaf, lift(jet_sqrt, leaf))
+        asked.clear()
+        f = sample(form, g)
+        # the leaf enters twice, directly and through the inner lift
+        assert asked == [0, 0]
+        for op, order in ((d_z, 1), (d_zbar, 1), (mixed_dzbar_dz, 2)):
+            asked.clear()
+            op(f)
+            assert asked == [order, order], op.__name__
 
 
 def _lifted_diagonal_forms():
@@ -144,24 +183,30 @@ def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
     for form, g in cases:
         assert form.diagonal
         z = g.zmesh()
-        jet = form.jet(z)
-        for name, slot in _SLOTS:
-            fn = getattr(form, name)
-            if fn is None:          # a slot the form does not carry
-                assert getattr(jet, slot) is None
+        full = form.jet(z)
+        for order in range(3):
+            on_mesh, pointwise = form.jet(z, order), form.jet(z.ravel(), order)
+            for k, slot in enumerate(Jet.__slots__):
+                got = getattr(on_mesh, slot)
+                if k >= (1, 3, 6)[min(order, form.order)]:    # a slot not asked for
+                    assert got is None and getattr(pointwise, slot) is None
+                    continue
+                assert got.shape == z.shape
+                flat = getattr(pointwise, slot).reshape(z.shape)
+                assert np.array_equal(got.view(np.uint64), flat.view(np.uint64))
+                assert np.array_equal(got.view(np.uint64), getattr(full, slot).view(np.uint64))
+        for name, view in _views(form).items():
+            if form.order < (2 if name == "dzdzbar" else 1):
                 continue
-            on_mesh = fn(z)
-            pointwise = fn(z.ravel()).reshape(z.shape)
-            assert on_mesh.shape == z.shape
-            assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64))
-            assert np.array_equal(getattr(jet, slot).view(np.uint64), on_mesh.view(np.uint64))
+            on_mesh, pointwise = view(z), view(z.ravel()).reshape(z.shape)
+            assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64)), name
 
 
 def test_diagonal_lift_runs_its_op_on_one_column():
     shapes = []
 
     def op(a, b):
-        shapes.append((np.shape(a.f), np.shape(b.fzz)))
+        shapes.append((np.shape(a.f), np.shape(b.f)))
         return jet_mul(a, b)
 
     diag = diagonal_form(exp)
@@ -169,15 +214,18 @@ def test_diagonal_lift_runs_its_op_on_one_column():
     mixed = lift(op, holomorphic_form(lambda z: z * z), diag)
     assert both.diagonal and not mixed.diagonal
     assert both.derivative("z").diagonal and both.conjugate().diagonal
-    z = GridSpec(-1, 1, -1, 1, 7, 5).zmesh()
+    g = GridSpec(-1, 1, -1, 1, 7, 5)
     for form, shape in ((both, (7, 1)), (mixed, (7, 5))):
         seen = (shape, shape)
-        for slot in DIAGONAL_SLOTS:
-            shapes.clear()
-            assert getattr(form, slot)(z).shape == (7, 5)
-            assert shapes == [seen]
         shapes.clear()
-        assert form.jet(z).fzzb.shape == (7, 5)
+        f = sample(form, g)
+        assert shapes == [seen]
+        for deriv in (d_z, d_zbar, mixed_dzbar_dz):
+            shapes.clear()
+            assert deriv(f).values.shape == (7, 5)
+            assert shapes == [seen], deriv.__name__
+        shapes.clear()
+        assert form.jet(g.zmesh()).fzzb.shape == (7, 5)
         assert shapes == [seen]
 
 
@@ -188,9 +236,9 @@ def test_diagonal_form_off_mesh_matches_direct_evaluation():
     z = rng.uniform(-1, 1, (9, 11)) + 1j * rng.uniform(-1, 1, (9, 11))
     z[:, 0] = z[:, 1].real            # one column repeats its neighbour's abscissa
     direct = fn(TaylorJet((2.0 * z.real).astype(complex), 1.0, 0.0))
-    assert np.array_equal(form.dz(z), direct.d1)
-    assert np.array_equal(form.dzdzbar(z), direct.d2)
-    assert np.array_equal(form.value(z[0]), fn((2.0 * z[0].real).astype(complex)))
+    assert np.array_equal(form.jet(z, 1).fz, direct.d1)
+    assert np.array_equal(form.jet(z).fzzb, direct.d2)
+    assert np.array_equal(form.jet(z[0], 0).f, fn((2.0 * z[0].real).astype(complex)))
 
 
 def _input_jets(t):
@@ -243,6 +291,82 @@ def test_formula_constant_in_its_variable_has_zero_derivatives():
     form = diagonal_form(lambda s: 2.5)
     z = GridSpec(-1, 1, -1, 1, 5, 3).zmesh()
     jet = form.jet(z)
-    assert np.array_equal(form.value(z), np.full(z.shape, 2.5 + 0j))
+    assert np.array_equal(form.jet(z, 0).f, np.full(z.shape, 2.5 + 0j))
     for slot in ("fz", "fzb", "fzz", "fzzb", "fzbzb"):
         assert np.array_equal(getattr(jet, slot), np.zeros(z.shape, complex))
+
+
+# random lift compositions: leaves with values in the right half-plane,
+# combined by every jet operation
+LEAVES = {
+    "cos": diagonal_form(lambda s: 2 + cos(s)),
+    "spiral": diagonal_form(lambda s: exp(0.3j * s) * (1.5 + 0.25 * s)),
+    "square": holomorphic_form(lambda z: 2 + z * z / 4),
+    "expz": holomorphic_form(lambda z: exp(0.3 * z) + 0.5j),
+}
+UNARY = {"inv": jet_inv, "sqrt": jet_sqrt, "log": jet_log, "conj": jet_conj,
+         "scale": lambda j: jet_scale(-0.75 + 0.5j, j)}
+BINARY = {"add": jet_add, "sub": jet_sub, "mul": jet_mul, "div": jet_div}
+TREES = st.recursive(
+    st.sampled_from(sorted(LEAVES)),
+    lambda kids: st.one_of(st.tuples(st.sampled_from(sorted(UNARY)), kids),
+                           st.tuples(st.sampled_from(sorted(BINARY)), kids, kids)),
+    max_leaves=4)
+COARSE, FINE = GridSpec(-1, 1, -1, 1, 51, 51), GridSpec(-1, 1, -1, 1, 101, 101)
+# every slot through the derivative forms: analytic when the field has a source
+DERIVATIVES = {"d": d_z, "dbar": d_zbar, "dbar d": mixed_dzbar_dz,
+               "d dbar": lambda f: d_z(d_zbar(f)), "d d": lambda f: d_z(d_z(f)),
+               "dbar dbar": lambda f: d_zbar(d_zbar(f))}
+
+
+def _build(tree):
+    """The nested lift of a tree; sqrt and log need Re > 0, inv and div |.| > 0."""
+    if isinstance(tree, str):
+        return LEAVES[tree]
+    name, *kids = tree
+    forms = [_build(k) for k in kids]
+    # FINE holds every point of COARSE, so checking it covers both grids
+    arg = forms[-1].jet(FINE.zmesh(), 0).f
+    if name in ("sqrt", "log"):
+        assume(np.min(arg.real) > 0.3)
+    if name in ("inv", "div"):
+        assume(np.min(np.abs(arg)) > 0.3)
+    return lift(UNARY[name] if name in UNARY else BINARY[name], *forms)
+
+
+@given(TREES)
+@settings(max_examples=30, deadline=5000, derandomize=True)
+def test_random_lift_slots_do_not_depend_on_the_order_asked(tree):
+    form = _build(tree)
+    assert form.order == 2
+    z = GridSpec(-1, 1, -1, 1, 9, 7).zmesh()
+    full = form.jet(z)
+    for order in range(3):
+        jet = form.jet(z, order)
+        for k, slot in enumerate(Jet.__slots__):
+            got = getattr(jet, slot)
+            if k >= (1, 3, 6)[order]:
+                assert got is None, (order, slot)
+            else:
+                assert np.array_equal(got.view(np.uint64), getattr(full, slot).view(np.uint64))
+
+
+@given(TREES)
+@settings(max_examples=30, deadline=5000, derandomize=True)
+def test_random_lift_derivatives_converge_to_stencils(tree):
+    form = _build(tree)
+    for name, op in DERIVATIVES.items():
+        errs = []
+        for g in (COARSE, FINE):
+            f = sample(form, g)
+            z = g.zmesh()
+            # nested one-sided boundary stencils are first order; judge the interior
+            inner = (np.abs(z.real) < 0.9) & (np.abs(z.imag) < 0.9)
+            errs.append(np.max(np.abs(op(f.without_source()).values - op(f).values)[inner]))
+        scale = max(1.0, float(np.max(np.abs(op(sample(form, FINE)).values))))
+        if errs[0] < 1e-8 * scale:      # the stencils are exact up to round-off
+            continue
+        # at least fd_check's second order; on (anti)holomorphic compositions
+        # the h^2 terms of the interior Wirtinger stencils cancel and the
+        # ratio approaches 16
+        assert errs[0] / errs[1] > 3.0, (name, errs)

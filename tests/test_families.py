@@ -133,6 +133,12 @@ class TestUnimodular:
         with pytest.raises(ValueError):
             family_unimodular(1.0, 0.0)
 
+    @pytest.mark.parametrize("build", [lambda h0: family_unimodular(1.0, h0),
+                                       lambda h0: family_holomorphic(h0=h0)])
+    def test_nan_h0_rejected(self, build):
+        with pytest.raises(ValueError, match="must be positive"):
+            build(float("nan"))
+
 
 class TestHolomorphic:
     def test_identity_and_square_solve(self):
@@ -228,6 +234,6 @@ def test_value_slot_is_the_jet_value_bitwise(name, kw):
         if form is None:
             continue
         for z in (fam.default_grid(23, 17).zmesh(), off_mesh):
-            value = form.value(z)
-            assert value.shape == z.shape
+            value = form.jet(z, 0).f
+            assert value.shape == z.shape and form.jet(z, 0).fz is None
             assert np.array_equal(value.view(np.uint64), form.jet(z).f.view(np.uint64)), attr

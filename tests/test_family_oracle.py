@@ -7,7 +7,7 @@ pytest.importorskip("sympy")
 from sympy_oracle import family_exprs  # noqa: E402
 
 from gwsurf import build_family  # noqa: E402
-from gwsurf.closedform import _SLOTS  # noqa: E402
+from gwsurf.closedform import Jet  # noqa: E402
 
 SWEEP = ([("rational", {"lam": v}) for v in (0.5, 1.0, 1.3, 2.0)]
          + [("exponential", {"lam": v}) for v in (0.5, 1.0, 1.3, 2.0)]
@@ -27,9 +27,13 @@ def test_family_slots_match_symbolic_derivatives(name, kw):
              if getattr(fam, attr) is not None}
     assert forms.keys() == oracle.keys()
     for attr, form in forms.items():
-        jet = form.jet(z)
-        for (name_, slot), expect_fn in zip(_SLOTS, oracle[attr]):
+        jet, dz, dzb = form.jet(z), form.derivative("z").jet(z), form.derivative("zbar").jet(z)
+        # each slot as the form's jet and as the jets of its derivative forms
+        views = {"f": (jet.f, form.jet(z, 0).f), "fz": (jet.fz, dz.f), "fzb": (jet.fzb, dzb.f),
+                 "fzz": (jet.fzz, dz.fz), "fzzb": (jet.fzzb, dz.fzb, dzb.fz),
+                 "fzbzb": (jet.fzbzb, dzb.fzb)}
+        for slot, expect_fn in zip(Jet.__slots__, oracle[attr]):
             expect = expect_fn(z)[keep]
             bound = 2e-13 * max(1.0, float(np.max(np.abs(expect))))
-            for got in (getattr(form, name_)(z)[keep], getattr(jet, slot)[keep]):
-                assert np.max(np.abs(got - expect)) <= bound, (attr, name_)
+            for got in views[slot]:
+                assert np.max(np.abs(got[keep] - expect)) <= bound, (attr, slot)

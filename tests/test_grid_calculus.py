@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsurf import ComplexField, GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import ClosedForm, diagonal_form, exp
+from gwsurf.closedform import ClosedForm, Jet, diagonal_form, exp
 
 
 def grid(n=41, lo=-1.0, hi=1.0):
     return GridSpec(lo, hi, lo, hi, n, n)
+
+
+def value_form(fn, guard=None):
+    """An order-0 closed form: its jet carries the value only."""
+    return ClosedForm(lambda z, order: Jet(fn(z)), domain_guard=guard)
 
 
 def plain(g, fn):
@@ -76,30 +81,29 @@ class TestFields:
 class TestSampling:
     def test_identity(self):
         g = grid(11)
-        f = sample(ClosedForm(value=lambda z: z), g)
+        f = sample(value_form(lambda z: z), g)
         assert np.allclose(f.values, g.zmesh())
 
     def test_z_plus_zbar_is_twice_x(self):
         g = GridSpec(0.3, 1.3, 0.7, 1.7, 11, 11)
-        f = sample(ClosedForm(value=lambda z: z + np.conj(z)), g)
+        f = sample(value_form(lambda z: z + np.conj(z)), g)
         assert f.values[0, 0] == pytest.approx(0.6)
 
     def test_rational_curvature_value(self):
         # 1/(1 + (z+zbar)^2) at x=1 is 1/5 for any y
         g = GridSpec(1.0, 2.0, -3.0, 3.0, 11, 11)
-        f = sample(ClosedForm(value=lambda z: 1.0 / (1.0 + (z + np.conj(z)) ** 2)), g)
+        f = sample(value_form(lambda z: 1.0 / (1.0 + (z + np.conj(z)) ** 2)), g)
         assert np.allclose(f.values[0, :], 0.2)
 
     def test_guard_masks_singular_points(self):
-        cf = ClosedForm(value=lambda z: 1.0 / z,
-                        domain_guard=lambda z: np.abs(z) < 1e-12)
+        cf = value_form(lambda z: 1.0 / z, guard=lambda z: np.abs(z) < 1e-12)
         g = grid(11)
         f = sample(cf, g)
         assert f.mask[5, 5]
         assert not f.mask[0, 0]
 
     def test_unguarded_singularity_is_an_error(self):
-        cf = ClosedForm(value=lambda z: 1.0 / z)
+        cf = value_form(lambda z: 1.0 / z)
         with pytest.raises(ValueError):
             sample(cf, grid(11))
 
