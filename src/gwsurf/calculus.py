@@ -5,7 +5,10 @@ over z = x + iy. Finite-difference stencils are second order everywhere:
 central in the interior, one-sided at edges and next to masked points, so
 boundary rows do not degrade the global O(h^2) error. When a field is
 backed by a closed form with analytic derivatives those are used instead,
-bypassing discretization error entirely.
+bypassing discretization error entirely. The first-derivative stencils
+of a field are computed once per axis and kept on the field, so d_z,
+d_zbar, dx and dy of one field (or of its without_source() view) share
+them.
 
 Stencils commute with complex conjugation, which keeps identities like
 d(conj f) = conj(dbar f) exact in floating point.
@@ -94,28 +97,42 @@ def _cumulative_trapezoid(y: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _wrap(field, vals, mask):
+    # the stencils zero the points they mask
     cls = RealField if isinstance(field, RealField) else ComplexField
-    return cls(field.grid, np.where(mask, 0, vals), mask)
+    return cls._derived(field.grid, vals, mask)
+
+
+def _gradient(field, axis: int):
+    """(d/dx or d/dy stencil, its mask) of a field, for axis 0 or 1.
+
+    Fields are immutable, so each axis is differenced at most once per
+    field; the result is kept on the field and shared with its
+    without_source() views, which hold the same arrays.
+    """
+    got = field._grad.get(axis)
+    if got is None:
+        h = field.grid.hx if axis == 0 else field.grid.hy
+        got = _axis_apply(_d1, field, h, axis)
+        for arr in got:
+            arr.setflags(write=False)
+        field._grad[axis] = got
+    return got
 
 
 def dx(field):
-    vals, bad = _axis_apply(_d1, field, field.grid.hx, 0)
-    return _wrap(field, vals, bad)
+    return _wrap(field, *_gradient(field, 0))
 
 
 def dy(field):
-    vals, bad = _axis_apply(_d1, field, field.grid.hy, 1)
-    return _wrap(field, vals, bad)
+    return _wrap(field, *_gradient(field, 1))
 
 
 def dxx(field):
-    vals, bad = _axis_apply(_d2, field, field.grid.hx, 0)
-    return _wrap(field, vals, bad)
+    return _wrap(field, *_axis_apply(_d2, field, field.grid.hx, 0))
 
 
 def dyy(field):
-    vals, bad = _axis_apply(_d2, field, field.grid.hy, 1)
-    return _wrap(field, vals, bad)
+    return _wrap(field, *_axis_apply(_d2, field, field.grid.hy, 1))
 
 
 def dxy(field):
@@ -123,11 +140,11 @@ def dxy(field):
 
 
 def _fd_wirtinger(field, sign: float) -> ComplexField:
-    gx, bx = _axis_apply(_d1, field, field.grid.hx, 0)
-    gy, by = _axis_apply(_d1, field, field.grid.hy, 1)
-    vals = 0.5 * (gx + sign * 1j * gy)
+    gx, bx = _gradient(field, 0)
+    gy, by = _gradient(field, 1)
     mask = bx | by
-    return ComplexField(field.grid, np.where(mask, 0, vals), mask)
+    vals = np.where(mask, 0, 0.5 * (gx + sign * 1j * gy))
+    return ComplexField._derived(field.grid, vals, mask)
 
 
 def _analytic(field, which: str):

@@ -44,7 +44,7 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import RATIO_MIN, ResidualReport
+from .reporting import RATIO_MIN, ResidualReport, worst
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, multisoliton_product, psi_from_rho,
                     rho_from_psi, sigma_residual, spin_matrix,
@@ -292,7 +292,7 @@ def run_transform_exact(fam, grid):
     # second-derivative term it has to cancel
     mixed = mixed_dzbar_dz(derived.rho)
     scale = max(1.0, _max_abs(mixed.values, mixed.mask))
-    return _report_scalar(grid, max(a.max_norm, b.max_norm / scale),
+    return _report_scalar(grid, worst(a.max_norm, b.max_norm / scale),
                           spinor_direction=a.max_norm, rho_direction=b.max_norm,
                           rho_direction_scale=scale)
 
@@ -308,7 +308,7 @@ def run_current_identity_exact(fam, grid):
 
 def run_constraints_exact(fam, grid):
     rep = linearization_constraint_residual(fam.spinor(grid))
-    return replace(rep, max_norm=max(rep.max_norm, rep.details.get("p_variance", 0.0)))
+    return replace(rep, max_norm=worst(rep.max_norm, rep.details.get("p_variance", 0.0)))
 
 
 def run_linear_system_exact(fam, grid):
@@ -323,7 +323,7 @@ def run_compatibility_exact(fam, grid):
 def run_h_constancy_exact(fam, grid):
     rep = unimodular_H_constancy_check(fam.rho(grid), fam.mean_curvature)
     if not rep.details.get("consistent", False):
-        return replace(rep, max_norm=max(rep.max_norm, 1.0))
+        return replace(rep, max_norm=worst(rep.max_norm, 1.0))
     return rep
 
 
@@ -332,7 +332,7 @@ def run_multisoliton_exact(fam, grid):
     prod = multisoliton_product(rho, rho)
     rep = sigma_residual(prod, fam.mean_curvature)
     dev = _max_abs(np.abs(prod.rho.values) - 1.0, prod.rho.mask)
-    return replace(rep, max_norm=max(rep.max_norm, dev), details={"unimodularity": dev})
+    return replace(rep, max_norm=worst(rep.max_norm, dev), details={"unimodularity": dev})
 
 
 # --- finite-difference runners ----------------------------------------------
@@ -387,7 +387,7 @@ def run_riccati_fd(fam, grid):
     coeffs = fit_riccati_coeffs(rho)
     a = riccati_residual(rho, coeffs, exclude_rings=2)
     b = zero_curvature_residual(coeffs, exclude_rings=2)
-    return _report_scalar(grid, max(a.max_norm, b.max_norm),
+    return _report_scalar(grid, worst(a.max_norm, b.max_norm),
                           constraint=a.max_norm, zero_curvature=b.max_norm)
 
 
@@ -474,7 +474,10 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
     ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
               for i in range(len(maxes) - 1)]
 
-    notes = []   # one per failed check; the suite passes when there are none
+    # one note per failed check; the suite passes when there are none. A NaN
+    # compares false with every tolerance, so the checks below would miss it
+    notes = [f"non-finite residual {m} at h={max(g.hx, g.hy):.4g}"
+             for g, m in zip(grids, maxes) if not math.isfinite(m)]
     tolerances = []
     if spec.kind == "exact":
         tol = spec.tol * tol_scale
@@ -497,9 +500,9 @@ def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
                                  f"at level {k} (4 expected)")
     elif spec.kind == "control":
         # the undeformed equation must fail by a clear margin
-        floor = 10.0 * max(reports[-1].details.get("deformed", 0.0), FD_FLOOR)
+        floor = 10.0 * worst(reports[-1].details.get("deformed", 0.0), FD_FLOOR)
         tolerances = [floor] * len(maxes)
-        if maxes[-1] < floor:
+        if not maxes[-1] >= floor:
             notes.append(f"control too small: {maxes[-1]:.3e} < {floor:.3e}")
     elif spec.kind == "classify":
         expected = reports[-1].details.get("expected")

@@ -270,7 +270,7 @@ def sample_real(cf: ClosedForm, grid: GridSpec, extra_mask=None,
     scale = max(1.0, float(np.max(np.abs(f.values.real[~f.mask]), initial=0.0)))
     if im.size and np.max(im) > imag_tol * scale:
         raise ValueError(f"form is not real-valued on the grid (max imag {np.max(im):.3e})")
-    return RealField(grid, f.values.real, f.mask)
+    return RealField._derived(grid, f.values.real.copy(), f.mask, finite=True)
 
 
 def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
@@ -281,7 +281,8 @@ def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
     if a.source is not None and b.source is not None:
         src = lift(jet_mul, a.source, b.source)
     mask = a.mask | b.mask
-    return ComplexField(a.grid, np.where(mask, 0, a.values * b.values), mask, source=src)
+    return ComplexField._derived(a.grid, np.where(mask, 0, a.values * b.values), mask,
+                                 source=src)
 
 
 # ---------------------------------------------------------------------------

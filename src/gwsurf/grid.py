@@ -9,6 +9,17 @@ stencils treat them as missing data.
 
 Fields are immutable after construction. Every operation downstream is a
 pure function of its inputs.
+
+The public constructors validate what they are given: shapes, a private
+copy of the mask, masked points zeroed, then every value finite (a NaN or
+inf at an unmasked point raises ValueError). Arrays computed from fields
+that were already validated go through the private `_derived` constructor
+instead. Its caller has zeroed the masked points and shaped the arrays
+from the grid, so it skips the shape checks, the mask copy and the
+re-zeroing, and keeps the mask it is given (write-protected, possibly
+shared with other fields). It still checks that every value is finite,
+except for the ops that preserve finiteness exactly (`conj`,
+`without_source`, negation and the real part), which pass `finite=True`.
 """
 from __future__ import annotations
 
@@ -92,6 +103,9 @@ class GridSpec:
                         2 * self.nx - 1, 2 * self.ny - 1)
 
 
+_NON_FINITE = "non-finite entries at unmasked points; supply a mask for singular points"
+
+
 def _prepare(grid: GridSpec, values, mask, dtype) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=dtype)
     if values.shape != grid.shape:
@@ -102,15 +116,59 @@ def _prepare(grid: GridSpec, values, mask, dtype) -> tuple[np.ndarray, np.ndarra
         mask = np.array(mask, dtype=bool, copy=True)
         if mask.shape != grid.shape:
             raise ValueError("mask shape does not match grid")
-    if not np.all(np.isfinite(values[~mask])):
-        raise ValueError("non-finite entries at unmasked points; supply a mask for singular points")
     values = np.where(mask, 0, values)
-    values.setflags(write=False)
-    mask.setflags(write=False)
+    if not np.isfinite(values).all():
+        raise ValueError(_NON_FINITE)
     return values, mask
 
 
-class ComplexField:
+class _Field:
+    """Values and mask on a grid, optionally backed by an analytic source."""
+
+    _dtype: type
+
+    def __init__(self, grid: GridSpec, values, mask=None, source=None):
+        self._set(grid, *_prepare(grid, values, mask, self._dtype), source)
+
+    def _set(self, grid, values, mask, source) -> None:
+        values.setflags(write=False)
+        mask.setflags(write=False)
+        self.grid = grid
+        self.values = values
+        self.mask = mask
+        self.source = source
+        # first-derivative stencils by axis, filled lazily by calculus and
+        # shared with the without_source() views of the same arrays
+        self._grad = {}
+
+    @classmethod
+    def _derived(cls, grid: GridSpec, values: np.ndarray, mask: np.ndarray,
+                 source=None, finite: bool = False):
+        """A field from arrays computed off validated fields.
+
+        `values` has the grid's shape and is zero wherever the boolean
+        `mask` is set; both arrays are kept, not copied, and
+        write-protected. Finiteness is checked unless `finite` says the
+        op that produced `values` preserves it exactly.
+        """
+        values = np.asarray(values, dtype=cls._dtype)
+        if not finite and not np.isfinite(values).all():
+            raise ValueError(_NON_FINITE)
+        field = cls.__new__(cls)
+        field._set(grid, values, mask, source)
+        return field
+
+    def without_source(self):
+        view = self._derived(self.grid, self.values, self.mask, finite=True)
+        view._grad = self._grad
+        return view
+
+    @property
+    def n_masked(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+
+class ComplexField(_Field):
     """Complex values on a grid, optionally backed by an analytic source.
 
     `source` (when present) is the ClosedForm whose jet produced the
@@ -118,41 +176,23 @@ class ComplexField:
     finite differences.
     """
 
-    def __init__(self, grid: GridSpec, values, mask=None, source=None):
-        self.grid = grid
-        self.values, self.mask = _prepare(grid, values, mask, complex)
-        self.source = source
+    _dtype = complex
 
     def conj(self) -> "ComplexField":
         src = self.source.conjugate() if self.source is not None else None
-        return ComplexField(self.grid, np.conj(self.values), self.mask, source=src)
-
-    def without_source(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values, self.mask)
-
-    @property
-    def n_masked(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        vals = np.conj(self.values)
+        np.copyto(vals, 0, where=self.mask)     # conj turns masked zeros into 0-0j
+        return ComplexField._derived(self.grid, vals, self.mask, source=src, finite=True)
 
 
-class RealField:
+class RealField(_Field):
     """Real values on a grid (densities, curvatures, coordinates).
 
     `source`, when present, is a ClosedForm with real-valued samples whose
     jet backs the analytic path, as for ComplexField.
     """
 
-    def __init__(self, grid: GridSpec, values, mask=None, source=None):
-        self.grid = grid
-        self.values, self.mask = _prepare(grid, values, mask, float)
-        self.source = source
-
-    def without_source(self) -> "RealField":
-        return RealField(self.grid, self.values, self.mask)
-
-    @property
-    def n_masked(self) -> int:
-        return int(np.count_nonzero(self.mask))
+    _dtype = float
 
 
 def field_to_csv(field, path) -> None:

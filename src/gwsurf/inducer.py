@@ -138,8 +138,8 @@ def _defect(forms, grid: GridSpec, mask: np.ndarray) -> float:
     """Max norm of d(B) - dbar(A) over the one-forms (A, B) sampled on `grid`."""
     worst = 0.0
     for A, B in forms:
-        fa = ComplexField(grid, np.where(mask, 0, A), mask)
-        fb = ComplexField(grid, np.where(mask, 0, B), mask)
+        fa = ComplexField._derived(grid, np.where(mask, 0, A), mask)
+        fb = ComplexField._derived(grid, np.where(mask, 0, B), mask)
         da = d_zbar(fa)
         db = d_z(fb)
         mx, _ = norms(db.values - da.values, grid, da.mask | db.mask)
@@ -208,9 +208,9 @@ def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
     xs = grid.xs()
     ys = grid.ys()
     return Surface(
-        x1=RealField(grid, np.where(badmask, 0, x1c.real), badmask),
-        x2=RealField(grid, np.where(badmask, 0, x2c.real), badmask),
-        x3=RealField(grid, np.where(badmask, 0, x3c.real), badmask),
+        x1=RealField._derived(grid, np.where(badmask, 0, x1c.real), badmask),
+        x2=RealField._derived(grid, np.where(badmask, 0, x2c.real), badmask),
+        x3=RealField._derived(grid, np.where(badmask, 0, x3c.real), badmask),
         basepoint=complex(xs[i0], ys[j0]),
         imag_residue=imag_residue,
         determination_consistency=consistency,
@@ -322,7 +322,7 @@ def fundamental_forms(srf: Surface, degeneracy_eps: float = 1e-18) -> Fundamenta
     formmask = mask | degenerate
 
     def fld(v):
-        return RealField(srf.grid, np.where(formmask, 0, v), formmask)
+        return RealField._derived(srf.grid, np.where(formmask, 0, v), formmask)
 
     return FundamentalForms(E=fld(E), F=fld(F), G=fld(G),
                             e=fld(e), f=fld(f_), g=fld(g),
@@ -337,7 +337,7 @@ def mean_curvature_numeric(ff: FundamentalForms) -> RealField:
     e, f, g = ff.e.values, ff.f.values, ff.g.values
     w2 = np.where(mask, 1.0, E * G - F**2)
     vals = (e * G - 2 * f * F + g * E) / (2 * w2)
-    return RealField(ff.grid, np.where(mask, 0, vals), mask)
+    return RealField._derived(ff.grid, np.where(mask, 0, vals), mask)
 
 
 def gauss_curvature_numeric(ff: FundamentalForms) -> RealField:
@@ -345,7 +345,7 @@ def gauss_curvature_numeric(ff: FundamentalForms) -> RealField:
     mask = ff.mask
     w2 = np.where(mask, 1.0, ff.E.values * ff.G.values - ff.F.values**2)
     vals = (ff.e.values * ff.g.values - ff.f.values**2) / w2
-    return RealField(ff.grid, np.where(mask, 0, vals), mask)
+    return RealField._derived(ff.grid, np.where(mask, 0, vals), mask)
 
 
 def gauss_curvature_consistency(ff: FundamentalForms, p: RealField,
@@ -368,13 +368,13 @@ def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:
     P = (G * fx.values - F * fy.values) / w
     Q = (E * fy.values - F * fx.values) / w
     mask = mask | fx.mask | fy.mask
-    Pf = RealField(ff.grid, np.where(mask, 0, P), mask)
-    Qf = RealField(ff.grid, np.where(mask, 0, Q), mask)
+    Pf = RealField._derived(ff.grid, np.where(mask, 0, P), mask)
+    Qf = RealField._derived(ff.grid, np.where(mask, 0, Q), mask)
     dP = dx(Pf)
     dQ = dy(Qf)
     outmask = mask | dP.mask | dQ.mask
     vals = (dP.values + dQ.values) / w
-    return RealField(ff.grid, np.where(outmask, 0, vals), outmask)
+    return RealField._derived(ff.grid, np.where(outmask, 0, vals), outmask)
 
 
 def rigid_string_residual(H: MeanCurvature, K: RealField, gamma: float, alpha: float,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, Jet, jet_inv, lift, sample
@@ -119,7 +120,7 @@ def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
     else:
         with np.errstate(all="ignore"):
             vals = np.where(h.mask, 0, 1.0 / np.where(h.mask, 1.0, h.values))
-        inv = ComplexField(grid, vals, h.mask)
+        inv = ComplexField._derived(grid, vals, h.mask)
     mix = mixed_dzbar_dz(inv)
     return report_from_parts(name, grid, [("ddbar_inv_h", mix.values, mix.mask)],
                              exclude_rings=exclude_rings)
@@ -141,6 +142,16 @@ def riccati_residual(r: RhoField, c: RiccatiCoeffs,
                              exclude_rings=exclude_rings)
 
 
+def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
+    """(nx, ny, 3, 3) view of every point's clamped 3x3 neighbourhood:
+    [i, j, 1 + di, 1 + dj] is arr at (i + di, j + dj), clamped to the grid."""
+    return sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
+
+
+# grid rows per block of the solve against the distinct pseudo-inverses
+_FIT_ROWS = 16
+
+
 def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     """Least-squares Riccati coefficients over 3x3 neighborhoods.
 
@@ -149,51 +160,49 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     coefficients come from two independent min-norm least-squares fits
     (one per constraint) against the monomials 1, rho, rho^2 of its
     clamped 3x3 neighborhood. Masked neighbors drop out with zero weight.
-    The pseudo-inverse runs once per distinct weighted design (bitwise),
-    which on a one-dimensional family is one per grid row.
+
+    A point's weighted design is an elementwise function of its nine
+    neighbour values and nine validity flags, so points are deduplicated
+    on those bytes (153 per point) and the design is built and
+    pseudo-inverted once per distinct key; on a one-dimensional family
+    that is about one per grid row. The same LAPACK call on the same
+    bytes gives the same pseudo-inverse, min-norm on rank-deficient
+    neighbourhoods included. Both right-hand sides are then solved in
+    blocks of grid rows, each against its points' distinct
+    pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
     """
     grid = r.grid
-    rho = r.rho.values
+    nx, ny = grid.shape
     drho = d_z(r.rho)
     dbrho = d_zbar(r.rho)
     valid = ~(r.rho.mask | drho.mask | dbrho.mask)
 
-    nx, ny = grid.shape
-    ii = np.arange(nx)
-    jj = np.arange(ny)
-    # clamped neighbor indices, shape (nx, ny, 9)
-    offs = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-    neigh_i = np.stack([np.clip(ii[:, None] + di, 0, nx - 1).repeat(ny, 1)
-                        for di, _ in offs], axis=-1)
-    neigh_j = np.stack([np.clip(jj[None, :] + dj, 0, ny - 1).repeat(nx, 0)
-                        for _, dj in offs], axis=-1)
+    rho_n = _neighbourhoods(r.rho.values)
+    ok_n = _neighbourhoods(valid)
+    keys = np.concatenate([rho_n.reshape(nx * ny, 9).view(np.uint8),
+                           ok_n.reshape(nx * ny, 9).view(np.uint8)], axis=1)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    del keys
 
-    rho_n = rho[neigh_i, neigh_j]
-    ok_n = valid[neigh_i, neigh_j]
-    w = ok_n.astype(float)
+    fi, fj = np.divmod(first, ny)
+    rho_u = rho_n[fi, fj].reshape(-1, 9)
+    w = ok_n[fi, fj].reshape(-1, 9).astype(float)
+    pinv = np.linalg.pinv(np.stack([np.ones_like(rho_u), rho_u, rho_u**2], axis=-1) * w[..., None])
+    inverse = inverse.reshape(nx, ny)
 
-    design = np.stack([np.ones_like(rho_n), rho_n, rho_n**2], axis=-1)
-    design = (design * w[..., None]).reshape(nx * ny, 27)
-    # the same LAPACK call on the same bytes gives the same pseudo-inverse,
-    # min-norm on rank-deficient neighborhoods included
-    keys = design.view(np.dtype((np.void, 27 * design.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    pinv = np.linalg.pinv(design[first].reshape(-1, 9, 3))[inverse].reshape(nx, ny, 3, 9)
-
-    def solve(rhs_field):
-        rhs = rhs_field.values[neigh_i, neigh_j] * w
-        coef = np.einsum("...ck,...k->...c", pinv, rhs)
-        return coef
-
-    c1 = solve(drho)
-    c2 = solve(dbrho)
+    coef = np.empty((6, nx, ny), dtype=complex)
+    for rhs_field, out in ((drho, coef[:3]), (dbrho, coef[3:])):
+        rhs_n = _neighbourhoods(rhs_field.values)
+        for i in range(0, nx, _FIT_ROWS):
+            rows = slice(i, i + _FIT_ROWS)
+            rhs = rhs_n[rows].reshape(-1, ny, 9) * ok_n[rows].reshape(-1, ny, 9).astype(float)
+            c = np.einsum("...ck,...k->...c", pinv[inverse[rows]], rhs)
+            out[:, rows] = np.moveaxis(c, -1, 0)
     mask = ~valid
-
-    def fld(arr):
-        return ComplexField(grid, np.where(mask, 0, arr), mask)
-
-    return RiccatiCoeffs(fld(c1[..., 0]), fld(c1[..., 1]), fld(c1[..., 2]),
-                         fld(c2[..., 0]), fld(c2[..., 1]), fld(c2[..., 2]))
+    coef[:, mask] = 0
+    mask.setflags(write=False)
+    return RiccatiCoeffs(*(ComplexField._derived(grid, c, mask) for c in coef))
 
 
 def zero_curvature_residual(c: RiccatiCoeffs,
@@ -232,7 +241,7 @@ def sinh_gordon_residual(s: SpinorField, H: MeanCurvature,
     if np.any((p.values <= 0) & ~mask):
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(mask, 1.0, p.values)
-    lnp = RealField(s.grid, np.where(mask, 0.0, np.log(safe)), mask)
+    lnp = RealField._derived(s.grid, np.where(mask, 0.0, np.log(safe)), mask)
     mix = mixed_dzbar_dz(lnp)
     J = current_J(s).j
     totmask = mask | mix.mask | J.mask

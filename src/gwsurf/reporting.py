@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GridSpec
 
-__all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms"]
+__all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms", "worst"]
 
 # least accepted residual ratio between refinement levels where second-order
 # convergence (ratio 4) is expected
@@ -36,6 +36,14 @@ def norms(values: np.ndarray, grid: GridSpec, mask=None) -> tuple[float, float]:
     max_norm = float(np.max(absvals))
     l2_norm = float(np.sqrt(np.sum(absvals.astype(float) ** 2) * grid.hx * grid.hy))
     return max_norm, l2_norm
+
+
+def worst(*values: float) -> float:
+    """The largest of `values`, or NaN if any is NaN; 0 when there are none.
+
+    Python's max keeps its first argument when a comparison with NaN is
+    false, so max(1.0, nan) is 1.0 and would hide a broken residual."""
+    return float(np.max(values)) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ def report_from_parts(name: str, grid: GridSpec, parts, details=None,
                       exclude_rings: int = 0) -> ResidualReport:
     """Assemble a report from (part_name, values, mask) triples.
 
-    The headline max_norm is the largest part max; l2_norm likewise. The
+    The headline max_norm is the largest part max, NaN if any part's is;
+    l2_norm likewise. The
     masked count is taken over the union mask of all parts (boundary-ring
     exclusion, when requested, is not counted as masking).
     """
@@ -110,8 +119,8 @@ def report_from_parts(name: str, grid: GridSpec, parts, details=None,
     return ResidualReport(
         name=name,
         grid=grid,
-        max_norm=max((p.max_norm for p in out_parts), default=0.0),
-        l2_norm=max((p.l2_norm for p in out_parts), default=0.0),
+        max_norm=worst(*(p.max_norm for p in out_parts)),
+        l2_norm=worst(*(p.l2_norm for p in out_parts)),
         masked_points=int(np.count_nonzero(union)),
         parts=tuple(out_parts),
         details=details or {},

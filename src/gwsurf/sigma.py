@@ -75,7 +75,7 @@ def rho_from_psi(s: SpinorField) -> RhoField:
     if s.psi1.source is not None and s.psi2.source is not None:
         source = lift(lambda j1, j2: jet_div(j1, jet_conj(j2)),
                       s.psi1.source, s.psi2.source)
-    return RhoField(ComplexField(s.grid, vals, mask, source=source))
+    return RhoField(ComplexField._derived(s.grid, vals, mask, source=source))
 
 
 def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -156,8 +156,8 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
         src1 = lift(op1, rs, hs)
         src2 = lift(op2, rs, hs)
 
-    return SpinorField(ComplexField(grid, psi1, mask, source=src1),
-                       ComplexField(grid, psi2, mask, source=src2))
+    return SpinorField(ComplexField._derived(grid, psi1, mask, source=src1),
+                       ComplexField._derived(grid, psi2, mask, source=src2))
 
 
 def sigma_residual(r: RhoField, H: MeanCurvature,
@@ -187,15 +187,17 @@ def apply_discrete_symmetry(r: RhoField, which: str) -> RhoField:
     'I' (rho -> 1/rho, zeros masked)."""
     if which == "Z2":
         src = lift(lambda j: jet_scale(-1.0, j), r.rho.source) if r.rho.source else None
-        return RhoField(ComplexField(r.grid, -r.rho.values, r.rho.mask, source=src),
-                        r.branch_eps)
+        vals = -r.rho.values
+        np.copyto(vals, 0, where=r.rho.mask)    # negation turns masked zeros into -0
+        return RhoField(ComplexField._derived(r.grid, vals, r.rho.mask, source=src,
+                                              finite=True), r.branch_eps)
     if which == "I":
         a = np.abs(r.rho.values)
         mask = r.rho.mask | (a < 1e-8)
         with np.errstate(all="ignore"):
             vals = np.where(mask, 0, 1.0 / r.rho.values)
         src = lift(jet_inv, r.rho.source) if r.rho.source else None
-        return RhoField(ComplexField(r.grid, vals, mask, source=src), r.branch_eps)
+        return RhoField(ComplexField._derived(r.grid, vals, mask, source=src), r.branch_eps)
     raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
 
@@ -269,7 +271,7 @@ def spin_matrix(r: RhoField) -> SpinMatrix:
                         r.rho.source),
         }
 
-    fields = {k: ComplexField(grid, np.where(mask, 0, v), mask, source=sources[k])
+    fields = {k: ComplexField._derived(grid, np.where(mask, 0, v), mask, source=sources[k])
               for k, v in vals.items()}
     return SpinMatrix(fields["s11"], fields["s12"], fields["s21"], fields["s22"])
 
@@ -405,7 +407,7 @@ def multisoliton_product(r1: RhoField, r2: RhoField,
     if r1.rho.source is not None and r2.rho.source is not None:
         src = lift(jet_mul, r1.rho.source, r2.rho.source)
     vals = np.where(mask, 0, r1.rho.values * r2.rho.values)
-    return RhoField(ComplexField(r1.grid, vals, mask, source=src), r1.branch_eps)
+    return RhoField(ComplexField._derived(r1.grid, vals, mask, source=src), r1.branch_eps)
 
 
 def unimodular_H_constancy_check(r: RhoField, H: MeanCurvature,
@@ -456,7 +458,7 @@ def compatibility_residual(r: RhoField, H: MeanCurvature,
     wscale = float(np.max(np.abs(w), initial=0.0))
     mask = mask0 | (np.abs(w) < 1e-12 * max(wscale, 1e-300))
 
-    wf = ComplexField(grid, np.where(mask, 0, w), mask)
+    wf = ComplexField._derived(grid, np.where(mask, 0, w), mask)
     dw = d_zbar(wf)
     lz, _, lmask = H.log_derivatives(grid)
     totmask = mask | dw.mask | lmask

@@ -120,7 +120,8 @@ class MeanCurvature:
                 lz = np.where(mask, 0, hz.values / f.values)
                 lzb = np.where(mask, 0, hzb.values / f.values)
             return lz, lzb, mask
-        ln = RealField(grid, np.where(f.mask, 0.0, np.log(np.where(f.mask, 1.0, f.values))), f.mask)
+        ln = RealField._derived(grid, np.where(f.mask, 0.0, np.log(np.where(f.mask, 1.0, f.values))),
+                                f.mask)
         lz = d_z(ln)
         lzb = d_zbar(ln)
         return lz.values, lzb.values, lz.mask | lzb.mask
@@ -139,7 +140,8 @@ def density_p(s: SpinorField) -> RealField:
         src = lift(lambda j1, j2: jet_add(jet_mul(j1, jet_conj(j1)),
                                           jet_mul(j2, jet_conj(j2))),
                    s.psi1.source, s.psi2.source)
-    return RealField(s.grid, vals, s.mask, source=src)
+    # the components are zero wherever the spinor is masked, and so is vals
+    return RealField._derived(s.grid, vals, s.mask, source=src)
 
 
 def _check_grids(s: SpinorField, H: MeanCurvature) -> tuple[RealField, np.ndarray]:
@@ -203,7 +205,7 @@ def current_J(s: SpinorField) -> Current:
     dcpsi1 = d_z(s.psi1.conj())
     vals = np.conj(s.psi1.values) * dpsi2.values - s.psi2.values * dcpsi1.values
     mask = s.mask | dpsi2.mask | dcpsi1.mask
-    return Current(ComplexField(s.grid, np.where(mask, 0, vals), mask))
+    return Current(ComplexField._derived(s.grid, np.where(mask, 0, vals), mask))
 
 
 def dbar_J_defect(s: SpinorField, H: MeanCurvature,
@@ -255,7 +257,7 @@ def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
     J = current_J(s).j
     outmask = J.mask | pathmask
     vals = np.where(outmask, 0, J.values + corr)
-    return Current(ComplexField(grid, vals, outmask))
+    return Current(ComplexField._derived(grid, vals, outmask))
 
 
 def conservation_defect(c: Current, name: str = "dbar_defect",
@@ -277,12 +279,12 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(p.mask, 1.0, p.values)
     if getattr(p, "source", None) is not None:
-        ln = ComplexField(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask,
-                          source=lift(jet_log, p.source))
+        ln = ComplexField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask,
+                                   source=lift(jet_log, p.source))
     else:
-        ln = RealField(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask)
+        ln = RealField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask)
     mix = mixed_dzbar_dz(ln)
     mask = p.mask | mix.mask
     with np.errstate(all="ignore"):
         vals = np.where(mask, 0.0, -mix.values.real / safe**2)
-    return RealField(p.grid, vals, mask)
+    return RealField._derived(p.grid, vals, mask)

@@ -62,7 +62,9 @@ def _transform(rho, h, eps):
 def family_exprs(name, lam=1.0, a=1.0, h0=1.0, eps=1):
     """{form name: slot callables} of a family, from its sympy expressions."""
     degenerate = float(lam) == 0
-    lam, a, h0 = sp.Float(float(lam)), sp.Float(float(a)), sp.Float(float(h0))
+    # 17 significant digits: lambdify prints a Float at its own precision, and
+    # sympy's default 15 would hand the formulas a neighbouring double
+    lam, a, h0 = (sp.Float(float(v), 17) for v in (lam, a, h0))
     if name == "holomorphic":
         return {"h_form": diagonal_slots(h0 + 0 * S), "rho_form": holomorphic_slots(Z)}
     if name == "rational":

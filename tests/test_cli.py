@@ -364,3 +364,25 @@ def test_python_dash_m_gwsurf():
                          text=True, timeout=120, env=env)
     assert out.returncode == 0
     assert out.stdout.strip() == gwsurf.__version__
+
+
+@pytest.mark.parametrize("kind", ["exact", "fd", "control", "classify"])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_residual_fails_the_gate(kind, level, bad):
+    # nan > tol is False and max(nan * h^2, floor) is nan, so a NaN residual
+    # slipped through every tolerance comparison
+    from gwsurf import GridSpec
+    from gwsurf.cli import SuiteSpec, _evaluate_suite, _report_scalar
+    from gwsurf.families import build_family
+    grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
+    grids.append(grids[0].refined())
+
+    def runner(fam, grid):
+        return _report_scalar(grid, bad if grid is grids[level] else 1e-3, deformed=1e-6)
+
+    spec = SuiteSpec("broken", kind, None, runner, expect_ratio=False)
+    res = _evaluate_suite(spec, build_family("rational"), grids, 1.0)
+    assert not res["passed"]
+    h = max(grids[level].hx, grids[level].hy)
+    assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]

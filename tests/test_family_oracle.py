@@ -1,6 +1,7 @@
 """Every slot of every family form against symbolic derivatives (sympy oracle)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("sympy")
 
@@ -19,6 +20,28 @@ SWEEP = ([("rational", {"lam": v}) for v in (0.5, 1.0, 1.3, 2.0)]
 @pytest.mark.parametrize("name,kw", SWEEP,
                          ids=[f"{n}-{'-'.join(map(str, kw.values()))}" for n, kw in SWEEP])
 def test_family_slots_match_symbolic_derivatives(name, kw):
+    _check_slots(name, kw)
+
+
+_NONZERO = st.floats(0.2, 2.5) | st.floats(-2.5, -0.2)
+PARAMS = {
+    "rational": st.fixed_dictionaries({"lam": _NONZERO}),
+    "exponential": st.fixed_dictionaries({"lam": _NONZERO}),
+    "trig": st.fixed_dictionaries({"a": st.floats(0.5, 3.0) | st.floats(-3.0, -0.5)}),
+    "unimodular": st.fixed_dictionaries({"lam": st.floats(-2.5, 2.5),
+                                         "h0": st.floats(0.2, 4.0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_parameters_match_symbolic_derivatives(name, data):
+    # five fixed draws per family (derandomized), next to the fixed sweep above
+    _check_slots(name, data.draw(PARAMS[name], label="params"))
+
+
+def _check_slots(name, kw):
     fam = build_family(name, **kw)
     oracle = family_exprs(name, **kw)
     g = fam.default_grid(101, 3)

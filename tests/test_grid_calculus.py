@@ -1,10 +1,17 @@
 """Grid construction, sampling, and Wirtinger-derivative stencils."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsurf import ComplexField, GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
+from gwsurf import (ComplexField, GridSpec, RealField, d_z, d_zbar, dx, dxx, dy,
+                    family_rational, fit_riccati_coeffs, mixed_dzbar_dz, riccati_residual,
+                    sample)
+from gwsurf import calculus
 from gwsurf.closedform import ClosedForm, Jet, diagonal_form, exp
+
+NON_FINITE = re.escape("non-finite entries at unmasked points; supply a mask for singular points")
 
 
 def grid(n=41, lo=-1.0, hi=1.0):
@@ -76,6 +83,122 @@ class TestFields:
         f = ComplexField(grid(5), np.zeros((5, 5)))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+
+class TestValidationContract:
+    """Each field is validated once, where its values come from outside the
+    package or from arithmetic that can overflow; a non-finite value at an
+    unmasked point raises wherever it enters."""
+
+    def test_nan_of_an_unguarded_closed_form_raises(self):
+        cf = value_form(lambda z: np.where(np.abs(z) < 1e-12, np.nan, z))
+        with pytest.raises(ValueError, match=NON_FINITE):
+            sample(cf, grid(11))
+
+    @pytest.mark.parametrize("cls", [ComplexField, RealField])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_user_data_raises(self, cls, bad):
+        vals = np.ones((5, 5))
+        vals[1, 3] = bad
+        with pytest.raises(ValueError, match=NON_FINITE):
+            cls(grid(5), vals)
+
+    @pytest.mark.parametrize("cls", [ComplexField, RealField])
+    def test_masked_nan_is_stored_as_zero(self, cls):
+        vals = np.ones((5, 5))
+        vals[1, 3] = np.nan
+        mask = np.zeros((5, 5), bool)
+        mask[1, 3] = True
+        f = cls(grid(5), vals, mask)
+        assert f.values[1, 3] == 0 and np.isfinite(f.values).all()
+        mask[1, 3] = False                  # the field keeps its own copy
+        assert f.mask[1, 3]
+
+    @pytest.mark.parametrize("op", [dx, dy, dxx, d_z, d_zbar, mixed_dzbar_dz])
+    def test_overflow_on_the_derived_path_raises(self, op):
+        # finite inputs whose differences overflow to inf
+        g = grid(7)
+        vals = np.full(g.shape, 1e308)
+        vals[:3] = -1e308
+        vals[:, :3] *= -1
+        f = RealField(g, vals)
+        with pytest.raises(ValueError, match=NON_FINITE), np.errstate(all="ignore"):
+            op(f)
+
+    def test_derived_fields_are_read_only(self):
+        f = ComplexField(grid(5), np.ones((5, 5)))
+        for out in (f.conj(), f.without_source(), dx(f), d_z(f)):
+            with pytest.raises(ValueError):
+                out.values[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                out.mask[0, 0] = True
+
+    def test_conj_keeps_masked_zeros_positive(self):
+        mask = np.zeros((5, 5), bool)
+        mask[2, 2] = True
+        c = ComplexField(grid(5), np.full((5, 5), 1 + 1j), mask).conj()
+        assert not np.signbit(c.values[2, 2].imag)
+        assert np.array_equal(c.values[~mask], np.full(24, 1 - 1j))
+
+
+class TestGradientOnce:
+    """The x and y stencils of a field are computed once and shared by
+    d_z, d_zbar, dx, dy and the field's without_source() views."""
+
+    @pytest.fixture
+    def d1_calls(self, monkeypatch):
+        calls = []
+        d1 = calculus._d1
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return d1(*args)
+
+        monkeypatch.setattr(calculus, "_d1", counting)
+        return calls
+
+    @staticmethod
+    def fn(z):
+        return z**2 * np.conj(z) + np.exp(z)
+
+    def test_dz_then_dzbar_differences_once(self, d1_calls):
+        g = grid(21)
+        f = plain(g, self.fn)
+        dz, dzb, fx, fy = d_z(f), d_zbar(f), dx(f), dy(f)
+        assert len(d1_calls) == 2
+        for got, op in ((dz, d_z), (dzb, d_zbar), (fx, dx), (fy, dy)):
+            assert np.array_equal(got.values, op(plain(g, self.fn)).values)
+
+    def test_without_source_view_shares_the_gradient(self, d1_calls):
+        g = grid(21)
+        sampled = sample(diagonal_form(lambda s: s * exp(s)), g)
+        view = sampled.without_source()
+        d_z(view)
+        d_zbar(view.without_source())
+        d_z(sampled.without_source())
+        assert len(d1_calls) == 2
+        plain_field = plain(g, self.fn)
+        d_zbar(plain_field.without_source())
+        d_z(plain_field)
+        assert len(d1_calls) == 4
+
+    def test_fit_then_residual_differences_rho_once(self, d1_calls):
+        rho = family_rational(1.0).rho(grid(21), analytic=False)
+        coeffs = fit_riccati_coeffs(rho)
+        riccati_residual(rho, coeffs)
+        assert d1_calls == [(21, 21), (21, 21)]
+
+    def test_conj_differences_its_own_values(self, d1_calls):
+        g = grid(21)
+        mask = np.zeros(g.shape, bool)
+        mask[4, 7] = True
+        f = ComplexField(g, self.fn(g.zmesh()), mask)
+        d_z(f)
+        got = d_z(f.conj())
+        assert len(d1_calls) == 4
+        ref = d_z(ComplexField(g, np.conj(f.values), mask))
+        assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
+        assert np.array_equal(got.mask, ref.mask)
 
 
 class TestSampling:

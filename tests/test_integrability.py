@@ -1,4 +1,6 @@
 """Riccati constraints, zero-curvature conditions, sinh-Gordon, linearization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,20 +104,50 @@ class TestRiccati:
             assert zero_curvature_residual(c, exclude_rings=2).max_norm < 1e-9, fam.name
 
 
-    @pytest.mark.parametrize("case", ["rational", "trig", "holomorphic"])
+    @pytest.mark.parametrize("case", ["rational", "trig", "holomorphic", "patched"])
     def test_fit_bitwise_equal_full_batch_reference(self, case):
         # diagonal families repeat one design per grid row; the trig domain
-        # crosses the guard band (masked rows); holomorphic rho repeats nothing
+        # crosses the guard band (masked rows); holomorphic rho repeats nothing;
+        # the patched rational rho has a zero patch, whose designs are
+        # rank-deficient (min-norm solutions), and in it one isolated masked
+        # point, whose neighbours see the same nine values as other patch
+        # points but not the same validity flags
         fam, g = {
             "rational": (family_rational(1.3), GridSpec(-1, 1, -1, 1, 41, 37)),
             "trig": (family_trigonometric(1.5), GridSpec(0.0, 0.6, -1, 1, 41, 37)),
             "holomorphic": (family_holomorphic(), GridSpec(-1, 1, -1, 1, 41, 37)),
+            "patched": (family_rational(1.3), GridSpec(-1, 1, -1, 1, 41, 37)),
         }[case]
         rho = fam.rho(g, analytic=False)
         assert case != "trig" or rho.rho.mask.any()
+        if case == "patched":
+            vals = np.array(rho.rho.values)
+            vals[10:20, 5:15] = 0
+            mask = np.zeros(g.shape, bool)
+            mask[12, 9] = True
+            rho = RhoField(ComplexField(g, vals, mask))
         got = fit_riccati_coeffs(rho)
         for f, ref in zip(got.fields(), _fit_riccati_reference(rho)):
             assert np.array_equal(f.values.view(np.uint64), ref.view(np.uint64))
+        if case == "patched":
+            # its neighbours fall back to one-sided stencils and fit around it
+            assert got.mask[12, 9] and got.mask.sum() == 1
+
+    def test_fit_peak_memory(self):
+        # the dense fit held (nx, ny, 9) index arrays, a 27-wide design and a
+        # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201
+        rho = family_rational(1.0).rho(GridSpec(-1, 1, -1, 1, 201, 201), analytic=False)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_riccati_coeffs(rho)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 def _fit_riccati_reference(r):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 
 from gwsurf import GridSpec, report_from_parts
-from gwsurf.reporting import interior_ring_mask, norms
+from gwsurf.reporting import interior_ring_mask, norms, worst
 
 
 def test_json_schema():
@@ -52,3 +52,22 @@ def test_headline_is_worst_part():
     rep = report_from_parts("two", g, [("a", a, None), ("b", b, None)])
     assert rep.max_norm == 2.0
     assert rep.part("a").max_norm == 0.5
+
+
+def test_headline_propagates_nan():
+    # Python's max drops a NaN that follows a finite value
+    g = GridSpec(0, 1, 0, 1, 3, 3)
+    finite = np.ones(g.shape)
+    broken = np.full(g.shape, np.nan)
+    for parts in ([("a", finite, None), ("b", broken, None)],
+                  [("b", broken, None), ("a", finite, None)]):
+        rep = report_from_parts("two", g, parts)
+        assert np.isnan(rep.max_norm) and np.isnan(rep.l2_norm)
+        assert rep.part("a").max_norm == 1.0
+
+
+def test_worst():
+    assert worst() == 0.0
+    assert worst(0.5, 2.0, 1.0) == 2.0
+    assert np.isnan(worst(1.0, np.nan)) and np.isnan(worst(np.nan, 1.0))
+    assert worst(1.0, np.inf) == np.inf
