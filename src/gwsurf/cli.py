@@ -102,9 +102,12 @@ class RunConfig:
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         nx, ny = text.lower().split("x")
-        return int(nx), int(ny)
+        grid = int(nx), int(ny)
     except ValueError as exc:
         raise ValueError(f"grid must look like 101x101, got {text!r}") from exc
+    if min(grid) < 3:
+        raise ValueError(f"grid needs at least 3x3 points for the stencils, got {text!r}")
+    return grid
 
 
 def _fmt_grid(grid: tuple[int, int]) -> str:
@@ -126,6 +129,13 @@ def _floats(n: int, what: str):
             raise ValueError(f"{what} needs {n} comma-separated numbers, got {text!r}")
         return tuple(_finite(p) for p in parts)
     return parse
+
+
+def _domain(text: str) -> tuple[float, ...]:
+    x0, x1, y0, y1 = bounds = _floats(4, "domain")(text)
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"domain must be ordered as x_min,x_max,y_min,y_max, got {text!r}")
+    return bounds
 
 
 def _choice(what: str, names):
@@ -181,7 +191,7 @@ _KEYS = (
     _Key("h0", "h0", "--H0", _finite, report=_json, signed=True,
          families=("unimodular", "holomorphic")),
     _Key("grid", "grid", "--grid", _parse_grid, _fmt_grid, report=_fmt_grid),
-    _Key("domain", "domain", "--domain", _optional(_floats(4, "domain")),
+    _Key("domain", "domain", "--domain", _optional(_domain),
          report=_json, signed=True),
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
          report=_json, signed=True),

@@ -9,14 +9,17 @@ which is what lets exact solution families verify identities to machine
 precision; each caller asks for the order it needs, so a value-only
 sample computes no derivative.
 
-The Jet type holds the six slots and the jet_* operations apply the usual
-calculus rules to them, so derived quantities (quotients, square roots,
-products) keep analytic derivatives. Missing slots propagate as None.
+`Jet` is the one jet type. It holds the six slots and applies the usual
+calculus rules under `+ - * /` and this module's `exp`, `sin`, `cos`,
+`sqrt`, `log` and `conj`, which act on plain arrays alike. A formula
+written with them runs on a plain array for its values and on a jet for
+values and derivatives in one forward-mode pass, and the value slot of
+every operation is computed exactly as on the plain path, so the two agree
+bit for bit. No symbolic algebra is involved.
 
-`diagonal_form` and `holomorphic_form` build closed forms from plain
-formulas of one variable: run on a plain array a formula gives values, run
-on a `TaylorJet` it gives values and the first two derivatives in one
-forward-mode pass. No symbolic algebra is involved.
+`diagonal_form` and `holomorphic_form` build closed forms from such
+formulas of one variable, run on a seed jet in that variable; `lift`
+combines closed forms through a formula of their jets.
 
 A form built by `lift` runs its jet operation once per call on its
 inputs' jets, so nesting lifts costs time linear in the depth. A diagonal
@@ -25,6 +28,7 @@ distinct abscissa of a grid mesh and broadcasts along y.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,16 +39,26 @@ from .grid import ComplexField, GridSpec, RealField
 __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
-    "lift", "field_mul", "jet_mul", "jet_div", "jet_conj", "jet_sqrt",
-    "jet_log", "jet_add", "jet_sub", "jet_scale", "jet_dz", "jet_dzbar",
-    "TaylorJet", "exp", "sin", "cos", "sqrt", "conj",
+    "lift", "field_mul", "jet_dz", "jet_dzbar",
+    "exp", "sin", "cos", "sqrt", "log", "conj",
 ]
 
 
 class Jet:
-    """Second-order Wirtinger jet; any slot past the value may be None."""
+    """Second-order Wirtinger jet (f, d f, dbar f, dd f, d dbar f, dbar dbar f).
+
+    A jet of order k fills the slots up to order k; the others are None.
+    Arithmetic with jets and with constants (numbers, numpy scalars and
+    arrays) follows the rules of forward-mode differentiation (Griewank &
+    Walther, Evaluating Derivatives, ch. 13), and the result has the lowest
+    order among its jet operands. The z slots are computed as in one
+    variable, the zbar slots mirror them and the mixed slot groups its two
+    cross terms, so on a diagonal jet (d = dbar) both first slots agree bit
+    for bit, and so do all three second slots.
+    """
 
     __slots__ = ("f", "fz", "fzb", "fzz", "fzzb", "fzbzb")
+    __array_ufunc__ = None      # numpy operands defer to the reflected operators
 
     def __init__(self, f, fz=None, fzb=None, fzz=None, fzzb=None, fzbzb=None):
         self.f = f
@@ -54,89 +68,88 @@ class Jet:
         self.fzzb = fzzb
         self.fzbzb = fzbzb
 
+    @property
+    def order(self) -> int:
+        return 0 if self.fz is None else 1 if self.fzz is None else 2
 
-def _have(*xs) -> bool:
-    return all(x is not None for x in xs)
+    def slots(self) -> tuple:
+        """The slots up to the jet's order."""
+        every = (self.f, self.fz, self.fzb, self.fzz, self.fzzb, self.fzbzb)
+        return every[:(1, 3, 6)[self.order]]
 
+    @property
+    def d(self) -> tuple:
+        """(d f, dbar f): first slot i, for i = 0 (z) or 1 (zbar)."""
+        return (self.fz, self.fzb)
 
-def jet_conj(a: Jet) -> Jet:
-    # conj swaps the z and zbar slots: d(conj f) = conj(dbar f), etc.
-    c = np.conj
-    return Jet(
-        c(a.f),
-        c(a.fzb) if a.fzb is not None else None,
-        c(a.fz) if a.fz is not None else None,
-        c(a.fzbzb) if a.fzbzb is not None else None,
-        c(a.fzzb) if a.fzzb is not None else None,
-        c(a.fzz) if a.fzz is not None else None,
-    )
+    @property
+    def dd(self) -> tuple:
+        """The second slots; d_i d_j f is dd[i + j]."""
+        return (self.fzz, self.fzzb, self.fzbzb)
 
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return Jet(*(x + y for x, y in zip(self.slots(), o.slots())))
+        return Jet(self.f + o, *self.slots()[1:])
 
-def jet_add(a: Jet, b: Jet) -> Jet:
-    pair = lambda x, y: x + y if _have(x, y) else None
-    return Jet(a.f + b.f, pair(a.fz, b.fz), pair(a.fzb, b.fzb),
-               pair(a.fzz, b.fzz), pair(a.fzzb, b.fzzb), pair(a.fzbzb, b.fzbzb))
+    def __radd__(self, o):
+        return Jet(o + self.f, *self.slots()[1:])
 
+    def __sub__(self, o):
+        if isinstance(o, Jet):
+            return Jet(*(x - y for x, y in zip(self.slots(), o.slots())))
+        return Jet(self.f - o, *self.slots()[1:])
 
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    pair = lambda x, y: x - y if _have(x, y) else None
-    return Jet(a.f - b.f, pair(a.fz, b.fz), pair(a.fzb, b.fzb),
-               pair(a.fzz, b.fzz), pair(a.fzzb, b.fzzb), pair(a.fzbzb, b.fzbzb))
+    def __rsub__(self, o):
+        return Jet(o - self.f, *(-x for x in self.slots()[1:]))
 
+    def __neg__(self):
+        return Jet(*(-x for x in self.slots()))
 
-def jet_scale(c, a: Jet) -> Jet:
-    s = lambda x: c * x if x is not None else None
-    return Jet(c * a.f, s(a.fz), s(a.fzb), s(a.fzz), s(a.fzzb), s(a.fzbzb))
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(*(x * o for x in self.slots()))
+        a, b = self, o
+        return _rule(min(a.order, b.order), a.f * b.f,
+                     lambda i: a.d[i] * b.f + a.f * b.d[i],
+                     lambda i, j, d: (a.dd[i + j] * b.f + _cross(a.d, b.d, i, j)
+                                      + a.f * b.dd[i + j]))
 
+    def __rmul__(self, o):
+        return Jet(*(o * x for x in self.slots()))
 
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    fz = a.fz * b.f + a.f * b.fz if _have(a.fz, b.fz) else None
-    fzb = a.fzb * b.f + a.f * b.fzb if _have(a.fzb, b.fzb) else None
-    fzz = (a.fzz * b.f + 2 * a.fz * b.fz + a.f * b.fzz
-           if _have(a.fzz, b.fzz, a.fz, b.fz) else None)
-    fzzb = (a.fzzb * b.f + a.fz * b.fzb + a.fzb * b.fz + a.f * b.fzzb
-            if _have(a.fzzb, b.fzzb, a.fz, a.fzb, b.fz, b.fzb) else None)
-    fzbzb = (a.fzbzb * b.f + 2 * a.fzb * b.fzb + a.f * b.fzbzb
-             if _have(a.fzbzb, b.fzbzb, a.fzb, b.fzb) else None)
-    return Jet(a.f * b.f, fz, fzb, fzz, fzzb, fzbzb)
+    def __truediv__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(*(x / o for x in self.slots()))
+        # q = a/b: d q = (d a - q d b)/b, d d q = (d d a - 2 d q d b - q d d b)/b
+        a, b = self, o
+        q = a.f / b.f
+        return _rule(min(a.order, b.order), q,
+                     lambda i: (a.d[i] - q * b.d[i]) / b.f,
+                     lambda i, j, d: (a.dd[i + j] - _cross(d, b.d, i, j) - q * b.dd[i + j]) / b.f)
 
-
-def jet_inv(a: Jet) -> Jet:
-    g = 1.0 / a.f
-    g2 = g * g
-    fz = -a.fz * g2 if a.fz is not None else None
-    fzb = -a.fzb * g2 if a.fzb is not None else None
-    g3 = g2 * g
-    fzz = (2 * a.fz ** 2 - a.f * a.fzz) * g3 if _have(a.fz, a.fzz) else None
-    fzzb = (2 * a.fz * a.fzb - a.f * a.fzzb) * g3 if _have(a.fz, a.fzb, a.fzzb) else None
-    fzbzb = (2 * a.fzb ** 2 - a.f * a.fzbzb) * g3 if _have(a.fzb, a.fzbzb) else None
-    return Jet(g, fz, fzb, fzz, fzzb, fzbzb)
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    return jet_mul(a, jet_inv(b))
-
-
-def jet_log(a: Jet) -> Jet:
-    g = 1.0 / a.f
-    fz = a.fz * g if a.fz is not None else None
-    fzb = a.fzb * g if a.fzb is not None else None
-    fzz = a.fzz * g - (a.fz * g) ** 2 if _have(a.fz, a.fzz) else None
-    fzzb = a.fzzb * g - a.fz * a.fzb * g * g if _have(a.fz, a.fzb, a.fzzb) else None
-    fzbzb = a.fzbzb * g - (a.fzb * g) ** 2 if _have(a.fzb, a.fzbzb) else None
-    return Jet(np.log(a.f), fz, fzb, fzz, fzzb, fzbzb)
+    def __rtruediv__(self, o):
+        q = o / self.f
+        return _rule(self.order, q,
+                     lambda i: -q * self.d[i] / self.f,
+                     lambda i, j, d: -(_cross(d, self.d, i, j) + q * self.dd[i + j]) / self.f)
 
 
-def jet_sqrt(a: Jet) -> Jet:
-    s = np.sqrt(a.f)
-    inv2s = 1.0 / (2.0 * s)
-    fz = a.fz * inv2s if a.fz is not None else None
-    fzb = a.fzb * inv2s if a.fzb is not None else None
-    inv4s3 = 1.0 / (4.0 * s ** 3)
-    fzz = a.fzz * inv2s - a.fz ** 2 * inv4s3 if _have(a.fz, a.fzz) else None
-    fzzb = a.fzzb * inv2s - a.fz * a.fzb * inv4s3 if _have(a.fz, a.fzb, a.fzzb) else None
-    fzbzb = a.fzbzb * inv2s - a.fzb ** 2 * inv4s3 if _have(a.fzb, a.fzbzb) else None
-    return Jet(s, fz, fzb, fzz, fzzb, fzbzb)
+def _cross(x, y, i, j):
+    """x_i y_j + x_j y_i, written 2 x_i y_i when i == j as in one variable."""
+    return 2 * x[i] * y[i] if i == j else x[i] * y[j] + x[j] * y[i]
+
+
+def _rule(order, f, first, second) -> Jet:
+    """The jet of `order` with value f, first slots first(i) and second
+    slots second(i, j, d), where d holds the first slots; i, j are 0 for z
+    and 1 for zbar."""
+    if order == 0:
+        return Jet(f)
+    d = (first(0), first(1))
+    if order == 1:
+        return Jet(f, *d)
+    return Jet(f, *d, second(0, 0, d), second(0, 1, d), second(1, 1, d))
 
 
 def jet_dz(a: Jet) -> Jet:
@@ -149,11 +162,51 @@ def jet_dzbar(a: Jet) -> Jet:
     return Jet(a.fzb, a.fzzb, a.fzbzb) if a.fzb is not None else None
 
 
-def _order(j: Jet) -> int:
-    """Highest order whose slots, and every lower one's, a jet carries."""
-    if not _have(j.fz, j.fzb):
-        return 0
-    return 2 if _have(j.fzz, j.fzzb, j.fzbzb) else 1
+def exp(t):
+    if not isinstance(t, Jet):
+        return np.exp(t)
+    e = np.exp(t.f)
+    return _rule(t.order, e, lambda i: e * t.d[i],
+                 lambda i, j, d: e * (t.dd[i + j] + t.d[i] * t.d[j]))
+
+
+def sin(t):
+    if not isinstance(t, Jet):
+        return np.sin(t)
+    s, c = np.sin(t.f), np.cos(t.f)
+    return _rule(t.order, s, lambda i: c * t.d[i],
+                 lambda i, j, d: c * t.dd[i + j] - s * (t.d[i] * t.d[j]))
+
+
+def cos(t):
+    if not isinstance(t, Jet):
+        return np.cos(t)
+    s, c = np.sin(t.f), np.cos(t.f)
+    return _rule(t.order, c, lambda i: -s * t.d[i],
+                 lambda i, j, d: -s * t.dd[i + j] - c * (t.d[i] * t.d[j]))
+
+
+def sqrt(t):
+    if not isinstance(t, Jet):
+        return np.sqrt(t)
+    r = np.sqrt(t.f)
+    return _rule(t.order, r, lambda i: t.d[i] / (2.0 * r),
+                 lambda i, j, d: (t.dd[i + j] - 2.0 * d[i] * d[j]) / (2.0 * r))
+
+
+def log(t):
+    if not isinstance(t, Jet):
+        return np.log(t)
+    return _rule(t.order, np.log(t.f), lambda i: t.d[i] / t.f,
+                 lambda i, j, d: (t.dd[i + j] - t.d[i] * d[j]) / t.f)
+
+
+def conj(t):
+    """Complex conjugate; on a jet it swaps the z and zbar slots."""
+    if not isinstance(t, Jet):
+        return np.conj(t)
+    swapped = (t.f, t.fzb, t.fz, t.fzbzb, t.fzzb, t.fzz)
+    return Jet(*map(np.conj, swapped[:len(t.slots())]))
 
 
 @dataclass(frozen=True)
@@ -183,13 +236,11 @@ class ClosedForm:
         if self.diagonal:
             column = _mesh_column(z)
             if column.shape != np.shape(z):
-                j = self.jet_fn(column, order)
-                slots = (getattr(j, name) for name in Jet.__slots__)
-                return Jet(*(None if v is None else _broadcast(v, z) for v in slots))
+                return Jet(*(_broadcast(v, z) for v in self.jet_fn(column, order).slots()))
         return self.jet_fn(z, order)
 
     def conjugate(self) -> "ClosedForm":
-        return ClosedForm(lambda z, order: jet_conj(self.jet(z, order)),
+        return ClosedForm(lambda z, order: conj(self.jet(z, order)),
                           self.order, self.domain_guard, self.diagonal)
 
     def derivative(self, which: str) -> Optional["ClosedForm"]:
@@ -206,18 +257,18 @@ class ClosedForm:
 def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     """Combine closed forms through a jet operation.
 
-    `op` maps input jets to an output jet; its order is what survives
-    None-propagation when `op` runs once on placeholder jets of the
-    inputs' orders. The jet ops keep the order and `jet_dz` lowers it by
-    one, so asking the result for order k asks every input for k plus
-    the order the result gave up against it. Each distinct input is
-    evaluated once per call and `op` runs once on their jets, so nesting
-    lifts costs time linear in the depth. When every input is diagonal,
-    so is the result, and on a grid mesh the inputs and `op` run on one
-    column.
+    `op` maps input jets to an output jet; its order is that of the jet
+    `op` returns when it runs once on placeholder jets of the inputs'
+    orders. Jet arithmetic keeps the lowest order of its operands and
+    `jet_dz` lowers it by one, so asking the result for order k asks
+    every input for k plus the order the result gave up against it. Each
+    distinct input is evaluated once per call and `op` runs once on their
+    jets, so nesting lifts costs time linear in the depth. When every
+    input is diagonal, so is the result, and on a grid mesh the inputs and
+    `op` run on one column.
     """
-    order = _order(op(*(Jet(*[1.0 + 0.0j] * (1, 3, 6)[f.order]) for f in forms)))
-    # an input passed more than once, as in lift(jet_mul, f, f), is evaluated once
+    order = op(*(Jet(*[1.0 + 0.0j] * (1, 3, 6)[f.order]) for f in forms)).order
+    # an input passed more than once, as in lift(operator.mul, f, f), is evaluated once
     first = {}
     picks = [first.setdefault(id(f), len(first)) for f in forms]
     distinct = list({id(f): f for f in forms}.values())
@@ -248,8 +299,7 @@ def _broadcast(vals, z) -> np.ndarray:
 def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
     """Evaluate a closed form on a grid; guard-marked points are masked.
 
-    A singular value at an unguarded point is a construction error (the
-    field constructor rejects non-finite unmasked entries).
+    A non-finite value at an unguarded point raises NumericalBreakdown.
     """
     z = grid.zmesh()
     with np.errstate(all="ignore"):
@@ -259,7 +309,7 @@ def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
         mask |= np.asarray(cf.domain_guard(z), dtype=bool)
     if extra_mask is not None:
         mask |= np.asarray(extra_mask, dtype=bool)
-    return ComplexField(grid, vals, mask, source=cf)
+    return ComplexField._derived(grid, np.where(mask, 0, vals), mask, source=cf)
 
 
 def sample_real(cf: ClosedForm, grid: GridSpec, extra_mask=None,
@@ -279,139 +329,40 @@ def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
         raise ValueError("fields live on different grids")
     src = None
     if a.source is not None and b.source is not None:
-        src = lift(jet_mul, a.source, b.source)
+        src = lift(operator.mul, a.source, b.source)
     mask = a.mask | b.mask
     return ComplexField._derived(a.grid, np.where(mask, 0, a.values * b.values), mask,
                                  source=src)
 
 
 # ---------------------------------------------------------------------------
-# one-variable Taylor jets and the builders that run formulas on them
+# builders that run formulas of one variable on seed jets
 
-class TaylorJet:
-    """Second-order Taylor jet (f, d1, d2) of a function of one variable t.
-
-    Arithmetic with jets and with constants (numbers, numpy scalars and
-    arrays) follows the rules of forward-mode differentiation (Griewank &
-    Walther, Evaluating Derivatives, ch. 13); `exp`, `sin`, `cos`, `sqrt`
-    and `conj` below act on jets and on plain arrays alike. A formula
-    written with them therefore runs on a plain array for its values and
-    on `TaylorJet(t, 1.0, 0.0)` for values and two derivatives in one
-    pass, and the value slot of every operation is computed exactly as on
-    the plain path, so the two agree bit for bit.
-    """
-
-    __slots__ = ("f", "d1", "d2")
-    __array_ufunc__ = None      # numpy operands defer to the reflected operators
-
-    def __init__(self, f, d1, d2):
-        self.f = f
-        self.d1 = d1
-        self.d2 = d2
-
-    def __add__(self, o):
-        if isinstance(o, TaylorJet):
-            return TaylorJet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
-        return TaylorJet(self.f + o, self.d1, self.d2)
-
-    def __radd__(self, o):
-        return TaylorJet(o + self.f, self.d1, self.d2)
-
-    def __sub__(self, o):
-        if isinstance(o, TaylorJet):
-            return TaylorJet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
-        return TaylorJet(self.f - o, self.d1, self.d2)
-
-    def __rsub__(self, o):
-        return TaylorJet(o - self.f, -self.d1, -self.d2)
-
-    def __neg__(self):
-        return TaylorJet(-self.f, -self.d1, -self.d2)
-
-    def __mul__(self, o):
-        if isinstance(o, TaylorJet):
-            return TaylorJet(self.f * o.f, self.d1 * o.f + self.f * o.d1,
-                             self.d2 * o.f + 2 * self.d1 * o.d1 + self.f * o.d2)
-        return TaylorJet(self.f * o, self.d1 * o, self.d2 * o)
-
-    def __rmul__(self, o):
-        return TaylorJet(o * self.f, o * self.d1, o * self.d2)
-
-    def __truediv__(self, o):
-        if isinstance(o, TaylorJet):
-            # q = a/b: q' = (a' - q b')/b, q'' = (a'' - 2 q' b' - q b'')/b
-            q = self.f / o.f
-            d1 = (self.d1 - q * o.d1) / o.f
-            return TaylorJet(q, d1, (self.d2 - 2 * d1 * o.d1 - q * o.d2) / o.f)
-        return TaylorJet(self.f / o, self.d1 / o, self.d2 / o)
-
-    def __rtruediv__(self, o):
-        q = o / self.f
-        d1 = -q * self.d1 / self.f
-        return TaylorJet(q, d1, -(2 * d1 * self.d1 + q * self.d2) / self.f)
-
-
-def exp(t):
-    if isinstance(t, TaylorJet):
-        e = np.exp(t.f)
-        return TaylorJet(e, e * t.d1, e * (t.d2 + t.d1 * t.d1))
-    return np.exp(t)
-
-
-def sin(t):
-    if isinstance(t, TaylorJet):
-        s, c = np.sin(t.f), np.cos(t.f)
-        return TaylorJet(s, c * t.d1, c * t.d2 - s * (t.d1 * t.d1))
-    return np.sin(t)
-
-
-def cos(t):
-    if isinstance(t, TaylorJet):
-        s, c = np.sin(t.f), np.cos(t.f)
-        return TaylorJet(c, -s * t.d1, -s * t.d2 - c * (t.d1 * t.d1))
-    return np.cos(t)
-
-
-def sqrt(t):
-    if isinstance(t, TaylorJet):
-        r = np.sqrt(t.f)
-        d1 = t.d1 / (2.0 * r)
-        return TaylorJet(r, d1, (t.d2 - 2.0 * d1 * d1) / (2.0 * r))
-    return np.sqrt(t)
-
-
-def conj(t):
-    """Complex conjugate; on a jet of a real variable every slot conjugates."""
-    if isinstance(t, TaylorJet):
-        return TaylorJet(np.conj(t.f), np.conj(t.d1), np.conj(t.d2))
-    return np.conj(t)
-
-
-def _taylor_slots(out):
-    """(f, d1, d2) of a formula's output; a constant has zero derivatives."""
-    if isinstance(out, TaylorJet):
-        return out.f, out.d1, out.d2
-    return out, 0.0, 0.0
+def _run(fn, t, seed, order, z) -> Jet:
+    """fn's jet up to `order` at t, where t's derivative slots are `seed`,
+    broadcast to z's shape. Order 0 runs fn on the plain array t; a result
+    that is a constant has zero derivatives."""
+    with np.errstate(all="ignore"):
+        out = fn(Jet(t, *seed[:(0, 2, 5)[order]]) if order else t)
+    slots = out.slots() if isinstance(out, Jet) else (out, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return Jet(*(_broadcast(v, z) for v in slots[:(1, 3, 6)[order]]))
 
 
 def diagonal_form(fn, guard=None) -> ClosedForm:
     """Closed form depending on z only through s = z + conj(z).
 
     `fn(s)` is a formula in the operators and the functions `exp`, `sin`,
-    `cos`, `sqrt`, `conj` of this module (see `TaylorJet`). All Wirtinger
+    `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`). All Wirtinger
     derivatives collapse to d/ds, which is what makes the one-dimensional
     solution families exactly differentiable: the jet is (f, f', f', f'',
-    f'', f''), from one run of `fn` on a Taylor jet per grid column.
+    f'', f''), from one run of `fn` on the seed Jet(s, 1, 1, 0, 0, 0) per
+    grid column.
     """
     def jet_fn(z, order):
         # complex-typed s keeps square roots of negative reals on the
         # principal branch instead of collapsing to nan
         s = (2.0 * np.real(z)).astype(complex)
-        with np.errstate(all="ignore"):
-            if order == 0:
-                return Jet(_broadcast(fn(s), z))
-            f, d1, d2 = (_broadcast(v, z) for v in _taylor_slots(fn(TaylorJet(s, 1.0, 0.0))))
-        return Jet(f, d1, d1) if order == 1 else Jet(f, d1, d1, d2, d2, d2)
+        return _run(fn, s, (1.0, 1.0, 0.0, 0.0, 0.0), order, z)
 
     return ClosedForm(jet_fn, 2, guard, diagonal=True)
 
@@ -435,17 +386,12 @@ def _mesh_column(z) -> np.ndarray:
 def holomorphic_form(fn, guard=None) -> ClosedForm:
     """Closed form holomorphic in z; the dbar slots vanish.
 
-    `fn(z)` is a formula as for `diagonal_form` without `conj`; on a
-    Taylor jet in z it gives the complex derivatives d/dz and d^2/dz^2.
+    `fn(z)` is a formula as for `diagonal_form` without `conj`; on the seed
+    Jet(z, 1, 0, 0, 0, 0) it gives the complex derivatives d/dz and
+    d^2/dz^2, and its dbar slots stay zero.
     """
     def jet_fn(z, order):
-        w = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            if order == 0:
-                return Jet(_broadcast(fn(w), z))
-            f, d1, d2 = (_broadcast(v, z) for v in _taylor_slots(fn(TaylorJet(w, 1.0, 0.0))))
-        zero = np.zeros(np.shape(z), dtype=complex)
-        return Jet(f, d1, zero) if order == 1 else Jet(f, d1, zero, d2, zero, zero)
+        return _run(fn, np.asarray(z, dtype=complex), (1.0, 0.0, 0.0, 0.0, 0.0), order, z)
 
     return ClosedForm(jet_fn, 2, guard)
 

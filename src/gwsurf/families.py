@@ -1,7 +1,7 @@
 """Closed-form solution families with analytic derivatives.
 
 Each family packages a compatible triple (H, rho, spinor pair) written as
-formulas of one variable that also run on Taylor jets, so every Wirtinger
+formulas of one variable that also run on jets, so every Wirtinger
 derivative needed by the residual suites is exact to round-off. The
 one-dimensional families depend on z only through s = z + conj(z):
 
@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form,
-                         sample, sin, sqrt)
+from .closedform import ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form, sample, sin
 from .grid import GridSpec
-from .sigma import RhoField, psi_from_rho
+from .sigma import RhoField, psi_from_rho, psi_pair
 from .weierstrass import MeanCurvature, SpinorField
 
 __all__ = ["SolutionFamily", "family_rational", "family_exponential",
@@ -85,25 +84,13 @@ class SolutionFamily:
 
 
 def _transform_forms(rho, drho, h, eps: int, guard):
-    """psi forms of a one-dimensional rho, d(rho)/ds and H (functions of s).
+    """psi forms of a one-dimensional rho, d(rho)/ds and H (functions of s),
+    through the square-root transform `psi_pair` that `psi_from_rho` uses."""
+    def pair(s):
+        return psi_pair(rho(s), drho(s), h(s), eps)
 
-    The square-root transform composed as `psi_from_rho` composes its jets:
-    w = sqrt(d rho), den = sqrt(H) (1 + rho conj(rho)), psi2 = eps w / den,
-    psi1 = eps rho conj(w) / den.
-    """
-    def common(s):
-        r = rho(s)
-        return r, sqrt(drho(s)), sqrt(h(s)) * (1 + r * conj(r))
-
-    def psi1(s):
-        r, w, den = common(s)
-        return eps * (r * conj(w) / den)
-
-    def psi2(s):
-        _, w, den = common(s)
-        return eps * (w / den)
-
-    return diagonal_form(psi1, guard=guard), diagonal_form(psi2, guard=guard)
+    return (diagonal_form(lambda s: pair(s)[0], guard=guard),
+            diagonal_form(lambda s: pair(s)[1], guard=guard))
 
 
 def _one_dimensional(name, params, rho, drho, h, eps, guard=None, admissible=None,

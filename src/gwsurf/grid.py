@@ -13,13 +13,15 @@ pure function of its inputs.
 The public constructors validate what they are given: shapes, a private
 copy of the mask, masked points zeroed, then every value finite (a NaN or
 inf at an unmasked point raises ValueError). Arrays computed from fields
-that were already validated go through the private `_derived` constructor
-instead. Its caller has zeroed the masked points and shaped the arrays
-from the grid, so it skips the shape checks, the mask copy and the
-re-zeroing, and keeps the mask it is given (write-protected, possibly
-shared with other fields). It still checks that every value is finite,
-except for the ops that preserve finiteness exactly (`conj`,
-`without_source`, negation and the real part), which pass `finite=True`.
+that were already validated, or sampled from a closed form, go through the
+private `_derived` constructor instead. Its caller has zeroed the masked
+points and shaped the arrays from the grid, so it skips the shape checks,
+the mask copy and the re-zeroing, and keeps the mask it is given
+(write-protected, possibly shared with other fields). It still checks that
+every value is finite, except for the ops that preserve finiteness exactly
+(`conj`, `without_source`, negation and the real part), which pass
+`finite=True`; a non-finite value there was computed from well-formed
+inputs, so it raises NumericalBreakdown.
 """
 from __future__ import annotations
 
@@ -32,9 +34,9 @@ __all__ = ["GridSpec", "ComplexField", "RealField", "NumericalBreakdown", "field
 
 class NumericalBreakdown(ValueError):
     """A computed quantity left the domain a construction needs: H or the
-    density vanishes or turns negative, psi2 vanishes, or an integration
-    path crosses a masked point. The inputs were well formed; the numbers
-    they produced were not usable."""
+    density vanishes or turns negative, psi2 vanishes, a computed value is
+    not finite, or an integration path crosses a masked point. The inputs
+    were well formed; the numbers they produced were not usable."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class _Field:
         """
         values = np.asarray(values, dtype=cls._dtype)
         if not finite and not np.isfinite(values).all():
-            raise ValueError(_NON_FINITE)
+            raise NumericalBreakdown(_NON_FINITE)
         field = cls.__new__(cls)
         field._set(grid, values, mask, source)
         return field

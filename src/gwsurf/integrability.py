@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import ClosedForm, Jet, jet_inv, lift, sample
+from .closedform import ClosedForm, Jet, lift, sample
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 from .sigma import RhoField
@@ -115,7 +115,7 @@ def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
     if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
     if H.form is not None and H.form.order >= 2:
-        inv_form = lift(jet_inv, H.form)
+        inv_form = lift(lambda j: 1.0 / j, H.form)
         inv = sample(inv_form, grid, extra_mask=h.mask)
     else:
         with np.errstate(all="ignore"):
@@ -148,8 +148,10 @@ def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
 
 
-# grid rows per block of the solve against the distinct pseudo-inverses
+# grid rows per block of the solve against the distinct pseudo-inverses, and
+# distinct keys per block of the designs and their pseudo-inverses
 _FIT_ROWS = 16
+_FIT_KEYS = 2048
 
 
 def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
@@ -164,11 +166,12 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     A point's weighted design is an elementwise function of its nine
     neighbour values and nine validity flags, so points are deduplicated
     on those bytes (153 per point) and the design is built and
-    pseudo-inverted once per distinct key; on a one-dimensional family
-    that is about one per grid row. The same LAPACK call on the same
-    bytes gives the same pseudo-inverse, min-norm on rank-deficient
-    neighbourhoods included. Both right-hand sides are then solved in
-    blocks of grid rows, each against its points' distinct
+    pseudo-inverted once per distinct key, in blocks of keys; on a
+    one-dimensional family that is about one per grid row, on a
+    holomorphic one one per point. The same LAPACK call on the same
+    bytes gives the same pseudo-inverse, whatever the block, min-norm on
+    rank-deficient neighbourhoods included. Both right-hand sides are then
+    solved in blocks of grid rows, each against its points' distinct
     pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
     """
     grid = r.grid
@@ -186,9 +189,13 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     del keys
 
     fi, fj = np.divmod(first, ny)
-    rho_u = rho_n[fi, fj].reshape(-1, 9)
-    w = ok_n[fi, fj].reshape(-1, 9).astype(float)
-    pinv = np.linalg.pinv(np.stack([np.ones_like(rho_u), rho_u, rho_u**2], axis=-1) * w[..., None])
+    pinv = np.empty((len(first), 3, 9), dtype=complex)
+    for k in range(0, len(first), _FIT_KEYS):
+        block = slice(k, k + _FIT_KEYS)
+        rho_u = rho_n[fi[block], fj[block]].reshape(-1, 9)
+        w = ok_n[fi[block], fj[block]].reshape(-1, 9).astype(float)
+        design = np.stack([np.ones_like(rho_u), rho_u, rho_u**2], axis=-1) * w[..., None]
+        pinv[block] = np.linalg.pinv(design)
     inverse = inverse.reshape(nx, ny)
 
     coef = np.empty((6, nx, ny), dtype=complex)

@@ -23,13 +23,13 @@ carries the ln H derivatives when the mean curvature is not constant.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import (Jet, jet_add, jet_conj, jet_div, jet_dz, jet_inv,
-                         jet_mul, jet_scale, jet_sqrt, jet_sub, lift)
+from .closedform import conj, jet_dz, lift, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField
@@ -73,8 +73,7 @@ def rho_from_psi(s: SpinorField) -> RhoField:
         vals = np.where(mask, 0, s.psi1.values / np.conj(s.psi2.values))
     source = None
     if s.psi1.source is not None and s.psi2.source is not None:
-        source = lift(lambda j1, j2: jet_div(j1, jet_conj(j2)),
-                      s.psi1.source, s.psi2.source)
+        source = lift(lambda j1, j2: j1 / conj(j2), s.psi1.source, s.psi2.source)
     return RhoField(ComplexField._derived(s.grid, vals, mask, source=source))
 
 
@@ -103,6 +102,18 @@ def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
     col_fac = step_factors(w, valid, 1)
     sign = np.cumprod(col_fac, axis=1) * sign_row[:, None]
     return sign
+
+
+def psi_pair(rho, drho, h, eps):
+    """The square-root transform: (psi1, psi2) from rho, d rho, H and eps.
+
+    w = sqrt(d rho), den = sqrt(H) (1 + rho conj(rho)), psi1 = eps rho
+    conj(w) / den and psi2 = eps w / den, written with closedform's
+    functions so that it runs on jets and on plain arrays alike.
+    """
+    w = sqrt(drho)
+    den = sqrt(h) * (1 + rho * conj(rho))
+    return eps * (rho * conj(w) / den), eps * (w / den)
 
 
 def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> SpinorField:
@@ -137,24 +148,11 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     rs, hs = r.rho.source, H.form
     if (not flips) and rs is not None and hs is not None \
             and rs.order >= 2 and hs.order >= 1:
-        eps = float(r.branch_eps)
+        def pair(rj, hj):
+            return psi_pair(rj, jet_dz(rj), hj, r.branch_eps)
 
-        def common(rj, hj):
-            wj = jet_sqrt(jet_dz(rj))
-            mj = jet_add(Jet(1.0 + 0j, 0j, 0j, 0j, 0j, 0j), jet_mul(rj, jet_conj(rj)))
-            den = jet_mul(jet_sqrt(hj), mj)
-            return wj, den
-
-        def op2(rj, hj):
-            wj, den = common(rj, hj)
-            return jet_scale(eps, jet_div(wj, den))
-
-        def op1(rj, hj):
-            wj, den = common(rj, hj)
-            return jet_scale(eps, jet_div(jet_mul(rj, jet_conj(wj)), den))
-
-        src1 = lift(op1, rs, hs)
-        src2 = lift(op2, rs, hs)
+        src1 = lift(lambda rj, hj: pair(rj, hj)[0], rs, hs)
+        src2 = lift(lambda rj, hj: pair(rj, hj)[1], rs, hs)
 
     return SpinorField(ComplexField._derived(grid, psi1, mask, source=src1),
                        ComplexField._derived(grid, psi2, mask, source=src2))
@@ -186,7 +184,7 @@ def apply_discrete_symmetry(r: RhoField, which: str) -> RhoField:
     """Discrete symmetries of the sigma system: 'Z2' (rho -> -rho) and
     'I' (rho -> 1/rho, zeros masked)."""
     if which == "Z2":
-        src = lift(lambda j: jet_scale(-1.0, j), r.rho.source) if r.rho.source else None
+        src = lift(operator.neg, r.rho.source) if r.rho.source else None
         vals = -r.rho.values
         np.copyto(vals, 0, where=r.rho.mask)    # negation turns masked zeros into -0
         return RhoField(ComplexField._derived(r.grid, vals, r.rho.mask, source=src,
@@ -196,7 +194,7 @@ def apply_discrete_symmetry(r: RhoField, which: str) -> RhoField:
         mask = r.rho.mask | (a < 1e-8)
         with np.errstate(all="ignore"):
             vals = np.where(mask, 0, 1.0 / r.rho.values)
-        src = lift(jet_inv, r.rho.source) if r.rho.source else None
+        src = lift(lambda j: 1.0 / j, r.rho.source) if r.rho.source else None
         return RhoField(ComplexField._derived(r.grid, vals, mask, source=src), r.branch_eps)
     raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
@@ -250,26 +248,13 @@ def spin_matrix(r: RhoField) -> SpinMatrix:
         "s22": (np.abs(rho) ** 2 - 1.0) / m,
     }
 
-    sources = {k: None for k in vals}
+    sources = dict.fromkeys(vals)
     if r.rho.source is not None:
-        one = Jet(1.0 + 0j, 0j, 0j, 0j, 0j, 0j)
-
-        def with_m(op):
-            def full(rj):
-                mj = jet_add(one, jet_mul(rj, jet_conj(rj)))
-                return op(rj, mj)
-            return full
-
-        sources = {
-            "s11": lift(with_m(lambda rj, mj: jet_div(jet_sub(jet_scale(2.0, one), mj), mj)),
-                        r.rho.source),
-            "s12": lift(with_m(lambda rj, mj: jet_div(jet_scale(2.0, jet_conj(rj)), mj)),
-                        r.rho.source),
-            "s21": lift(with_m(lambda rj, mj: jet_div(jet_scale(2.0, rj), mj)),
-                        r.rho.source),
-            "s22": lift(with_m(lambda rj, mj: jet_div(jet_sub(mj, jet_scale(2.0, one)), mj)),
-                        r.rho.source),
-        }
+        # entries as functions of rho and m = 1 + |rho|^2
+        entries = {"s11": lambda rj, m: (2.0 - m) / m, "s12": lambda rj, m: 2.0 * conj(rj) / m,
+                   "s21": lambda rj, m: 2.0 * rj / m, "s22": lambda rj, m: (m - 2.0) / m}
+        sources = {k: lift(lambda rj, e=e: e(rj, 1.0 + rj * conj(rj)), r.rho.source)
+                   for k, e in entries.items()}
 
     fields = {k: ComplexField._derived(grid, np.where(mask, 0, v), mask, source=sources[k])
               for k, v in vals.items()}
@@ -405,7 +390,7 @@ def multisoliton_product(r1: RhoField, r2: RhoField,
     mask = r1.rho.mask | r2.rho.mask
     src = None
     if r1.rho.source is not None and r2.rho.source is not None:
-        src = lift(jet_mul, r1.rho.source, r2.rho.source)
+        src = lift(operator.mul, r1.rho.source, r2.rho.source)
     vals = np.where(mask, 0, r1.rho.values * r2.rho.values)
     return RhoField(ComplexField._derived(r1.grid, vals, mask, source=src), r1.branch_eps)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import (ClosedForm, constant_form, field_mul, jet_add, jet_conj, jet_log,
-                         jet_mul, lift, sample, sample_real)
+from .closedform import (ClosedForm, conj, constant_form, field_mul, lift, log, sample,
+                         sample_real)
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
 
@@ -137,9 +137,7 @@ def density_p(s: SpinorField) -> RealField:
     vals = np.abs(s.psi1.values) ** 2 + np.abs(s.psi2.values) ** 2
     src = None
     if s.psi1.source is not None and s.psi2.source is not None:
-        src = lift(lambda j1, j2: jet_add(jet_mul(j1, jet_conj(j1)),
-                                          jet_mul(j2, jet_conj(j2))),
-                   s.psi1.source, s.psi2.source)
+        src = lift(lambda j1, j2: j1 * conj(j1) + j2 * conj(j2), s.psi1.source, s.psi2.source)
     # the components are zero wherever the spinor is masked, and so is vals
     return RealField._derived(s.grid, vals, s.mask, source=src)
 
@@ -280,7 +278,7 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
     safe = np.where(p.mask, 1.0, p.values)
     if getattr(p, "source", None) is not None:
         ln = ComplexField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask,
-                                   source=lift(jet_log, p.source))
+                                   source=lift(log, p.source))
     else:
         ln = RealField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask)
     mix = mixed_dzbar_dz(ln)

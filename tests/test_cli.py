@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gwsurf
 from gwsurf.cli import (_KEYS, EXIT_NOINPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
@@ -221,7 +224,12 @@ class TestInduce:
         ["verify", "--family", "rational", "--lambda", "1e8", "--grid", "21x21"],
         # the strip guard masks a band that the comparison paths cross
         ["verify", "--family", "trig", "--domain", "-1,1,-1,1", "--grid", "21x21"],
-    ], ids=["degenerate-spinor", "vanishing-H", "path-crosses-mask"])
+        # well-formed flags whose numbers overflow or underflow
+        ["verify", "--lambda", "1e200", "--grid", "5x5", "--levels", "1"],
+        ["verify", "--domain", "0,1e-320,0,1"],
+        ["verify", "--family", "holomorphic", "--H0", "1e-320"],
+    ], ids=["degenerate-spinor", "vanishing-H", "path-crosses-mask", "H-overflows",
+            "subnormal-spacing", "subnormal-H"])
     def test_degenerate_spinor_is_numerical_failure(self, tmp_path, args):
         assert run(args + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
 
@@ -291,7 +299,9 @@ class TestCountValidation:
                                              ("--grid", "10"), ("--domain", "1,2"),
                                              ("--basepoint", "a,b"), ("--family", "nope"),
                                              ("--lambda", "nan"), ("--A", "nan"),
-                                             ("--H0", "inf"), ("--domain", "nan,1,0,1")])
+                                             ("--H0", "inf"), ("--domain", "nan,1,0,1"),
+                                             ("--grid", "2x9"), ("--grid", "9x0"),
+                                             ("--domain", "1,0,0,1"), ("--domain", "0,1,1,1")])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert run(["verify", flag, value, "--out", str(out)]) == EXIT_USAGE
@@ -300,7 +310,8 @@ class TestCountValidation:
 
     @pytest.mark.parametrize("line", ["levels=0", "jobs=0", "tol_scale=0", "tol_scale=-1",
                                       "tol_scale=nan", "tol_scale=inf", "h0=x",
-                                      "lambda=abc", "grid=10", "h0=nan"])
+                                      "lambda=abc", "grid=10", "h0=nan", "grid=2x9",
+                                      "domain=1,0,0,1", "domain=0,1,2,-2"])
     def test_config_below_one_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")
@@ -386,3 +397,68 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]
+
+
+# fuzzed command lines: mostly well-formed values, one in six a malformed
+# token, and now and then an unknown key
+def _mostly(good, *bad):
+    """`good` five times in six, else one of the `bad` tokens."""
+    return st.sampled_from([False] * 5 + [True]).flatmap(
+        lambda malformed: st.sampled_from(bad) if malformed else good)
+
+
+def _ordered_domain(b):
+    return f"{min(b[:2])},{max(b[:2])},{min(b[2:])},{max(b[2:])}"
+
+
+_NUMBER = _mostly(st.sampled_from(["1", "0.5", "-1.3", "2", "-1", "0", "1e200", "1e-320",
+                                   "default"]),
+                  "", "nan", "inf", "-inf", "1e400", "abc")
+_FUZZ_VALUES = {
+    "family": _mostly(st.sampled_from(["rational", "exponential", "trig", "unimodular",
+                                       "holomorphic"]), "", "nope"),
+    "lambda": _NUMBER, "a": _NUMBER, "h0": _NUMBER, "tol_scale": _NUMBER,
+    # 3 to 5 points per axis: at one or two levels the finest grid is at most 9x9
+    "grid": _mostly(st.builds("{}x{}".format, st.integers(3, 5), st.integers(3, 5)),
+                    "", "3x", "2x2", "x", "nan", "5x5x5", "1e400x3"),
+    "domain": _mostly(st.lists(st.floats(-2, 2), min_size=4, max_size=4).map(_ordered_domain),
+                      "", "1,0,0,1", "0,1,1,0", "0,1,0", "nan,1,0,1", "0,1e400,0,1",
+                      "0,1e-320,0,1", "default", "1,2,3"),
+    "basepoint": _mostly(st.builds("{},{}".format, st.floats(-2, 2), st.floats(-2, 2)),
+                         "", "a,b", "nan,0", "default"),
+    "levels": _mostly(st.sampled_from(["1", "2"]), "", "0", "-1", "nan", "3x"),
+    "jobs": _mostly(st.sampled_from(["1", "2"]), "", "0", "1e400"),
+    "format": _mostly(st.sampled_from(["json", "csv"]), "", "xml"),
+}
+_FLAGS = {k.key: k.flag for k in _KEYS}
+
+
+@st.composite
+def _settings(draw):
+    """(key, value) pairs, now and then an unknown key."""
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES) * 4 + ["familly", "bogus"]),
+                         max_size=3))
+    return [(k, draw(_FUZZ_VALUES.get(k, _NUMBER))) for k in keys]
+
+
+@given(command=st.sampled_from(["verify", "induce", "report"]),
+       grid=st.tuples(st.integers(3, 5), st.integers(3, 5)), lines=_settings(),
+       flags=_settings())
+@settings(max_examples=60, deadline=20000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_config_and_flags_exit_with_a_documented_code(command, grid, lines, flags):
+    # the config file starts from a grid of 3 to 5 points per axis, which
+    # later lines and flags may only replace by another such grid
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ), warnings.catch_warnings():
+        os.environ.pop("WSL_OUT", None)
+        warnings.simplefilter("ignore")
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="ascii") as fh:
+            fh.write(f"grid={grid[0]}x{grid[1]}\n" + "".join(f"{k}={v}\n" for k, v in lines)
+                     + "# a comment\n")
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
+        for key, value in flags:
+            argv += [_FLAGS.get(key, f"--{key}"), value]
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE, EXIT_NOINPUT)

@@ -1,13 +1,13 @@
 """Jet calculus and closed-form combinators against finite differences."""
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwsurf import GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import (ClosedForm, Jet, TaylorJet, conj, cos, diagonal_form, exp,
-                               field_mul, holomorphic_form, jet_add, jet_conj, jet_div,
-                               jet_dz, jet_inv, jet_log, jet_mul, jet_scale, jet_sqrt,
-                               jet_sub, lift, sin, sqrt)
+from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, field_mul,
+                               holomorphic_form, jet_dz, lift, log, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
@@ -48,7 +48,7 @@ def test_lift_quotient_and_sqrt_jets():
     # h = sqrt(a / b) for diagonal forms; compare with the direct expression
     a = diagonal_form(lambda s: 1 + s * s)
     b = diagonal_form(lambda s: 2 + cos(s))
-    combo = lift(lambda ja, jb: jet_sqrt(jet_div(ja, jb)), a, b)
+    combo = lift(lambda ja, jb: sqrt(ja / jb), a, b)
     direct = diagonal_form(lambda s: sqrt((1 + s * s) / (2 + cos(s))))
     g = GridSpec(-1, 1, -1, 1, 31, 31)
     fa, fb = sample(combo, g), sample(direct, g)
@@ -59,7 +59,7 @@ def test_lift_quotient_and_sqrt_jets():
 
 def test_lift_conj_mul_jets():
     a = diagonal_form(lambda s: exp(1j * s))
-    combo = lift(lambda j: jet_mul(j, jet_conj(j)), a)   # |rho|^2 = 1
+    combo = lift(lambda j: j * conj(j), a)   # |rho|^2 = 1
     g = GridSpec(-1, 1, -1, 1, 21, 21)
     f = sample(combo, g)
     assert np.max(np.abs(f.values - 1.0)) < 1e-14
@@ -68,15 +68,15 @@ def test_lift_conj_mul_jets():
 
 def test_lift_drops_unavailable_slots():
     value_only = ClosedForm(lambda z, order: Jet(np.ones(np.shape(z), complex)))
-    out = lift(jet_mul, value_only, value_only)
+    out = lift(operator.mul, value_only, value_only)
     assert out.order == 0 and out.derivative("z") is None
     jet = out.jet(np.zeros(3, complex))
     assert jet.fz is None and jet.fzzb is None
     full = diagonal_form(exp)
-    assert lift(jet_mul, full, value_only).order == 0
-    assert lift(jet_mul, full, full.derivative("z")).order == 1
+    assert lift(operator.mul, full, value_only).order == 0
+    assert lift(operator.mul, full, full.derivative("z")).order == 1
     # jet_dz gives up one order, so the result asks its input for one more
-    lowered = lift(lambda j: jet_sqrt(jet_dz(j)), full)
+    lowered = lift(lambda j: sqrt(jet_dz(j)), full)
     assert lowered.order == 1
     z = GridSpec(-1, 1, -1, 1, 5, 3).zmesh()
     assert np.array_equal(lowered.jet(z, 0).f, np.sqrt(full.jet(z).fz))
@@ -124,7 +124,7 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
 
     def op(a, b):
         levels.append(1)
-        return jet_mul(a, b)
+        return a * b
 
     depth = 4
     form = _counted_leaf(asked)
@@ -147,7 +147,7 @@ def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
     g = GridSpec(-1, 1, -1, 1, 5, 5)
     for diagonal in (False, True):
         leaf = _counted_leaf(asked, diagonal)
-        form = lift(lambda a, b: jet_div(jet_mul(a, jet_conj(b)), b), leaf, lift(jet_sqrt, leaf))
+        form = lift(lambda a, b: a * conj(b) / b, leaf, lift(sqrt, leaf))
         asked.clear()
         f = sample(form, g)
         # the leaf enters twice, directly and through the inner lift
@@ -161,7 +161,6 @@ def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
 def _lifted_diagonal_forms():
     """(form, mesh) pairs: lifts of diagonal forms as the suites build them."""
     from gwsurf import build_family, density_p, psi_from_rho
-    from gwsurf.closedform import jet_inv
     out = []
     for name, kw in (("rational", {"lam": 1.3}), ("exponential", {"lam": 0.7}),
                      ("trig", {"a": 1.5})):
@@ -171,7 +170,7 @@ def _lifted_diagonal_forms():
         out += [(s.psi1.source, g), (s.psi2.source, g)]
         if name == "rational":
             out.append((density_p(s).source, g))
-            out.append((lift(jet_inv, fam.h_form), g))
+            out.append((lift(lambda j: 1.0 / j, fam.h_form), g))
     return out
 
 
@@ -207,7 +206,7 @@ def test_diagonal_lift_runs_its_op_on_one_column():
 
     def op(a, b):
         shapes.append((np.shape(a.f), np.shape(b.f)))
-        return jet_mul(a, b)
+        return a * b
 
     diag = diagonal_form(exp)
     both = lift(op, diag, diagonal_form(lambda s: 1 + s * s))
@@ -235,22 +234,42 @@ def test_diagonal_form_off_mesh_matches_direct_evaluation():
     rng = np.random.default_rng(7)
     z = rng.uniform(-1, 1, (9, 11)) + 1j * rng.uniform(-1, 1, (9, 11))
     z[:, 0] = z[:, 1].real            # one column repeats its neighbour's abscissa
-    direct = fn(TaylorJet((2.0 * z.real).astype(complex), 1.0, 0.0))
-    assert np.array_equal(form.jet(z, 1).fz, direct.d1)
-    assert np.array_equal(form.jet(z).fzzb, direct.d2)
+    direct = fn(Jet((2.0 * z.real).astype(complex), 1.0, 1.0, 0.0, 0.0, 0.0))
+    assert np.array_equal(form.jet(z, 1).fz, direct.fz)
+    assert np.array_equal(form.jet(z).fzzb, direct.fzzb)
     assert np.array_equal(form.jet(z[0], 0).f, fn((2.0 * z[0].real).astype(complex)))
 
 
-def _input_jets(t):
-    """Inputs with hand-written slots: a = exp(c t) (complex), b = 2 + cos t."""
-    c = 0.7 + 0.4j
-    e = np.exp(c * t)
-    return (TaylorJet(e, c * e, c * c * e),
-            TaylorJet(2 + np.cos(t), -np.sin(t), -np.cos(t)))
+C, K = 0.7 + 0.4j, -0.3 + 0.5j       # a = exp(C z + K zbar)
+P, Q = 0.6 - 0.2j, 0.4 + 0.3j        # b = 2 + cos(P z + Q zbar)
 
 
-# one entry per TaylorJet rule; "constants" covers the reflected operators
-# and numpy scalars, which must defer to the jet
+def _input_jets(z):
+    """Non-diagonal inputs with hand-written slots, so every rule's z, zbar
+    and mixed slots differ: a = exp(C z + K zbar) and b = 2 + cos(u) with
+    u = P z + Q zbar."""
+    e = np.exp(C * z + K * np.conj(z))
+    u = P * z + Q * np.conj(z)
+    s, c = np.sin(u), np.cos(u)
+    return (Jet(e, C * e, K * e, C * C * e, C * K * e, K * K * e),
+            Jet(2 + c, -P * s, -Q * s, -P * P * c, -P * Q * c, -Q * Q * c))
+
+
+def _wirtinger_stencils(value, z, h):
+    """Central-difference d, dbar, dd, d dbar and dbar dbar of value at z."""
+    f = {(i, j): value(z + h * (i + 1j * j)) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    fx = (f[1, 0] - f[-1, 0]) / (2 * h)
+    fy = (f[0, 1] - f[0, -1]) / (2 * h)
+    fxx = (f[1, 0] - 2 * f[0, 0] + f[-1, 0]) / (h * h)
+    fyy = (f[0, 1] - 2 * f[0, 0] + f[0, -1]) / (h * h)
+    fxy = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4 * h * h)
+    return {"fz": (fx - 1j * fy) / 2, "fzb": (fx + 1j * fy) / 2,
+            "fzz": (fxx - 2j * fxy - fyy) / 4, "fzzb": (fxx + fyy) / 4,
+            "fzbzb": (fxx + 2j * fxy - fyy) / 4}
+
+
+# one entry per Jet rule; "constants" covers the reflected operators and
+# numpy scalars, which must defer to the jet
 JET_RULES = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -263,28 +282,37 @@ JET_RULES = {
     "exp": lambda a, b: exp(a),
     "sin": lambda a, b: sin(a),
     "cos": lambda a, b: cos(a),
-    "sqrt": lambda a, b: sqrt(a),
+    "sqrt": lambda a, b: sqrt(b),
+    "log": lambda a, b: log(b),
     "conj": lambda a, b: conj(a),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(JET_RULES))
 def test_taylor_jet_rules_match_central_differences(rule):
+    # the rules of the second-order Taylor jet in z and zbar
     op = JET_RULES[rule]
-    t = np.linspace(-1, 1, 9)
-    jet = op(*_input_jets(t))
+    z = np.linspace(-0.5, 0.5, 7)[:, None] + 1j * np.linspace(-0.4, 0.6, 5)[None, :]
+    jet = op(*_input_jets(z))
     value = lambda u: op(*(j.f for j in _input_jets(u)))
-    assert isinstance(jet, TaylorJet)
+    assert isinstance(jet, Jet) and jet.order == 2
     # the value slot is the plain computation, bit for bit
-    assert np.array_equal(np.asarray(jet.f).view(np.uint64), value(t).view(np.uint64))
+    assert np.array_equal(np.asarray(jet.f).view(np.uint64), value(z).view(np.uint64))
+    coarse, fine = _wirtinger_stencils(value, z, 0.02), _wirtinger_stencils(value, z, 0.01)
+    for slot in Jet.__slots__[1:]:
+        ratio = np.max(np.abs(coarse[slot] - getattr(jet, slot))) \
+            / np.max(np.abs(fine[slot] - getattr(jet, slot)))
+        assert 3.5 <= ratio <= 4.5, slot
 
-    def err(h):
-        up, mid, down = value(t + h), value(t), value(t - h)
-        return (np.max(np.abs((up - down) / (2 * h) - jet.d1)),
-                np.max(np.abs((up - 2 * mid + down) / (h * h) - jet.d2)))
 
-    for coarse, fine in zip(err(0.02), err(0.01)):
-        assert 3.5 <= coarse / fine <= 4.5
+def test_jet_result_has_the_lowest_operand_order():
+    a, b = _input_jets(np.array([0.1 + 0.2j]))
+    first = Jet(a.f, a.fz, a.fzb)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(first, b).order == op(b, first).order == 1
+        assert op(Jet(a.f), b).order == 0
+    for fn in (exp, sin, cos, sqrt, log, conj, operator.neg, lambda j: 1 / j):
+        assert fn(first).order == 1 and fn(Jet(b.f)).order == 0
 
 
 def test_formula_constant_in_its_variable_has_zero_derivatives():
@@ -304,9 +332,10 @@ LEAVES = {
     "square": holomorphic_form(lambda z: 2 + z * z / 4),
     "expz": holomorphic_form(lambda z: exp(0.3 * z) + 0.5j),
 }
-UNARY = {"inv": jet_inv, "sqrt": jet_sqrt, "log": jet_log, "conj": jet_conj,
-         "scale": lambda j: jet_scale(-0.75 + 0.5j, j)}
-BINARY = {"add": jet_add, "sub": jet_sub, "mul": jet_mul, "div": jet_div}
+UNARY = {"inv": lambda j: 1.0 / j, "sqrt": sqrt, "log": log, "conj": conj,
+         "scale": lambda j: (-0.75 + 0.5j) * j, "neg": operator.neg}
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv}
 TREES = st.recursive(
     st.sampled_from(sorted(LEAVES)),
     lambda kids: st.one_of(st.tuples(st.sampled_from(sorted(UNARY)), kids),

@@ -219,11 +219,13 @@ class TestParameterSweeps:
 FORMS = ("h_form", "rho_form", "psi1_form", "psi2_form")
 
 
-@pytest.mark.parametrize("name,kw", [(n, {}) for n in FAMILY_NAMES]
-                         + [("rational", {"lam": -1.3, "eps": -1}),
-                            ("exponential", {"lam": 2.0}), ("trig", {"a": 1.5}),
-                            ("unimodular", {"lam": -1.0, "h0": 2.0}),
-                            ("holomorphic", {"h0": 2.0})])
+CASES = ([(n, {}) for n in FAMILY_NAMES]
+         + [("rational", {"lam": -1.3, "eps": -1}), ("exponential", {"lam": 2.0}),
+            ("trig", {"a": 1.5}), ("unimodular", {"lam": -1.0, "h0": 2.0}),
+            ("holomorphic", {"h0": 2.0})])
+
+
+@pytest.mark.parametrize("name,kw", CASES)
 def test_value_slot_is_the_jet_value_bitwise(name, kw):
     fam = build_family(name, **kw)
     x0, x1, y0, y1 = fam.default_domain
@@ -237,3 +239,23 @@ def test_value_slot_is_the_jet_value_bitwise(name, kw):
             value = form.jet(z, 0).f
             assert value.shape == z.shape and form.jet(z, 0).fz is None
             assert np.array_equal(value.view(np.uint64), form.jet(z).f.view(np.uint64)), attr
+
+
+@pytest.mark.parametrize("name,kw", CASES)
+def test_diagonal_forms_have_bitwise_equal_z_and_zbar_slots(name, kw):
+    # a diagonal form runs on the seed Jet(s, 1, 1, 0, 0, 0), whose z and
+    # zbar slots every rule treats alike
+    fam = build_family(name, **kw)
+    forms = [getattr(fam, attr) for attr in FORMS]
+    diagonal = [f for f in forms if f is not None and f.diagonal]
+    assert diagonal and (name == "holomorphic") == (len(diagonal) == 1)
+    z = fam.default_grid(23, 17).zmesh()
+    for form in diagonal:
+        for order, groups in ((1, [("fz", "fzb")]),
+                              (2, [("fz", "fzb"), ("fzz", "fzzb", "fzbzb")])):
+            jet = form.jet(z, order)
+            assert jet.order == order
+            for group in groups:
+                first = getattr(jet, group[0]).view(np.uint64)
+                for slot in group[1:]:
+                    assert np.array_equal(getattr(jet, slot).view(np.uint64), first), slot

@@ -11,6 +11,7 @@ from gwsurf import (ComplexField, GridSpec, MeanCurvature, RhoField, SpinorField
                     h_integrability_residual, linear_system_residual,
                     linearization_constraint_residual, riccati_residual,
                     sinh_gordon_residual, zero_curvature_residual)
+from gwsurf import integrability
 from gwsurf.integrability import HolomorphicProfile, RiccatiCoeffs
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -105,7 +106,7 @@ class TestRiccati:
 
 
     @pytest.mark.parametrize("case", ["rational", "trig", "holomorphic", "patched"])
-    def test_fit_bitwise_equal_full_batch_reference(self, case):
+    def test_fit_bitwise_equal_full_batch_reference(self, case, monkeypatch):
         # diagonal families repeat one design per grid row; the trig domain
         # crosses the guard band (masked rows); holomorphic rho repeats nothing;
         # the patched rational rho has a zero patch, whose designs are
@@ -126,6 +127,8 @@ class TestRiccati:
             mask = np.zeros(g.shape, bool)
             mask[12, 9] = True
             rho = RhoField(ComplexField(g, vals, mask))
+        # blocks of 100 keys: the holomorphic case spans several, the last partial
+        monkeypatch.setattr(integrability, "_FIT_KEYS", 100)
         got = fit_riccati_coeffs(rho)
         for f, ref in zip(got.fields(), _fit_riccati_reference(rho)):
             assert np.array_equal(f.values.view(np.uint64), ref.view(np.uint64))
@@ -135,19 +138,23 @@ class TestRiccati:
 
     def test_fit_peak_memory(self):
         # the dense fit held (nx, ny, 9) index arrays, a 27-wide design and a
-        # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201
-        rho = family_rational(1.0).rho(GridSpec(-1, 1, -1, 1, 201, 201), analytic=False)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fit_riccati_coeffs(rho)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 40 * 2**20
+        # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201.
+        # A holomorphic rho repeats no design, so its designs and
+        # pseudo-inverses are built in blocks of keys (about 108 MB unblocked)
+        g = GridSpec(-1, 1, -1, 1, 201, 201)
+        for fam in (family_rational(1.0), family_holomorphic()):
+            rho = fam.rho(g, analytic=False)
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fit_riccati_coeffs(rho)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak < 40 * 2**20, fam.name
 
 
 def _fit_riccati_reference(r):
