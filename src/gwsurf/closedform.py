@@ -19,7 +19,10 @@ bit for bit. No symbolic algebra is involved.
 
 `diagonal_form` and `holomorphic_form` build closed forms from such
 formulas of one variable, run on a seed jet in that variable; `lift`
-combines closed forms through a formula of their jets.
+combines closed forms through a formula of their jets. `pointwise` derives
+a field from fields through one such formula: it runs on their values for
+the field's values and, lifted over their sources, for its analytic
+source, so a derived field's formula is written once.
 
 A form built by `lift` runs its jet operation once per call on its
 inputs' jets, so nesting lifts costs time linear in the depth. A diagonal
@@ -39,7 +42,7 @@ from .grid import ComplexField, GridSpec, RealField
 __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
-    "lift", "field_mul", "jet_dz", "jet_dzbar",
+    "lift", "pointwise", "field_mul", "jet_dz", "jet_dzbar",
     "exp", "sin", "cos", "sqrt", "log", "conj",
 ]
 
@@ -314,25 +317,46 @@ def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
 
 def sample_real(cf: ClosedForm, grid: GridSpec, extra_mask=None,
                 imag_tol: float = 1e-12) -> RealField:
-    """Sample a form that must be real-valued; complains about imaginary parts."""
+    """Sample a form that must be real-valued; complains about imaginary parts.
+
+    The field keeps `cf` as its source, so derivatives of it are analytic.
+    """
     f = sample(cf, grid, extra_mask=extra_mask)
     im = np.abs(f.values.imag[~f.mask])
     scale = max(1.0, float(np.max(np.abs(f.values.real[~f.mask]), initial=0.0)))
     if im.size and np.max(im) > imag_tol * scale:
         raise ValueError(f"form is not real-valued on the grid (max imag {np.max(im):.3e})")
-    return RealField._derived(grid, f.values.real.copy(), f.mask, finite=True)
+    return RealField._derived(grid, f.values.real.copy(), f.mask, source=cf, finite=True)
+
+
+def pointwise(fn: Callable, *fields, mask=None):
+    """The field fn(*fields), computed point by point.
+
+    `fn` is a formula in the operators and this module's functions (see
+    `Jet`). It runs once on the fields' values, which must share a grid,
+    for the result's values; when every field has an analytic source, the
+    result's source is `lift(fn, *sources)`, so the values and the source
+    come from the one formula. The result is masked on the union of the
+    fields' masks and `mask`, and zero there; it is a ComplexField when
+    `fn` gives complex values and a RealField otherwise.
+    """
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise ValueError("fields live on different grids")
+    m = fields[0].mask
+    for extra in [f.mask for f in fields[1:]] + ([] if mask is None else [mask]):
+        m = m | extra
+    with np.errstate(all="ignore"):
+        vals = fn(*(f.values for f in fields))
+    sources = [f.source for f in fields]
+    src = None if any(s is None for s in sources) else lift(fn, *sources)
+    cls = ComplexField if np.iscomplexobj(vals) else RealField
+    return cls._derived(grid, np.where(m, 0, vals), m, source=src)
 
 
 def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
     """Pointwise product; analytic sources are combined when both exist."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    src = None
-    if a.source is not None and b.source is not None:
-        src = lift(operator.mul, a.source, b.source)
-    mask = a.mask | b.mask
-    return ComplexField._derived(a.grid, np.where(mask, 0, a.values * b.values), mask,
-                                 source=src)
+    return pointwise(operator.mul, a, b)
 
 
 # ---------------------------------------------------------------------------

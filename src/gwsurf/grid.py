@@ -19,9 +19,9 @@ points and shaped the arrays from the grid, so it skips the shape checks,
 the mask copy and the re-zeroing, and keeps the mask it is given
 (write-protected, possibly shared with other fields). It still checks that
 every value is finite, except for the ops that preserve finiteness exactly
-(`conj`, `without_source`, negation and the real part), which pass
-`finite=True`; a non-finite value there was computed from well-formed
-inputs, so it raises NumericalBreakdown.
+(`conj`, `without_source` and the real part), which pass `finite=True`;
+a non-finite value there was computed from well-formed inputs, so it
+raises NumericalBreakdown.
 """
 from __future__ import annotations
 

@@ -18,8 +18,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import ClosedForm, Jet, lift, sample
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
+from .closedform import ClosedForm, Jet, log, pointwise
+from .grid import ComplexField, GridSpec, NumericalBreakdown
 from .reporting import ResidualReport, report_from_parts
 from .sigma import RhoField
 from .weierstrass import MeanCurvature, SpinorField, current_J, density_p
@@ -114,14 +114,7 @@ def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
     h = H.sample(grid)
     if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
-    if H.form is not None and H.form.order >= 2:
-        inv_form = lift(lambda j: 1.0 / j, H.form)
-        inv = sample(inv_form, grid, extra_mask=h.mask)
-    else:
-        with np.errstate(all="ignore"):
-            vals = np.where(h.mask, 0, 1.0 / np.where(h.mask, 1.0, h.values))
-        inv = ComplexField._derived(grid, vals, h.mask)
-    mix = mixed_dzbar_dz(inv)
+    mix = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h))
     return report_from_parts(name, grid, [("ddbar_inv_h", mix.values, mix.mask)],
                              exclude_rings=exclude_rings)
 
@@ -248,8 +241,7 @@ def sinh_gordon_residual(s: SpinorField, H: MeanCurvature,
     if np.any((p.values <= 0) & ~mask):
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(mask, 1.0, p.values)
-    lnp = RealField._derived(s.grid, np.where(mask, 0.0, np.log(safe)), mask)
-    mix = mixed_dzbar_dz(lnp)
+    mix = mixed_dzbar_dz(pointwise(log, p, mask=h.mask))
     J = current_J(s).j
     totmask = mask | mix.mask | J.mask
     vals = mix.values.real - np.abs(J.values) ** 2 / safe**2 + safe**2 * h.values**2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
-from .closedform import conj, jet_dz, lift, sqrt
+from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import MeanCurvature, SpinorField
@@ -68,13 +68,8 @@ def rho_from_psi(s: SpinorField) -> RhoField:
     scale = float(np.max(a, initial=0.0))
     if scale == 0.0:
         raise NumericalBreakdown("psi2 vanishes identically; rho undefined")
-    mask = s.mask | (a < 1e-14 * scale)
-    with np.errstate(all="ignore"):
-        vals = np.where(mask, 0, s.psi1.values / np.conj(s.psi2.values))
-    source = None
-    if s.psi1.source is not None and s.psi2.source is not None:
-        source = lift(lambda j1, j2: j1 / conj(j2), s.psi1.source, s.psi2.source)
-    return RhoField(ComplexField._derived(s.grid, vals, mask, source=source))
+    return RhoField(pointwise(lambda p1, p2: p1 / conj(p2), s.psi1, s.psi2,
+                              mask=a < 1e-14 * scale))
 
 
 def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -95,7 +90,6 @@ def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
         fac[tuple(idx)] = 1.0
         return fac
 
-    sign = np.ones(w.shape)
     # reference row j = 0 of signs along x, then continue along every column
     row_fac = step_factors(w[:, :1], valid[:, :1], 0)
     sign_row = np.cumprod(row_fac[:, 0], axis=0)
@@ -120,42 +114,27 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     """Invert the representation: build the spinor pair from rho and H.
 
     Points where d rho vanishes are masked (the square root degenerates
-    there); H must be positive on the unmasked region. Analytic sources
-    are attached when rho's form has order 2 and H's order 1 or more, and
-    the branch continuation introduced no sign flips.
+    there); H must be positive on the unmasked region. Each component is
+    `psi_pair` of rho, d rho and H, with an analytic source when all three
+    have one, unless the branch continuation flipped a sign: the flipped
+    values carry no source.
     """
-    grid = r.grid
-    h = H.sample(grid)
+    h = H.sample(r.grid)
     if np.any((h.values <= 0) & ~h.mask & ~r.rho.mask):
         raise NumericalBreakdown("transform requires H > 0 at unmasked points")
 
     drho = d_z(r.rho)
     scale = float(np.max(np.abs(drho.values), initial=0.0))
     mask = r.rho.mask | h.mask | drho.mask | (np.abs(drho.values) < dr_eps * max(scale, 1e-300))
+    psi = [pointwise(lambda rho, dr, hv, k=k: psi_pair(rho, dr, hv, r.branch_eps)[k],
+                     r.rho, drho, h, mask=mask) for k in (0, 1)]
 
-    w = np.sqrt(drho.values.astype(complex))
-    sign = _continue_sign(w, ~mask)
-    w = sign * w
-
-    m = 1.0 + np.abs(r.rho.values) ** 2
-    with np.errstate(all="ignore"):
-        den = np.sqrt(np.where(h.mask, 1.0, h.values)) * m
-        psi2 = np.where(mask, 0, r.branch_eps * w / den)
-        psi1 = np.where(mask, 0, r.branch_eps * r.rho.values * np.conj(w) / den)
-
-    src1 = src2 = None
-    flips = bool(np.any((sign < 0) & ~mask))
-    rs, hs = r.rho.source, H.form
-    if (not flips) and rs is not None and hs is not None \
-            and rs.order >= 2 and hs.order >= 1:
-        def pair(rj, hj):
-            return psi_pair(rj, jet_dz(rj), hj, r.branch_eps)
-
-        src1 = lift(lambda rj, hj: pair(rj, hj)[0], rs, hs)
-        src2 = lift(lambda rj, hj: pair(rj, hj)[1], rs, hs)
-
-    return SpinorField(ComplexField._derived(grid, psi1, mask, source=src1),
-                       ComplexField._derived(grid, psi2, mask, source=src2))
+    # flipping sqrt(d rho) flips both components
+    sign = _continue_sign(np.sqrt(drho.values), ~mask)
+    if np.any((sign < 0) & ~mask):
+        psi = [ComplexField._derived(r.grid, np.where(f.mask, 0, sign * f.values), f.mask)
+               for f in psi]
+    return SpinorField(*psi)
 
 
 def sigma_residual(r: RhoField, H: MeanCurvature,
@@ -184,18 +163,10 @@ def apply_discrete_symmetry(r: RhoField, which: str) -> RhoField:
     """Discrete symmetries of the sigma system: 'Z2' (rho -> -rho) and
     'I' (rho -> 1/rho, zeros masked)."""
     if which == "Z2":
-        src = lift(operator.neg, r.rho.source) if r.rho.source else None
-        vals = -r.rho.values
-        np.copyto(vals, 0, where=r.rho.mask)    # negation turns masked zeros into -0
-        return RhoField(ComplexField._derived(r.grid, vals, r.rho.mask, source=src,
-                                              finite=True), r.branch_eps)
+        return RhoField(pointwise(operator.neg, r.rho), r.branch_eps)
     if which == "I":
-        a = np.abs(r.rho.values)
-        mask = r.rho.mask | (a < 1e-8)
-        with np.errstate(all="ignore"):
-            vals = np.where(mask, 0, 1.0 / r.rho.values)
-        src = lift(lambda j: 1.0 / j, r.rho.source) if r.rho.source else None
-        return RhoField(ComplexField._derived(r.grid, vals, mask, source=src), r.branch_eps)
+        return RhoField(pointwise(lambda rho: 1.0 / rho, r.rho, mask=np.abs(r.rho.values) < 1e-8),
+                        r.branch_eps)
     raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
 
@@ -236,29 +207,11 @@ class SpinMatrix:
 
 
 def spin_matrix(r: RhoField) -> SpinMatrix:
-    rho = r.rho.values
-    m = 1.0 + np.abs(rho) ** 2
-    mask = r.rho.mask
-    grid = r.grid
-
-    vals = {
-        "s11": (1.0 - np.abs(rho) ** 2) / m,
-        "s12": 2.0 * np.conj(rho) / m,
-        "s21": 2.0 * rho / m,
-        "s22": (np.abs(rho) ** 2 - 1.0) / m,
-    }
-
-    sources = dict.fromkeys(vals)
-    if r.rho.source is not None:
-        # entries as functions of rho and m = 1 + |rho|^2
-        entries = {"s11": lambda rj, m: (2.0 - m) / m, "s12": lambda rj, m: 2.0 * conj(rj) / m,
-                   "s21": lambda rj, m: 2.0 * rj / m, "s22": lambda rj, m: (m - 2.0) / m}
-        sources = {k: lift(lambda rj, e=e: e(rj, 1.0 + rj * conj(rj)), r.rho.source)
-                   for k, e in entries.items()}
-
-    fields = {k: ComplexField._derived(grid, np.where(mask, 0, v), mask, source=sources[k])
-              for k, v in vals.items()}
-    return SpinMatrix(fields["s11"], fields["s12"], fields["s21"], fields["s22"])
+    # entries as functions of rho and m = 1 + |rho|^2
+    entries = (lambda rho, m: (2.0 - m) / m, lambda rho, m: 2.0 * conj(rho) / m,
+               lambda rho, m: 2.0 * rho / m, lambda rho, m: (m - 2.0) / m)
+    return SpinMatrix(*(pointwise(lambda rho, e=e: e(rho, 1.0 + rho * conj(rho)), r.rho)
+                        for e in entries))
 
 
 def _commutator_with_mixed(S: SpinMatrix):
@@ -387,12 +340,7 @@ def multisoliton_product(r1: RhoField, r2: RhoField,
         raise ValueError("factors live on different grids")
     _require_unimodular(r1, tol)
     _require_unimodular(r2, tol)
-    mask = r1.rho.mask | r2.rho.mask
-    src = None
-    if r1.rho.source is not None and r2.rho.source is not None:
-        src = lift(operator.mul, r1.rho.source, r2.rho.source)
-    vals = np.where(mask, 0, r1.rho.values * r2.rho.values)
-    return RhoField(ComplexField._derived(r1.grid, vals, mask, source=src), r1.branch_eps)
+    return RhoField(pointwise(operator.mul, r1.rho, r2.rho), r1.branch_eps)
 
 
 def unimodular_H_constancy_check(r: RhoField, H: MeanCurvature,

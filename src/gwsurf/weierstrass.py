@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import (ClosedForm, conj, constant_form, field_mul, lift, log, sample,
+from .closedform import (ClosedForm, conj, constant_form, field_mul, log, pointwise, sample,
                          sample_real)
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .reporting import ResidualReport, report_from_parts
@@ -67,9 +67,9 @@ class SpinorField:
 class MeanCurvature:
     """Real-valued mean curvature, backed by a closed form or a sampled field.
 
-    Sampling enforces realness (imaginary part below 1e-12 relative); the
-    zero set can be queried as a mask since several transforms divide by
-    H or take its square root.
+    Sampling enforces realness (imaginary part below 1e-12 relative); a
+    sampled form keeps the form as its source, so derivatives of the
+    sample are analytic.
     """
 
     def __init__(self, form: ClosedForm | None = None, field: RealField | None = None):
@@ -93,35 +93,12 @@ class MeanCurvature:
             return self._field
         return sample_real(self.form, grid)
 
-    def zero_mask(self, grid: GridSpec, eps: float = 1e-12) -> np.ndarray:
-        f = self.sample(grid)
-        return f.mask | (np.abs(f.values) < eps)
-
-    def d_z(self, grid: GridSpec) -> ComplexField:
-        if self.form is not None and self.form.order >= 1:
-            return sample(self.form.derivative("z"), grid)
-        return d_z(self.sample(grid))
-
-    def d_zbar(self, grid: GridSpec) -> ComplexField:
-        if self.form is not None and self.form.order >= 1:
-            return sample(self.form.derivative("zbar"), grid)
-        return d_zbar(self.sample(grid))
-
     def log_derivatives(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d ln H, dbar ln H, mask); requires H > 0 on the unmasked region."""
         f = self.sample(grid)
         if np.any((f.values <= 0) & ~f.mask):
             raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
-        if self.form is not None and self.form.order >= 1:
-            hz = self.d_z(grid)
-            hzb = self.d_zbar(grid)
-            mask = f.mask | hz.mask | hzb.mask
-            with np.errstate(all="ignore"):
-                lz = np.where(mask, 0, hz.values / f.values)
-                lzb = np.where(mask, 0, hzb.values / f.values)
-            return lz, lzb, mask
-        ln = RealField._derived(grid, np.where(f.mask, 0.0, np.log(np.where(f.mask, 1.0, f.values))),
-                                f.mask)
+        ln = pointwise(log, f)
         lz = d_z(ln)
         lzb = d_zbar(ln)
         return lz.values, lzb.values, lz.mask | lzb.mask
@@ -134,12 +111,9 @@ class Current:
 
 def density_p(s: SpinorField) -> RealField:
     """p = |psi1|^2 + |psi2|^2, the conformal factor of the induced metric."""
-    vals = np.abs(s.psi1.values) ** 2 + np.abs(s.psi2.values) ** 2
-    src = None
-    if s.psi1.source is not None and s.psi2.source is not None:
-        src = lift(lambda j1, j2: j1 * conj(j1) + j2 * conj(j2), s.psi1.source, s.psi2.source)
-    # the components are zero wherever the spinor is masked, and so is vals
-    return RealField._derived(s.grid, vals, s.mask, source=src)
+    p = pointwise(lambda p1, p2: p1 * conj(p1) + p2 * conj(p2), s.psi1, s.psi2)
+    return RealField._derived(s.grid, p.values.real.copy(), p.mask, source=p.source,
+                              finite=True)
 
 
 def _check_grids(s: SpinorField, H: MeanCurvature) -> tuple[RealField, np.ndarray]:
@@ -214,7 +188,7 @@ def dbar_J_defect(s: SpinorField, H: MeanCurvature,
     J = current_J(s).j
     dJ = d_zbar(J)
     p = density_p(s).values
-    hz = H.d_z(s.grid)
+    hz = d_z(h)
     vals = dJ.values + p**2 * hz.values
     return report_from_parts(name, s.grid,
                              [("dbar_J_plus_p2_dH", vals, mask | dJ.mask | hz.mask)],
@@ -238,7 +212,7 @@ def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
 
     h, mask = _check_grids(s, H)
     p = density_p(s).values
-    hz = H.d_z(grid)
+    hz = d_z(h)
     g = p**2 * hz.values
     gmask = mask | hz.mask
 
@@ -276,12 +250,7 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
     if np.any((p.values <= 0) & ~p.mask):
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(p.mask, 1.0, p.values)
-    if getattr(p, "source", None) is not None:
-        ln = ComplexField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask,
-                                   source=lift(log, p.source))
-    else:
-        ln = RealField._derived(p.grid, np.where(p.mask, 0.0, np.log(safe)), p.mask)
-    mix = mixed_dzbar_dz(ln)
+    mix = mixed_dzbar_dz(pointwise(log, p))
     mask = p.mask | mix.mask
     with np.errstate(all="ignore"):
         vals = np.where(mask, 0.0, -mix.values.real / safe**2)

@@ -366,15 +366,35 @@ class TestFamilyParameters:
             assert stamped[keys[flag]] == (None if value == "default" else float(value))
 
 
-def test_python_dash_m_gwsurf():
-    # the child runs the same gwsurf as this process, installed or not
+def run_child(args):
+    """`python -m gwsurf args` in a child running the same gwsurf as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(gwsurf.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "gwsurf", "--version"], capture_output=True,
-                         text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "gwsurf", *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_python_dash_m_gwsurf():
+    out = run_child(["--version"])
     assert out.returncode == 0
     assert out.stdout.strip() == gwsurf.__version__
+
+
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["verify", "--jobs", "2"],
+                                     ["induce"]], ids=["verify-1", "verify-2", "induce"])
+@pytest.mark.parametrize("args", [
+    ["--domain", "0,1e-320,0,1"],
+    ["--family", "holomorphic", "--H0", "1e-320"],
+], ids=["subnormal-spacing", "subnormal-H"])
+def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
+    # numpy warnings raised on the way to the breakdown stay silent, in the
+    # main thread and in the pool's worker threads alike
+    out = run_child(command + args + ["--out", str(tmp_path)])
+    assert out.returncode == EXIT_NUMERICAL
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
 @pytest.mark.parametrize("kind", ["exact", "fd", "control", "classify"])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gwsurf import GridSpec, d_z, d_zbar, mixed_dzbar_dz, sample
+from gwsurf import ComplexField, GridSpec, RealField, d_z, d_zbar, mixed_dzbar_dz, sample
 from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, field_mul,
-                               holomorphic_form, jet_dz, lift, log, sin, sqrt)
+                               holomorphic_form, jet_dz, lift, log, pointwise, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
@@ -93,6 +93,19 @@ def test_field_mul_combines_sources():
     s = 2 * np.real(g.zmesh())
     expect = (np.cos(s) + np.sin(s)) * np.exp(s)      # d/ds (sin s exp s)
     assert np.max(np.abs(d.values - expect)) < 1e-12
+
+
+def test_pointwise_masks_the_union_and_lifts_only_complete_sources():
+    g = GridSpec(-1, 1, -1, 1, 9, 7)
+    zero = np.zeros(g.shape, dtype=bool)
+    zero[4] = True      # sin(s) vanishes on x = 0
+    a = sample(diagonal_form(exp), g, extra_mask=np.eye(9, 7, dtype=bool))
+    b = sample(diagonal_form(sin), g)
+    f = pointwise(lambda u, v: u / v, a, b, mask=zero)
+    assert np.array_equal(f.mask, a.mask | zero) and not f.values[f.mask].any()
+    assert isinstance(f, ComplexField) and f.source is not None
+    assert pointwise(operator.mul, a, b.without_source()).source is None
+    assert isinstance(pointwise(np.abs, a.without_source()), RealField)
 
 
 def test_field_mul_requires_matching_grids():

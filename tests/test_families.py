@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from gwsurf import (FAMILY_NAMES, GridSpec, build_family, density_p,
-                    family_exponential, family_holomorphic, family_rational,
-                    family_trigonometric, family_unimodular, psi_from_rho,
-                    rho_from_psi, sigma_residual, weierstrass_residual)
+from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
+                    build_family, density_p, family_exponential, family_holomorphic,
+                    family_rational, family_trigonometric, family_unimodular,
+                    multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
+                    spin_matrix, weierstrass_residual)
 from gwsurf.calculus import d_z
-from gwsurf.closedform import holomorphic_form
+from gwsurf.cli import _fd_H
+from gwsurf.closedform import field_mul, holomorphic_form, sample
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -259,3 +261,41 @@ def test_diagonal_forms_have_bitwise_equal_z_and_zbar_slots(name, kw):
                 first = getattr(jet, group[0]).view(np.uint64)
                 for slot in group[1:]:
                     assert np.array_equal(getattr(jet, slot).view(np.uint64), first), slot
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("name,kw", CASES)
+def test_derived_values_are_their_sources_samples_bitwise(name, kw):
+    # a derived field's values and its analytic source come from one
+    # formula, so sampling the source reproduces the values bit for bit
+    fam = build_family(name, **kw)
+    g = fam.default_grid(23, 17)
+    s, rho = fam.spinor(g), fam.rho(g)
+    complex_fields = [rho_from_psi(s).rho, *spin_matrix(rho).entries(),
+                      field_mul(s.psi1, s.psi2), apply_discrete_symmetry(rho, "Z2").rho,
+                      apply_discrete_symmetry(rho, "I").rho]
+    if name == "unimodular":
+        complex_fields.append(multisoliton_product(rho, rho).rho)
+    real_fields = [density_p(s), fam.mean_curvature.sample(g)]
+    for k, f in enumerate(complex_fields + real_fields):
+        assert f.source is not None, k
+        again = sample(f.source, g, extra_mask=f.mask).values
+        if k >= len(complex_fields):
+            again = again.real
+        ok = ~f.mask
+        assert ok.any() and np.array_equal(_bits(f.values[ok]), _bits(again[ok])), k
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_fd_mean_curvature_has_no_source(name):
+    # the finite-difference suites differentiate H by stencils, not jets
+    fam = build_family(name)
+    g = fam.default_grid(23, 17)
+    h = _fd_H(fam, g).sample(g)
+    assert h.source is None
+    stencil = d_z(RealField(g, h.values, h.mask))
+    assert np.array_equal(_bits(d_z(h).values), _bits(stencil.values))
+    assert np.array_equal(d_z(h).mask, stencil.mask)
