@@ -9,16 +9,17 @@ explicit solution families attached to it.
 __version__ = "0.1.0"
 
 from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown, field_to_csv
-from .closedform import ClosedForm, sample, sample_real, diagonal_form, holomorphic_form, constant_form
+from .closedform import (ClosedForm, Jet, sample, sample_real, diagonal_form, holomorphic_form,
+                         constant_form, lift, pointwise, field_mul, jet_dz, jet_dzbar,
+                         exp, sin, cos, sqrt, log, conj)
 from .calculus import d_z, d_zbar, mixed_dzbar_dz, dx, dy, dxx, dyy, dxy
-from .reporting import ResidualReport, ResidualPart, report_from_parts, norms
-from .weierstrass import (SpinorField, MeanCurvature, Current, density_p,
+from .reporting import ResidualReport, ResidualPart, report_from_parts, norms, worst
+from .weierstrass import (SpinorField, log_derivatives, density_p,
                           weierstrass_residual, potential_conservation_residual,
                           current_J, dbar_J_defect, modified_current,
                           conservation_defect, gaussian_curvature_from_p)
-from .sigma import (RhoField, SpinMatrix, DeformationMatrices, rho_from_psi,
-                    psi_from_rho, sigma_residual, apply_discrete_symmetry,
-                    spin_matrix, landau_lifshitz_residual, deformation_matrices,
+from .sigma import (SpinMatrix, rho_from_psi, psi_from_rho, sigma_residual,
+                    apply_discrete_symmetry, spin_matrix, landau_lifshitz_residual,
                     deformed_ll_residual, multisoliton_product,
                     unimodular_H_constancy_check, compatibility_residual)
 from .integrability import (RiccatiCoeffs, HolomorphicProfile, h_integrability_residual,

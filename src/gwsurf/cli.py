@@ -49,7 +49,7 @@ from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, multisoliton_product, psi_from_rho,
                     rho_from_psi, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check)
-from .weierstrass import (MeanCurvature, conservation_defect, current_J,
+from .weierstrass import (conservation_defect, current_J,
                           dbar_J_defect, density_p, gaussian_curvature_from_p,
                           modified_current, potential_conservation_residual,
                           weierstrass_residual)
@@ -265,10 +265,6 @@ class SuiteSpec:
     expect_ratio: object = _ALL
 
 
-def _fd_H(fam: SolutionFamily, grid: GridSpec) -> MeanCurvature:
-    return MeanCurvature.from_field(fam.mean_curvature.sample(grid).without_source())
-
-
 def _param(fam: SolutionFamily) -> float:
     return fam.params.get("lambda", fam.params.get("A", 1.0))
 
@@ -287,20 +283,19 @@ def _report_scalar(grid, value, **details) -> ResidualReport:
 
 def run_roundtrip_exact(fam, grid):
     rho = fam.rho(grid)
-    back = rho_from_psi(psi_from_rho(rho, fam.mean_curvature))
-    return _report_scalar(grid, _max_abs(back.rho.values - rho.rho.values,
-                                         rho.rho.mask | back.rho.mask))
+    back = rho_from_psi(psi_from_rho(rho, fam.h(grid), fam.eps))
+    return _report_scalar(grid, _max_abs(back.values - rho.values, rho.mask | back.mask))
 
 
 def run_transform_exact(fam, grid):
-    H = fam.mean_curvature
-    a = weierstrass_residual(psi_from_rho(fam.rho(grid), H), H)
+    h = fam.h(grid)
+    a = weierstrass_residual(psi_from_rho(fam.rho(grid), h, fam.eps), h)
     derived = rho_from_psi(fam.spinor(grid))
-    b = sigma_residual(derived, H)
+    b = sigma_residual(derived, h)
     # the quotient's derivatives legitimately amplify rounding where |rho|
     # grows large, so that direction is judged relative to the size of the
     # second-derivative term it has to cancel
-    mixed = mixed_dzbar_dz(derived.rho)
+    mixed = mixed_dzbar_dz(derived)
     scale = max(1.0, _max_abs(mixed.values, mixed.mask))
     return _report_scalar(grid, worst(a.max_norm, b.max_norm / scale),
                           spinor_direction=a.max_norm, rho_direction=b.max_norm,
@@ -309,9 +304,9 @@ def run_transform_exact(fam, grid):
 
 def run_current_identity_exact(fam, grid):
     s = fam.spinor(grid)
-    J = current_J(s).j
+    J = current_J(s)
     p = density_p(s)
-    h = fam.mean_curvature.sample(grid)
+    h = fam.h(grid)
     vals = np.abs(J.values) ** 2 - p.values**4 * h.values**2
     return _report_scalar(grid, _max_abs(vals, J.mask | p.mask | h.mask))
 
@@ -322,16 +317,16 @@ def run_constraints_exact(fam, grid):
 
 
 def run_linear_system_exact(fam, grid):
-    return linear_system_residual(fam.spinor(grid), fam.mean_curvature, abs(_param(fam)),
+    return linear_system_residual(fam.spinor(grid), fam.h(grid), abs(_param(fam)),
                                   exclude_rings=2)
 
 
 def run_compatibility_exact(fam, grid):
-    return compatibility_residual(fam.rho(grid), fam.mean_curvature, exclude_rings=2)
+    return compatibility_residual(fam.rho(grid), fam.h(grid), exclude_rings=2)
 
 
 def run_h_constancy_exact(fam, grid):
-    rep = unimodular_H_constancy_check(fam.rho(grid), fam.mean_curvature)
+    rep = unimodular_H_constancy_check(fam.rho(grid), fam.h(grid))
     if not rep.details.get("consistent", False):
         return replace(rep, max_norm=worst(rep.max_norm, 1.0))
     return rep
@@ -340,8 +335,8 @@ def run_h_constancy_exact(fam, grid):
 def run_multisoliton_exact(fam, grid):
     rho = fam.rho(grid)
     prod = multisoliton_product(rho, rho)
-    rep = sigma_residual(prod, fam.mean_curvature)
-    dev = _max_abs(np.abs(prod.rho.values) - 1.0, prod.rho.mask)
+    rep = sigma_residual(prod, fam.h(grid))
+    dev = _max_abs(np.abs(prod.values) - 1.0, prod.mask)
     return replace(rep, max_norm=worst(rep.max_norm, dev), details={"unimodularity": dev})
 
 
@@ -350,12 +345,13 @@ def run_multisoliton_exact(fam, grid):
 def run_sigma_fd(fam, grid):
     # the mixed second derivative composes two stencils, so the boundary
     # seam converges one order slower; the interior carries the O(h^2) claim
-    return sigma_residual(fam.rho(grid, analytic=False), _fd_H(fam, grid), exclude_rings=2)
+    return sigma_residual(fam.rho(grid, analytic=False), fam.h(grid, analytic=False),
+                          exclude_rings=2)
 
 
 def run_roundtrip_fd(fam, grid):
     s = fam.spinor(grid, analytic=False)
-    back = psi_from_rho(rho_from_psi(s), _fd_H(fam, grid))
+    back = psi_from_rho(rho_from_psi(s), fam.h(grid, analytic=False))
     mask = s.mask | back.mask
     # compare up to the global transform sign
     d_plus = np.abs(back.psi2.values - s.psi2.values)
@@ -368,22 +364,23 @@ def run_roundtrip_fd(fam, grid):
 
 
 def run_current_defect_fd(fam, grid):
-    return dbar_J_defect(fam.spinor(grid, analytic=False), _fd_H(fam, grid), exclude_rings=2)
+    return dbar_J_defect(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
+                         exclude_rings=2)
 
 
 def run_modified_current_fd(fam, grid):
     x0 = grid.xs()[(grid.nx - 1) // 2]
-    cur = modified_current(fam.spinor(grid, analytic=False), _fd_H(fam, grid), x0)
+    cur = modified_current(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False), x0)
     return conservation_defect(cur, exclude_rings=2)
 
 
 def run_sinh_gordon_fd(fam, grid):
-    return sinh_gordon_residual(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
+    return sinh_gordon_residual(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
                                 exclude_rings=2)
 
 
 def run_deformed_ll_fd(fam, grid):
-    return deformed_ll_residual(fam.rho(grid, analytic=False), _fd_H(fam, grid),
+    return deformed_ll_residual(fam.rho(grid, analytic=False), fam.h(grid, analytic=False),
                                 exclude_rings=2)
 
 
@@ -408,7 +405,7 @@ def run_path_independence_fd(fam, grid):
 
 
 def run_linear_system_fd(fam, grid):
-    return linear_system_residual(fam.spinor(grid, analytic=False), _fd_H(fam, grid),
+    return linear_system_residual(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
                                   abs(_param(fam)), exclude_rings=2)
 
 
@@ -418,12 +415,12 @@ def run_ll_necessity_control(fam, grid):
     """Undeformed spin equation must fail where the deformation is needed."""
     rho = fam.rho(grid, analytic=False)
     undeformed = landau_lifshitz_residual(spin_matrix(rho), exclude_rings=2)
-    deformed = deformed_ll_residual(rho, _fd_H(fam, grid), exclude_rings=2)
+    deformed = deformed_ll_residual(rho, fam.h(grid, analytic=False), exclude_rings=2)
     return _report_scalar(grid, undeformed.max_norm, deformed=deformed.max_norm)
 
 
 def run_h_classification(fam, grid):
-    rep = h_integrability_residual(fam.mean_curvature, grid, exclude_rings=2)
+    rep = h_integrability_residual(fam.h(grid), exclude_rings=2)
     details = dict(rep.details)
     if fam.name == "rational":
         # d dbar (1/H) of the rational family is the constant 2 lambda^2
@@ -434,9 +431,9 @@ def run_h_classification(fam, grid):
 
 SUITES = (
     SuiteSpec("dirac_exact", "exact", _SPINOR,
-              lambda fam, g: weierstrass_residual(fam.spinor(g), fam.mean_curvature)),
+              lambda fam, g: weierstrass_residual(fam.spinor(g), fam.h(g))),
     SuiteSpec("sigma_exact", "exact", _ALL,
-              lambda fam, g: sigma_residual(fam.rho(g), fam.mean_curvature)),
+              lambda fam, g: sigma_residual(fam.rho(g), fam.h(g))),
     SuiteSpec("conservation_exact", "exact", _SPINOR,
               lambda fam, g: potential_conservation_residual(fam.spinor(g))),
     SuiteSpec("roundtrip_exact", "exact", _VARYING_H, run_roundtrip_exact),
@@ -448,13 +445,14 @@ SUITES = (
     SuiteSpec("constraints_exact", "exact", _VARYING_H, run_constraints_exact, POINTWISE_TOL),
     SuiteSpec("linear_system_exact", "exact", _VARYING_H, run_linear_system_exact, POINTWISE_TOL),
     SuiteSpec("deformed_ll_exact", "exact", _VARYING_H,
-              lambda fam, g: deformed_ll_residual(fam.rho(g), fam.mean_curvature), POINTWISE_TOL),
+              lambda fam, g: deformed_ll_residual(fam.rho(g), fam.h(g)), POINTWISE_TOL),
     SuiteSpec("compatibility_exact", "exact", _on("unimodular"), run_compatibility_exact,
               POINTWISE_TOL),
     SuiteSpec("h_constancy_exact", "exact", _UNIMODULAR, run_h_constancy_exact, POINTWISE_TOL),
     SuiteSpec("multisoliton_exact", "exact", _UNIMODULAR, run_multisoliton_exact, POINTWISE_TOL),
     SuiteSpec("dirac_fd", "fd", _VARYING_H,
-              lambda fam, g: weierstrass_residual(fam.spinor(g, analytic=False), _fd_H(fam, g))),
+              lambda fam, g: weierstrass_residual(fam.spinor(g, analytic=False),
+                                                  fam.h(g, analytic=False))),
     SuiteSpec("sigma_fd", "fd", _VARYING_H, run_sigma_fd),
     SuiteSpec("conservation_fd", "fd", _VARYING_H,
               lambda fam, g: potential_conservation_residual(fam.spinor(g, analytic=False))),
@@ -622,7 +620,7 @@ def cmd_induce(cfg: RunConfig) -> int:
     rim = np.ones(grid.shape, dtype=bool)
     rim[1:-1, 1:-1] = False
     h_num = ff.mean_curvature
-    h_pre = fam.mean_curvature.sample(grid)
+    h_pre = fam.h(grid)
     closure = _max_abs(np.abs(h_num.values) - np.abs(h_pre.values),
                        rim | h_num.mask | h_pre.mask)
     k_num = ff.gauss_curvature

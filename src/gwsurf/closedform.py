@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, RealField
+from .grid import ComplexField, GridSpec, RealField, _shared
 
 __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
@@ -340,12 +340,9 @@ def pointwise(fn: Callable, *fields, mask=None):
     fields' masks and `mask`, and zero there; it is a ComplexField when
     `fn` gives complex values and a RealField otherwise.
     """
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields[1:]):
-        raise ValueError("fields live on different grids")
-    m = fields[0].mask
-    for extra in [f.mask for f in fields[1:]] + ([] if mask is None else [mask]):
-        m = m | extra
+    grid, m = _shared(*fields)
+    if mask is not None:
+        m = m | mask
     with np.errstate(all="ignore"):
         vals = fn(*(f.values for f in fields))
     sources = [f.source for f in fields]

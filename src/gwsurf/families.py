@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form, sample, sin
-from .grid import GridSpec
-from .sigma import RhoField, psi_from_rho, psi_pair
-from .weierstrass import MeanCurvature, SpinorField
+from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form, sample,
+                         sample_real, sin)
+from .grid import ComplexField, GridSpec, RealField
+from .sigma import psi_from_rho, psi_pair
+from .weierstrass import SpinorField
 
 __all__ = ["SolutionFamily", "family_rational", "family_exponential",
            "family_trigonometric", "family_unimodular", "family_holomorphic",
@@ -43,7 +44,11 @@ __all__ = ["SolutionFamily", "family_rational", "family_exponential",
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """A named (H, rho, psi) triple with an admissible-domain predicate."""
+    """A named (H, rho, psi) triple with an admissible-domain predicate.
+
+    `h`, `rho` and `spinor` sample it on a grid, keeping the forms as
+    sources (analytic derivatives); analytic=False drops them (stencils).
+    """
 
     name: str
     params: dict
@@ -55,27 +60,30 @@ class SolutionFamily:
     default_domain: tuple
     eps: int = 1
 
-    @property
-    def mean_curvature(self) -> MeanCurvature:
-        return MeanCurvature(form=self.h_form)
+    def __post_init__(self):
+        if self.eps not in (+1, -1):
+            raise ValueError("branch sign must be +1 or -1")
 
     def guard_mask(self, grid: GridSpec) -> np.ndarray:
         if self.admissible is None:
             return np.zeros(grid.shape, dtype=bool)
         return ~np.asarray(self.admissible(grid.zmesh()), dtype=bool)
 
-    def rho(self, grid: GridSpec, analytic: bool = True) -> RhoField:
+    def h(self, grid: GridSpec, analytic: bool = True) -> RealField:
+        f = sample_real(self.h_form, grid)
+        return f if analytic else f.without_source()
+
+    def rho(self, grid: GridSpec, analytic: bool = True) -> ComplexField:
         f = sample(self.rho_form, grid, extra_mask=self.guard_mask(grid))
-        if not analytic:
-            f = f.without_source()
-        return RhoField(f, branch_eps=self.eps)
+        return f if analytic else f.without_source()
 
     def spinor(self, grid: GridSpec, analytic: bool = True) -> SpinorField:
         if self.psi1_form is None:
-            s = psi_from_rho(self.rho(grid, analytic=analytic), self.mean_curvature)
+            s = psi_from_rho(self.rho(grid, analytic), self.h(grid, analytic), self.eps)
         else:
-            s = SpinorField.from_closed_forms(self.psi1_form, self.psi2_form, grid,
-                                              extra_mask=self.guard_mask(grid))
+            guard = self.guard_mask(grid)
+            s = SpinorField(sample(self.psi1_form, grid, guard),
+                            sample(self.psi2_form, grid, guard))
         return s if analytic else s.without_sources()
 
     def default_grid(self, nx: int = 101, ny: int = 101) -> GridSpec:

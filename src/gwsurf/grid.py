@@ -170,6 +170,17 @@ class _Field:
         return int(np.count_nonzero(self.mask))
 
 
+def _shared(*fields) -> tuple[GridSpec, np.ndarray]:
+    """The grid that `fields` (anything with .grid and .mask) share, and the
+    union of their masks; ValueError when they live on different grids."""
+    grid, mask = fields[0].grid, fields[0].mask
+    for f in fields[1:]:
+        if f.grid != grid:
+            raise ValueError("fields live on different grids")
+        mask = mask | f.mask
+    return grid, mask
+
+
 class ComplexField(_Field):
     """Complex values on a grid, optionally backed by an analytic source.
 

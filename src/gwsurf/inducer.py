@@ -30,9 +30,9 @@ from itertools import compress
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows, _shared
 from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
-from .weierstrass import MeanCurvature, SpinorField, density_p, gaussian_curvature_from_p
+from .weierstrass import SpinorField, density_p, gaussian_curvature_from_p
 
 __all__ = [
     "Surface", "FundamentalForms",
@@ -377,7 +377,7 @@ def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:
     return RealField._derived(ff.grid, np.where(outmask, 0, vals), outmask)
 
 
-def rigid_string_residual(H: MeanCurvature, K: RealField, gamma: float, alpha: float,
+def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float,
                           ff: FundamentalForms,
                           name: str = "rigid_string") -> ResidualReport:
     """Pointwise Euler-Lagrange residual -2 gamma H + alpha (Lap H + 2 H^3 + R H).
@@ -386,10 +386,9 @@ def rigid_string_residual(H: MeanCurvature, K: RealField, gamma: float, alpha: f
     excluded from the norm because the Laplace-Beltrami stencil composes
     two first derivatives there.
     """
-    grid = ff.grid
-    h = H.sample(grid)
+    grid, mask = _shared(h, K, ff)
     lap = _laplace_beltrami(ff, h)
-    mask = h.mask | lap.mask | K.mask
+    mask = mask | lap.mask
     vals = -2 * gamma * h.values + alpha * (lap.values + 2 * h.values**3
                                             - 2 * K.values * h.values)
     return report_from_parts(name, grid, [("euler_lagrange", np.where(mask, 0, vals), mask)],

@@ -19,10 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, Jet, log, pointwise
-from .grid import ComplexField, GridSpec, NumericalBreakdown
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, report_from_parts
-from .sigma import RhoField
-from .weierstrass import MeanCurvature, SpinorField, current_J, density_p
+from .weierstrass import SpinorField, current_J, density_p, log_derivatives
 
 __all__ = [
     "RiccatiCoeffs", "HolomorphicProfile",
@@ -83,7 +82,7 @@ class HolomorphicProfile:
                 raise ValueError("profile is not real-valued on the real axis")
 
 
-def h_from_profile(q, den_eps: float = 1e-12) -> MeanCurvature:
+def h_from_profile(q, den_eps: float = 1e-12) -> ClosedForm:
     """H = 1/(Q(z) + Q(zbar)); zeros of the denominator are masked.
 
     The construction satisfies the integrability criterion by design:
@@ -103,35 +102,33 @@ def h_from_profile(q, den_eps: float = 1e-12) -> MeanCurvature:
     def guard(z):
         return np.abs(denominator(z)) < den_eps
 
-    return MeanCurvature(form=ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard))
+    return ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard)
 
 
-def h_integrability_residual(H: MeanCurvature, grid: GridSpec,
+def h_integrability_residual(h: RealField,
                              name: str = "h_integrability",
                              zero_eps: float = 1e-12,
                              exclude_rings: int = 0) -> ResidualReport:
     """Norm of d dbar (1/H); zero exactly for the integrable class."""
-    h = H.sample(grid)
     if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
     mix = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h))
-    return report_from_parts(name, grid, [("ddbar_inv_h", mix.values, mix.mask)],
+    return report_from_parts(name, h.grid, [("ddbar_inv_h", mix.values, mix.mask)],
                              exclude_rings=exclude_rings)
 
 
-def riccati_residual(r: RhoField, c: RiccatiCoeffs,
+def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
                      name: str = "riccati",
                      exclude_rings: int = 0) -> ResidualReport:
     """Defects of both first-order Riccati constraints on rho."""
-    if r.grid != c.grid:
-        raise ValueError("rho and coefficients live on different grids")
-    rho = r.rho.values
-    drho = d_z(r.rho)
-    dbrho = d_zbar(r.rho)
-    mask = r.rho.mask | drho.mask | dbrho.mask | c.mask
-    d1 = drho.values - (c.a10.values + c.a11.values * rho + c.a12.values * rho**2)
-    d2 = dbrho.values - (c.a20.values + c.a21.values * rho + c.a22.values * rho**2)
-    return report_from_parts(name, r.grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
+    grid, mask = _shared(rho, c)
+    drho = d_z(rho)
+    dbrho = d_zbar(rho)
+    mask = mask | drho.mask | dbrho.mask
+    r = rho.values
+    d1 = drho.values - (c.a10.values + c.a11.values * r + c.a12.values * r**2)
+    d2 = dbrho.values - (c.a20.values + c.a21.values * r + c.a22.values * r**2)
+    return report_from_parts(name, grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
                              exclude_rings=exclude_rings)
 
 
@@ -147,7 +144,7 @@ _FIT_ROWS = 16
 _FIT_KEYS = 2048
 
 
-def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
+def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     """Least-squares Riccati coefficients over 3x3 neighborhoods.
 
     Coefficients solving the constraints are not unique pointwise; the fit
@@ -167,13 +164,13 @@ def fit_riccati_coeffs(r: RhoField) -> RiccatiCoeffs:
     solved in blocks of grid rows, each against its points' distinct
     pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
     """
-    grid = r.grid
+    grid = rho.grid
     nx, ny = grid.shape
-    drho = d_z(r.rho)
-    dbrho = d_zbar(r.rho)
-    valid = ~(r.rho.mask | drho.mask | dbrho.mask)
+    drho = d_z(rho)
+    dbrho = d_zbar(rho)
+    valid = ~(rho.mask | drho.mask | dbrho.mask)
 
-    rho_n = _neighbourhoods(r.rho.values)
+    rho_n = _neighbourhoods(rho.values)
     ok_n = _neighbourhoods(valid)
     keys = np.concatenate([rho_n.reshape(nx * ny, 9).view(np.uint8),
                            ok_n.reshape(nx * ny, 9).view(np.uint8)], axis=1)
@@ -227,7 +224,7 @@ def zero_curvature_residual(c: RiccatiCoeffs,
         exclude_rings=exclude_rings)
 
 
-def sinh_gordon_residual(s: SpinorField, H: MeanCurvature,
+def sinh_gordon_residual(s: SpinorField, h: RealField,
                          name: str = "sinh_gordon",
                          exclude_rings: int = 0) -> ResidualReport:
     """Residual of d dbar ln p = |J|^2 / p^2 - p^2 H^2.
@@ -236,13 +233,12 @@ def sinh_gordon_residual(s: SpinorField, H: MeanCurvature,
     derivative worse than the system residual because of d dbar ln p.
     """
     p = density_p(s)
-    h = H.sample(s.grid)
-    mask = p.mask | h.mask
+    _, mask = _shared(p, h)
     if np.any((p.values <= 0) & ~mask):
         raise NumericalBreakdown("density must be positive at unmasked points")
     safe = np.where(mask, 1.0, p.values)
     mix = mixed_dzbar_dz(pointwise(log, p, mask=h.mask))
-    J = current_J(s).j
+    J = current_J(s)
     totmask = mask | mix.mask | J.mask
     vals = mix.values.real - np.abs(J.values) ** 2 / safe**2 + safe**2 * h.values**2
     return report_from_parts(name, s.grid, [("sinh_gordon", np.where(totmask, 0, vals), totmask)],
@@ -275,7 +271,7 @@ def linearization_constraint_residual(s: SpinorField,
                              details=details)
 
 
-def linear_system_residual(s: SpinorField, H: MeanCurvature, p0: float,
+def linear_system_residual(s: SpinorField, h: RealField, p0: float,
                            name: str = "linear_system",
                            exclude_rings: int = 0) -> ResidualReport:
     """Residual of the decoupled linear system obeyed under the constraints:
@@ -283,14 +279,14 @@ def linear_system_residual(s: SpinorField, H: MeanCurvature, p0: float,
     dbar d psi1 - dbar(ln H) d psi1 + p0^2 H^2 psi1 = 0,
     d dbar psi2 - d(ln H) dbar psi2 + p0^2 H^2 psi2 = 0.
     """
-    h = H.sample(s.grid)
-    lz, lzb, lmask = H.log_derivatives(s.grid)
+    _, mask = _shared(s, h)
+    lz, lzb, lmask = log_derivatives(h)
 
     d1 = d_z(s.psi1)
     dd1 = d_zbar(d1)
     d2 = d_zbar(s.psi2)
     dd2 = d_z(d2)
-    mask = s.mask | h.mask | lmask | dd1.mask | dd2.mask
+    mask = mask | lmask | dd1.mask | dd2.mask
 
     coeff = p0**2 * h.values**2
     l1 = dd1.values - lzb * d1.values + coeff * s.psi1.values

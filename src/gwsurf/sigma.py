@@ -24,52 +24,31 @@ carries the ln H derivatives when the mean curvature is not constant.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
-from .grid import ComplexField, GridSpec, NumericalBreakdown
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, norms, report_from_parts
-from .weierstrass import MeanCurvature, SpinorField
+from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
-    "RhoField", "SpinMatrix", "DeformationMatrices",
+    "SpinMatrix",
     "rho_from_psi", "psi_from_rho", "sigma_residual", "apply_discrete_symmetry",
-    "spin_matrix", "landau_lifshitz_residual", "deformation_matrices",
+    "spin_matrix", "landau_lifshitz_residual",
     "deformed_ll_residual", "multisoliton_product",
     "unimodular_H_constancy_check", "compatibility_residual",
 ]
 
 
-@dataclass(frozen=True)
-class RhoField:
-    """Sigma-model variable on a grid plus the transform's global sign."""
-
-    rho: ComplexField
-    branch_eps: int = 1
-
-    def __post_init__(self):
-        if self.branch_eps not in (+1, -1):
-            raise ValueError("branch sign must be +1 or -1")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.rho.grid
-
-    def without_source(self) -> "RhoField":
-        return RhoField(self.rho.without_source(), self.branch_eps)
-
-
-def rho_from_psi(s: SpinorField) -> RhoField:
+def rho_from_psi(s: SpinorField) -> ComplexField:
     """rho = psi1 / conj(psi2); zeros of psi2 are masked."""
     a = np.abs(s.psi2.values)
     scale = float(np.max(a, initial=0.0))
     if scale == 0.0:
         raise NumericalBreakdown("psi2 vanishes identically; rho undefined")
-    return RhoField(pointwise(lambda p1, p2: p1 / conj(p2), s.psi1, s.psi2,
-                              mask=a < 1e-14 * scale))
+    return pointwise(lambda p1, p2: p1 / conj(p2), s.psi1, s.psi2, mask=a < 1e-14 * scale)
 
 
 def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -110,8 +89,10 @@ def psi_pair(rho, drho, h, eps):
     return eps * (rho * conj(w) / den), eps * (w / den)
 
 
-def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> SpinorField:
-    """Invert the representation: build the spinor pair from rho and H.
+def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1,
+                 dr_eps: float = 1e-12) -> SpinorField:
+    """Invert the representation: build the spinor pair from rho and H,
+    with the global sign `eps` (+1 or -1) of the transform.
 
     Points where d rho vanishes are masked (the square root degenerates
     there); H must be positive on the unmasked region. Each component is
@@ -119,54 +100,55 @@ def psi_from_rho(r: RhoField, H: MeanCurvature, dr_eps: float = 1e-12) -> Spinor
     have one, unless the branch continuation flipped a sign: the flipped
     values carry no source.
     """
-    h = H.sample(r.grid)
-    if np.any((h.values <= 0) & ~h.mask & ~r.rho.mask):
+    if eps not in (+1, -1):
+        raise ValueError("branch sign must be +1 or -1")
+    grid, mask = _shared(rho, h)
+    if np.any((h.values <= 0) & ~mask):
         raise NumericalBreakdown("transform requires H > 0 at unmasked points")
 
-    drho = d_z(r.rho)
+    drho = d_z(rho)
     scale = float(np.max(np.abs(drho.values), initial=0.0))
-    mask = r.rho.mask | h.mask | drho.mask | (np.abs(drho.values) < dr_eps * max(scale, 1e-300))
-    psi = [pointwise(lambda rho, dr, hv, k=k: psi_pair(rho, dr, hv, r.branch_eps)[k],
-                     r.rho, drho, h, mask=mask) for k in (0, 1)]
+    mask = mask | drho.mask | (np.abs(drho.values) < dr_eps * max(scale, 1e-300))
+    psi = [pointwise(lambda r, dr, hv, k=k: psi_pair(r, dr, hv, eps)[k],
+                     rho, drho, h, mask=mask) for k in (0, 1)]
 
     # flipping sqrt(d rho) flips both components
     sign = _continue_sign(np.sqrt(drho.values), ~mask)
     if np.any((sign < 0) & ~mask):
-        psi = [ComplexField._derived(r.grid, np.where(f.mask, 0, sign * f.values), f.mask)
+        psi = [ComplexField._derived(grid, np.where(f.mask, 0, sign * f.values), f.mask)
                for f in psi]
     return SpinorField(*psi)
 
 
-def sigma_residual(r: RhoField, H: MeanCurvature,
+def sigma_residual(rho: ComplexField, h: RealField,
                    name: str = "sigma",
                    exclude_rings: int = 0) -> ResidualReport:
     """Residuals of the second-order sigma-model system and its conjugate."""
-    grid = r.grid
-    lz, lzb, lmask = H.log_derivatives(grid)
+    grid, mask = _shared(rho, h)
+    lz, lzb, lmask = log_derivatives(h)
 
-    rho = r.rho.values
-    drho = d_z(r.rho)
-    dbrho = d_zbar(r.rho)
-    mix = mixed_dzbar_dz(r.rho)
-    mask = r.rho.mask | drho.mask | dbrho.mask | mix.mask | lmask
+    drho = d_z(rho)
+    dbrho = d_zbar(rho)
+    mix = mixed_dzbar_dz(rho)
+    mask = mask | drho.mask | dbrho.mask | mix.mask | lmask
 
-    m = 1.0 + np.abs(rho) ** 2
-    res1 = mix.values - 2.0 * np.conj(rho) / m * drho.values * dbrho.values \
+    r = rho.values
+    m = 1.0 + np.abs(r) ** 2
+    res1 = mix.values - 2.0 * np.conj(r) / m * drho.values * dbrho.values \
         - lzb * drho.values
-    res2 = np.conj(mix.values) - 2.0 * rho / m * np.conj(drho.values) * np.conj(dbrho.values) \
+    res2 = np.conj(mix.values) - 2.0 * r / m * np.conj(drho.values) * np.conj(dbrho.values) \
         - lz * np.conj(drho.values)
     return report_from_parts(name, grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
                              exclude_rings=exclude_rings)
 
 
-def apply_discrete_symmetry(r: RhoField, which: str) -> RhoField:
+def apply_discrete_symmetry(rho: ComplexField, which: str) -> ComplexField:
     """Discrete symmetries of the sigma system: 'Z2' (rho -> -rho) and
     'I' (rho -> 1/rho, zeros masked)."""
     if which == "Z2":
-        return RhoField(pointwise(operator.neg, r.rho), r.branch_eps)
+        return pointwise(operator.neg, rho)
     if which == "I":
-        return RhoField(pointwise(lambda rho: 1.0 / rho, r.rho, mask=np.abs(r.rho.values) < 1e-8),
-                        r.branch_eps)
+        return pointwise(lambda r: 1.0 / r, rho, mask=np.abs(rho.values) < 1e-8)
     raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
 
@@ -206,11 +188,11 @@ class SpinMatrix:
         return report_from_parts(name, self.grid, parts, exclude_rings=exclude_rings)
 
 
-def spin_matrix(r: RhoField) -> SpinMatrix:
+def spin_matrix(rho: ComplexField) -> SpinMatrix:
     # entries as functions of rho and m = 1 + |rho|^2
     entries = (lambda rho, m: (2.0 - m) / m, lambda rho, m: 2.0 * conj(rho) / m,
                lambda rho, m: 2.0 * rho / m, lambda rho, m: (m - 2.0) / m)
-    return SpinMatrix(*(pointwise(lambda rho, e=e: e(rho, 1.0 + rho * conj(rho)), r.rho)
+    return SpinMatrix(*(pointwise(lambda r, e=e: e(r, 1.0 + r * conj(r)), rho)
                         for e in entries))
 
 
@@ -239,70 +221,7 @@ def landau_lifshitz_residual(S: SpinMatrix,
     return report_from_parts(name, S.grid, parts, exclude_rings=exclude_rings)
 
 
-@dataclass(frozen=True)
-class DeformationMatrices:
-    """Pointwise matrices R (rho-dependent) and Hmat (ln H derivatives)
-    whose product supplies the inhomogeneity of the deformed spin equation.
-
-    Hmat's lower-right entry contains 1/rho, so points with small |rho|
-    are masked rather than regularized (regularizing would change the
-    identity being certified).
-    """
-
-    r11: np.ndarray
-    r12: np.ndarray
-    r21: np.ndarray
-    r22: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h21: np.ndarray
-    h22: np.ndarray
-    mask: np.ndarray
-
-    def product(self):
-        """Entries of R * Hmat."""
-        return (self.r11 * self.h11 + self.r12 * self.h21,
-                self.r11 * self.h12 + self.r12 * self.h22,
-                self.r21 * self.h11 + self.r22 * self.h21,
-                self.r21 * self.h12 + self.r22 * self.h22)
-
-
-def deformation_matrices(r: RhoField, H: MeanCurvature,
-                         rho_eps: float = 1e-8) -> DeformationMatrices:
-    """Build R and Hmat; entry signs are fixed by the commutator identity
-
-        [S, d dbar S] = 4 (1+|rho|^2)^{-2} [[cb f - rho fb, cb^2 f + fb],
-                                            [-(f + rho^2 fb), rho fb - cb f]]
-
-    (cb = conj(rho), f the sigma operator applied to rho, fb its
-    conjugate), derived by formal jet computation; the product R*Hmat must
-    cancel the ln-H part of f and fb entrywise.
-    """
-    grid = r.grid
-    lz, lzb, lmask = H.log_derivatives(grid)
-    rho = r.rho.values
-    drho = d_z(r.rho)
-    dbrho = d_zbar(r.rho)
-    cdr = np.conj(drho.values)       # dbar conj(rho)
-
-    m = 1.0 + np.abs(rho) ** 2
-    pref = 4.0 / m**2
-    rho_mask = r.rho.mask | (np.abs(rho) < rho_eps)
-    mask = lmask | drho.mask | dbrho.mask | rho_mask
-    with np.errstate(all="ignore"):
-        inv_rho = np.where(rho_mask, 0, 1.0 / np.where(rho_mask, 1.0, rho))
-    return DeformationMatrices(
-        r11=-pref * np.conj(rho) * drho.values,
-        r12=pref * rho * cdr,
-        r21=pref * drho.values,
-        r22=pref * rho**2 * cdr,
-        h11=lzb, h12=np.conj(rho) * lzb,
-        h21=lz, h22=-inv_rho * lz,
-        mask=mask,
-    )
-
-
-def deformed_ll_residual(r: RhoField, H: MeanCurvature,
+def deformed_ll_residual(rho: ComplexField, h: RealField,
                          name: str = "deformed_landau_lifshitz",
                          rho_eps: float = 1e-8,
                          exclude_rings: int = 0) -> ResidualReport:
@@ -310,40 +229,59 @@ def deformed_ll_residual(r: RhoField, H: MeanCurvature,
 
     Vanishes modulo the sigma-model system; for constant H the
     inhomogeneity is zero and this reduces to the homogeneous equation.
-    """
-    grid = r.grid
-    S = spin_matrix(r)
-    (c11, c12, c21, c22), cmask = _commutator_with_mixed(S)
-    dm = deformation_matrices(r, H, rho_eps=rho_eps)
-    p11, p12, p21, p22 = dm.product()
-    mask = cmask | dm.mask
+    The pointwise matrices R (rho-dependent) and Hmat (ln H derivatives)
+    have entry signs fixed by the commutator identity
 
+        [S, d dbar S] = 4 (1+|rho|^2)^{-2} [[cb f - rho fb, cb^2 f + fb],
+                                            [-(f + rho^2 fb), rho fb - cb f]]
+
+    (cb = conj(rho), f the sigma operator applied to rho, fb its
+    conjugate), derived by formal jet computation; R*Hmat must cancel the
+    ln-H part of f and fb entrywise. Hmat's lower-right entry contains
+    1/rho, so points with small |rho| are masked rather than regularized
+    (regularizing would change the identity being certified).
+    """
+    grid, _ = _shared(rho, h)
+    (c11, c12, c21, c22), cmask = _commutator_with_mixed(spin_matrix(rho))
+    lz, lzb, lmask = log_derivatives(h)
+    drho = d_z(rho)
+    dbrho = d_zbar(rho)
+    rho_mask = rho.mask | (np.abs(rho.values) < rho_eps)
+    mask = cmask | lmask | drho.mask | dbrho.mask | rho_mask
+
+    r, dr, cdr = rho.values, drho.values, np.conj(drho.values)   # cdr = dbar conj(rho)
+    m = 1.0 + np.abs(r) ** 2
+    pref = 4.0 / m**2
+    with np.errstate(all="ignore"):
+        inv_rho = np.where(rho_mask, 0, 1.0 / np.where(rho_mask, 1.0, r))
+    r11, r12 = -pref * np.conj(r) * dr, pref * r * cdr
+    r21, r22 = pref * dr, pref * r**2 * cdr
+    # Hmat = [[dbar ln H, conj(rho) dbar ln H], [d ln H, -d ln H / rho]]
+    h12, h22 = np.conj(r) * lzb, -inv_rho * lz
     parts = [
-        ("e11", c11 + p11, mask),
-        ("e12", c12 + p12, mask),
-        ("e21", c21 + p21, mask),
-        ("e22", c22 + p22, mask),
+        ("e11", c11 + (r11 * lzb + r12 * lz), mask),
+        ("e12", c12 + (r11 * h12 + r12 * h22), mask),
+        ("e21", c21 + (r21 * lzb + r22 * lz), mask),
+        ("e22", c22 + (r21 * h12 + r22 * h22), mask),
     ]
     return report_from_parts(name, grid, parts, exclude_rings=exclude_rings)
 
 
-def _require_unimodular(r: RhoField, tol: float) -> None:
-    dev = np.abs(np.abs(r.rho.values[~r.rho.mask]) - 1.0)
+def _require_unimodular(rho: ComplexField, tol: float) -> None:
+    dev = np.abs(np.abs(rho.values[~rho.mask]) - 1.0)
     if dev.size == 0 or float(np.max(dev)) > tol:
         raise ValueError("input is not unimodular (|rho| must equal 1)")
 
 
-def multisoliton_product(r1: RhoField, r2: RhoField,
-                         tol: float = 1e-10) -> RhoField:
+def multisoliton_product(r1: ComplexField, r2: ComplexField,
+                         tol: float = 1e-10) -> ComplexField:
     """Product of two unimodular solutions; stays a solution for constant H."""
-    if r1.grid != r2.grid:
-        raise ValueError("factors live on different grids")
     _require_unimodular(r1, tol)
     _require_unimodular(r2, tol)
-    return RhoField(pointwise(operator.mul, r1.rho, r2.rho), r1.branch_eps)
+    return pointwise(operator.mul, r1, r2)
 
 
-def unimodular_H_constancy_check(r: RhoField, H: MeanCurvature,
+def unimodular_H_constancy_check(rho: ComplexField, h: RealField,
                                  tol: float = 1e-10,
                                  name: str = "unimodular_h_constancy") -> ResidualReport:
     """Unimodular solutions force constant H; report the observed spread.
@@ -351,18 +289,17 @@ def unimodular_H_constancy_check(r: RhoField, H: MeanCurvature,
     max_norm is max |H - mean(H)| over unmasked points; details carry the
     mean, the variance, and a consistency flag (1 = constant within tol).
     """
-    _require_unimodular(r, max(tol, 1e-10))
-    h = H.sample(r.grid)
-    mask = h.mask | r.rho.mask
+    grid, mask = _shared(rho, h)
+    _require_unimodular(rho, max(tol, 1e-10))
     vals = h.values[~mask]
     if vals.size == 0:
         raise ValueError("no unmasked points to test")
     mean = float(np.mean(vals))
     spread = float(np.max(np.abs(vals - mean)))
     variance = float(np.var(vals))
-    mx, l2 = norms(h.values - mean, r.grid, mask)
+    mx, l2 = norms(h.values - mean, grid, mask)
     return ResidualReport(
-        name=name, grid=r.grid, max_norm=mx, l2_norm=l2,
+        name=name, grid=grid, max_norm=mx, l2_norm=l2,
         masked_points=int(np.count_nonzero(mask)),
         parts=(),
         details={"h_mean": mean, "h_spread": spread, "h_variance": variance,
@@ -370,7 +307,7 @@ def unimodular_H_constancy_check(r: RhoField, H: MeanCurvature,
     )
 
 
-def compatibility_residual(r: RhoField, H: MeanCurvature,
+def compatibility_residual(rho: ComplexField, h: RealField,
                            tol_unimodular: float = 1e-10,
                            name: str = "potential_compatibility",
                            exclude_rings: int = 0) -> ResidualReport:
@@ -379,23 +316,20 @@ def compatibility_residual(r: RhoField, H: MeanCurvature,
 
     The residual dbar(ln(d ln rho)) - d(ln H) is computed via logarithmic
     derivatives, avoiding branch cuts. Points with d ln rho = 0 are masked
-    (a constant rho has no admissible potential).
+    (a constant rho has no admissible potential). w = d ln rho keeps an
+    analytic source when rho has one, so dbar w is then exact.
     """
-    _require_unimodular(r, tol_unimodular)
-    grid = r.grid
-    drho = d_z(r.rho)
-    rho = r.rho.values
-    mask0 = r.rho.mask | drho.mask
-    with np.errstate(all="ignore"):
-        w = np.where(mask0, 0, drho.values / np.where(mask0, 1.0, rho))
-    wscale = float(np.max(np.abs(w), initial=0.0))
-    mask = mask0 | (np.abs(w) < 1e-12 * max(wscale, 1e-300))
+    grid, _ = _shared(rho, h)
+    _require_unimodular(rho, tol_unimodular)
+    w = pointwise(operator.truediv, d_z(rho), rho)
+    wscale = float(np.max(np.abs(w.values), initial=0.0))
+    # the same w and source, also masked where |w| is negligible
+    w = pointwise(lambda v: v, w, mask=np.abs(w.values) < 1e-12 * max(wscale, 1e-300))
 
-    wf = ComplexField._derived(grid, np.where(mask, 0, w), mask)
-    dw = d_zbar(wf)
-    lz, _, lmask = H.log_derivatives(grid)
-    totmask = mask | dw.mask | lmask
+    dw = d_zbar(w)
+    lz, _, lmask = log_derivatives(h)
+    totmask = w.mask | dw.mask | lmask
     with np.errstate(all="ignore"):
-        vals = np.where(totmask, 0, dw.values / np.where(totmask, 1.0, w) - lz)
+        vals = np.where(totmask, 0, dw.values / np.where(totmask, 1.0, w.values) - lz)
     return report_from_parts(name, grid, [("compatibility", vals, totmask)],
                              exclude_rings=exclude_rings)

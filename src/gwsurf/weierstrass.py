@@ -15,18 +15,15 @@ current that restores dbar-conservation for nonconstant H.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import (ClosedForm, conj, constant_form, field_mul, log, pointwise, sample,
-                         sample_real)
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
+from .closedform import conj, field_mul, log, pointwise
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, report_from_parts
 
 __all__ = [
-    "SpinorField", "MeanCurvature", "Current",
+    "SpinorField", "log_derivatives",
     "density_p", "weierstrass_residual", "potential_conservation_residual",
     "current_J", "dbar_J_defect", "modified_current", "conservation_defect",
     "gaussian_curvature_from_p",
@@ -47,11 +44,6 @@ class SpinorField:
         self.psi1 = psi1
         self.psi2 = psi2
 
-    @classmethod
-    def from_closed_forms(cls, f1: ClosedForm, f2: ClosedForm, grid: GridSpec,
-                          extra_mask=None) -> "SpinorField":
-        return cls(sample(f1, grid, extra_mask), sample(f2, grid, extra_mask))
-
     @property
     def grid(self) -> GridSpec:
         return self.psi1.grid
@@ -64,49 +56,15 @@ class SpinorField:
         return SpinorField(self.psi1.without_source(), self.psi2.without_source())
 
 
-class MeanCurvature:
-    """Real-valued mean curvature, backed by a closed form or a sampled field.
-
-    Sampling enforces realness (imaginary part below 1e-12 relative); a
-    sampled form keeps the form as its source, so derivatives of the
-    sample are analytic.
-    """
-
-    def __init__(self, form: ClosedForm | None = None, field: RealField | None = None):
-        if (form is None) == (field is None):
-            raise ValueError("provide exactly one of form or field")
-        self.form = form
-        self._field = field
-
-    @classmethod
-    def constant(cls, c: float) -> "MeanCurvature":
-        return cls(form=constant_form(float(c)))
-
-    @classmethod
-    def from_field(cls, field: RealField) -> "MeanCurvature":
-        return cls(field=field)
-
-    def sample(self, grid: GridSpec) -> RealField:
-        if self._field is not None:
-            if self._field.grid != grid:
-                raise ValueError("mean curvature field lives on a different grid")
-            return self._field
-        return sample_real(self.form, grid)
-
-    def log_derivatives(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(d ln H, dbar ln H, mask); requires H > 0 on the unmasked region."""
-        f = self.sample(grid)
-        if np.any((f.values <= 0) & ~f.mask):
-            raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
-        ln = pointwise(log, f)
-        lz = d_z(ln)
-        lzb = d_zbar(ln)
-        return lz.values, lzb.values, lz.mask | lzb.mask
-
-
-@dataclass(frozen=True)
-class Current:
-    j: ComplexField
+def log_derivatives(h: RealField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d ln H, dbar ln H, mask) of the mean curvature `h`; requires H > 0
+    on the unmasked region."""
+    if np.any((h.values <= 0) & ~h.mask):
+        raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
+    ln = pointwise(log, h)
+    lz = d_z(ln)
+    lzb = d_zbar(ln)
+    return lz.values, lzb.values, lz.mask | lzb.mask
 
 
 def density_p(s: SpinorField) -> RealField:
@@ -116,16 +74,11 @@ def density_p(s: SpinorField) -> RealField:
                               finite=True)
 
 
-def _check_grids(s: SpinorField, H: MeanCurvature) -> tuple[RealField, np.ndarray]:
-    h = H.sample(s.grid)
-    return h, s.mask | h.mask
-
-
-def weierstrass_residual(s: SpinorField, H: MeanCurvature,
+def weierstrass_residual(s: SpinorField, h: RealField,
                          name: str = "weierstrass",
                          exclude_rings: int = 0) -> ResidualReport:
     """Residuals of all four equations of the spinor system."""
-    h, mask = _check_grids(s, H)
+    _, mask = _shared(s, h)
     p = density_p(s).values
     ph = p * h.values
 
@@ -171,22 +124,21 @@ def potential_conservation_residual(s: SpinorField,
     return report_from_parts(name, s.grid, parts, exclude_rings=exclude_rings)
 
 
-def current_J(s: SpinorField) -> Current:
+def current_J(s: SpinorField) -> ComplexField:
     """J = conj(psi1) d psi2 - psi2 d conj(psi1)."""
     dpsi2 = d_z(s.psi2)
     dcpsi1 = d_z(s.psi1.conj())
     vals = np.conj(s.psi1.values) * dpsi2.values - s.psi2.values * dcpsi1.values
     mask = s.mask | dpsi2.mask | dcpsi1.mask
-    return Current(ComplexField._derived(s.grid, np.where(mask, 0, vals), mask))
+    return ComplexField._derived(s.grid, np.where(mask, 0, vals), mask)
 
 
-def dbar_J_defect(s: SpinorField, H: MeanCurvature,
+def dbar_J_defect(s: SpinorField, h: RealField,
                   name: str = "current_defect",
                   exclude_rings: int = 0) -> ResidualReport:
     """Norm of dbar J + p^2 dH; zero modulo the spinor system."""
-    h, mask = _check_grids(s, H)
-    J = current_J(s).j
-    dJ = d_zbar(J)
+    _, mask = _shared(s, h)
+    dJ = d_zbar(current_J(s))
     p = density_p(s).values
     hz = d_z(h)
     vals = dJ.values + p**2 * hz.values
@@ -195,7 +147,7 @@ def dbar_J_defect(s: SpinorField, H: MeanCurvature,
                              exclude_rings=exclude_rings)
 
 
-def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
+def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField:
     """Current corrected by an antiderivative of p^2 dH, restoring dbar-conservation.
 
     The correction integrates p^2 dH from the base abscissa zbar0 (a real
@@ -210,7 +162,7 @@ def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
     if abs(xs[i0] - zbar0) > 1e-9 * max(1.0, grid.hx):
         raise ValueError(f"base abscissa {zbar0} is not a grid line")
 
-    h, mask = _check_grids(s, H)
+    _, mask = _shared(s, h)
     p = density_p(s).values
     hz = d_z(h)
     g = p**2 * hz.values
@@ -226,17 +178,17 @@ def modified_current(s: SpinorField, H: MeanCurvature, zbar0: float) -> Current:
     pathmask[i0:, :] = bad_fwd
     pathmask[: i0 + 1, :] |= bad_bwd
 
-    J = current_J(s).j
+    J = current_J(s)
     outmask = J.mask | pathmask
     vals = np.where(outmask, 0, J.values + corr)
-    return Current(ComplexField._derived(grid, vals, outmask))
+    return ComplexField._derived(grid, vals, outmask)
 
 
-def conservation_defect(c: Current, name: str = "dbar_defect",
+def conservation_defect(j: ComplexField, name: str = "dbar_defect",
                         exclude_rings: int = 0) -> ResidualReport:
     """Norms of dbar applied to a current."""
-    d = d_zbar(c.j)
-    return report_from_parts(name, c.j.grid, [("dbar", d.values, d.mask)],
+    d = d_zbar(j)
+    return report_from_parts(name, j.grid, [("dbar", d.values, d.mask)],
                              exclude_rings=exclude_rings)
 
 

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gwsurf import (ComplexField, GridSpec, MeanCurvature, SpinorField,
+from gwsurf import (ComplexField, GridSpec, SpinorField, constant_form, sample_real,
                     compatibility_residual, conservation_defect, current_J,
                     dbar_J_defect, deformed_ll_residual, density_p,
                     family_exponential, family_holomorphic, family_rational,
@@ -58,23 +58,18 @@ def fd_tol(coarse_residual, h_coarse, h_fine):
 def test_criterion_1_exact_identities():
     worst = 0.0
     for fam, g in FAMILIES:
-        H = fam.mean_curvature
+        h = fam.h(g)
         s = fam.spinor(g)
         rho = fam.rho(g)
-        worst = max(worst, weierstrass_residual(s, H).max_norm)
-        worst = max(worst, sigma_residual(rho, H).max_norm)
+        worst = max(worst, weierstrass_residual(s, h).max_norm)
+        worst = max(worst, sigma_residual(rho, h).max_norm)
         worst = max(worst, potential_conservation_residual(s).max_norm)
-        back = rho_from_psi(psi_from_rho(rho, H))
-        ok = ~(back.rho.mask | rho.rho.mask)
-        worst = max(worst, float(np.max(np.abs(back.rho.values - rho.rho.values)[ok])))
+        back = rho_from_psi(psi_from_rho(rho, h, fam.eps))
+        ok = ~(back.mask | rho.mask)
+        worst = max(worst, float(np.max(np.abs(back.values - rho.values)[ok])))
     verdict(1, worst <= 1e-12,
             f"exact identities (system, sigma, conservation, round trip) "
             f"max residual {worst:.3e} <= 1e-12")
-
-
-def fd_H(fam, g):
-    """The family's H as sampled values, differentiated by stencils."""
-    return MeanCurvature.from_field(fam.mean_curvature.sample(g).without_source())
 
 
 def test_criterion_2_fd_convergence():
@@ -84,9 +79,9 @@ def test_criterion_2_fd_convergence():
         gc = coarse(g)
         for label, run in (
             ("system", lambda gg: weierstrass_residual(
-                fam.spinor(gg, analytic=False), fd_H(fam, gg)).max_norm),
+                fam.spinor(gg, analytic=False), fam.h(gg, analytic=False)).max_norm),
             ("sigma", lambda gg: sigma_residual(
-                fam.rho(gg, analytic=False), fd_H(fam, gg), exclude_rings=2).max_norm),
+                fam.rho(gg, analytic=False), fam.h(gg, analytic=False), exclude_rings=2).max_norm),
             ("conservation", lambda gg: potential_conservation_residual(
                 fam.spinor(gg, analytic=False)).max_norm),
             ("roundtrip", lambda gg: _roundtrip_gap(fam, gg)),
@@ -110,7 +105,7 @@ def test_criterion_2_fd_convergence():
 
 def _roundtrip_gap(fam, g):
     s = fam.spinor(g, analytic=False)
-    back = psi_from_rho(rho_from_psi(s), fd_H(fam, g))
+    back = psi_from_rho(rho_from_psi(s), fam.h(g, analytic=False))
     mask = s.mask | back.mask
     err = np.maximum(np.abs(back.psi1.values - s.psi1.values),
                      np.abs(back.psi2.values - s.psi2.values))
@@ -124,7 +119,7 @@ def test_criterion_3_curvature_closure():
     srf = induce_surface(s, 0.0)
     ff = fundamental_forms(srf)
     hn = mean_curvature_numeric(ff)
-    hp = fam.mean_curvature.sample(g)
+    hp = fam.h(g)
     interior = np.zeros(g.shape, bool)
     interior[1:-1, 1:-1] = True
     sel = interior & ~hn.mask
@@ -173,16 +168,16 @@ def test_criterion_5_currents():
         gc = coarse(g)
         hc, hf = max(gc.hx, gc.hy), max(g.hx, g.hy)
 
-        dc = dbar_J_defect(fam.spinor(gc), fam.mean_curvature, exclude_rings=2).max_norm
-        df = dbar_J_defect(fam.spinor(g), fam.mean_curvature, exclude_rings=2).max_norm
+        dc = dbar_J_defect(fam.spinor(gc), fam.h(gc), exclude_rings=2).max_norm
+        df = dbar_J_defect(fam.spinor(g), fam.h(g), exclude_rings=2).max_norm
         ok &= df <= fd_tol(dc, hc, hf)
 
         x0 = g.xs()[(g.nx - 1) // 2]
         mc = conservation_defect(
-            modified_current(fam.spinor(gc), fam.mean_curvature, gc.xs()[(gc.nx - 1) // 2]),
+            modified_current(fam.spinor(gc), fam.h(gc), gc.xs()[(gc.nx - 1) // 2]),
             exclude_rings=2).max_norm
         mf = conservation_defect(
-            modified_current(fam.spinor(g), fam.mean_curvature, x0),
+            modified_current(fam.spinor(g), fam.h(g), x0),
             exclude_rings=2).max_norm
         ok &= mf <= fd_tol(mc, hc, hf)
         worst_note.append(f"{fam.name}: dbarJ {df:.1e}, corrected {mf:.1e}")
@@ -201,16 +196,16 @@ def test_criterion_6_sinh_gordon():
     notes = []
     for fam, g in FAMILIES:
         gc = coarse(g)
-        rc = sinh_gordon_residual(fam.spinor(gc), fam.mean_curvature,
+        rc = sinh_gordon_residual(fam.spinor(gc), fam.h(gc),
                                   exclude_rings=2).max_norm
-        rf = sinh_gordon_residual(fam.spinor(g), fam.mean_curvature,
+        rf = sinh_gordon_residual(fam.spinor(g), fam.h(g),
                                   exclude_rings=2).max_norm
         ok &= rf <= fd_tol(rc, max(gc.hx, gc.hy), max(g.hx, g.hy))
 
         s = fam.spinor(g)
-        J = current_J(s).j
+        J = current_J(s)
         p = density_p(s)
-        h = fam.mean_curvature.sample(g)
+        h = fam.h(g)
         sel = ~(J.mask | p.mask | h.mask)
         gap = float(np.max(np.abs(np.abs(J.values) ** 2
                                   - p.values**4 * h.values**2)[sel]))
@@ -221,10 +216,10 @@ def test_criterion_6_sinh_gordon():
 
 
 def test_criterion_7_integrability_classifier():
-    profile_H = h_from_profile(np.cosh)
-    in_class = h_integrability_residual(profile_H, SQUARE, exclude_rings=2).max_norm
+    profile_h = sample_real(h_from_profile(np.cosh), SQUARE)
+    in_class = h_integrability_residual(profile_h, exclude_rings=2).max_norm
     fam = family_rational(1.0)
-    defect = h_integrability_residual(fam.mean_curvature, SQUARE).max_norm
+    defect = h_integrability_residual(fam.h(SQUARE)).max_norm
     ok = in_class <= 1e-3 and abs(defect - 2.0) <= 1e-6
     verdict(7, ok,
             f"profile-built H satisfies the criterion ({in_class:.3e} <= 1e-3); "
@@ -240,9 +235,9 @@ def test_criterion_8_landau_lifshitz():
     notes = [f"unimodular LL {ll:.1e}"]
     for fam, g in ((family_rational(1.0), SQUARE), (family_trigonometric(1.0), STRIP)):
         gc = coarse(g)
-        dc = deformed_ll_residual(fam.rho(gc, analytic=False), fd_H(fam, gc),
+        dc = deformed_ll_residual(fam.rho(gc, analytic=False), fam.h(gc, analytic=False),
                                   exclude_rings=2).max_norm
-        df = deformed_ll_residual(fam.rho(g, analytic=False), fd_H(fam, g),
+        df = deformed_ll_residual(fam.rho(g, analytic=False), fam.h(g, analytic=False),
                                   exclude_rings=2).max_norm
         tol = fd_tol(dc, max(gc.hx, gc.hy), max(g.hx, g.hy))
         ok &= df <= tol
@@ -261,12 +256,12 @@ def test_criterion_9_multisoliton():
     r1 = family_unimodular(1.0, 1.0).rho(SQUARE)
     r2 = family_unimodular(2.0, 1.0).rho(SQUARE)
     prod = multisoliton_product(r1, r2)
-    H0 = MeanCurvature.constant(1.0)
-    res = sigma_residual(prod, H0).max_norm
-    unimod = float(np.max(np.abs(np.abs(prod.rho.values) - 1.0)))
-    compat = compatibility_residual(prod, H0, exclude_rings=2).max_norm
+    h0 = sample_real(constant_form(1.0), SQUARE)
+    res = sigma_residual(prod, h0).max_norm
+    unimod = float(np.max(np.abs(np.abs(prod.values) - 1.0)))
+    compat = compatibility_residual(prod, h0, exclude_rings=2).max_norm
     flagged = unimodular_H_constancy_check(
-        r1, family_rational(1.0).mean_curvature).details["consistent"] is False
+        r1, family_rational(1.0).h(SQUARE)).details["consistent"] is False
     ok = res <= 1e-10 and unimod <= 1e-10 and compat <= 1e-10 and flagged
     verdict(9, ok,
             f"product solution residual {res:.3e}, |rho|-1 = {unimod:.3e}, "
@@ -276,7 +271,7 @@ def test_criterion_9_multisoliton():
 def test_criterion_10_constrained_linearization():
     fam = family_rational(1.0)
     rep = linearization_constraint_residual(fam.spinor(SQUARE))
-    lin = linear_system_residual(fam.spinor(SQUARE), fam.mean_curvature, 1.0,
+    lin = linear_system_residual(fam.spinor(SQUARE), fam.h(SQUARE), 1.0,
                                  exclude_rings=2).max_norm
     ok = (rep.max_norm <= 1e-12 and rep.details["p_variance"] <= 1e-10
           and lin <= 1e-10)

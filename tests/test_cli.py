@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -134,6 +135,30 @@ def test_suite_set_per_family(case):
     resolved = {(s.name, s.kind, s.tol, s.expect_ratio) for s in specs}
     assert len(resolved) == len(specs)
     assert resolved == _SUITE_SETS[case]
+
+
+@pytest.mark.parametrize("name", gwsurf.FAMILY_NAMES)
+def test_exact_suites_reach_no_stencil(name, monkeypatch):
+    """Every exact suite differentiates through analytic sources only: at
+    the default grid and both levels it never runs a first-derivative
+    stencil."""
+    from gwsurf import calculus
+    from gwsurf.cli import _setup, _suites_for
+    calls = []
+    gradient = calculus._gradient
+    monkeypatch.setattr(calculus, "_gradient",
+                        lambda field, axis: calls.append(axis) or gradient(field, axis))
+    fam, grids = _setup(RunConfig(family=name))
+    stencils = {}
+    for spec in _suites_for(fam):
+        if spec.kind == "exact":
+            for g in grids:
+                calls.clear()
+                with np.errstate(all="ignore"):
+                    spec.runner(fam, g)
+                stencils[spec.name, g.nx] = len(calls)
+    assert stencils
+    assert not any(stencils.values()), {k: n for k, n in stencils.items() if n}
 
 
 class TestVerify:

@@ -179,7 +179,7 @@ def _lifted_diagonal_forms():
                      ("trig", {"a": 1.5})):
         fam = build_family(name, **kw)
         g = fam.default_grid(19, 13)
-        s = psi_from_rho(fam.rho(g), fam.mean_curvature)
+        s = psi_from_rho(fam.rho(g), fam.h(g))
         out += [(s.psi1.source, g), (s.psi2.source, g)]
         if name == "rational":
             out.append((density_p(s).source, g))

@@ -1,0 +1,70 @@
+"""API contracts: residuals reject an H sampled on another grid, and every
+module's export list is re-exported by the package."""
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import gwsurf
+from gwsurf import (GridSpec, compatibility_residual, dbar_J_defect, deformed_ll_residual,
+                    family_rational, family_unimodular, fundamental_forms, induce_surface,
+                    linear_system_residual, modified_current, psi_from_rho,
+                    rigid_string_residual, sigma_residual, sinh_gordon_residual,
+                    unimodular_H_constancy_check, weierstrass_residual)
+
+G = GridSpec(-1, 1, -1, 1, 21, 21)
+# the same shape on a shifted domain: only the grid check tells the two apart
+OTHER = GridSpec(-1, 1, -0.5, 1.5, 21, 21)
+RAT = family_rational(1.0)
+UNI = family_unimodular(1.0, 1.0)
+
+
+def _rigid_string(h):
+    ff = fundamental_forms(induce_surface(RAT.spinor(G)))
+    return rigid_string_residual(h, ff.gauss_curvature, 1.0, 1.0, ff)
+
+
+# every function that combines h with other fields on G, with the family
+# whose H suits those fields
+TAKES_H = {
+    "weierstrass_residual": (RAT, lambda h: weierstrass_residual(RAT.spinor(G), h)),
+    "dbar_J_defect": (RAT, lambda h: dbar_J_defect(RAT.spinor(G), h)),
+    "modified_current": (RAT, lambda h: modified_current(RAT.spinor(G), h, 0.0)),
+    "psi_from_rho": (RAT, lambda h: psi_from_rho(RAT.rho(G), h)),
+    "sigma_residual": (RAT, lambda h: sigma_residual(RAT.rho(G), h)),
+    "deformed_ll_residual": (RAT, lambda h: deformed_ll_residual(RAT.rho(G), h)),
+    "compatibility_residual": (UNI, lambda h: compatibility_residual(UNI.rho(G), h)),
+    "unimodular_H_constancy_check":
+        (UNI, lambda h: unimodular_H_constancy_check(UNI.rho(G), h)),
+    "sinh_gordon_residual": (RAT, lambda h: sinh_gordon_residual(RAT.spinor(G), h)),
+    "linear_system_residual": (RAT, lambda h: linear_system_residual(RAT.spinor(G), h, 1.0)),
+    "rigid_string_residual": (RAT, _rigid_string),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_H))
+def test_h_on_another_grid_rejected(name):
+    fam, call = TAKES_H[name]
+    call(fam.h(G))
+    with pytest.raises(ValueError, match="different grids"):
+        call(fam.h(OTHER))
+
+
+def test_every_function_taking_h_is_checked():
+    takers = {name for name, fn in vars(gwsurf).items()
+              if inspect.isfunction(fn) and "h" in inspect.signature(fn).parameters}
+    # these two read h and nothing else
+    assert takers == set(TAKES_H) | {"h_integrability_residual", "log_derivatives"}
+
+
+LIBRARY_MODULES = sorted(m.name for m in pkgutil.iter_modules(gwsurf.__path__)
+                         if not m.name.startswith("_") and m.name != "cli")
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_export_list_is_reexported(module):
+    mod = importlib.import_module(f"gwsurf.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
+        assert getattr(gwsurf, name, None) is getattr(mod, name), name

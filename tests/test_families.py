@@ -8,7 +8,6 @@ from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
                     multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
                     spin_matrix, weierstrass_residual)
 from gwsurf.calculus import d_z
-from gwsurf.cli import _fd_H
 from gwsurf.closedform import field_mul, holomorphic_form, sample
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -23,8 +22,8 @@ def at(g, field_vals, x, y):
 class TestRational:
     def test_point_values(self):
         fam = family_rational(1.0)
-        h = fam.mean_curvature.sample(G).values
-        rho = fam.rho(G).rho.values
+        h = fam.h(G).values
+        rho = fam.rho(G).values
         s = fam.spinor(G)
         # at z=0: H=1, rho=0, psi=(0, 1)
         assert at(G, h, 0, 0) == pytest.approx(1.0)
@@ -49,8 +48,8 @@ class TestRational:
 class TestExponential:
     def test_point_values(self):
         fam = family_exponential(1.0)
-        h = fam.mean_curvature.sample(G).values
-        rho = fam.rho(G).rho.values
+        h = fam.h(G).values
+        rho = fam.rho(G).values
         s = fam.spinor(G)
         # at s=0: H = 1/2, rho = 1, psi2 = 1/sqrt2
         assert at(G, h, 0, 0) == pytest.approx(0.5)
@@ -59,7 +58,7 @@ class TestExponential:
 
     def test_rho_derivative_scales_with_rho(self):
         fam = family_exponential(1.5)
-        d = d_z(fam.rho(G).rho)
+        d = d_z(fam.rho(G))
         expect = 1.5 * np.exp(1.5 * 2 * np.real(G.zmesh()))
         assert np.max(np.abs(d.values - expect)) < 1e-10
 
@@ -75,34 +74,34 @@ class TestExponential:
 class TestTrigonometric:
     def test_point_values(self):
         fam = family_trigonometric(1.0)
-        rho = fam.rho(TRIG_G).rho.values
+        rho = fam.rho(TRIG_G).values
         x = np.pi / 12                      # s = pi/6
         g = GridSpec(x, x + 0.4, -1, 1, 41, 41)
-        rho = fam.rho(g).rho.values
+        rho = fam.rho(g).values
         assert rho[0, 0] == pytest.approx(0.5)          # sin(pi/6)
-        d = d_z(fam.rho(g).rho)
+        d = d_z(fam.rho(g))
         assert d.values[0, 0] == pytest.approx(np.sqrt(3) / 2)   # cos(pi/6)
 
     def test_psi_against_transform(self):
         # the stored spinor must agree with the generic square-root transform
         fam = family_trigonometric(1.0)
         stored = fam.spinor(TRIG_G)
-        derived = psi_from_rho(fam.rho(TRIG_G), fam.mean_curvature)
+        derived = psi_from_rho(fam.rho(TRIG_G), fam.h(TRIG_G))
         ok = ~(stored.mask | derived.mask)
         assert np.max(np.abs(stored.psi1.values - derived.psi1.values)[ok]) < 1e-12
         assert np.max(np.abs(stored.psi2.values - derived.psi2.values)[ok]) < 1e-12
 
     def test_sigma_solution_on_strip(self):
         fam = family_trigonometric(1.0)
-        rep = sigma_residual(fam.rho(TRIG_G), fam.mean_curvature)
+        rep = sigma_residual(fam.rho(TRIG_G), fam.h(TRIG_G))
         assert rep.max_norm < 1e-12
 
     def test_outside_strip_masked(self):
         fam = family_trigonometric(1.0)
         wide = GridSpec(-1, 1, -1, 1, 41, 41)
         r = fam.rho(wide)
-        assert r.rho.mask[wide.index_of(-0.5, 0.0)]
-        assert r.rho.mask[wide.index_of(1.0, 0.0)]
+        assert r.mask[wide.index_of(-0.5, 0.0)]
+        assert r.mask[wide.index_of(1.0, 0.0)]
 
     def test_density_equals_parameter(self):
         p = density_p(family_trigonometric(1.0).spinor(TRIG_G))
@@ -118,18 +117,18 @@ class TestUnimodular:
     def test_modulus_one_and_solution(self):
         fam = family_unimodular(1.0, 1.0)
         r = fam.rho(G)
-        assert np.max(np.abs(np.abs(r.rho.values) - 1.0)) < 1e-12
-        assert sigma_residual(r, fam.mean_curvature).max_norm < 1e-12
+        assert np.max(np.abs(np.abs(r.values) - 1.0)) < 1e-12
+        assert sigma_residual(r, fam.h(G)).max_norm < 1e-12
 
     def test_spinor_solves_system(self):
         fam = family_unimodular(1.0, 2.0)
-        rep = weierstrass_residual(fam.spinor(G), fam.mean_curvature)
+        rep = weierstrass_residual(fam.spinor(G), fam.h(G))
         assert rep.max_norm < 1e-12
 
     def test_zero_parameter_is_trivial_constant(self):
         fam = family_unimodular(0.0, 1.0)
         r = fam.rho(G)
-        assert np.max(np.abs(r.rho.values - 1.0)) < 1e-15
+        assert np.max(np.abs(r.values - 1.0)) < 1e-15
 
     def test_nonpositive_h0_rejected(self):
         with pytest.raises(ValueError):
@@ -146,18 +145,18 @@ class TestHolomorphic:
     def test_identity_and_square_solve(self):
         for fn in (lambda z: z, lambda z: z * z):
             fam = family_holomorphic(holomorphic_form(fn), h0=1.0)
-            rep = sigma_residual(fam.rho(G), fam.mean_curvature)
+            rep = sigma_residual(fam.rho(G), fam.h(G))
             assert rep.max_norm < 1e-12
 
     def test_spinor_solves_system(self):
         fam = family_holomorphic(h0=1.0)
-        rep = weierstrass_residual(fam.spinor(G), fam.mean_curvature)
+        rep = weierstrass_residual(fam.spinor(G), fam.h(G))
         assert rep.max_norm < 1e-12
 
     def test_fails_against_varying_h(self):
         # a holomorphic profile is a solution only for constant mean curvature
         fam = family_holomorphic(h0=1.0)
-        rep = sigma_residual(fam.rho(G), family_rational(1.0).mean_curvature)
+        rep = sigma_residual(fam.rho(G), family_rational(1.0).h(G))
         assert rep.max_norm > 0.1
 
 
@@ -172,6 +171,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build_family("spherical")
 
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_branch_sign_must_be_unit(self, name):
+        # the sign scales the stored spinor forms, so 2 would break the system
+        with pytest.raises(ValueError, match="branch sign"):
+            build_family(name, eps=2)
+
 
 class TestParameterSweeps:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 4.0])
@@ -179,8 +184,8 @@ class TestParameterSweeps:
         g = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
         for make in (family_rational, family_exponential):
             fam = make(lam)
-            assert weierstrass_residual(fam.spinor(g), fam.mean_curvature).max_norm < 1e-11
-            assert sigma_residual(fam.rho(g), fam.mean_curvature).max_norm < 1e-11
+            assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-11
+            assert sigma_residual(fam.rho(g), fam.h(g)).max_norm < 1e-11
             p = density_p(fam.spinor(g))
             assert np.max(np.abs(p.values - lam)) < 1e-11
 
@@ -189,8 +194,8 @@ class TestParameterSweeps:
         lo, hi = 0.1 / (2 * a), (np.pi / (2 * a) - 0.1) / 2
         g = GridSpec(lo, hi, -0.5, 0.5, 51, 51)
         fam = family_trigonometric(a)
-        assert weierstrass_residual(fam.spinor(g), fam.mean_curvature).max_norm < 1e-11
-        assert sigma_residual(fam.rho(g), fam.mean_curvature).max_norm < 1e-11
+        assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-11
+        assert sigma_residual(fam.rho(g), fam.h(g)).max_norm < 1e-11
 
     @pytest.mark.parametrize("make,g", [
         (lambda: family_rational(1.0, eps=-1), G),
@@ -199,10 +204,10 @@ class TestParameterSweeps:
     ])
     def test_negative_branch_sign_still_solves(self, make, g):
         fam = make()
-        assert weierstrass_residual(fam.spinor(g), fam.mean_curvature).max_norm < 1e-12
+        assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-12
         back = rho_from_psi(fam.spinor(g))
-        ok = ~back.rho.mask
-        assert np.max(np.abs(back.rho.values - fam.rho(g).rho.values)[ok]) < 1e-12
+        ok = ~back.mask
+        assert np.max(np.abs(back.values - fam.rho(g).values)[ok]) < 1e-12
 
     def test_negative_parameters_supported(self):
         # the transform square roots go complex for lam < 0 but the triple
@@ -210,12 +215,12 @@ class TestParameterSweeps:
         g = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
         for make in (family_rational, family_exponential):
             fam = make(-1.0)
-            assert weierstrass_residual(fam.spinor(g), fam.mean_curvature).max_norm < 1e-12
+            assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-12
             p = density_p(fam.spinor(g))
             assert np.max(np.abs(p.values - 1.0)) < 1e-12
         fam = family_trigonometric(-1.0)
         gt = fam.default_grid(41, 41)
-        assert weierstrass_residual(fam.spinor(gt), fam.mean_curvature).max_norm < 1e-12
+        assert weierstrass_residual(fam.spinor(gt), fam.h(gt)).max_norm < 1e-12
 
 
 FORMS = ("h_form", "rho_form", "psi1_form", "psi2_form")
@@ -274,12 +279,12 @@ def test_derived_values_are_their_sources_samples_bitwise(name, kw):
     fam = build_family(name, **kw)
     g = fam.default_grid(23, 17)
     s, rho = fam.spinor(g), fam.rho(g)
-    complex_fields = [rho_from_psi(s).rho, *spin_matrix(rho).entries(),
-                      field_mul(s.psi1, s.psi2), apply_discrete_symmetry(rho, "Z2").rho,
-                      apply_discrete_symmetry(rho, "I").rho]
+    complex_fields = [rho_from_psi(s), *spin_matrix(rho).entries(),
+                      field_mul(s.psi1, s.psi2), apply_discrete_symmetry(rho, "Z2"),
+                      apply_discrete_symmetry(rho, "I")]
     if name == "unimodular":
-        complex_fields.append(multisoliton_product(rho, rho).rho)
-    real_fields = [density_p(s), fam.mean_curvature.sample(g)]
+        complex_fields.append(multisoliton_product(rho, rho))
+    real_fields = [density_p(s), fam.h(g)]
     for k, f in enumerate(complex_fields + real_fields):
         assert f.source is not None, k
         again = sample(f.source, g, extra_mask=f.mask).values
@@ -294,7 +299,7 @@ def test_fd_mean_curvature_has_no_source(name):
     # the finite-difference suites differentiate H by stencils, not jets
     fam = build_family(name)
     g = fam.default_grid(23, 17)
-    h = _fd_H(fam, g).sample(g)
+    h = fam.h(g, analytic=False)
     assert h.source is None
     stencil = d_z(RealField(g, h.values, h.mask))
     assert np.array_equal(_bits(d_z(h).values), _bits(stencil.values))

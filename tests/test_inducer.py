@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gwsurf import (ComplexField, GridSpec, MeanCurvature, RealField, SpinorField,
+from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gauss_curvature_consistency,
                     gauss_curvature_numeric, induce_surface, load_mesh_vertices,
@@ -184,7 +184,7 @@ class TestCurvatureClosure:
         srf = induce_surface(s, 0.0)
         ff = fundamental_forms(srf)
         hn = mean_curvature_numeric(ff)
-        hp = fam.mean_curvature.sample(g)
+        hp = fam.h(g)
         inner = np.zeros(g.shape, bool)
         inner[1:-1, 1:-1] = True
         err = np.abs(np.abs(hn.values) - np.abs(hp.values))[inner & ~hn.mask]
@@ -222,7 +222,7 @@ class TestRigidString:
         srf = sphere_surface(r=2.0)
         ff = fundamental_forms(srf)
         K = gauss_curvature_numeric(ff)
-        rep = rigid_string_residual(MeanCurvature.constant(0.0), K, 1.0, 1.0, ff)
+        rep = rigid_string_residual(RealField(ff.grid, np.zeros(ff.grid.shape)), K, 1.0, 1.0, ff)
         assert rep.max_norm == 0.0
 
     def test_sphere_calibrated_control(self):
@@ -232,9 +232,10 @@ class TestRigidString:
         srf = sphere_surface(r=r)
         ff = fundamental_forms(srf)
         K = gauss_curvature_numeric(ff)
-        rep = rigid_string_residual(MeanCurvature.constant(1 / r), K, 1.0, 1.0, ff)
+        h = RealField(ff.grid, np.full(ff.grid.shape, 1 / r))
+        rep = rigid_string_residual(h, K, 1.0, 1.0, ff)
         assert rep.max_norm == pytest.approx(2 / r, abs=1e-3)
-        rep0 = rigid_string_residual(MeanCurvature.constant(1 / r), K, 0.0, 1.0, ff)
+        rep0 = rigid_string_residual(h, K, 0.0, 1.0, ff)
         assert rep0.max_norm < 1e-3
 
 

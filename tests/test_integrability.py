@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gwsurf import (ComplexField, GridSpec, MeanCurvature, RhoField, SpinorField,
+from gwsurf import (ComplexField, GridSpec, RealField, SpinorField, constant_form,
                     current_J, d_z, d_zbar, density_p, family_exponential,
                     family_holomorphic, family_rational,
                     family_trigonometric, fit_riccati_coeffs, h_from_profile,
                     h_integrability_residual, linear_system_residual,
-                    linearization_constraint_residual, riccati_residual,
+                    linearization_constraint_residual, riccati_residual, sample_real,
                     sinh_gordon_residual, zero_curvature_residual)
 from gwsurf import integrability
 from gwsurf.integrability import HolomorphicProfile, RiccatiCoeffs
@@ -22,6 +22,10 @@ def const_field(c, g=G):
     return ComplexField(g, np.full(g.shape, c, dtype=complex))
 
 
+def const_h(c, g=G):
+    return sample_real(constant_form(c), g)
+
+
 def coeffs(g=G, **kw):
     fields = {k: const_field(kw.get(k, 0.0), g)
               for k in ("a10", "a11", "a12", "a20", "a21", "a22")}
@@ -30,13 +34,13 @@ def coeffs(g=G, **kw):
 
 class TestProfiles:
     def test_cosh_profile_satisfies_criterion(self):
-        H = h_from_profile(np.cosh)
-        rep = h_integrability_residual(H, G, exclude_rings=2)
+        h = sample_real(h_from_profile(np.cosh), G)
+        rep = h_integrability_residual(h, exclude_rings=2)
         assert rep.max_norm < 1e-3
 
     def test_constant_profile_gives_constant_h(self):
         H = h_from_profile(lambda z: np.full(np.shape(z), 4.0, dtype=complex))
-        f = H.sample(G)
+        f = sample_real(H, G)
         assert np.allclose(f.values, 1 / 8.0)
 
     def test_two_argument_profile_rejected(self):
@@ -49,7 +53,7 @@ class TestProfiles:
 
     def test_denominator_zeros_masked(self):
         H = h_from_profile(lambda z: z)          # Q(z)+Q(zbar) = 2x
-        f = H.sample(G)
+        f = sample_real(H, G)
         assert f.mask[G.index_of(0.0, 0.0)]
 
 
@@ -58,24 +62,22 @@ class TestIntegrabilityClassifier:
         # 1/H = 1 + lam^2 s^2 has constant mixed derivative 2 lam^2
         for lam in (1.0, 2.0):
             fam = family_rational(lam)
-            rep = h_integrability_residual(fam.mean_curvature, G)
+            rep = h_integrability_residual(fam.h(G))
             assert rep.max_norm == pytest.approx(2 * lam**2, abs=1e-6)
 
     def test_exponential_family_bounded_away_from_zero(self):
         fam = family_exponential(1.0)
-        rep = h_integrability_residual(fam.mean_curvature, G)
+        rep = h_integrability_residual(fam.h(G))
         assert rep.max_norm >= 1.0
 
     def test_constant_h_integrable(self):
-        rep = h_integrability_residual(MeanCurvature.constant(3.0), G)
+        rep = h_integrability_residual(const_h(3.0))
         assert rep.max_norm < 1e-12
 
     def test_vanishing_h_rejected(self):
-        zz = G.zmesh()
-        from gwsurf.grid import RealField
-        field = RealField(G, 2 * np.real(zz))
+        field = RealField(G, 2 * np.real(G.zmesh()))
         with pytest.raises(ValueError):
-            h_integrability_residual(MeanCurvature.from_field(field), G)
+            h_integrability_residual(field)
 
 
 class TestRiccati:
@@ -87,7 +89,7 @@ class TestRiccati:
         assert rep.max_norm < 1e-12
 
     def test_zero_rho_zero_coefficients(self):
-        rho = RhoField(const_field(0.0))
+        rho = const_field(0.0)
         rep = riccati_residual(rho, coeffs())
         assert rep.max_norm == 0.0
 
@@ -120,13 +122,13 @@ class TestRiccati:
             "patched": (family_rational(1.3), GridSpec(-1, 1, -1, 1, 41, 37)),
         }[case]
         rho = fam.rho(g, analytic=False)
-        assert case != "trig" or rho.rho.mask.any()
+        assert case != "trig" or rho.mask.any()
         if case == "patched":
-            vals = np.array(rho.rho.values)
+            vals = np.array(rho.values)
             vals[10:20, 5:15] = 0
             mask = np.zeros(g.shape, bool)
             mask[12, 9] = True
-            rho = RhoField(ComplexField(g, vals, mask))
+            rho = ComplexField(g, vals, mask)
         # blocks of 100 keys: the holomorphic case spans several, the last partial
         monkeypatch.setattr(integrability, "_FIT_KEYS", 100)
         got = fit_riccati_coeffs(rho)
@@ -159,9 +161,9 @@ class TestRiccati:
 
 def _fit_riccati_reference(r):
     """One batched pinv over every point's weighted 3x3-neighbourhood design."""
-    rho = r.rho.values
-    drho, dbrho = d_z(r.rho), d_zbar(r.rho)
-    valid = ~(r.rho.mask | drho.mask | dbrho.mask)
+    rho = r.values
+    drho, dbrho = d_z(r), d_zbar(r)
+    valid = ~(r.mask | drho.mask | dbrho.mask)
     nx, ny = r.grid.shape
     ii, jj = np.arange(nx), np.arange(ny)
     offs = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
@@ -191,22 +193,22 @@ class TestZeroCurvature:
 class TestSinhGordon:
     def test_rational_family(self):
         fam = family_rational(1.0)
-        rep = sinh_gordon_residual(fam.spinor(G), fam.mean_curvature, exclude_rings=2)
+        rep = sinh_gordon_residual(fam.spinor(G), fam.h(G), exclude_rings=2)
         assert rep.max_norm < 1e-10
 
     def test_pointwise_identity_constant_density(self):
         # constant p forces |J|^2 = p^4 H^2 pointwise
         for fam in (family_rational(1.0), family_exponential(1.0)):
             s = fam.spinor(G)
-            J = current_J(s).j
+            J = current_J(s)
             p = density_p(s)
-            h = fam.mean_curvature.sample(G)
+            h = fam.h(G)
             gap = np.abs(J.values) ** 2 - p.values**4 * h.values**2
             assert np.max(np.abs(gap)) < 1e-10, fam.name
 
     def test_trig_family_strip(self):
         fam = family_trigonometric(1.0)
-        rep = sinh_gordon_residual(fam.spinor(TRIG_G), fam.mean_curvature,
+        rep = sinh_gordon_residual(fam.spinor(TRIG_G), fam.h(TRIG_G),
                                    exclude_rings=2)
         assert rep.max_norm < 1e-10
 
@@ -214,7 +216,7 @@ class TestSinhGordon:
         z = np.zeros(G.shape, complex)
         s = SpinorField(ComplexField(G, z), ComplexField(G, z))
         with pytest.raises(ValueError):
-            sinh_gordon_residual(s, MeanCurvature.constant(1.0))
+            sinh_gordon_residual(s, const_h(1.0))
 
 
 class TestLinearization:
@@ -243,18 +245,18 @@ class TestLinearSystem:
     def test_families_with_their_density(self, lam):
         for make in (family_rational, family_exponential):
             fam = make(lam)
-            rep = linear_system_residual(fam.spinor(G), fam.mean_curvature, lam,
+            rep = linear_system_residual(fam.spinor(G), fam.h(G), lam,
                                          exclude_rings=2)
             assert rep.max_norm < 1e-10, fam.name
 
     def test_zero_spinor(self):
         z = np.zeros(G.shape, complex)
         s = SpinorField(ComplexField(G, z), ComplexField(G, z))
-        rep = linear_system_residual(s, MeanCurvature.constant(1.0), 1.0)
+        rep = linear_system_residual(s, const_h(1.0), 1.0)
         assert rep.max_norm == 0.0
 
     def test_wrong_density_constant_fails(self):
         fam = family_rational(1.0)
-        rep = linear_system_residual(fam.spinor(G), fam.mean_curvature, 3.0,
+        rep = linear_system_residual(fam.spinor(G), fam.h(G), 3.0,
                                      exclude_rings=2)
         assert rep.max_norm > 1e-2

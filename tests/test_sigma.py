@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsurf import (ComplexField, GridSpec, MeanCurvature, RhoField, SpinorField,
-                    apply_discrete_symmetry, compatibility_residual,
+from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry,
+                    compatibility_residual, constant_form,
                     deformed_ll_residual, family_exponential, family_rational,
                     family_trigonometric, family_unimodular,
                     landau_lifshitz_residual, multisoliton_product, psi_from_rho,
-                    rho_from_psi, sigma_residual, spin_matrix,
+                    rho_from_psi, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
 from gwsurf.closedform import holomorphic_form
 
@@ -16,8 +16,12 @@ G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
 
 
-def rho_of(values, g=G, eps=1):
-    return RhoField(ComplexField(g, values), eps)
+def rho_of(values, g=G):
+    return ComplexField(g, values)
+
+
+def const_h(c, g=G):
+    return sample_real(constant_form(c), g)
 
 
 class TestRhoFromPsi:
@@ -25,17 +29,17 @@ class TestRhoFromPsi:
         # psi1/conj(psi2) collapses to lambda*(z+zbar)
         r = rho_from_psi(family_rational(1.0).spinor(G))
         expect = 2 * np.real(G.zmesh())
-        assert np.max(np.abs(r.rho.values - expect)) < 1e-12
+        assert np.max(np.abs(r.values - expect)) < 1e-12
 
     def test_exponential_profile(self):
         r = rho_from_psi(family_exponential(1.0).spinor(G))
         expect = np.exp(2 * np.real(G.zmesh()))
-        assert np.max(np.abs(r.rho.values - expect)) < 5e-12
+        assert np.max(np.abs(r.values - expect)) < 5e-12
 
     def test_equal_real_components_give_one(self):
         ones = ComplexField(G, np.full(G.shape, 0.7))
         r = rho_from_psi(SpinorField(ones, ones))
-        assert np.max(np.abs(r.rho.values - 1.0)) < 1e-14
+        assert np.max(np.abs(r.values - 1.0)) < 1e-14
 
     def test_zero_psi2_rejected(self):
         zero = ComplexField(G, np.zeros(G.shape))
@@ -48,7 +52,7 @@ class TestPsiFromRho:
     def test_rational_point_values(self):
         # at z=0: (psi1, psi2) = (0, eps); at z=1 (s=2): (2 eps/sqrt5, eps/sqrt5)
         fam = family_rational(1.0)
-        s = psi_from_rho(fam.rho(G), fam.mean_curvature)
+        s = psi_from_rho(fam.rho(G), fam.h(G))
         i0, j0 = G.index_of(0.0, 0.0)
         assert abs(s.psi1.values[i0, j0]) < 1e-14
         assert s.psi2.values[i0, j0] == pytest.approx(1.0)
@@ -58,33 +62,38 @@ class TestPsiFromRho:
 
     def test_negative_branch_sign(self):
         fam = family_rational(1.0, eps=-1)
-        s = psi_from_rho(fam.rho(G), fam.mean_curvature)
+        s = psi_from_rho(fam.rho(G), fam.h(G), fam.eps)
         i1, j1 = G.index_of(1.0, 0.0)
         assert s.psi2.values[i1, j1] == pytest.approx(-1 / np.sqrt(5))
+
+    def test_branch_sign_must_be_unit(self):
+        fam = family_rational(1.0)
+        with pytest.raises(ValueError, match="branch sign"):
+            psi_from_rho(fam.rho(G), fam.h(G), 2)
 
     def test_round_trip_rho_psi_rho(self):
         fam = family_rational(1.0)
         rho = fam.rho(G)
-        back = rho_from_psi(psi_from_rho(rho, fam.mean_curvature))
-        assert np.max(np.abs(back.rho.values - rho.rho.values)) < 1e-12
+        back = rho_from_psi(psi_from_rho(rho, fam.h(G)))
+        assert np.max(np.abs(back.values - rho.values)) < 1e-12
 
     def test_round_trip_psi_rho_psi(self):
         fam = family_exponential(1.0)
         s = fam.spinor(G)
-        back = psi_from_rho(rho_from_psi(s), fam.mean_curvature)
+        back = psi_from_rho(rho_from_psi(s), fam.h(G))
         for a, b in ((back.psi1, s.psi1), (back.psi2, s.psi2)):
             assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_nonpositive_h_rejected(self):
         fam = family_rational(1.0)
         with pytest.raises(ValueError):
-            psi_from_rho(fam.rho(G), MeanCurvature.constant(-1.0))
+            psi_from_rho(fam.rho(G), const_h(-1.0))
 
     def test_branch_continuation_crosses_principal_cut(self):
         # d rho of exp(2i x) sweeps the circle; the continued square root
         # must stay smooth where the principal branch jumps
         fam = family_unimodular(2.0, 1.0)
-        s = psi_from_rho(fam.rho(G, analytic=False), fam.mean_curvature)
+        s = psi_from_rho(fam.rho(G, analytic=False), fam.h(G))
         steps = np.abs(np.diff(s.psi2.values, axis=0))
         assert np.max(steps) < 0.1    # no O(1) sign-flip line
 
@@ -93,9 +102,9 @@ class TestPsiFromRho:
         # outside; the transform must still be a solution on the inside
         fam = family_trigonometric(1.0)
         wide = GridSpec(-0.5, 1.0, -1, 1, 61, 61)
-        s = psi_from_rho(fam.rho(wide), fam.mean_curvature)
+        s = psi_from_rho(fam.rho(wide), fam.h(wide))
         assert s.mask.any() and not s.mask.all()
-        rep = weierstrass_residual(s, fam.mean_curvature)
+        rep = weierstrass_residual(s, fam.h(wide))
         assert rep.max_norm < 1e-12
 
 
@@ -103,18 +112,18 @@ class TestSigmaResidual:
     def test_families_analytic(self):
         for fam, g in ((family_rational(1.0), G), (family_exponential(1.0), G),
                        (family_trigonometric(1.0), TRIG_G)):
-            rep = sigma_residual(fam.rho(g), fam.mean_curvature)
+            rep = sigma_residual(fam.rho(g), fam.h(g))
             assert rep.max_norm < 1e-12, fam.name
 
     def test_holomorphic_square_constant_h(self):
         # dbar rho = 0 kills every term; stencils reproduce that exactly
         zz = G.zmesh()
-        rep = sigma_residual(rho_of(zz**2), MeanCurvature.constant(1.0))
+        rep = sigma_residual(rho_of(zz**2), const_h(1.0))
         assert rep.max_norm < 1e-12
 
     def test_nonpositive_h_rejected(self):
         with pytest.raises(ValueError):
-            sigma_residual(rho_of(G.zmesh()), MeanCurvature.constant(0.0))
+            sigma_residual(rho_of(G.zmesh()), const_h(0.0))
 
 
 class TestDiscreteSymmetries:
@@ -122,13 +131,13 @@ class TestDiscreteSymmetries:
         fam = family_exponential(1.0)
         r = fam.rho(G)
         twice = apply_discrete_symmetry(apply_discrete_symmetry(r, "I"), "I")
-        ok = ~twice.rho.mask
-        assert np.max(np.abs(twice.rho.values[ok] - r.rho.values[ok])) < 1e-12
+        ok = ~twice.mask
+        assert np.max(np.abs(twice.values[ok] - r.values[ok])) < 1e-12
 
     def test_sign_flip_preserves_residual(self):
         fam = family_rational(1.0)
         r2 = apply_discrete_symmetry(fam.rho(G), "Z2")
-        rep = sigma_residual(r2, fam.mean_curvature)
+        rep = sigma_residual(r2, fam.h(G))
         assert rep.max_norm < 1e-12
 
     def test_inversion_preserves_solutions_away_from_zero(self):
@@ -136,10 +145,9 @@ class TestDiscreteSymmetries:
         # inverse of a solution is a solution wherever rho is not small
         fam = family_rational(1.0)
         inv = apply_discrete_symmetry(fam.rho(G), "I")
-        extra = np.abs(fam.rho(G).rho.values) < 0.25
-        masked = RhoField(ComplexField(G, inv.rho.values, inv.rho.mask | extra,
-                                       source=inv.rho.source), inv.branch_eps)
-        rep = sigma_residual(masked, fam.mean_curvature)
+        extra = np.abs(fam.rho(G).values) < 0.25
+        masked = ComplexField(G, inv.values, inv.mask | extra, source=inv.source)
+        rep = sigma_residual(masked, fam.h(G))
         assert rep.max_norm < 1e-10
 
     def test_unknown_symmetry_rejected(self):
@@ -166,7 +174,7 @@ class TestSpinMatrix:
         rng = np.random.default_rng(seed)
         g = GridSpec(-1, 1, -1, 1, 9, 9)
         vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        rep = spin_matrix(RhoField(ComplexField(g, vals))).algebra_report()
+        rep = spin_matrix(ComplexField(g, vals)).algebra_report()
         assert rep.max_norm < 1e-12
 
 
@@ -187,8 +195,7 @@ class TestCommutatorIdentity:
             zz = g.zmesh()
             vals = (1 + zz**2 * np.conj(zz) / 3 + 1j * np.conj(zz) ** 2 - 2 * zz) / 7
             rho_f = ComplexField(g, vals)
-            (c11, c12, c21, c22), cmask = _commutator_with_mixed(
-                spin_matrix(RhoField(rho_f)))
+            (c11, c12, c21, c22), cmask = _commutator_with_mixed(spin_matrix(rho_f))
 
             rho = rho_f.values
             cb = np.conj(rho)
@@ -233,19 +240,19 @@ class TestLandauLifshitz:
 class TestDeformedLandauLifshitz:
     def test_rational_family(self):
         fam = family_rational(1.0)
-        rep = deformed_ll_residual(fam.rho(G), fam.mean_curvature)
+        rep = deformed_ll_residual(fam.rho(G), fam.h(G))
         assert rep.max_norm < 1e-10
         assert rep.masked_points == 101   # the rho = 0 line is masked
 
     def test_trig_family(self):
         fam = family_trigonometric(1.0)
-        rep = deformed_ll_residual(fam.rho(TRIG_G), fam.mean_curvature)
+        rep = deformed_ll_residual(fam.rho(TRIG_G), fam.h(TRIG_G))
         assert rep.max_norm < 1e-10
 
     def test_constant_h_equals_homogeneous(self):
         fam = family_unimodular(1.0, 1.0)
         r = fam.rho(G)
-        a = deformed_ll_residual(r, fam.mean_curvature)
+        a = deformed_ll_residual(r, fam.h(G))
         b = landau_lifshitz_residual(spin_matrix(r))
         assert a.max_norm == pytest.approx(b.max_norm, abs=1e-14)
 
@@ -254,8 +261,7 @@ class TestDeformedLandauLifshitz:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            H = MeanCurvature.from_field(fam.mean_curvature.sample(g).without_source())
-            return deformed_ll_residual(fam.rho(g, analytic=False), H,
+            return deformed_ll_residual(fam.rho(g, analytic=False), fam.h(g, analytic=False),
                                         exclude_rings=2).max_norm
 
         r1, r2 = res(51), res(101)
@@ -267,21 +273,21 @@ class TestMultisoliton:
         r1 = family_unimodular(1.0, 1.0).rho(G)
         r2 = family_unimodular(2.0, 1.0).rho(G)
         prod = multisoliton_product(r1, r2)
-        assert np.max(np.abs(np.abs(prod.rho.values) - 1.0)) < 1e-10
-        rep = sigma_residual(prod, MeanCurvature.constant(1.0))
+        assert np.max(np.abs(np.abs(prod.values) - 1.0)) < 1e-10
+        rep = sigma_residual(prod, const_h(1.0))
         assert rep.max_norm < 1e-12
 
     def test_same_factor_doubles_frequency(self):
         r1 = family_unimodular(1.0, 1.0).rho(G)
         prod = multisoliton_product(r1, r1)
         expect = np.exp(2j * 2 * np.real(G.zmesh()))
-        assert np.max(np.abs(prod.rho.values - expect)) < 1e-12
+        assert np.max(np.abs(prod.values - expect)) < 1e-12
 
     def test_unit_factor_is_neutral(self):
         r1 = family_unimodular(1.0, 1.0).rho(G)
         one = rho_of(np.ones(G.shape, complex))
         prod = multisoliton_product(r1, one)
-        assert np.array_equal(prod.rho.values, r1.rho.values)
+        assert np.array_equal(prod.values, r1.values)
 
     def test_nonunimodular_rejected(self):
         r1 = family_unimodular(1.0, 1.0).rho(G)
@@ -292,30 +298,30 @@ class TestMultisoliton:
 class TestUnimodularConstancy:
     def test_constant_h_consistent(self):
         r = family_unimodular(1.0, 1.0).rho(G)
-        rep = unimodular_H_constancy_check(r, MeanCurvature.constant(2.5))
+        rep = unimodular_H_constancy_check(r, const_h(2.5))
         assert rep.details["consistent"] is True
         assert rep.details["h_spread"] == 0.0
 
     def test_varying_h_flagged(self):
         r = family_unimodular(1.0, 1.0).rho(G)
-        rep = unimodular_H_constancy_check(r, family_rational(1.0).mean_curvature)
+        rep = unimodular_H_constancy_check(r, family_rational(1.0).h(G))
         assert rep.details["consistent"] is False
         assert rep.max_norm > 0.1
 
     def test_nonunimodular_precondition(self):
         with pytest.raises(ValueError):
-            unimodular_H_constancy_check(rho_of(G.zmesh()), MeanCurvature.constant(1.0))
+            unimodular_H_constancy_check(rho_of(G.zmesh()), const_h(1.0))
 
 
 class TestCompatibility:
     def test_unimodular_exponentials(self):
         fam = family_unimodular(1.5, 1.0)
-        rep = compatibility_residual(fam.rho(G), fam.mean_curvature)
+        rep = compatibility_residual(fam.rho(G), fam.h(G))
         assert rep.max_norm < 1e-12
 
     def test_constant_rho_fully_masked(self):
         r = rho_of(np.ones(G.shape, complex))
-        rep = compatibility_residual(r, MeanCurvature.constant(1.0))
+        rep = compatibility_residual(r, const_h(1.0))
         assert rep.masked_points == G.nx * G.ny
         assert rep.max_norm == 0.0
 
@@ -323,7 +329,7 @@ class TestCompatibility:
         r1 = family_unimodular(1.0, 1.0).rho(G)
         r2 = family_unimodular(2.0, 1.0).rho(G)
         rep = compatibility_residual(multisoliton_product(r1, r2),
-                                     MeanCurvature.constant(1.0), exclude_rings=2)
+                                     const_h(1.0), exclude_rings=2)
         assert rep.max_norm < 1e-10
 
 
@@ -337,13 +343,12 @@ class TestTransformTheorem:
     ])
     def test_both_directions(self, make, g):
         fam = make()
-        H = fam.mean_curvature
-        assert weierstrass_residual(psi_from_rho(fam.rho(g), H), H).max_norm < 1e-12
-        assert sigma_residual(rho_from_psi(fam.spinor(g)), H).max_norm < 1e-12
+        h = fam.h(g)
+        assert weierstrass_residual(psi_from_rho(fam.rho(g), h), h).max_norm < 1e-12
+        assert sigma_residual(rho_from_psi(fam.spinor(g)), h).max_norm < 1e-12
 
     def test_holomorphic_direction(self):
-        fam_h = MeanCurvature.constant(1.0)
-        r = RhoField(ComplexField(G, G.zmesh(),
-                                  source=holomorphic_form(lambda z: z)), 1)
-        s = psi_from_rho(r, fam_h)
-        assert weierstrass_residual(s, fam_h).max_norm < 1e-12
+        h = const_h(1.0)
+        r = ComplexField(G, G.zmesh(), source=holomorphic_form(lambda z: z))
+        s = psi_from_rho(r, h)
+        assert weierstrass_residual(s, h).max_norm < 1e-12

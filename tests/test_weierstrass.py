@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from gwsurf import (ComplexField, GridSpec, MeanCurvature, RealField, SpinorField,
-                    conservation_defect, current_J, d_zbar, dbar_J_defect, density_p,
+from gwsurf import (ComplexField, GridSpec, RealField, SpinorField, conservation_defect,
+                    constant_form, current_J, d_zbar, dbar_J_defect, density_p,
                     family_exponential, family_rational, family_unimodular,
                     gaussian_curvature_from_p, modified_current,
-                    potential_conservation_residual, weierstrass_residual)
+                    potential_conservation_residual, sample_real, weierstrass_residual)
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
+ONE = sample_real(constant_form(1.0), G)
 
 
 def zero_spinor(g=G):
@@ -38,13 +39,13 @@ class TestDensity:
 class TestSystemResidual:
     def test_rational_analytic_machine_zero(self):
         fam = family_rational(1.0)
-        rep = weierstrass_residual(fam.spinor(G), fam.mean_curvature)
+        rep = weierstrass_residual(fam.spinor(G), fam.h(G))
         assert rep.max_norm < 1e-12
         assert {p.name for p in rep.parts} == {
             "d_psi1", "dbar_psi2", "dbar_conj_psi1", "d_conj_psi2"}
 
     def test_zero_spinor_zero_residual(self):
-        rep = weierstrass_residual(zero_spinor(), MeanCurvature.constant(1.0))
+        rep = weierstrass_residual(zero_spinor(), ONE)
         assert rep.max_norm == 0.0
 
     def test_fd_residual_converges_second_order(self):
@@ -52,18 +53,10 @@ class TestSystemResidual:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            return weierstrass_residual(fam.spinor(g, analytic=False),
-                                        fam.mean_curvature).max_norm
+            return weierstrass_residual(fam.spinor(g, analytic=False), fam.h(g)).max_norm
 
         r1, r2 = res(51), res(101)
         assert 3.5 < r1 / r2 < 4.5
-
-    def test_grid_mismatch_rejected(self):
-        fam = family_rational(1.0)
-        other = MeanCurvature.from_field(
-            fam.mean_curvature.sample(GridSpec(-1, 1, -1, 1, 51, 51)))
-        with pytest.raises(ValueError):
-            weierstrass_residual(fam.spinor(G), other)
 
 
 class TestConservation:
@@ -84,12 +77,12 @@ class TestConservation:
 
 class TestCurrent:
     def test_zero_spinor_current_vanishes(self):
-        assert np.all(current_J(zero_spinor()).j.values == 0)
+        assert np.all(current_J(zero_spinor()).values == 0)
 
     def test_rational_current_closed_form(self):
         # for the rational family at lambda=1 the current is -1/(1+s^2)
         s = family_rational(1.0).spinor(G)
-        J = current_J(s).j
+        J = current_J(s)
         expect = -1.0 / (1.0 + (2 * np.real(G.zmesh())) ** 2)
         assert np.max(np.abs(J.values - expect)) < 1e-12
 
@@ -97,7 +90,7 @@ class TestCurrent:
         for fam in (family_rational(1.0), family_exponential(1.0)):
             def res(n):
                 g = GridSpec(-1, 1, -1, 1, n, n)
-                return dbar_J_defect(fam.spinor(g), fam.mean_curvature,
+                return dbar_J_defect(fam.spinor(g), fam.h(g),
                                      exclude_rings=2).max_norm
             r1, r2 = res(51), res(101)
             assert r2 < 1e-2
@@ -116,7 +109,7 @@ class TestCurrent:
         assert rep.max_norm < 1e-3
 
     def test_zero_spinor_defect(self):
-        rep = dbar_J_defect(zero_spinor(), MeanCurvature.constant(1.0))
+        rep = dbar_J_defect(zero_spinor(), ONE)
         assert rep.max_norm == 0.0
 
 
@@ -126,7 +119,7 @@ class TestModifiedCurrent:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            cur = modified_current(fam.spinor(g), fam.mean_curvature, 0.0)
+            cur = modified_current(fam.spinor(g), fam.h(g), 0.0)
             return conservation_defect(cur, exclude_rings=2).max_norm
 
         r1, r2 = res(51), res(101)
@@ -136,14 +129,14 @@ class TestModifiedCurrent:
     def test_constant_h_reduces_to_plain_current(self):
         fam = family_unimodular(1.0, 1.0)
         s = fam.spinor(G)
-        cur = modified_current(s, fam.mean_curvature, 0.0)
-        assert np.array_equal(cur.j.values, current_J(s).j.values)
+        cur = modified_current(s, fam.h(G), 0.0)
+        assert np.array_equal(cur.values, current_J(s).values)
 
     def test_basepoint_shift_changes_by_conserved_field(self):
         fam = family_rational(1.0)
         s = fam.spinor(G)
-        a = modified_current(s, fam.mean_curvature, 0.0).j
-        b = modified_current(s, fam.mean_curvature, 0.5).j
+        a = modified_current(s, fam.h(G), 0.0)
+        b = modified_current(s, fam.h(G), 0.5)
         diff = ComplexField(G, a.values - b.values, a.mask | b.mask)
         rep = d_zbar(diff)
         assert np.max(np.abs(rep.values[2:-2, 2:-2])) < 1e-3
@@ -151,7 +144,7 @@ class TestModifiedCurrent:
     def test_basepoint_off_grid_rejected(self):
         fam = family_rational(1.0)
         with pytest.raises(ValueError):
-            modified_current(fam.spinor(G), fam.mean_curvature, 0.0123456)
+            modified_current(fam.spinor(G), fam.h(G), 0.0123456)
 
 
 class TestGaussCurvature:
