@@ -18,8 +18,9 @@ from .weierstrass import (SpinorField, log_derivatives, density_p,
                           weierstrass_residual, potential_conservation_residual,
                           current_J, dbar_J_defect, modified_current,
                           conservation_defect, gaussian_curvature_from_p)
-from .sigma import (SpinMatrix, rho_from_psi, psi_from_rho, sigma_residual,
-                    apply_discrete_symmetry, spin_matrix, landau_lifshitz_residual,
+from .sigma import (SpinMatrix, LLCommutator, rho_from_psi, psi_from_rho, sigma_residual,
+                    apply_discrete_symmetry, spin_matrix, ll_commutator,
+                    landau_lifshitz_residual,
                     deformed_ll_residual, multisoliton_product,
                     unimodular_H_constancy_check, compatibility_residual)
 from .integrability import (RiccatiCoeffs, HolomorphicProfile, h_integrability_residual,

@@ -107,7 +107,10 @@ def _gradient(field, axis: int):
 
     Fields are immutable, so each axis is differenced at most once per
     field; the result is kept on the field and shared with its
-    without_source() views, which hold the same arrays.
+    without_source() views, which hold the same arrays. The cache is the
+    one piece of mutable state a field has: `verify --jobs` (cli's
+    `_run_level`) fills it on every input without a source before the
+    suites are dispatched to worker threads, which then only read it.
     """
     got = field._grad.get(axis)
     if got is None:
@@ -117,6 +120,13 @@ def _gradient(field, axis: int):
             arr.setflags(write=False)
         field._grad[axis] = got
     return got
+
+
+def _once(derivative, field):
+    """derivative(field) for a field that no other derivative reads: the
+    stencils it computes go with the result instead of staying on `field`."""
+    return derivative(field._derived(field.grid, field.values, field.mask,
+                                     source=field.source, finite=True))
 
 
 def dx(field):

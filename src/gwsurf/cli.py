@@ -30,14 +30,15 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .calculus import mixed_dzbar_dz
+from .calculus import _gradient, mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
-from .grid import GridSpec, NumericalBreakdown
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
 from .inducer import (export_mesh, fundamental_forms, induce_surface,
                       path_independence_report)
 from .integrability import (fit_riccati_coeffs, h_integrability_residual,
@@ -46,10 +47,10 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             sinh_gordon_residual, zero_curvature_residual)
 from .reporting import RATIO_MIN, ResidualReport, worst
 from .sigma import (compatibility_residual, deformed_ll_residual,
-                    landau_lifshitz_residual, multisoliton_product, psi_from_rho,
-                    rho_from_psi, sigma_residual, spin_matrix,
+                    landau_lifshitz_residual, ll_commutator, multisoliton_product,
+                    psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check)
-from .weierstrass import (conservation_defect, current_J,
+from .weierstrass import (SpinorField, conservation_defect, current_J,
                           dbar_J_defect, density_p, gaussian_curvature_from_p,
                           modified_current, potential_conservation_residual,
                           weierstrass_residual)
@@ -253,12 +254,37 @@ _SPINOR = _on("varying_h", "unimodular", "holomorphic")
 _UNIMODULAR = _on("unimodular", "constant_rho")
 
 
+# verify's inputs at one level, each built on first use and dropped after its
+# last reader; `reads` names the inputs one is built from. Suites run in the
+# order of the heaviest input they read (`weight`), so the readers of each
+# heavy input run back to back, and it is dropped before a heavier one is
+# built. The *_fd inputs take the stencil path: h and rho are the same
+# samples without their analytic sources.
+@dataclass(frozen=True)
+class _Input:
+    build: Callable             # fn(fam, grid, *reads) -> the input
+    reads: tuple = ()
+    weight: int = 0
+
+
+_INPUTS = {
+    "rho": _Input(lambda fam, g: fam.rho(g)),
+    "spinor": _Input(lambda fam, g: fam.spinor(g)),
+    "h": _Input(lambda fam, g: fam.h(g)),
+    "h_fd": _Input(lambda fam, g, h: h.without_source(), ("h",)),
+    "spinor_fd": _Input(lambda fam, g: fam.spinor(g, analytic=False), weight=1),
+    "rho_fd": _Input(lambda fam, g, rho: rho.without_source(), ("rho",), weight=2),
+    "ll_commutator_fd": _Input(lambda fam, g, rho: ll_commutator(rho), ("rho_fd",), weight=3),
+}
+
+
 @dataclass(frozen=True)
 class SuiteSpec:
     name: str
     kind: str                   # exact | fd | control | classify
     applies: object             # fn(family) -> bool: run for this family
-    runner: object              # fn(family, grid) -> ResidualReport
+    inputs: tuple               # names in _INPUTS
+    runner: object              # fn(family, *inputs) -> ResidualReport
     tol: float = EXACT_TOL      # for exact suites
     # fd suites: enforce the O(h^2) ratio; fn(family) -> bool in SUITES,
     # that function's value once _suites_for resolves the spec for a family
@@ -281,77 +307,55 @@ def _report_scalar(grid, value, **details) -> ResidualReport:
 
 # --- exact-path runners -----------------------------------------------------
 
-def run_roundtrip_exact(fam, grid):
-    rho = fam.rho(grid)
-    back = rho_from_psi(psi_from_rho(rho, fam.h(grid), fam.eps))
-    return _report_scalar(grid, _max_abs(back.values - rho.values, rho.mask | back.mask))
+def run_roundtrip_exact(fam, rho, h):
+    back = rho_from_psi(psi_from_rho(rho, h, fam.eps))
+    return _report_scalar(rho.grid, _max_abs(back.values - rho.values, rho.mask | back.mask))
 
 
-def run_transform_exact(fam, grid):
-    h = fam.h(grid)
-    a = weierstrass_residual(psi_from_rho(fam.rho(grid), h, fam.eps), h)
-    derived = rho_from_psi(fam.spinor(grid))
+def run_transform_exact(fam, rho, h, spinor):
+    a = weierstrass_residual(psi_from_rho(rho, h, fam.eps), h)
+    derived = rho_from_psi(spinor)
     b = sigma_residual(derived, h)
     # the quotient's derivatives legitimately amplify rounding where |rho|
     # grows large, so that direction is judged relative to the size of the
     # second-derivative term it has to cancel
     mixed = mixed_dzbar_dz(derived)
     scale = max(1.0, _max_abs(mixed.values, mixed.mask))
-    return _report_scalar(grid, worst(a.max_norm, b.max_norm / scale),
+    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm / scale),
                           spinor_direction=a.max_norm, rho_direction=b.max_norm,
                           rho_direction_scale=scale)
 
 
-def run_current_identity_exact(fam, grid):
-    s = fam.spinor(grid)
+def run_current_identity_exact(fam, s, h):
     J = current_J(s)
     p = density_p(s)
-    h = fam.h(grid)
     vals = np.abs(J.values) ** 2 - p.values**4 * h.values**2
-    return _report_scalar(grid, _max_abs(vals, J.mask | p.mask | h.mask))
+    return _report_scalar(s.grid, _max_abs(vals, J.mask | p.mask | h.mask))
 
 
-def run_constraints_exact(fam, grid):
-    rep = linearization_constraint_residual(fam.spinor(grid))
+def run_constraints_exact(fam, s):
+    rep = linearization_constraint_residual(s)
     return replace(rep, max_norm=worst(rep.max_norm, rep.details.get("p_variance", 0.0)))
 
 
-def run_linear_system_exact(fam, grid):
-    return linear_system_residual(fam.spinor(grid), fam.h(grid), abs(_param(fam)),
-                                  exclude_rings=2)
-
-
-def run_compatibility_exact(fam, grid):
-    return compatibility_residual(fam.rho(grid), fam.h(grid), exclude_rings=2)
-
-
-def run_h_constancy_exact(fam, grid):
-    rep = unimodular_H_constancy_check(fam.rho(grid), fam.h(grid))
+def run_h_constancy_exact(fam, rho, h):
+    rep = unimodular_H_constancy_check(rho, h)
     if not rep.details.get("consistent", False):
         return replace(rep, max_norm=worst(rep.max_norm, 1.0))
     return rep
 
 
-def run_multisoliton_exact(fam, grid):
-    rho = fam.rho(grid)
+def run_multisoliton_exact(fam, rho, h):
     prod = multisoliton_product(rho, rho)
-    rep = sigma_residual(prod, fam.h(grid))
+    rep = sigma_residual(prod, h)
     dev = _max_abs(np.abs(prod.values) - 1.0, prod.mask)
     return replace(rep, max_norm=worst(rep.max_norm, dev), details={"unimodularity": dev})
 
 
 # --- finite-difference runners ----------------------------------------------
 
-def run_sigma_fd(fam, grid):
-    # the mixed second derivative composes two stencils, so the boundary
-    # seam converges one order slower; the interior carries the O(h^2) claim
-    return sigma_residual(fam.rho(grid, analytic=False), fam.h(grid, analytic=False),
-                          exclude_rings=2)
-
-
-def run_roundtrip_fd(fam, grid):
-    s = fam.spinor(grid, analytic=False)
-    back = psi_from_rho(rho_from_psi(s), fam.h(grid, analytic=False))
+def run_roundtrip_fd(fam, s, h):
+    back = psi_from_rho(rho_from_psi(s), h)
     mask = s.mask | back.mask
     # compare up to the global transform sign
     d_plus = np.abs(back.psi2.values - s.psi2.values)
@@ -360,67 +364,41 @@ def run_roundtrip_fd(fam, grid):
     sgn = -1.0 if use_minus else 1.0
     err = np.maximum(np.abs(sgn * back.psi1.values - s.psi1.values),
                      np.abs(sgn * back.psi2.values - s.psi2.values))
-    return _report_scalar(grid, _max_abs(err, mask))
+    return _report_scalar(s.grid, _max_abs(err, mask))
 
 
-def run_current_defect_fd(fam, grid):
-    return dbar_J_defect(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
-                         exclude_rings=2)
-
-
-def run_modified_current_fd(fam, grid):
-    x0 = grid.xs()[(grid.nx - 1) // 2]
-    cur = modified_current(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False), x0)
+def run_modified_current_fd(fam, s, h):
+    grid = s.grid
+    cur = modified_current(s, h, grid.xs()[(grid.nx - 1) // 2])
     return conservation_defect(cur, exclude_rings=2)
 
 
-def run_sinh_gordon_fd(fam, grid):
-    return sinh_gordon_residual(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
-                                exclude_rings=2)
-
-
-def run_deformed_ll_fd(fam, grid):
-    return deformed_ll_residual(fam.rho(grid, analytic=False), fam.h(grid, analytic=False),
-                                exclude_rings=2)
-
-
-def run_ll_fd(fam, grid):
-    return landau_lifshitz_residual(spin_matrix(fam.rho(grid, analytic=False)),
-                                    exclude_rings=2)
-
-
-def run_riccati_fd(fam, grid):
-    rho = fam.rho(grid, analytic=False)
+def run_riccati_fd(fam, rho):
     coeffs = fit_riccati_coeffs(rho)
     a = riccati_residual(rho, coeffs, exclude_rings=2)
     b = zero_curvature_residual(coeffs, exclude_rings=2)
-    return _report_scalar(grid, worst(a.max_norm, b.max_norm),
+    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm),
                           constraint=a.max_norm, zero_curvature=b.max_norm)
 
 
-def run_path_independence_fd(fam, grid):
+def run_path_independence_fd(fam, s):
+    grid = s.grid
     i0, j0 = grid.center_index()
     z0 = (grid.xs()[i0], grid.ys()[j0])
-    return path_independence_report(fam.spinor(grid), z0, (grid.x_max, grid.y_max))
-
-
-def run_linear_system_fd(fam, grid):
-    return linear_system_residual(fam.spinor(grid, analytic=False), fam.h(grid, analytic=False),
-                                  abs(_param(fam)), exclude_rings=2)
+    return path_independence_report(s, z0, (grid.x_max, grid.y_max))
 
 
 # --- controls and classification ---------------------------------------------
 
-def run_ll_necessity_control(fam, grid):
+def run_ll_necessity_control(fam, comm, h):
     """Undeformed spin equation must fail where the deformation is needed."""
-    rho = fam.rho(grid, analytic=False)
-    undeformed = landau_lifshitz_residual(spin_matrix(rho), exclude_rings=2)
-    deformed = deformed_ll_residual(rho, fam.h(grid, analytic=False), exclude_rings=2)
-    return _report_scalar(grid, undeformed.max_norm, deformed=deformed.max_norm)
+    undeformed = landau_lifshitz_residual(comm, exclude_rings=2)
+    deformed = deformed_ll_residual(comm, h, exclude_rings=2)
+    return _report_scalar(comm.grid, undeformed.max_norm, deformed=deformed.max_norm)
 
 
-def run_h_classification(fam, grid):
-    rep = h_integrability_residual(fam.h(grid), exclude_rings=2)
+def run_h_classification(fam, h):
+    rep = h_integrability_residual(h, exclude_rings=2)
     details = dict(rep.details)
     if fam.name == "rational":
         # d dbar (1/H) of the rational family is the constant 2 lambda^2
@@ -430,45 +408,65 @@ def run_h_classification(fam, grid):
 
 
 SUITES = (
-    SuiteSpec("dirac_exact", "exact", _SPINOR,
-              lambda fam, g: weierstrass_residual(fam.spinor(g), fam.h(g))),
-    SuiteSpec("sigma_exact", "exact", _ALL,
-              lambda fam, g: sigma_residual(fam.rho(g), fam.h(g))),
-    SuiteSpec("conservation_exact", "exact", _SPINOR,
-              lambda fam, g: potential_conservation_residual(fam.spinor(g))),
-    SuiteSpec("roundtrip_exact", "exact", _VARYING_H, run_roundtrip_exact),
-    SuiteSpec("transform_exact", "exact", _VARYING_H, run_transform_exact),
-    SuiteSpec("spin_algebra_exact", "exact", _ALL,
-              lambda fam, g: spin_matrix(fam.rho(g)).algebra_report()),
-    SuiteSpec("current_identity_exact", "exact", _on("varying_h", "unimodular"),
+    SuiteSpec("dirac_exact", "exact", _SPINOR, ("spinor", "h"),
+              lambda fam, s, h: weierstrass_residual(s, h)),
+    SuiteSpec("sigma_exact", "exact", _ALL, ("rho", "h"),
+              lambda fam, rho, h: sigma_residual(rho, h)),
+    SuiteSpec("conservation_exact", "exact", _SPINOR, ("spinor",),
+              lambda fam, s: potential_conservation_residual(s)),
+    SuiteSpec("roundtrip_exact", "exact", _VARYING_H, ("rho", "h"), run_roundtrip_exact),
+    SuiteSpec("transform_exact", "exact", _VARYING_H, ("rho", "h", "spinor"),
+              run_transform_exact),
+    SuiteSpec("spin_algebra_exact", "exact", _ALL, ("rho",),
+              lambda fam, rho: spin_matrix(rho).algebra_report()),
+    SuiteSpec("current_identity_exact", "exact", _on("varying_h", "unimodular"), ("spinor", "h"),
               run_current_identity_exact, POINTWISE_TOL),
-    SuiteSpec("constraints_exact", "exact", _VARYING_H, run_constraints_exact, POINTWISE_TOL),
-    SuiteSpec("linear_system_exact", "exact", _VARYING_H, run_linear_system_exact, POINTWISE_TOL),
-    SuiteSpec("deformed_ll_exact", "exact", _VARYING_H,
-              lambda fam, g: deformed_ll_residual(fam.rho(g), fam.h(g)), POINTWISE_TOL),
-    SuiteSpec("compatibility_exact", "exact", _on("unimodular"), run_compatibility_exact,
+    SuiteSpec("constraints_exact", "exact", _VARYING_H, ("spinor",), run_constraints_exact,
               POINTWISE_TOL),
-    SuiteSpec("h_constancy_exact", "exact", _UNIMODULAR, run_h_constancy_exact, POINTWISE_TOL),
-    SuiteSpec("multisoliton_exact", "exact", _UNIMODULAR, run_multisoliton_exact, POINTWISE_TOL),
-    SuiteSpec("dirac_fd", "fd", _VARYING_H,
-              lambda fam, g: weierstrass_residual(fam.spinor(g, analytic=False),
-                                                  fam.h(g, analytic=False))),
-    SuiteSpec("sigma_fd", "fd", _VARYING_H, run_sigma_fd),
-    SuiteSpec("conservation_fd", "fd", _VARYING_H,
-              lambda fam, g: potential_conservation_residual(fam.spinor(g, analytic=False))),
-    SuiteSpec("roundtrip_fd", "fd", _VARYING_H, run_roundtrip_fd),
-    SuiteSpec("current_defect_fd", "fd", _on("varying_h", "unimodular"), run_current_defect_fd),
-    SuiteSpec("modified_current_fd", "fd", _VARYING_H, run_modified_current_fd),
-    SuiteSpec("sinh_gordon_fd", "fd", _VARYING_H, run_sinh_gordon_fd),
-    SuiteSpec("deformed_ll_fd", "fd", _VARYING_H, run_deformed_ll_fd),
-    SuiteSpec("riccati_fd", "fd", _VARYING_H, run_riccati_fd, expect_ratio=_on()),
-    SuiteSpec("linear_system_fd", "fd", _VARYING_H, run_linear_system_fd),
-    SuiteSpec("ll_fd", "fd", _on("unimodular", "constant_rho", "holomorphic"), run_ll_fd,
+    SuiteSpec("linear_system_exact", "exact", _VARYING_H, ("spinor", "h"),
+              lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
+                                                       exclude_rings=2),
+              POINTWISE_TOL),
+    SuiteSpec("deformed_ll_exact", "exact", _VARYING_H, ("rho", "h"),
+              lambda fam, rho, h: deformed_ll_residual(ll_commutator(rho), h), POINTWISE_TOL),
+    SuiteSpec("compatibility_exact", "exact", _on("unimodular"), ("rho", "h"),
+              lambda fam, rho, h: compatibility_residual(rho, h, exclude_rings=2),
+              POINTWISE_TOL),
+    SuiteSpec("h_constancy_exact", "exact", _UNIMODULAR, ("rho", "h"), run_h_constancy_exact,
+              POINTWISE_TOL),
+    SuiteSpec("multisoliton_exact", "exact", _UNIMODULAR, ("rho", "h"), run_multisoliton_exact,
+              POINTWISE_TOL),
+    SuiteSpec("dirac_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+              lambda fam, s, h: weierstrass_residual(s, h)),
+    # the mixed second derivative composes two stencils, so the boundary
+    # seam converges one order slower; the interior carries the O(h^2) claim
+    SuiteSpec("sigma_fd", "fd", _VARYING_H, ("rho_fd", "h_fd"),
+              lambda fam, rho, h: sigma_residual(rho, h, exclude_rings=2)),
+    SuiteSpec("conservation_fd", "fd", _VARYING_H, ("spinor_fd",),
+              lambda fam, s: potential_conservation_residual(s)),
+    SuiteSpec("roundtrip_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"), run_roundtrip_fd),
+    SuiteSpec("current_defect_fd", "fd", _on("varying_h", "unimodular"), ("spinor_fd", "h_fd"),
+              lambda fam, s, h: dbar_J_defect(s, h, exclude_rings=2)),
+    SuiteSpec("modified_current_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+              run_modified_current_fd),
+    SuiteSpec("sinh_gordon_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+              lambda fam, s, h: sinh_gordon_residual(s, h, exclude_rings=2)),
+    SuiteSpec("deformed_ll_fd", "fd", _VARYING_H, ("ll_commutator_fd", "h_fd"),
+              lambda fam, comm, h: deformed_ll_residual(comm, h, exclude_rings=2)),
+    SuiteSpec("riccati_fd", "fd", _VARYING_H, ("rho_fd",), run_riccati_fd,
+              expect_ratio=_on()),
+    SuiteSpec("linear_system_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+              lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
+                                                       exclude_rings=2)),
+    SuiteSpec("ll_fd", "fd", _on("unimodular", "constant_rho", "holomorphic"),
+              ("ll_commutator_fd",),
+              lambda fam, comm: landau_lifshitz_residual(comm, exclude_rings=2),
               expect_ratio=_on("holomorphic")),
-    SuiteSpec("path_independence_fd", "fd", _on("varying_h", "holomorphic"),
+    SuiteSpec("path_independence_fd", "fd", _on("varying_h", "holomorphic"), ("spinor",),
               run_path_independence_fd, expect_ratio=_on("holomorphic")),
-    SuiteSpec("ll_necessity_control", "control", _VARYING_H, run_ll_necessity_control),
-    SuiteSpec("h_classification", "classify", _VARYING_H, run_h_classification),
+    SuiteSpec("ll_necessity_control", "control", _VARYING_H, ("ll_commutator_fd", "h_fd"),
+              run_ll_necessity_control),
+    SuiteSpec("h_classification", "classify", _VARYING_H, ("h",), run_h_classification),
 )
 
 
@@ -476,8 +474,87 @@ def _suites_for(fam: SolutionFamily) -> list[SuiteSpec]:
     return [replace(s, expect_ratio=s.expect_ratio(fam)) for s in SUITES if s.applies(fam)]
 
 
-def _evaluate_suite(spec: SuiteSpec, fam: SolutionFamily, grids, tol_scale):
-    reports = [spec.runner(fam, g) for g in grids]
+def _evaluation_order(suites: list[SuiteSpec]) -> list[SuiteSpec]:
+    """`suites` stably sorted by the heaviest input each reads."""
+    return sorted(suites, key=lambda s: max(_INPUTS[n].weight for n in s.inputs))
+
+
+def _readers(suites) -> dict[str, int]:
+    """How often each input is read at a level: once by each suite that
+    names it and once by each input built from it."""
+    counts = {}
+    todo = [n for s in suites for n in s.inputs]
+    while todo:
+        name = todo.pop()
+        if name not in counts:
+            counts[name] = 0
+            todo.extend(_INPUTS[name].reads)
+        counts[name] += 1
+    return counts
+
+
+class _Level:
+    """The inputs of one grid level: each is built on first use and
+    dropped when its last reader releases it."""
+
+    def __init__(self, fam: SolutionFamily, grid: GridSpec, readers: dict[str, int]):
+        self.fam, self.grid = fam, grid
+        self._left = dict(readers)
+        self._built = {}
+
+    def get(self, name: str):
+        if name not in self._built:
+            spec = _INPUTS[name]
+            reads = [self.get(n) for n in spec.reads]
+            self._built[name] = spec.build(self.fam, self.grid, *reads)
+            del reads
+            for n in spec.reads:
+                self.release(n)
+        return self._built[name]
+
+    def release(self, name: str) -> None:
+        self._left[name] -= 1
+        if not self._left[name]:
+            del self._built[name]
+
+    def built(self):
+        return list(self._built.values())
+
+
+def _call(spec: SuiteSpec, fam: SolutionFamily, inputs: list) -> ResidualReport:
+    # errstate is not inherited by pool threads, so each run sets it
+    with np.errstate(all="ignore"):
+        return spec.runner(fam, *inputs)
+
+
+def _run_level(suites, fam, grid, readers, pool=None) -> list[ResidualReport]:
+    """Each suite's report at `grid`, in the order of `suites`.
+
+    Without a pool, suites run one after the other and each input is
+    dropped after its last reader. With one, every input is built, and the
+    stencils of those without a source are filled, before the suites are
+    dispatched, so worker threads share the inputs read-only.
+    """
+    level = _Level(fam, grid, readers)
+    if pool is None:
+        reports = []
+        for spec in suites:
+            reports.append(_call(spec, fam, [level.get(n) for n in spec.inputs]))
+            for n in spec.inputs:
+                level.release(n)
+        return reports
+
+    args = [[level.get(n) for n in spec.inputs] for spec in suites]
+    for value in level.built():
+        for f in (value.psi1, value.psi2) if isinstance(value, SpinorField) else (value,):
+            if isinstance(f, (ComplexField, RealField)) and f.source is None:
+                _gradient(f, 0)
+                _gradient(f, 1)
+    return list(pool.map(_call, suites, [fam] * len(suites), args))
+
+
+def _gate(spec: SuiteSpec, grids, reports, tol_scale) -> dict:
+    """A suite's result from its reports at every level."""
     maxes = [r.max_norm for r in reports]
     ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
               for i in range(len(maxes) - 1)]
@@ -571,17 +648,14 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
 def cmd_verify(cfg: RunConfig) -> int:
     fam, grids = _setup(cfg)
     suites = _suites_for(fam)
-
-    def run(spec):
-        # errstate is not inherited by pool threads, so each run sets it
-        with np.errstate(all="ignore"):
-            return _evaluate_suite(spec, fam, grids, cfg.tol_scale)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, suites))
-    else:
-        results = [run(spec) for spec in suites]
+    order = _evaluation_order(suites)
+    readers = _readers(order)
+    reports = {spec.name: [] for spec in suites}
+    with ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        for g in grids:
+            for spec, rep in zip(order, _run_level(order, fam, g, readers, pool)):
+                reports[spec.name].append(rep)
+    results = [_gate(spec, grids, reports[spec.name], cfg.tol_scale) for spec in suites]
 
     os.makedirs(cfg.out, exist_ok=True)
     for res in results:

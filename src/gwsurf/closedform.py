@@ -260,21 +260,29 @@ class ClosedForm:
 def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     """Combine closed forms through a jet operation.
 
-    `op` maps input jets to an output jet; its order is that of the jet
-    `op` returns when it runs once on placeholder jets of the inputs'
-    orders. Jet arithmetic keeps the lowest order of its operands and
-    `jet_dz` lowers it by one, so asking the result for order k asks
-    every input for k plus the order the result gave up against it. Each
-    distinct input is evaluated once per call and `op` runs once on their
-    jets, so nesting lifts costs time linear in the depth. When every
-    input is diagonal, so is the result, and on a grid mesh the inputs and
-    `op` run on one column.
+    `op` maps input jets to an output jet. Jet arithmetic keeps the lowest
+    order of its operands and `jet_dz` lowers it by one, so each input has
+    its own shift: the orders `op` gives up against it. `op` runs once per
+    distinct input on placeholder jets, that input's at its own order and
+    the others' at order 2; the result's order is the lowest of these
+    runs, and asking the result for order k asks each input for k plus
+    its shift. Each distinct input is evaluated once per call and `op`
+    runs once on their jets, so nesting lifts costs time linear in the
+    depth. When every input is diagonal, so is the result, and on a grid
+    mesh the inputs and `op` run on one column.
     """
-    order = op(*(Jet(*[1.0 + 0.0j] * (1, 3, 6)[f.order]) for f in forms)).order
     # an input passed more than once, as in lift(operator.mul, f, f), is evaluated once
     first = {}
     picks = [first.setdefault(id(f), len(first)) for f in forms]
     distinct = list({id(f): f for f in forms}.values())
+
+    def placeholder(order):
+        return Jet(*[1.0 + 0.0j] * (1, 3, 6)[order])
+
+    reached = [op(*[placeholder(f.order if f is g else 2) for f in forms]).order
+               for g in distinct]
+    order = min(reached)
+    shifts = [f.order - r for f, r in zip(distinct, reached)]
     guards = [f.domain_guard for f in distinct if f.domain_guard is not None]
 
     def guard(z):
@@ -284,7 +292,7 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
         return g
 
     def jet_fn(z, k):
-        jets = [f.jet(z, max(f.order - order + k, 0)) for f in distinct]
+        jets = [f.jet(z, max(k + shift, 0)) for f, shift in zip(distinct, shifts)]
         return op(*[jets[i] for i in picks])
 
     return ClosedForm(jet_fn, order, guard if guards else None,

@@ -33,10 +33,11 @@ __all__ = ["GridSpec", "ComplexField", "RealField", "NumericalBreakdown", "field
 
 
 class NumericalBreakdown(ValueError):
-    """A computed quantity left the domain a construction needs: H or the
-    density vanishes or turns negative, psi2 vanishes, a computed value is
-    not finite, or an integration path crosses a masked point. The inputs
-    were well formed; the numbers they produced were not usable."""
+    """A computed quantity left the domain a construction needs: a grid
+    spacing underflows, H or the density vanishes or turns negative, psi2
+    vanishes, a computed value is not finite, or an integration path
+    crosses a masked point. The inputs were well formed; the numbers they
+    produced were not usable."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,9 @@ class GridSpec:
             raise ValueError("grid bounds must be ordered: x_max > x_min, y_max > y_min")
         if self.nx < 3 or self.ny < 3:
             raise ValueError("need nx >= 3 and ny >= 3 for interior stencils")
+        # a subnormal spacing cannot tell grid points apart, nor divide a stencil
+        if min(self.hx, self.hy) < np.finfo(float).tiny:
+            raise NumericalBreakdown(f"grid spacing {min(self.hx, self.hy):.3g} is subnormal")
 
     @property
     def hx(self) -> float:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calculus import d_z, d_zbar, mixed_dzbar_dz
+from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, Jet, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, report_from_parts
@@ -138,6 +138,15 @@ def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
 
 
+def _groups(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the byte arrays `columns`, side by side, grouped by equal
+    bytes: the first row of each group and each row's group index."""
+    rows = np.concatenate(columns, axis=1)
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    return first, inverse
+
+
 # grid rows per block of the solve against the distinct pseudo-inverses, and
 # distinct keys per block of the designs and their pseudo-inverses
 _FIT_ROWS = 16
@@ -155,13 +164,17 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
 
     A point's weighted design is an elementwise function of its nine
     neighbour values and nine validity flags, so points are deduplicated
-    on those bytes (153 per point) and the design is built and
-    pseudo-inverted once per distinct key, in blocks of keys; on a
-    one-dimensional family that is about one per grid row, on a
-    holomorphic one one per point. The same LAPACK call on the same
-    bytes gives the same pseudo-inverse, whatever the block, min-norm on
-    rank-deficient neighbourhoods included. Both right-hand sides are then
-    solved in blocks of grid rows, each against its points' distinct
+    on those and the design is built and pseudo-inverted once per
+    distinct neighbourhood, in blocks; on a one-dimensional family that is
+    about one per grid row, on a holomorphic one one per point. Each point
+    first gets an integer id for the bytes of its value and validity flag
+    (17 B), and neighbourhoods are compared on their nine ids (36 B):
+    equal ids mean equal bytes, and the edge padding clamps ids as it
+    clamps values, so the groups, and the first point of each, are those
+    of the raw bytes. The same LAPACK call on the same bytes gives the
+    same pseudo-inverse, whatever the block, min-norm on rank-deficient
+    neighbourhoods included. Both right-hand sides are then solved in
+    blocks of grid rows, each against its points' distinct
     pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
     """
     grid = rho.grid
@@ -170,13 +183,15 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     dbrho = d_zbar(rho)
     valid = ~(rho.mask | drho.mask | dbrho.mask)
 
+    _, ids = _groups(rho.values.reshape(-1, 1).view(np.uint8),
+                     valid.reshape(-1, 1).view(np.uint8))
+    keys = _neighbourhoods(ids.astype(np.int32).reshape(nx, ny))
+    del ids
+    first, inverse = _groups(keys.reshape(nx * ny, 9).view(np.uint8))
+    del keys
+
     rho_n = _neighbourhoods(rho.values)
     ok_n = _neighbourhoods(valid)
-    keys = np.concatenate([rho_n.reshape(nx * ny, 9).view(np.uint8),
-                           ok_n.reshape(nx * ny, 9).view(np.uint8)], axis=1)
-    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
-                                  return_index=True, return_inverse=True)
-    del keys
 
     fi, fj = np.divmod(first, ny)
     pinv = np.empty((len(first), 3, 9), dtype=complex)
@@ -205,20 +220,23 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
 def zero_curvature_residual(c: RiccatiCoeffs,
                             name: str = "zero_curvature",
                             exclude_rings: int = 0) -> ResidualReport:
-    """The three compatibility conditions on the Riccati coefficients."""
-    da10 = d_zbar(c.a10)
-    da20 = d_z(c.a20)
-    da11 = d_zbar(c.a11)
-    da21 = d_z(c.a21)
-    da12 = d_zbar(c.a12)
-    da22 = d_z(c.a22)
-    mask = c.mask | da10.mask | da20.mask | da11.mask | da21.mask | da12.mask | da22.mask
+    """The three compatibility conditions on the Riccati coefficients.
+
+    Each coefficient is differentiated once, so its stencils go as soon as
+    its derivative is formed, and each pair of derivatives once its
+    condition is.
+    """
+    def condition(low, high, p, q):
+        """dbar low - d high + p - q, and its mask."""
+        dlow, dhigh = _once(d_zbar, low), _once(d_z, high)
+        return dlow.values - dhigh.values + p - q, dlow.mask | dhigh.mask
 
     a10, a11, a12 = c.a10.values, c.a11.values, c.a12.values
     a20, a21, a22 = c.a20.values, c.a21.values, c.a22.values
-    cond0 = da10.values - da20.values + a11 * a20 - a21 * a10
-    cond1 = da11.values - da21.values + 2 * a12 * a20 - 2 * a22 * a10
-    cond2 = da12.values - da22.values + a12 * a21 - a11 * a22
+    cond0, mask0 = condition(c.a10, c.a20, a11 * a20, a21 * a10)
+    cond1, mask1 = condition(c.a11, c.a21, 2 * a12 * a20, 2 * a22 * a10)
+    cond2, mask2 = condition(c.a12, c.a22, a12 * a21, a11 * a22)
+    mask = c.mask | mask0 | mask1 | mask2
     return report_from_parts(name, c.grid, [
         ("order0", cond0, mask), ("order1", cond1, mask), ("order2", cond2, mask)],
         exclude_rings=exclude_rings)

@@ -24,19 +24,20 @@ carries the ln H derivatives when the mean curvature is not constant.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import d_z, d_zbar, mixed_dzbar_dz
+from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, norms, report_from_parts
 from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
-    "SpinMatrix",
+    "SpinMatrix", "LLCommutator",
     "rho_from_psi", "psi_from_rho", "sigma_residual", "apply_discrete_symmetry",
-    "spin_matrix", "landau_lifshitz_residual",
+    "spin_matrix", "ll_commutator", "landau_lifshitz_residual",
     "deformed_ll_residual", "multisoliton_product",
     "unimodular_H_constancy_check", "compatibility_residual",
 ]
@@ -196,11 +197,26 @@ def spin_matrix(rho: ComplexField) -> SpinMatrix:
                         for e in entries))
 
 
-def _commutator_with_mixed(S: SpinMatrix):
-    d11 = mixed_dzbar_dz(S.s11)
-    d12 = mixed_dzbar_dz(S.s12)
-    d21 = mixed_dzbar_dz(S.s21)
-    d22 = mixed_dzbar_dz(S.s22)
+@dataclass(frozen=True)
+class LLCommutator:
+    """The commutator [S, d dbar S] for the spin matrix S of `rho`: its
+    four entries (c11, c12, c21, c22) and the union of their masks."""
+
+    rho: ComplexField
+    entries: tuple
+    mask: np.ndarray
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.rho.grid
+
+
+def ll_commutator(rho: ComplexField) -> LLCommutator:
+    """[S, d dbar S] for S = spin_matrix(rho), which both spin equations
+    read. Each entry of S is differentiated once, so its stencils go as
+    soon as its d dbar is formed."""
+    S = spin_matrix(rho)
+    d11, d12, d21, d22 = (_once(mixed_dzbar_dz, e) for e in S.entries())
     a, b, c, d = (e.values for e in S.entries())
     e11, e12, e21, e22 = d11.values, d12.values, d21.values, d22.values
 
@@ -209,23 +225,23 @@ def _commutator_with_mixed(S: SpinMatrix):
     c21 = c * e11 + d * e21 - e21 * a - e22 * c
     c22 = c * e12 - b * e21
     mask = S.mask | d11.mask | d12.mask | d21.mask | d22.mask
-    return (c11, c12, c21, c22), mask
+    return LLCommutator(rho, (c11, c12, c21, c22), mask)
 
 
-def landau_lifshitz_residual(S: SpinMatrix,
+def landau_lifshitz_residual(c: LLCommutator,
                              name: str = "landau_lifshitz",
                              exclude_rings: int = 0) -> ResidualReport:
     """Max norm of the commutator [S, d dbar S] over the grid."""
-    (c11, c12, c21, c22), mask = _commutator_with_mixed(S)
-    parts = [("c11", c11, mask), ("c12", c12, mask), ("c21", c21, mask), ("c22", c22, mask)]
-    return report_from_parts(name, S.grid, parts, exclude_rings=exclude_rings)
+    parts = [(k, e, c.mask) for k, e in zip(("c11", "c12", "c21", "c22"), c.entries)]
+    return report_from_parts(name, c.grid, parts, exclude_rings=exclude_rings)
 
 
-def deformed_ll_residual(rho: ComplexField, h: RealField,
+def deformed_ll_residual(c: LLCommutator, h: RealField,
                          name: str = "deformed_landau_lifshitz",
                          rho_eps: float = 1e-8,
                          exclude_rings: int = 0) -> ResidualReport:
-    """Residual of [S, d dbar S] + R*Hmat, the inhomogeneous spin equation.
+    """Residual of [S, d dbar S] + R*Hmat, the inhomogeneous spin equation,
+    for the commutator `c` of rho and the mean curvature `h`.
 
     Vanishes modulo the sigma-model system; for constant H the
     inhomogeneity is zero and this reduces to the homogeneous equation.
@@ -241,13 +257,14 @@ def deformed_ll_residual(rho: ComplexField, h: RealField,
     1/rho, so points with small |rho| are masked rather than regularized
     (regularizing would change the identity being certified).
     """
+    rho = c.rho
     grid, _ = _shared(rho, h)
-    (c11, c12, c21, c22), cmask = _commutator_with_mixed(spin_matrix(rho))
+    c11, c12, c21, c22 = c.entries
     lz, lzb, lmask = log_derivatives(h)
     drho = d_z(rho)
     dbrho = d_zbar(rho)
     rho_mask = rho.mask | (np.abs(rho.values) < rho_eps)
-    mask = cmask | lmask | drho.mask | dbrho.mask | rho_mask
+    mask = c.mask | lmask | drho.mask | dbrho.mask | rho_mask
 
     r, dr, cdr = rho.values, drho.values, np.conj(drho.values)   # cdr = dbar conj(rho)
     m = 1.0 + np.abs(r) ** 2

@@ -21,11 +21,11 @@ from gwsurf import (ComplexField, GridSpec, SpinorField, constant_form, sample_r
                     family_trigonometric, family_unimodular, fundamental_forms,
                     gauss_curvature_numeric, gaussian_curvature_from_p,
                     h_from_profile, h_integrability_residual, induce_surface,
-                    landau_lifshitz_residual, linear_system_residual,
+                    landau_lifshitz_residual, linear_system_residual, ll_commutator,
                     linearization_constraint_residual, mean_curvature_numeric,
                     modified_current, multisoliton_product,
                     path_independence_report, potential_conservation_residual,
-                    psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
+                    psi_from_rho, rho_from_psi, sigma_residual,
                     unimodular_H_constancy_check, weierstrass_residual)
 from gwsurf.cli import main as cli_main
 
@@ -228,16 +228,18 @@ def test_criterion_7_integrability_classifier():
 
 def test_criterion_8_landau_lifshitz():
     uni = family_unimodular(1.0, 1.0)
-    ll = landau_lifshitz_residual(spin_matrix(uni.rho(SQUARE, analytic=False)),
+    ll = landau_lifshitz_residual(ll_commutator(uni.rho(SQUARE, analytic=False)),
                                   exclude_rings=2).max_norm
     ok = ll <= 1e-9
 
     notes = [f"unimodular LL {ll:.1e}"]
     for fam, g in ((family_rational(1.0), SQUARE), (family_trigonometric(1.0), STRIP)):
         gc = coarse(g)
-        dc = deformed_ll_residual(fam.rho(gc, analytic=False), fam.h(gc, analytic=False),
+        dc = deformed_ll_residual(ll_commutator(fam.rho(gc, analytic=False)),
+                                  fam.h(gc, analytic=False),
                                   exclude_rings=2).max_norm
-        df = deformed_ll_residual(fam.rho(g, analytic=False), fam.h(g, analytic=False),
+        df = deformed_ll_residual(ll_commutator(fam.rho(g, analytic=False)),
+                                  fam.h(g, analytic=False),
                                   exclude_rings=2).max_norm
         tol = fd_tol(dc, max(gc.hx, gc.hy), max(g.hx, g.hy))
         ok &= df <= tol
@@ -245,7 +247,7 @@ def test_criterion_8_landau_lifshitz():
         if fam.name == "rational":
             # deformation necessity: the homogeneous equation must miss by
             # at least an order of magnitude relative to the deformed one
-            undeformed = landau_lifshitz_residual(spin_matrix(fam.rho(g)),
+            undeformed = landau_lifshitz_residual(ll_commutator(fam.rho(g)),
                                                   exclude_rings=2).max_norm
             ok &= undeformed >= 10 * max(df, 1e-9)
             notes.append(f"undeformed control {undeformed:.1e} >= 10x deformed")

@@ -143,22 +143,91 @@ def test_exact_suites_reach_no_stencil(name, monkeypatch):
     the default grid and both levels it never runs a first-derivative
     stencil."""
     from gwsurf import calculus
-    from gwsurf.cli import _setup, _suites_for
+    from gwsurf.cli import _Level, _readers, _setup, _suites_for
     calls = []
     gradient = calculus._gradient
     monkeypatch.setattr(calculus, "_gradient",
                         lambda field, axis: calls.append(axis) or gradient(field, axis))
     fam, grids = _setup(RunConfig(family=name))
+    suites = [spec for spec in _suites_for(fam) if spec.kind == "exact"]
     stencils = {}
-    for spec in _suites_for(fam):
-        if spec.kind == "exact":
-            for g in grids:
-                calls.clear()
-                with np.errstate(all="ignore"):
-                    spec.runner(fam, g)
-                stencils[spec.name, g.nx] = len(calls)
+    for g in grids:
+        level = _Level(fam, g, _readers(suites))
+        for spec in suites:
+            inputs = [level.get(n) for n in spec.inputs]
+            calls.clear()
+            with np.errstate(all="ignore"):
+                spec.runner(fam, *inputs)
+            stencils[spec.name, g.nx] = len(calls)
     assert stencils
     assert not any(stencils.values()), {k: n for k, n in stencils.items() if n}
+
+
+@pytest.fixture(scope="module")
+def rational_101_counts():
+    """One `verify --family rational --grid 101x101` (two levels), counting
+    the builds of each (input, level), the `_d1` stencil calls and the
+    distinct inputs they see, and the `sample` calls."""
+    import hashlib
+    from gwsurf import calculus, cli, closedform, families
+    builds, d1_calls, d1_inputs, samples = {}, [], set(), []
+
+    def counted_build(name, build):
+        def wrapper(fam, g, *reads):
+            builds[name, g.nx] = builds.get((name, g.nx), 0) + 1
+            return build(fam, g, *reads)
+        return wrapper
+
+    def d1(values, valid, h):
+        d1_calls.append(1)
+        d1_inputs.add(hashlib.sha1(values.tobytes() + valid.tobytes() + repr(h).encode())
+                      .hexdigest())
+        return calculus._d1.__wrapped__(values, valid, h)
+
+    def sample(*args, **kwargs):
+        samples.append(1)
+        return closedform.sample.__wrapped__(*args, **kwargs)
+
+    d1.__wrapped__, sample.__wrapped__ = calculus._d1, closedform.sample
+    inputs = {name: dataclasses.replace(spec, build=counted_build(name, spec.build))
+              for name, spec in cli._INPUTS.items()}
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(cli, "_INPUTS", inputs)
+        mp.setattr(calculus, "_d1", d1)
+        for module in (closedform, calculus, families):
+            mp.setattr(module, "sample", sample)
+        assert main(["verify", "--family", "rational", "--grid", "101x101",
+                     "--out", out]) == EXIT_OK
+    return {"builds": builds, "d1": len(d1_calls), "d1_inputs": len(d1_inputs),
+            "sample": len(samples)}
+
+
+class TestSharedInputs:
+    """verify builds each input once per level (counts, not timings)."""
+
+    def test_each_input_built_once_per_level(self, rational_101_counts):
+        from gwsurf.cli import _INPUTS
+        builds = rational_101_counts["builds"]
+        assert builds == {(name, n): 1 for name in _INPUTS for n in (101, 201)}
+
+    def test_one_stencil_per_distinct_input(self, rational_101_counts):
+        # what repeats is left to current_J, log_derivatives and the
+        # commutator, which difference fields built afresh from the inputs
+        counts = rational_101_counts
+        assert counts["d1"] - counts["d1_inputs"] <= 32, counts
+
+    def test_sample_calls(self, rational_101_counts):
+        assert rational_101_counts["sample"] <= 110
+
+    def test_heavy_inputs_read_last_and_together(self):
+        from gwsurf.cli import _INPUTS, _evaluation_order, _suites_for
+        from gwsurf.families import build_family
+        for name in gwsurf.FAMILY_NAMES:
+            order = _evaluation_order(_suites_for(build_family(name)))
+            weights = [max(_INPUTS[n].weight for n in s.inputs) for s in order]
+            assert weights == sorted(weights), name
+        names = [s.name for s in _evaluation_order(_suites_for(build_family("rational")))]
+        assert names.index("riccati_fd") < names.index("deformed_ll_fd")
 
 
 class TestVerify:
@@ -197,12 +266,36 @@ class TestVerify:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert read_dir_bytes(a) == read_dir_bytes(b)
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["verify", "--family", "rational", "--lambda", "1", "--grid", "31x31"]
-        assert run(args + ["--out", str(a), "--jobs", "1"]) == EXIT_OK
-        assert run(args + ["--out", str(b), "--jobs", "4"]) == EXIT_OK
-        assert read_dir_bytes(a) == read_dir_bytes(b)
+    def test_jobs_do_not_change_results(self, tmp_path, monkeypatch, capsys):
+        # more workers than cores, switching threads often: a worker that
+        # raced another on a field's stencil cache would difference the same
+        # field along the same axis twice
+        from gwsurf import calculus
+        filled = []         # (the field's stencil cache, axis) per stencil computed
+        axis_apply = calculus._axis_apply
+
+        def recorded(op, field, h, axis):
+            if op is calculus._d1:
+                filled.append((field._grad, axis))
+            return axis_apply(op, field, h, axis)
+
+        monkeypatch.setattr(calculus, "_axis_apply", recorded)
+        for family in gwsurf.FAMILY_NAMES:
+            a, b = tmp_path / family / "a", tmp_path / family / "b"
+            # trig's ratio gate needs 41 points across its strip
+            args = ["verify", "--family", family, "--grid", "41x41"]
+            assert run(args + ["--out", str(a), "--jobs", "1"]) == EXIT_OK
+            serial = capsys.readouterr()
+            filled.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert run(args + ["--out", str(b), "--jobs", "4"]) == EXIT_OK
+            finally:
+                sys.setswitchinterval(interval)
+            assert capsys.readouterr() == serial, family
+            assert read_dir_bytes(a) == read_dir_bytes(b), family
+            assert len({(id(cache), axis) for cache, axis in filled}) == len(filled), family
 
     def test_env_out_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
@@ -429,16 +522,13 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     # nan > tol is False and max(nan * h^2, floor) is nan, so a NaN residual
     # slipped through every tolerance comparison
     from gwsurf import GridSpec
-    from gwsurf.cli import SuiteSpec, _evaluate_suite, _report_scalar
-    from gwsurf.families import build_family
+    from gwsurf.cli import SuiteSpec, _gate, _report_scalar
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
-
-    def runner(fam, grid):
-        return _report_scalar(grid, bad if grid is grids[level] else 1e-3, deformed=1e-6)
-
-    spec = SuiteSpec("broken", kind, None, runner, expect_ratio=False)
-    res = _evaluate_suite(spec, build_family("rational"), grids, 1.0)
+    reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, deformed=1e-6)
+               for g in grids]
+    spec = SuiteSpec("broken", kind, None, (), None, expect_ratio=False)
+    res = _gate(spec, grids, reports, 1.0)
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]

@@ -171,6 +171,33 @@ def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
             assert asked == [order, order], op.__name__
 
 
+def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
+    # psi_from_rho's sources lift rho, d rho and H, and only d rho (a
+    # derivative view of rho's form, one order short) limits the result's
+    # order: asking the result for order k asks rho and H for k, and d rho
+    # for k, which asks rho's form for k + 1
+    from gwsurf import build_family, psi_from_rho, sample_real
+    fam = build_family("rational", lam=1.3)
+    g = fam.default_grid(9, 7)
+    asked = {"rho": [], "h": []}
+
+    def recorded(name, form):
+        def jet_fn(z, order):
+            asked[name].append(order)
+            return form.jet(z, order)
+        return ClosedForm(jet_fn, form.order, form.domain_guard, form.diagonal)
+
+    s = psi_from_rho(sample(recorded("rho", fam.rho_form), g),
+                     sample_real(recorded("h", fam.h_form), g))
+    for psi in (s.psi1, s.psi2):
+        assert psi.source is not None
+        for op, k in ((lambda f: sample(f.source, g), 0), (d_z, 1), (d_zbar, 1)):
+            for orders in asked.values():
+                orders.clear()
+            op(psi)
+            assert sorted(asked["rho"]) == [k, k + 1] and asked["h"] == [k], asked
+
+
 def _lifted_diagonal_forms():
     """(form, mesh) pairs: lifts of diagonal forms as the suites build them."""
     from gwsurf import build_family, density_p, psi_from_rho

@@ -9,7 +9,7 @@ import pytest
 import gwsurf
 from gwsurf import (GridSpec, compatibility_residual, dbar_J_defect, deformed_ll_residual,
                     family_rational, family_unimodular, fundamental_forms, induce_surface,
-                    linear_system_residual, modified_current, psi_from_rho,
+                    linear_system_residual, ll_commutator, modified_current, psi_from_rho,
                     rigid_string_residual, sigma_residual, sinh_gordon_residual,
                     unimodular_H_constancy_check, weierstrass_residual)
 
@@ -33,7 +33,7 @@ TAKES_H = {
     "modified_current": (RAT, lambda h: modified_current(RAT.spinor(G), h, 0.0)),
     "psi_from_rho": (RAT, lambda h: psi_from_rho(RAT.rho(G), h)),
     "sigma_residual": (RAT, lambda h: sigma_residual(RAT.rho(G), h)),
-    "deformed_ll_residual": (RAT, lambda h: deformed_ll_residual(RAT.rho(G), h)),
+    "deformed_ll_residual": (RAT, lambda h: deformed_ll_residual(ll_commutator(RAT.rho(G)), h)),
     "compatibility_residual": (UNI, lambda h: compatibility_residual(UNI.rho(G), h)),
     "unimodular_H_constancy_check":
         (UNI, lambda h: unimodular_H_constancy_check(UNI.rho(G), h)),

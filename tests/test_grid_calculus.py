@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gwsurf import (ComplexField, GridSpec, RealField, d_z, d_zbar, dx, dxx, dy,
                     family_rational, fit_riccati_coeffs, mixed_dzbar_dz, riccati_residual,
-                    sample)
+                    sample, zero_curvature_residual)
 from gwsurf import calculus
 from gwsurf.closedform import ClosedForm, Jet, diagonal_form, exp
 
@@ -187,6 +187,15 @@ class TestGradientOnce:
         coeffs = fit_riccati_coeffs(rho)
         riccati_residual(rho, coeffs)
         assert d1_calls == [(21, 21), (21, 21)]
+
+    def test_coefficients_keep_no_stencils(self, d1_calls):
+        # zero_curvature_residual differentiates each coefficient once, so
+        # the stencils go with the derivative instead of living on in coeffs
+        rho = family_rational(1.0).rho(grid(21), analytic=False)
+        coeffs = fit_riccati_coeffs(rho)
+        zero_curvature_residual(coeffs)
+        assert len(d1_calls) == 2 + 12
+        assert not any(f._grad for f in coeffs.fields())
 
     def test_conj_differences_its_own_values(self, d1_calls):
         g = grid(21)

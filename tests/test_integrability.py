@@ -142,9 +142,11 @@ class TestRiccati:
         # the dense fit held (nx, ny, 9) index arrays, a 27-wide design and a
         # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201.
         # A holomorphic rho repeats no design, so its designs and
-        # pseudo-inverses are built in blocks of keys (about 108 MB unblocked)
+        # pseudo-inverses are built in blocks of keys (about 108 MB unblocked).
+        # Keying neighbourhoods on nine point ids instead of their 153 raw
+        # bytes took the two from 20.7 and 33.1 MB to 8.9 and 27.5 MB
         g = GridSpec(-1, 1, -1, 1, 201, 201)
-        for fam in (family_rational(1.0), family_holomorphic()):
+        for fam, bound in ((family_rational(1.0), 12), (family_holomorphic(), 32)):
             rho = fam.rho(g, analytic=False)
             tracing = tracemalloc.is_tracing()
             tracemalloc.start()
@@ -156,7 +158,7 @@ class TestRiccati:
             finally:
                 if not tracing:
                     tracemalloc.stop()
-            assert peak < 40 * 2**20, fam.name
+            assert peak < bound * 2**20, fam.name
 
 
 def _fit_riccati_reference(r):

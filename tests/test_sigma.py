@@ -7,7 +7,7 @@ from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry
                     compatibility_residual, constant_form,
                     deformed_ll_residual, family_exponential, family_rational,
                     family_trigonometric, family_unimodular,
-                    landau_lifshitz_residual, multisoliton_product, psi_from_rho,
+                    landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
                     rho_from_psi, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
 from gwsurf.closedform import holomorphic_form
@@ -187,7 +187,6 @@ class TestCommutatorIdentity:
         # Checked on a generic two-dimensional rho with pure stencils on
         # both sides, so the agreement is independent of the jet algebra;
         # the gap must shrink at second order.
-        from gwsurf.sigma import _commutator_with_mixed
         from gwsurf.calculus import d_z, d_zbar, mixed_dzbar_dz
 
         def gap(n):
@@ -195,7 +194,8 @@ class TestCommutatorIdentity:
             zz = g.zmesh()
             vals = (1 + zz**2 * np.conj(zz) / 3 + 1j * np.conj(zz) ** 2 - 2 * zz) / 7
             rho_f = ComplexField(g, vals)
-            (c11, c12, c21, c22), cmask = _commutator_with_mixed(spin_matrix(rho_f))
+            c = ll_commutator(rho_f)
+            (c11, c12, c21, c22), cmask = c.entries, c.mask
 
             rho = rho_f.values
             cb = np.conj(rho)
@@ -222,38 +222,38 @@ class TestCommutatorIdentity:
 class TestLandauLifshitz:
     def test_unimodular_solution(self):
         fam = family_unimodular(1.0, 1.0)
-        rep = landau_lifshitz_residual(spin_matrix(fam.rho(G)))
+        rep = landau_lifshitz_residual(ll_commutator(fam.rho(G)))
         assert rep.max_norm < 1e-12
 
     def test_constant_rho_trivial(self):
         # zero up to edge-stencil roundoff amplified by 1/h^2
-        rep = landau_lifshitz_residual(spin_matrix(rho_of(np.full(G.shape, 0.3 + 0.4j))))
+        rep = landau_lifshitz_residual(ll_commutator(rho_of(np.full(G.shape, 0.3 + 0.4j))))
         assert rep.max_norm < 1e-11
 
     def test_nonconstant_h_needs_deformation(self):
         # the homogeneous spin equation fails on a solution for varying H
         fam = family_rational(1.0)
-        rep = landau_lifshitz_residual(spin_matrix(fam.rho(G)))
+        rep = landau_lifshitz_residual(ll_commutator(fam.rho(G)))
         assert rep.max_norm > 1.0
 
 
 class TestDeformedLandauLifshitz:
     def test_rational_family(self):
         fam = family_rational(1.0)
-        rep = deformed_ll_residual(fam.rho(G), fam.h(G))
+        rep = deformed_ll_residual(ll_commutator(fam.rho(G)), fam.h(G))
         assert rep.max_norm < 1e-10
         assert rep.masked_points == 101   # the rho = 0 line is masked
 
     def test_trig_family(self):
         fam = family_trigonometric(1.0)
-        rep = deformed_ll_residual(fam.rho(TRIG_G), fam.h(TRIG_G))
+        rep = deformed_ll_residual(ll_commutator(fam.rho(TRIG_G)), fam.h(TRIG_G))
         assert rep.max_norm < 1e-10
 
     def test_constant_h_equals_homogeneous(self):
         fam = family_unimodular(1.0, 1.0)
         r = fam.rho(G)
-        a = deformed_ll_residual(r, fam.h(G))
-        b = landau_lifshitz_residual(spin_matrix(r))
+        a = deformed_ll_residual(ll_commutator(r), fam.h(G))
+        b = landau_lifshitz_residual(ll_commutator(r))
         assert a.max_norm == pytest.approx(b.max_norm, abs=1e-14)
 
     def test_fd_path_converges(self):
@@ -261,7 +261,8 @@ class TestDeformedLandauLifshitz:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            return deformed_ll_residual(fam.rho(g, analytic=False), fam.h(g, analytic=False),
+            return deformed_ll_residual(ll_commutator(fam.rho(g, analytic=False)),
+                                        fam.h(g, analytic=False),
                                         exclude_rings=2).max_norm
 
         r1, r2 = res(51), res(101)
