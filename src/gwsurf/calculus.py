@@ -109,8 +109,8 @@ def _gradient(field, axis: int):
     field; the result is kept on the field and shared with its
     without_source() views, which hold the same arrays. The cache is the
     one piece of mutable state a field has: `verify --jobs` (cli's
-    `_run_level`) fills it on every input without a source before the
-    suites are dispatched to worker threads, which then only read it.
+    `_run_level`) fills it through fill_stencils on every input before
+    the suites are dispatched to worker threads, which then only read it.
     """
     got = field._grad.get(axis)
     if got is None:
@@ -120,6 +120,18 @@ def _gradient(field, axis: int):
             arr.setflags(write=False)
         field._grad[axis] = got
     return got
+
+
+def fill_stencils(value) -> None:
+    """Difference `value` along both axes now and keep the stencils, when
+    it is a field without an analytic source; for a spinor (psi1, psi2),
+    each such component. Anything else is left alone. Later derivatives of
+    it, from any thread, then only read the kept stencils."""
+    parts = (value.psi1, value.psi2) if hasattr(value, "psi1") else (value,)
+    for f in parts:
+        if isinstance(f, (ComplexField, RealField)) and f.source is None:
+            _gradient(f, 0)
+            _gradient(f, 1)
 
 
 def _once(derivative, field):

@@ -36,9 +36,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .calculus import _gradient, mixed_dzbar_dz
+from .calculus import fill_stencils, mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField
+from .grid import GridSpec, NumericalBreakdown
 from .inducer import (export_mesh, fundamental_forms, induce_surface,
                       path_independence_report)
 from .integrability import (fit_riccati_coeffs, h_integrability_residual,
@@ -50,7 +50,7 @@ from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check)
-from .weierstrass import (SpinorField, conservation_defect, current_J,
+from .weierstrass import (conservation_defect, current_J,
                           dbar_J_defect, density_p, gaussian_curvature_from_p,
                           modified_current, potential_conservation_residual,
                           weierstrass_residual)
@@ -546,10 +546,7 @@ def _run_level(suites, fam, grid, readers, pool=None) -> list[ResidualReport]:
 
     args = [[level.get(n) for n in spec.inputs] for spec in suites]
     for value in level.built():
-        for f in (value.psi1, value.psi2) if isinstance(value, SpinorField) else (value,):
-            if isinstance(f, (ComplexField, RealField)) and f.source is None:
-                _gradient(f, 0)
-                _gradient(f, 1)
+        fill_stencils(value)
     return list(pool.map(_call, suites, [fam] * len(suites), args))
 
 

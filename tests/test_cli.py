@@ -154,8 +154,9 @@ def test_exact_suites_reach_no_stencil(name, monkeypatch):
     for g in grids:
         level = _Level(fam, g, _readers(suites))
         for spec in suites:
-            inputs = [level.get(n) for n in spec.inputs]
+            # an input is charged to the first exact suite that reads it
             calls.clear()
+            inputs = [level.get(n) for n in spec.inputs]
             with np.errstate(all="ignore"):
                 spec.runner(fam, *inputs)
             stencils[spec.name, g.nx] = len(calls)
