@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Set
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -243,15 +243,8 @@ def _class_of(fam: SolutionFamily) -> str:
     return fam.name
 
 
-def _on(*classes):
-    """Predicate over the family: its _class_of is one of `classes`."""
-    return lambda fam: _class_of(fam) in classes
-
-
-_ALL = _on("varying_h", "unimodular", "constant_rho", "holomorphic")
-_VARYING_H = _on("varying_h")
-_SPINOR = _on("varying_h", "unimodular", "holomorphic")
-_UNIMODULAR = _on("unimodular", "constant_rho")
+# every value of _class_of
+_CLASSES = frozenset({"varying_h", "unimodular", "constant_rho", "holomorphic"})
 
 
 # verify's inputs at one level, each built on first use and dropped after its
@@ -282,13 +275,12 @@ _INPUTS = {
 class SuiteSpec:
     name: str
     kind: str                   # exact | fd | control | classify
-    applies: object             # fn(family) -> bool: run for this family
+    applies: Set[str]           # the family classes (_class_of) it runs for
     inputs: tuple               # names in _INPUTS
     runner: object              # fn(family, *inputs) -> ResidualReport
     tol: float = EXACT_TOL      # for exact suites
-    # fd suites: enforce the O(h^2) ratio; fn(family) -> bool in SUITES,
-    # that function's value once _suites_for resolves the spec for a family
-    expect_ratio: object = _ALL
+    # fd suites: the family classes for which the O(h^2) ratio is enforced
+    expect_ratio: Set[str] = _CLASSES
 
 
 def _param(fam: SolutionFamily) -> float:
@@ -301,8 +293,8 @@ def _max_abs(values, mask) -> float:
 
 
 def _report_scalar(grid, value, **details) -> ResidualReport:
-    return ResidualReport(name="scalar", grid=grid, max_norm=float(value),
-                          l2_norm=float(value), masked_points=0, details=details)
+    return ResidualReport(grid=grid, max_norm=float(value), l2_norm=float(value),
+                          masked_points=0, details=details)
 
 
 # --- exact-path runners -----------------------------------------------------
@@ -408,70 +400,70 @@ def run_h_classification(fam, h):
 
 
 SUITES = (
-    SuiteSpec("dirac_exact", "exact", _SPINOR, ("spinor", "h"),
-              lambda fam, s, h: weierstrass_residual(s, h)),
-    SuiteSpec("sigma_exact", "exact", _ALL, ("rho", "h"),
+    SuiteSpec("dirac_exact", "exact", {"varying_h", "unimodular", "holomorphic"},
+              ("spinor", "h"), lambda fam, s, h: weierstrass_residual(s, h)),
+    SuiteSpec("sigma_exact", "exact", _CLASSES, ("rho", "h"),
               lambda fam, rho, h: sigma_residual(rho, h)),
-    SuiteSpec("conservation_exact", "exact", _SPINOR, ("spinor",),
-              lambda fam, s: potential_conservation_residual(s)),
-    SuiteSpec("roundtrip_exact", "exact", _VARYING_H, ("rho", "h"), run_roundtrip_exact),
-    SuiteSpec("transform_exact", "exact", _VARYING_H, ("rho", "h", "spinor"),
+    SuiteSpec("conservation_exact", "exact", {"varying_h", "unimodular", "holomorphic"},
+              ("spinor",), lambda fam, s: potential_conservation_residual(s)),
+    SuiteSpec("roundtrip_exact", "exact", {"varying_h"}, ("rho", "h"), run_roundtrip_exact),
+    SuiteSpec("transform_exact", "exact", {"varying_h"}, ("rho", "h", "spinor"),
               run_transform_exact),
-    SuiteSpec("spin_algebra_exact", "exact", _ALL, ("rho",),
+    SuiteSpec("spin_algebra_exact", "exact", _CLASSES, ("rho",),
               lambda fam, rho: spin_matrix(rho).algebra_report()),
-    SuiteSpec("current_identity_exact", "exact", _on("varying_h", "unimodular"), ("spinor", "h"),
+    SuiteSpec("current_identity_exact", "exact", {"varying_h", "unimodular"}, ("spinor", "h"),
               run_current_identity_exact, POINTWISE_TOL),
-    SuiteSpec("constraints_exact", "exact", _VARYING_H, ("spinor",), run_constraints_exact,
+    SuiteSpec("constraints_exact", "exact", {"varying_h"}, ("spinor",), run_constraints_exact,
               POINTWISE_TOL),
-    SuiteSpec("linear_system_exact", "exact", _VARYING_H, ("spinor", "h"),
+    SuiteSpec("linear_system_exact", "exact", {"varying_h"}, ("spinor", "h"),
               lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
                                                        exclude_rings=2),
               POINTWISE_TOL),
-    SuiteSpec("deformed_ll_exact", "exact", _VARYING_H, ("rho", "h"),
+    SuiteSpec("deformed_ll_exact", "exact", {"varying_h"}, ("rho", "h"),
               lambda fam, rho, h: deformed_ll_residual(ll_commutator(rho), h), POINTWISE_TOL),
-    SuiteSpec("compatibility_exact", "exact", _on("unimodular"), ("rho", "h"),
+    SuiteSpec("compatibility_exact", "exact", {"unimodular"}, ("rho", "h"),
               lambda fam, rho, h: compatibility_residual(rho, h, exclude_rings=2),
               POINTWISE_TOL),
-    SuiteSpec("h_constancy_exact", "exact", _UNIMODULAR, ("rho", "h"), run_h_constancy_exact,
-              POINTWISE_TOL),
-    SuiteSpec("multisoliton_exact", "exact", _UNIMODULAR, ("rho", "h"), run_multisoliton_exact,
-              POINTWISE_TOL),
-    SuiteSpec("dirac_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+    SuiteSpec("h_constancy_exact", "exact", {"unimodular", "constant_rho"}, ("rho", "h"),
+              run_h_constancy_exact, POINTWISE_TOL),
+    SuiteSpec("multisoliton_exact", "exact", {"unimodular", "constant_rho"}, ("rho", "h"),
+              run_multisoliton_exact, POINTWISE_TOL),
+    SuiteSpec("dirac_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: weierstrass_residual(s, h)),
     # the mixed second derivative composes two stencils, so the boundary
     # seam converges one order slower; the interior carries the O(h^2) claim
-    SuiteSpec("sigma_fd", "fd", _VARYING_H, ("rho_fd", "h_fd"),
+    SuiteSpec("sigma_fd", "fd", {"varying_h"}, ("rho_fd", "h_fd"),
               lambda fam, rho, h: sigma_residual(rho, h, exclude_rings=2)),
-    SuiteSpec("conservation_fd", "fd", _VARYING_H, ("spinor_fd",),
+    SuiteSpec("conservation_fd", "fd", {"varying_h"}, ("spinor_fd",),
               lambda fam, s: potential_conservation_residual(s)),
-    SuiteSpec("roundtrip_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"), run_roundtrip_fd),
-    SuiteSpec("current_defect_fd", "fd", _on("varying_h", "unimodular"), ("spinor_fd", "h_fd"),
+    SuiteSpec("roundtrip_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"), run_roundtrip_fd),
+    SuiteSpec("current_defect_fd", "fd", {"varying_h", "unimodular"}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: dbar_J_defect(s, h, exclude_rings=2)),
-    SuiteSpec("modified_current_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+    SuiteSpec("modified_current_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
               run_modified_current_fd),
-    SuiteSpec("sinh_gordon_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+    SuiteSpec("sinh_gordon_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: sinh_gordon_residual(s, h, exclude_rings=2)),
-    SuiteSpec("deformed_ll_fd", "fd", _VARYING_H, ("ll_commutator_fd", "h_fd"),
+    SuiteSpec("deformed_ll_fd", "fd", {"varying_h"}, ("ll_commutator_fd", "h_fd"),
               lambda fam, comm, h: deformed_ll_residual(comm, h, exclude_rings=2)),
-    SuiteSpec("riccati_fd", "fd", _VARYING_H, ("rho_fd",), run_riccati_fd,
-              expect_ratio=_on()),
-    SuiteSpec("linear_system_fd", "fd", _VARYING_H, ("spinor_fd", "h_fd"),
+    SuiteSpec("riccati_fd", "fd", {"varying_h"}, ("rho_fd",), run_riccati_fd,
+              expect_ratio=set()),
+    SuiteSpec("linear_system_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
                                                        exclude_rings=2)),
-    SuiteSpec("ll_fd", "fd", _on("unimodular", "constant_rho", "holomorphic"),
+    SuiteSpec("ll_fd", "fd", {"unimodular", "constant_rho", "holomorphic"},
               ("ll_commutator_fd",),
               lambda fam, comm: landau_lifshitz_residual(comm, exclude_rings=2),
-              expect_ratio=_on("holomorphic")),
-    SuiteSpec("path_independence_fd", "fd", _on("varying_h", "holomorphic"), ("spinor",),
-              run_path_independence_fd, expect_ratio=_on("holomorphic")),
-    SuiteSpec("ll_necessity_control", "control", _VARYING_H, ("ll_commutator_fd", "h_fd"),
+              expect_ratio={"holomorphic"}),
+    SuiteSpec("path_independence_fd", "fd", {"varying_h", "holomorphic"}, ("spinor",),
+              run_path_independence_fd, expect_ratio={"holomorphic"}),
+    SuiteSpec("ll_necessity_control", "control", {"varying_h"}, ("ll_commutator_fd", "h_fd"),
               run_ll_necessity_control),
-    SuiteSpec("h_classification", "classify", _VARYING_H, ("h",), run_h_classification),
+    SuiteSpec("h_classification", "classify", {"varying_h"}, ("h",), run_h_classification),
 )
 
 
 def _suites_for(fam: SolutionFamily) -> list[SuiteSpec]:
-    return [replace(s, expect_ratio=s.expect_ratio(fam)) for s in SUITES if s.applies(fam)]
+    return [s for s in SUITES if _class_of(fam) in s.applies]
 
 
 def _evaluation_order(suites: list[SuiteSpec]) -> list[SuiteSpec]:
@@ -550,8 +542,15 @@ def _run_level(suites, fam, grid, readers, pool=None) -> list[ResidualReport]:
     return list(pool.map(_call, suites, [fam] * len(suites), args))
 
 
-def _gate(spec: SuiteSpec, grids, reports, tol_scale) -> dict:
-    """A suite's result from its reports at every level."""
+def _level_entry(rep: ResidualReport) -> dict:
+    """One level of a suite result, as its report file stores it."""
+    g = rep.grid
+    return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "max_norm": rep.max_norm,
+            "l2_norm": rep.l2_norm, "masked_points": rep.masked_points, "details": rep.details}
+
+
+def _gate(spec: SuiteSpec, fam: SolutionFamily, grids, reports, tol_scale) -> dict:
+    """A suite's result for `fam` from its reports at every level."""
     maxes = [r.max_norm for r in reports]
     ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
               for i in range(len(maxes) - 1)]
@@ -575,7 +574,7 @@ def _gate(spec: SuiteSpec, grids, reports, tol_scale) -> dict:
             tolerances.append(tol)
             if m > tol:
                 notes.append(f"residual {m:.3e} above tol {tol:.3e} at h={h:.4g}")
-        if spec.expect_ratio and maxes[0] > 100 * FD_FLOOR:
+        if _class_of(fam) in spec.expect_ratio and maxes[0] > 100 * FD_FLOOR:
             for k, ratio in enumerate(ratios):
                 if ratio < RATIO_MIN:
                     notes.append(f"nonconvergent: ratio {ratio:.2f} < {RATIO_MIN} "
@@ -602,11 +601,7 @@ def _gate(spec: SuiteSpec, grids, reports, tol_scale) -> dict:
         "kind": spec.kind,
         "passed": not notes,
         "notes": notes,
-        "levels": [{"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy,
-                    "max_norm": r.max_norm, "l2_norm": r.l2_norm,
-                    "masked_points": r.masked_points,
-                    "details": dict(sorted(r.details.items()))}
-                   for g, r in zip(grids, reports)],
+        "levels": [_level_entry(r) for r in reports],
         "ratios": ratios,
         "tolerances": tolerances,
     }
@@ -652,7 +647,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for g in grids:
             for spec, rep in zip(order, _run_level(order, fam, g, readers, pool)):
                 reports[spec.name].append(rep)
-    results = [_gate(spec, grids, reports[spec.name], cfg.tol_scale) for spec in suites]
+    results = [_gate(spec, fam, grids, reports[spec.name], cfg.tol_scale) for spec in suites]
 
     os.makedirs(cfg.out, exist_ok=True)
     for res in results:
@@ -701,17 +696,17 @@ def cmd_induce(cfg: RunConfig) -> int:
     h = max(grid.hx, grid.hy)
     tol = max(50.0 * h**2, FD_FLOOR) * cfg.tol_scale
     passed = closure <= tol and k_err <= tol
+    level = ResidualReport(
+        grid=grid, max_norm=closure, l2_norm=closure, masked_points=int(s.mask.sum()),
+        details={"k_consistency": k_err, "imag_residue": srf.imag_residue,
+                 "determination_consistency": srf.determination_consistency,
+                 "vertices": nverts, "faces": nfaces})
     res = {
         "suite": "curvature_closure",
         "kind": "fd",
         "passed": bool(passed),
         "notes": [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"],
-        "levels": [{"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy,
-                    "max_norm": closure, "l2_norm": closure, "masked_points": int(s.mask.sum()),
-                    "details": {"k_consistency": k_err,
-                                "imag_residue": srf.imag_residue,
-                                "determination_consistency": srf.determination_consistency,
-                                "vertices": nverts, "faces": nfaces}}],
+        "levels": [_level_entry(level)],
         "ratios": [],
         "tolerances": [tol],
     }

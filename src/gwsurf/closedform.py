@@ -323,16 +323,16 @@ def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask, source=cf)
 
 
-def sample_real(cf: ClosedForm, grid: GridSpec, extra_mask=None,
-                imag_tol: float = 1e-12) -> RealField:
-    """Sample a form that must be real-valued; complains about imaginary parts.
+def sample_real(cf: ClosedForm, grid: GridSpec) -> RealField:
+    """Sample a form that must be real-valued; complains about imaginary
+    parts above 1e-12 of the largest real part (or of 1).
 
     The field keeps `cf` as its source, so derivatives of it are analytic.
     """
-    f = sample(cf, grid, extra_mask=extra_mask)
+    f = sample(cf, grid)
     im = np.abs(f.values.imag[~f.mask])
     scale = max(1.0, float(np.max(np.abs(f.values.real[~f.mask]), initial=0.0)))
-    if im.size and np.max(im) > imag_tol * scale:
+    if im.size and np.max(im) > 1e-12 * scale:
         raise ValueError(f"form is not real-valued on the grid (max imag {np.max(im):.3e})")
     return RealField._derived(grid, f.values.real.copy(), f.mask, source=cf, finite=True)
 

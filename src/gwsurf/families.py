@@ -13,7 +13,8 @@ In each case H is proportional to d(rho)/ds / (1 + rho^2), which is
 exactly the compatibility the sigma system forces on one-dimensional real
 profiles; consequently the density is constant (p = lam, lam, A). The
 trig family is admissible on the strip 0 < A*s < pi/2 (minus a guard
-band) where both cos(A*s) and H stay positive.
+band) where both cos(A*s) and H stay positive; its forms' guard masks
+the rest.
 
 Two constant-H families feed the spin-matrix and multisoliton checks:
 
@@ -44,10 +45,11 @@ __all__ = ["SolutionFamily", "family_rational", "family_exponential",
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """A named (H, rho, psi) triple with an admissible-domain predicate.
+    """A named (H, rho, psi) triple of closed forms.
 
     `h`, `rho` and `spinor` sample it on a grid, keeping the forms as
     sources (analytic derivatives); analytic=False drops them (stencils).
+    The forms' domain guards mask the points outside the family's domain.
     """
 
     name: str
@@ -56,7 +58,6 @@ class SolutionFamily:
     rho_form: ClosedForm
     psi1_form: ClosedForm | None
     psi2_form: ClosedForm | None
-    admissible: object            # callable z -> bool array (True = admissible)
     default_domain: tuple
     eps: int = 1
 
@@ -64,26 +65,19 @@ class SolutionFamily:
         if self.eps not in (+1, -1):
             raise ValueError("branch sign must be +1 or -1")
 
-    def guard_mask(self, grid: GridSpec) -> np.ndarray:
-        if self.admissible is None:
-            return np.zeros(grid.shape, dtype=bool)
-        return ~np.asarray(self.admissible(grid.zmesh()), dtype=bool)
-
     def h(self, grid: GridSpec, analytic: bool = True) -> RealField:
         f = sample_real(self.h_form, grid)
         return f if analytic else f.without_source()
 
     def rho(self, grid: GridSpec, analytic: bool = True) -> ComplexField:
-        f = sample(self.rho_form, grid, extra_mask=self.guard_mask(grid))
+        f = sample(self.rho_form, grid)
         return f if analytic else f.without_source()
 
     def spinor(self, grid: GridSpec, analytic: bool = True) -> SpinorField:
         if self.psi1_form is None:
             s = psi_from_rho(self.rho(grid, analytic), self.h(grid, analytic), self.eps)
         else:
-            guard = self.guard_mask(grid)
-            s = SpinorField(sample(self.psi1_form, grid, guard),
-                            sample(self.psi2_form, grid, guard))
+            s = SpinorField(sample(self.psi1_form, grid), sample(self.psi2_form, grid))
         return s if analytic else s.without_sources()
 
     def default_grid(self, nx: int = 101, ny: int = 101) -> GridSpec:
@@ -101,15 +95,14 @@ def _transform_forms(rho, drho, h, eps: int, guard):
             diagonal_form(lambda s: pair(s)[1], guard=guard))
 
 
-def _one_dimensional(name, params, rho, drho, h, eps, guard=None, admissible=None,
+def _one_dimensional(name, params, rho, drho, h, eps, guard=None,
                      default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:
     """A family from rho, d(rho)/ds and H, all functions of s sharing one guard."""
     psi1, psi2 = _transform_forms(rho, drho, h, eps, guard)
     return SolutionFamily(
         name=name, params=params,
         h_form=diagonal_form(h, guard=guard), rho_form=diagonal_form(rho, guard=guard),
-        psi1_form=psi1, psi2_form=psi2,
-        admissible=admissible, default_domain=default_domain, eps=eps)
+        psi1_form=psi1, psi2_form=psi2, default_domain=default_domain, eps=eps)
 
 
 def family_rational(lam: float, eps: int = 1) -> SolutionFamily:
@@ -135,13 +128,12 @@ def family_exponential(lam: float, eps: int = 1) -> SolutionFamily:
         h=lambda s: exp(lam * s) / (1 + exp(2 * lam * s)))
 
 
-def family_trigonometric(a: float, eps: int = 1,
-                         guard_band: float = 0.05) -> SolutionFamily:
+def family_trigonometric(a: float, eps: int = 1) -> SolutionFamily:
     """Oscillatory profile rho = sin(A s) with H = cos(A s)/(2 - cos(A s)^2).
 
-    Admissible on the strip 0 < s < pi/(2|A|) shrunk by a guard band at
-    both ends; there cos(A s) > 0 and H > 0, so the square roots in the
-    spinor transform stay real.
+    Admissible on the strip 0 < s < pi/(2|A|) shrunk by a guard band of
+    0.05 at both ends; there cos(A s) > 0 and H > 0, so the square roots in
+    the spinor transform stay real.
     """
     if a == 0:
         raise ValueError("parameter must be nonzero")
@@ -152,18 +144,17 @@ def family_trigonometric(a: float, eps: int = 1,
         return c / (2 - c * c)
 
     s_hi = math.pi / (2 * abs(a))
-    lo, hi = guard_band, s_hi - guard_band
+    lo, hi = 0.05, s_hi - 0.05
     if lo >= hi:
         raise ValueError("guard band leaves no admissible strip")
 
-    def admissible(z):
+    def guard(z):
         s = 2.0 * np.real(np.asarray(z))
-        return (s > lo) & (s < hi)
+        return ~((s > lo) & (s < hi))
 
     return _one_dimensional(
         "trig", {"A": a}, eps=eps,
-        rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h,
-        guard=lambda z: ~admissible(z), admissible=admissible,
+        rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h, guard=guard,
         default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0))
 
 
@@ -187,8 +178,7 @@ def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFami
     return SolutionFamily(
         name="unimodular", params={"lambda": lam, "H0": h0},
         h_form=diagonal_form(lambda s: h0), rho_form=diagonal_form(rho),
-        psi1_form=psi1, psi2_form=psi2,
-        admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+        psi1_form=psi1, psi2_form=psi2, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
 
 
 def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
@@ -207,8 +197,7 @@ def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
     return SolutionFamily(
         name="holomorphic", params={"H0": h0},
         h_form=diagonal_form(lambda s: h0), rho_form=f,
-        psi1_form=None, psi2_form=None,
-        admissible=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+        psi1_form=None, psi2_form=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
 
 
 FAMILY_NAMES = ("rational", "exponential", "trig", "unimodular", "holomorphic")

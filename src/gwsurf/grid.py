@@ -89,14 +89,15 @@ class GridSpec:
         """Complex coordinates z[i, j] = x_i + 1j*y_j."""
         return self.xs()[:, None] + 1j * self.ys()[None, :]
 
-    def index_of(self, x: float, y: float, tol: float = 1e-9) -> tuple[int, int]:
-        """Indices of the grid point closest to (x, y); raises if not a grid point."""
+    def index_of(self, x: float, y: float) -> tuple[int, int]:
+        """Indices of the grid point closest to (x, y); raises if (x, y) is
+        farther than 1e-9 of the larger spacing from it."""
         i = int(round((x - self.x_min) / self.hx))
         j = int(round((y - self.y_min) / self.hy))
         if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise ValueError(f"point ({x}, {y}) lies outside the grid")
-        scale = max(self.hx, self.hy)
-        if abs(self.x_min + i * self.hx - x) > tol * scale or abs(self.y_min + j * self.hy - y) > tol * scale:
+        tol = 1e-9 * max(self.hx, self.hy)
+        if abs(self.x_min + i * self.hx - x) > tol or abs(self.y_min + j * self.hy - y) > tol:
             raise ValueError(f"point ({x}, {y}) is not a grid point")
         return i, j
 

@@ -166,12 +166,12 @@ def closedness_defect(s: SpinorField) -> float:
     return _defect(_one_forms(s), s.grid, s.mask)
 
 
-def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
+def induce_surface(s: SpinorField, z0=None) -> Surface:
     """Build the surface coordinates from a spinor by L-path integrals.
 
     Warns (does not fail) when the inducing one-forms are measurably not
     closed, since then the result is path dependent: when their defect
-    exceeds `warn_tol` and does not shrink like h^2 (the stencils leave an
+    exceeds 1e-3 and does not shrink like h^2 (the stencils leave an
     O(h^2) defect on exact solutions too). A vanishing spinor produces the
     degenerate single-point surface, flagged as such.
     """
@@ -182,7 +182,7 @@ def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
 
     forms = _one_forms(s)
     defect = _defect(forms, grid, s.mask)
-    if defect > warn_tol and not _shrinks_like_h2(forms, grid, s.mask, defect):
+    if defect > 1e-3 and not _shrinks_like_h2(forms, grid, s.mask, defect):
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
@@ -218,8 +218,7 @@ def induce_surface(s: SpinorField, z0=None, warn_tol: float = 1e-3) -> Surface:
     )
 
 
-def path_independence_report(s: SpinorField, z0, z1,
-                             name: str = "path_independence") -> ResidualReport:
+def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
     """|X(L-path) - X(reversed-L)| at z1, maximized over the coordinates."""
     grid = s.grid
     i0, j0 = _resolve_basepoint(grid, z0)
@@ -235,7 +234,7 @@ def path_independence_report(s: SpinorField, z0, z1,
         diff = abs(phi_a[i1, j1] - phi_b[i1, j1])
         per[label] = float(diff)
         worst = max(worst, float(diff))
-    return ResidualReport(name=name, grid=grid, max_norm=worst, l2_norm=worst,
+    return ResidualReport(grid=grid, max_norm=worst, l2_norm=worst,
                           masked_points=int(np.count_nonzero(s.mask)),
                           details=per)
 
@@ -251,7 +250,7 @@ class FundamentalForms:
     f: RealField
     g: RealField
     normal: np.ndarray            # (3, nx, ny)
-    degenerate_mask: np.ndarray   # immersion failure: EG - F^2 <= eps
+    degenerate_mask: np.ndarray   # immersion failure: EG - F^2 <= 1e-18
 
     @property
     def grid(self) -> GridSpec:
@@ -277,10 +276,14 @@ class FundamentalForms:
         return gauss_curvature_numeric(self)
 
 
-def fundamental_forms(srf: Surface, degeneracy_eps: float = 1e-18) -> FundamentalForms:
+# EG - F^2 at or below which the sampled surface is not an immersion
+_DEGENERATE = 1e-18
+
+
+def fundamental_forms(srf: Surface) -> FundamentalForms:
     """Forms of the sampled surface from second-order stencils.
 
-    Points where EG - F^2 <= eps are flagged degenerate (not an immersion
+    Points where EG - F^2 <= 1e-18 are flagged degenerate (not an immersion
     there) and masked in the curvature fields derived from the forms.
     """
     comps = (srf.x1, srf.x2, srf.x3)
@@ -302,8 +305,8 @@ def fundamental_forms(srf: Surface, degeneracy_eps: float = 1e-18) -> Fundamenta
     G = np.einsum("kij,kij->ij", ay, ay)
 
     w2 = E * G - F**2
-    degenerate = (w2 <= degeneracy_eps) & ~mask
-    safe_w = np.sqrt(np.where(w2 > degeneracy_eps, w2, 1.0))
+    degenerate = (w2 <= _DEGENERATE) & ~mask
+    safe_w = np.sqrt(np.where(w2 > _DEGENERATE, w2, 1.0))
 
     cross = np.stack([
         ax[1] * ay[2] - ax[2] * ay[1],
@@ -348,14 +351,12 @@ def gauss_curvature_numeric(ff: FundamentalForms) -> RealField:
     return RealField._derived(ff.grid, np.where(mask, 0, vals), mask)
 
 
-def gauss_curvature_consistency(ff: FundamentalForms, p: RealField,
-                                name: str = "gauss_consistency") -> ResidualReport:
+def gauss_curvature_consistency(ff: FundamentalForms, p: RealField) -> ResidualReport:
     """K from the forms against K from the intrinsic density formula."""
     k_num = gauss_curvature_numeric(ff)
     k_form = gaussian_curvature_from_p(p)
     mask = k_num.mask | k_form.mask
-    return report_from_parts(name, ff.grid,
-                             [("k_difference", k_num.values - k_form.values, mask)])
+    return report_from_parts(ff.grid, [("k_difference", k_num.values - k_form.values, mask)])
 
 
 def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:
@@ -378,8 +379,7 @@ def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:
 
 
 def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float,
-                          ff: FundamentalForms,
-                          name: str = "rigid_string") -> ResidualReport:
+                          ff: FundamentalForms) -> ResidualReport:
     """Pointwise Euler-Lagrange residual -2 gamma H + alpha (Lap H + 2 H^3 + R H).
 
     The scalar curvature enters through R = -2K. The boundary ring is
@@ -391,7 +391,7 @@ def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float
     mask = mask | lap.mask
     vals = -2 * gamma * h.values + alpha * (lap.values + 2 * h.values**3
                                             - 2 * K.values * h.values)
-    return report_from_parts(name, grid, [("euler_lagrange", np.where(mask, 0, vals), mask)],
+    return report_from_parts(grid, [("euler_lagrange", np.where(mask, 0, vals), mask)],
                              exclude_rings=1)
 
 

@@ -82,8 +82,8 @@ class HolomorphicProfile:
                 raise ValueError("profile is not real-valued on the real axis")
 
 
-def h_from_profile(q, den_eps: float = 1e-12) -> ClosedForm:
-    """H = 1/(Q(z) + Q(zbar)); zeros of the denominator are masked.
+def h_from_profile(q) -> ClosedForm:
+    """H = 1/(Q(z) + Q(zbar)); points where |Q(z) + Q(zbar)| < 1e-12 are masked.
 
     The construction satisfies the integrability criterion by design:
     the z-term is killed by dbar and the zbar-term by d.
@@ -97,28 +97,24 @@ def h_from_profile(q, den_eps: float = 1e-12) -> ClosedForm:
     def value(z):
         den = denominator(z)
         with np.errstate(all="ignore"):
-            return np.where(np.abs(den) < den_eps, np.nan, 1.0 / den)
+            return np.where(np.abs(den) < 1e-12, np.nan, 1.0 / den)
 
     def guard(z):
-        return np.abs(denominator(z)) < den_eps
+        return np.abs(denominator(z)) < 1e-12
 
     return ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard)
 
 
-def h_integrability_residual(h: RealField,
-                             name: str = "h_integrability",
-                             zero_eps: float = 1e-12,
-                             exclude_rings: int = 0) -> ResidualReport:
+def h_integrability_residual(h: RealField, exclude_rings: int = 0) -> ResidualReport:
     """Norm of d dbar (1/H); zero exactly for the integrable class."""
-    if np.any((np.abs(h.values) < zero_eps) & ~h.mask):
+    if np.any((np.abs(h.values) < 1e-12) & ~h.mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
     mix = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h))
-    return report_from_parts(name, h.grid, [("ddbar_inv_h", mix.values, mix.mask)],
+    return report_from_parts(h.grid, [("ddbar_inv_h", mix.values, mix.mask)],
                              exclude_rings=exclude_rings)
 
 
 def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
-                     name: str = "riccati",
                      exclude_rings: int = 0) -> ResidualReport:
     """Defects of both first-order Riccati constraints on rho."""
     grid, mask = _shared(rho, c)
@@ -128,7 +124,7 @@ def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
     r = rho.values
     d1 = drho.values - (c.a10.values + c.a11.values * r + c.a12.values * r**2)
     d2 = dbrho.values - (c.a20.values + c.a21.values * r + c.a22.values * r**2)
-    return report_from_parts(name, grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
+    return report_from_parts(grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
                              exclude_rings=exclude_rings)
 
 
@@ -217,9 +213,7 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     return RiccatiCoeffs(*(ComplexField._derived(grid, c, mask) for c in coef))
 
 
-def zero_curvature_residual(c: RiccatiCoeffs,
-                            name: str = "zero_curvature",
-                            exclude_rings: int = 0) -> ResidualReport:
+def zero_curvature_residual(c: RiccatiCoeffs, exclude_rings: int = 0) -> ResidualReport:
     """The three compatibility conditions on the Riccati coefficients.
 
     Each coefficient is differentiated once, so its stencils go as soon as
@@ -237,13 +231,12 @@ def zero_curvature_residual(c: RiccatiCoeffs,
     cond1, mask1 = condition(c.a11, c.a21, 2 * a12 * a20, 2 * a22 * a10)
     cond2, mask2 = condition(c.a12, c.a22, a12 * a21, a11 * a22)
     mask = c.mask | mask0 | mask1 | mask2
-    return report_from_parts(name, c.grid, [
+    return report_from_parts(c.grid, [
         ("order0", cond0, mask), ("order1", cond1, mask), ("order2", cond2, mask)],
         exclude_rings=exclude_rings)
 
 
 def sinh_gordon_residual(s: SpinorField, h: RealField,
-                         name: str = "sinh_gordon",
                          exclude_rings: int = 0) -> ResidualReport:
     """Residual of d dbar ln p = |J|^2 / p^2 - p^2 H^2.
 
@@ -259,12 +252,11 @@ def sinh_gordon_residual(s: SpinorField, h: RealField,
     J = current_J(s)
     totmask = mask | mix.mask | J.mask
     vals = mix.values.real - np.abs(J.values) ** 2 / safe**2 + safe**2 * h.values**2
-    return report_from_parts(name, s.grid, [("sinh_gordon", np.where(totmask, 0, vals), totmask)],
+    return report_from_parts(s.grid, [("sinh_gordon", np.where(totmask, 0, vals), totmask)],
                              exclude_rings=exclude_rings)
 
 
-def linearization_constraint_residual(s: SpinorField,
-                                      name: str = "linear_constraints") -> ResidualReport:
+def linearization_constraint_residual(s: SpinorField) -> ResidualReport:
     """The differential constraints forcing constant density.
 
     conj(psi1) dbar psi1 + psi2 dbar conj(psi2) and its d-partner equal
@@ -284,13 +276,12 @@ def linearization_constraint_residual(s: SpinorField,
     pv = p.values[~(p.mask | mask)]
     details = {"p_variance": float(np.var(pv)) if pv.size else 0.0,
                "p_mean": float(np.mean(pv)) if pv.size else 0.0}
-    return report_from_parts(name, s.grid,
+    return report_from_parts(s.grid,
                              [("dbar_constraint", c1, mask), ("d_constraint", c2, mask)],
                              details=details)
 
 
 def linear_system_residual(s: SpinorField, h: RealField, p0: float,
-                           name: str = "linear_system",
                            exclude_rings: int = 0) -> ResidualReport:
     """Residual of the decoupled linear system obeyed under the constraints:
 
@@ -309,5 +300,5 @@ def linear_system_residual(s: SpinorField, h: RealField, p0: float,
     coeff = p0**2 * h.values**2
     l1 = dd1.values - lzb * d1.values + coeff * s.psi1.values
     l2 = dd2.values - lz * d2.values + coeff * s.psi2.values
-    return report_from_parts(name, s.grid, [("psi1", l1, mask), ("psi2", l2, mask)],
+    return report_from_parts(s.grid, [("psi1", l1, mask), ("psi2", l2, mask)],
                              exclude_rings=exclude_rings)

@@ -1,18 +1,13 @@
-"""Residual reports: named norms over unmasked grid points.
+"""Residual reports: norms over unmasked grid points.
 
-Every verification operation returns a ResidualReport carrying the max
-norm and the grid-weighted L2 norm of one or more residual fields, plus
-grid metadata and the masked-point count. Reports serialize to JSON as
-
-    {name, grid: {nx, ny, hx, hy}, max_norm, l2_norm, masked_points,
-     parts: [{name, max_norm, l2_norm}, ...], details: {...}}
-
-where `parts` breaks a multi-equation residual into its components and
-`details` carries operation-specific scalars (variances, flags).
+Every verification operation returns a ResidualReport: the grid, the max
+norm and the grid-weighted L2 norm of one or more residual fields, and
+the masked-point count. Its `parts` break a multi-equation residual into
+its named components (`part(name)` looks one up), and its `details`
+carry operation-specific scalars (variances, flags).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -55,7 +50,6 @@ class ResidualPart:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    name: str
     grid: GridSpec
     max_norm: float
     l2_norm: float
@@ -69,22 +63,6 @@ class ResidualReport:
                 return p
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": {"nx": self.grid.nx, "ny": self.grid.ny,
-                     "hx": self.grid.hx, "hy": self.grid.hy},
-            "max_norm": self.max_norm,
-            "l2_norm": self.l2_norm,
-            "masked_points": self.masked_points,
-            "parts": [{"name": p.name, "max_norm": p.max_norm, "l2_norm": p.l2_norm}
-                      for p in self.parts],
-            "details": dict(sorted(self.details.items())),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def interior_ring_mask(grid: GridSpec, rings: int) -> np.ndarray:
     """Mask that excludes `rings` boundary layers."""
@@ -97,14 +75,14 @@ def interior_ring_mask(grid: GridSpec, rings: int) -> np.ndarray:
     return m
 
 
-def report_from_parts(name: str, grid: GridSpec, parts, details=None,
+def report_from_parts(grid: GridSpec, parts, details=None,
                       exclude_rings: int = 0) -> ResidualReport:
     """Assemble a report from (part_name, values, mask) triples.
 
     The headline max_norm is the largest part max, NaN if any part's is;
-    l2_norm likewise. The
-    masked count is taken over the union mask of all parts (boundary-ring
-    exclusion, when requested, is not counted as masking).
+    l2_norm likewise. The masked count is taken over the union mask of all
+    parts (boundary-ring exclusion, when requested, is not counted as
+    masking).
     """
     ring = interior_ring_mask(grid, exclude_rings)
     out_parts = []
@@ -117,7 +95,6 @@ def report_from_parts(name: str, grid: GridSpec, parts, details=None,
         mx, l2 = norms(values, grid, eff)
         out_parts.append(ResidualPart(pname, mx, l2))
     return ResidualReport(
-        name=name,
         grid=grid,
         max_norm=worst(*(p.max_norm for p in out_parts)),
         l2_norm=worst(*(p.l2_norm for p in out_parts)),

@@ -90,16 +90,15 @@ def psi_pair(rho, drho, h, eps):
     return eps * (rho * conj(w) / den), eps * (w / den)
 
 
-def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1,
-                 dr_eps: float = 1e-12) -> SpinorField:
+def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1) -> SpinorField:
     """Invert the representation: build the spinor pair from rho and H,
     with the global sign `eps` (+1 or -1) of the transform.
 
-    Points where d rho vanishes are masked (the square root degenerates
-    there); H must be positive on the unmasked region. Each component is
-    `psi_pair` of rho, d rho and H, with an analytic source when all three
-    have one, unless the branch continuation flipped a sign: the flipped
-    values carry no source.
+    Points where |d rho| is below 1e-12 of its largest value are masked
+    (the square root degenerates there); H must be positive on the
+    unmasked region. Each component is `psi_pair` of rho, d rho and H,
+    with an analytic source when all three have one, unless the branch
+    continuation flipped a sign: the flipped values carry no source.
     """
     if eps not in (+1, -1):
         raise ValueError("branch sign must be +1 or -1")
@@ -109,7 +108,7 @@ def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1,
 
     drho = d_z(rho)
     scale = float(np.max(np.abs(drho.values), initial=0.0))
-    mask = mask | drho.mask | (np.abs(drho.values) < dr_eps * max(scale, 1e-300))
+    mask = mask | drho.mask | (np.abs(drho.values) < 1e-12 * max(scale, 1e-300))
     psi = [pointwise(lambda r, dr, hv, k=k: psi_pair(r, dr, hv, eps)[k],
                      rho, drho, h, mask=mask) for k in (0, 1)]
 
@@ -121,9 +120,7 @@ def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1,
     return SpinorField(*psi)
 
 
-def sigma_residual(rho: ComplexField, h: RealField,
-                   name: str = "sigma",
-                   exclude_rings: int = 0) -> ResidualReport:
+def sigma_residual(rho: ComplexField, h: RealField, exclude_rings: int = 0) -> ResidualReport:
     """Residuals of the second-order sigma-model system and its conjugate."""
     grid, mask = _shared(rho, h)
     lz, lzb, lmask = log_derivatives(h)
@@ -139,7 +136,7 @@ def sigma_residual(rho: ComplexField, h: RealField,
         - lzb * drho.values
     res2 = np.conj(mix.values) - 2.0 * r / m * np.conj(drho.values) * np.conj(dbrho.values) \
         - lz * np.conj(drho.values)
-    return report_from_parts(name, grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
+    return report_from_parts(grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
                              exclude_rings=exclude_rings)
 
 
@@ -172,8 +169,7 @@ class SpinMatrix:
     def entries(self):
         return (self.s11, self.s12, self.s21, self.s22)
 
-    def algebra_report(self, name: str = "spin_algebra",
-                       exclude_rings: int = 0) -> ResidualReport:
+    def algebra_report(self) -> ResidualReport:
         """Hermiticity, tracelessness and involution defects."""
         a, b, c, d = (e.values for e in self.entries())
         mask = self.mask
@@ -186,7 +182,7 @@ class SpinMatrix:
             ("involution_21", c * (a + d), mask),
             ("involution_22", d * d + b * c - 1.0, mask),
         ]
-        return report_from_parts(name, self.grid, parts, exclude_rings=exclude_rings)
+        return report_from_parts(self.grid, parts)
 
 
 def spin_matrix(rho: ComplexField) -> SpinMatrix:
@@ -228,17 +224,13 @@ def ll_commutator(rho: ComplexField) -> LLCommutator:
     return LLCommutator(rho, (c11, c12, c21, c22), mask)
 
 
-def landau_lifshitz_residual(c: LLCommutator,
-                             name: str = "landau_lifshitz",
-                             exclude_rings: int = 0) -> ResidualReport:
+def landau_lifshitz_residual(c: LLCommutator, exclude_rings: int = 0) -> ResidualReport:
     """Max norm of the commutator [S, d dbar S] over the grid."""
     parts = [(k, e, c.mask) for k, e in zip(("c11", "c12", "c21", "c22"), c.entries)]
-    return report_from_parts(name, c.grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(c.grid, parts, exclude_rings=exclude_rings)
 
 
 def deformed_ll_residual(c: LLCommutator, h: RealField,
-                         name: str = "deformed_landau_lifshitz",
-                         rho_eps: float = 1e-8,
                          exclude_rings: int = 0) -> ResidualReport:
     """Residual of [S, d dbar S] + R*Hmat, the inhomogeneous spin equation,
     for the commutator `c` of rho and the mean curvature `h`.
@@ -254,7 +246,7 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
     (cb = conj(rho), f the sigma operator applied to rho, fb its
     conjugate), derived by formal jet computation; R*Hmat must cancel the
     ln-H part of f and fb entrywise. Hmat's lower-right entry contains
-    1/rho, so points with small |rho| are masked rather than regularized
+    1/rho, so points with |rho| < 1e-8 are masked rather than regularized
     (regularizing would change the identity being certified).
     """
     rho = c.rho
@@ -263,7 +255,7 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
     lz, lzb, lmask = log_derivatives(h)
     drho = d_z(rho)
     dbrho = d_zbar(rho)
-    rho_mask = rho.mask | (np.abs(rho.values) < rho_eps)
+    rho_mask = rho.mask | (np.abs(rho.values) < 1e-8)
     mask = c.mask | lmask | drho.mask | dbrho.mask | rho_mask
 
     r, dr, cdr = rho.values, drho.values, np.conj(drho.values)   # cdr = dbar conj(rho)
@@ -281,33 +273,35 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
         ("e21", c21 + (r21 * lzb + r22 * lz), mask),
         ("e22", c22 + (r21 * h12 + r22 * h22), mask),
     ]
-    return report_from_parts(name, grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(grid, parts, exclude_rings=exclude_rings)
 
 
-def _require_unimodular(rho: ComplexField, tol: float) -> None:
+# how far |rho| may be from 1 in a unimodular input, and H from its mean in a
+# consistent constant-H report
+_UNIMODULAR_TOL = 1e-10
+
+
+def _require_unimodular(rho: ComplexField) -> None:
     dev = np.abs(np.abs(rho.values[~rho.mask]) - 1.0)
-    if dev.size == 0 or float(np.max(dev)) > tol:
+    if dev.size == 0 or float(np.max(dev)) > _UNIMODULAR_TOL:
         raise ValueError("input is not unimodular (|rho| must equal 1)")
 
 
-def multisoliton_product(r1: ComplexField, r2: ComplexField,
-                         tol: float = 1e-10) -> ComplexField:
+def multisoliton_product(r1: ComplexField, r2: ComplexField) -> ComplexField:
     """Product of two unimodular solutions; stays a solution for constant H."""
-    _require_unimodular(r1, tol)
-    _require_unimodular(r2, tol)
+    _require_unimodular(r1)
+    _require_unimodular(r2)
     return pointwise(operator.mul, r1, r2)
 
 
-def unimodular_H_constancy_check(rho: ComplexField, h: RealField,
-                                 tol: float = 1e-10,
-                                 name: str = "unimodular_h_constancy") -> ResidualReport:
+def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualReport:
     """Unimodular solutions force constant H; report the observed spread.
 
     max_norm is max |H - mean(H)| over unmasked points; details carry the
-    mean, the variance, and a consistency flag (1 = constant within tol).
+    mean, the variance, and a consistency flag (1 = constant within 1e-10).
     """
     grid, mask = _shared(rho, h)
-    _require_unimodular(rho, max(tol, 1e-10))
+    _require_unimodular(rho)
     vals = h.values[~mask]
     if vals.size == 0:
         raise ValueError("no unmasked points to test")
@@ -316,17 +310,15 @@ def unimodular_H_constancy_check(rho: ComplexField, h: RealField,
     variance = float(np.var(vals))
     mx, l2 = norms(h.values - mean, grid, mask)
     return ResidualReport(
-        name=name, grid=grid, max_norm=mx, l2_norm=l2,
+        grid=grid, max_norm=mx, l2_norm=l2,
         masked_points=int(np.count_nonzero(mask)),
         parts=(),
         details={"h_mean": mean, "h_spread": spread, "h_variance": variance,
-                 "consistent": bool(spread <= tol)},
+                 "consistent": bool(spread <= _UNIMODULAR_TOL)},
     )
 
 
 def compatibility_residual(rho: ComplexField, h: RealField,
-                           tol_unimodular: float = 1e-10,
-                           name: str = "potential_compatibility",
                            exclude_rings: int = 0) -> ResidualReport:
     """Cross-derivative compatibility of the potential defined by
     d phi = ln(d ln rho), dbar phi = ln H.
@@ -337,7 +329,7 @@ def compatibility_residual(rho: ComplexField, h: RealField,
     analytic source when rho has one, so dbar w is then exact.
     """
     grid, _ = _shared(rho, h)
-    _require_unimodular(rho, tol_unimodular)
+    _require_unimodular(rho)
     w = pointwise(operator.truediv, d_z(rho), rho)
     wscale = float(np.max(np.abs(w.values), initial=0.0))
     # the same w and source, also masked where |w| is negligible
@@ -348,5 +340,5 @@ def compatibility_residual(rho: ComplexField, h: RealField,
     totmask = w.mask | dw.mask | lmask
     with np.errstate(all="ignore"):
         vals = np.where(totmask, 0, dw.values / np.where(totmask, 1.0, w.values) - lz)
-    return report_from_parts(name, grid, [("compatibility", vals, totmask)],
+    return report_from_parts(grid, [("compatibility", vals, totmask)],
                              exclude_rings=exclude_rings)

@@ -74,9 +74,7 @@ def density_p(s: SpinorField) -> RealField:
                               finite=True)
 
 
-def weierstrass_residual(s: SpinorField, h: RealField,
-                         name: str = "weierstrass",
-                         exclude_rings: int = 0) -> ResidualReport:
+def weierstrass_residual(s: SpinorField, h: RealField) -> ResidualReport:
     """Residuals of all four equations of the spinor system."""
     _, mask = _shared(s, h)
     p = density_p(s).values
@@ -95,12 +93,10 @@ def weierstrass_residual(s: SpinorField, h: RealField,
         ("dbar_conj_psi1", d3.values - ph * c2, mask | d3.mask),
         ("d_conj_psi2", d4.values + ph * c1, mask | d4.mask),
     ]
-    return report_from_parts(name, s.grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(s.grid, parts)
 
 
-def potential_conservation_residual(s: SpinorField,
-                                    name: str = "conservation",
-                                    exclude_rings: int = 0) -> ResidualReport:
+def potential_conservation_residual(s: SpinorField) -> ResidualReport:
     """Both conservation laws that close the inducing one-forms.
 
     d(psi1^2) + dbar(psi2^2) = 0 and d(psi1 conj(psi2)) -
@@ -121,7 +117,7 @@ def potential_conservation_residual(s: SpinorField,
         ("potential", pot.values + pot2.values, pot.mask | pot2.mask),
         ("bilinear", b1.values - b2.values, b1.mask | b2.mask),
     ]
-    return report_from_parts(name, s.grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(s.grid, parts)
 
 
 def current_J(s: SpinorField) -> ComplexField:
@@ -133,17 +129,14 @@ def current_J(s: SpinorField) -> ComplexField:
     return ComplexField._derived(s.grid, np.where(mask, 0, vals), mask)
 
 
-def dbar_J_defect(s: SpinorField, h: RealField,
-                  name: str = "current_defect",
-                  exclude_rings: int = 0) -> ResidualReport:
+def dbar_J_defect(s: SpinorField, h: RealField, exclude_rings: int = 0) -> ResidualReport:
     """Norm of dbar J + p^2 dH; zero modulo the spinor system."""
     _, mask = _shared(s, h)
     dJ = d_zbar(current_J(s))
     p = density_p(s).values
     hz = d_z(h)
     vals = dJ.values + p**2 * hz.values
-    return report_from_parts(name, s.grid,
-                             [("dbar_J_plus_p2_dH", vals, mask | dJ.mask | hz.mask)],
+    return report_from_parts(s.grid, [("dbar_J_plus_p2_dH", vals, mask | dJ.mask | hz.mask)],
                              exclude_rings=exclude_rings)
 
 
@@ -184,11 +177,10 @@ def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField
     return ComplexField._derived(grid, vals, outmask)
 
 
-def conservation_defect(j: ComplexField, name: str = "dbar_defect",
-                        exclude_rings: int = 0) -> ResidualReport:
+def conservation_defect(j: ComplexField, exclude_rings: int = 0) -> ResidualReport:
     """Norms of dbar applied to a current."""
     d = d_zbar(j)
-    return report_from_parts(name, j.grid, [("dbar", d.values, d.mask)],
+    return report_from_parts(j.grid, [("dbar", d.values, d.mask)],
                              exclude_rings=exclude_rings)
 
 

@@ -127,12 +127,12 @@ _SUITE_SETS = {
 def test_suite_set_per_family(case):
     """Which suites run, at which tolerance, and whether the O(h^2) ratio
     is enforced; report bytes show expect_ratio only when a ratio fails."""
-    from gwsurf.cli import _suites_for
+    from gwsurf.cli import _class_of, _suites_for
     from gwsurf.families import build_family
     name, _, lam = case.partition("-lambda")
     fam = build_family(name, lam=float(lam) if lam else None)
     specs = _suites_for(fam)
-    resolved = {(s.name, s.kind, s.tol, s.expect_ratio) for s in specs}
+    resolved = {(s.name, s.kind, s.tol, _class_of(fam) in s.expect_ratio) for s in specs}
     assert len(resolved) == len(specs)
     assert resolved == _SUITE_SETS[case]
 
@@ -522,14 +522,14 @@ def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
 def test_non_finite_residual_fails_the_gate(kind, level, bad):
     # nan > tol is False and max(nan * h^2, floor) is nan, so a NaN residual
     # slipped through every tolerance comparison
-    from gwsurf import GridSpec
+    from gwsurf import GridSpec, family_rational
     from gwsurf.cli import SuiteSpec, _gate, _report_scalar
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
     reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, deformed=1e-6)
                for g in grids]
-    spec = SuiteSpec("broken", kind, None, (), None, expect_ratio=False)
-    res = _gate(spec, grids, reports, 1.0)
+    spec = SuiteSpec("broken", kind, {"varying_h"}, (), None, expect_ratio=set())
+    res = _gate(spec, family_rational(1.0), grids, reports, 1.0)
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]

@@ -68,3 +68,33 @@ def test_export_list_is_reexported(module):
     for name in mod.__all__:
         assert hasattr(mod, name), name
         assert getattr(gwsurf, name, None) is getattr(mod, name), name
+
+
+def _public_callables():
+    """(name, function) for every function the package re-exports and every
+    method of the classes it re-exports."""
+    for name, obj in vars(gwsurf).items():
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+def _fixed_value(param) -> bool:
+    """A report label, a tolerance or a guard that the library fixes
+    itself rather than takes from its caller."""
+    p = param.name
+    return ((p == "name" and param.default is not param.empty)
+            or p == "tol" or p.startswith("tol_") or p.endswith(("_tol", "_eps"))
+            or p in ("guard_band", "admissible"))
+
+
+def test_no_label_or_tolerance_options():
+    offenders = [f"{name}({p.name})" for name, fn in _public_callables()
+                 for p in inspect.signature(fn).parameters.values() if _fixed_value(p)]
+    assert not offenders
+    for fn in (gwsurf.weierstrass_residual, gwsurf.potential_conservation_residual,
+               gwsurf.SpinMatrix.algebra_report):
+        assert "exclude_rings" not in inspect.signature(fn).parameters, fn.__name__

@@ -45,7 +45,7 @@ def _check_slots(name, kw):
     fam = build_family(name, **kw)
     oracle = family_exprs(name, **kw)
     g = fam.default_grid(101, 3)
-    z, keep = g.zmesh(), ~fam.guard_mask(g)
+    z, keep = g.zmesh(), ~fam.rho(g).mask
     forms = {attr: getattr(fam, attr) for attr in ("h_form", "rho_form", "psi1_form", "psi2_form")
              if getattr(fam, attr) is not None}
     assert forms.keys() == oracle.keys()

@@ -1,24 +1,21 @@
-"""Residual report schema and norm conventions."""
-import json
-
+"""Residual reports and norm conventions."""
 import numpy as np
 
 from gwsurf import GridSpec, report_from_parts
 from gwsurf.reporting import interior_ring_mask, norms, worst
 
 
-def test_json_schema():
+def test_report_fields():
     g = GridSpec(-1, 1, -1, 1, 5, 5)
     vals = np.zeros(g.shape)
     vals[2, 2] = 3.0
-    rep = report_from_parts("demo", g, [("only", vals, None)], details={"extra": 1.0})
-    data = json.loads(rep.to_json())
-    assert set(data) == {"name", "grid", "max_norm", "l2_norm",
-                         "masked_points", "parts", "details"}
-    assert set(data["grid"]) == {"nx", "ny", "hx", "hy"}
-    assert data["max_norm"] == 3.0
-    assert data["masked_points"] == 0
-    assert data["parts"][0]["name"] == "only"
+    rep = report_from_parts(g, [("only", vals, None)], details={"extra": 1.0})
+    assert rep.grid == g
+    assert rep.max_norm == 3.0
+    assert rep.masked_points == 0
+    assert [p.name for p in rep.parts] == ["only"]
+    assert rep.part("only").max_norm == 3.0
+    assert rep.details == {"extra": 1.0}
 
 
 def test_norms_respect_masks():
@@ -49,7 +46,7 @@ def test_headline_is_worst_part():
     g = GridSpec(0, 1, 0, 1, 3, 3)
     a = np.full(g.shape, 0.5)
     b = np.full(g.shape, 2.0)
-    rep = report_from_parts("two", g, [("a", a, None), ("b", b, None)])
+    rep = report_from_parts(g, [("a", a, None), ("b", b, None)])
     assert rep.max_norm == 2.0
     assert rep.part("a").max_norm == 0.5
 
@@ -61,7 +58,7 @@ def test_headline_propagates_nan():
     broken = np.full(g.shape, np.nan)
     for parts in ([("a", finite, None), ("b", broken, None)],
                   [("b", broken, None), ("a", finite, None)]):
-        rep = report_from_parts("two", g, parts)
+        rep = report_from_parts(g, parts)
         assert np.isnan(rep.max_norm) and np.isnan(rep.l2_norm)
         assert rep.part("a").max_norm == 1.0
 
