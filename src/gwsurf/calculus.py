@@ -83,17 +83,25 @@ def _axis_apply(op, field, h, axis):
     return np.moveaxis(out, 0, axis), np.moveaxis(bad, 0, axis)
 
 
-def _cumulative_trapezoid(y: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Running composite-trapezoid integral along `axis`, zero at index 0.
+def _integrate_from(values: np.ndarray, mask: np.ndarray, h: float, axis: int,
+                    k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(integral, crossed): the composite-trapezoid integral of `values`
+    along `axis`, zero at index k0, and where its path from k0 passes a
+    masked point (k0 and the target included, on either side of k0).
 
-    Evaluates h * (y[k+1] + y[k]) / 2.0 and sums in index order, the same
-    expression order as scipy.integrate.cumulative_trapezoid(y, dx=h,
-    axis=axis, initial=0), so the two agree bit for bit.
+    The running sum evaluates h * (y[k+1] + y[k]) / 2.0 and sums in index
+    order from index 0, the same expression order as
+    scipy.integrate.cumulative_trapezoid(y, dx=h, axis=axis, initial=0),
+    so at k0 = 0 the two agree bit for bit.
     """
-    y = np.moveaxis(np.asarray(y), axis, 0)
+    y = np.moveaxis(np.asarray(values), axis, 0)
+    bad = np.moveaxis(np.asarray(mask, dtype=bool), axis, 0)
     steps = np.cumsum(h * (y[1:] + y[:-1]) / 2.0, axis=0)
-    zero = np.zeros((1,) + steps.shape[1:], dtype=steps.dtype)
-    return np.moveaxis(np.concatenate([zero, steps]), 0, axis)
+    total = np.concatenate([np.zeros((1,) + steps.shape[1:], dtype=steps.dtype), steps])
+    crossed = np.zeros_like(bad)
+    crossed[k0:] = np.logical_or.accumulate(bad[k0:], axis=0)
+    crossed[: k0 + 1] |= np.logical_or.accumulate(bad[k0::-1], axis=0)[::-1]
+    return np.moveaxis(total - total[k0], 0, axis), np.moveaxis(crossed, 0, axis)
 
 
 def _wrap(field, vals, mask):

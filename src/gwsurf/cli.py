@@ -45,7 +45,7 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import RATIO_MIN, ResidualReport, worst
+from .reporting import RATIO_MIN, ResidualReport, report_from_parts, worst
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
@@ -90,10 +90,6 @@ class RunConfig:
         for key in ("levels", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-
-    def to_text(self) -> str:
-        """Serialize as diff-able key=value lines (canonical order)."""
-        return "".join(f"{k.key}={k.fmt(getattr(self, k.field))}\n" for k in _KEYS)
 
     def describe(self) -> dict:
         """The settings that shape results, as stamped into every report."""
@@ -160,14 +156,6 @@ def _tol_scale(text: str) -> float:
     return value
 
 
-def _fmt_value(v) -> str:
-    if v is None:
-        return "default"
-    if isinstance(v, tuple):
-        return ",".join(map(_fmt_value, v))
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _json(v):
     return list(v) if isinstance(v, tuple) else v
 
@@ -178,7 +166,6 @@ class _Key:
     field: str                  # RunConfig field
     flag: str                   # command-line flag
     parse: Callable             # text (flag or config file) -> value
-    fmt: Callable = _fmt_value  # value -> config-file text
     report: Callable | None = None  # value -> report-config JSON; None: not stamped
     signed: bool = False        # the flag takes values that begin with '-'
     families: tuple[str, ...] | None = None  # a family parameter: the families that read it
@@ -191,7 +178,7 @@ _KEYS = (
     _Key("a", "a", "--A", _optional(_finite), report=_json, signed=True, families=("trig",)),
     _Key("h0", "h0", "--H0", _finite, report=_json, signed=True,
          families=("unimodular", "holomorphic")),
-    _Key("grid", "grid", "--grid", _parse_grid, _fmt_grid, report=_fmt_grid),
+    _Key("grid", "grid", "--grid", _parse_grid, report=_fmt_grid),
     _Key("domain", "domain", "--domain", _optional(_domain),
          report=_json, signed=True),
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
@@ -265,7 +252,7 @@ _INPUTS = {
     "spinor": _Input(lambda fam, g: fam.spinor(g)),
     "h": _Input(lambda fam, g: fam.h(g)),
     "h_fd": _Input(lambda fam, g, h: h.without_source(), ("h",)),
-    "spinor_fd": _Input(lambda fam, g: fam.spinor(g, analytic=False), weight=1),
+    "spinor_fd": _Input(lambda fam, g: fam.spinor(g).without_sources(), weight=1),
     "rho_fd": _Input(lambda fam, g, rho: rho.without_source(), ("rho",), weight=2),
     "ll_commutator_fd": _Input(lambda fam, g, rho: ll_commutator(rho), ("rho_fd",), weight=3),
 }
@@ -549,8 +536,9 @@ def _level_entry(rep: ResidualReport) -> dict:
             "l2_norm": rep.l2_norm, "masked_points": rep.masked_points, "details": rep.details}
 
 
-def _gate(spec: SuiteSpec, fam: SolutionFamily, grids, reports, tol_scale) -> dict:
+def _gate(spec: SuiteSpec, fam: SolutionFamily, reports, tol_scale) -> dict:
     """A suite's result for `fam` from its reports at every level."""
+    grids = [r.grid for r in reports]
     maxes = [r.max_norm for r in reports]
     ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
               for i in range(len(maxes) - 1)]
@@ -647,7 +635,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for g in grids:
             for spec, rep in zip(order, _run_level(order, fam, g, readers, pool)):
                 reports[spec.name].append(rep)
-    results = [_gate(spec, fam, grids, reports[spec.name], cfg.tol_scale) for spec in suites]
+    results = [_gate(spec, fam, reports[spec.name], cfg.tol_scale) for spec in suites]
 
     os.makedirs(cfg.out, exist_ok=True)
     for res in results:
@@ -683,15 +671,13 @@ def cmd_induce(cfg: RunConfig) -> int:
                                  csv_path=os.path.join(cfg.out, f"{fam.name}_surface.csv"),
                                  ff=ff)
 
-    rim = np.ones(grid.shape, dtype=bool)
-    rim[1:-1, 1:-1] = False
-    h_num = ff.mean_curvature
-    h_pre = fam.h(grid)
-    closure = _max_abs(np.abs(h_num.values) - np.abs(h_pre.values),
-                       rim | h_num.mask | h_pre.mask)
-    k_num = ff.gauss_curvature
-    k_form = gaussian_curvature_from_p(density_p(s))
-    k_err = _max_abs(k_num.values - k_form.values, rim | k_num.mask | k_form.mask)
+    h_num, h_pre = ff.mean_curvature, fam.h(grid)
+    k_num, k_form = ff.gauss_curvature, gaussian_curvature_from_p(density_p(s))
+    check = report_from_parts(grid, [
+        ("closure", np.abs(h_num.values) - np.abs(h_pre.values), h_num.mask | h_pre.mask),
+        ("k_consistency", k_num.values - k_form.values, k_num.mask | k_form.mask),
+    ], exclude_rings=1)
+    closure, k_err = (p.max_norm for p in check.parts)
 
     h = max(grid.hx, grid.hy)
     tol = max(50.0 * h**2, FD_FLOOR) * cfg.tol_scale

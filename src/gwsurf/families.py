@@ -48,7 +48,8 @@ class SolutionFamily:
     """A named (H, rho, psi) triple of closed forms.
 
     `h`, `rho` and `spinor` sample it on a grid, keeping the forms as
-    sources (analytic derivatives); analytic=False drops them (stencils).
+    sources (analytic derivatives); without_source() (without_sources()
+    for a spinor) drops them, for stencils.
     The forms' domain guards mask the points outside the family's domain.
     """
 
@@ -65,20 +66,16 @@ class SolutionFamily:
         if self.eps not in (+1, -1):
             raise ValueError("branch sign must be +1 or -1")
 
-    def h(self, grid: GridSpec, analytic: bool = True) -> RealField:
-        f = sample_real(self.h_form, grid)
-        return f if analytic else f.without_source()
+    def h(self, grid: GridSpec) -> RealField:
+        return sample_real(self.h_form, grid)
 
-    def rho(self, grid: GridSpec, analytic: bool = True) -> ComplexField:
-        f = sample(self.rho_form, grid)
-        return f if analytic else f.without_source()
+    def rho(self, grid: GridSpec) -> ComplexField:
+        return sample(self.rho_form, grid)
 
-    def spinor(self, grid: GridSpec, analytic: bool = True) -> SpinorField:
+    def spinor(self, grid: GridSpec) -> SpinorField:
         if self.psi1_form is None:
-            s = psi_from_rho(self.rho(grid, analytic), self.h(grid, analytic), self.eps)
-        else:
-            s = SpinorField(sample(self.psi1_form, grid), sample(self.psi2_form, grid))
-        return s if analytic else s.without_sources()
+            return psi_from_rho(self.rho(grid), self.h(grid), self.eps)
+        return SpinorField(sample(self.psi1_form, grid), sample(self.psi2_form, grid))
 
     def default_grid(self, nx: int = 101, ny: int = 101) -> GridSpec:
         x0, x1, y0, y1 = self.default_domain

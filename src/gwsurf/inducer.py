@@ -29,16 +29,15 @@ from itertools import compress
 
 import numpy as np
 
-from .calculus import _cumulative_trapezoid, d_z, d_zbar, dx, dxx, dxy, dy, dyy
+from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows, _shared
 from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
-from .weierstrass import SpinorField, density_p, gaussian_curvature_from_p
+from .weierstrass import SpinorField, density_p
 
 __all__ = [
     "Surface", "FundamentalForms",
     "induce_surface", "path_independence_report",
-    "fundamental_forms", "mean_curvature_numeric", "gauss_curvature_numeric",
-    "gauss_curvature_consistency", "rigid_string_residual",
+    "fundamental_forms", "rigid_string_residual",
     "export_mesh", "load_mesh_vertices", "surface_to_csv",
 ]
 
@@ -81,46 +80,21 @@ def _one_forms(s: SpinorField):
     ]
 
 
-def _seg_or(bad: np.ndarray, k0: int, axis: int) -> np.ndarray:
-    """True where any bad point lies between index k0 and the target (inclusive)."""
-    b = np.moveaxis(bad, axis, 0)
-    out = np.zeros_like(b)
-    out[k0:] = np.logical_or.accumulate(b[k0:], axis=0)
-    out[: k0 + 1] = np.maximum(out[: k0 + 1],
-                               np.logical_or.accumulate(b[k0::-1], axis=0)[::-1])
-    return np.moveaxis(out.astype(bool), 0, axis)
-
-
-def _cum_from(vals: np.ndarray, h: float, axis: int, k0: int) -> np.ndarray:
-    c = _cumulative_trapezoid(vals, h, axis)
-    ref = np.take(c, k0, axis=axis)
-    return c - np.expand_dims(ref, axis)
-
-
 def _integrate_path(A, B, grid, i0, j0, mask, order: str):
-    """Trapezoid line integral of A dz + B dzbar along a rectilinear path.
+    """Trapezoid line integral of A dz + B dzbar along a rectilinear path,
+    and where that path crosses a masked point.
 
     order 'xy': along the base row (real direction) then up the column;
     order 'yx': along the base column (imaginary direction) then the row.
     Along a row dz = dzbar = dx; along a column dz = i dy, dzbar = -i dy.
     """
-    horiz = A + B
-    vert = 1j * (A - B)
-    if order == "xy":
-        row = _cum_from(horiz[:, j0], grid.hx, 0, i0)
-        col = _cum_from(vert, grid.hy, 1, j0)
-        phi = row[:, None] + col
-        rowbad = _seg_or(mask[:, j0][:, None], i0, 0)
-        bad = np.broadcast_to(rowbad, mask.shape) | _seg_or(mask, j0, 1)
-    elif order == "yx":
-        col = _cum_from(vert[i0, :], grid.hy, 0, j0)
-        row = _cum_from(horiz, grid.hx, 0, i0)
-        phi = col[None, :] + row
-        colbad = _seg_or(mask[i0, :][None, :], j0, 1)
-        bad = np.broadcast_to(colbad, mask.shape) | _seg_or(mask, i0, 0)
-    else:
-        raise ValueError(order)
-    return phi, bad
+    a, b = {"xy": (0, 1), "yx": (1, 0)}[order]   # base-line axis, sweep axis
+    forms, steps, base = (A + B, 1j * (A - B)), (grid.hx, grid.hy), (i0, j0)
+    # the base line through the basepoint, kept two-dimensional to broadcast
+    phi0, bad0 = _integrate_from(np.take(forms[a], [base[b]], axis=b),
+                                 np.take(mask, [base[b]], axis=b), steps[a], a, base[a])
+    phi, bad = _integrate_from(forms[b], mask, steps[b], b, base[b])
+    return phi0 + phi, bad0 | bad
 
 
 def _resolve_basepoint(grid: GridSpec, z0) -> tuple[int, int]:
@@ -267,13 +241,20 @@ class FundamentalForms:
 
     @cached_property
     def mean_curvature(self) -> RealField:
-        """mean_curvature_numeric of these forms, computed once."""
-        return mean_curvature_numeric(self)
+        """H = (eG - 2fF + gE) / (2 (EG - F^2)); sign depends on orientation."""
+        E, F, G = self.E.values, self.F.values, self.G.values
+        e, f, g = self.e.values, self.f.values, self.g.values
+        w2 = np.where(self.mask, 1.0, E * G - F**2)
+        return self._curvature((e * G - 2 * f * F + g * E) / (2 * w2))
 
     @cached_property
     def gauss_curvature(self) -> RealField:
-        """gauss_curvature_numeric of these forms, computed once."""
-        return gauss_curvature_numeric(self)
+        """K = (eg - f^2) / (EG - F^2)."""
+        w2 = np.where(self.mask, 1.0, self.E.values * self.G.values - self.F.values**2)
+        return self._curvature((self.e.values * self.g.values - self.f.values**2) / w2)
+
+    def _curvature(self, vals) -> RealField:
+        return RealField._derived(self.grid, np.where(self.mask, 0, vals), self.mask)
 
 
 # EG - F^2 at or below which the sampled surface is not an immersion
@@ -331,32 +312,6 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
                             e=fld(e), f=fld(f_), g=fld(g),
                             normal=np.where(formmask[None, :, :], 0, normal),
                             degenerate_mask=degenerate)
-
-
-def mean_curvature_numeric(ff: FundamentalForms) -> RealField:
-    """H = (eG - 2fF + gE) / (2 (EG - F^2)); sign depends on orientation."""
-    mask = ff.mask
-    E, F, G = ff.E.values, ff.F.values, ff.G.values
-    e, f, g = ff.e.values, ff.f.values, ff.g.values
-    w2 = np.where(mask, 1.0, E * G - F**2)
-    vals = (e * G - 2 * f * F + g * E) / (2 * w2)
-    return RealField._derived(ff.grid, np.where(mask, 0, vals), mask)
-
-
-def gauss_curvature_numeric(ff: FundamentalForms) -> RealField:
-    """K = (eg - f^2) / (EG - F^2)."""
-    mask = ff.mask
-    w2 = np.where(mask, 1.0, ff.E.values * ff.G.values - ff.F.values**2)
-    vals = (ff.e.values * ff.g.values - ff.f.values**2) / w2
-    return RealField._derived(ff.grid, np.where(mask, 0, vals), mask)
-
-
-def gauss_curvature_consistency(ff: FundamentalForms, p: RealField) -> ResidualReport:
-    """K from the forms against K from the intrinsic density formula."""
-    k_num = gauss_curvature_numeric(ff)
-    k_form = gaussian_curvature_from_p(p)
-    mask = k_num.mask | k_form.mask
-    return report_from_parts(ff.grid, [("k_difference", k_num.values - k_form.values, mask)])
 
 
 def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:

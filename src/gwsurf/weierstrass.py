@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import _cumulative_trapezoid, d_z, d_zbar, mixed_dzbar_dz
+from .calculus import _integrate_from, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, field_mul, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, report_from_parts
@@ -144,36 +144,24 @@ def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField
     """Current corrected by an antiderivative of p^2 dH, restoring dbar-conservation.
 
     The correction integrates p^2 dH from the base abscissa zbar0 (a real
-    number naming a grid line x = zbar0) along each constant-y row with a
+    number naming a grid line x = zbar0, as GridSpec.index_of accepts one;
+    ValueError otherwise) along each constant-y row with a
     factor 2, because moving one grid step in x advances z and conj(z)
     together. For data depending on z + conj(z) this reproduces the exact
     antiderivative; the reported dbar norm measures any remainder honestly.
     """
     grid = s.grid
-    xs = grid.xs()
-    i0 = int(np.argmin(np.abs(xs - zbar0)))
-    if abs(xs[i0] - zbar0) > 1e-9 * max(1.0, grid.hx):
-        raise ValueError(f"base abscissa {zbar0} is not a grid line")
+    i0, _ = grid.index_of(zbar0, grid.y_min)
 
     _, mask = _shared(s, h)
     p = density_p(s).values
     hz = d_z(h)
-    g = p**2 * hz.values
-    gmask = mask | hz.mask
-
-    cum = _cumulative_trapezoid(g, grid.hx, axis=0)
-    corr = 2.0 * (cum - cum[i0, :][None, :])
-
     # a masked integrand point poisons every target beyond it on that row
-    bad_fwd = np.logical_or.accumulate(gmask[i0:, :], axis=0)
-    bad_bwd = np.logical_or.accumulate(gmask[i0::-1, :], axis=0)[::-1]
-    pathmask = np.zeros(grid.shape, dtype=bool)
-    pathmask[i0:, :] = bad_fwd
-    pathmask[: i0 + 1, :] |= bad_bwd
+    cum, pathmask = _integrate_from(p**2 * hz.values, mask | hz.mask, grid.hx, 0, i0)
 
     J = current_J(s)
     outmask = J.mask | pathmask
-    vals = np.where(outmask, 0, J.values + corr)
+    vals = np.where(outmask, 0, J.values + 2.0 * cum)
     return ComplexField._derived(grid, vals, outmask)
 
 

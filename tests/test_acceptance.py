@@ -19,10 +19,9 @@ from gwsurf import (ComplexField, GridSpec, SpinorField, constant_form, sample_r
                     dbar_J_defect, deformed_ll_residual, density_p,
                     family_exponential, family_holomorphic, family_rational,
                     family_trigonometric, family_unimodular, fundamental_forms,
-                    gauss_curvature_numeric, gaussian_curvature_from_p,
-                    h_from_profile, h_integrability_residual, induce_surface,
-                    landau_lifshitz_residual, linear_system_residual, ll_commutator,
-                    linearization_constraint_residual, mean_curvature_numeric,
+                    gaussian_curvature_from_p, h_from_profile, h_integrability_residual,
+                    induce_surface, landau_lifshitz_residual, linear_system_residual,
+                    ll_commutator, linearization_constraint_residual,
                     modified_current, multisoliton_product,
                     path_independence_report, potential_conservation_residual,
                     psi_from_rho, rho_from_psi, sigma_residual,
@@ -79,11 +78,12 @@ def test_criterion_2_fd_convergence():
         gc = coarse(g)
         for label, run in (
             ("system", lambda gg: weierstrass_residual(
-                fam.spinor(gg, analytic=False), fam.h(gg, analytic=False)).max_norm),
+                fam.spinor(gg).without_sources(), fam.h(gg).without_source()).max_norm),
             ("sigma", lambda gg: sigma_residual(
-                fam.rho(gg, analytic=False), fam.h(gg, analytic=False), exclude_rings=2).max_norm),
+                fam.rho(gg).without_source(), fam.h(gg).without_source(),
+                exclude_rings=2).max_norm),
             ("conservation", lambda gg: potential_conservation_residual(
-                fam.spinor(gg, analytic=False)).max_norm),
+                fam.spinor(gg).without_sources()).max_norm),
             ("roundtrip", lambda gg: _roundtrip_gap(fam, gg)),
         ):
             r_coarse, r_fine = run(gc), run(g)
@@ -104,8 +104,8 @@ def test_criterion_2_fd_convergence():
 
 
 def _roundtrip_gap(fam, g):
-    s = fam.spinor(g, analytic=False)
-    back = psi_from_rho(rho_from_psi(s), fam.h(g, analytic=False))
+    s = fam.spinor(g).without_sources()
+    back = psi_from_rho(rho_from_psi(s), fam.h(g).without_source())
     mask = s.mask | back.mask
     err = np.maximum(np.abs(back.psi1.values - s.psi1.values),
                      np.abs(back.psi2.values - s.psi2.values))
@@ -118,7 +118,7 @@ def test_criterion_3_curvature_closure():
     s = fam.spinor(g)
     srf = induce_surface(s, 0.0)
     ff = fundamental_forms(srf)
-    hn = mean_curvature_numeric(ff)
+    hn = ff.mean_curvature
     hp = fam.h(g)
     interior = np.zeros(g.shape, bool)
     interior[1:-1, 1:-1] = True
@@ -126,7 +126,7 @@ def test_criterion_3_curvature_closure():
     h_gap = float(np.max(np.abs(np.abs(hn.values[sel]) - hp.values[sel])))
 
     k_form = gaussian_curvature_from_p(density_p(s))
-    k_num = gauss_curvature_numeric(ff)
+    k_num = ff.gauss_curvature
     selk = interior & ~(k_num.mask | k_form.mask)
     k_gap = float(np.max(np.abs(k_num.values[selk] - k_form.values[selk])))
     k_flat = float(np.max(np.abs(k_form.values[~k_form.mask])))
@@ -228,18 +228,18 @@ def test_criterion_7_integrability_classifier():
 
 def test_criterion_8_landau_lifshitz():
     uni = family_unimodular(1.0, 1.0)
-    ll = landau_lifshitz_residual(ll_commutator(uni.rho(SQUARE, analytic=False)),
+    ll = landau_lifshitz_residual(ll_commutator(uni.rho(SQUARE).without_source()),
                                   exclude_rings=2).max_norm
     ok = ll <= 1e-9
 
     notes = [f"unimodular LL {ll:.1e}"]
     for fam, g in ((family_rational(1.0), SQUARE), (family_trigonometric(1.0), STRIP)):
         gc = coarse(g)
-        dc = deformed_ll_residual(ll_commutator(fam.rho(gc, analytic=False)),
-                                  fam.h(gc, analytic=False),
+        dc = deformed_ll_residual(ll_commutator(fam.rho(gc).without_source()),
+                                  fam.h(gc).without_source(),
                                   exclude_rings=2).max_norm
-        df = deformed_ll_residual(ll_commutator(fam.rho(g, analytic=False)),
-                                  fam.h(g, analytic=False),
+        df = deformed_ll_residual(ll_commutator(fam.rho(g).without_source()),
+                                  fam.h(g).without_source(),
                                   exclude_rings=2).max_norm
         tol = fd_tol(dc, max(gc.hx, gc.hy), max(g.hx, g.hy))
         ok &= df <= tol

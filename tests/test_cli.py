@@ -34,10 +34,10 @@ class TestConfig:
         cfg = RunConfig(family="trig", a=2.0, grid=(51, 61),
                         domain=(0.1, 0.5, -1.0, 1.0), tol_scale=2.0,
                         levels=3, jobs=2, out="elsewhere", format="csv")
-        text = cfg.to_text()
-        again = parse_config_text(text)
-        assert again == cfg
-        assert parse_config_text(again.to_text()) == again
+        text = ("family=trig\nlambda=default\na=2.0\nh0=1.0\ngrid=51x61\n"
+                "domain=0.1,0.5,-1.0,1.0\nbasepoint=default\ntol_scale=2.0\n"
+                "levels=3\njobs=2\nout=elsewhere\nformat=csv\n")
+        assert parse_config_text(text) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +57,15 @@ class TestConfig:
                "grid": "31x41", "domain": "-1.0,0.5,-0.25,1.0", "basepoint": "-0.5,0.25",
                "tol_scale": "2.5", "levels": "3", "jobs": "2", "out": "elsewhere",
                "format": "csv"}
+    # every config key at its default value, spelled as the file spells it
+    DEFAULTS = {"family": "rational", "lambda": "default", "a": "default", "h0": "1.0",
+                "grid": "101x101", "domain": "default", "basepoint": "default",
+                "tol_scale": "1.0", "levels": "2", "jobs": "1", "out": "out",
+                "format": "json"}
+
+    @staticmethod
+    def _text(values: dict) -> str:
+        return "".join(f"{k}={v}\n" for k, v in values.items())
 
     @pytest.mark.parametrize("key", [k.key for k in _KEYS])
     def test_flag_and_config_file_agree(self, key, tmp_path, monkeypatch):
@@ -68,12 +77,14 @@ class TestConfig:
         from_file = _resolve(["verify", "--config", str(cfg_file)])[1]
         assert from_flag == from_file == parse_config_text(cfg_file.read_text())
         assert from_flag != RunConfig()
-        assert parse_config_text(from_flag.to_text()) == from_flag
+        every_key = self._text({**self.DEFAULTS, key: self.SAMPLES[key]})
+        assert parse_config_text(every_key) == from_flag
 
     def test_table_covers_every_field_once(self):
         fields = [k.field for k in _KEYS]
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
-        assert sorted(self.SAMPLES) == sorted(k.key for k in _KEYS)
+        assert sorted(self.SAMPLES) == sorted(self.DEFAULTS) == sorted(k.key for k in _KEYS)
+        assert parse_config_text(self._text(self.DEFAULTS)) == RunConfig()
 
     @pytest.mark.parametrize("flag", ["--lambda", "--A", "--domain", "--basepoint"])
     def test_default_literal_on_flags(self, flag):
@@ -529,7 +540,7 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, deformed=1e-6)
                for g in grids]
     spec = SuiteSpec("broken", kind, {"varying_h"}, (), None, expect_ratio=set())
-    res = _gate(spec, family_rational(1.0), grids, reports, 1.0)
+    res = _gate(spec, family_rational(1.0), reports, 1.0)
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]

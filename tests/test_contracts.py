@@ -1,5 +1,6 @@
-"""API contracts: residuals reject an H sampled on another grid, and every
-module's export list is re-exported by the package."""
+"""API contracts: residuals reject an H sampled on another grid, every
+module's export list is re-exported by the package, and the public API
+keeps one name for each curvature and one switch to stencils."""
 import importlib
 import inspect
 import pkgutil
@@ -98,3 +99,15 @@ def test_no_label_or_tolerance_options():
     for fn in (gwsurf.weierstrass_residual, gwsurf.potential_conservation_residual,
                gwsurf.SpinMatrix.algebra_report):
         assert "exclude_rings" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_one_name_per_curvature_and_one_switch_to_stencils():
+    # the numeric curvatures are FundamentalForms.mean_curvature and
+    # .gauss_curvature; without_source() is how a sample drops its source
+    for name in ("mean_curvature_numeric", "gauss_curvature_numeric",
+                 "gauss_curvature_consistency"):
+        assert not hasattr(gwsurf, name), name
+        assert not hasattr(gwsurf.inducer, name), name
+    takes = [name for name, fn in _public_callables() if name.startswith("SolutionFamily.")
+             and "analytic" in inspect.signature(fn).parameters]
+    assert not takes

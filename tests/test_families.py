@@ -299,7 +299,7 @@ def test_fd_mean_curvature_has_no_source(name):
     # the finite-difference suites differentiate H by stencils, not jets
     fam = build_family(name)
     g = fam.default_grid(23, 17)
-    h = fam.h(g, analytic=False)
+    h = fam.h(g).without_source()
     assert h.source is None
     stencil = d_z(RealField(g, h.values, h.mask))
     assert np.array_equal(_bits(d_z(h).values), _bits(stencil.values))

@@ -183,7 +183,7 @@ class TestGradientOnce:
         assert len(d1_calls) == 4
 
     def test_fit_then_residual_differences_rho_once(self, d1_calls):
-        rho = family_rational(1.0).rho(grid(21), analytic=False)
+        rho = family_rational(1.0).rho(grid(21)).without_source()
         coeffs = fit_riccati_coeffs(rho)
         riccati_residual(rho, coeffs)
         assert d1_calls == [(21, 21), (21, 21)]
@@ -191,7 +191,7 @@ class TestGradientOnce:
     def test_coefficients_keep_no_stencils(self, d1_calls):
         # zero_curvature_residual differentiates each coefficient once, so
         # the stencils go with the derivative instead of living on in coeffs
-        rho = family_rational(1.0).rho(grid(21), analytic=False)
+        rho = family_rational(1.0).rho(grid(21)).without_source()
         coeffs = fit_riccati_coeffs(rho)
         zero_curvature_residual(coeffs)
         assert len(d1_calls) == 2 + 12
@@ -486,16 +486,31 @@ class TestTrapezoid:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_scipy_bitwise(self, axis, dtype):
         scipy_integrate = pytest.importorskip("scipy.integrate")
-        from gwsurf.calculus import _cumulative_trapezoid
+        from gwsurf.calculus import _integrate_from
         rng = np.random.default_rng(3)
         y = rng.standard_normal((17, 23)).astype(dtype)
         if dtype is complex:
             y = y + 1j * rng.standard_normal((17, 23))
         h = 0.0371
         expect = scipy_integrate.cumulative_trapezoid(y, dx=h, axis=axis, initial=0.0)
-        got = _cumulative_trapezoid(y, h, axis)
+        got, crossed = _integrate_from(y, np.zeros(y.shape, bool), h, axis, 0)
         assert got.shape == expect.shape and got.dtype == expect.dtype
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        assert not crossed.any()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_crossed_on_both_sides_of_the_base(self, axis):
+        from gwsurf.calculus import _integrate_from
+        y = np.arange(11.0)[:, None] * np.ones((1, 3))
+        mask = np.zeros(y.shape, bool)
+        mask[2, 1] = mask[8, 1] = True      # one masked point either side of k0 = 5
+        got, crossed = _integrate_from(np.moveaxis(y, 0, axis), np.moveaxis(mask, 0, axis),
+                                       0.5, axis, 5)
+        got, crossed = np.moveaxis(got, axis, 0), np.moveaxis(crossed, axis, 0)
+        # y = x / h on x = k h: the trapezoid rule is exact, (x^2 - x0^2) / (2 h)
+        assert np.array_equal(got[:, 0], 0.25 * (np.arange(11.0) ** 2 - 25))
+        assert not crossed[:, [0, 2]].any()
+        assert list(np.nonzero(crossed[:, 1])[0]) == [0, 1, 2, 8, 9, 10]
 
 
 def test_import_does_not_load_scipy():

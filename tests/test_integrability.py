@@ -84,7 +84,7 @@ class TestRiccati:
     def test_linear_profile_constant_coefficients(self):
         # rho = lam*s has d rho = dbar rho = lam: order-zero coefficients
         lam = 1.0
-        rho = family_rational(lam).rho(G, analytic=False)
+        rho = family_rational(lam).rho(G).without_source()
         rep = riccati_residual(rho, coeffs(a10=lam, a20=lam))
         assert rep.max_norm < 1e-12
 
@@ -121,7 +121,7 @@ class TestRiccati:
             "holomorphic": (family_holomorphic(), GridSpec(-1, 1, -1, 1, 41, 37)),
             "patched": (family_rational(1.3), GridSpec(-1, 1, -1, 1, 41, 37)),
         }[case]
-        rho = fam.rho(g, analytic=False)
+        rho = fam.rho(g).without_source()
         assert case != "trig" or rho.mask.any()
         if case == "patched":
             vals = np.array(rho.values)
@@ -147,7 +147,7 @@ class TestRiccati:
         # bytes took the two from 20.7 and 33.1 MB to 8.9 and 27.5 MB
         g = GridSpec(-1, 1, -1, 1, 201, 201)
         for fam, bound in ((family_rational(1.0), 12), (family_holomorphic(), 32)):
-            rho = fam.rho(g, analytic=False)
+            rho = fam.rho(g).without_source()
             tracing = tracemalloc.is_tracing()
             tracemalloc.start()
             tracemalloc.reset_peak()

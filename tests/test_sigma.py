@@ -93,7 +93,7 @@ class TestPsiFromRho:
         # d rho of exp(2i x) sweeps the circle; the continued square root
         # must stay smooth where the principal branch jumps
         fam = family_unimodular(2.0, 1.0)
-        s = psi_from_rho(fam.rho(G, analytic=False), fam.h(G))
+        s = psi_from_rho(fam.rho(G).without_source(), fam.h(G))
         steps = np.abs(np.diff(s.psi2.values, axis=0))
         assert np.max(steps) < 0.1    # no O(1) sign-flip line
 
@@ -261,8 +261,8 @@ class TestDeformedLandauLifshitz:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            return deformed_ll_residual(ll_commutator(fam.rho(g, analytic=False)),
-                                        fam.h(g, analytic=False),
+            return deformed_ll_residual(ll_commutator(fam.rho(g).without_source()),
+                                        fam.h(g).without_source(),
                                         exclude_rings=2).max_norm
 
         r1, r2 = res(51), res(101)

@@ -53,7 +53,7 @@ class TestSystemResidual:
 
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
-            return weierstrass_residual(fam.spinor(g, analytic=False), fam.h(g)).max_norm
+            return weierstrass_residual(fam.spinor(g).without_sources(), fam.h(g)).max_norm
 
         r1, r2 = res(51), res(101)
         assert 3.5 < r1 / r2 < 4.5
@@ -145,6 +145,19 @@ class TestModifiedCurrent:
         fam = family_rational(1.0)
         with pytest.raises(ValueError):
             modified_current(fam.spinor(G), fam.h(G), 0.0123456)
+
+    def test_base_abscissa_checked_as_index_of_does(self):
+        # hx = 0.01, hy = 0.1: index_of allows 1e-9 of the larger spacing,
+        # so 5e-10 off the line x = 0 is not a grid point
+        g = GridSpec(0, 1, 0, 1, 101, 11)
+        fam = family_rational(1.0)
+        s, h = fam.spinor(g), fam.h(g)
+        with pytest.raises(ValueError, match="not a grid point"):
+            g.index_of(5e-10, g.y_min)
+        with pytest.raises(ValueError, match="not a grid point"):
+            modified_current(s, h, 5e-10)
+        assert np.array_equal(modified_current(s, h, 1e-11).values,
+                              modified_current(s, h, 0.0).values)
 
 
 class TestGaussCurvature:
