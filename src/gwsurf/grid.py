@@ -214,30 +214,57 @@ class RealField(_Field):
 
 
 def field_to_csv(field, path) -> None:
-    """Dump a field snapshot as CSV rows (x, y, re, im), row-major in (i, j)."""
+    """Dump a field snapshot as CSV rows (x, y, re, im), row-major in (i, j).
+
+    Values print as Python float reprs, each distinct value formatted once
+    per block of grid rows (see `_write_grid_csv`).
+    """
     vals = np.asarray(field.values, dtype=complex)
     _write_grid_csv(path, field.grid, "x,y,re,im", (vals.real, vals.imag))
 
 
-def _csv_rows(grid: GridSpec, ncols: int):
-    """The CSV lines of one grid row, as a function of (i, cols): x_i,y,c0,c1,...
-    for every ordinate y, where each of the `ncols` iterables in `cols` yields
-    row i's value strings. Each grid abscissa and ordinate is formatted once."""
-    xs = list(map(repr, grid.xs().tolist()))
-    ys = list(map(repr, grid.ys().tolist()))
-    fields = ",{}" * (1 + ncols) + "\n"
-    return lambda i, cols: "".join(map((xs[i] + fields).format, ys, *cols))
+# grid rows formatted together: enough repeats to share each string, while
+# the table stays small when every value is distinct
+_BLOCK_ROWS = 8
+
+
+def _reprs(values) -> np.ndarray:
+    """The Python float repr of each of `values`, as an object array of
+    their shape. Values are grouped by bit pattern, so 0.0 and -0.0 stay
+    apart, and each distinct one is formatted once."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    table = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return table[inverse.reshape(bits.shape)]
+
+
+def _block_reprs(grid: GridSpec, cols):
+    """For each block of at most _BLOCK_ROWS consecutive grid rows, in order:
+    its row slice and the reprs of x, y, cols[0], ... at its points, one
+    object array of shape (rows, ny) per column."""
+    xs, ys = grid.xs(), grid.ys()
+    for i in range(0, grid.nx, _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        shape = (len(xs[rows]), len(ys))
+        yield rows, [_reprs(c) for c in (np.broadcast_to(xs[rows, None], shape),
+                                         np.broadcast_to(ys, shape), *(c[rows] for c in cols))]
+
+
+def _csv_lines(strings: list[np.ndarray]) -> str:
+    """One comma-separated line per grid point of a `_block_reprs` block,
+    row-major in (i, j)."""
+    line = ",".join(["{}"] * len(strings)) + "\n"
+    return "".join(map(line.format, *(s.ravel().tolist() for s in strings)))
 
 
 def _write_grid_csv(path, grid: GridSpec, header: str, cols) -> None:
     """Write `header`, then x,y,cols[0][i, j],... for every grid point,
     row-major in (i, j).
 
-    Values print as Python float reprs; the file is written one grid row at
-    a time.
+    Values print as Python float reprs; the file is written a block of grid
+    rows at a time, each distinct value in the block formatted once.
     """
-    rows = _csv_rows(grid, len(cols))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for i in range(grid.nx):
-            fh.write(rows(i, [map(repr, c[i].tolist()) for c in cols]))
+        for _, strings in _block_reprs(grid, cols):
+            fh.write(_csv_lines(strings))

@@ -25,12 +25,12 @@ import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
 from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _csv_rows, _shared
+from .grid import (ComplexField, GridSpec, NumericalBreakdown, RealField, _block_reprs,
+                   _csv_lines, _shared)
 from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
 from .weierstrass import SpinorField, density_p
 
@@ -368,21 +368,20 @@ def _write_faces(fh, keep: np.ndarray) -> int:
 def _write_surface(srf: Surface, obj_path=None, csv_path=None,
                    ff: FundamentalForms | None = None) -> tuple[int, int]:
     """Write the OBJ mesh to `obj_path` and/or the CSV dump to `csv_path` in
-    one pass over the grid rows; returns the mesh's (vertex count, face
-    count), faces 0 without a mesh.
+    one pass over blocks of grid rows; returns the mesh's (vertex count,
+    face count), faces 0 without a mesh.
 
-    Each row's X1, X2, X3 are formatted once (Python float reprs) and both
-    files print those strings: the CSV at every grid point, the OBJ `v`
-    lines at the unmasked ones. The `f` lines follow the vertices.
+    Each distinct value in a block is formatted once (Python float reprs)
+    and both files print those strings: the CSV at every grid point, the
+    OBJ `v` lines at the unmasked ones. The `f` lines follow the vertices.
     """
     keep = ~srf.mask
     if obj_path is not None and not keep.any():
         raise NumericalBreakdown("fully masked surface; nothing to export")
-    coords = (srf.x1.values, srf.x2.values, srf.x3.values)
+    cols = (srf.x1.values, srf.x2.values, srf.x3.values)
     if csv_path is not None:
         ff = fundamental_forms(srf) if ff is None else ff
-        curvatures = (ff.mean_curvature.values, ff.gauss_curvature.values)
-        csv_lines = _csv_rows(srf.grid, 5)
+        cols += (ff.mean_curvature.values, ff.gauss_curvature.values)
     with ExitStack() as files:
         obj = csv = None
         if obj_path is not None:
@@ -390,13 +389,12 @@ def _write_surface(srf: Surface, obj_path=None, csv_path=None,
         if csv_path is not None:
             csv = files.enter_context(open(csv_path, "w", encoding="ascii"))
             csv.write("x,y,X1,X2,X3,H_num,K_num\n")
-        for i, row in enumerate(keep):
-            xyz = [list(map(repr, c[i].tolist())) for c in coords]
+        for rows, strings in _block_reprs(srf.grid, cols):
             if csv is not None:
-                csv.write(csv_lines(i, [*xyz, *(map(repr, c[i].tolist()) for c in curvatures)]))
+                csv.write(_csv_lines(strings))
             if obj is not None:
-                kept = xyz if row.all() else [compress(s, row.tolist()) for s in xyz]
-                obj.write("".join(map("v {} {} {}\n".format, *kept)))
+                xyz = (s[keep[rows]].tolist() for s in strings[2:5])
+                obj.write("".join(map("v {} {} {}\n".format, *xyz)))
         nfaces = 0 if obj is None else _write_faces(obj, keep)
     return int(np.count_nonzero(keep)), nfaces
 
@@ -408,9 +406,9 @@ def export_mesh(srf: Surface, path, csv_path=None,
     One `v` line per unmasked grid vertex in row-major (i, j) order; each
     fully-unmasked grid cell becomes two triangles. Returns (vertex
     count, face count). Coordinates print as Python float reprs; the file
-    is written one grid row at a time. With `csv_path`, the
-    `surface_to_csv` dump (given `ff`) is written in the same pass, each
-    coordinate formatted once for both files.
+    is written a block of grid rows at a time, each distinct value in the
+    block formatted once. With `csv_path`, the `surface_to_csv` dump (given
+    `ff`) is written in the same pass, from the same strings.
     """
     return _write_surface(srf, path, csv_path, ff)
 

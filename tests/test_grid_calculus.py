@@ -437,6 +437,15 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
                               np.ascontiguousarray(ref).view(np.uint64))
 
 
+# values whose reprs a formatter that groups equal floats, or drops a bit,
+# gets wrong: signed zeros, one-ulp neighbours, subnormals, and both sides
+# of the thresholds where repr switches to exponent form
+AWKWARD = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                    5e-324, np.nextafter(0.0, -1.0), 2.5e-310, 1e16, -1e16,
+                    np.nextafter(1e16, 0.0), 1.2345678901234567e17, 1e-4, 9.999999999999999e-5,
+                    -1e-5, 3.0e22, 0.1, 0.30000000000000004])
+
+
 def test_field_csv_snapshot(tmp_path):
     from gwsurf import field_to_csv
     g = GridSpec(0, 1, 0, 1, 3, 3)
@@ -459,8 +468,21 @@ def test_field_csv_snapshot(tmp_path):
     mask[0, 0] = mask[12, 4] = mask[6, 3] = mask[5, 8] = True
     vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-9, 9, g.shape)
     vals[3, 3] = -0.0
-    for f in (RealField(g, vals, mask),
-              ComplexField(g, vals + 1j * rng.standard_normal(g.shape), mask)):
+    fields = [RealField(g, vals, mask),
+              ComplexField(g, vals + 1j * rng.standard_normal(g.shape), mask)]
+
+    # awkward values over rows that span three export row blocks: signed
+    # zeros in one block of one column, a value repeated across the block
+    # boundary between rows 7 and 8, and masked points (stored as 0.0)
+    g = GridSpec(-1, 1, -2, 2, 19, 7)
+    re, im = (np.resize(v, g.nx * g.ny).reshape(g.shape) for v in (AWKWARD, AWKWARD[::-1]))
+    re[7, 2] = re[8, 2] = np.nextafter(1.0, 2.0)
+    z = re.astype(complex)
+    z.imag = im                       # re + 1j * im would turn -0.0 parts into 0.0
+    mask = np.zeros(g.shape, bool)
+    mask[1, 1] = mask[9, 6] = mask[18, 0] = True
+    fields += [RealField(g, re, mask), ComplexField(g, z, mask)]
+    for f in fields:
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         field_to_csv(f, got)
         _field_csv_reference(f, ref)

@@ -1,4 +1,5 @@
 """Surface inducing, curvature closure, rigid-string residual, OBJ export."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
                     rigid_string_residual, surface_to_csv)
 from gwsurf.cli import main
 from gwsurf.inducer import Surface, closedness_defect
+from test_grid_calculus import AWKWARD
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 
@@ -359,7 +361,21 @@ def masked_surface():
                          lambda u, v: 2 * np.cos(u) + 0 * v, mask=mask)
 
 
-@pytest.mark.parametrize("make", [rational_surface, masked_surface])
+def awkward_surface():
+    """Coordinates drawn from AWKWARD over rows that span three export row
+    blocks, with 0.0 and -0.0 in the same block of each column, a value
+    repeated across a block boundary, and masked points (stored as 0.0)."""
+    g = GridSpec(-1, 1, -2, 2, 19, 7)
+    n = g.nx * g.ny
+    cols = [np.resize(np.roll(AWKWARD, 5 * k), n).reshape(g.shape)
+            for k in range(3)]
+    cols[0][7, 3] = cols[0][8, 3] = 1e16     # rows 7 and 8 lie in different blocks
+    mask = np.zeros(g.shape, bool)
+    mask[2, 5] = mask[9, 0] = mask[18, 6] = True
+    return param_surface(g, *(lambda x, y, c=c: c for c in cols), mask=mask)
+
+
+@pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface])
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
     expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
@@ -380,17 +396,55 @@ def test_export_bytes_match_per_element_writers(make, tmp_path):
     assert (tmp_path / "both.csv").read_bytes() == expect
 
 
-def test_induce_command_bytes_match_per_element_writers(tmp_path):
-    args = ["induce", "--family", "exponential", "--grid", "41x21",
-            "--basepoint", "0.5,0.5", "--out", str(tmp_path)]
+def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):
+    """`gwsurf induce` writes the OBJ and CSV bytes of the per-element writers."""
+    args = ["induce", "--family", family, "--grid", "%dx%d" % shape, "--out", str(tmp_path)]
+    if domain is not None:
+        args += ["--domain", ",".join(map(str, domain))]
+    if basepoint is not None:
+        args += ["--basepoint", ",".join(map(str, basepoint))]
     assert main(args) == 0
-    fam = build_family("exponential")
-    srf = induce_surface(fam.spinor(GridSpec(*fam.default_domain, 41, 21)), (0.5, 0.5))
+    fam = build_family(family)
+    srf = induce_surface(fam.spinor(GridSpec(*(domain or fam.default_domain), *shape)), basepoint)
     loop_export_mesh(srf, tmp_path / "loop.obj")
     loop_surface_to_csv(srf, tmp_path / "loop.csv")
     for ext in ("obj", "csv"):
-        made = (tmp_path / f"exponential_surface.{ext}").read_bytes()
+        made = (tmp_path / f"{family}_surface.{ext}").read_bytes()
         assert made == (tmp_path / f"loop.{ext}").read_bytes()
+    return srf
+
+
+def test_induce_command_bytes_match_per_element_writers(tmp_path):
+    check_induce_bytes(tmp_path, "exponential", (41, 21), basepoint=(0.5, 0.5))
+
+
+def test_induce_command_bytes_on_a_masked_grid(tmp_path):
+    # the domain reaches past the trig guard band at both ends: masked rows
+    # fall in three of the export's six blocks of 8 rows
+    srf = check_induce_bytes(tmp_path, "trig", (41, 37), domain=(-0.2, 1.0, -1.0, 1.0))
+    assert len(set(np.flatnonzero(srf.mask.any(axis=1)) // 8)) == 3
+
+
+def test_export_peak_memory(tmp_path):
+    # every value distinct, as on holomorphic data: one whole-grid table of
+    # reprs traced 19.5 MB at 251x251, against 1.18 MB for a writer that
+    # formats one grid row at a time
+    g = GridSpec(-1, 1, -1, 1, 251, 251)
+    rng = np.random.default_rng(7)
+    srf = param_surface(g, *(lambda x, y: rng.standard_normal(x.shape) for _ in range(3)))
+    ff = fundamental_forms(srf)
+    ff.mean_curvature, ff.gauss_curvature      # cached before tracing starts
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export_mesh(srf, tmp_path / "m.obj", csv_path=tmp_path / "m.csv", ff=ff)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_masked_interior_point_drops_its_four_cells(tmp_path):
