@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import (ComplexField, GridSpec, NumericalBreakdown, RealField, _block_reprs,
-                   _csv_lines, _shared)
+from .grid import (_BLOCK_ROWS, ComplexField, GridSpec, NumericalBreakdown, RealField,
+                   _block_reprs, _csv_lines, _shared, _text)
 from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
 from .weierstrass import SpinorField, density_p
 
@@ -353,15 +353,19 @@ def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float
 def _write_faces(fh, keep: np.ndarray) -> int:
     """Write two triangles per grid cell whose four corners are all kept,
     indexing the kept vertices 1, 2, ... in row-major order; returns the
-    face count."""
+    face count. The lines of a block of _BLOCK_ROWS cell rows are assembled
+    as byte arrays from one table of index strings."""
+    n = int(np.count_nonzero(keep))
+    labels = np.arange(n + 1).astype(f"S{len(str(n))}")
     idx = np.zeros(keep.shape, dtype=np.int64)
-    idx[keep] = np.arange(1, np.count_nonzero(keep) + 1)
+    idx[keep] = np.arange(1, n + 1)
     # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
     whole = np.all([c > 0 for c in corners], axis=0)
-    for i, row in enumerate(whole):
-        tri = np.stack([c[i, row] for c in corners], axis=1)[:, [0, 1, 2, 0, 2, 3]]
-        fh.write("f %d %d %d\n" * (2 * len(tri)) % tuple(tri.ravel().tolist()))
+    for i in range(0, len(whole), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        a, b, c, d = (labels[k[rows][whole[rows]]] for k in corners)
+        fh.write(_text(b"f ", a, b" ", b, b" ", c, b"\nf ", a, b" ", c, b" ", d, b"\n"))
     return 2 * int(np.count_nonzero(whole))
 
 
@@ -374,6 +378,7 @@ def _write_surface(srf: Surface, obj_path=None, csv_path=None,
     Each distinct value in a block is formatted once (Python float reprs)
     and both files print those strings: the CSV at every grid point, the
     OBJ `v` lines at the unmasked ones. The `f` lines follow the vertices.
+    Lines are assembled as byte arrays and end in LF on every platform.
     """
     keep = ~srf.mask
     if obj_path is not None and not keep.any():
@@ -385,16 +390,16 @@ def _write_surface(srf: Surface, obj_path=None, csv_path=None,
     with ExitStack() as files:
         obj = csv = None
         if obj_path is not None:
-            obj = files.enter_context(open(obj_path, "w", encoding="ascii", newline="\n"))
+            obj = files.enter_context(open(obj_path, "wb"))
         if csv_path is not None:
-            csv = files.enter_context(open(csv_path, "w", encoding="ascii"))
-            csv.write("x,y,X1,X2,X3,H_num,K_num\n")
+            csv = files.enter_context(open(csv_path, "wb"))
+            csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
         for rows, strings in _block_reprs(srf.grid, cols):
             if csv is not None:
                 csv.write(_csv_lines(strings))
             if obj is not None:
-                xyz = (s[keep[rows]].tolist() for s in strings[2:5])
-                obj.write("".join(map("v {} {} {}\n".format, *xyz)))
+                x1, x2, x3 = (s[keep[rows]] for s in strings[2:5])
+                obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
         nfaces = 0 if obj is None else _write_faces(obj, keep)
     return int(np.count_nonzero(keep)), nfaces
 
@@ -407,7 +412,8 @@ def export_mesh(srf: Surface, path, csv_path=None,
     fully-unmasked grid cell becomes two triangles. Returns (vertex
     count, face count). Coordinates print as Python float reprs; the file
     is written a block of grid rows at a time, each distinct value in the
-    block formatted once. With `csv_path`, the `surface_to_csv` dump (given
+    block formatted once and the lines assembled as byte arrays, ending in
+    LF on every platform. With `csv_path`, the `surface_to_csv` dump (given
     `ff`) is written in the same pass, from the same strings.
     """
     return _write_surface(srf, path, csv_path, ff)

@@ -437,13 +437,15 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
                               np.ascontiguousarray(ref).view(np.uint64))
 
 
-# values whose reprs a formatter that groups equal floats, or drops a bit,
-# gets wrong: signed zeros, one-ulp neighbours, subnormals, and both sides
-# of the thresholds where repr switches to exponent form
+# values whose reprs a formatter that groups equal floats, drops a bit or
+# truncates a string gets wrong: signed zeros, one-ulp neighbours,
+# subnormals, both sides of the thresholds where repr switches to exponent
+# form, and reprs of 24 characters, the longest a float has
 AWKWARD = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
                     5e-324, np.nextafter(0.0, -1.0), 2.5e-310, 1e16, -1e16,
                     np.nextafter(1e16, 0.0), 1.2345678901234567e17, 1e-4, 9.999999999999999e-5,
-                    -1e-5, 3.0e22, 0.1, 0.30000000000000004])
+                    -1e-5, 3.0e22, 0.1, 0.30000000000000004,
+                    -2.2250738585072014e-308, -1.2345678901234567e-100])
 
 
 def test_field_csv_snapshot(tmp_path):
@@ -495,7 +497,7 @@ def _field_csv_reference(field, path):
     xs, ys = grid.xs(), grid.ys()
     vals = np.asarray(field.values, dtype=complex)
     r = repr
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x,y,re,im\n")
         for i in range(grid.nx):
             for j in range(grid.ny):

@@ -338,7 +338,7 @@ def loop_surface_to_csv(srf, path):
     kn = ff.gauss_curvature
     grid = srf.grid
     xs, ys = grid.xs(), grid.ys()
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x,y,X1,X2,X3,H_num,K_num\n")
         for i in range(grid.nx):
             for j in range(grid.ny):
@@ -375,7 +375,38 @@ def awkward_surface():
     return param_surface(g, *(lambda x, y, c=c: c for c in cols), mask=mask)
 
 
-@pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface])
+def saddle_surface(nx, ny, mask=None):
+    g = GridSpec(-1, 1, -1, 1, nx, ny)
+    return param_surface(g, lambda x, y: x, lambda x, y: y, lambda x, y: x * y, mask=mask)
+
+
+# kept-vertex counts at and just below a power of ten: the face indices
+# are as wide as the largest one, written in full
+def hundred_vertices():
+    return saddle_surface(10, 10)
+
+
+def thousand_vertices():
+    return saddle_surface(25, 40)
+
+
+def ninety_nine_vertices():
+    mask = np.zeros((10, 10), bool)
+    mask[4, 6] = True
+    return saddle_surface(10, 10, mask)
+
+
+def masked_block_surface():
+    """Rows 8-15, the whole second export row block, masked: that block
+    writes no `v` line and no face; 154 vertices, 240 faces."""
+    mask = np.zeros((30, 7), bool)
+    mask[8:16] = True
+    return saddle_surface(30, 7, mask)
+
+
+@pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface,
+                                  hundred_vertices, thousand_vertices, ninety_nine_vertices,
+                                  masked_block_surface])
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
     expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
