@@ -10,6 +10,11 @@ of a field are computed once per axis and kept on the field, so d_z,
 d_zbar, dx and dy of one field (or of its without_source() view) share
 them.
 
+A compact field (one stored as a single column, see grid) stays one:
+d/dx is the stencil on its column, and d/dy and d^2/dy^2 are exact zeros
+under the field's own mask, which the stencils would give on the
+expanded grid up to the round-off of the one-sided edge stencils.
+
 Stencils commute with complex conjugation, which keeps identities like
 d(conj f) = conj(dbar f) exact in floating point.
 """
@@ -77,8 +82,11 @@ def _d2(values: np.ndarray, valid: np.ndarray, h: float):
 
 
 def _axis_apply(op, field, h, axis):
-    vals = np.moveaxis(field.values, axis, 0)
-    valid = np.moveaxis(~field.mask, axis, 0)
+    values, mask = field.stored
+    if values.shape[axis] == 1:     # a column, constant along y
+        return np.zeros_like(values), mask
+    vals = np.moveaxis(values, axis, 0)
+    valid = np.moveaxis(~mask, axis, 0)
     out, bad = op(vals, valid, h)
     return np.moveaxis(out, 0, axis), np.moveaxis(bad, 0, axis)
 
@@ -145,8 +153,8 @@ def fill_stencils(value) -> None:
 def _once(derivative, field):
     """derivative(field) for a field that no other derivative reads: the
     stencils it computes go with the result instead of staying on `field`."""
-    return derivative(field._derived(field.grid, field.values, field.mask,
-                                     source=field.source, finite=True))
+    return derivative(field._derived(field.grid, *field.stored, source=field.source,
+                                     finite=True))
 
 
 def dx(field):
@@ -184,8 +192,7 @@ def _analytic(field, which: str):
     deriv = src.derivative(which)
     if deriv is None:
         return None
-    out = sample(deriv, field.grid, extra_mask=field.mask)
-    return out
+    return sample(deriv, field.grid, extra_mask=field.stored[1])
 
 
 def d_z(field) -> ComplexField:
@@ -205,5 +212,5 @@ def mixed_dzbar_dz(field) -> ComplexField:
     src = getattr(field, "source", None)
     if src is not None and src.order >= 2:
         mixed = src.derivative("z").derivative("zbar")
-        return sample(mixed, field.grid, extra_mask=field.mask)
+        return sample(mixed, field.grid, extra_mask=field.stored[1])
     return d_zbar(d_z(field))

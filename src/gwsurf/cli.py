@@ -38,14 +38,14 @@ import numpy as np
 from . import __version__
 from .calculus import fill_stencils, mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
-from .grid import GridSpec, NumericalBreakdown
+from .grid import GridSpec, NumericalBreakdown, _shared
 from .inducer import (export_mesh, fundamental_forms, induce_surface,
                       path_independence_report)
 from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import RATIO_MIN, ResidualReport, report_from_parts, worst
+from .reporting import RATIO_MIN, ResidualReport, _unmasked, report_from_parts, worst
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
@@ -274,9 +274,9 @@ def _param(fam: SolutionFamily) -> float:
     return fam.params.get("lambda", fam.params.get("A", 1.0))
 
 
-def _max_abs(values, mask) -> float:
+def _max_abs(grid, values, mask) -> float:
     """max |values| over the points not in `mask`; 0 when all are masked."""
-    return float(np.max(np.abs(values[~mask]), initial=0.0))
+    return float(np.max(np.abs(_unmasked(values, grid, mask)), initial=0.0))
 
 
 def _report_scalar(grid, value, **details) -> ResidualReport:
@@ -288,7 +288,8 @@ def _report_scalar(grid, value, **details) -> ResidualReport:
 
 def run_roundtrip_exact(fam, rho, h):
     back = rho_from_psi(psi_from_rho(rho, h, fam.eps))
-    return _report_scalar(rho.grid, _max_abs(back.values - rho.values, rho.mask | back.mask))
+    (b, bmask), (r, rmask) = back.stored, rho.stored
+    return _report_scalar(rho.grid, _max_abs(rho.grid, b - r, rmask | bmask))
 
 
 def run_transform_exact(fam, rho, h, spinor):
@@ -298,18 +299,16 @@ def run_transform_exact(fam, rho, h, spinor):
     # the quotient's derivatives legitimately amplify rounding where |rho|
     # grows large, so that direction is judged relative to the size of the
     # second-derivative term it has to cancel
-    mixed = mixed_dzbar_dz(derived)
-    scale = max(1.0, _max_abs(mixed.values, mixed.mask))
+    scale = max(1.0, _max_abs(rho.grid, *mixed_dzbar_dz(derived).stored))
     return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm / scale),
                           spinor_direction=a.max_norm, rho_direction=b.max_norm,
                           rho_direction_scale=scale)
 
 
 def run_current_identity_exact(fam, s, h):
-    J = current_J(s)
-    p = density_p(s)
-    vals = np.abs(J.values) ** 2 - p.values**4 * h.values**2
-    return _report_scalar(s.grid, _max_abs(vals, J.mask | p.mask | h.mask))
+    (J, jmask), (p, pmask) = current_J(s).stored, density_p(s).stored
+    vals = np.abs(J) ** 2 - p**4 * h.stored[0]**2
+    return _report_scalar(s.grid, _max_abs(s.grid, vals, jmask | pmask | h.stored[1]))
 
 
 def run_constraints_exact(fam, s):
@@ -327,7 +326,8 @@ def run_h_constancy_exact(fam, rho, h):
 def run_multisoliton_exact(fam, rho, h):
     prod = multisoliton_product(rho, rho)
     rep = sigma_residual(prod, h)
-    dev = _max_abs(np.abs(prod.values) - 1.0, prod.mask)
+    values, mask = prod.stored
+    dev = _max_abs(prod.grid, np.abs(values) - 1.0, mask)
     return replace(rep, max_norm=worst(rep.max_norm, dev), details={"unimodularity": dev})
 
 
@@ -335,15 +335,15 @@ def run_multisoliton_exact(fam, rho, h):
 
 def run_roundtrip_fd(fam, s, h):
     back = psi_from_rho(rho_from_psi(s), h)
-    mask = s.mask | back.mask
+    grid, mask = _shared(s, back)
+    (b1, b2), (p1, p2) = ((f.psi1.stored[0], f.psi2.stored[0]) for f in (back, s))
     # compare up to the global transform sign
-    d_plus = np.abs(back.psi2.values - s.psi2.values)
-    d_minus = np.abs(back.psi2.values + s.psi2.values)
-    use_minus = float(np.sum(d_minus[~mask])) < float(np.sum(d_plus[~mask]))
+    d_plus = _unmasked(np.abs(b2 - p2), grid, mask)
+    d_minus = _unmasked(np.abs(b2 + p2), grid, mask)
+    use_minus = float(np.sum(d_minus)) < float(np.sum(d_plus))
     sgn = -1.0 if use_minus else 1.0
-    err = np.maximum(np.abs(sgn * back.psi1.values - s.psi1.values),
-                     np.abs(sgn * back.psi2.values - s.psi2.values))
-    return _report_scalar(s.grid, _max_abs(err, mask))
+    err = np.maximum(np.abs(sgn * b1 - p1), np.abs(sgn * b2 - p2))
+    return _report_scalar(grid, _max_abs(grid, err, mask))
 
 
 def run_modified_current_fd(fam, s, h):

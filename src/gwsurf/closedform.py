@@ -25,9 +25,10 @@ the field's values and, lifted over their sources, for its analytic
 source, so a derived field's formula is written once.
 
 A form built by `lift` runs its jet operation once per call on its
-inputs' jets, so nesting lifts costs time linear in the depth. A diagonal
-form (one that depends on z only through s = z + conj(z)) runs once per
-distinct abscissa of a grid mesh and broadcasts along y.
+inputs' jets, so nesting lifts costs time linear in the depth. `sample`
+evaluates a diagonal form (one that depends on z only through
+s = z + conj(z)) on the grid's first column only, and the field it
+returns stores that column (see grid).
 """
 from __future__ import annotations
 
@@ -222,10 +223,11 @@ class ClosedForm:
     agree with finite differences of the value to O(h^2) on the
     guard-admissible region, and a slot's bits must not depend on the
     order asked for. domain_guard(z) returns True at singular points;
-    sampling masks them. `diagonal` records that every slot depends on z
-    only through s = z + conj(z) (set by `diagonal_form`, kept by
-    `conjugate`, `derivative` and by `lift` of diagonal inputs): on a grid
-    mesh `jet` then evaluates one column and broadcasts it.
+    sampling masks them. `diagonal` records that every slot, and the
+    guard, depend on z only through s = z + conj(z) (set by
+    `diagonal_form`, kept by `conjugate`, `derivative` and by `lift` of
+    diagonal inputs): `sample` then evaluates the form and its guard on
+    the grid's first column only.
     """
 
     jet_fn: Callable = field(repr=False)
@@ -235,12 +237,7 @@ class ClosedForm:
 
     def jet(self, z, order: int = 2) -> Jet:
         """Slots up to `order`, or up to the form's own order if that is lower."""
-        order = min(order, self.order)
-        if self.diagonal:
-            column = _mesh_column(z)
-            if column.shape != np.shape(z):
-                return Jet(*(_broadcast(v, z) for v in self.jet_fn(column, order).slots()))
-        return self.jet_fn(z, order)
+        return self.jet_fn(z, min(order, self.order))
 
     def conjugate(self) -> "ClosedForm":
         return ClosedForm(lambda z, order: conj(self.jet(z, order)),
@@ -268,8 +265,8 @@ def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
     runs, and asking the result for order k asks each input for k plus
     its shift. Each distinct input is evaluated once per call and `op`
     runs once on their jets, so nesting lifts costs time linear in the
-    depth. When every input is diagonal, so is the result, and on a grid
-    mesh the inputs and `op` run on one column.
+    depth. When every input is diagonal, so is the result, and `sample`
+    runs the inputs and `op` on one column.
     """
     # an input passed more than once, as in lift(operator.mul, f, f), is evaluated once
     first = {}
@@ -310,16 +307,26 @@ def _broadcast(vals, z) -> np.ndarray:
 def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
     """Evaluate a closed form on a grid; guard-marked points are masked.
 
+    A diagonal form is evaluated on the grid's first column, x + 1j*y_min,
+    and the field stores that column, unless `extra_mask` (a stored mask,
+    grid-shaped or a column) is grid-shaped: then the column is expanded.
+    Its guard also runs on the last column, and ValueError is raised when
+    the two columns' guards differ, as a guard that depends on y does.
     A non-finite value at an unguarded point raises NumericalBreakdown.
     """
-    z = grid.zmesh()
+    # the first column is computed as zmesh() computes it, bit for bit
+    z = grid.xs()[:, None] + 1j * grid.ys()[:1] if cf.diagonal else grid.zmesh()
     with np.errstate(all="ignore"):
         vals = _broadcast(cf.jet(z, 0).f, z)
-    mask = np.zeros(grid.shape, dtype=bool)
+    mask = np.zeros(z.shape, dtype=bool)
     if cf.domain_guard is not None:
-        mask |= np.asarray(cf.domain_guard(z), dtype=bool)
+        zg = grid.xs()[:, None] + 1j * grid.ys()[[0, -1]] if cf.diagonal else z
+        guard = np.broadcast_to(np.asarray(cf.domain_guard(zg), dtype=bool), zg.shape)
+        if cf.diagonal and not np.array_equal(guard[:, 0], guard[:, 1]):
+            raise ValueError("the guard of a diagonal form depends on y")
+        mask |= guard[:, :1] if cf.diagonal else guard
     if extra_mask is not None:
-        mask |= np.asarray(extra_mask, dtype=bool)
+        mask = mask | np.asarray(extra_mask, dtype=bool)
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask, source=cf)
 
 
@@ -329,30 +336,31 @@ def sample_real(cf: ClosedForm, grid: GridSpec) -> RealField:
 
     The field keeps `cf` as its source, so derivatives of it are analytic.
     """
-    f = sample(cf, grid)
-    im = np.abs(f.values.imag[~f.mask])
-    scale = max(1.0, float(np.max(np.abs(f.values.real[~f.mask]), initial=0.0)))
+    vals, mask = sample(cf, grid).stored
+    im = np.abs(vals.imag[~mask])
+    scale = max(1.0, float(np.max(np.abs(vals.real[~mask]), initial=0.0)))
     if im.size and np.max(im) > 1e-12 * scale:
         raise ValueError(f"form is not real-valued on the grid (max imag {np.max(im):.3e})")
-    return RealField._derived(grid, f.values.real.copy(), f.mask, source=cf, finite=True)
+    return RealField._derived(grid, vals.real.copy(), mask, source=cf, finite=True)
 
 
 def pointwise(fn: Callable, *fields, mask=None):
     """The field fn(*fields), computed point by point.
 
     `fn` is a formula in the operators and this module's functions (see
-    `Jet`). It runs once on the fields' values, which must share a grid,
-    for the result's values; when every field has an analytic source, the
-    result's source is `lift(fn, *sources)`, so the values and the source
-    come from the one formula. The result is masked on the union of the
-    fields' masks and `mask`, and zero there; it is a ComplexField when
-    `fn` gives complex values and a RealField otherwise.
+    `Jet`). It runs once on the fields' stored values, which must share a
+    grid, for the result's values; when every field has an analytic
+    source, the result's source is `lift(fn, *sources)`, so the values and
+    the source come from the one formula. The result is masked on the
+    union of the fields' masks and `mask` (grid-shaped or a column), and
+    zero there; it is a column when every input is one. It is a
+    ComplexField when `fn` gives complex values and a RealField otherwise.
     """
     grid, m = _shared(*fields)
     if mask is not None:
         m = m | mask
     with np.errstate(all="ignore"):
-        vals = fn(*(f.values for f in fields))
+        vals = fn(*(f.stored[0] for f in fields))
     sources = [f.source for f in fields]
     src = None if any(s is None for s in sources) else lift(fn, *sources)
     cls = ComplexField if np.iscomplexobj(vals) else RealField
@@ -384,8 +392,9 @@ def diagonal_form(fn, guard=None) -> ClosedForm:
     `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`). All Wirtinger
     derivatives collapse to d/ds, which is what makes the one-dimensional
     solution families exactly differentiable: the jet is (f, f', f', f'',
-    f'', f''), from one run of `fn` on the seed Jet(s, 1, 1, 0, 0, 0) per
-    grid column.
+    f'', f''), from one run of `fn` on the seed Jet(s, 1, 1, 0, 0, 0).
+    `guard`, like `fn`, depends on z only through s: `sample` runs both on
+    the grid's first column only.
     """
     def jet_fn(z, order):
         # complex-typed s keeps square roots of negative reals on the
@@ -394,22 +403,6 @@ def diagonal_form(fn, guard=None) -> ClosedForm:
         return _run(fn, s, (1.0, 1.0, 0.0, 0.0, 0.0), order, z)
 
     return ClosedForm(jet_fn, 2, guard, diagonal=True)
-
-
-def _mesh_column(z) -> np.ndarray:
-    """The first column of z when z is a grid mesh, else z itself.
-
-    A grid mesh is 2-D with every row of bitwise constant real part, so a
-    function of s = z + conj(z) takes bitwise the same inputs, hence the
-    same values, on every column.
-    """
-    z = np.asarray(z)
-    if z.ndim == 2:
-        x = np.real(z)
-        bits = x.view(f"u{x.itemsize}")
-        if (bits == bits[:, :1]).all():
-            return z[:, :1]
-    return z
 
 
 def holomorphic_form(fn, guard=None) -> ClosedForm:

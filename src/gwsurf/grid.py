@@ -10,17 +10,33 @@ stencils treat them as missing data.
 Fields are immutable after construction. Every operation downstream is a
 pure function of its inputs.
 
-The public constructors validate what they are given: shapes, a private
-copy of the mask, masked points zeroed, then every value finite (a NaN or
-inf at an unmasked point raises ValueError). Arrays computed from fields
-that were already validated, or sampled from a closed form, go through the
-private `_derived` constructor instead. Its caller has zeroed the masked
-points and shaped the arrays from the grid, so it skips the shape checks,
-the mask copy and the re-zeroing, and keeps the mask it is given
-(write-protected, possibly shared with other fields). It still checks that
-every value is finite, except for the ops that preserve finiteness exactly
-(`conj`, `without_source` and the real part), which pass `finite=True`;
-a non-finite value there was computed from well-formed inputs, so it
+Storage. A field stores its values and mask as two arrays of one shape:
+the grid's (nx, ny), or one column (nx, 1) when both depend on x only,
+as every sample of a diagonal form does (see closedform). That shape is
+the only mark of a compact field. `stored` gives the two arrays and the
+package's arithmetic runs on them: numpy broadcasting carries a column
+through elementwise formulas, and a column that meets a grid-shaped
+array becomes grid-shaped. A compact field's y-derivative is exactly
+zero (see calculus). A column is expanded to the grid only where the y
+direction matters: in `reporting._unmasked`, which selects the unmasked
+values on the grid for the norms and the other sums over points, so they
+run over the same values in the same order; in integration along y; and
+in the public `values` and `mask`, which are always grid-shaped and
+read-only (for a compact field, each read expands the column into a new
+array).
+
+The public constructors validate what they are given: shapes (the
+grid's), a private copy of the mask, masked points zeroed, then every
+value finite (a NaN or inf at an unmasked point raises ValueError).
+Arrays computed from fields that were already validated, or sampled from
+a closed form, go through the private `_derived` constructor instead. Its
+caller has zeroed the masked points and shaped the arrays, the grid's
+shape or a column, so it skips the shape checks, the mask copy and the
+re-zeroing, and keeps the mask it is given (write-protected, possibly
+shared with other fields). It still checks that every value is finite,
+except for the ops that preserve finiteness exactly (`conj`,
+`without_source` and the real part), which pass `finite=True`; a
+non-finite value there was computed from well-formed inputs, so it
 raises NumericalBreakdown.
 """
 from __future__ import annotations
@@ -141,22 +157,39 @@ class _Field:
         values.setflags(write=False)
         mask.setflags(write=False)
         self.grid = grid
-        self.values = values
-        self.mask = mask
+        self._values = values
+        self._mask = mask
         self.source = source
         # first-derivative stencils by axis, filled lazily by calculus and
         # shared with the without_source() views of the same arrays
         self._grad = {}
+
+    @property
+    def stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, mask) as stored, both read-only and of one shape: the
+        grid's, or the column (nx, 1) of a field that depends on x only."""
+        return self._values, self._mask
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values on the whole grid, read-only."""
+        return _expanded(self._values, self.grid)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The mask on the whole grid, read-only."""
+        return _expanded(self._mask, self.grid)
 
     @classmethod
     def _derived(cls, grid: GridSpec, values: np.ndarray, mask: np.ndarray,
                  source=None, finite: bool = False):
         """A field from arrays computed off validated fields.
 
-        `values` has the grid's shape and is zero wherever the boolean
-        `mask` is set; both arrays are kept, not copied, and
-        write-protected. Finiteness is checked unless `finite` says the
-        op that produced `values` preserves it exactly.
+        `values` and the boolean `mask` have one shape, the grid's or a
+        column (nx, 1), and `values` is zero wherever `mask` is set; both
+        arrays are kept, not copied, and write-protected. Finiteness is
+        checked unless `finite` says the op that produced `values`
+        preserves it exactly.
         """
         values = np.asarray(values, dtype=cls._dtype)
         if not finite and not np.isfinite(values).all():
@@ -166,7 +199,7 @@ class _Field:
         return field
 
     def without_source(self):
-        view = self._derived(self.grid, self.values, self.mask, finite=True)
+        view = self._derived(self.grid, self._values, self._mask, finite=True)
         view._grad = self._grad
         return view
 
@@ -175,14 +208,25 @@ class _Field:
         return int(np.count_nonzero(self.mask))
 
 
+def _expanded(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """`arr`, a stored array, on the whole grid: itself when grid-shaped,
+    else a new read-only array repeating the column."""
+    if arr.shape == grid.shape:
+        return arr
+    out = np.broadcast_to(arr, grid.shape).copy()
+    out.setflags(write=False)
+    return out
+
+
 def _shared(*fields) -> tuple[GridSpec, np.ndarray]:
-    """The grid that `fields` (anything with .grid and .mask) share, and the
-    union of their masks; ValueError when they live on different grids."""
-    grid, mask = fields[0].grid, fields[0].mask
+    """The grid that `fields` (anything with .grid and .stored) share, and
+    the union of their stored masks (a column when every one is);
+    ValueError when they live on different grids."""
+    grid, mask = fields[0].grid, fields[0].stored[1]
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("fields live on different grids")
-        mask = mask | f.mask
+        mask = mask | f.stored[1]
     return grid, mask
 
 
@@ -198,9 +242,9 @@ class ComplexField(_Field):
 
     def conj(self) -> "ComplexField":
         src = self.source.conjugate() if self.source is not None else None
-        vals = np.conj(self.values)
-        np.copyto(vals, 0, where=self.mask)     # conj turns masked zeros into 0-0j
-        return ComplexField._derived(self.grid, vals, self.mask, source=src, finite=True)
+        vals = np.conj(self._values)
+        np.copyto(vals, 0, where=self._mask)    # conj turns masked zeros into 0-0j
+        return ComplexField._derived(self.grid, vals, self._mask, source=src, finite=True)
 
 
 class RealField(_Field):

@@ -70,8 +70,9 @@ class Surface:
 
 
 def _one_forms(s: SpinorField):
-    """(A, B) coefficient arrays of the three inducing one-forms A dz + B dzbar."""
-    p1, p2 = s.psi1.values, s.psi2.values
+    """(A, B) coefficient arrays of the three inducing one-forms A dz + B dzbar,
+    as stored (columns for a compact spinor, see grid)."""
+    p1, p2 = s.psi1.stored[0], s.psi2.stored[0]
     c1, c2 = np.conj(p1), np.conj(p2)
     return [
         (2j * c1**2, -2j * c2**2),        # X1 + i X2
@@ -87,9 +88,12 @@ def _integrate_path(A, B, grid, i0, j0, mask, order: str):
     order 'xy': along the base row (real direction) then up the column;
     order 'yx': along the base column (imaginary direction) then the row.
     Along a row dz = dzbar = dx; along a column dz = i dy, dzbar = -i dy.
+    A, B and `mask` may be columns; they are integrated on the whole grid.
     """
     a, b = {"xy": (0, 1), "yx": (1, 0)}[order]   # base-line axis, sweep axis
-    forms, steps, base = (A + B, 1j * (A - B)), (grid.hx, grid.hy), (i0, j0)
+    forms = [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
+    mask = np.broadcast_to(mask, grid.shape)
+    steps, base = (grid.hx, grid.hy), (i0, j0)
     # the base line through the basepoint, kept two-dimensional to broadcast
     phi0, bad0 = _integrate_from(np.take(forms[a], [base[b]], axis=b),
                                  np.take(mask, [base[b]], axis=b), steps[a], a, base[a])
@@ -114,9 +118,9 @@ def _defect(forms, grid: GridSpec, mask: np.ndarray) -> float:
     for A, B in forms:
         fa = ComplexField._derived(grid, np.where(mask, 0, A), mask)
         fb = ComplexField._derived(grid, np.where(mask, 0, B), mask)
-        da = d_zbar(fa)
-        db = d_z(fb)
-        mx, _ = norms(db.values - da.values, grid, da.mask | db.mask)
+        da, ma = d_zbar(fa).stored
+        db, mb = d_z(fb).stored
+        mx, _ = norms(db - da, grid, ma | mb)
         worst = max(worst, mx)
     return worst
 
@@ -137,7 +141,7 @@ def _shrinks_like_h2(forms, grid: GridSpec, mask: np.ndarray, defect: float) -> 
 
 def closedness_defect(s: SpinorField) -> float:
     """Max norm of d(B) - dbar(A) over the three inducing one-forms."""
-    return _defect(_one_forms(s), s.grid, s.mask)
+    return _defect(_one_forms(s), *_shared(s))
 
 
 def induce_surface(s: SpinorField, z0=None) -> Surface:
@@ -149,21 +153,21 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     O(h^2) defect on exact solutions too). A vanishing spinor produces the
     degenerate single-point surface, flagged as such.
     """
-    grid = s.grid
+    grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
     if s.mask[i0, j0]:
         raise ValueError("basepoint is masked")
 
     forms = _one_forms(s)
-    defect = _defect(forms, grid, s.mask)
-    if defect > 1e-3 and not _shrinks_like_h2(forms, grid, s.mask, defect):
+    defect = _defect(forms, grid, mask)
+    if defect > 1e-3 and not _shrinks_like_h2(forms, grid, mask, defect):
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
     phis = []
     badmask = np.zeros(grid.shape, dtype=bool)
     for A, B in forms:
-        phi, bad = _integrate_path(A, B, grid, i0, j0, s.mask, "xy")
+        phi, bad = _integrate_path(A, B, grid, i0, j0, mask, "xy")
         phis.append(phi)
         badmask |= bad
     if badmask.all():
@@ -177,7 +181,7 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     imag_residue = max(float(np.max(np.abs(c.imag[~badmask]), initial=0.0))
                        for c in (x1c, x2c, x3c))
     consistency = float(np.max(np.abs(plus - np.conj(minus))[~badmask], initial=0.0))
-    degenerate = float(np.max(density_p(s).values, initial=0.0)) < 1e-14
+    degenerate = float(np.max(density_p(s).stored[0], initial=0.0)) < 1e-14
 
     xs = grid.xs()
     ys = grid.ys()
@@ -194,15 +198,15 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
 
 def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
     """|X(L-path) - X(reversed-L)| at z1, maximized over the coordinates."""
-    grid = s.grid
+    grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
     i1, j1 = _resolve_basepoint(grid, z1)
 
     worst = 0.0
     per = {}
     for label, (A, B) in zip(("plus", "minus", "x3"), _one_forms(s)):
-        phi_a, bad_a = _integrate_path(A, B, grid, i0, j0, s.mask, "xy")
-        phi_b, bad_b = _integrate_path(A, B, grid, i0, j0, s.mask, "yx")
+        phi_a, bad_a = _integrate_path(A, B, grid, i0, j0, mask, "xy")
+        phi_b, bad_b = _integrate_path(A, B, grid, i0, j0, mask, "yx")
         if bad_a[i1, j1] or bad_b[i1, j1]:
             raise NumericalBreakdown("a comparison path crosses a masked point")
         diff = abs(phi_a[i1, j1] - phi_b[i1, j1])
@@ -341,7 +345,7 @@ def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float
     excluded from the norm because the Laplace-Beltrami stencil composes
     two first derivatives there.
     """
-    grid, mask = _shared(h, K, ff)
+    grid, mask = _shared(h, K, ff.E)
     lap = _laplace_beltrami(ff, h)
     mask = mask | lap.mask
     vals = -2 * gamma * h.values + alpha * (lap.values + 2 * h.values**3

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, Jet, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import ResidualReport, report_from_parts
+from .reporting import ResidualReport, _unmasked, report_from_parts
 from .weierstrass import SpinorField, current_J, density_p, log_derivatives
 
 __all__ = [
@@ -107,23 +107,25 @@ def h_from_profile(q) -> ClosedForm:
 
 def h_integrability_residual(h: RealField, exclude_rings: int = 0) -> ResidualReport:
     """Norm of d dbar (1/H); zero exactly for the integrable class."""
-    if np.any((np.abs(h.values) < 1e-12) & ~h.mask):
+    hv, mask = h.stored
+    if np.any((np.abs(hv) < 1e-12) & ~mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
-    mix = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h))
-    return report_from_parts(h.grid, [("ddbar_inv_h", mix.values, mix.mask)],
+    mix, mmask = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h)).stored
+    return report_from_parts(h.grid, [("ddbar_inv_h", mix, mmask)],
                              exclude_rings=exclude_rings)
 
 
 def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
                      exclude_rings: int = 0) -> ResidualReport:
     """Defects of both first-order Riccati constraints on rho."""
-    grid, mask = _shared(rho, c)
-    drho = d_z(rho)
-    dbrho = d_zbar(rho)
-    mask = mask | drho.mask | dbrho.mask
-    r = rho.values
-    d1 = drho.values - (c.a10.values + c.a11.values * r + c.a12.values * r**2)
-    d2 = dbrho.values - (c.a20.values + c.a21.values * r + c.a22.values * r**2)
+    grid, mask = _shared(rho, *c.fields())
+    drho, m1 = d_z(rho).stored
+    dbrho, m2 = d_zbar(rho).stored
+    mask = mask | m1 | m2
+    r = rho.stored[0]
+    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c.fields())
+    d1 = drho - (a10 + a11 * r + a12 * r**2)
+    d2 = dbrho - (a20 + a21 * r + a22 * r**2)
     return report_from_parts(grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
                              exclude_rings=exclude_rings)
 
@@ -172,21 +174,27 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     neighbourhoods included. Both right-hand sides are then solved in
     blocks of grid rows, each against its points' distinct
     pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
+
+    A compact rho (a column, see grid) is fitted on its column: its
+    clamped neighbourhoods are the same at every y, and so are the
+    coefficients, which are columns too.
     """
     grid = rho.grid
-    nx, ny = grid.shape
-    drho = d_z(rho)
-    dbrho = d_zbar(rho)
-    valid = ~(rho.mask | drho.mask | dbrho.mask)
+    drho, m1 = d_z(rho).stored
+    dbrho, m2 = d_zbar(rho).stored
+    valid = ~(rho.stored[1] | m1 | m2)
+    nx, ny = valid.shape
+    values, drho, dbrho = (np.broadcast_to(a, valid.shape)
+                           for a in (rho.stored[0], drho, dbrho))
 
-    _, ids = _groups(rho.values.reshape(-1, 1).view(np.uint8),
+    _, ids = _groups(np.ascontiguousarray(values).reshape(-1, 1).view(np.uint8),
                      valid.reshape(-1, 1).view(np.uint8))
     keys = _neighbourhoods(ids.astype(np.int32).reshape(nx, ny))
     del ids
     first, inverse = _groups(keys.reshape(nx * ny, 9).view(np.uint8))
     del keys
 
-    rho_n = _neighbourhoods(rho.values)
+    rho_n = _neighbourhoods(values)
     ok_n = _neighbourhoods(valid)
 
     fi, fj = np.divmod(first, ny)
@@ -200,8 +208,8 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     inverse = inverse.reshape(nx, ny)
 
     coef = np.empty((6, nx, ny), dtype=complex)
-    for rhs_field, out in ((drho, coef[:3]), (dbrho, coef[3:])):
-        rhs_n = _neighbourhoods(rhs_field.values)
+    for rhs_values, out in ((drho, coef[:3]), (dbrho, coef[3:])):
+        rhs_n = _neighbourhoods(rhs_values)
         for i in range(0, nx, _FIT_ROWS):
             rows = slice(i, i + _FIT_ROWS)
             rhs = rhs_n[rows].reshape(-1, ny, 9) * ok_n[rows].reshape(-1, ny, 9).astype(float)
@@ -222,15 +230,14 @@ def zero_curvature_residual(c: RiccatiCoeffs, exclude_rings: int = 0) -> Residua
     """
     def condition(low, high, p, q):
         """dbar low - d high + p - q, and its mask."""
-        dlow, dhigh = _once(d_zbar, low), _once(d_z, high)
-        return dlow.values - dhigh.values + p - q, dlow.mask | dhigh.mask
+        (dlow, mlow), (dhigh, mhigh) = _once(d_zbar, low).stored, _once(d_z, high).stored
+        return dlow - dhigh + p - q, mlow | mhigh
 
-    a10, a11, a12 = c.a10.values, c.a11.values, c.a12.values
-    a20, a21, a22 = c.a20.values, c.a21.values, c.a22.values
+    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c.fields())
     cond0, mask0 = condition(c.a10, c.a20, a11 * a20, a21 * a10)
     cond1, mask1 = condition(c.a11, c.a21, 2 * a12 * a20, 2 * a22 * a10)
     cond2, mask2 = condition(c.a12, c.a22, a12 * a21, a11 * a22)
-    mask = c.mask | mask0 | mask1 | mask2
+    mask = _shared(*c.fields())[1] | mask0 | mask1 | mask2
     return report_from_parts(c.grid, [
         ("order0", cond0, mask), ("order1", cond1, mask), ("order2", cond2, mask)],
         exclude_rings=exclude_rings)
@@ -245,13 +252,13 @@ def sinh_gordon_residual(s: SpinorField, h: RealField,
     """
     p = density_p(s)
     _, mask = _shared(p, h)
-    if np.any((p.values <= 0) & ~mask):
+    if np.any((p.stored[0] <= 0) & ~mask):
         raise NumericalBreakdown("density must be positive at unmasked points")
-    safe = np.where(mask, 1.0, p.values)
-    mix = mixed_dzbar_dz(pointwise(log, p, mask=h.mask))
-    J = current_J(s)
-    totmask = mask | mix.mask | J.mask
-    vals = mix.values.real - np.abs(J.values) ** 2 / safe**2 + safe**2 * h.values**2
+    safe = np.where(mask, 1.0, p.stored[0])
+    mix, mmask = mixed_dzbar_dz(pointwise(log, p, mask=h.stored[1])).stored
+    J, jmask = current_J(s).stored
+    totmask = mask | mmask | jmask
+    vals = mix.real - np.abs(J) ** 2 / safe**2 + safe**2 * h.stored[0]**2
     return report_from_parts(s.grid, [("sinh_gordon", np.where(totmask, 0, vals), totmask)],
                              exclude_rings=exclude_rings)
 
@@ -263,17 +270,19 @@ def linearization_constraint_residual(s: SpinorField) -> ResidualReport:
     the density derivatives modulo the system, so the report also carries
     the grid variance of p.
     """
-    d1 = d_zbar(s.psi1)
-    d2 = d_zbar(s.psi2.conj())
-    d3 = d_z(s.psi2)
-    d4 = d_z(s.psi1.conj())
-    mask = s.mask | d1.mask | d2.mask | d3.mask | d4.mask
+    d1, m1 = d_zbar(s.psi1).stored
+    d2, m2 = d_zbar(s.psi2.conj()).stored
+    d3, m3 = d_z(s.psi2).stored
+    d4, m4 = d_z(s.psi1.conj()).stored
+    _, mask = _shared(s)
+    mask = mask | m1 | m2 | m3 | m4
 
-    c1 = np.conj(s.psi1.values) * d1.values + s.psi2.values * d2.values
-    c2 = np.conj(s.psi2.values) * d3.values + s.psi1.values * d4.values
+    p1, p2 = s.psi1.stored[0], s.psi2.stored[0]
+    c1 = np.conj(p1) * d1 + p2 * d2
+    c2 = np.conj(p2) * d3 + p1 * d4
 
-    p = density_p(s)
-    pv = p.values[~(p.mask | mask)]
+    pv, pmask = density_p(s).stored
+    pv = _unmasked(pv, s.grid, pmask | mask)
     details = {"p_variance": float(np.var(pv)) if pv.size else 0.0,
                "p_mean": float(np.mean(pv)) if pv.size else 0.0}
     return report_from_parts(s.grid,
@@ -292,13 +301,13 @@ def linear_system_residual(s: SpinorField, h: RealField, p0: float,
     lz, lzb, lmask = log_derivatives(h)
 
     d1 = d_z(s.psi1)
-    dd1 = d_zbar(d1)
+    dd1, m1 = d_zbar(d1).stored
     d2 = d_zbar(s.psi2)
-    dd2 = d_z(d2)
-    mask = mask | lmask | dd1.mask | dd2.mask
+    dd2, m2 = d_z(d2).stored
+    mask = mask | lmask | m1 | m2
 
-    coeff = p0**2 * h.values**2
-    l1 = dd1.values - lzb * d1.values + coeff * s.psi1.values
-    l2 = dd2.values - lz * d2.values + coeff * s.psi2.values
+    coeff = p0**2 * h.stored[0]**2
+    l1 = dd1 - lzb * d1.stored[0] + coeff * s.psi1.stored[0]
+    l2 = dd2 - lz * d2.stored[0] + coeff * s.psi2.stored[0]
     return report_from_parts(s.grid, [("psi1", l1, mask), ("psi2", l2, mask)],
                              exclude_rings=exclude_rings)

@@ -21,11 +21,21 @@ __all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms", "wors
 RATIO_MIN = 2.5
 
 
+def _unmasked(values, grid: GridSpec, mask=None) -> np.ndarray:
+    """The values at the unmasked points (all points when `mask` is None),
+    flat in grid order. `values` and `mask` may be stored columns (see
+    grid): both are expanded to the grid first, so a sum over the result
+    runs over the same values in the same order either way."""
+    values = np.broadcast_to(values, grid.shape)
+    if mask is None:
+        return values.ravel()
+    return values[~np.broadcast_to(np.asarray(mask, dtype=bool), grid.shape)]
+
+
 def norms(values: np.ndarray, grid: GridSpec, mask=None) -> tuple[float, float]:
-    """(max |v|, sqrt(sum |v|^2 hx hy)) over unmasked points; zeros if empty."""
-    absvals = np.abs(np.asarray(values))
-    if mask is not None:
-        absvals = absvals[~np.asarray(mask, dtype=bool)]
+    """(max |v|, sqrt(sum |v|^2 hx hy)) over unmasked points; zeros if empty.
+    `values` and `mask` may be columns (see `_unmasked`)."""
+    absvals = _unmasked(np.abs(np.asarray(values)), grid, mask)
     if absvals.size == 0:
         return 0.0, 0.0
     max_norm = float(np.max(absvals))
@@ -77,7 +87,8 @@ def interior_ring_mask(grid: GridSpec, rings: int) -> np.ndarray:
 
 def report_from_parts(grid: GridSpec, parts, details=None,
                       exclude_rings: int = 0) -> ResidualReport:
-    """Assemble a report from (part_name, values, mask) triples.
+    """Assemble a report from (part_name, values, mask) triples; values
+    and masks are grid-shaped or columns (see `norms`).
 
     The headline max_norm is the largest part max, NaN if any part's is;
     l2_norm likewise. The masked count is taken over the union mask of all

@@ -31,7 +31,7 @@ import numpy as np
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import ResidualReport, norms, report_from_parts
+from .reporting import ResidualReport, _unmasked, norms, report_from_parts
 from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 
 def rho_from_psi(s: SpinorField) -> ComplexField:
     """rho = psi1 / conj(psi2); zeros of psi2 are masked."""
-    a = np.abs(s.psi2.values)
+    a = np.abs(s.psi2.stored[0])
     scale = float(np.max(a, initial=0.0))
     if scale == 0.0:
         raise NumericalBreakdown("psi2 vanishes identically; rho undefined")
@@ -103,20 +103,22 @@ def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1) -> SpinorField:
     if eps not in (+1, -1):
         raise ValueError("branch sign must be +1 or -1")
     grid, mask = _shared(rho, h)
-    if np.any((h.values <= 0) & ~mask):
+    if np.any((h.stored[0] <= 0) & ~mask):
         raise NumericalBreakdown("transform requires H > 0 at unmasked points")
 
     drho = d_z(rho)
-    scale = float(np.max(np.abs(drho.values), initial=0.0))
-    mask = mask | drho.mask | (np.abs(drho.values) < 1e-12 * max(scale, 1e-300))
+    dr, dmask = drho.stored
+    scale = float(np.max(np.abs(dr), initial=0.0))
+    mask = mask | dmask | (np.abs(dr) < 1e-12 * max(scale, 1e-300))
     psi = [pointwise(lambda r, dr, hv, k=k: psi_pair(r, dr, hv, eps)[k],
                      rho, drho, h, mask=mask) for k in (0, 1)]
 
-    # flipping sqrt(d rho) flips both components
-    sign = _continue_sign(np.sqrt(drho.values), ~mask)
+    # flipping sqrt(d rho) flips both components; on a column, the sweep
+    # along y finds nothing to flip
+    sign = _continue_sign(np.sqrt(dr), ~mask)
     if np.any((sign < 0) & ~mask):
-        psi = [ComplexField._derived(grid, np.where(f.mask, 0, sign * f.values), f.mask)
-               for f in psi]
+        psi = [ComplexField._derived(grid, np.where(m, 0, sign * v), m)
+               for v, m in (f.stored for f in psi)]
     return SpinorField(*psi)
 
 
@@ -125,17 +127,15 @@ def sigma_residual(rho: ComplexField, h: RealField, exclude_rings: int = 0) -> R
     grid, mask = _shared(rho, h)
     lz, lzb, lmask = log_derivatives(h)
 
-    drho = d_z(rho)
-    dbrho = d_zbar(rho)
-    mix = mixed_dzbar_dz(rho)
-    mask = mask | drho.mask | dbrho.mask | mix.mask | lmask
+    drho, m1 = d_z(rho).stored
+    dbrho, m2 = d_zbar(rho).stored
+    mix, m3 = mixed_dzbar_dz(rho).stored
+    mask = mask | m1 | m2 | m3 | lmask
 
-    r = rho.values
+    r = rho.stored[0]
     m = 1.0 + np.abs(r) ** 2
-    res1 = mix.values - 2.0 * np.conj(r) / m * drho.values * dbrho.values \
-        - lzb * drho.values
-    res2 = np.conj(mix.values) - 2.0 * r / m * np.conj(drho.values) * np.conj(dbrho.values) \
-        - lz * np.conj(drho.values)
+    res1 = mix - 2.0 * np.conj(r) / m * drho * dbrho - lzb * drho
+    res2 = np.conj(mix) - 2.0 * r / m * np.conj(drho) * np.conj(dbrho) - lz * np.conj(drho)
     return report_from_parts(grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
                              exclude_rings=exclude_rings)
 
@@ -146,7 +146,7 @@ def apply_discrete_symmetry(rho: ComplexField, which: str) -> ComplexField:
     if which == "Z2":
         return pointwise(operator.neg, rho)
     if which == "I":
-        return pointwise(lambda r: 1.0 / r, rho, mask=np.abs(rho.values) < 1e-8)
+        return pointwise(lambda r: 1.0 / r, rho, mask=np.abs(rho.stored[0]) < 1e-8)
     raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
 
@@ -171,8 +171,8 @@ class SpinMatrix:
 
     def algebra_report(self) -> ResidualReport:
         """Hermiticity, tracelessness and involution defects."""
-        a, b, c, d = (e.values for e in self.entries())
-        mask = self.mask
+        a, b, c, d = (e.stored[0] for e in self.entries())
+        _, mask = _shared(*self.entries())
         parts = [
             ("hermitian_diag", np.abs(a.imag) + np.abs(d.imag), mask),
             ("hermitian_off", b - np.conj(c), mask),
@@ -196,7 +196,8 @@ def spin_matrix(rho: ComplexField) -> SpinMatrix:
 @dataclass(frozen=True)
 class LLCommutator:
     """The commutator [S, d dbar S] for the spin matrix S of `rho`: its
-    four entries (c11, c12, c21, c22) and the union of their masks."""
+    four entries (c11, c12, c21, c22) and the union of their masks, as
+    stored arrays (columns when rho is one, see grid)."""
 
     rho: ComplexField
     entries: tuple
@@ -212,15 +213,15 @@ def ll_commutator(rho: ComplexField) -> LLCommutator:
     read. Each entry of S is differentiated once, so its stencils go as
     soon as its d dbar is formed."""
     S = spin_matrix(rho)
-    d11, d12, d21, d22 = (_once(mixed_dzbar_dz, e) for e in S.entries())
-    a, b, c, d = (e.values for e in S.entries())
-    e11, e12, e21, e22 = d11.values, d12.values, d21.values, d22.values
+    dd = [_once(mixed_dzbar_dz, e) for e in S.entries()]
+    a, b, c, d = (e.stored[0] for e in S.entries())
+    e11, e12, e21, e22 = (e.stored[0] for e in dd)
 
     c11 = b * e21 - c * e12
     c12 = a * e12 + b * e22 - e11 * b - e12 * d
     c21 = c * e11 + d * e21 - e21 * a - e22 * c
     c22 = c * e12 - b * e21
-    mask = S.mask | d11.mask | d12.mask | d21.mask | d22.mask
+    _, mask = _shared(*S.entries(), *dd)
     return LLCommutator(rho, (c11, c12, c21, c22), mask)
 
 
@@ -253,12 +254,13 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
     grid, _ = _shared(rho, h)
     c11, c12, c21, c22 = c.entries
     lz, lzb, lmask = log_derivatives(h)
-    drho = d_z(rho)
-    dbrho = d_zbar(rho)
-    rho_mask = rho.mask | (np.abs(rho.values) < 1e-8)
-    mask = c.mask | lmask | drho.mask | dbrho.mask | rho_mask
+    dr, dmask = d_z(rho).stored
+    dbmask = d_zbar(rho).stored[1]
+    r = rho.stored[0]
+    rho_mask = rho.stored[1] | (np.abs(r) < 1e-8)
+    mask = c.mask | lmask | dmask | dbmask | rho_mask
 
-    r, dr, cdr = rho.values, drho.values, np.conj(drho.values)   # cdr = dbar conj(rho)
+    cdr = np.conj(dr)   # dbar conj(rho)
     m = 1.0 + np.abs(r) ** 2
     pref = 4.0 / m**2
     with np.errstate(all="ignore"):
@@ -282,7 +284,8 @@ _UNIMODULAR_TOL = 1e-10
 
 
 def _require_unimodular(rho: ComplexField) -> None:
-    dev = np.abs(np.abs(rho.values[~rho.mask]) - 1.0)
+    values, mask = rho.stored
+    dev = np.abs(np.abs(values[~mask]) - 1.0)
     if dev.size == 0 or float(np.max(dev)) > _UNIMODULAR_TOL:
         raise ValueError("input is not unimodular (|rho| must equal 1)")
 
@@ -302,16 +305,16 @@ def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualRep
     """
     grid, mask = _shared(rho, h)
     _require_unimodular(rho)
-    vals = h.values[~mask]
+    vals = _unmasked(h.stored[0], grid, mask)
     if vals.size == 0:
         raise ValueError("no unmasked points to test")
     mean = float(np.mean(vals))
     spread = float(np.max(np.abs(vals - mean)))
     variance = float(np.var(vals))
-    mx, l2 = norms(h.values - mean, grid, mask)
+    mx, l2 = norms(h.stored[0] - mean, grid, mask)
     return ResidualReport(
         grid=grid, max_norm=mx, l2_norm=l2,
-        masked_points=int(np.count_nonzero(mask)),
+        masked_points=int(np.count_nonzero(_unmasked(mask, grid))),
         parts=(),
         details={"h_mean": mean, "h_spread": spread, "h_variance": variance,
                  "consistent": bool(spread <= _UNIMODULAR_TOL)},
@@ -331,14 +334,15 @@ def compatibility_residual(rho: ComplexField, h: RealField,
     grid, _ = _shared(rho, h)
     _require_unimodular(rho)
     w = pointwise(operator.truediv, d_z(rho), rho)
-    wscale = float(np.max(np.abs(w.values), initial=0.0))
+    wv = np.abs(w.stored[0])
     # the same w and source, also masked where |w| is negligible
-    w = pointwise(lambda v: v, w, mask=np.abs(w.values) < 1e-12 * max(wscale, 1e-300))
+    w = pointwise(lambda v: v, w, mask=wv < 1e-12 * max(float(np.max(wv, initial=0.0)), 1e-300))
 
-    dw = d_zbar(w)
+    dw, dwmask = d_zbar(w).stored
     lz, _, lmask = log_derivatives(h)
-    totmask = w.mask | dw.mask | lmask
+    wv, wmask = w.stored
+    totmask = wmask | dwmask | lmask
     with np.errstate(all="ignore"):
-        vals = np.where(totmask, 0, dw.values / np.where(totmask, 1.0, w.values) - lz)
+        vals = np.where(totmask, 0, dw / np.where(totmask, 1.0, wv) - lz)
     return report_from_parts(grid, [("compatibility", vals, totmask)],
                              exclude_rings=exclude_rings)

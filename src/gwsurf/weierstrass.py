@@ -31,16 +31,15 @@ __all__ = [
 
 
 class SpinorField:
-    """A spinor pair on a shared grid; masks are unified at construction."""
+    """A spinor pair on a shared grid; masks are unified at construction,
+    and so are the components' storage shapes (see grid)."""
 
     def __init__(self, psi1: ComplexField, psi2: ComplexField):
-        if psi1.grid != psi2.grid:
-            raise ValueError("spinor components live on different grids")
-        mask = psi1.mask | psi2.mask
-        if not np.array_equal(mask, psi1.mask):
-            psi1 = ComplexField(psi1.grid, psi1.values, mask, source=psi1.source)
-        if not np.array_equal(mask, psi2.mask):
-            psi2 = ComplexField(psi2.grid, psi2.values, mask, source=psi2.source)
+        grid, mask = _shared(psi1, psi2)
+        psi1, psi2 = (f if np.array_equal(mask, f.stored[1]) else
+                      ComplexField._derived(grid, np.where(mask, 0, f.stored[0]), mask,
+                                            source=f.source, finite=True)
+                      for f in (psi1, psi2))
         self.psi1 = psi1
         self.psi2 = psi2
 
@@ -52,46 +51,49 @@ class SpinorField:
     def mask(self) -> np.ndarray:
         return self.psi1.mask
 
+    @property
+    def stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi1's stored (values, mask); its mask is the pair's (see grid)."""
+        return self.psi1.stored
+
     def without_sources(self) -> "SpinorField":
         return SpinorField(self.psi1.without_source(), self.psi2.without_source())
 
 
 def log_derivatives(h: RealField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d ln H, dbar ln H, mask) of the mean curvature `h`; requires H > 0
-    on the unmasked region."""
-    if np.any((h.values <= 0) & ~h.mask):
+    """(d ln H, dbar ln H, mask) of the mean curvature `h`, as stored
+    arrays (see grid); requires H > 0 on the unmasked region."""
+    if np.any((h.stored[0] <= 0) & ~h.stored[1]):
         raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
     ln = pointwise(log, h)
     lz = d_z(ln)
     lzb = d_zbar(ln)
-    return lz.values, lzb.values, lz.mask | lzb.mask
+    return lz.stored[0], lzb.stored[0], lz.stored[1] | lzb.stored[1]
 
 
 def density_p(s: SpinorField) -> RealField:
     """p = |psi1|^2 + |psi2|^2, the conformal factor of the induced metric."""
     p = pointwise(lambda p1, p2: p1 * conj(p1) + p2 * conj(p2), s.psi1, s.psi2)
-    return RealField._derived(s.grid, p.values.real.copy(), p.mask, source=p.source,
-                              finite=True)
+    vals, mask = p.stored
+    return RealField._derived(s.grid, vals.real.copy(), mask, source=p.source, finite=True)
 
 
 def weierstrass_residual(s: SpinorField, h: RealField) -> ResidualReport:
     """Residuals of all four equations of the spinor system."""
     _, mask = _shared(s, h)
-    p = density_p(s).values
-    ph = p * h.values
+    p1, p2 = s.psi1.stored[0], s.psi2.stored[0]
+    ph = density_p(s).stored[0] * h.stored[0]
 
-    d1 = d_z(s.psi1)
-    d2 = d_zbar(s.psi2)
-    d3 = d_zbar(s.psi1.conj())
-    d4 = d_z(s.psi2.conj())
+    d1, m1 = d_z(s.psi1).stored
+    d2, m2 = d_zbar(s.psi2).stored
+    d3, m3 = d_zbar(s.psi1.conj()).stored
+    d4, m4 = d_z(s.psi2.conj()).stored
 
-    c1 = np.conj(s.psi1.values)
-    c2 = np.conj(s.psi2.values)
     parts = [
-        ("d_psi1", d1.values - ph * s.psi2.values, mask | d1.mask),
-        ("dbar_psi2", d2.values + ph * s.psi1.values, mask | d2.mask),
-        ("dbar_conj_psi1", d3.values - ph * c2, mask | d3.mask),
-        ("d_conj_psi2", d4.values + ph * c1, mask | d4.mask),
+        ("d_psi1", d1 - ph * p2, mask | m1),
+        ("dbar_psi2", d2 + ph * p1, mask | m2),
+        ("dbar_conj_psi1", d3 - ph * np.conj(p2), mask | m3),
+        ("d_conj_psi2", d4 + ph * np.conj(p1), mask | m4),
     ]
     return report_from_parts(s.grid, parts)
 
@@ -103,40 +105,36 @@ def potential_conservation_residual(s: SpinorField) -> ResidualReport:
     dbar(conj(psi1) psi2) = 0 hold for any solution of the spinor system;
     they are exactly the closedness conditions for the surface integrals.
     """
-    sq1 = field_mul(s.psi1, s.psi1)
-    sq2 = field_mul(s.psi2, s.psi2)
-    pot = d_z(sq1)
-    pot2 = d_zbar(sq2)
-
-    bil_a = field_mul(s.psi1, s.psi2.conj())
-    bil_b = field_mul(s.psi1.conj(), s.psi2)
-    b1 = d_z(bil_a)
-    b2 = d_zbar(bil_b)
+    pot, m1 = d_z(field_mul(s.psi1, s.psi1)).stored
+    pot2, m2 = d_zbar(field_mul(s.psi2, s.psi2)).stored
+    b1, m3 = d_z(field_mul(s.psi1, s.psi2.conj())).stored
+    b2, m4 = d_zbar(field_mul(s.psi1.conj(), s.psi2)).stored
 
     parts = [
-        ("potential", pot.values + pot2.values, pot.mask | pot2.mask),
-        ("bilinear", b1.values - b2.values, b1.mask | b2.mask),
+        ("potential", pot + pot2, m1 | m2),
+        ("bilinear", b1 - b2, m3 | m4),
     ]
     return report_from_parts(s.grid, parts)
 
 
 def current_J(s: SpinorField) -> ComplexField:
     """J = conj(psi1) d psi2 - psi2 d conj(psi1)."""
-    dpsi2 = d_z(s.psi2)
-    dcpsi1 = d_z(s.psi1.conj())
-    vals = np.conj(s.psi1.values) * dpsi2.values - s.psi2.values * dcpsi1.values
-    mask = s.mask | dpsi2.mask | dcpsi1.mask
-    return ComplexField._derived(s.grid, np.where(mask, 0, vals), mask)
+    grid, mask = _shared(s)
+    dpsi2, m2 = d_z(s.psi2).stored
+    dcpsi1, m1 = d_z(s.psi1.conj()).stored
+    vals = np.conj(s.psi1.stored[0]) * dpsi2 - s.psi2.stored[0] * dcpsi1
+    mask = mask | m2 | m1
+    return ComplexField._derived(grid, np.where(mask, 0, vals), mask)
 
 
 def dbar_J_defect(s: SpinorField, h: RealField, exclude_rings: int = 0) -> ResidualReport:
     """Norm of dbar J + p^2 dH; zero modulo the spinor system."""
     _, mask = _shared(s, h)
-    dJ = d_zbar(current_J(s))
-    p = density_p(s).values
-    hz = d_z(h)
-    vals = dJ.values + p**2 * hz.values
-    return report_from_parts(s.grid, [("dbar_J_plus_p2_dH", vals, mask | dJ.mask | hz.mask)],
+    dJ, mj = d_zbar(current_J(s)).stored
+    p = density_p(s).stored[0]
+    hz, mh = d_z(h).stored
+    vals = dJ + p**2 * hz
+    return report_from_parts(s.grid, [("dbar_J_plus_p2_dH", vals, mask | mj | mh)],
                              exclude_rings=exclude_rings)
 
 
@@ -154,22 +152,21 @@ def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField
     i0, _ = grid.index_of(zbar0, grid.y_min)
 
     _, mask = _shared(s, h)
-    p = density_p(s).values
-    hz = d_z(h)
+    p = density_p(s).stored[0]
+    hz, mh = d_z(h).stored
     # a masked integrand point poisons every target beyond it on that row
-    cum, pathmask = _integrate_from(p**2 * hz.values, mask | hz.mask, grid.hx, 0, i0)
+    cum, pathmask = _integrate_from(p**2 * hz, mask | mh, grid.hx, 0, i0)
 
-    J = current_J(s)
-    outmask = J.mask | pathmask
-    vals = np.where(outmask, 0, J.values + 2.0 * cum)
+    J, mj = current_J(s).stored
+    outmask = mj | pathmask
+    vals = np.where(outmask, 0, J + 2.0 * cum)
     return ComplexField._derived(grid, vals, outmask)
 
 
 def conservation_defect(j: ComplexField, exclude_rings: int = 0) -> ResidualReport:
     """Norms of dbar applied to a current."""
-    d = d_zbar(j)
-    return report_from_parts(j.grid, [("dbar", d.values, d.mask)],
-                             exclude_rings=exclude_rings)
+    d, mask = d_zbar(j).stored
+    return report_from_parts(j.grid, [("dbar", d, mask)], exclude_rings=exclude_rings)
 
 
 def gaussian_curvature_from_p(p: RealField) -> RealField:
@@ -179,11 +176,12 @@ def gaussian_curvature_from_p(p: RealField) -> RealField:
     through jets, which avoids the 1/h^2 amplification of sampling noise
     that stencils would inflict on an (analytically constant) density.
     """
-    if np.any((p.values <= 0) & ~p.mask):
+    pv, pmask = p.stored
+    if np.any((pv <= 0) & ~pmask):
         raise NumericalBreakdown("density must be positive at unmasked points")
-    safe = np.where(p.mask, 1.0, p.values)
-    mix = mixed_dzbar_dz(pointwise(log, p))
-    mask = p.mask | mix.mask
+    safe = np.where(pmask, 1.0, pv)
+    mix, mmask = mixed_dzbar_dz(pointwise(log, p)).stored
+    mask = pmask | mmask
     with np.errstate(all="ignore"):
-        vals = np.where(mask, 0.0, -mix.values.real / safe**2)
+        vals = np.where(mask, 0.0, -mix.real / safe**2)
     return RealField._derived(p.grid, vals, mask)

@@ -179,10 +179,11 @@ def test_exact_suites_reach_no_stencil(name, monkeypatch):
 def rational_101_counts():
     """One `verify --family rational --grid 101x101` (two levels), counting
     the builds of each (input, level), the `_d1` stencil calls and the
-    distinct inputs they see, and the `sample` calls."""
+    distinct inputs they see, and the `sample` calls, and recording the
+    shape of the values that each `_d1` and `_d2` call differences."""
     import hashlib
     from gwsurf import calculus, cli, closedform, families
-    builds, d1_calls, d1_inputs, samples = {}, [], set(), []
+    builds, d1_calls, d1_inputs, samples, stencil_shapes = {}, [], set(), [], []
 
     def counted_build(name, build):
         def wrapper(fam, g, *reads):
@@ -192,26 +193,33 @@ def rational_101_counts():
 
     def d1(values, valid, h):
         d1_calls.append(1)
+        stencil_shapes.append(values.shape)
         d1_inputs.add(hashlib.sha1(values.tobytes() + valid.tobytes() + repr(h).encode())
                       .hexdigest())
         return calculus._d1.__wrapped__(values, valid, h)
+
+    def d2(values, valid, h):
+        stencil_shapes.append(values.shape)
+        return calculus._d2.__wrapped__(values, valid, h)
 
     def sample(*args, **kwargs):
         samples.append(1)
         return closedform.sample.__wrapped__(*args, **kwargs)
 
-    d1.__wrapped__, sample.__wrapped__ = calculus._d1, closedform.sample
+    d1.__wrapped__, d2.__wrapped__, sample.__wrapped__ = calculus._d1, calculus._d2, \
+        closedform.sample
     inputs = {name: dataclasses.replace(spec, build=counted_build(name, spec.build))
               for name, spec in cli._INPUTS.items()}
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setattr(cli, "_INPUTS", inputs)
         mp.setattr(calculus, "_d1", d1)
+        mp.setattr(calculus, "_d2", d2)
         for module in (closedform, calculus, families):
             mp.setattr(module, "sample", sample)
         assert main(["verify", "--family", "rational", "--grid", "101x101",
                      "--out", out]) == EXIT_OK
     return {"builds": builds, "d1": len(d1_calls), "d1_inputs": len(d1_inputs),
-            "sample": len(samples)}
+            "sample": len(samples), "stencil_shapes": stencil_shapes}
 
 
 class TestSharedInputs:
@@ -224,9 +232,17 @@ class TestSharedInputs:
 
     def test_one_stencil_per_distinct_input(self, rational_101_counts):
         # what repeats is left to current_J, log_derivatives and the
-        # commutator, which difference fields built afresh from the inputs
+        # commutator, which difference fields built afresh from the inputs,
+        # and to the Riccati coefficients, equal in pairs for a real rho
         counts = rational_101_counts
-        assert counts["d1"] - counts["d1_inputs"] <= 32, counts
+        assert counts["d1"] - counts["d1_inputs"] <= 22, counts
+
+    def test_every_stencil_runs_on_one_column(self, rational_101_counts):
+        # every field of the rational family depends on x only: it is stored
+        # as one column, and only its x-derivative is a stencil
+        shapes = rational_101_counts["stencil_shapes"]
+        assert len(shapes) == rational_101_counts["d1"] == 78
+        assert set(shapes) == {(101, 1), (201, 1)}
 
     def test_sample_calls(self, rational_101_counts):
         assert rational_101_counts["sample"] <= 110

@@ -254,18 +254,40 @@ def test_diagonal_lift_runs_its_op_on_one_column():
     assert both.diagonal and not mixed.diagonal
     assert both.derivative("z").diagonal and both.conjugate().diagonal
     g = GridSpec(-1, 1, -1, 1, 7, 5)
+    # sample runs a diagonal form on the grid's first column and stores it;
+    # the jet itself runs on whatever it is given
     for form, shape in ((both, (7, 1)), (mixed, (7, 5))):
         seen = (shape, shape)
         shapes.clear()
         f = sample(form, g)
         assert shapes == [seen]
+        assert [a.shape for a in f.stored] == [shape, shape]
         for deriv in (d_z, d_zbar, mixed_dzbar_dz):
             shapes.clear()
-            assert deriv(f).values.shape == (7, 5)
+            out = deriv(f)
+            assert out.values.shape == (7, 5) and out.stored[0].shape == shape
             assert shapes == [seen], deriv.__name__
         shapes.clear()
         assert form.jet(g.zmesh()).fzzb.shape == (7, 5)
-        assert shapes == [seen]
+        assert shapes == [((7, 5), (7, 5))]
+    # a grid-shaped extra mask expands the column
+    f = sample(both, g, extra_mask=np.eye(7, 5, dtype=bool))
+    assert f.stored[0].shape == (7, 5) and f.mask.sum() == 5
+
+
+def test_diagonal_guard_depends_on_x_only():
+    g = GridSpec(-1, 1, -1, 1, 7, 5)
+    # a guard of x masks whole rows of the grid, stored as one column
+    f = sample(diagonal_form(exp, guard=lambda z: z.real > 0.5), g)
+    assert f.stored[1].shape == (7, 1)
+    assert np.array_equal(f.mask, np.broadcast_to(g.xs()[:, None] > 0.5, (7, 5)))
+    # the same guard lifted with a diagonal form stays one
+    f = sample(lift(operator.mul, diagonal_form(exp, guard=lambda z: z.real > 0.5),
+                    diagonal_form(lambda s: s)), g)
+    assert f.stored[1].shape == (7, 1) and f.mask.sum() == 2 * 5
+    # a guard that depends on y breaks the contract and is refused
+    with pytest.raises(ValueError, match="depends on y"):
+        sample(diagonal_form(exp, guard=lambda z: z.imag > 0.5), g)
 
 
 def test_diagonal_form_off_mesh_matches_direct_evaluation():

@@ -1,6 +1,8 @@
 """API contracts: residuals reject an H sampled on another grid, every
-module's export list is re-exported by the package, and the public API
-keeps one name for each curvature and one switch to stencils."""
+module's export list is re-exported by the package, the public API
+keeps one name for each curvature and one switch to stencils, and every
+field shows grid-shaped, read-only values and mask, however it is
+stored."""
 import importlib
 import inspect
 import pkgutil
@@ -111,3 +113,28 @@ def test_one_name_per_curvature_and_one_switch_to_stencils():
     takes = [name for name, fn in _public_callables() if name.startswith("SolutionFamily.")
              and "analytic" in inspect.signature(fn).parameters]
     assert not takes
+
+
+@pytest.mark.parametrize("name", gwsurf.FAMILY_NAMES)
+def test_fields_show_grid_shaped_read_only_arrays(name):
+    # the fields that the families and verify's level inputs build; a
+    # one-dimensional family stores one column (see gwsurf.grid)
+    from gwsurf.cli import _INPUTS, _Level
+    fam = gwsurf.build_family(name)
+    g = fam.default_grid(11, 7)
+    level = _Level(fam, g, {n: 1 for n in _INPUTS})
+    built = [fam.h(g), fam.rho(g), fam.spinor(g)] + [level.get(n) for n in _INPUTS]
+    fields = []
+    for value in built:
+        fields += [value.psi1, value.psi2] if hasattr(value, "psi1") else [value]
+    fields = [f for f in fields if isinstance(f, (gwsurf.ComplexField, gwsurf.RealField))]
+    # h, rho and psi1, psi2 as sampled, and from the level inputs each of
+    # them with and without its source; the commutator holds plain arrays
+    assert len(fields) == 4 + 2 * 4
+    for f in fields:
+        for arr in (f.values, f.mask):
+            assert arr.shape == g.shape and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        assert all(a.shape in (g.shape, (g.nx, 1)) for a in f.stored)
+        assert f.stored[0].shape == f.stored[1].shape

@@ -7,7 +7,7 @@ from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
                     family_rational, family_trigonometric, family_unimodular,
                     multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
                     spin_matrix, weierstrass_residual)
-from gwsurf.calculus import d_z
+from gwsurf.calculus import _d1, d_z, dy
 from gwsurf.closedform import field_mul, holomorphic_form, sample
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -301,6 +301,12 @@ def test_fd_mean_curvature_has_no_source(name):
     g = fam.default_grid(23, 17)
     h = fam.h(g).without_source()
     assert h.source is None
-    stencil = d_z(RealField(g, h.values, h.mask))
+    values, mask = h.stored
+    assert values.shape == (g.nx, 1)
+    stencil = d_z(RealField._derived(g, values, mask))
     assert np.array_equal(_bits(d_z(h).values), _bits(stencil.values))
     assert np.array_equal(d_z(h).mask, stencil.mask)
+    # H is one column: its d/dy is exactly zero, so d_z is half its d/dx stencil
+    assert np.array_equal(_bits(dy(h).values), _bits(np.zeros(g.shape)))
+    gx, bad = _d1(values, ~mask, g.hx)
+    assert np.array_equal(_bits(d_z(h).stored[0]), _bits(np.where(bad, 0, 0.5 * (gx - 0j))))

@@ -171,22 +171,23 @@ class TestGradientOnce:
 
     def test_without_source_view_shares_the_gradient(self, d1_calls):
         g = grid(21)
+        # a diagonal sample is one column: its y-derivative needs no stencil
         sampled = sample(diagonal_form(lambda s: s * exp(s)), g)
         view = sampled.without_source()
         d_z(view)
         d_zbar(view.without_source())
         d_z(sampled.without_source())
-        assert len(d1_calls) == 2
+        assert d1_calls == [(21, 1)]
         plain_field = plain(g, self.fn)
         d_zbar(plain_field.without_source())
         d_z(plain_field)
-        assert len(d1_calls) == 4
+        assert len(d1_calls) == 3
 
     def test_fit_then_residual_differences_rho_once(self, d1_calls):
         rho = family_rational(1.0).rho(grid(21)).without_source()
         coeffs = fit_riccati_coeffs(rho)
         riccati_residual(rho, coeffs)
-        assert d1_calls == [(21, 21), (21, 21)]
+        assert d1_calls == [(21, 1)]
 
     def test_coefficients_keep_no_stencils(self, d1_calls):
         # zero_curvature_residual differentiates each coefficient once, so
@@ -194,7 +195,7 @@ class TestGradientOnce:
         rho = family_rational(1.0).rho(grid(21)).without_source()
         coeffs = fit_riccati_coeffs(rho)
         zero_curvature_residual(coeffs)
-        assert len(d1_calls) == 2 + 12
+        assert d1_calls == [(21, 1)] * (1 + 6)
         assert not any(f._grad for f in coeffs.fields())
 
     def test_conj_differences_its_own_values(self, d1_calls):
