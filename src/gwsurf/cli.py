@@ -29,7 +29,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Set
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -621,8 +620,7 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
     res.update(family=fam.name, config=cfg.describe(), version=__version__)
     path = os.path.join(cfg.out, f"{fam.name}_{res['suite']}.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(res, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(res, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -631,7 +629,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     order = _evaluation_order(suites)
     readers = _readers(order)
     reports = {spec.name: [] for spec in suites}
-    with ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    executor = nullcontext()
+    if cfg.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(max_workers=cfg.jobs)
+    with executor as pool:
         for g in grids:
             for spec, rep in zip(order, _run_level(order, fam, g, readers, pool)):
                 reports[spec.name].append(rep)

@@ -20,10 +20,11 @@ array becomes grid-shaped. A compact field's y-derivative is exactly
 zero (see calculus). A column is expanded to the grid only where the y
 direction matters: in `reporting._unmasked`, which selects the unmasked
 values on the grid for the norms and the other sums over points, so they
-run over the same values in the same order; in integration along y; and
-in the public `values` and `mask`, which are always grid-shaped and
-read-only (for a compact field, each read expands the column into a new
-array).
+run over the same values in the same order; in the inducer's integrals
+along y (over the whole grid for a surface, along one grid line for
+path independence); and in the public `values` and `mask`, which are
+always grid-shaped and read-only (for a compact field, each read expands
+the column into a new array).
 
 The public constructors validate what they are given: shapes (the
 grid's), a private copy of the mask, masked points zeroed, then every

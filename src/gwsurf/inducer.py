@@ -81,23 +81,22 @@ def _one_forms(s: SpinorField):
     ]
 
 
-def _integrate_path(A, B, grid, i0, j0, mask, order: str):
-    """Trapezoid line integral of A dz + B dzbar along a rectilinear path,
-    and where that path crosses a masked point.
+def _line_forms(A, B, grid):
+    """A dz + B dzbar along a row (dz = dzbar = dx) and along a column
+    (dz = i dy, dzbar = -i dy), on the grid's shape (views of columns)."""
+    return [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
 
-    order 'xy': along the base row (real direction) then up the column;
-    order 'yx': along the base column (imaginary direction) then the row.
-    Along a row dz = dzbar = dx; along a column dz = i dy, dzbar = -i dy.
-    A, B and `mask` may be columns; they are integrated on the whole grid.
-    """
-    a, b = {"xy": (0, 1), "yx": (1, 0)}[order]   # base-line axis, sweep axis
-    forms = [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
+
+def _integrate_path(A, B, grid, i0, j0, mask):
+    """Trapezoid line integral of A dz + B dzbar from (i0, j0) to every grid
+    point, along the base row (real direction) then along the column, and
+    where that path crosses a masked point. A, B and `mask` may be
+    columns; they are integrated on the whole grid."""
+    fx, fy = _line_forms(A, B, grid)
     mask = np.broadcast_to(mask, grid.shape)
-    steps, base = (grid.hx, grid.hy), (i0, j0)
-    # the base line through the basepoint, kept two-dimensional to broadcast
-    phi0, bad0 = _integrate_from(np.take(forms[a], [base[b]], axis=b),
-                                 np.take(mask, [base[b]], axis=b), steps[a], a, base[a])
-    phi, bad = _integrate_from(forms[b], mask, steps[b], b, base[b])
+    # the base row through the basepoint, kept two-dimensional to broadcast
+    phi0, bad0 = _integrate_from(fx[:, [j0]], mask[:, [j0]], grid.hx, 0, i0)
+    phi, bad = _integrate_from(fy, mask, grid.hy, 1, j0)
     return phi0 + phi, bad0 | bad
 
 
@@ -167,7 +166,7 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     phis = []
     badmask = np.zeros(grid.shape, dtype=bool)
     for A, B in forms:
-        phi, bad = _integrate_path(A, B, grid, i0, j0, mask, "xy")
+        phi, bad = _integrate_path(A, B, grid, i0, j0, mask)
         phis.append(phi)
         badmask |= bad
     if badmask.all():
@@ -197,21 +196,34 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
 
 
 def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
-    """|X(L-path) - X(reversed-L)| at z1, maximized over the coordinates."""
+    """|X(L-path) - X(reversed-L)| at z1, maximized over the coordinates.
+
+    The L-path runs along the row through z0, then along the column
+    through z1 (`_integrate_path`'s); the reversed L runs along the column
+    through z0, then along the row through z1. Only those four grid lines
+    are integrated. Raises NumericalBreakdown when a path passes a masked
+    point, its ends included."""
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
     i1, j1 = _resolve_basepoint(grid, z1)
+    mask = np.broadcast_to(mask, grid.shape)
+
+    def along(form, line, h, k0, k1):
+        phi, bad = _integrate_from(form[line], mask[line], h, 0, k0)
+        if bad[k1]:
+            raise NumericalBreakdown("a comparison path crosses a masked point")
+        return phi[k1]
 
     worst = 0.0
     per = {}
     for label, (A, B) in zip(("plus", "minus", "x3"), _one_forms(s)):
-        phi_a, bad_a = _integrate_path(A, B, grid, i0, j0, mask, "xy")
-        phi_b, bad_b = _integrate_path(A, B, grid, i0, j0, mask, "yx")
-        if bad_a[i1, j1] or bad_b[i1, j1]:
-            raise NumericalBreakdown("a comparison path crosses a masked point")
-        diff = abs(phi_a[i1, j1] - phi_b[i1, j1])
-        per[label] = float(diff)
-        worst = max(worst, float(diff))
+        fx, fy = _line_forms(A, B, grid)
+        phi_a = (along(fx, np.s_[:, j0], grid.hx, i0, i1)
+                 + along(fy, np.s_[i1, :], grid.hy, j0, j1))
+        phi_b = (along(fy, np.s_[i0, :], grid.hy, j0, j1)
+                 + along(fx, np.s_[:, j1], grid.hx, i0, i1))
+        per[label] = float(abs(phi_a - phi_b))
+        worst = max(worst, per[label])
     return ResidualReport(grid=grid, max_norm=worst, l2_norm=worst,
                           masked_points=int(np.count_nonzero(s.mask)),
                           details=per)
@@ -354,13 +366,31 @@ def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float
                              exclude_rings=1)
 
 
+def _labels(n: int) -> np.ndarray:
+    """The decimal strings of 0, 1, ..., n as one "S<digits of n>" array
+    (what np.arange(n + 1).astype("S...") gives), written digit by digit
+    into a byte table: the numbers of d digits are one slice of its rows,
+    left-aligned and NUL-padded like the cast's."""
+    w = len(str(n))
+    table = np.zeros((n + 1, w), dtype=np.uint8)
+    k = np.arange(n + 1, dtype=np.int32)
+    for d in range(1, w + 1):
+        rows = slice(10 ** (d - 1) if d > 1 else 0, min(10 ** d, n + 1))
+        rest = k[rows]
+        for c in range(d - 1, -1, -1):
+            np.remainder(rest, 10, out=table[rows, c], casting="unsafe")
+            rest //= 10
+        table[rows, :d] += ord("0")
+    return table.view(f"S{w}").reshape(n + 1)
+
+
 def _write_faces(fh, keep: np.ndarray) -> int:
     """Write two triangles per grid cell whose four corners are all kept,
     indexing the kept vertices 1, 2, ... in row-major order; returns the
     face count. The lines of a block of _BLOCK_ROWS cell rows are assembled
     as byte arrays from one table of index strings."""
     n = int(np.count_nonzero(keep))
-    labels = np.arange(n + 1).astype(f"S{len(str(n))}")
+    labels = _labels(n)
     idx = np.zeros(keep.shape, dtype=np.int64)
     idx[keep] = np.arange(1, n + 1)
     # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)

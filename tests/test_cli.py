@@ -180,10 +180,12 @@ def rational_101_counts():
     """One `verify --family rational --grid 101x101` (two levels), counting
     the builds of each (input, level), the `_d1` stencil calls and the
     distinct inputs they see, and the `sample` calls, and recording the
-    shape of the values that each `_d1` and `_d2` call differences."""
+    shape of the values that each `_d1` and `_d2` call differences and the
+    number of values that each `_integrate_from` call integrates."""
     import hashlib
-    from gwsurf import calculus, cli, closedform, families
+    from gwsurf import calculus, cli, closedform, families, inducer, weierstrass
     builds, d1_calls, d1_inputs, samples, stencil_shapes = {}, [], set(), [], []
+    line_sizes = []
 
     def counted_build(name, build):
         def wrapper(fam, g, *reads):
@@ -206,6 +208,10 @@ def rational_101_counts():
         samples.append(1)
         return closedform.sample.__wrapped__(*args, **kwargs)
 
+    def integrate_from(values, *args):
+        line_sizes.append(np.size(values))
+        return calculus._integrate_from(values, *args)
+
     d1.__wrapped__, d2.__wrapped__, sample.__wrapped__ = calculus._d1, calculus._d2, \
         closedform.sample
     inputs = {name: dataclasses.replace(spec, build=counted_build(name, spec.build))
@@ -216,10 +222,13 @@ def rational_101_counts():
         mp.setattr(calculus, "_d2", d2)
         for module in (closedform, calculus, families):
             mp.setattr(module, "sample", sample)
+        for module in (inducer, weierstrass):
+            mp.setattr(module, "_integrate_from", integrate_from)
         assert main(["verify", "--family", "rational", "--grid", "101x101",
                      "--out", out]) == EXIT_OK
     return {"builds": builds, "d1": len(d1_calls), "d1_inputs": len(d1_inputs),
-            "sample": len(samples), "stencil_shapes": stencil_shapes}
+            "sample": len(samples), "stencil_shapes": stencil_shapes,
+            "line_sizes": line_sizes}
 
 
 class TestSharedInputs:
@@ -243,6 +252,12 @@ class TestSharedInputs:
         shapes = rational_101_counts["stencil_shapes"]
         assert len(shapes) == rational_101_counts["d1"] == 78
         assert set(shapes) == {(101, 1), (201, 1)}
+
+    def test_every_integral_runs_along_one_grid_line(self, rational_101_counts):
+        # path independence integrates the four grid lines of its two paths,
+        # the modified current one row: each call integrates one line of a
+        # level's grid, 101 or 201 values, never the whole grid
+        assert set(rational_101_counts["line_sizes"]) == {101, 201}
 
     def test_sample_calls(self, rational_101_counts):
         assert rational_101_counts["sample"] <= 110

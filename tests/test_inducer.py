@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
+from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gaussian_curvature_from_p, induce_surface,
                     load_mesh_vertices, norms, path_independence_report,
@@ -146,6 +146,97 @@ class TestPathIndependence:
         bumped = SpinorField(ComplexField(G, s.psi1.values + 0.01), s.psi2)
         rep = path_independence_report(bumped, 0.0, 1.0 + 1.0j)
         assert rep.max_norm > 1e-2
+
+
+def full_grid_paths(s, z0, z1):
+    """Reference for path_independence_report: both L-paths of each one-form
+    integrated to every grid point and read at z1, as ({label: |difference|},
+    whether a path crosses a masked point)."""
+    from gwsurf.calculus import _integrate_from
+    from gwsurf.inducer import _one_forms, _resolve_basepoint, _shared
+    grid, mask = _shared(s)
+    i0, j0 = _resolve_basepoint(grid, z0)
+    i1, j1 = _resolve_basepoint(grid, z1)
+    mask = np.broadcast_to(mask, grid.shape)
+    steps, base = (grid.hx, grid.hy), (i0, j0)
+    per, crossed = {}, False
+    for label, (A, B) in zip(("plus", "minus", "x3"), _one_forms(s)):
+        forms = [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
+        ends = []
+        for a, b in ((0, 1), (1, 0)):   # base-line axis, sweep axis
+            phi0, bad0 = _integrate_from(np.take(forms[a], [base[b]], axis=b),
+                                         np.take(mask, [base[b]], axis=b),
+                                         steps[a], a, base[a])
+            phi, bad = _integrate_from(forms[b], mask, steps[b], b, base[b])
+            ends.append((phi0 + phi)[i1, j1])
+            crossed |= bool((bad0 | bad)[i1, j1])
+        per[label] = float(abs(ends[0] - ends[1]))
+    return per, crossed
+
+
+def grid_points(g, k0):
+    """The grid point at index k0, then every corner and an edge midpoint on each side."""
+    xs, ys = g.xs(), g.ys()
+    idx = [k0, (0, 0), (g.nx - 1, 0), (0, g.ny - 1), (g.nx - 1, g.ny - 1),
+           (g.nx // 2, 0), (g.nx // 2, g.ny - 1), (0, g.ny // 2), (g.nx - 1, g.ny // 2)]
+    return [(float(xs[i]), float(ys[j])) for i, j in idx]
+
+
+class TestPathIndependenceReference:
+    """path_independence_report integrates four grid lines; it agrees bit for
+    bit with both L-paths integrated over the whole grid."""
+
+    @pytest.mark.parametrize("family, g", [
+        ("rational", GridSpec(-1, 1, -1, 1, 41, 41)),
+        ("rational", GridSpec(-1, 1, -0.5, 1.5, 31, 17)),
+        ("holomorphic", GridSpec(-1, 1, -1, 1, 41, 41)),
+        ("holomorphic", GridSpec(-1, 1, -0.5, 1.5, 31, 17)),
+    ], ids=["rational", "rational-31x17", "holomorphic", "holomorphic-31x17"])
+    def test_matches_full_grid_paths(self, family, g):
+        s = build_family(family).spinor(g)
+        assert s.psi1.stored[0].shape == ((g.nx, 1) if family == "rational" else g.shape)
+        points = grid_points(g, (g.nx // 3, g.ny // 4))
+        for z0 in points[:2]:                       # an interior point, a corner
+            for z1 in points:
+                want, crossed = full_grid_paths(s, z0, z1)
+                assert not crossed
+                rep = path_independence_report(s, z0, z1)
+                assert rep.details == want, (z0, z1)
+                assert rep.max_norm == max(want.values())
+                assert rep.l2_norm == rep.max_norm
+        assert path_independence_report(s, points[0], points[0]).max_norm == 0.0
+
+    def masked(self, k):
+        """Holomorphic data on 21x17, masked at index k, and z0, z1 at the
+        indices (5, 4), (15, 12): the L-path runs along row 4 and column
+        15, the reversed L along column 5 and row 12."""
+        g = GridSpec(-1, 1, -0.5, 1.5, 21, 17)
+        s = family_holomorphic().spinor(g)
+        mask = np.zeros(g.shape, bool)
+        mask[k] = True
+        s = SpinorField(ComplexField(g, s.psi1.values, mask),
+                        ComplexField(g, s.psi2.values, mask))
+        return s, (g.xs()[5], g.ys()[4]), (g.xs()[15], g.ys()[12])
+
+    @pytest.mark.parametrize("k", [(10, 4), (15, 8), (5, 8), (10, 12),
+                                   (5, 4), (15, 4), (5, 12), (15, 12)],
+                             ids=["row-j0", "column-i1", "column-i0", "row-j1",
+                                  "z0", "corner-xy", "corner-yx", "z1"])
+    def test_masked_point_on_a_line_raises(self, k):
+        s, z0, z1 = self.masked(k)
+        assert full_grid_paths(s, z0, z1)[1]
+        with pytest.raises(NumericalBreakdown, match="comparison path"):
+            path_independence_report(s, z0, z1)
+
+    @pytest.mark.parametrize("k", [(10, 8), (2, 4), (15, 14), (5, 2), (18, 12), (0, 0)])
+    def test_masked_point_off_the_lines(self, k):
+        s, z0, z1 = self.masked(k)
+        want, crossed = full_grid_paths(s, z0, z1)
+        assert not crossed
+        rep = path_independence_report(s, z0, z1)
+        assert rep.details == want
+        assert rep.max_norm == max(want.values())
+        assert rep.masked_points == 1
 
 
 class TestFundamentalForms:
@@ -456,6 +547,21 @@ def test_induce_command_bytes_on_a_masked_grid(tmp_path):
     assert len(set(np.flatnonzero(srf.mask.any(axis=1)) // 8)) == 3
 
 
+def traced_peak(call):
+    """The peak memory tracemalloc traces while `call()` runs, above what
+    was allocated when it started."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_export_peak_memory(tmp_path):
     # every value distinct, as on holomorphic data: one whole-grid table of
     # reprs traced 19.5 MB at 251x251, against 1.18 MB for a writer that
@@ -465,17 +571,24 @@ def test_export_peak_memory(tmp_path):
     srf = param_surface(g, *(lambda x, y: rng.standard_normal(x.shape) for _ in range(3)))
     ff = fundamental_forms(srf)
     ff.mean_curvature, ff.gauss_curvature      # cached before tracing starts
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        export_mesh(srf, tmp_path / "m.obj", csv_path=tmp_path / "m.csv", ff=ff)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = traced_peak(lambda: export_mesh(srf, tmp_path / "m.obj",
+                                           csv_path=tmp_path / "m.csv", ff=ff))
     assert peak <= 3 * 2**20
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 999, 1000, 63001, 160801])
+def test_face_labels_are_decimal_strings(n):
+    from gwsurf.inducer import _labels
+    labels = _labels(n)
+    assert labels.dtype == np.dtype(f"S{len(str(n))}")
+    assert labels.tolist() == [str(k).encode() for k in range(n + 1)]
+
+
+def test_face_labels_peak_memory():
+    # np.arange(n + 1).astype("S5") traces 0.82 MB at n = 63,001: an int64
+    # arange next to the table
+    from gwsurf.inducer import _labels
+    assert traced_peak(lambda: _labels(63001)) <= 0.82e6
 
 
 def test_masked_interior_point_drops_its_four_cells(tmp_path):
