@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Set
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -106,10 +106,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return grid
 
 
-def _fmt_grid(grid: tuple[int, int]) -> str:
-    return f"{grid[0]}x{grid[1]}"
-
-
 def _finite(text: str) -> float:
     value = float(text)
     # nan or inf would reach the families and the grid as a numerical error
@@ -167,17 +163,16 @@ class _Key:
     parse: Callable             # text (flag or config file) -> value
     report: Callable | None = None  # value -> report-config JSON; None: not stamped
     signed: bool = False        # the flag takes values that begin with '-'
-    families: tuple[str, ...] | None = None  # a family parameter: the families that read it
+    param: str | None = None    # a family parameter: its key in SolutionFamily.params
 
 
 _KEYS = (
     _Key("family", "family", "--family", _choice("family", FAMILY_NAMES), report=_json),
     _Key("lambda", "lam", "--lambda", _optional(_finite), report=_json, signed=True,
-         families=("rational", "exponential", "unimodular")),
-    _Key("a", "a", "--A", _optional(_finite), report=_json, signed=True, families=("trig",)),
-    _Key("h0", "h0", "--H0", _finite, report=_json, signed=True,
-         families=("unimodular", "holomorphic")),
-    _Key("grid", "grid", "--grid", _parse_grid, report=_fmt_grid),
+         param="lambda"),
+    _Key("a", "a", "--A", _optional(_finite), report=_json, signed=True, param="A"),
+    _Key("h0", "h0", "--H0", _finite, report=_json, signed=True, param="H0"),
+    _Key("grid", "grid", "--grid", _parse_grid, report=lambda g: f"{g[0]}x{g[1]}"),
     _Key("domain", "domain", "--domain", _optional(_domain),
          report=_json, signed=True),
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
@@ -218,21 +213,6 @@ def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # suite machinery
 
-def _class_of(fam: SolutionFamily) -> str:
-    """"varying_h" for the three families with nonconstant H, "constant_rho"
-    for unimodular at lambda = 0 (rho is constant: no spinor pair to check),
-    otherwise the family name."""
-    if fam.name in ("rational", "exponential", "trig"):
-        return "varying_h"
-    if fam.name == "unimodular" and not fam.params["lambda"]:
-        return "constant_rho"
-    return fam.name
-
-
-# every value of _class_of
-_CLASSES = frozenset({"varying_h", "unimodular", "constant_rho", "holomorphic"})
-
-
 # verify's inputs at one level, each built on first use and dropped after its
 # last reader; `reads` names the inputs one is built from. Suites run in the
 # order of the heaviest input they read (`weight`), so the readers of each
@@ -261,16 +241,11 @@ _INPUTS = {
 class SuiteSpec:
     name: str
     kind: str                   # exact | fd | control | classify
-    applies: Set[str]           # the family classes (_class_of) it runs for
+    needs: dict                 # SolutionFamily fact -> the value the suite runs for
     inputs: tuple               # names in _INPUTS
     runner: object              # fn(family, *inputs) -> ResidualReport
     tol: float = EXACT_TOL      # for exact suites
-    # fd suites: the family classes for which the O(h^2) ratio is enforced
-    expect_ratio: Set[str] = _CLASSES
-
-
-def _param(fam: SolutionFamily) -> float:
-    return fam.params.get("lambda", fam.params.get("A", 1.0))
+    roundoff_on_1d: bool = False  # fd: round-off on one-dimensional data; no ratio there
 
 
 def _max_abs(grid, values, mask) -> float:
@@ -378,78 +353,91 @@ def run_ll_necessity_control(fam, comm, h):
 def run_h_classification(fam, h):
     rep = h_integrability_residual(h, exclude_rings=2)
     details = dict(rep.details)
-    if fam.name == "rational":
-        # d dbar (1/H) of the rational family is the constant 2 lambda^2
-        details["expected"] = 2.0 * _param(fam)**2
+    if fam.ddbar_inv_h is not None:
+        details["expected"] = fam.ddbar_inv_h
     details["classified_integrable"] = bool(rep.max_norm <= 1e-6)
     return replace(rep, details=details)
 
 
+# `needs` states each suite's hypothesis as facts of the family; a comment
+# names a fact that narrows a row below its hypothesis, and why.
 SUITES = (
-    SuiteSpec("dirac_exact", "exact", {"varying_h", "unimodular", "holomorphic"},
-              ("spinor", "h"), lambda fam, s, h: weierstrass_residual(s, h)),
-    SuiteSpec("sigma_exact", "exact", _CLASSES, ("rho", "h"),
-              lambda fam, rho, h: sigma_residual(rho, h)),
-    SuiteSpec("conservation_exact", "exact", {"varying_h", "unimodular", "holomorphic"},
-              ("spinor",), lambda fam, s: potential_conservation_residual(s)),
-    SuiteSpec("roundtrip_exact", "exact", {"varying_h"}, ("rho", "h"), run_roundtrip_exact),
-    SuiteSpec("transform_exact", "exact", {"varying_h"}, ("rho", "h", "spinor"),
+    SuiteSpec("dirac_exact", "exact", {"constant_rho": False}, ("spinor", "h"),
+              lambda fam, s, h: weierstrass_residual(s, h)),
+    SuiteSpec("sigma_exact", "exact", {}, ("rho", "h"), lambda fam, r, h: sigma_residual(r, h)),
+    SuiteSpec("conservation_exact", "exact", {"constant_rho": False}, ("spinor",),
+              lambda fam, s: potential_conservation_residual(s)),
+    # varying H: also round-off on unimodular and holomorphic, never run there
+    SuiteSpec("roundtrip_exact", "exact", {"constant_h": False}, ("rho", "h"),
+              run_roundtrip_exact),
+    # varying H: on unimodular, psi_from_rho's sign sweep drops the jets (8.3e-6)
+    SuiteSpec("transform_exact", "exact", {"constant_h": False}, ("rho", "h", "spinor"),
               run_transform_exact),
-    SuiteSpec("spin_algebra_exact", "exact", _CLASSES, ("rho",),
+    SuiteSpec("spin_algebra_exact", "exact", {}, ("rho",),
               lambda fam, rho: spin_matrix(rho).algebra_report()),
-    SuiteSpec("current_identity_exact", "exact", {"varying_h", "unimodular"}, ("spinor", "h"),
+    # |J|^2 = p^4 H^2 is sinh-Gordon at d dbar ln p = 0
+    SuiteSpec("current_identity_exact", "exact", {"constant_density": True}, ("spinor", "h"),
               run_current_identity_exact, POINTWISE_TOL),
-    SuiteSpec("constraints_exact", "exact", {"varying_h"}, ("spinor",), run_constraints_exact,
+    # varying H, as in linear_system_*: unimodular passes too, never run there
+    SuiteSpec("constraints_exact", "exact", {"constant_density": True, "constant_h": False},
+              ("spinor",), run_constraints_exact, POINTWISE_TOL),
+    SuiteSpec("linear_system_exact", "exact", {"constant_density": True, "constant_h": False},
+              ("spinor", "h"),
+              lambda fam, s, h: linear_system_residual(s, h, fam.p0, exclude_rings=2),
               POINTWISE_TOL),
-    SuiteSpec("linear_system_exact", "exact", {"varying_h"}, ("spinor", "h"),
-              lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
-                                                       exclude_rings=2),
-              POINTWISE_TOL),
-    SuiteSpec("deformed_ll_exact", "exact", {"varying_h"}, ("rho", "h"),
+    # varying H: for constant H this is the undeformed equation of ll_fd
+    SuiteSpec("deformed_ll_exact", "exact", {"constant_h": False}, ("rho", "h"),
               lambda fam, rho, h: deformed_ll_residual(ll_commutator(rho), h), POINTWISE_TOL),
-    SuiteSpec("compatibility_exact", "exact", {"unimodular"}, ("rho", "h"),
-              lambda fam, rho, h: compatibility_residual(rho, h, exclude_rings=2),
+    SuiteSpec("compatibility_exact", "exact", {"unit_rho": True, "constant_rho": False},
+              ("rho", "h"), lambda fam, rho, h: compatibility_residual(rho, h, exclude_rings=2),
               POINTWISE_TOL),
-    SuiteSpec("h_constancy_exact", "exact", {"unimodular", "constant_rho"}, ("rho", "h"),
+    SuiteSpec("h_constancy_exact", "exact", {"unit_rho": True}, ("rho", "h"),
               run_h_constancy_exact, POINTWISE_TOL),
-    SuiteSpec("multisoliton_exact", "exact", {"unimodular", "constant_rho"}, ("rho", "h"),
+    SuiteSpec("multisoliton_exact", "exact", {"unit_rho": True}, ("rho", "h"),
               run_multisoliton_exact, POINTWISE_TOL),
-    SuiteSpec("dirac_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
+    # the stencil rows below that need a varying H pass for constant H too;
+    # they check the stencils where the terms in H are not zero
+    SuiteSpec("dirac_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: weierstrass_residual(s, h)),
     # the mixed second derivative composes two stencils, so the boundary
     # seam converges one order slower; the interior carries the O(h^2) claim
-    SuiteSpec("sigma_fd", "fd", {"varying_h"}, ("rho_fd", "h_fd"),
+    SuiteSpec("sigma_fd", "fd", {"constant_h": False}, ("rho_fd", "h_fd"),
               lambda fam, rho, h: sigma_residual(rho, h, exclude_rings=2)),
-    SuiteSpec("conservation_fd", "fd", {"varying_h"}, ("spinor_fd",),
+    SuiteSpec("conservation_fd", "fd", {"constant_h": False}, ("spinor_fd",),
               lambda fam, s: potential_conservation_residual(s)),
-    SuiteSpec("roundtrip_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"), run_roundtrip_fd),
-    SuiteSpec("current_defect_fd", "fd", {"varying_h", "unimodular"}, ("spinor_fd", "h_fd"),
+    SuiteSpec("roundtrip_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
+              run_roundtrip_fd),
+    # spinor forms: holomorphic's transform spinor passes too, never run there
+    SuiteSpec("current_defect_fd", "fd", {"spinor_forms": True}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: dbar_J_defect(s, h, exclude_rings=2)),
-    SuiteSpec("modified_current_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
-              run_modified_current_fd),
-    SuiteSpec("sinh_gordon_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
+    # integrates p^2 dH along rows, exact for data of z + conj(z)
+    SuiteSpec("modified_current_fd", "fd", {"constant_h": False, "one_dimensional": True},
+              ("spinor_fd", "h_fd"), run_modified_current_fd),
+    SuiteSpec("sinh_gordon_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: sinh_gordon_residual(s, h, exclude_rings=2)),
-    SuiteSpec("deformed_ll_fd", "fd", {"varying_h"}, ("ll_commutator_fd", "h_fd"),
+    SuiteSpec("deformed_ll_fd", "fd", {"constant_h": False}, ("ll_commutator_fd", "h_fd"),
               lambda fam, comm, h: deformed_ll_residual(comm, h, exclude_rings=2)),
-    SuiteSpec("riccati_fd", "fd", {"varying_h"}, ("rho_fd",), run_riccati_fd,
-              expect_ratio=set()),
-    SuiteSpec("linear_system_fd", "fd", {"varying_h"}, ("spinor_fd", "h_fd"),
-              lambda fam, s, h: linear_system_residual(s, h, abs(_param(fam)),
-                                                       exclude_rings=2)),
-    SuiteSpec("ll_fd", "fd", {"unimodular", "constant_rho", "holomorphic"},
-              ("ll_commutator_fd",),
+    SuiteSpec("riccati_fd", "fd", {"constant_h": False}, ("rho_fd",), run_riccati_fd,
+              roundoff_on_1d=True),
+    SuiteSpec("linear_system_fd", "fd", {"constant_density": True, "constant_h": False},
+              ("spinor_fd", "h_fd"),
+              lambda fam, s, h: linear_system_residual(s, h, fam.p0, exclude_rings=2)),
+    SuiteSpec("ll_fd", "fd", {"constant_h": True}, ("ll_commutator_fd",),
               lambda fam, comm: landau_lifshitz_residual(comm, exclude_rings=2),
-              expect_ratio={"holomorphic"}),
-    SuiteSpec("path_independence_fd", "fd", {"varying_h", "holomorphic"}, ("spinor",),
-              run_path_independence_fd, expect_ratio={"holomorphic"}),
-    SuiteSpec("ll_necessity_control", "control", {"varying_h"}, ("ll_commutator_fd", "h_fd"),
-              run_ll_necessity_control),
-    SuiteSpec("h_classification", "classify", {"varying_h"}, ("h",), run_h_classification),
+              roundoff_on_1d=True),
+    # |rho| != 1: also round-off on unimodular, never run there
+    SuiteSpec("path_independence_fd", "fd", {"unit_rho": False}, ("spinor",),
+              run_path_independence_fd, roundoff_on_1d=True),
+    # the undeformed equation fails only where H varies
+    SuiteSpec("ll_necessity_control", "control", {"constant_h": False},
+              ("ll_commutator_fd", "h_fd"), run_ll_necessity_control),
+    # varying H: d dbar(1/H) = 0 holds trivially for constant H
+    SuiteSpec("h_classification", "classify", {"constant_h": False}, ("h",), run_h_classification),
 )
 
 
 def _suites_for(fam: SolutionFamily) -> list[SuiteSpec]:
-    return [s for s in SUITES if _class_of(fam) in s.applies]
+    return [s for s in SUITES if all(getattr(fam, k) == v for k, v in s.needs.items())]
 
 
 def _evaluation_order(suites: list[SuiteSpec]) -> list[SuiteSpec]:
@@ -478,25 +466,22 @@ class _Level:
     def __init__(self, fam: SolutionFamily, grid: GridSpec, readers: dict[str, int]):
         self.fam, self.grid = fam, grid
         self._left = dict(readers)
-        self._built = {}
+        self.built = {}
 
     def get(self, name: str):
-        if name not in self._built:
+        if name not in self.built:
             spec = _INPUTS[name]
             reads = [self.get(n) for n in spec.reads]
-            self._built[name] = spec.build(self.fam, self.grid, *reads)
+            self.built[name] = spec.build(self.fam, self.grid, *reads)
             del reads
             for n in spec.reads:
                 self.release(n)
-        return self._built[name]
+        return self.built[name]
 
     def release(self, name: str) -> None:
         self._left[name] -= 1
         if not self._left[name]:
-            del self._built[name]
-
-    def built(self):
-        return list(self._built.values())
+            del self.built[name]
 
 
 def _call(spec: SuiteSpec, fam: SolutionFamily, inputs: list) -> ResidualReport:
@@ -523,7 +508,7 @@ def _run_level(suites, fam, grid, readers, pool=None) -> list[ResidualReport]:
         return reports
 
     args = [[level.get(n) for n in spec.inputs] for spec in suites]
-    for value in level.built():
+    for value in level.built.values():
         fill_stencils(value)
     return list(pool.map(_call, suites, [fam] * len(suites), args))
 
@@ -533,6 +518,14 @@ def _level_entry(rep: ResidualReport) -> dict:
     g = rep.grid
     return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "max_norm": rep.max_norm,
             "l2_norm": rep.l2_norm, "masked_points": rep.masked_points, "details": rep.details}
+
+
+def _result(name: str, kind: str, notes: list, reports, ratios, tolerances) -> dict:
+    """A suite result, as its report file stores it; it passes when `notes`
+    holds no failed check."""
+    return {"suite": name, "kind": kind, "passed": not notes, "notes": notes,
+            "levels": [_level_entry(r) for r in reports], "ratios": ratios,
+            "tolerances": tolerances}
 
 
 def _gate(spec: SuiteSpec, fam: SolutionFamily, reports, tol_scale) -> dict:
@@ -561,7 +554,7 @@ def _gate(spec: SuiteSpec, fam: SolutionFamily, reports, tol_scale) -> dict:
             tolerances.append(tol)
             if m > tol:
                 notes.append(f"residual {m:.3e} above tol {tol:.3e} at h={h:.4g}")
-        if _class_of(fam) in spec.expect_ratio and maxes[0] > 100 * FD_FLOOR:
+        if not (spec.roundoff_on_1d and fam.one_dimensional) and maxes[0] > 100 * FD_FLOOR:
             for k, ratio in enumerate(ratios):
                 if ratio < RATIO_MIN:
                     notes.append(f"nonconvergent: ratio {ratio:.2f} < {RATIO_MIN} "
@@ -583,15 +576,7 @@ def _gate(spec: SuiteSpec, fam: SolutionFamily, reports, tol_scale) -> dict:
             if maxes[-1] < 1e-3:
                 notes.append("expected a non-integrable-class mean curvature")
 
-    return {
-        "suite": spec.name,
-        "kind": spec.kind,
-        "passed": not notes,
-        "notes": notes,
-        "levels": [_level_entry(r) for r in reports],
-        "ratios": ratios,
-        "tolerances": tolerances,
-    }
+    return _result(spec.name, spec.kind, notes, reports, ratios, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +588,11 @@ def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
     A family parameter set away from its default for a family that does not
     read it is a usage error (ValueError): it would be stamped into every
     report without shaping any result."""
-    for key in _KEYS:
-        if (key.families and cfg.family not in key.families
-                and getattr(cfg, key.field) != getattr(RunConfig, key.field)):
-            raise ValueError(f"{key.flag}: the {cfg.family} family takes no "
-                             f"{key.flag[2:]} (only {', '.join(key.families)} do)")
     fam = build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
+    for key in _KEYS:
+        if (key.param and key.param not in fam.params
+                and getattr(cfg, key.field) != getattr(RunConfig, key.field)):
+            raise ValueError(f"{key.flag}: the {cfg.family} family takes no {key.flag[2:]}")
     grids = [GridSpec(*(cfg.domain or fam.default_domain), *cfg.grid)]
     for _ in range(cfg.levels - 1):
         grids.append(grids[-1].refined())
@@ -689,16 +673,8 @@ def cmd_induce(cfg: RunConfig) -> int:
         details={"k_consistency": k_err, "imag_residue": srf.imag_residue,
                  "determination_consistency": srf.determination_consistency,
                  "vertices": nverts, "faces": nfaces})
-    res = {
-        "suite": "curvature_closure",
-        "kind": "fd",
-        "passed": bool(passed),
-        "notes": [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"],
-        "levels": [_level_entry(level)],
-        "ratios": [],
-        "tolerances": [tol],
-    }
-    _write_report(cfg, fam, res)
+    notes = [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"]
+    _write_report(cfg, fam, _result("curvature_closure", "fd", notes, [level], [], [tol]))
     print(f"{'PASS' if passed else 'FAIL'}  {fam.name}:curvature_closure  "
           f"|H_num - H|={closure:.3e}  K error={k_err:.3e}  ({nverts} vertices)")
     return EXIT_OK if passed else EXIT_NUMERICAL
@@ -710,21 +686,27 @@ def cmd_report(cfg: RunConfig) -> int:
     for fname in names:
         if not fname.endswith(".json") or fname.startswith("summary"):
             continue
-        with open(os.path.join(cfg.out, fname), "r", encoding="ascii") as fh:
-            data = json.load(fh)
-        if "suite" not in data or "levels" not in data:
-            continue
-        finest = data["levels"][-1]
-        rows.append({
-            "file": fname,
-            "family": data.get("family", "?"),
-            "suite": data["suite"],
-            "kind": data.get("kind", "?"),
-            "max_norm": finest["max_norm"],
-            "tolerance": (data.get("tolerances") or [float("nan")])[-1],
-            "ratio": (data.get("ratios") or [None])[-1],
-            "passed": bool(data.get("passed", False)),
-        })
+        path = os.path.join(cfg.out, fname)
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict) or "suite" not in data or "levels" not in data:
+                continue
+            if not (isinstance(data["levels"], list) and data["levels"]):
+                raise ValueError("levels is not a non-empty list")
+            rows.append({
+                "file": fname,
+                "family": data.get("family", "?"),
+                "suite": data["suite"],
+                "kind": data.get("kind", "?"),
+                "max_norm": float(data["levels"][-1]["max_norm"]),
+                "tolerance": float((data.get("tolerances") or [float("nan")])[-1]),
+                "ratio": (data.get("ratios") or [None])[-1],
+                "passed": bool(data.get("passed", False)),
+            })
+        except (ValueError, LookupError, TypeError) as exc:  # not ASCII, JSON or a report
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_NOINPUT
     if not rows:
         print(f"no reports found in {cfg.out!r}", file=sys.stderr)
         return EXIT_NOINPUT

@@ -11,7 +11,7 @@ one-dimensional families depend on z only through s = z + conj(z):
 
 In each case H is proportional to d(rho)/ds / (1 + rho^2), which is
 exactly the compatibility the sigma system forces on one-dimensional real
-profiles; consequently the density is constant (p = lam, lam, A). The
+profiles; consequently the density is constant (|lam|, |lam|, |A|). The
 trig family is admissible on the strip 0 < A*s < pi/2 (minus a guard
 band) where both cos(A*s) and H stay positive; its forms' guard masks
 the rest.
@@ -24,6 +24,12 @@ Two constant-H families feed the spin-matrix and multisoliton checks:
 The unimodular spinor uses the globally smooth square-root branch
 w = sqrt(i*lam) * exp(i*lam*s/2) rather than the pointwise principal
 branch, which would introduce a spurious cut line.
+
+Each family states the facts of its solution that decide which suites
+`gwsurf verify` runs: constant H, |rho| = 1, constant rho (no spinor
+pair: unimodular at lam = 0), the constant density p0 (|lam|/(2*H0) for
+unimodular) and the constant d dbar(1/H) (2*lam^2 for rational, 0 for
+constant H), the last two None where not constant.
 """
 from __future__ import annotations
 
@@ -45,7 +51,10 @@ __all__ = ["SolutionFamily", "family_rational", "family_exponential",
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """A named (H, rho, psi) triple of closed forms.
+    """A named (H, rho, psi) triple of closed forms and the facts its
+    solution has: whether H is constant, |rho| = 1 and rho constant, and
+    the constant density p0 and d dbar(1/H), each None where not constant;
+    `constant_density`, `one_dimensional` and `spinor_forms` are derived.
 
     `h`, `rho` and `spinor` sample it on a grid, keeping the forms as
     sources (analytic derivatives); without_source() (without_sources()
@@ -59,12 +68,29 @@ class SolutionFamily:
     rho_form: ClosedForm
     psi1_form: ClosedForm | None
     psi2_form: ClosedForm | None
-    default_domain: tuple
+    constant_h: bool            # H is constant
+    unit_rho: bool              # |rho| = 1
+    constant_rho: bool          # rho is constant: there is no spinor pair
+    p0: float | None            # the constant density |psi1|^2 + |psi2|^2, or None
+    ddbar_inv_h: float | None   # the constant d dbar(1/H), or None
+    default_domain: tuple = (-1.0, 1.0, -1.0, 1.0)
     eps: int = 1
 
     def __post_init__(self):
         if self.eps not in (+1, -1):
             raise ValueError("branch sign must be +1 or -1")
+
+    @property
+    def constant_density(self) -> bool:
+        return self.p0 is not None
+
+    @property
+    def one_dimensional(self) -> bool:      # H and rho depend on z + conj(z) only
+        return self.h_form.diagonal and self.rho_form.diagonal
+
+    @property
+    def spinor_forms(self) -> bool:         # else `spinor` runs the transform
+        return self.psi1_form is not None
 
     def h(self, grid: GridSpec) -> RealField:
         return sample_real(self.h_form, grid)
@@ -82,24 +108,20 @@ class SolutionFamily:
         return GridSpec(x0, x1, y0, y1, nx, ny)
 
 
-def _transform_forms(rho, drho, h, eps: int, guard):
-    """psi forms of a one-dimensional rho, d(rho)/ds and H (functions of s),
-    through the square-root transform `psi_pair` that `psi_from_rho` uses."""
+def _one_dimensional(name, params, rho, drho, h, eps, p0, ddbar_inv_h=None, guard=None,
+                     default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:
+    """A family from rho, d(rho)/ds and H, all functions of s sharing one
+    guard, H varying and |rho| not 1; its psi forms are the square-root
+    transform `psi_pair` that `psi_from_rho` uses."""
     def pair(s):
         return psi_pair(rho(s), drho(s), h(s), eps)
 
-    return (diagonal_form(lambda s: pair(s)[0], guard=guard),
-            diagonal_form(lambda s: pair(s)[1], guard=guard))
-
-
-def _one_dimensional(name, params, rho, drho, h, eps, guard=None,
-                     default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:
-    """A family from rho, d(rho)/ds and H, all functions of s sharing one guard."""
-    psi1, psi2 = _transform_forms(rho, drho, h, eps, guard)
+    psi1, psi2 = (diagonal_form(lambda s, k=k: pair(s)[k], guard=guard) for k in (0, 1))
     return SolutionFamily(
         name=name, params=params,
         h_form=diagonal_form(h, guard=guard), rho_form=diagonal_form(rho, guard=guard),
-        psi1_form=psi1, psi2_form=psi2, default_domain=default_domain, eps=eps)
+        psi1_form=psi1, psi2_form=psi2, default_domain=default_domain, constant_h=False,
+        unit_rho=False, constant_rho=False, p0=p0, ddbar_inv_h=ddbar_inv_h, eps=eps)
 
 
 def family_rational(lam: float, eps: int = 1) -> SolutionFamily:
@@ -109,7 +131,7 @@ def family_rational(lam: float, eps: int = 1) -> SolutionFamily:
     lam = float(lam)
     # d rho/ds is complex so that sqrt of a negative lam takes the principal branch
     return _one_dimensional(
-        "rational", {"lambda": lam}, eps=eps,
+        "rational", {"lambda": lam}, eps=eps, p0=abs(lam), ddbar_inv_h=2.0 * lam * lam,
         rho=lambda s: lam * s, drho=lambda s: complex(lam),
         h=lambda s: 1 / (1 + lam * lam * (s * s)))
 
@@ -120,7 +142,7 @@ def family_exponential(lam: float, eps: int = 1) -> SolutionFamily:
         raise ValueError("parameter must be nonzero")
     lam = float(lam)
     return _one_dimensional(
-        "exponential", {"lambda": lam}, eps=eps,
+        "exponential", {"lambda": lam}, eps=eps, p0=abs(lam),
         rho=lambda s: exp(lam * s), drho=lambda s: lam * exp(lam * s),
         h=lambda s: exp(lam * s) / (1 + exp(2 * lam * s)))
 
@@ -150,7 +172,7 @@ def family_trigonometric(a: float, eps: int = 1) -> SolutionFamily:
         return ~((s > lo) & (s < hi))
 
     return _one_dimensional(
-        "trig", {"A": a}, eps=eps,
+        "trig", {"A": a}, eps=eps, p0=abs(a),
         rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h, guard=guard,
         default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0))
 
@@ -175,16 +197,17 @@ def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFami
     return SolutionFamily(
         name="unimodular", params={"lambda": lam, "H0": h0},
         h_form=diagonal_form(lambda s: h0), rho_form=diagonal_form(rho),
-        psi1_form=psi1, psi2_form=psi2, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+        psi1_form=psi1, psi2_form=psi2, constant_h=True, unit_rho=True, constant_rho=not lam,
+        p0=abs(lam) / (2 * h0) if lam else None, ddbar_inv_h=0.0, eps=eps)
 
 
 def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
                        eps: int = 1) -> SolutionFamily:
     """Holomorphic rho = f(z), a solution exactly when H is constant.
 
-    Defaults to f(z) = z. The spinor pair is produced by the generic
-    transform at sampling time (dbar rho vanishes, but dbar conj(rho)
-    does not).
+    Defaults to f(z) = z; f must not be constant. The spinor pair is
+    produced by the generic transform at sampling time (dbar rho
+    vanishes, but dbar conj(rho) does not).
     """
     if not h0 > 0:      # nan fails this test too
         raise ValueError("constant mean curvature must be positive")
@@ -192,9 +215,9 @@ def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
         f = holomorphic_form(lambda z: z)
     h0 = float(h0)
     return SolutionFamily(
-        name="holomorphic", params={"H0": h0},
-        h_form=diagonal_form(lambda s: h0), rho_form=f,
-        psi1_form=None, psi2_form=None, default_domain=(-1.0, 1.0, -1.0, 1.0), eps=eps)
+        name="holomorphic", params={"H0": h0}, h_form=diagonal_form(lambda s: h0), rho_form=f,
+        psi1_form=None, psi2_form=None, constant_h=True, unit_rho=False, constant_rho=False,
+        p0=None, ddbar_inv_h=0.0, eps=eps)
 
 
 FAMILY_NAMES = ("rational", "exponential", "trig", "unimodular", "holomorphic")

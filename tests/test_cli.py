@@ -137,13 +137,15 @@ _SUITE_SETS = {
 @pytest.mark.parametrize("case", sorted(_SUITE_SETS))
 def test_suite_set_per_family(case):
     """Which suites run, at which tolerance, and whether the O(h^2) ratio
-    is enforced; report bytes show expect_ratio only when a ratio fails."""
-    from gwsurf.cli import _class_of, _suites_for
+    is enforced (not for a suite that is round-off on one-dimensional data,
+    run on such data); report bytes show it only when a ratio fails."""
+    from gwsurf.cli import _suites_for
     from gwsurf.families import build_family
     name, _, lam = case.partition("-lambda")
     fam = build_family(name, lam=float(lam) if lam else None)
     specs = _suites_for(fam)
-    resolved = {(s.name, s.kind, s.tol, _class_of(fam) in s.expect_ratio) for s in specs}
+    resolved = {(s.name, s.kind, s.tol, not (s.roundoff_on_1d and fam.one_dimensional))
+                for s in specs}
     assert len(resolved) == len(specs)
     assert resolved == _SUITE_SETS[case]
 
@@ -436,6 +438,38 @@ class TestReport:
             json.dump(fake, fh)
         assert run(["report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
+    _GOOD = {"suite": "ok", "family": "rational", "kind": "exact", "passed": True,
+             "levels": [{"max_norm": 1e-13}], "ratios": [], "tolerances": [1e-12]}
+
+    # (file content, whether it is skipped; else an input error)
+    @pytest.mark.parametrize("content, skipped", [
+        ('"suite levels"', True), ('["suite", "levels"]', True), ("null", True), ("3", True),
+        ('{"suite": "x", "levels": []}', False), ('{"suite": "x", "levels": "abc"}', False),
+        ('{"suite": "x", "levels": {}}', False), ('{"suite": "x", "levels": [{}]}', False),
+        ("not json {", False), ('{"suite": "x", "levels": [', False),
+        (b'{"suite": "\xc3\xa9"}', False),
+    ], ids=["string", "list", "null", "number", "empty-levels", "string-levels",
+            "object-levels", "level-without-max-norm", "not-json", "truncated", "not-ascii"])
+    def test_malformed_json_is_skipped_or_an_input_error(self, tmp_path, capsys, content,
+                                                          skipped):
+        # the files in the output directory are not the program's to trust
+        (tmp_path / "a_good.json").write_text(json.dumps(self._GOOD))
+        bad = tmp_path / "b_bad.json"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        code = run(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if skipped:
+            assert code == EXIT_OK, err
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert [r["file"] for r in summary["suites"]] == ["a_good.json"]
+        else:
+            assert code == EXIT_NOINPUT
+            assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1, err
+            assert not (tmp_path / "summary.json").exists()
+
     def test_csv_format(self, tmp_path):
         assert run(["verify", "--family", "holomorphic",
                     "--grid", "31x31", "--out", str(tmp_path)]) == EXIT_OK
@@ -570,7 +604,7 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     grids.append(grids[0].refined())
     reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, deformed=1e-6)
                for g in grids]
-    spec = SuiteSpec("broken", kind, {"varying_h"}, (), None, expect_ratio=set())
+    spec = SuiteSpec("broken", kind, {"constant_h": False}, (), None, roundoff_on_1d=True)
     res = _gate(spec, family_rational(1.0), reports, 1.0)
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)

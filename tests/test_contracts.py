@@ -1,8 +1,9 @@
 """API contracts: residuals reject an H sampled on another grid, every
 module's export list is re-exported by the package, the public API
-keeps one name for each curvature and one switch to stencils, and every
+keeps one name for each curvature and one switch to stencils, every
 field shows grid-shaped, read-only values and mask, however it is
-stored."""
+stored, and the command line decides nothing by a family's name."""
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -138,3 +139,20 @@ def test_fields_show_grid_shaped_read_only_arrays(name):
                 arr[0, 0] = 0
         assert all(a.shape in (g.shape, (g.nx, 1)) for a in f.stored)
         assert f.stored[0].shape == f.stored[1].shape
+
+
+def test_cli_does_not_branch_on_family_names():
+    # which suites run, and what they expect, follows from the facts a
+    # family states; a family's name only names output files and lines
+    import gwsurf.cli
+    tree = ast.parse(inspect.getsource(gwsurf.cli))
+    (config,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig"]
+    (default,) = [n.value for n in config.body
+                  if isinstance(n, ast.AnnAssign) and n.target.id == "family"]
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Constant)
+             and n.value in gwsurf.FAMILY_NAMES and n is not default]
+    assert not names, [(n.lineno, n.value) for n in names]
+    readers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "name"
+               and isinstance(n.value, ast.Name) and n.value.id == "fam"}
+    assert readers == {"_write_report", "cmd_verify", "cmd_induce"}

@@ -7,8 +7,8 @@ from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
                     family_rational, family_trigonometric, family_unimodular,
                     multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
                     spin_matrix, weierstrass_residual)
-from gwsurf.calculus import _d1, d_z, dy
-from gwsurf.closedform import field_mul, holomorphic_form, sample
+from gwsurf.calculus import _d1, d_z, dy, mixed_dzbar_dz
+from gwsurf.closedform import field_mul, holomorphic_form, pointwise, sample
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -310,3 +310,41 @@ def test_fd_mean_curvature_has_no_source(name):
     assert np.array_equal(_bits(dy(h).values), _bits(np.zeros(g.shape)))
     gx, bad = _d1(values, ~mask, g.hx)
     assert np.array_equal(_bits(d_z(h).stored[0]), _bits(np.where(bad, 0, 0.5 * (gx - 0j))))
+
+
+@pytest.mark.parametrize("name,kw", CASES + [("unimodular", {"lam": 0.0}), ("trig", {"a": -2.0}),
+                                             ("unimodular", {"lam": 2.0, "h0": 0.5})])
+def test_stated_facts_hold_on_the_default_grid(name, kw):
+    # `gwsurf verify` picks suites by these facts, so a wrong one, False or
+    # None included, silently drops or adds a suite
+    fam = build_family(name, **kw)
+    g = fam.default_grid()
+    h, rho, s = fam.h(g), fam.rho(g), fam.spinor(g)
+    ok = ~(h.mask | rho.mask)
+    hv, rv = h.values[ok], rho.values[ok]
+    assert hv.size
+    spread = np.ptp(hv)
+    assert spread <= 1e-15 if fam.constant_h else spread > 1e-3
+    unit = np.max(np.abs(np.abs(rv) - 1.0))
+    assert unit <= 1e-15 if fam.unit_rho else unit > 1e-3
+    assert np.all(rv == rv[0]) if fam.constant_rho else np.max(np.abs(rv - rv[0])) > 1e-3
+
+    p = density_p(s)
+    pv = p.values[~p.mask]
+    if fam.p0 is not None:
+        assert pv.size and np.max(np.abs(pv - fam.p0)) <= 1e-12
+    else:
+        assert pv.size == 0 or np.ptp(pv) > 1e-3
+
+    assert h.source is not None
+    ddbar = mixed_dzbar_dz(pointwise(lambda v: 1.0 / v, h))
+    dv = ddbar.values[~ddbar.mask]
+    assert dv.size
+    if fam.ddbar_inv_h is not None:
+        assert np.max(np.abs(dv - fam.ddbar_inv_h)) <= 1e-12
+    else:
+        assert np.ptp(dv.real) > 1e-3
+
+    stored = [h.stored[0], rho.stored[0], s.psi1.stored[0], s.psi2.stored[0]]
+    assert (all(a.shape == (g.nx, 1) for a in stored) if fam.one_dimensional
+            else all(a.shape == g.shape for a in stored[1:]))
