@@ -8,10 +8,12 @@ verify   run every residual suite applicable to the configured family at
 induce   build the surface, write OBJ + CSV + a curvature-closure report.
 report   merge suite JSONs from the output directory into one summary.
 
-Exit codes: 0 pass, 2 numerical failure, 64 usage error, 66 missing
-inputs. The environment variable WSL_OUT overrides --out. Outputs are
-deterministic byte-for-byte for identical configurations (reports embed
-the grid, tolerances and library version; never timestamps).
+Exit codes: 0 pass, 2 numerical failure, 64 usage error, 66 missing or
+unreadable inputs, 73 an output that cannot be created or written (the
+sysexits table). The environment variable WSL_OUT overrides --out.
+Outputs are deterministic byte-for-byte for identical configurations
+(reports embed the grid, tolerances and library version; never
+timestamps).
 
 Tolerances: exact suites must reach 1e-12 (1e-10 where an extra
 multiplication is involved). Finite-difference suites use the measured
@@ -58,6 +60,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 EXACT_TOL = 1e-12
 POINTWISE_TOL = 1e-10
@@ -694,6 +697,11 @@ def cmd_report(cfg: RunConfig) -> int:
                 continue
             if not (isinstance(data["levels"], list) and data["levels"]):
                 raise ValueError("levels is not a non-empty list")
+            for key in ("suite", "family", "kind"):
+                if not isinstance(data.get(key, ""), str):
+                    raise ValueError(f"{key} is not a string")
+            if not isinstance(data.get("passed", False), bool):
+                raise ValueError("passed is not true or false")
             rows.append({
                 "file": fname,
                 "family": data.get("family", "?"),
@@ -702,8 +710,11 @@ def cmd_report(cfg: RunConfig) -> int:
                 "max_norm": float(data["levels"][-1]["max_norm"]),
                 "tolerance": float((data.get("tolerances") or [float("nan")])[-1]),
                 "ratio": (data.get("ratios") or [None])[-1],
-                "passed": bool(data.get("passed", False)),
+                "passed": data.get("passed", False),
             })
+        except OSError as exc:  # not a readable file
+            print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_NOINPUT
         except (ValueError, LookupError, TypeError) as exc:  # not ASCII, JSON or a report
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_NOINPUT
@@ -803,6 +814,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an output that cannot be created or written
+        print(f"error: {exc.filename or cfg.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

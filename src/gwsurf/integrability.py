@@ -136,19 +136,7 @@ def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
 
 
-def _groups(*columns) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the byte arrays `columns`, side by side, grouped by equal
-    bytes: the first row of each group and each row's group index."""
-    rows = np.concatenate(columns, axis=1)
-    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                                  return_index=True, return_inverse=True)
-    return first, inverse
-
-
-# grid rows per block of the solve against the distinct pseudo-inverses, and
-# distinct keys per block of the designs and their pseudo-inverses
-_FIT_ROWS = 16
-_FIT_KEYS = 2048
+_FIT_POINTS = 4096
 
 
 def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
@@ -160,65 +148,37 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     (one per constraint) against the monomials 1, rho, rho^2 of its
     clamped 3x3 neighborhood. Masked neighbors drop out with zero weight.
 
-    A point's weighted design is an elementwise function of its nine
-    neighbour values and nine validity flags, so points are deduplicated
-    on those and the design is built and pseudo-inverted once per
-    distinct neighbourhood, in blocks; on a one-dimensional family that is
-    about one per grid row, on a holomorphic one one per point. Each point
-    first gets an integer id for the bytes of its value and validity flag
-    (17 B), and neighbourhoods are compared on their nine ids (36 B):
-    equal ids mean equal bytes, and the edge padding clamps ids as it
-    clamps values, so the groups, and the first point of each, are those
-    of the raw bytes. The same LAPACK call on the same bytes gives the
-    same pseudo-inverse, whatever the block, min-norm on rank-deficient
-    neighbourhoods included. Both right-hand sides are then solved in
-    blocks of grid rows, each against its points' distinct
-    pseudo-inverses, so no per-point (nx, ny, 3, 9) array is built.
+    Points are fitted in blocks of whole grid rows, about _FIT_POINTS
+    points and at least one row each: a block's designs are built and
+    pseudo-inverted together, and both right-hand sides solved against
+    them. The same LAPACK call on the same bytes gives the same
+    pseudo-inverse whatever the block, min-norm solutions included.
 
     A compact rho (a column, see grid) is fitted on its column: its
     clamped neighbourhoods are the same at every y, and so are the
     coefficients, which are columns too.
     """
-    grid = rho.grid
     drho, m1 = d_z(rho).stored
     dbrho, m2 = d_zbar(rho).stored
     valid = ~(rho.stored[1] | m1 | m2)
     nx, ny = valid.shape
-    values, drho, dbrho = (np.broadcast_to(a, valid.shape)
-                           for a in (rho.stored[0], drho, dbrho))
-
-    _, ids = _groups(np.ascontiguousarray(values).reshape(-1, 1).view(np.uint8),
-                     valid.reshape(-1, 1).view(np.uint8))
-    keys = _neighbourhoods(ids.astype(np.int32).reshape(nx, ny))
-    del ids
-    first, inverse = _groups(keys.reshape(nx * ny, 9).view(np.uint8))
-    del keys
-
-    rho_n = _neighbourhoods(values)
-    ok_n = _neighbourhoods(valid)
-
-    fi, fj = np.divmod(first, ny)
-    pinv = np.empty((len(first), 3, 9), dtype=complex)
-    for k in range(0, len(first), _FIT_KEYS):
-        block = slice(k, k + _FIT_KEYS)
-        rho_u = rho_n[fi[block], fj[block]].reshape(-1, 9)
-        w = ok_n[fi[block], fj[block]].reshape(-1, 9).astype(float)
-        design = np.stack([np.ones_like(rho_u), rho_u, rho_u**2], axis=-1) * w[..., None]
-        pinv[block] = np.linalg.pinv(design)
-    inverse = inverse.reshape(nx, ny)
+    rho_n, drho_n, dbrho_n, ok_n = (_neighbourhoods(np.broadcast_to(a, valid.shape))
+                                    for a in (rho.stored[0], drho, dbrho, valid))
 
     coef = np.empty((6, nx, ny), dtype=complex)
-    for rhs_values, out in ((drho, coef[:3]), (dbrho, coef[3:])):
-        rhs_n = _neighbourhoods(rhs_values)
-        for i in range(0, nx, _FIT_ROWS):
-            rows = slice(i, i + _FIT_ROWS)
-            rhs = rhs_n[rows].reshape(-1, ny, 9) * ok_n[rows].reshape(-1, ny, 9).astype(float)
-            c = np.einsum("...ck,...k->...c", pinv[inverse[rows]], rhs)
-            out[:, rows] = np.moveaxis(c, -1, 0)
+    step = max(1, _FIT_POINTS // ny)
+    for i in range(0, nx, step):
+        rows = slice(i, i + step)
+        r = rho_n[rows].reshape(-1, 9)
+        w = ok_n[rows].reshape(-1, 9).astype(float)
+        pinv = np.linalg.pinv(np.stack([np.ones_like(r), r, r**2], axis=-1) * w[..., None])
+        for rhs_n, out in ((drho_n, coef[:3]), (dbrho_n, coef[3:])):
+            c = np.einsum("...ck,...k->...c", pinv, rhs_n[rows].reshape(-1, 9) * w)
+            out[:, rows] = c.T.reshape(3, -1, ny)
     mask = ~valid
     coef[:, mask] = 0
     mask.setflags(write=False)
-    return RiccatiCoeffs(*(ComplexField._derived(grid, c, mask) for c in coef))
+    return RiccatiCoeffs(*(ComplexField._derived(rho.grid, c, mask) for c in coef))
 
 
 def zero_curvature_residual(c: RiccatiCoeffs, exclude_rings: int = 0) -> ResidualReport:

@@ -129,22 +129,26 @@ class TestRiccati:
             mask = np.zeros(g.shape, bool)
             mask[12, 9] = True
             rho = ComplexField(g, vals, mask)
-        # blocks of 100 keys: the holomorphic case spans several, the last partial
-        monkeypatch.setattr(integrability, "_FIT_KEYS", 100)
-        got = fit_riccati_coeffs(rho)
-        for f, ref in zip(got.fields(), _fit_riccati_reference(rho)):
-            assert np.array_equal(f.values.view(np.uint64), ref.view(np.uint64))
+        # on rows of 37 points, blocks of 30 points hold one row and blocks of
+        # 100 two, the last of the 41 rows alone; the rational and trig
+        # columns go in blocks of 30 rows, the last of 11, then in one block
+        ref = _fit_riccati_reference(rho)
+        for points in (30, 100):
+            monkeypatch.setattr(integrability, "_FIT_POINTS", points)
+            got = fit_riccati_coeffs(rho)
+            for f, r in zip(got.fields(), ref):
+                assert np.array_equal(f.values.view(np.uint64), r.view(np.uint64)), points
         if case == "patched":
             # its neighbours fall back to one-sided stencils and fit around it
             assert got.mask[12, 9] and got.mask.sum() == 1
 
     def test_fit_peak_memory(self):
         # the dense fit held (nx, ny, 9) index arrays, a 27-wide design and a
-        # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201.
-        # A holomorphic rho repeats no design, so its designs and
-        # pseudo-inverses are built in blocks of keys (about 108 MB unblocked).
-        # Keying neighbourhoods on nine point ids instead of their 153 raw
-        # bytes took the two from 20.7 and 33.1 MB to 8.9 and 27.5 MB
+        # per-point (nx, ny, 3, 9) pseudo-inverse: 66.6 MB traced at 201x201
+        # (about 108 MB for a holomorphic rho). The designs, pseudo-inverses
+        # and solutions are built in blocks of about _FIT_POINTS points, so
+        # the holomorphic fit traces 18.6 MB and the rational one, fitted on
+        # its column, 0.5 MB
         g = GridSpec(-1, 1, -1, 1, 201, 201)
         for fam, bound in ((family_rational(1.0), 12), (family_holomorphic(), 32)):
             rho = fam.rho(g).without_source()
