@@ -125,8 +125,9 @@ def _gradient(field, axis: int):
     field; the result is kept on the field and shared with its
     without_source() views, which hold the same arrays. The cache is the
     one piece of mutable state a field has: `verify --jobs` (cli's
-    `_run_level`) fills it through fill_stencils on every input before
-    the suites are dispatched to worker threads, which then only read it.
+    `_run_level`) fills it through fill_stencils on every input a suite
+    reads before the suites are dispatched to worker threads, which then
+    only read it.
     """
     got = field._grad.get(axis)
     if got is None:

@@ -216,17 +216,15 @@ def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # suite machinery
 
-# verify's inputs at one level, each built on first use and dropped after its
-# last reader; `reads` names the inputs one is built from. Suites run in the
-# order of the heaviest input they read (`weight`), so the readers of each
-# heavy input run back to back, and it is dropped before a heavier one is
-# built. The *_fd inputs take the stencil path: h and rho are the same
-# samples without their analytic sources.
+# verify's inputs at one level, each built on first use and kept until the
+# level ends; `reads` names the inputs one is built from. The *_fd inputs take
+# the stencil path: h and rho are the same samples without their analytic
+# sources. SUITES lists every exact suite first, so no *_fd input exists
+# while they run.
 @dataclass(frozen=True)
 class _Input:
     build: Callable             # fn(fam, grid, *reads) -> the input
     reads: tuple = ()
-    weight: int = 0
 
 
 _INPUTS = {
@@ -234,9 +232,9 @@ _INPUTS = {
     "spinor": _Input(lambda fam, g: fam.spinor(g)),
     "h": _Input(lambda fam, g: fam.h(g)),
     "h_fd": _Input(lambda fam, g, h: h.without_source(), ("h",)),
-    "spinor_fd": _Input(lambda fam, g: fam.spinor(g).without_sources(), weight=1),
-    "rho_fd": _Input(lambda fam, g, rho: rho.without_source(), ("rho",), weight=2),
-    "ll_commutator_fd": _Input(lambda fam, g, rho: ll_commutator(rho), ("rho_fd",), weight=3),
+    "spinor_fd": _Input(lambda fam, g: fam.spinor(g).without_sources()),
+    "rho_fd": _Input(lambda fam, g, rho: rho.without_source(), ("rho",)),
+    "ll_commutator_fd": _Input(lambda fam, g, rho: ll_commutator(rho), ("rho_fd",)),
 }
 
 
@@ -443,48 +441,16 @@ def _suites_for(fam: SolutionFamily) -> list[SuiteSpec]:
     return [s for s in SUITES if all(getattr(fam, k) == v for k, v in s.needs.items())]
 
 
-def _evaluation_order(suites: list[SuiteSpec]) -> list[SuiteSpec]:
-    """`suites` stably sorted by the heaviest input each reads."""
-    return sorted(suites, key=lambda s: max(_INPUTS[n].weight for n in s.inputs))
+def _level_inputs(fam: SolutionFamily, grid: GridSpec) -> Callable[[str], object]:
+    """get(name): the input `name` at `grid`, built on first use and kept."""
+    built = {}
 
-
-def _readers(suites) -> dict[str, int]:
-    """How often each input is read at a level: once by each suite that
-    names it and once by each input built from it."""
-    counts = {}
-    todo = [n for s in suites for n in s.inputs]
-    while todo:
-        name = todo.pop()
-        if name not in counts:
-            counts[name] = 0
-            todo.extend(_INPUTS[name].reads)
-        counts[name] += 1
-    return counts
-
-
-class _Level:
-    """The inputs of one grid level: each is built on first use and
-    dropped when its last reader releases it."""
-
-    def __init__(self, fam: SolutionFamily, grid: GridSpec, readers: dict[str, int]):
-        self.fam, self.grid = fam, grid
-        self._left = dict(readers)
-        self.built = {}
-
-    def get(self, name: str):
-        if name not in self.built:
+    def get(name):
+        if name not in built:
             spec = _INPUTS[name]
-            reads = [self.get(n) for n in spec.reads]
-            self.built[name] = spec.build(self.fam, self.grid, *reads)
-            del reads
-            for n in spec.reads:
-                self.release(n)
-        return self.built[name]
-
-    def release(self, name: str) -> None:
-        self._left[name] -= 1
-        if not self._left[name]:
-            del self.built[name]
+            built[name] = spec.build(fam, grid, *map(get, spec.reads))
+        return built[name]
+    return get
 
 
 def _call(spec: SuiteSpec, fam: SolutionFamily, inputs: list) -> ResidualReport:
@@ -493,26 +459,19 @@ def _call(spec: SuiteSpec, fam: SolutionFamily, inputs: list) -> ResidualReport:
         return spec.runner(fam, *inputs)
 
 
-def _run_level(suites, fam, grid, readers, pool=None) -> list[ResidualReport]:
+def _run_level(suites, fam, grid, pool=None) -> list[ResidualReport]:
     """Each suite's report at `grid`, in the order of `suites`.
 
-    Without a pool, suites run one after the other and each input is
-    dropped after its last reader. With one, every input is built, and the
-    stencils of those without a source are filled, before the suites are
-    dispatched, so worker threads share the inputs read-only.
+    With a pool, the stencils of the inputs the suites read are filled
+    before the suites are dispatched, so worker threads share them
+    read-only.
     """
-    level = _Level(fam, grid, readers)
+    get = _level_inputs(fam, grid)
     if pool is None:
-        reports = []
-        for spec in suites:
-            reports.append(_call(spec, fam, [level.get(n) for n in spec.inputs]))
-            for n in spec.inputs:
-                level.release(n)
-        return reports
-
-    args = [[level.get(n) for n in spec.inputs] for spec in suites]
-    for value in level.built.values():
-        fill_stencils(value)
+        return [_call(spec, fam, [get(n) for n in spec.inputs]) for spec in suites]
+    for name in dict.fromkeys(n for spec in suites for n in spec.inputs):
+        fill_stencils(get(name))
+    args = [[get(n) for n in spec.inputs] for spec in suites]
     return list(pool.map(_call, suites, [fam] * len(suites), args))
 
 
@@ -613,18 +572,14 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
 def cmd_verify(cfg: RunConfig) -> int:
     fam, grids = _setup(cfg)
     suites = _suites_for(fam)
-    order = _evaluation_order(suites)
-    readers = _readers(order)
-    reports = {spec.name: [] for spec in suites}
     executor = nullcontext()
     if cfg.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         executor = ThreadPoolExecutor(max_workers=cfg.jobs)
     with executor as pool:
-        for g in grids:
-            for spec, rep in zip(order, _run_level(order, fam, g, readers, pool)):
-                reports[spec.name].append(rep)
-    results = [_gate(spec, fam, reports[spec.name], cfg.tol_scale) for spec in suites]
+        levels = [_run_level(suites, fam, g, pool) for g in grids]
+    results = [_gate(spec, fam, reports, cfg.tol_scale)
+               for spec, reports in zip(suites, zip(*levels))]
 
     os.makedirs(cfg.out, exist_ok=True)
     for res in results:

@@ -31,13 +31,13 @@ import numpy as np
 from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
 from .grid import (_BLOCK_ROWS, ComplexField, GridSpec, NumericalBreakdown, RealField,
                    _block_reprs, _csv_lines, _shared, _text)
-from .reporting import RATIO_MIN, ResidualReport, norms, report_from_parts
+from .reporting import RATIO_MIN, ResidualReport, norms
 from .weierstrass import SpinorField, density_p
 
 __all__ = [
     "Surface", "FundamentalForms",
     "induce_surface", "path_independence_report",
-    "fundamental_forms", "rigid_string_residual",
+    "fundamental_forms",
     "export_mesh", "load_mesh_vertices", "surface_to_csv",
 ]
 
@@ -328,42 +328,6 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
                             e=fld(e), f=fld(f_), g=fld(g),
                             normal=np.where(formmask[None, :, :], 0, normal),
                             degenerate_mask=degenerate)
-
-
-def _laplace_beltrami(ff: FundamentalForms, field: RealField) -> RealField:
-    """Surface Laplacian via the metric: div(sqrt(g) g^{ab} grad)/sqrt(g)."""
-    mask = ff.mask | field.mask
-    E, F, G = ff.E.values, ff.F.values, ff.G.values
-    w = np.sqrt(np.where(mask, 1.0, E * G - F**2))
-    fx = dx(field)
-    fy = dy(field)
-    P = (G * fx.values - F * fy.values) / w
-    Q = (E * fy.values - F * fx.values) / w
-    mask = mask | fx.mask | fy.mask
-    Pf = RealField._derived(ff.grid, np.where(mask, 0, P), mask)
-    Qf = RealField._derived(ff.grid, np.where(mask, 0, Q), mask)
-    dP = dx(Pf)
-    dQ = dy(Qf)
-    outmask = mask | dP.mask | dQ.mask
-    vals = (dP.values + dQ.values) / w
-    return RealField._derived(ff.grid, np.where(outmask, 0, vals), outmask)
-
-
-def rigid_string_residual(h: RealField, K: RealField, gamma: float, alpha: float,
-                          ff: FundamentalForms) -> ResidualReport:
-    """Pointwise Euler-Lagrange residual -2 gamma H + alpha (Lap H + 2 H^3 + R H).
-
-    The scalar curvature enters through R = -2K. The boundary ring is
-    excluded from the norm because the Laplace-Beltrami stencil composes
-    two first derivatives there.
-    """
-    grid, mask = _shared(h, K, ff.E)
-    lap = _laplace_beltrami(ff, h)
-    mask = mask | lap.mask
-    vals = -2 * gamma * h.values + alpha * (lap.values + 2 * h.values**3
-                                            - 2 * K.values * h.values)
-    return report_from_parts(grid, [("euler_lagrange", np.where(mask, 0, vals), mask)],
-                             exclude_rings=1)
 
 
 def _labels(n: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def test_exact_suites_reach_no_stencil(name, monkeypatch):
     the default grid and both levels it never runs a first-derivative
     stencil."""
     from gwsurf import calculus
-    from gwsurf.cli import _Level, _readers, _setup, _suites_for
+    from gwsurf.cli import _level_inputs, _setup, _suites_for
     calls = []
     gradient = calculus._gradient
     monkeypatch.setattr(calculus, "_gradient",
@@ -165,11 +165,11 @@ def test_exact_suites_reach_no_stencil(name, monkeypatch):
     suites = [spec for spec in _suites_for(fam) if spec.kind == "exact"]
     stencils = {}
     for g in grids:
-        level = _Level(fam, g, _readers(suites))
+        get = _level_inputs(fam, g)
         for spec in suites:
             # an input is charged to the first exact suite that reads it
             calls.clear()
-            inputs = [level.get(n) for n in spec.inputs]
+            inputs = [get(n) for n in spec.inputs]
             with np.errstate(all="ignore"):
                 spec.runner(fam, *inputs)
             stencils[spec.name, g.nx] = len(calls)
@@ -184,7 +184,7 @@ def test_riccati_fit_reads_one_column():
     neighbourhood per grid row; fitting it point by point takes 0.30 s at
     201x201 on a 2-core Xeon, where grouping equal neighbourhoods took
     0.04 s."""
-    from gwsurf.cli import _Level, _readers, _setup, _suites_for
+    from gwsurf.cli import _level_inputs, _setup, _suites_for
     fitted = []
     for name in gwsurf.FAMILY_NAMES:
         fam, grids = _setup(RunConfig(family=name))
@@ -193,7 +193,7 @@ def test_riccati_fit_reads_one_column():
             assert spec.inputs == ("rho_fd",)
             fitted.append(name)
             for g in grids:
-                values, mask = _Level(fam, g, _readers(fits)).get("rho_fd").stored
+                values, mask = _level_inputs(fam, g)("rho_fd").stored
                 assert values.shape == mask.shape == (g.nx, 1), (name, g.nx)
     assert sorted(fitted) == ["exponential", "rational", "trig"]
 
@@ -285,15 +285,35 @@ class TestSharedInputs:
     def test_sample_calls(self, rational_101_counts):
         assert rational_101_counts["sample"] <= 110
 
-    def test_heavy_inputs_read_last_and_together(self):
-        from gwsurf.cli import _INPUTS, _evaluation_order, _suites_for
-        from gwsurf.families import build_family
-        for name in gwsurf.FAMILY_NAMES:
-            order = _evaluation_order(_suites_for(build_family(name)))
-            weights = [max(_INPUTS[n].weight for n in s.inputs) for s in order]
-            assert weights == sorted(weights), name
-        names = [s.name for s in _evaluation_order(_suites_for(build_family("rational")))]
-        assert names.index("riccati_fd") < names.index("deformed_ll_fd")
+    @pytest.mark.parametrize("name", gwsurf.FAMILY_NAMES)
+    def test_stencil_inputs_built_after_exact_suites(self, name, monkeypatch):
+        # each level keeps every input it builds until it ends, so the
+        # exact suites, which read the jet-carrying inputs, run before any
+        # stencil-path (*_fd) input exists
+        from gwsurf import cli
+        events = []
+
+        def recorded(tag, fn):
+            def wrapper(*args):
+                events.append(tag)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_INPUTS", {
+            n: dataclasses.replace(spec, build=recorded(("build", n), spec.build))
+            for n, spec in cli._INPUTS.items()})
+        fam, grids = cli._setup(RunConfig(family=name, grid=(21, 21)))
+        suites = [dataclasses.replace(spec, runner=recorded(("run", spec.kind), spec.runner))
+                  for spec in cli._suites_for(fam)]
+        for g in grids:
+            events.clear()
+            cli._run_level(suites, fam, g)
+            built = [n for tag, n in events if tag == "build"]
+            assert len(built) == len(set(built)), (name, g.nx, built)
+            exact = [k for k, (tag, kind) in enumerate(events) if (tag, kind) == ("run", "exact")]
+            fd = [k for k, (tag, n) in enumerate(events) if tag == "build" and n.endswith("_fd")]
+            assert exact and fd, (name, events)
+            assert max(exact) < min(fd), (name, g.nx, events)
 
 
 class TestVerify:

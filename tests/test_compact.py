@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gwsurf import cli
-from gwsurf.cli import _INPUTS, _evaluation_order, _level_entry, _readers, _run_level, _suites_for
+from gwsurf.cli import _INPUTS, _level_entry, _run_level, _suites_for
 from gwsurf.families import build_family
 from gwsurf.grid import GridSpec
 from gwsurf.weierstrass import SpinorField
@@ -33,10 +33,10 @@ def _grid_shaped(value):
 
 
 def _reports(fam, grid, inputs):
-    suites = _evaluation_order(_suites_for(fam))
+    suites = _suites_for(fam)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(cli, "_INPUTS", inputs)
-        reports = _run_level(suites, fam, grid, _readers(suites))
+        reports = _run_level(suites, fam, grid)
     return {spec.name: (spec, _level_entry(rep)) for spec, rep in zip(suites, reports)}
 
 

@@ -12,9 +12,8 @@ import pytest
 
 import gwsurf
 from gwsurf import (GridSpec, compatibility_residual, dbar_J_defect, deformed_ll_residual,
-                    family_rational, family_unimodular, fundamental_forms, induce_surface,
-                    linear_system_residual, ll_commutator, modified_current, psi_from_rho,
-                    rigid_string_residual, sigma_residual, sinh_gordon_residual,
+                    family_rational, family_unimodular, linear_system_residual, ll_commutator,
+                    modified_current, psi_from_rho, sigma_residual, sinh_gordon_residual,
                     unimodular_H_constancy_check, weierstrass_residual)
 
 G = GridSpec(-1, 1, -1, 1, 21, 21)
@@ -22,11 +21,6 @@ G = GridSpec(-1, 1, -1, 1, 21, 21)
 OTHER = GridSpec(-1, 1, -0.5, 1.5, 21, 21)
 RAT = family_rational(1.0)
 UNI = family_unimodular(1.0, 1.0)
-
-
-def _rigid_string(h):
-    ff = fundamental_forms(induce_surface(RAT.spinor(G)))
-    return rigid_string_residual(h, ff.gauss_curvature, 1.0, 1.0, ff)
 
 
 # every function that combines h with other fields on G, with the family
@@ -43,7 +37,6 @@ TAKES_H = {
         (UNI, lambda h: unimodular_H_constancy_check(UNI.rho(G), h)),
     "sinh_gordon_residual": (RAT, lambda h: sinh_gordon_residual(RAT.spinor(G), h)),
     "linear_system_residual": (RAT, lambda h: linear_system_residual(RAT.spinor(G), h, 1.0)),
-    "rigid_string_residual": (RAT, _rigid_string),
 }
 
 
@@ -120,11 +113,11 @@ def test_one_name_per_curvature_and_one_switch_to_stencils():
 def test_fields_show_grid_shaped_read_only_arrays(name):
     # the fields that the families and verify's level inputs build; a
     # one-dimensional family stores one column (see gwsurf.grid)
-    from gwsurf.cli import _INPUTS, _Level
+    from gwsurf.cli import _INPUTS, _level_inputs
     fam = gwsurf.build_family(name)
     g = fam.default_grid(11, 7)
-    level = _Level(fam, g, {n: 1 for n in _INPUTS})
-    built = [fam.h(g), fam.rho(g), fam.spinor(g)] + [level.get(n) for n in _INPUTS]
+    get = _level_inputs(fam, g)
+    built = [fam.h(g), fam.rho(g), fam.spinor(g)] + [get(n) for n in _INPUTS]
     fields = []
     for value in built:
         fields += [value.psi1, value.psi2] if hasattr(value, "psi1") else [value]

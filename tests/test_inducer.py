@@ -1,4 +1,4 @@
-"""Surface inducing, curvature closure, rigid-string residual, OBJ export."""
+"""Surface inducing, curvature closure, OBJ export."""
 import tracemalloc
 import warnings
 
@@ -8,8 +8,7 @@ import pytest
 from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gaussian_curvature_from_p, induce_surface,
-                    load_mesh_vertices, norms, path_independence_report,
-                    rigid_string_residual, surface_to_csv)
+                    load_mesh_vertices, norms, path_independence_report, surface_to_csv)
 from gwsurf.cli import main
 from gwsurf.inducer import Surface, closedness_defect
 from test_grid_calculus import AWKWARD
@@ -312,28 +311,6 @@ class TestCurvatureClosure:
         srf = induce_surface(s)
         ff = fundamental_forms(srf)
         assert k_gap(ff, s) < 1e-4
-
-
-class TestRigidString:
-    def test_minimal_surface_trivial(self):
-        srf = sphere_surface(r=2.0)
-        ff = fundamental_forms(srf)
-        K = ff.gauss_curvature
-        rep = rigid_string_residual(RealField(ff.grid, np.zeros(ff.grid.shape)), K, 1.0, 1.0, ff)
-        assert rep.max_norm == 0.0
-
-    def test_sphere_calibrated_control(self):
-        # for H=1/r, K=1/r^2 the bending terms cancel and -2 gamma/r remains,
-        # so a sphere is not a solution unless gamma = 0
-        r = 2.0
-        srf = sphere_surface(r=r)
-        ff = fundamental_forms(srf)
-        K = ff.gauss_curvature
-        h = RealField(ff.grid, np.full(ff.grid.shape, 1 / r))
-        rep = rigid_string_residual(h, K, 1.0, 1.0, ff)
-        assert rep.max_norm == pytest.approx(2 / r, abs=1e-3)
-        rep0 = rigid_string_residual(h, K, 0.0, 1.0, ff)
-        assert rep0.max_norm < 1e-3
 
 
 class TestExport:
