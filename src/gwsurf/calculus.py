@@ -3,9 +3,10 @@
 d = (d/dx - i d/dy)/2 and dbar = (d/dx + i d/dy)/2 act on fields sampled
 over z = x + iy. Finite-difference stencils are second order everywhere:
 central in the interior, one-sided at edges and next to masked points, so
-boundary rows do not degrade the global O(h^2) error. When a field is
-backed by a closed form with analytic derivatives those are used instead,
-bypassing discretization error entirely. The first-derivative stencils
+boundary rows do not degrade the global O(h^2) error. When a field has
+an analytic source (its jet, see closedform), d_z and d_zbar read the
+jet's slot instead, bypassing discretization error entirely, and the
+result's source is the derivative of that jet. The first-derivative stencils
 of a field are computed once per axis and kept on the field, so d_z,
 d_zbar, dx and dy of one field (or of its without_source() view) share
 them.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, RealField
-from .closedform import sample
+from .closedform import _Source, jet_dz, jet_dzbar
 
 __all__ = ["dx", "dy", "dxx", "dyy", "dxy", "d_z", "d_zbar", "mixed_dzbar_dz"]
 
@@ -123,11 +124,10 @@ def _gradient(field, axis: int):
 
     Fields are immutable, so each axis is differenced at most once per
     field; the result is kept on the field and shared with its
-    without_source() views, which hold the same arrays. The cache is the
-    one piece of mutable state a field has: `verify --jobs` (cli's
-    `_run_level`) fills it through fill_stencils on every input a suite
-    reads before the suites are dispatched to worker threads, which then
-    only read it.
+    without_source() views, which hold the same arrays. `verify --jobs`
+    (cli's `_run_level`) fills it through fill_stencils on every input a
+    suite reads before the suites are dispatched to worker threads, which
+    then only read it.
     """
     got = field._grad.get(axis)
     if got is None:
@@ -186,32 +186,30 @@ def _fd_wirtinger(field, sign: float) -> ComplexField:
     return ComplexField._derived(field.grid, vals, mask)
 
 
-def _analytic(field, which: str):
+def _analytic(field, step):
+    """d_z (step = jet_dz) or d_zbar (jet_dzbar) as a slot of the field's
+    jet; None unless the field has a source of order 1 or more."""
     src = getattr(field, "source", None)
-    if src is None:
+    if src is None or src.order == 0:
         return None
-    deriv = src.derivative(which)
-    if deriv is None:
-        return None
-    return sample(deriv, field.grid, extra_mask=field.stored[1])
+    mask = field.stored[1] | src.guard
+    deriv = _Source(src.order - 1, lambda k: step(src.jet(k + 1)))
+    return ComplexField._derived(field.grid, np.where(mask, 0, deriv.jet(0).f), mask,
+                                 source=deriv)
 
 
 def d_z(field) -> ComplexField:
     """Wirtinger derivative d/dz; analytic when the field's source provides it."""
-    out = _analytic(field, "z")
+    out = _analytic(field, jet_dz)
     return out if out is not None else _fd_wirtinger(field, -1.0)
 
 
 def d_zbar(field) -> ComplexField:
     """Wirtinger derivative d/dzbar; analytic when available."""
-    out = _analytic(field, "zbar")
+    out = _analytic(field, jet_dzbar)
     return out if out is not None else _fd_wirtinger(field, +1.0)
 
 
 def mixed_dzbar_dz(field) -> ComplexField:
     """dbar(d f); equals a quarter Laplacian on the finite-difference path."""
-    src = getattr(field, "source", None)
-    if src is not None and src.order >= 2:
-        mixed = src.derivative("z").derivative("zbar")
-        return sample(mixed, field.grid, extra_mask=field.stored[1])
     return d_zbar(d_z(field))

@@ -18,20 +18,22 @@ every operation is computed exactly as on the plain path, so the two agree
 bit for bit. No symbolic algebra is involved.
 
 `diagonal_form` and `holomorphic_form` build closed forms from such
-formulas of one variable, run on a seed jet in that variable; `lift`
-combines closed forms through a formula of their jets. `pointwise` derives
-a field from fields through one such formula: it runs on their values for
-the field's values and, lifted over their sources, for its analytic
-source, so a derived field's formula is written once.
+formulas of one variable, run on a seed jet in that variable. A field's
+analytic source is its own jet on the points it stores: `sample` gives
+the field the form on those points, and `pointwise`, which derives a
+field from fields through one such formula, runs it on their values for
+the field's values and on their sources' jets for its source, so a
+derived field's formula is written once. A `pointwise` result keeps the
+jet it makes; a sample evaluates its form again for each jet asked of
+it. A derivative reads a slot of its field's jet (see calculus).
 
-A form built by `lift` runs its jet operation once per call on its
-inputs' jets, so nesting lifts costs time linear in the depth. `sample`
-evaluates a diagonal form (one that depends on z only through
+`sample` evaluates a diagonal form (one that depends on z only through
 s = z + conj(z)) on the grid's first column only, and the field it
 returns stores that column (see grid).
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -43,7 +45,7 @@ from .grid import ComplexField, GridSpec, RealField, _shared
 __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
-    "lift", "pointwise", "field_mul", "jet_dz", "jet_dzbar",
+    "pointwise", "field_mul", "jet_dz", "jet_dzbar",
     "exp", "sin", "cos", "sqrt", "log", "conj",
 ]
 
@@ -225,8 +227,7 @@ class ClosedForm:
     order asked for. domain_guard(z) returns True at singular points;
     sampling masks them. `diagonal` records that every slot, and the
     guard, depend on z only through s = z + conj(z) (set by
-    `diagonal_form`, kept by `conjugate`, `derivative` and by `lift` of
-    diagonal inputs): `sample` then evaluates the form and its guard on
+    `diagonal_form`): `sample` then evaluates the form and its guard on
     the grid's first column only.
     """
 
@@ -239,61 +240,51 @@ class ClosedForm:
         """Slots up to `order`, or up to the form's own order if that is lower."""
         return self.jet_fn(z, min(order, self.order))
 
-    def conjugate(self) -> "ClosedForm":
-        return ClosedForm(lambda z, order: conj(self.jet(z, order)),
-                          self.order, self.domain_guard, self.diagonal)
 
-    def derivative(self, which: str) -> Optional["ClosedForm"]:
-        """First-derivative form ('z' or 'zbar'), or None at order 0."""
-        if which not in ("z", "zbar"):
-            raise ValueError(which)
-        step = jet_dz if which == "z" else jet_dzbar
-        if self.order == 0:
-            return None
-        return ClosedForm(lambda z, order: step(self.jet(z, order + 1)),
-                          self.order - 1, self.domain_guard, self.diagonal)
+class _Source:
+    """A field's analytic source: its Wirtinger jet on the field's stored points.
 
-
-def lift(op: Callable, *forms: ClosedForm) -> ClosedForm:
-    """Combine closed forms through a jet operation.
-
-    `op` maps input jets to an output jet. Jet arithmetic keeps the lowest
-    order of its operands and `jet_dz` lowers it by one, so each input has
-    its own shift: the orders `op` gives up against it. `op` runs once per
-    distinct input on placeholder jets, that input's at its own order and
-    the others' at order 2; the result's order is the lowest of these
-    runs, and asking the result for order k asks each input for k plus
-    its shift. Each distinct input is evaluated once per call and `op`
-    runs once on their jets, so nesting lifts costs time linear in the
-    depth. When every input is diagonal, so is the result, and `sample`
-    runs the inputs and `op` on one column.
+    `jet(k)` returns a jet with every slot up to min(k, order), made by
+    `make(k)` with floating-point warnings off. With `keep` (a `pointwise`
+    result) the highest-order jet made so far is kept and returned while it
+    reaches k; each call returns the jet it made or found, so no thread sees
+    a lower order than it asked for. `guard` marks the points where the
+    derivatives are masked beyond the field's own mask (see `_on_mesh`).
     """
-    # an input passed more than once, as in lift(operator.mul, f, f), is evaluated once
-    first = {}
-    picks = [first.setdefault(id(f), len(first)) for f in forms]
-    distinct = list({id(f): f for f in forms}.values())
 
-    def placeholder(order):
-        return Jet(*[1.0 + 0.0j] * (1, 3, 6)[order])
+    __slots__ = ("order", "guard", "_make", "_keep", "_jet")
 
-    reached = [op(*[placeholder(f.order if f is g else 2) for f in forms]).order
-               for g in distinct]
-    order = min(reached)
-    shifts = [f.order - r for f, r in zip(distinct, reached)]
-    guards = [f.domain_guard for f in distinct if f.domain_guard is not None]
+    def __init__(self, order: int, make: Callable, keep: bool = False, guard=False):
+        self.order = order
+        self.guard = guard
+        self._make = make
+        self._keep = keep
+        self._jet = None
 
-    def guard(z):
-        g = guards[0](z)
-        for extra in guards[1:]:
-            g = np.logical_or(g, extra(z))
-        return g
+    def jet(self, k: int) -> Jet:
+        k = min(k, self.order)
+        got = self._jet
+        if got is None or got.order < k:
+            with np.errstate(all="ignore"):
+                got = self._make(k)
+            if self._keep and (self._jet is None or self._jet.order < got.order):
+                self._jet = got
+        return got
 
-    def jet_fn(z, k):
-        jets = [f.jet(z, max(k + shift, 0)) for f, shift in zip(distinct, shifts)]
-        return op(*[jets[i] for i in picks])
+    def conj(self) -> "_Source":
+        """The source of the conjugate field: the z and zbar slots swap."""
+        return _Source(self.order, lambda k: conj(self.jet(k)), guard=self.guard)
 
-    return ClosedForm(jet_fn, order, guard if guards else None,
-                      all(f.diagonal for f in distinct))
+
+def _on_mesh(source, grid: GridSpec):
+    """The source of a field built by a public constructor: a ClosedForm
+    is evaluated on the grid's mesh, and its derivatives are masked where
+    its guard is set; a field's source is kept as it is."""
+    if not isinstance(source, ClosedForm):
+        return source
+    z, guard = grid.zmesh(), source.domain_guard
+    return _Source(source.order, lambda k: source.jet(z, k),
+                   guard=False if guard is None else np.asarray(guard(z), dtype=bool))
 
 
 def _broadcast(vals, z) -> np.ndarray:
@@ -304,15 +295,15 @@ def _broadcast(vals, z) -> np.ndarray:
     return a
 
 
-def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
+def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
     """Evaluate a closed form on a grid; guard-marked points are masked.
 
     A diagonal form is evaluated on the grid's first column, x + 1j*y_min,
-    and the field stores that column, unless `extra_mask` (a stored mask,
-    grid-shaped or a column) is grid-shaped: then the column is expanded.
-    Its guard also runs on the last column, and ValueError is raised when
-    the two columns' guards differ, as a guard that depends on y does.
-    A non-finite value at an unguarded point raises NumericalBreakdown.
+    and the field stores that column. Its guard also runs on the last
+    column, and ValueError is raised when the two columns' guards differ,
+    as a guard that depends on y does. A non-finite value at an unguarded
+    point raises NumericalBreakdown. The field's source is the form on
+    the same points, evaluated again for each jet it is asked for.
     """
     # the first column is computed as zmesh() computes it, bit for bit
     z = grid.xs()[:, None] + 1j * grid.ys()[:1] if cf.diagonal else grid.zmesh()
@@ -325,36 +316,37 @@ def sample(cf: ClosedForm, grid: GridSpec, extra_mask=None) -> ComplexField:
         if cf.diagonal and not np.array_equal(guard[:, 0], guard[:, 1]):
             raise ValueError("the guard of a diagonal form depends on y")
         mask |= guard[:, :1] if cf.diagonal else guard
-    if extra_mask is not None:
-        mask = mask | np.asarray(extra_mask, dtype=bool)
-    return ComplexField._derived(grid, np.where(mask, 0, vals), mask, source=cf)
+    return ComplexField._derived(grid, np.where(mask, 0, vals), mask,
+                                 source=_Source(cf.order, lambda k: cf.jet(z, k)))
 
 
 def sample_real(cf: ClosedForm, grid: GridSpec) -> RealField:
     """Sample a form that must be real-valued; complains about imaginary
     parts above 1e-12 of the largest real part (or of 1).
 
-    The field keeps `cf` as its source, so derivatives of it are analytic.
+    The field keeps the sample's source, so derivatives of it are analytic.
     """
-    vals, mask = sample(cf, grid).stored
+    f = sample(cf, grid)
+    vals, mask = f.stored
     im = np.abs(vals.imag[~mask])
     scale = max(1.0, float(np.max(np.abs(vals.real[~mask]), initial=0.0)))
     if im.size and np.max(im) > 1e-12 * scale:
         raise ValueError(f"form is not real-valued on the grid (max imag {np.max(im):.3e})")
-    return RealField._derived(grid, vals.real.copy(), mask, source=cf, finite=True)
+    return RealField._derived(grid, vals.real.copy(), mask, source=f.source, finite=True)
 
 
 def pointwise(fn: Callable, *fields, mask=None):
     """The field fn(*fields), computed point by point.
 
     `fn` is a formula in the operators and this module's functions (see
-    `Jet`). It runs once on the fields' stored values, which must share a
-    grid, for the result's values; when every field has an analytic
-    source, the result's source is `lift(fn, *sources)`, so the values and
-    the source come from the one formula. The result is masked on the
-    union of the fields' masks and `mask` (grid-shaped or a column), and
-    zero there; it is a column when every input is one. It is a
-    ComplexField when `fn` gives complex values and a RealField otherwise.
+    `Jet`) that keeps the lowest order of its jet arguments. It runs once
+    on the fields' stored values, which must share a grid, for the
+    result's values; when every field has an analytic source, the
+    result's source runs it on their jets, at the lowest of their orders,
+    and keeps the jet it makes. The result is masked on the union of the
+    fields' masks and `mask` (grid-shaped or a column), and zero there; it
+    is a column when every input is one. It is a ComplexField when `fn`
+    gives complex values and a RealField otherwise.
     """
     grid, m = _shared(*fields)
     if mask is not None:
@@ -362,7 +354,9 @@ def pointwise(fn: Callable, *fields, mask=None):
     with np.errstate(all="ignore"):
         vals = fn(*(f.stored[0] for f in fields))
     sources = [f.source for f in fields]
-    src = None if any(s is None for s in sources) else lift(fn, *sources)
+    src = None if any(s is None for s in sources) else _Source(
+        min(s.order for s in sources), lambda k: fn(*(s.jet(k) for s in sources)),
+        keep=True, guard=functools.reduce(np.logical_or, [s.guard for s in sources]))
     cls = ComplexField if np.iscomplexobj(vals) else RealField
     return cls._derived(grid, np.where(m, 0, vals), m, source=src)
 

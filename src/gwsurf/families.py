@@ -56,8 +56,8 @@ class SolutionFamily:
     the constant density p0 and d dbar(1/H), each None where not constant;
     `constant_density`, `one_dimensional` and `spinor_forms` are derived.
 
-    `h`, `rho` and `spinor` sample it on a grid, keeping the forms as
-    sources (analytic derivatives); without_source() (without_sources()
+    `h`, `rho` and `spinor` sample it on a grid, keeping the forms' jets
+    as sources (analytic derivatives); without_source() (without_sources()
     for a spinor) drops them, for stencils.
     The forms' domain guards mask the points outside the family's domain.
     """

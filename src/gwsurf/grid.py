@@ -152,6 +152,9 @@ class _Field:
     _dtype: type
 
     def __init__(self, grid: GridSpec, values, mask=None, source=None):
+        if source is not None:
+            from .closedform import _on_mesh     # closedform imports this module
+            source = _on_mesh(source, grid)
         self._set(grid, *_prepare(grid, values, mask, self._dtype), source)
 
     def _set(self, grid, values, mask, source) -> None:
@@ -234,15 +237,16 @@ def _shared(*fields) -> tuple[GridSpec, np.ndarray]:
 class ComplexField(_Field):
     """Complex values on a grid, optionally backed by an analytic source.
 
-    `source` (when present) is the ClosedForm whose jet produced the
-    values; derivative operators use its analytic derivatives instead of
-    finite differences.
+    `source` (when present) is the field's jet on its stored points (see
+    closedform), whose slots the derivative operators read instead of
+    finite differences. The public constructor also takes a ClosedForm,
+    evaluated on the grid's mesh, whose guard then masks the derivatives.
     """
 
     _dtype = complex
 
     def conj(self) -> "ComplexField":
-        src = self.source.conjugate() if self.source is not None else None
+        src = self.source.conj() if self.source is not None else None
         vals = np.conj(self._values)
         np.copyto(vals, 0, where=self._mask)    # conj turns masked zeros into 0-0j
         return ComplexField._derived(self.grid, vals, self._mask, source=src, finite=True)
@@ -251,8 +255,8 @@ class ComplexField(_Field):
 class RealField(_Field):
     """Real values on a grid (densities, curvatures, coordinates).
 
-    `source`, when present, is a ClosedForm with real-valued samples whose
-    jet backs the analytic path, as for ComplexField.
+    `source`, when present, is the field's jet, real-valued on its
+    points, which backs the analytic path as for ComplexField.
     """
 
     _dtype = float

@@ -206,7 +206,7 @@ def rational_101_counts():
     shape of the values that each `_d1` and `_d2` call differences and the
     number of values that each `_integrate_from` call integrates."""
     import hashlib
-    from gwsurf import calculus, cli, closedform, families, inducer, weierstrass
+    from gwsurf import calculus, cli, closedform, inducer, weierstrass
     builds, d1_calls, d1_inputs, samples, stencil_shapes = {}, [], set(), [], []
     line_sizes = []
 
@@ -243,8 +243,10 @@ def rational_101_counts():
         mp.setattr(cli, "_INPUTS", inputs)
         mp.setattr(calculus, "_d1", d1)
         mp.setattr(calculus, "_d2", d2)
-        for module in (closedform, calculus, families):
-            mp.setattr(module, "sample", sample)
+        # every namespace that binds sample, as `from .closedform import sample` copies it
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "gwsurf"]:
+            if getattr(module, "sample", None) is sample.__wrapped__:
+                mp.setattr(module, "sample", sample)
         for module in (inducer, weierstrass):
             mp.setattr(module, "_integrate_from", integrate_from)
         assert main(["verify", "--family", "rational", "--grid", "101x101",
@@ -283,7 +285,23 @@ class TestSharedInputs:
         assert set(rational_101_counts["line_sizes"]) == {101, 201}
 
     def test_sample_calls(self, rational_101_counts):
-        assert rational_101_counts["sample"] <= 110
+        # h, rho and the two spinor components, once each per level for the
+        # exact suites and once more for spinor_fd; a derivative reads its
+        # field's jet and samples nothing
+        assert rational_101_counts["sample"] <= 12
+
+    def test_psi_pair_runs_once_on_values_and_once_on_jets(self, monkeypatch, tmp_path):
+        # holomorphic's spinor is the transform of rho: each component's
+        # formula runs on the values, and once on jets, which the component
+        # keeps for every derivative the suites take of it
+        from gwsurf import sigma
+        runs = []
+        psi_pair = sigma.psi_pair
+        monkeypatch.setattr(sigma, "psi_pair", lambda *a: runs.append(1) or psi_pair(*a))
+        assert main(["verify", "--family", "holomorphic", "--grid", "41x41",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        levels, components = 2, 2
+        assert 0 < len(runs) <= 2 * components * levels
 
     @pytest.mark.parametrize("name", gwsurf.FAMILY_NAMES)
     def test_stencil_inputs_built_after_exact_suites(self, name, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gwsurf import ComplexField, GridSpec, RealField, d_z, d_zbar, mixed_dzbar_dz, sample
 from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, field_mul,
-                               holomorphic_form, jet_dz, lift, log, pointwise, sin, sqrt)
+                               holomorphic_form, log, pointwise, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
@@ -35,8 +35,7 @@ def test_holomorphic_form_derivatives_match_fd():
 
 def test_conjugate_form_swaps_slots():
     g = GridSpec(-1, 1, -1, 1, 21, 21)
-    form = holomorphic_form(lambda z: z * z)
-    f = sample(form.conjugate(), g)
+    f = sample(holomorphic_form(lambda z: z * z), g).conj()
     # conj(z^2) has dbar derivative 2 conj(z) and d derivative 0
     d = d_z(f)
     assert np.max(np.abs(d.values)) < 1e-14
@@ -45,42 +44,46 @@ def test_conjugate_form_swaps_slots():
 
 
 def test_lift_quotient_and_sqrt_jets():
-    # h = sqrt(a / b) for diagonal forms; compare with the direct expression
-    a = diagonal_form(lambda s: 1 + s * s)
-    b = diagonal_form(lambda s: 2 + cos(s))
-    combo = lift(lambda ja, jb: sqrt(ja / jb), a, b)
-    direct = diagonal_form(lambda s: sqrt((1 + s * s) / (2 + cos(s))))
+    # h = sqrt(a / b) for diagonal forms, the formula lifted to the jets of
+    # the sampled fields; compare with the direct expression
     g = GridSpec(-1, 1, -1, 1, 31, 31)
-    fa, fb = sample(combo, g), sample(direct, g)
+    a = sample(diagonal_form(lambda s: 1 + s * s), g)
+    b = sample(diagonal_form(lambda s: 2 + cos(s)), g)
+    fa = pointwise(lambda ja, jb: sqrt(ja / jb), a, b)
+    fb = sample(diagonal_form(lambda s: sqrt((1 + s * s) / (2 + cos(s)))), g)
     assert np.max(np.abs(fa.values - fb.values)) < 1e-13
     assert np.max(np.abs(d_z(fa).values - d_z(fb).values)) < 1e-12
     assert np.max(np.abs(mixed_dzbar_dz(fa).values - mixed_dzbar_dz(fb).values)) < 1e-11
 
 
 def test_lift_conj_mul_jets():
-    a = diagonal_form(lambda s: exp(1j * s))
-    combo = lift(lambda j: j * conj(j), a)   # |rho|^2 = 1
     g = GridSpec(-1, 1, -1, 1, 21, 21)
-    f = sample(combo, g)
-    assert np.max(np.abs(f.values - 1.0)) < 1e-14
+    f = pointwise(lambda j: j * conj(j), sample(diagonal_form(lambda s: exp(1j * s)), g))
+    assert np.max(np.abs(f.values - 1.0)) < 1e-14      # |rho|^2 = 1
     assert np.max(np.abs(d_z(f).values)) < 1e-14
 
 
 def test_lift_drops_unavailable_slots():
-    value_only = ClosedForm(lambda z, order: Jet(np.ones(np.shape(z), complex)))
-    out = lift(operator.mul, value_only, value_only)
-    assert out.order == 0 and out.derivative("z") is None
-    jet = out.jet(np.zeros(3, complex))
+    g = GridSpec(-1, 1, -1, 1, 5, 3)
+    z = g.zmesh()
+    value_only = sample(ClosedForm(lambda z, order: Jet(np.cos(z))), g)
+    out = pointwise(operator.mul, value_only, value_only)
+    assert out.source.order == 0
+    jet = out.source.jet(2)
     assert jet.fz is None and jet.fzzb is None
-    full = diagonal_form(exp)
-    assert lift(operator.mul, full, value_only).order == 0
-    assert lift(operator.mul, full, full.derivative("z")).order == 1
-    # jet_dz gives up one order, so the result asks its input for one more
-    lowered = lift(lambda j: sqrt(jet_dz(j)), full)
-    assert lowered.order == 1
-    z = GridSpec(-1, 1, -1, 1, 5, 3).zmesh()
-    assert np.array_equal(lowered.jet(z, 0).f, np.sqrt(full.jet(z).fz))
-    assert lowered.jet(z, 0).fz is None
+    # an order-0 source leaves the derivative to the stencils
+    stencil = d_z(out.without_source())
+    assert np.array_equal(d_z(out).values, stencil.values)
+    assert np.array_equal(d_z(out).mask, stencil.mask)
+    full = sample(diagonal_form(exp), g)
+    assert pointwise(operator.mul, full, value_only).source.order == 0
+    # a derivative gives up one order, and a formula of it keeps that order
+    lowered = pointwise(sqrt, d_z(full))
+    assert d_z(full).source.order == lowered.source.order == 1
+    assert np.array_equal(lowered.values, np.sqrt(diagonal_form(exp).jet(z).fz))
+    assert np.array_equal(lowered.source.jet(0).f, lowered.stored[0])
+    assert lowered.source.jet(0).fz is None
+    assert pointwise(operator.mul, full, d_z(full)).source.order == 1
 
 
 def test_field_mul_combines_sources():
@@ -99,7 +102,8 @@ def test_pointwise_masks_the_union_and_lifts_only_complete_sources():
     g = GridSpec(-1, 1, -1, 1, 9, 7)
     zero = np.zeros(g.shape, dtype=bool)
     zero[4] = True      # sin(s) vanishes on x = 0
-    a = sample(diagonal_form(exp), g, extra_mask=np.eye(9, 7, dtype=bool))
+    a = sample(diagonal_form(exp), g)
+    a = ComplexField(g, a.values, np.eye(9, 7, dtype=bool), source=a.source)
     b = sample(diagonal_form(sin), g)
     f = pointwise(lambda u, v: u / v, a, b, mask=zero)
     assert np.array_equal(f.mask, a.mask | zero) and not f.values[f.mask].any()
@@ -115,6 +119,23 @@ def test_field_mul_requires_matching_grids():
         field_mul(a, b)
 
 
+def test_public_constructor_masks_derivatives_at_the_guard():
+    # a form given to a public constructor is evaluated on the mesh; the
+    # field keeps the mask it is given, and its derivatives are masked
+    # where the form's guard is set, as sampling would mask them
+    g = GridSpec(-1, 1, -1, 1, 9, 7)
+    form = holomorphic_form(lambda z: z * z, guard=lambda z: np.real(z) > 0.5)
+    guard = np.real(g.zmesh()) > 0.5
+    f = ComplexField(g, g.zmesh() ** 2, source=form)
+    assert not f.mask.any() and guard.any()
+    for op in (d_z, d_zbar, mixed_dzbar_dz):
+        out = op(f)
+        assert np.array_equal(out.mask, guard), op.__name__
+        assert not out.values[guard].any(), op.__name__
+    d = d_z(f)
+    assert np.max(np.abs(d.values[~guard] - 2 * g.zmesh()[~guard])) < 1e-14
+
+
 def _counted_leaf(asked, diagonal=False):
     """Order-2 leaf with constant slots that records each order it is asked for."""
     def jet_fn(z, order):
@@ -124,12 +145,8 @@ def _counted_leaf(asked, diagonal=False):
     return ClosedForm(jet_fn, 2, diagonal=diagonal)
 
 
-def _views(form):
-    """Value, d, dbar and dbar d of a form, each as its one slot on a mesh."""
-    dz = form.derivative("z")
-    return {"value": lambda z: form.jet(z, 0).f, "dz": lambda z: dz.jet(z, 0).f,
-            "dzbar": lambda z: form.derivative("zbar").jet(z, 0).f,
-            "dzdzbar": lambda z: dz.derivative("zbar").jet(z, 0).f}
+# `pointwise` lifts its formula to its inputs' jets: the source of its
+# result runs the formula on them and keeps the jet it makes
 
 
 def test_nested_lift_evaluates_each_leaf_once_per_level():
@@ -140,19 +157,21 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
         return a * b
 
     depth = 4
-    form = _counted_leaf(asked)
+    g = GridSpec(-1, 1, -1, 1, 5, 5)
+    f = pointwise(lambda v: v, sample(_counted_leaf(asked), g))     # a leaf that keeps its jet
     for _ in range(depth):
-        form = lift(op, form, form)
-    z = GridSpec(-1, 1, -1, 1, 5, 5).zmesh()
-    for name, view in _views(form).items():
+        f = pointwise(op, f, f)
+    # one jet per level and order, where evaluating the two inputs of each
+    # level separately would cost 2**depth leaf calls; d_zbar reads the jet
+    # that d_z made, and dbar d makes the second-order one
+    for op_, want in ((d_z, [1]), (d_zbar, []), (mixed_dzbar_dz, [2])):
         asked.clear()
         levels.clear()
-        vals = view(z)
-        # one jet per level, where evaluating the two inputs separately
-        # would cost 2**depth leaf calls
-        assert len(asked) == 1 and len(levels) == depth, name
+        vals = op_(f).values
+        assert asked == want and len(levels) == depth * len(want), op_.__name__
         assert np.all(np.isfinite(vals))
-    assert np.allclose(form.jet(z, 0).f, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
+    assert np.allclose(f.values, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
+    assert np.allclose(f.source.jet(0).f, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
 
 
 def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
@@ -160,22 +179,24 @@ def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
     g = GridSpec(-1, 1, -1, 1, 5, 5)
     for diagonal in (False, True):
         leaf = _counted_leaf(asked, diagonal)
-        form = lift(lambda a, b: a * conj(b) / b, leaf, lift(sqrt, leaf))
-        asked.clear()
-        f = sample(form, g)
-        # the leaf enters twice, directly and through the inner lift
-        assert asked == [0, 0]
-        for op, order in ((d_z, 1), (d_zbar, 1), (mixed_dzbar_dz, 2)):
+        for op, orders in ((d_z, [1, 1]), (d_zbar, [1, 1]), (mixed_dzbar_dz, [1, 1, 2, 2])):
             asked.clear()
+            fl = sample(leaf, g)
+            f = pointwise(lambda a, b: a * conj(b) / b, fl, pointwise(sqrt, fl))
+            # sampling asks for the values only, and a derived field's values
+            # come from its inputs' values
+            assert asked == [0]
+            asked.clear()
+            # the leaf enters twice, directly and through the inner field;
+            # dbar d differentiates d f, whose source asks f for one more order
             op(f)
-            assert asked == [order, order], op.__name__
+            assert asked == orders, op.__name__
 
 
 def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
-    # psi_from_rho's sources lift rho, d rho and H, and only d rho (a
-    # derivative view of rho's form, one order short) limits the result's
-    # order: asking the result for order k asks rho and H for k, and d rho
-    # for k, which asks rho's form for k + 1
+    # psi_from_rho's sources run on rho, d rho and H, and d rho (the
+    # derivative of rho's jet) asks rho for one more order: asking a
+    # component for order k asks rho's form for k and k + 1, and H's for k
     from gwsurf import build_family, psi_from_rho, sample_real
     fam = build_family("rational", lam=1.3)
     g = fam.default_grid(9, 7)
@@ -187,92 +208,140 @@ def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
             return form.jet(z, order)
         return ClosedForm(jet_fn, form.order, form.domain_guard, form.diagonal)
 
-    s = psi_from_rho(sample(recorded("rho", fam.rho_form), g),
-                     sample_real(recorded("h", fam.h_form), g))
-    for psi in (s.psi1, s.psi2):
-        assert psi.source is not None
-        for op, k in ((lambda f: sample(f.source, g), 0), (d_z, 1), (d_zbar, 1)):
+    for op, k in ((lambda f: f.source.jet(0), 0), (d_z, 1), (d_zbar, 1)):
+        for component in ("psi1", "psi2"):
+            psi = getattr(psi_from_rho(sample(recorded("rho", fam.rho_form), g),
+                                       sample_real(recorded("h", fam.h_form), g)), component)
+            assert psi.source is not None
             for orders in asked.values():
                 orders.clear()
             op(psi)
             assert sorted(asked["rho"]) == [k, k + 1] and asked["h"] == [k], asked
 
 
-def _lifted_diagonal_forms():
-    """(form, mesh) pairs: lifts of diagonal forms as the suites build them."""
-    from gwsurf import build_family, density_p, psi_from_rho
-    out = []
-    for name, kw in (("rational", {"lam": 1.3}), ("exponential", {"lam": 0.7}),
-                     ("trig", {"a": 1.5})):
-        fam = build_family(name, **kw)
-        g = fam.default_grid(19, 13)
-        s = psi_from_rho(fam.rho(g), fam.h(g))
-        out += [(s.psi1.source, g), (s.psi2.source, g)]
-        if name == "rational":
-            out.append((density_p(s).source, g))
-            out.append((lift(lambda j: 1.0 / j, fam.h_form), g))
+def test_kept_jet_is_safe_to_share_between_threads():
+    # `verify --jobs` differentiates one input from several threads: every
+    # call returns a jet of at least the order it asked for, with the same
+    # bits as a jet made alone, whatever another thread kept meanwhile
+    import sys
+    import threading
+    g = GridSpec(-1, 1, -1, 1, 41, 31)
+    leaves = [sample(holomorphic_form(lambda z: 2 + z * z / 4), g),
+              sample(diagonal_form(lambda s: 2 + cos(s)), g)]
+    formula = lambda a, b: sqrt(a) * conj(b) / (1 + a * b)
+    want = pointwise(formula, *leaves).source.jet(2)
+    shared = pointwise(formula, *leaves).source
+    errors = []
+
+    def worker(seed):
+        try:
+            for k in np.random.default_rng(seed).integers(0, 3, 40):
+                jet = shared.jet(int(k))
+                assert jet.order >= k
+                for slot in Jet.__slots__[:(1, 3, 6)[k]]:
+                    assert np.array_equal(getattr(jet, slot), getattr(want, slot))
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+
+
+def _slots(f):
+    """Every slot of a field's jet read through d_z and d_zbar, up to the
+    jet's order (the others would be stencils), as grid-shaped values."""
+    out = {"f": f.values}
+    if f.source.order >= 1:
+        out.update(fz=d_z(f).values, fzb=d_zbar(f).values)
+    if f.source.order == 2:
+        out.update(fzz=d_z(d_z(f)).values, fzzb=mixed_dzbar_dz(f).values,
+                   fzbz=d_z(d_zbar(f)).values, fzbzb=d_zbar(d_zbar(f)).values)
     return out
+
+
+def _derived_fields(rho, h):
+    """Fields that the suites derive from rho and H through `pointwise`."""
+    from gwsurf import density_p, psi_from_rho
+    s = psi_from_rho(rho, h)
+    return [s.psi1, s.psi2, density_p(s), pointwise(lambda v: 1.0 / v, h)]
 
 
 def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
     # sqrt of a negative real argument exercises the complex branch
     fn = lambda s: sqrt(s - 0.3) * sin(3 * s) / (1 + s * s)
-    cases = [(diagonal_form(fn), GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23))]
-    cases += _lifted_diagonal_forms()
-    for form, g in cases:
-        assert form.diagonal
-        z = g.zmesh()
-        full = form.jet(z)
-        for order in range(3):
-            on_mesh, pointwise = form.jet(z, order), form.jet(z.ravel(), order)
-            for k, slot in enumerate(Jet.__slots__):
-                got = getattr(on_mesh, slot)
-                if k >= (1, 3, 6)[min(order, form.order)]:    # a slot not asked for
-                    assert got is None and getattr(pointwise, slot) is None
-                    continue
-                assert got.shape == z.shape
-                flat = getattr(pointwise, slot).reshape(z.shape)
-                assert np.array_equal(got.view(np.uint64), flat.view(np.uint64))
-                assert np.array_equal(got.view(np.uint64), getattr(full, slot).view(np.uint64))
-        for name, view in _views(form).items():
-            if form.order < (2 if name == "dzdzbar" else 1):
+    form, g = diagonal_form(fn), GridSpec(-1.3, 0.9, -0.7, 1.1, 37, 23)
+    assert form.diagonal
+    z = g.zmesh()
+    full = form.jet(z)
+    for order in range(3):
+        on_mesh, pointwise_ = form.jet(z, order), form.jet(z.ravel(), order)
+        for k, slot in enumerate(Jet.__slots__):
+            got = getattr(on_mesh, slot)
+            if k >= (1, 3, 6)[order]:    # a slot not asked for
+                assert got is None and getattr(pointwise_, slot) is None
                 continue
-            on_mesh, pointwise = view(z), view(z.ravel()).reshape(z.shape)
-            assert np.array_equal(on_mesh.view(np.uint64), pointwise.view(np.uint64)), name
+            assert got.shape == z.shape
+            flat = getattr(pointwise_, slot).reshape(z.shape)
+            assert np.array_equal(got.view(np.uint64), flat.view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), getattr(full, slot).view(np.uint64))
+    # fields derived from one-column samples hold, at every grid point and
+    # in every slot, the bits of the same fields derived from forms
+    # evaluated on the whole mesh
+    from gwsurf import build_family
+    for name, kw in (("rational", {"lam": 1.3}), ("exponential", {"lam": 0.7}),
+                     ("trig", {"a": 1.5})):
+        fam = build_family(name, **kw)
+        g = fam.default_grid(19, 13)
+        rho, h = fam.rho(g), fam.h(g)
+        assert rho.stored[0].shape == h.stored[0].shape == (g.nx, 1)
+        mesh_rho = ComplexField(g, rho.values, rho.mask, source=fam.rho_form)
+        mesh_h = RealField(g, h.values, h.mask, source=fam.h_form)
+        for compact, mesh in zip(_derived_fields(rho, h), _derived_fields(mesh_rho, mesh_h)):
+            assert compact.stored[0].shape == (g.nx, 1) and mesh.stored[0].shape == g.shape
+            got, want = _slots(compact), _slots(mesh)
+            assert got.keys() == want.keys() and len(got) > 1, name
+            for slot in got:
+                assert np.array_equal(got[slot].view(np.uint64), want[slot].view(np.uint64)), \
+                    (name, slot)
 
 
 def test_diagonal_lift_runs_its_op_on_one_column():
     shapes = []
 
     def op(a, b):
-        shapes.append((np.shape(a.f), np.shape(b.f)))
+        shapes.append((np.shape(a.f if isinstance(a, Jet) else a),
+                       np.shape(b.f if isinstance(b, Jet) else b)))
         return a * b
 
-    diag = diagonal_form(exp)
-    both = lift(op, diag, diagonal_form(lambda s: 1 + s * s))
-    mixed = lift(op, holomorphic_form(lambda z: z * z), diag)
-    assert both.diagonal and not mixed.diagonal
-    assert both.derivative("z").diagonal and both.conjugate().diagonal
     g = GridSpec(-1, 1, -1, 1, 7, 5)
-    # sample runs a diagonal form on the grid's first column and stores it;
-    # the jet itself runs on whatever it is given
-    for form, shape in ((both, (7, 1)), (mixed, (7, 5))):
-        seen = (shape, shape)
-        shapes.clear()
-        f = sample(form, g)
-        assert shapes == [seen]
-        assert [a.shape for a in f.stored] == [shape, shape]
-        for deriv in (d_z, d_zbar, mixed_dzbar_dz):
+    diag = diagonal_form(exp)
+    # a sample of a diagonal form stores the grid's first column, and its
+    # jet runs there; a formula of such fields runs on their columns
+    for forms, seen, shape in (((diag, diagonal_form(lambda s: 1 + s * s)), ((7, 1), (7, 1)),
+                                (7, 1)),
+                               ((holomorphic_form(lambda z: z * z), diag), ((7, 5), (7, 1)),
+                                (7, 5))):
+        for deriv, runs in ((d_z, 1), (d_zbar, 1), (mixed_dzbar_dz, 2)):
+            shapes.clear()
+            f = pointwise(op, *(sample(form, g) for form in forms))
+            assert shapes == [seen]
+            assert [a.shape for a in f.stored] == [shape, shape]
             shapes.clear()
             out = deriv(f)
             assert out.values.shape == (7, 5) and out.stored[0].shape == shape
-            assert shapes == [seen], deriv.__name__
-        shapes.clear()
-        assert form.jet(g.zmesh()).fzzb.shape == (7, 5)
-        assert shapes == [((7, 5), (7, 5))]
-    # a grid-shaped extra mask expands the column
-    f = sample(both, g, extra_mask=np.eye(7, 5, dtype=bool))
-    assert f.stored[0].shape == (7, 5) and f.mask.sum() == 5
+            assert shapes == [seen] * runs, deriv.__name__
+    f = sample(diag, g)
+    assert [a.shape for a in f.stored] == [(7, 1), (7, 1)]
+    assert f.source.jet(2).fzzb.shape == (7, 1)
 
 
 def test_diagonal_guard_depends_on_x_only():
@@ -281,9 +350,8 @@ def test_diagonal_guard_depends_on_x_only():
     f = sample(diagonal_form(exp, guard=lambda z: z.real > 0.5), g)
     assert f.stored[1].shape == (7, 1)
     assert np.array_equal(f.mask, np.broadcast_to(g.xs()[:, None] > 0.5, (7, 5)))
-    # the same guard lifted with a diagonal form stays one
-    f = sample(lift(operator.mul, diagonal_form(exp, guard=lambda z: z.real > 0.5),
-                    diagonal_form(lambda s: s)), g)
+    # the same guard carried through a formula with a diagonal form stays one
+    f = pointwise(operator.mul, f, sample(diagonal_form(lambda s: s), g))
     assert f.stored[1].shape == (7, 1) and f.mask.sum() == 2 * 5
     # a guard that depends on y breaks the contract and is refused
     with pytest.raises(ValueError, match="depends on y"):
@@ -386,8 +454,8 @@ def test_formula_constant_in_its_variable_has_zero_derivatives():
         assert np.array_equal(getattr(jet, slot), np.zeros(z.shape, complex))
 
 
-# random lift compositions: leaves with values in the right half-plane,
-# combined by every jet operation
+# random formulas lifted to the jets of sampled fields: leaves with values
+# in the right half-plane, combined by every jet operation
 LEAVES = {
     "cos": diagonal_form(lambda s: 2 + cos(s)),
     "spiral": diagonal_form(lambda s: exp(0.3j * s) * (1.5 + 0.25 * s)),
@@ -404,36 +472,40 @@ TREES = st.recursive(
                            st.tuples(st.sampled_from(sorted(BINARY)), kids, kids)),
     max_leaves=4)
 COARSE, FINE = GridSpec(-1, 1, -1, 1, 51, 51), GridSpec(-1, 1, -1, 1, 101, 101)
-# every slot through the derivative forms: analytic when the field has a source
+# every slot through the derivatives: analytic when the field has a source
 DERIVATIVES = {"d": d_z, "dbar": d_zbar, "dbar d": mixed_dzbar_dz,
                "d dbar": lambda f: d_z(d_zbar(f)), "d d": lambda f: d_z(d_z(f)),
                "dbar dbar": lambda f: d_zbar(d_zbar(f))}
 
 
-def _build(tree):
-    """The nested lift of a tree; sqrt and log need Re > 0, inv and div |.| > 0."""
+def _build(tree, grids):
+    """The tree as nested `pointwise` fields over sampled leaves, one
+    independent copy per grid in `grids`, whose first is FINE; sqrt and
+    log need Re > 0, inv and div |.| > 0."""
     if isinstance(tree, str):
-        return LEAVES[tree]
+        return [sample(LEAVES[tree], g) for g in grids]
     name, *kids = tree
-    forms = [_build(k) for k in kids]
+    args = [_build(k, grids) for k in kids]
     # FINE holds every point of COARSE, so checking it covers both grids
-    arg = forms[-1].jet(FINE.zmesh(), 0).f
+    arg = args[-1][0].values
     if name in ("sqrt", "log"):
         assume(np.min(arg.real) > 0.3)
     if name in ("inv", "div"):
         assume(np.min(np.abs(arg)) > 0.3)
-    return lift(UNARY[name] if name in UNARY else BINARY[name], *forms)
+    fn = UNARY[name] if name in UNARY else BINARY[name]
+    return [pointwise(fn, *fields) for fields in zip(*args)]
 
 
 @given(TREES)
 @settings(max_examples=30, deadline=5000, derandomize=True)
 def test_random_lift_slots_do_not_depend_on_the_order_asked(tree):
-    form = _build(tree)
-    assert form.order == 2
-    z = GridSpec(-1, 1, -1, 1, 9, 7).zmesh()
-    full = form.jet(z)
-    for order in range(3):
-        jet = form.jet(z, order)
+    # a fresh copy for each order, since a derived field keeps its jet
+    g = GridSpec(-1, 1, -1, 1, 9, 7)
+    _, *copies = _build(tree, [FINE] + [g] * 4)
+    assert all(f.source.order == 2 for f in copies)
+    full = copies[0].source.jet(2)
+    for order, f in enumerate(copies[1:]):
+        jet = f.source.jet(order)
         for k, slot in enumerate(Jet.__slots__):
             got = getattr(jet, slot)
             if k >= (1, 3, 6)[order]:
@@ -445,16 +517,15 @@ def test_random_lift_slots_do_not_depend_on_the_order_asked(tree):
 @given(TREES)
 @settings(max_examples=30, deadline=5000, derandomize=True)
 def test_random_lift_derivatives_converge_to_stencils(tree):
-    form = _build(tree)
+    fine, coarse = _build(tree, [FINE, COARSE])
     for name, op in DERIVATIVES.items():
         errs = []
-        for g in (COARSE, FINE):
-            f = sample(form, g)
-            z = g.zmesh()
+        for f in (coarse, fine):
+            z = f.grid.zmesh()
             # nested one-sided boundary stencils are first order; judge the interior
             inner = (np.abs(z.real) < 0.9) & (np.abs(z.imag) < 0.9)
             errs.append(np.max(np.abs(op(f.without_source()).values - op(f).values)[inner]))
-        scale = max(1.0, float(np.max(np.abs(op(sample(form, FINE)).values))))
+        scale = max(1.0, float(np.max(np.abs(op(fine).values))))
         if errs[0] < 1e-8 * scale:      # the stencils are exact up to round-off
             continue
         # at least fd_check's second order; on (anti)holomorphic compositions

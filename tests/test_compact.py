@@ -10,6 +10,7 @@ from gwsurf import cli
 from gwsurf.cli import _INPUTS, _level_entry, _run_level, _suites_for
 from gwsurf.families import build_family
 from gwsurf.grid import GridSpec
+from gwsurf.sigma import psi_from_rho, psi_pair
 from gwsurf.weierstrass import SpinorField
 
 # small non-square grids; trig's crosses the guard band at s = 0.05
@@ -24,12 +25,22 @@ DIAGONAL = ("rational", "exponential", "trig", "unimodular")
 STENCIL_TOL = 1e-13
 
 
-def _grid_shaped(value):
-    """A field or spinor pair rebuilt grid-shaped through the public
-    constructors, sources kept."""
-    if isinstance(value, SpinorField):
-        return SpinorField(_grid_shaped(value.psi1), _grid_shaped(value.psi2))
-    return type(value)(value.grid, value.values, value.mask, source=value.source)
+def _grid_shaped(fam, name, grid):
+    """verify's input `name`, built from the family alone, rebuilt
+    grid-shaped through the public constructors; its analytic sources are
+    the family's forms evaluated on the whole mesh (for a spinor built by
+    the transform, the transform's sources on those)."""
+    def rebuilt(field, source):
+        return type(field)(grid, field.values, field.mask, source=source)
+
+    rho, h = rebuilt(fam.rho(grid), fam.rho_form), rebuilt(fam.h(grid), fam.h_form)
+    if name in ("rho", "h"):
+        return rho if name == "rho" else h
+    s = fam.spinor(grid)
+    mesh = (fam.psi1_form, fam.psi2_form) if fam.spinor_forms else \
+        (lambda t: (t.psi1.source, t.psi2.source))(psi_from_rho(rho, h, fam.eps))
+    s = SpinorField(rebuilt(s.psi1, mesh[0]), rebuilt(s.psi2, mesh[1]))
+    return s if name == "spinor" else s.without_sources()
 
 
 def _reports(fam, grid, inputs):
@@ -53,7 +64,7 @@ def test_suites_agree_on_compact_and_grid_shaped_inputs(name):
     # the inputs built from the family alone are rebuilt; the others are
     # derived from them as verify derives them
     rebuilt = {key: spec if spec.reads else
-               dataclasses.replace(spec, build=lambda f, g, b=spec.build: _grid_shaped(b(f, g)))
+               dataclasses.replace(spec, build=lambda f, g, key=key: _grid_shaped(f, key, g))
                for key, spec in _INPUTS.items()}
     for grid in grids:
         rho, h = fam.rho(grid), fam.h(grid)
@@ -79,13 +90,19 @@ def test_suites_agree_on_compact_and_grid_shaped_inputs(name):
 def test_inputs_hold_their_forms_at_every_grid_point(name):
     # what the suites compare above must be the family itself: every
     # analytic input equals its form evaluated point by point on the grid
+    # (a spinor built by the transform, the transform of the forms of rho
+    # and H)
     fam, grids = _levels(name)
     for grid in grids:
-        z = grid.zmesh()
+        z = grid.zmesh().ravel()
+        with np.errstate(all="ignore"):
+            rho, h = fam.rho_form.jet(z, 1), fam.h_form.jet(z, 0).f
+            psi = ((fam.psi1_form.jet(z, 0).f, fam.psi2_form.jet(z, 0).f) if fam.spinor_forms
+                   else psi_pair(rho.f, rho.fz, h, fam.eps))
         s = fam.spinor(grid)
-        for field in (fam.rho(grid), fam.h(grid), s.psi1, s.psi2):
-            with np.errstate(all="ignore"):
-                want = field.source.jet(z.ravel(), 0).f.reshape(grid.shape)
+        for field, want in ((fam.rho(grid), rho.f), (fam.h(grid), h), (s.psi1, psi[0]),
+                            (s.psi2, psi[1])):
+            want = want.reshape(grid.shape)
             want = np.where(field.mask, 0, want.real if field.values.dtype == float else want)
             assert np.array_equal(np.ascontiguousarray(field.values).view(np.uint64),
                                   np.ascontiguousarray(want).view(np.uint64)), name

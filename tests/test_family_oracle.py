@@ -7,7 +7,7 @@ pytest.importorskip("sympy")
 
 from sympy_oracle import family_exprs  # noqa: E402
 
-from gwsurf import build_family  # noqa: E402
+from gwsurf import build_family, d_z, d_zbar, mixed_dzbar_dz, sample  # noqa: E402
 from gwsurf.closedform import Jet  # noqa: E402
 
 SWEEP = ([("rational", {"lam": v}) for v in (0.5, 1.0, 1.3, 2.0)]
@@ -50,11 +50,15 @@ def _check_slots(name, kw):
              if getattr(fam, attr) is not None}
     assert forms.keys() == oracle.keys()
     for attr, form in forms.items():
-        jet, dz, dzb = form.jet(z), form.derivative("z").jet(z), form.derivative("zbar").jet(z)
-        # each slot as the form's jet and as the jets of its derivative forms
-        views = {"f": (jet.f, form.jet(z, 0).f), "fz": (jet.fz, dz.f), "fzb": (jet.fzb, dzb.f),
-                 "fzz": (jet.fzz, dz.fz), "fzzb": (jet.fzzb, dz.fzb, dzb.fz),
-                 "fzbzb": (jet.fzbzb, dzb.fzb)}
+        jet, f = form.jet(z), sample(form, g)
+        assert f.source.order == 2 and not (f.mask & keep).any(), attr
+        # each slot as the form's jet and as the derivatives of its sample
+        dz, dzb = d_z(f), d_zbar(f)
+        views = {"f": (jet.f, form.jet(z, 0).f, f.values), "fz": (jet.fz, dz.values),
+                 "fzb": (jet.fzb, dzb.values), "fzz": (jet.fzz, d_z(dz).values),
+                 "fzzb": (jet.fzzb, d_zbar(dz).values, d_z(dzb).values,
+                          mixed_dzbar_dz(f).values),
+                 "fzbzb": (jet.fzbzb, d_zbar(dzb).values)}
         for slot, expect_fn in zip(Jet.__slots__, oracle[attr]):
             expect = expect_fn(z)[keep]
             bound = 2e-13 * max(1.0, float(np.max(np.abs(expect))))
