@@ -8,7 +8,7 @@ explicit solution families attached to it.
 
 __version__ = "0.1.0"
 
-from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown, field_to_csv
+from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown
 from .closedform import (ClosedForm, Jet, sample, sample_real, diagonal_form, holomorphic_form,
                          constant_form, pointwise, field_mul, jet_dz, jet_dzbar,
                          exp, sin, cos, sqrt, log, conj)
@@ -28,7 +28,7 @@ from .integrability import (RiccatiCoeffs, HolomorphicProfile, h_integrability_r
                             zero_curvature_residual, sinh_gordon_residual,
                             linearization_constraint_residual, linear_system_residual)
 from .inducer import (Surface, FundamentalForms, induce_surface, path_independence_report,
-                      fundamental_forms, export_mesh, load_mesh_vertices, surface_to_csv)
+                      fundamental_forms, export_mesh, load_mesh_vertices)
 from .families import (SolutionFamily, family_rational, family_exponential,
                        family_trigonometric, family_unimodular, family_holomorphic,
                        build_family, FAMILY_NAMES)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec", "ComplexField", "RealField", "NumericalBreakdown", "field_to_csv"]
+__all__ = ["GridSpec", "ComplexField", "RealField", "NumericalBreakdown"]
 
 
 class NumericalBreakdown(ValueError):
@@ -260,75 +260,3 @@ class RealField(_Field):
     """
 
     _dtype = float
-
-
-def field_to_csv(field, path) -> None:
-    """Dump a field snapshot as CSV rows (x, y, re, im), row-major in (i, j).
-
-    Values print as Python float reprs, each distinct value formatted once
-    per block of grid rows; lines are assembled as byte arrays (see
-    `_write_grid_csv`).
-    """
-    vals = np.asarray(field.values, dtype=complex)
-    _write_grid_csv(path, field.grid, b"x,y,re,im", (vals.real, vals.imag))
-
-
-# grid rows formatted together: enough repeats to share each string, while
-# the table stays small when every value is distinct
-_BLOCK_ROWS = 8
-
-
-def _reprs(values) -> np.ndarray:
-    """The Python float repr of each of `values`, as an "S" array of their
-    shape. Values are grouped by bit pattern, so 0.0 and -0.0 stay apart,
-    and each distinct one is formatted once."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    table = np.array(list(map(repr, keys.view(float).tolist())), dtype="S")
-    return table[inverse.reshape(bits.shape)]
-
-
-def _text(*cols) -> bytes:
-    """The text of `cols` side by side, element by element in row-major
-    order: each is an "S" array, all broadcasting together, or a bytes
-    constant such as b",". The NUL padding of the shorter values is
-    dropped, so no value may contain a NUL byte."""
-    cols = [np.asarray(c) for c in cols]
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    buf = np.concatenate([np.broadcast_to(c[..., None].view(np.uint8), (*shape, c.itemsize))
-                          for c in cols], axis=-1).ravel()
-    return buf[buf != 0].tobytes()
-
-
-def _block_reprs(grid: GridSpec, cols):
-    """For each block of at most _BLOCK_ROWS consecutive grid rows, in order:
-    its row slice and the reprs of x, y, cols[0], ... at its points, as "S"
-    arrays that broadcast to (rows, ny). x and y are formatted once per
-    grid, of shapes (rows, 1) and (ny,); the others are (rows, ny)."""
-    xs, ys = _reprs(grid.xs()), _reprs(grid.ys())
-    for i in range(0, grid.nx, _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
-        yield rows, [xs[rows, None], ys, *(_reprs(c[rows]) for c in cols)]
-
-
-def _csv_lines(strings: list[np.ndarray]) -> bytes:
-    """One comma-separated line per grid point of a `_block_reprs` block,
-    row-major in (i, j)."""
-    parts = [strings[0]]
-    for s in strings[1:]:
-        parts += [b",", s]
-    return _text(*parts, b"\n")
-
-
-def _write_grid_csv(path, grid: GridSpec, header: bytes, cols) -> None:
-    """Write `header`, then x,y,cols[0][i, j],... for every grid point,
-    row-major in (i, j). Lines end in LF on every platform.
-
-    Values print as Python float reprs; the file is written a block of grid
-    rows at a time, each distinct value in the block formatted once and the
-    lines assembled as byte arrays.
-    """
-    with open(path, "wb") as fh:
-        fh.write(header + b"\n")
-        for _, strings in _block_reprs(grid, cols):
-            fh.write(_csv_lines(strings))

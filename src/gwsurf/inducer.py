@@ -22,15 +22,14 @@ the density.
 from __future__ import annotations
 
 import warnings
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
-from .grid import (_BLOCK_ROWS, ComplexField, GridSpec, NumericalBreakdown, RealField,
-                   _block_reprs, _csv_lines, _shared, _text)
+from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import RATIO_MIN, ResidualReport, norms
 from .weierstrass import SpinorField, density_p
 
@@ -38,7 +37,7 @@ __all__ = [
     "Surface", "FundamentalForms",
     "induce_surface", "path_independence_report",
     "fundamental_forms",
-    "export_mesh", "load_mesh_vertices", "surface_to_csv",
+    "export_mesh", "load_mesh_vertices",
 ]
 
 
@@ -231,7 +230,7 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First (E, F, G) and second (e, f, g) fundamental forms plus the unit normal."""
+    """First (E, F, G) and second (e, f, g) fundamental forms."""
 
     E: RealField
     F: RealField
@@ -239,7 +238,6 @@ class FundamentalForms:
     e: RealField
     f: RealField
     g: RealField
-    normal: np.ndarray            # (3, nx, ny)
     degenerate_mask: np.ndarray   # immersion failure: EG - F^2 <= 1e-18
 
     @property
@@ -325,9 +323,34 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
         return RealField._derived(srf.grid, np.where(formmask, 0, v), formmask)
 
     return FundamentalForms(E=fld(E), F=fld(F), G=fld(G),
-                            e=fld(e), f=fld(f_), g=fld(g),
-                            normal=np.where(formmask[None, :, :], 0, normal),
-                            degenerate_mask=degenerate)
+                            e=fld(e), f=fld(f_), g=fld(g), degenerate_mask=degenerate)
+
+
+# grid rows formatted together: enough repeats to share each string, while
+# the table stays small when every value is distinct
+_BLOCK_ROWS = 8
+
+
+def _reprs(values) -> np.ndarray:
+    """The Python float repr of each of `values`, as an "S" array of their
+    shape. Values are grouped by bit pattern, so 0.0 and -0.0 stay apart,
+    and each distinct one is formatted once."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    table = np.array(list(map(repr, keys.view(float).tolist())), dtype="S")
+    return table[inverse.reshape(bits.shape)]
+
+
+def _text(*cols) -> bytes:
+    """The text of `cols` side by side, element by element in row-major
+    order: each is an "S" array, all broadcasting together, or a bytes
+    constant such as b",". The NUL padding of the shorter values is
+    dropped, so no value may contain a NUL byte."""
+    cols = [np.asarray(c) for c in cols]
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    buf = np.concatenate([np.broadcast_to(c[..., None].view(np.uint8), (*shape, c.itemsize))
+                          for c in cols], axis=-1).ravel()
+    return buf[buf != 0].tobytes()
 
 
 def _labels(n: int) -> np.ndarray:
@@ -367,54 +390,45 @@ def _write_faces(fh, keep: np.ndarray) -> int:
     return 2 * int(np.count_nonzero(whole))
 
 
-def _write_surface(srf: Surface, obj_path=None, csv_path=None,
-                   ff: FundamentalForms | None = None) -> tuple[int, int]:
-    """Write the OBJ mesh to `obj_path` and/or the CSV dump to `csv_path` in
-    one pass over blocks of grid rows; returns the mesh's (vertex count,
-    face count), faces 0 without a mesh.
-
-    Each distinct value in a block is formatted once (Python float reprs)
-    and both files print those strings: the CSV at every grid point, the
-    OBJ `v` lines at the unmasked ones. The `f` lines follow the vertices.
-    Lines are assembled as byte arrays and end in LF on every platform.
-    """
-    keep = ~srf.mask
-    if obj_path is not None and not keep.any():
-        raise NumericalBreakdown("fully masked surface; nothing to export")
-    cols = (srf.x1.values, srf.x2.values, srf.x3.values)
-    if csv_path is not None:
-        ff = fundamental_forms(srf) if ff is None else ff
-        cols += (ff.mean_curvature.values, ff.gauss_curvature.values)
-    with ExitStack() as files:
-        obj = csv = None
-        if obj_path is not None:
-            obj = files.enter_context(open(obj_path, "wb"))
-        if csv_path is not None:
-            csv = files.enter_context(open(csv_path, "wb"))
-            csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
-        for rows, strings in _block_reprs(srf.grid, cols):
-            if csv is not None:
-                csv.write(_csv_lines(strings))
-            if obj is not None:
-                x1, x2, x3 = (s[keep[rows]] for s in strings[2:5])
-                obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
-        nfaces = 0 if obj is None else _write_faces(obj, keep)
-    return int(np.count_nonzero(keep)), nfaces
-
-
 def export_mesh(srf: Surface, path, csv_path=None,
                 ff: FundamentalForms | None = None) -> tuple[int, int]:
-    """Write the surface as an OBJ mesh; deterministic byte-for-byte.
+    """Write the surface as an OBJ mesh to `path`, and with `csv_path` the
+    rows x, y, X1, X2, X3, H_num, K_num for external plotting, in one pass;
+    deterministic byte-for-byte. Returns the mesh's (vertex count, face
+    count).
 
-    One `v` line per unmasked grid vertex in row-major (i, j) order; each
-    fully-unmasked grid cell becomes two triangles. Returns (vertex
-    count, face count). Coordinates print as Python float reprs; the file
-    is written a block of grid rows at a time, each distinct value in the
-    block formatted once and the lines assembled as byte arrays, ending in
-    LF on every platform. With `csv_path`, the `surface_to_csv` dump (given
-    `ff`) is written in the same pass, from the same strings.
+    The OBJ has one `v` line per unmasked grid vertex in row-major (i, j)
+    order, then two triangles per fully-unmasked grid cell; the CSV has a
+    row per grid point, row-major. `ff` are the surface's fundamental
+    forms, for the CSV's curvatures, when the caller already has them;
+    they are computed otherwise. Values print as Python float reprs. The
+    files are written a block of grid rows at a time: each distinct value
+    in the block is formatted once, for both files, and the lines are
+    assembled as byte arrays, ending in LF on every platform.
     """
-    return _write_surface(srf, path, csv_path, ff)
+    keep = ~srf.mask
+    if not keep.any():
+        raise NumericalBreakdown("fully masked surface; nothing to export")
+    grid = srf.grid
+    cols = [srf.x1.values, srf.x2.values, srf.x3.values]
+    if csv_path is not None:
+        ff = fundamental_forms(srf) if ff is None else ff
+        cols += [ff.mean_curvature.values, ff.gauss_curvature.values]
+    xs, ys = _reprs(grid.xs()), _reprs(grid.ys())
+    with (open(path, "wb") as obj,
+          nullcontext() if csv_path is None else open(csv_path, "wb") as csv):
+        if csv is not None:
+            csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
+        for i in range(0, grid.nx, _BLOCK_ROWS):
+            rows = slice(i, i + _BLOCK_ROWS)
+            strings = [_reprs(c[rows]) for c in cols]
+            if csv is not None:
+                cells = [p for s in strings for p in (b",", s)]
+                csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
+            x1, x2, x3 = (s[keep[rows]] for s in strings[:3])
+            obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
+        nfaces = _write_faces(obj, keep)
+    return int(np.count_nonzero(keep)), nfaces
 
 
 def load_mesh_vertices(path) -> np.ndarray:
@@ -426,12 +440,3 @@ def load_mesh_vertices(path) -> np.ndarray:
                 _, xs, ys, zs = line.split()
                 verts.append((float(xs), float(ys), float(zs)))
     return np.asarray(verts, dtype=float)
-
-
-def surface_to_csv(srf: Surface, path, ff: FundamentalForms | None = None) -> None:
-    """Dump x, y, X1, X2, X3, H_num, K_num rows for external plotting.
-
-    `ff` are the surface's fundamental forms when the caller already has
-    them; they are computed otherwise.
-    """
-    _write_surface(srf, csv_path=path, ff=ff)

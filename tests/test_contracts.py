@@ -2,11 +2,13 @@
 module's export list is re-exported by the package, the public API
 keeps one name for each curvature and one switch to stencils, every
 field shows grid-shaped, read-only values and mask, however it is
-stored, and the command line decides nothing by a family's name."""
+stored, the command line decides nothing by a family's name, and only
+the inducer and the command line open files."""
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,15 @@ def test_cli_does_not_branch_on_family_names():
                for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "name"
                and isinstance(n.value, ast.Name) and n.value.id == "fam"}
     assert readers == {"_write_report", "cmd_verify", "cmd_induce"}
+
+
+def test_only_the_inducer_and_the_cli_open_files():
+    # export_mesh writes the surface files and the command line writes the
+    # reports; every other module computes without touching the disk
+    openers = set()
+    for path in Path(gwsurf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"
+               for n in ast.walk(tree)):
+            openers.add(path.stem)
+    assert openers == {"inducer", "cli"}

@@ -438,74 +438,6 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
                               np.ascontiguousarray(ref).view(np.uint64))
 
 
-# values whose reprs a formatter that groups equal floats, drops a bit or
-# truncates a string gets wrong: signed zeros, one-ulp neighbours,
-# subnormals, both sides of the thresholds where repr switches to exponent
-# form, and reprs of 24 characters, the longest a float has
-AWKWARD = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
-                    5e-324, np.nextafter(0.0, -1.0), 2.5e-310, 1e16, -1e16,
-                    np.nextafter(1e16, 0.0), 1.2345678901234567e17, 1e-4, 9.999999999999999e-5,
-                    -1e-5, 3.0e22, 0.1, 0.30000000000000004,
-                    -2.2250738585072014e-308, -1.2345678901234567e-100])
-
-
-def test_field_csv_snapshot(tmp_path):
-    from gwsurf import field_to_csv
-    g = GridSpec(0, 1, 0, 1, 3, 3)
-    f = ComplexField(g, g.zmesh())
-    path = tmp_path / "f.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + 9
-    x, y, re, im = (float(v) for v in lines[1].split(","))
-    assert (x, y, re, im) == (0.0, 0.0, 0.0, 0.0)
-    x, y, re, im = (float(v) for v in lines[-1].split(","))
-    assert (x, y, re, im) == (1.0, 1.0, 1.0, 1.0)
-
-    # byte-identical to the per-element writer on masked, non-square fields
-    from gwsurf import RealField
-    rng = np.random.default_rng(11)
-    g = GridSpec(-0.7, 1.3, -2.0, 0.5, 13, 9)
-    mask = np.zeros(g.shape, bool)
-    mask[0, 0] = mask[12, 4] = mask[6, 3] = mask[5, 8] = True
-    vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-9, 9, g.shape)
-    vals[3, 3] = -0.0
-    fields = [RealField(g, vals, mask),
-              ComplexField(g, vals + 1j * rng.standard_normal(g.shape), mask)]
-
-    # awkward values over rows that span three export row blocks: signed
-    # zeros in one block of one column, a value repeated across the block
-    # boundary between rows 7 and 8, and masked points (stored as 0.0)
-    g = GridSpec(-1, 1, -2, 2, 19, 7)
-    re, im = (np.resize(v, g.nx * g.ny).reshape(g.shape) for v in (AWKWARD, AWKWARD[::-1]))
-    re[7, 2] = re[8, 2] = np.nextafter(1.0, 2.0)
-    z = re.astype(complex)
-    z.imag = im                       # re + 1j * im would turn -0.0 parts into 0.0
-    mask = np.zeros(g.shape, bool)
-    mask[1, 1] = mask[9, 6] = mask[18, 0] = True
-    fields += [RealField(g, re, mask), ComplexField(g, z, mask)]
-    for f in fields:
-        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-        field_to_csv(f, got)
-        _field_csv_reference(f, ref)
-        assert got.read_bytes() == ref.read_bytes()
-
-
-def _field_csv_reference(field, path):
-    """Per-element reference writer for field_to_csv."""
-    grid = field.grid
-    xs, ys = grid.xs(), grid.ys()
-    vals = np.asarray(field.values, dtype=complex)
-    r = repr
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,y,re,im\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                fh.write(f"{r(float(xs[i]))},{r(float(ys[j]))},"
-                         f"{r(float(vals[i, j].real))},{r(float(vals[i, j].imag))}\n")
-
-
 class TestTrapezoid:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("dtype", [float, complex])

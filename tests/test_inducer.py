@@ -8,10 +8,9 @@ import pytest
 from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gaussian_curvature_from_p, induce_surface,
-                    load_mesh_vertices, norms, path_independence_report, surface_to_csv)
+                    load_mesh_vertices, norms, path_independence_report)
 from gwsurf.cli import main
 from gwsurf.inducer import Surface, closedness_defect
-from test_grid_calculus import AWKWARD
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 
@@ -75,13 +74,14 @@ class TestInduce:
         with pytest.warns(UserWarning):
             induce_surface(bumped)
 
-    @pytest.mark.parametrize("n", [31, 51, 101])
+    @pytest.mark.parametrize("n", [31, 41, 51])
     def test_exact_solution_does_not_warn(self, n):
-        # the O(h^2) stencil defect of an exact solution exceeds the absolute
-        # tolerance at these grids but shrinks like h^2, so it is not reported
+        # the O(h^2) stencil defect of an exact solution exceeds the 1e-3
+        # warning threshold at these grids but shrinks like h^2, so it is
+        # not reported
         fam = family_holomorphic(h0=1.0)
         s = fam.spinor(GridSpec(*fam.default_domain, n, n))
-        assert closedness_defect(s) > 1e-4
+        assert closedness_defect(s) > 1e-3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             induce_surface(s)
@@ -362,7 +362,7 @@ class TestExport:
         g = GridSpec(-1, 1, -1, 1, 11, 11)
         srf = induce_surface(fam.spinor(g), 0.0)
         path = tmp_path / "s.csv"
-        surface_to_csv(srf, path)
+        export_mesh(srf, tmp_path / "s.obj", csv_path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,X1,X2,X3,H_num,K_num"
         assert len(lines) == 1 + 11 * 11
@@ -399,7 +399,7 @@ def loop_export_mesh(srf, path):
     return count, nfaces
 
 
-def loop_surface_to_csv(srf, path):
+def loop_surface_csv(srf, path):
     """Per-element CSV writer the vectorized export must reproduce byte for byte."""
     ff = fundamental_forms(srf)
     hn = ff.mean_curvature
@@ -427,6 +427,17 @@ def masked_surface():
     return param_surface(g, lambda u, v: 2 * np.sin(u) * np.cos(v),
                          lambda u, v: 2 * np.sin(u) * np.sin(v),
                          lambda u, v: 2 * np.cos(u) + 0 * v, mask=mask)
+
+
+# values whose reprs a formatter that groups equal floats, drops a bit or
+# truncates a string gets wrong: signed zeros, one-ulp neighbours,
+# subnormals, both sides of the thresholds where repr switches to exponent
+# form, and reprs of 24 characters, the longest a float has
+AWKWARD = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                    5e-324, np.nextafter(0.0, -1.0), 2.5e-310, 1e16, -1e16,
+                    np.nextafter(1e16, 0.0), 1.2345678901234567e17, 1e-4, 9.999999999999999e-5,
+                    -1e-5, 3.0e22, 0.1, 0.30000000000000004,
+                    -2.2250738585072014e-308, -1.2345678901234567e-100])
 
 
 def awkward_surface():
@@ -478,21 +489,20 @@ def masked_block_surface():
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
     expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
+    loop_surface_csv(srf, tmp_path / "loop.csv")
+    expect_obj = (tmp_path / "loop.obj").read_bytes()
+    expect_csv = (tmp_path / "loop.csv").read_bytes()
+
     assert export_mesh(srf, tmp_path / "new.obj") == expect_counts
-    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+    assert (tmp_path / "new.obj").read_bytes() == expect_obj
 
-    loop_surface_to_csv(srf, tmp_path / "loop.csv")
-    surface_to_csv(srf, tmp_path / "new.csv")
-    surface_to_csv(srf, tmp_path / "given_forms.csv", fundamental_forms(srf))
-    expect = (tmp_path / "loop.csv").read_bytes()
-    assert (tmp_path / "new.csv").read_bytes() == expect
-    assert (tmp_path / "given_forms.csv").read_bytes() == expect
-
-    # OBJ and CSV from one pass
-    assert export_mesh(srf, tmp_path / "both.obj", csv_path=tmp_path / "both.csv",
-                       ff=fundamental_forms(srf)) == expect_counts
-    assert (tmp_path / "both.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
-    assert (tmp_path / "both.csv").read_bytes() == expect
+    # OBJ and CSV from one pass, with the fundamental forms computed by the
+    # writer and given by the caller
+    for name, ff in (("new", None), ("given_forms", fundamental_forms(srf))):
+        assert export_mesh(srf, tmp_path / f"{name}.obj", csv_path=tmp_path / f"{name}.csv",
+                           ff=ff) == expect_counts
+        assert (tmp_path / f"{name}.obj").read_bytes() == expect_obj
+        assert (tmp_path / f"{name}.csv").read_bytes() == expect_csv
 
 
 def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):
@@ -506,7 +516,7 @@ def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):
     fam = build_family(family)
     srf = induce_surface(fam.spinor(GridSpec(*(domain or fam.default_domain), *shape)), basepoint)
     loop_export_mesh(srf, tmp_path / "loop.obj")
-    loop_surface_to_csv(srf, tmp_path / "loop.csv")
+    loop_surface_csv(srf, tmp_path / "loop.csv")
     for ext in ("obj", "csv"):
         made = (tmp_path / f"{family}_surface.{ext}").read_bytes()
         assert made == (tmp_path / f"loop.{ext}").read_bytes()
