@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown
 from .closedform import (ClosedForm, Jet, sample, sample_real, diagonal_form, holomorphic_form,
-                         constant_form, pointwise, field_mul, jet_dz, jet_dzbar,
+                         constant_form, pointwise, jet_dz, jet_dzbar,
                          exp, sin, cos, sqrt, log, conj)
 from .calculus import d_z, d_zbar, mixed_dzbar_dz, dx, dy, dxx, dyy, dxy
 from .reporting import ResidualReport, ResidualPart, report_from_parts, norms, worst

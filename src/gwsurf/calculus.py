@@ -124,10 +124,7 @@ def _gradient(field, axis: int):
 
     Fields are immutable, so each axis is differenced at most once per
     field; the result is kept on the field and shared with its
-    without_source() views, which hold the same arrays. `verify --jobs`
-    (cli's `_run_level`) fills it through fill_stencils on every input a
-    suite reads before the suites are dispatched to worker threads, which
-    then only read it.
+    without_source() views, which hold the same arrays.
     """
     got = field._grad.get(axis)
     if got is None:
@@ -137,18 +134,6 @@ def _gradient(field, axis: int):
             arr.setflags(write=False)
         field._grad[axis] = got
     return got
-
-
-def fill_stencils(value) -> None:
-    """Difference `value` along both axes now and keep the stencils, when
-    it is a field without an analytic source; for a spinor (psi1, psi2),
-    each such component. Anything else is left alone. Later derivatives of
-    it, from any thread, then only read the kept stencils."""
-    parts = (value.psi1, value.psi2) if hasattr(value, "psi1") else (value,)
-    for f in parts:
-        if isinstance(f, (ComplexField, RealField)) and f.source is None:
-            _gradient(f, 0)
-            _gradient(f, 1)
 
 
 def _once(derivative, field):
@@ -192,7 +177,7 @@ def _analytic(field, step):
     src = getattr(field, "source", None)
     if src is None or src.order == 0:
         return None
-    mask = field.stored[1] | src.guard
+    mask = field.stored[1]
     deriv = _Source(src.order - 1, lambda k: step(src.jet(k + 1)))
     return ComplexField._derived(field.grid, np.where(mask, 0, deriv.jet(0).f), mask,
                                  source=deriv)

@@ -31,13 +31,12 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .calculus import fill_stencils, mixed_dzbar_dz
+from .calculus import mixed_dzbar_dz
 from .families import FAMILY_NAMES, SolutionFamily, build_family
 from .grid import GridSpec, NumericalBreakdown, _shared
 from .inducer import (export_mesh, fundamental_forms, induce_surface,
@@ -89,9 +88,11 @@ class RunConfig:
 
     def __post_init__(self):
         # zero levels would compute no ratios and silently skip the ratio gate
-        for key in ("levels", "jobs"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.levels < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
+        # verify runs on one thread; the key stays so that `--jobs 1` parses
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}")
 
     def describe(self) -> dict:
         """The settings that shape results, as stamped into every report."""
@@ -453,26 +454,10 @@ def _level_inputs(fam: SolutionFamily, grid: GridSpec) -> Callable[[str], object
     return get
 
 
-def _call(spec: SuiteSpec, fam: SolutionFamily, inputs: list) -> ResidualReport:
-    # errstate is not inherited by pool threads, so each run sets it
-    with np.errstate(all="ignore"):
-        return spec.runner(fam, *inputs)
-
-
-def _run_level(suites, fam, grid, pool=None) -> list[ResidualReport]:
-    """Each suite's report at `grid`, in the order of `suites`.
-
-    With a pool, the stencils of the inputs the suites read are filled
-    before the suites are dispatched, so worker threads share them
-    read-only.
-    """
+def _run_level(suites, fam, grid) -> list[ResidualReport]:
+    """Each suite's report at `grid`, in the order of `suites`."""
     get = _level_inputs(fam, grid)
-    if pool is None:
-        return [_call(spec, fam, [get(n) for n in spec.inputs]) for spec in suites]
-    for name in dict.fromkeys(n for spec in suites for n in spec.inputs):
-        fill_stencils(get(name))
-    args = [[get(n) for n in spec.inputs] for spec in suites]
-    return list(pool.map(_call, suites, [fam] * len(suites), args))
+    return [spec.runner(fam, *map(get, spec.inputs)) for spec in suites]
 
 
 def _level_entry(rep: ResidualReport) -> dict:
@@ -572,12 +557,7 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
 def cmd_verify(cfg: RunConfig) -> int:
     fam, grids = _setup(cfg)
     suites = _suites_for(fam)
-    executor = nullcontext()
-    if cfg.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        executor = ThreadPoolExecutor(max_workers=cfg.jobs)
-    with executor as pool:
-        levels = [_run_level(suites, fam, g, pool) for g in grids]
+    levels = [_run_level(suites, fam, g) for g in grids]
     results = [_gate(spec, fam, reports, cfg.tol_scale)
                for spec, reports in zip(suites, zip(*levels))]
 

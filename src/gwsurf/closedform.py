@@ -25,7 +25,8 @@ field from fields through one such formula, runs it on their values for
 the field's values and on their sources' jets for its source, so a
 derived field's formula is written once. A `pointwise` result keeps the
 jet it makes; a sample evaluates its form again for each jet asked of
-it. A derivative reads a slot of its field's jet (see calculus).
+it. A derivative reads a slot of its field's jet (see calculus). Every
+source starts at `sample`; the public field constructors take none.
 
 `sample` evaluates a diagonal form (one that depends on z only through
 s = z + conj(z)) on the grid's first column only, and the field it
@@ -33,8 +34,6 @@ returns stores that column (see grid).
 """
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,7 +44,7 @@ from .grid import ComplexField, GridSpec, RealField, _shared
 __all__ = [
     "ClosedForm", "Jet", "sample", "sample_real",
     "diagonal_form", "holomorphic_form", "constant_form",
-    "pointwise", "field_mul", "jet_dz", "jet_dzbar",
+    "pointwise", "jet_dz", "jet_dzbar",
     "exp", "sin", "cos", "sqrt", "log", "conj",
 ]
 
@@ -247,44 +246,30 @@ class _Source:
     `jet(k)` returns a jet with every slot up to min(k, order), made by
     `make(k)` with floating-point warnings off. With `keep` (a `pointwise`
     result) the highest-order jet made so far is kept and returned while it
-    reaches k; each call returns the jet it made or found, so no thread sees
-    a lower order than it asked for. `guard` marks the points where the
-    derivatives are masked beyond the field's own mask (see `_on_mesh`).
+    reaches k.
     """
 
-    __slots__ = ("order", "guard", "_make", "_keep", "_jet")
+    __slots__ = ("order", "_make", "_keep", "_jet")
 
-    def __init__(self, order: int, make: Callable, keep: bool = False, guard=False):
+    def __init__(self, order: int, make: Callable, keep: bool = False):
         self.order = order
-        self.guard = guard
         self._make = make
         self._keep = keep
         self._jet = None
 
     def jet(self, k: int) -> Jet:
         k = min(k, self.order)
-        got = self._jet
-        if got is None or got.order < k:
-            with np.errstate(all="ignore"):
-                got = self._make(k)
-            if self._keep and (self._jet is None or self._jet.order < got.order):
-                self._jet = got
+        if self._jet is not None and self._jet.order >= k:
+            return self._jet
+        with np.errstate(all="ignore"):
+            got = self._make(k)
+        if self._keep:
+            self._jet = got
         return got
 
     def conj(self) -> "_Source":
         """The source of the conjugate field: the z and zbar slots swap."""
-        return _Source(self.order, lambda k: conj(self.jet(k)), guard=self.guard)
-
-
-def _on_mesh(source, grid: GridSpec):
-    """The source of a field built by a public constructor: a ClosedForm
-    is evaluated on the grid's mesh, and its derivatives are masked where
-    its guard is set; a field's source is kept as it is."""
-    if not isinstance(source, ClosedForm):
-        return source
-    z, guard = grid.zmesh(), source.domain_guard
-    return _Source(source.order, lambda k: source.jet(z, k),
-                   guard=False if guard is None else np.asarray(guard(z), dtype=bool))
+        return _Source(self.order, lambda k: conj(self.jet(k)))
 
 
 def _broadcast(vals, z) -> np.ndarray:
@@ -355,15 +340,9 @@ def pointwise(fn: Callable, *fields, mask=None):
         vals = fn(*(f.stored[0] for f in fields))
     sources = [f.source for f in fields]
     src = None if any(s is None for s in sources) else _Source(
-        min(s.order for s in sources), lambda k: fn(*(s.jet(k) for s in sources)),
-        keep=True, guard=functools.reduce(np.logical_or, [s.guard for s in sources]))
+        min(s.order for s in sources), lambda k: fn(*(s.jet(k) for s in sources)), keep=True)
     cls = ComplexField if np.iscomplexobj(vals) else RealField
     return cls._derived(grid, np.where(m, 0, vals), m, source=src)
-
-
-def field_mul(a: ComplexField, b: ComplexField) -> ComplexField:
-    """Pointwise product; analytic sources are combined when both exist."""
-    return pointwise(operator.mul, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -147,15 +147,16 @@ def _prepare(grid: GridSpec, values, mask, dtype) -> tuple[np.ndarray, np.ndarra
 
 
 class _Field:
-    """Values and mask on a grid, optionally backed by an analytic source."""
+    """Values and mask on a grid, optionally backed by an analytic source.
+
+    A source comes only from closedform's `sample` and `pointwise` and
+    from the ops that carry one along (derivatives, `conj`, real parts);
+    the public constructors build fields without one."""
 
     _dtype: type
 
-    def __init__(self, grid: GridSpec, values, mask=None, source=None):
-        if source is not None:
-            from .closedform import _on_mesh     # closedform imports this module
-            source = _on_mesh(source, grid)
-        self._set(grid, *_prepare(grid, values, mask, self._dtype), source)
+    def __init__(self, grid: GridSpec, values, mask=None):
+        self._set(grid, *_prepare(grid, values, mask, self._dtype), None)
 
     def _set(self, grid, values, mask, source) -> None:
         values.setflags(write=False)
@@ -239,8 +240,7 @@ class ComplexField(_Field):
 
     `source` (when present) is the field's jet on its stored points (see
     closedform), whose slots the derivative operators read instead of
-    finite differences. The public constructor also takes a ClosedForm,
-    evaluated on the grid's mesh, whose guard then masks the derivatives.
+    finite differences.
     """
 
     _dtype = complex

@@ -15,10 +15,12 @@ current that restores dbar-conservation for nonconstant H.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .calculus import _integrate_from, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import conj, field_mul, log, pointwise
+from .closedform import conj, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import ResidualReport, report_from_parts
 
@@ -105,10 +107,10 @@ def potential_conservation_residual(s: SpinorField) -> ResidualReport:
     dbar(conj(psi1) psi2) = 0 hold for any solution of the spinor system;
     they are exactly the closedness conditions for the surface integrals.
     """
-    pot, m1 = d_z(field_mul(s.psi1, s.psi1)).stored
-    pot2, m2 = d_zbar(field_mul(s.psi2, s.psi2)).stored
-    b1, m3 = d_z(field_mul(s.psi1, s.psi2.conj())).stored
-    b2, m4 = d_zbar(field_mul(s.psi1.conj(), s.psi2)).stored
+    pot, m1 = d_z(pointwise(operator.mul, s.psi1, s.psi1)).stored
+    pot2, m2 = d_zbar(pointwise(operator.mul, s.psi2, s.psi2)).stored
+    b1, m3 = d_z(pointwise(operator.mul, s.psi1, s.psi2.conj())).stored
+    b2, m4 = d_zbar(pointwise(operator.mul, s.psi1.conj(), s.psi2)).stored
 
     parts = [
         ("potential", pot + pot2, m1 | m2),

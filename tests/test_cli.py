@@ -33,10 +33,10 @@ class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(family="trig", a=2.0, grid=(51, 61),
                         domain=(0.1, 0.5, -1.0, 1.0), tol_scale=2.0,
-                        levels=3, jobs=2, out="elsewhere", format="csv")
+                        levels=3, out="elsewhere", format="csv")
         text = ("family=trig\nlambda=default\na=2.0\nh0=1.0\ngrid=51x61\n"
                 "domain=0.1,0.5,-1.0,1.0\nbasepoint=default\ntol_scale=2.0\n"
-                "levels=3\njobs=2\nout=elsewhere\nformat=csv\n")
+                "levels=3\njobs=1\nout=elsewhere\nformat=csv\n")
         assert parse_config_text(text) == cfg
 
     def test_unknown_key_rejected(self):
@@ -52,11 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_text("family rational\n")
 
-    # one non-default value per config key, as both the flag and the file spell it
+    # one non-default value per config key, as both the flag and the file
+    # spell it; jobs takes no value but its default
     SAMPLES = {"family": "trig", "lambda": "-1.5", "a": "1.25", "h0": "2.0",
                "grid": "31x41", "domain": "-1.0,0.5,-0.25,1.0", "basepoint": "-0.5,0.25",
-               "tol_scale": "2.5", "levels": "3", "jobs": "2", "out": "elsewhere",
-               "format": "csv"}
+               "tol_scale": "2.5", "levels": "3", "out": "elsewhere", "format": "csv"}
     # every config key at its default value, spelled as the file spells it
     DEFAULTS = {"family": "rational", "lambda": "default", "a": "default", "h0": "1.0",
                 "grid": "101x101", "domain": "default", "basepoint": "default",
@@ -67,7 +67,7 @@ class TestConfig:
     def _text(values: dict) -> str:
         return "".join(f"{k}={v}\n" for k, v in values.items())
 
-    @pytest.mark.parametrize("key", [k.key for k in _KEYS])
+    @pytest.mark.parametrize("key", list(SAMPLES))
     def test_flag_and_config_file_agree(self, key, tmp_path, monkeypatch):
         monkeypatch.delenv("WSL_OUT", raising=False)
         (row,) = [k for k in _KEYS if k.key == key]
@@ -83,7 +83,8 @@ class TestConfig:
     def test_table_covers_every_field_once(self):
         fields = [k.field for k in _KEYS]
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
-        assert sorted(self.SAMPLES) == sorted(self.DEFAULTS) == sorted(k.key for k in _KEYS)
+        assert sorted(self.DEFAULTS) == sorted(k.key for k in _KEYS)
+        assert sorted(self.SAMPLES) == sorted(set(self.DEFAULTS) - {"jobs"})
         assert parse_config_text(self._text(self.DEFAULTS)) == RunConfig()
 
     @pytest.mark.parametrize("flag", ["--lambda", "--A", "--domain", "--basepoint"])
@@ -370,37 +371,6 @@ class TestVerify:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert read_dir_bytes(a) == read_dir_bytes(b)
 
-    def test_jobs_do_not_change_results(self, tmp_path, monkeypatch, capsys):
-        # more workers than cores, switching threads often: a worker that
-        # raced another on a field's stencil cache would difference the same
-        # field along the same axis twice
-        from gwsurf import calculus
-        filled = []         # (the field's stencil cache, axis) per stencil computed
-        axis_apply = calculus._axis_apply
-
-        def recorded(op, field, h, axis):
-            if op is calculus._d1:
-                filled.append((field._grad, axis))
-            return axis_apply(op, field, h, axis)
-
-        monkeypatch.setattr(calculus, "_axis_apply", recorded)
-        for family in gwsurf.FAMILY_NAMES:
-            a, b = tmp_path / family / "a", tmp_path / family / "b"
-            # trig's ratio gate needs 41 points across its strip
-            args = ["verify", "--family", family, "--grid", "41x41"]
-            assert run(args + ["--out", str(a), "--jobs", "1"]) == EXIT_OK
-            serial = capsys.readouterr()
-            filled.clear()
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                assert run(args + ["--out", str(b), "--jobs", "4"]) == EXIT_OK
-            finally:
-                sys.setswitchinterval(interval)
-            assert capsys.readouterr() == serial, family
-            assert read_dir_bytes(a) == read_dir_bytes(b), family
-            assert len({(id(cache), axis) for cache, axis in filled}) == len(filled), family
-
     def test_env_out_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
         monkeypatch.setenv("WSL_OUT", str(env_dir))
@@ -583,7 +553,8 @@ class TestCountValidation:
                                              ("--lambda", "nan"), ("--A", "nan"),
                                              ("--H0", "inf"), ("--domain", "nan,1,0,1"),
                                              ("--grid", "2x9"), ("--grid", "9x0"),
-                                             ("--domain", "1,0,0,1"), ("--domain", "0,1,1,1")])
+                                             ("--domain", "1,0,0,1"), ("--domain", "0,1,1,1"),
+                                             ("--jobs", "2")])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert run(["verify", flag, value, "--out", str(out)]) == EXIT_USAGE
@@ -593,7 +564,7 @@ class TestCountValidation:
     @pytest.mark.parametrize("line", ["levels=0", "jobs=0", "tol_scale=0", "tol_scale=-1",
                                       "tol_scale=nan", "tol_scale=inf", "h0=x",
                                       "lambda=abc", "grid=10", "h0=nan", "grid=2x9",
-                                      "domain=1,0,0,1", "domain=0,1,2,-2"])
+                                      "domain=1,0,0,1", "domain=0,1,2,-2", "jobs=2"])
     def test_config_below_one_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"family=unimodular\ngrid=21x21\n{line}\n")
@@ -664,15 +635,14 @@ def test_python_dash_m_gwsurf():
     assert out.stdout.strip() == gwsurf.__version__
 
 
-@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["verify", "--jobs", "2"],
-                                     ["induce"]], ids=["verify-1", "verify-2", "induce"])
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["induce"]],
+                         ids=["verify-1", "induce"])
 @pytest.mark.parametrize("args", [
     ["--domain", "0,1e-320,0,1"],
     ["--family", "holomorphic", "--H0", "1e-320"],
 ], ids=["subnormal-spacing", "subnormal-H"])
 def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
-    # numpy warnings raised on the way to the breakdown stay silent, in the
-    # main thread and in the pool's worker threads alike
+    # numpy warnings raised on the way to the breakdown stay silent
     out = run_child(command + args + ["--out", str(tmp_path)])
     assert out.returncode == EXIT_NUMERICAL
     lines = out.stderr.splitlines()
@@ -726,7 +696,7 @@ _FUZZ_VALUES = {
     "basepoint": _mostly(st.builds("{},{}".format, st.floats(-2, 2), st.floats(-2, 2)),
                          "", "a,b", "nan,0", "default"),
     "levels": _mostly(st.sampled_from(["1", "2"]), "", "0", "-1", "nan", "3x"),
-    "jobs": _mostly(st.sampled_from(["1", "2"]), "", "0", "1e400"),
+    "jobs": _mostly(st.just("1"), "", "0", "2", "1e400"),
     "format": _mostly(st.sampled_from(["json", "csv"]), "", "xml"),
 }
 _FLAGS = {k.key: k.flag for k in _KEYS}

@@ -1,13 +1,15 @@
 """Jet calculus and closed-form combinators against finite differences."""
+import dataclasses
 import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gwsurf import ComplexField, GridSpec, RealField, d_z, d_zbar, mixed_dzbar_dz, sample
-from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, field_mul,
-                               holomorphic_form, log, pointwise, sin, sqrt)
+from gwsurf import (ComplexField, GridSpec, RealField, d_z, d_zbar, mixed_dzbar_dz, sample,
+                    sample_real)
+from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, holomorphic_form,
+                               log, pointwise, sin, sqrt)
 
 
 def fd_check(form, op=d_z):
@@ -90,7 +92,7 @@ def test_field_mul_combines_sources():
     g = GridSpec(-1, 1, -1, 1, 41, 41)
     a = sample(diagonal_form(sin), g)
     b = sample(diagonal_form(exp), g)
-    prod = field_mul(a, b)
+    prod = pointwise(operator.mul, a, b)
     assert prod.source is not None
     d = d_z(prod)
     s = 2 * np.real(g.zmesh())
@@ -103,7 +105,7 @@ def test_pointwise_masks_the_union_and_lifts_only_complete_sources():
     zero = np.zeros(g.shape, dtype=bool)
     zero[4] = True      # sin(s) vanishes on x = 0
     a = sample(diagonal_form(exp), g)
-    a = ComplexField(g, a.values, np.eye(9, 7, dtype=bool), source=a.source)
+    a = pointwise(lambda v: v, a, mask=np.eye(9, 7, dtype=bool))
     b = sample(diagonal_form(sin), g)
     f = pointwise(lambda u, v: u / v, a, b, mask=zero)
     assert np.array_equal(f.mask, a.mask | zero) and not f.values[f.mask].any()
@@ -116,24 +118,7 @@ def test_field_mul_requires_matching_grids():
     a = sample(diagonal_form(sin), GridSpec(-1, 1, -1, 1, 11, 11))
     b = sample(diagonal_form(sin), GridSpec(-1, 1, -1, 1, 13, 13))
     with pytest.raises(ValueError):
-        field_mul(a, b)
-
-
-def test_public_constructor_masks_derivatives_at_the_guard():
-    # a form given to a public constructor is evaluated on the mesh; the
-    # field keeps the mask it is given, and its derivatives are masked
-    # where the form's guard is set, as sampling would mask them
-    g = GridSpec(-1, 1, -1, 1, 9, 7)
-    form = holomorphic_form(lambda z: z * z, guard=lambda z: np.real(z) > 0.5)
-    guard = np.real(g.zmesh()) > 0.5
-    f = ComplexField(g, g.zmesh() ** 2, source=form)
-    assert not f.mask.any() and guard.any()
-    for op in (d_z, d_zbar, mixed_dzbar_dz):
-        out = op(f)
-        assert np.array_equal(out.mask, guard), op.__name__
-        assert not out.values[guard].any(), op.__name__
-    d = d_z(f)
-    assert np.max(np.abs(d.values[~guard] - 2 * g.zmesh()[~guard])) < 1e-14
+        pointwise(operator.mul, a, b)
 
 
 def _counted_leaf(asked, diagonal=False):
@@ -219,43 +204,6 @@ def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
             assert sorted(asked["rho"]) == [k, k + 1] and asked["h"] == [k], asked
 
 
-def test_kept_jet_is_safe_to_share_between_threads():
-    # `verify --jobs` differentiates one input from several threads: every
-    # call returns a jet of at least the order it asked for, with the same
-    # bits as a jet made alone, whatever another thread kept meanwhile
-    import sys
-    import threading
-    g = GridSpec(-1, 1, -1, 1, 41, 31)
-    leaves = [sample(holomorphic_form(lambda z: 2 + z * z / 4), g),
-              sample(diagonal_form(lambda s: 2 + cos(s)), g)]
-    formula = lambda a, b: sqrt(a) * conj(b) / (1 + a * b)
-    want = pointwise(formula, *leaves).source.jet(2)
-    shared = pointwise(formula, *leaves).source
-    errors = []
-
-    def worker(seed):
-        try:
-            for k in np.random.default_rng(seed).integers(0, 3, 40):
-                jet = shared.jet(int(k))
-                assert jet.order >= k
-                for slot in Jet.__slots__[:(1, 3, 6)[k]]:
-                    assert np.array_equal(getattr(jet, slot), getattr(want, slot))
-        except AssertionError as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and not errors, errors
-
-
 def _slots(f):
     """Every slot of a field's jet read through d_z and d_zbar, up to the
     jet's order (the others would be stencils), as grid-shaped values."""
@@ -303,8 +251,8 @@ def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
         g = fam.default_grid(19, 13)
         rho, h = fam.rho(g), fam.h(g)
         assert rho.stored[0].shape == h.stored[0].shape == (g.nx, 1)
-        mesh_rho = ComplexField(g, rho.values, rho.mask, source=fam.rho_form)
-        mesh_h = RealField(g, h.values, h.mask, source=fam.h_form)
+        mesh_rho = sample(dataclasses.replace(fam.rho_form, diagonal=False), g)
+        mesh_h = sample_real(dataclasses.replace(fam.h_form, diagonal=False), g)
         for compact, mesh in zip(_derived_fields(rho, h), _derived_fields(mesh_rho, mesh_h)):
             assert compact.stored[0].shape == (g.nx, 1) and mesh.stored[0].shape == g.shape
             got, want = _slots(compact), _slots(mesh)

@@ -8,6 +8,7 @@ import pytest
 
 from gwsurf import cli
 from gwsurf.cli import _INPUTS, _level_entry, _run_level, _suites_for
+from gwsurf.closedform import sample, sample_real
 from gwsurf.families import build_family
 from gwsurf.grid import GridSpec
 from gwsurf.sigma import psi_from_rho, psi_pair
@@ -27,19 +28,16 @@ STENCIL_TOL = 1e-13
 
 def _grid_shaped(fam, name, grid):
     """verify's input `name`, built from the family alone, rebuilt
-    grid-shaped through the public constructors; its analytic sources are
-    the family's forms evaluated on the whole mesh (for a spinor built by
-    the transform, the transform's sources on those)."""
-    def rebuilt(field, source):
-        return type(field)(grid, field.values, field.mask, source=source)
+    grid-shaped: the family's forms sampled on the whole mesh (a spinor
+    built by the transform, the transform of those samples of rho and H)."""
+    def on_mesh(form, sampler=sample):
+        return sampler(dataclasses.replace(form, diagonal=False), grid)
 
-    rho, h = rebuilt(fam.rho(grid), fam.rho_form), rebuilt(fam.h(grid), fam.h_form)
+    rho, h = on_mesh(fam.rho_form), on_mesh(fam.h_form, sample_real)
     if name in ("rho", "h"):
         return rho if name == "rho" else h
-    s = fam.spinor(grid)
-    mesh = (fam.psi1_form, fam.psi2_form) if fam.spinor_forms else \
-        (lambda t: (t.psi1.source, t.psi2.source))(psi_from_rho(rho, h, fam.eps))
-    s = SpinorField(rebuilt(s.psi1, mesh[0]), rebuilt(s.psi2, mesh[1]))
+    s = (SpinorField(on_mesh(fam.psi1_form), on_mesh(fam.psi2_form)) if fam.spinor_forms
+         else psi_from_rho(rho, h, fam.eps))
     return s if name == "spinor" else s.without_sources()
 
 

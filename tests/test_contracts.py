@@ -2,8 +2,9 @@
 module's export list is re-exported by the package, the public API
 keeps one name for each curvature and one switch to stencils, every
 field shows grid-shaped, read-only values and mask, however it is
-stored, the command line decides nothing by a family's name, and only
-the inducer and the command line open files."""
+stored, the command line decides nothing by a family's name, only the
+inducer and the command line open files, the package runs on one
+thread, and a field gets an analytic source only from closedform."""
 import ast
 import importlib
 import inspect
@@ -163,3 +164,27 @@ def test_only_the_inducer_and_the_cli_open_files():
                for n in ast.walk(tree)):
             openers.add(path.stem)
     assert openers == {"inducer", "cli"}
+
+
+def test_no_module_starts_threads_or_processes():
+    # verify runs its suites one after another; no cache needs a lock
+    pools = {"threading", "concurrent", "multiprocessing"}
+    found = []
+    for path in Path(gwsurf.__file__).parent.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in pools for m in names):
+                found.append(f"{path.stem}:{n.lineno}")
+    assert not found
+
+
+@pytest.mark.parametrize("cls", [gwsurf.ComplexField, gwsurf.RealField])
+def test_public_field_constructors_take_no_source(cls):
+    # sample and pointwise give a field its analytic source; a public
+    # constructor builds a field of plain values
+    assert "source" not in inspect.signature(cls).parameters

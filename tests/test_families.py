@@ -1,4 +1,6 @@
 """Closed-form solution families: frozen point values and identities."""
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
                     multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
                     spin_matrix, weierstrass_residual)
 from gwsurf.calculus import _d1, d_z, dy, mixed_dzbar_dz
-from gwsurf.closedform import field_mul, holomorphic_form, pointwise
+from gwsurf.closedform import holomorphic_form, pointwise
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -281,8 +283,8 @@ def test_derived_values_are_their_sources_samples_bitwise(name, kw):
     g = fam.default_grid(23, 17)
     s, rho = fam.spinor(g), fam.rho(g)
     complex_fields = [rho_from_psi(s), *spin_matrix(rho).entries(),
-                      field_mul(s.psi1, s.psi2), apply_discrete_symmetry(rho, "Z2"),
-                      apply_discrete_symmetry(rho, "I")]
+                      pointwise(operator.mul, s.psi1, s.psi2),
+                      apply_discrete_symmetry(rho, "Z2"), apply_discrete_symmetry(rho, "I")]
     if name == "unimodular":
         complex_fields.append(multisoliton_product(rho, rho))
     real_fields = [density_p(s), fam.h(g)]

@@ -474,9 +474,8 @@ def test_import_does_not_load_scipy():
     import subprocess
     import sys
     # building every family must not pull in sympy, nor numpy's whole public
-    # namespace (numpy.testing, numpy.f2py and with them unittest); the
-    # thread pool (concurrent.futures, and with it logging) is imported
-    # only by `verify --jobs` above 1
+    # namespace (numpy.testing, numpy.f2py and with them unittest), nor a
+    # thread pool (concurrent.futures, and with it logging)
     code = ("import sys, gwsurf, gwsurf.cli; print('scipy' in sys.modules)\n"
             "for name in gwsurf.FAMILY_NAMES: gwsurf.build_family(name)\n"
             "print([m for m in ('scipy', 'sympy', 'numpy.testing', 'numpy.f2py', 'unittest',"

@@ -8,7 +8,7 @@ from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry
                     deformed_ll_residual, family_exponential, family_rational,
                     family_trigonometric, family_unimodular,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
-                    rho_from_psi, sample_real, sigma_residual, spin_matrix,
+                    pointwise, rho_from_psi, sample, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
 from gwsurf.closedform import holomorphic_form
 
@@ -146,7 +146,7 @@ class TestDiscreteSymmetries:
         fam = family_rational(1.0)
         inv = apply_discrete_symmetry(fam.rho(G), "I")
         extra = np.abs(fam.rho(G).values) < 0.25
-        masked = ComplexField(G, inv.values, inv.mask | extra, source=inv.source)
+        masked = pointwise(lambda v: v, inv, mask=extra)
         rep = sigma_residual(masked, fam.h(G))
         assert rep.max_norm < 1e-10
 
@@ -350,6 +350,6 @@ class TestTransformTheorem:
 
     def test_holomorphic_direction(self):
         h = const_h(1.0)
-        r = ComplexField(G, G.zmesh(), source=holomorphic_form(lambda z: z))
+        r = sample(holomorphic_form(lambda z: z), G)
         s = psi_from_rho(r, h)
         assert weierstrass_residual(s, h).max_norm < 1e-12
