@@ -8,8 +8,7 @@ an analytic source (its jet, see closedform), d_z and d_zbar read the
 jet's slot instead, bypassing discretization error entirely, and the
 result's source is the derivative of that jet. The first-derivative stencils
 of a field are computed once per axis and kept on the field, so d_z,
-d_zbar, dx and dy of one field (or of its without_source() view) share
-them.
+d_zbar, dx and dy of one field share them.
 
 A compact field (one stored as a single column, see grid) stays one:
 d/dx is the stencil on its column, and d/dy and d^2/dy^2 are exact zeros
@@ -123,8 +122,7 @@ def _gradient(field, axis: int):
     """(d/dx or d/dy stencil, its mask) of a field, for axis 0 or 1.
 
     Fields are immutable, so each axis is differenced at most once per
-    field; the result is kept on the field and shared with its
-    without_source() views, which hold the same arrays.
+    field; the result is kept on the field.
     """
     got = field._grad.get(axis)
     if got is None:

@@ -219,9 +219,9 @@ def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
 
 # verify's inputs at one level, each built on first use and kept until the
 # level ends; `reads` names the inputs one is built from. The *_fd inputs take
-# the stencil path: h and rho are the same samples without their analytic
-# sources. SUITES lists every exact suite first, so no *_fd input exists
-# while they run.
+# the stencil path: h, rho and the spinor are the same samples without their
+# analytic sources, so a level samples each form once. SUITES lists every exact
+# suite first, so no *_fd input exists while they run.
 @dataclass(frozen=True)
 class _Input:
     build: Callable             # fn(fam, grid, *reads) -> the input
@@ -233,7 +233,7 @@ _INPUTS = {
     "spinor": _Input(lambda fam, g: fam.spinor(g)),
     "h": _Input(lambda fam, g: fam.h(g)),
     "h_fd": _Input(lambda fam, g, h: h.without_source(), ("h",)),
-    "spinor_fd": _Input(lambda fam, g: fam.spinor(g).without_sources()),
+    "spinor_fd": _Input(lambda fam, g, s: s.without_sources(), ("spinor",)),
     "rho_fd": _Input(lambda fam, g, rho: rho.without_source(), ("rho",)),
     "ll_commutator_fd": _Input(lambda fam, g, rho: ll_commutator(rho), ("rho_fd",)),
 }
@@ -263,13 +263,13 @@ def _report_scalar(grid, value, **details) -> ResidualReport:
 # --- exact-path runners -----------------------------------------------------
 
 def run_roundtrip_exact(fam, rho, h):
-    back = rho_from_psi(psi_from_rho(rho, h, fam.eps))
+    back = rho_from_psi(psi_from_rho(rho, h))
     (b, bmask), (r, rmask) = back.stored, rho.stored
     return _report_scalar(rho.grid, _max_abs(rho.grid, b - r, rmask | bmask))
 
 
 def run_transform_exact(fam, rho, h, spinor):
-    a = weierstrass_residual(psi_from_rho(rho, h, fam.eps), h)
+    a = weierstrass_residual(psi_from_rho(rho, h), h)
     derived = rho_from_psi(spinor)
     b = sigma_residual(derived, h)
     # the quotient's derivatives legitimately amplify rounding where |rho|

@@ -74,11 +74,6 @@ class SolutionFamily:
     p0: float | None            # the constant density |psi1|^2 + |psi2|^2, or None
     ddbar_inv_h: float | None   # the constant d dbar(1/H), or None
     default_domain: tuple = (-1.0, 1.0, -1.0, 1.0)
-    eps: int = 1
-
-    def __post_init__(self):
-        if self.eps not in (+1, -1):
-            raise ValueError("branch sign must be +1 or -1")
 
     @property
     def constant_density(self) -> bool:
@@ -100,7 +95,7 @@ class SolutionFamily:
 
     def spinor(self, grid: GridSpec) -> SpinorField:
         if self.psi1_form is None:
-            return psi_from_rho(self.rho(grid), self.h(grid), self.eps)
+            return psi_from_rho(self.rho(grid), self.h(grid))
         return SpinorField(sample(self.psi1_form, grid), sample(self.psi2_form, grid))
 
     def default_grid(self, nx: int = 101, ny: int = 101) -> GridSpec:
@@ -108,46 +103,46 @@ class SolutionFamily:
         return GridSpec(x0, x1, y0, y1, nx, ny)
 
 
-def _one_dimensional(name, params, rho, drho, h, eps, p0, ddbar_inv_h=None, guard=None,
+def _one_dimensional(name, params, rho, drho, h, p0, ddbar_inv_h=None, guard=None,
                      default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:
     """A family from rho, d(rho)/ds and H, all functions of s sharing one
     guard, H varying and |rho| not 1; its psi forms are the square-root
     transform `psi_pair` that `psi_from_rho` uses."""
     def pair(s):
-        return psi_pair(rho(s), drho(s), h(s), eps)
+        return psi_pair(rho(s), drho(s), h(s))
 
     psi1, psi2 = (diagonal_form(lambda s, k=k: pair(s)[k], guard=guard) for k in (0, 1))
     return SolutionFamily(
         name=name, params=params,
         h_form=diagonal_form(h, guard=guard), rho_form=diagonal_form(rho, guard=guard),
         psi1_form=psi1, psi2_form=psi2, default_domain=default_domain, constant_h=False,
-        unit_rho=False, constant_rho=False, p0=p0, ddbar_inv_h=ddbar_inv_h, eps=eps)
+        unit_rho=False, constant_rho=False, p0=p0, ddbar_inv_h=ddbar_inv_h)
 
 
-def family_rational(lam: float, eps: int = 1) -> SolutionFamily:
+def family_rational(lam: float) -> SolutionFamily:
     """Rationally decaying mean curvature; admissible on the whole plane."""
     if lam == 0:
         raise ValueError("parameter must be nonzero (rho would be constant)")
     lam = float(lam)
     # d rho/ds is complex so that sqrt of a negative lam takes the principal branch
     return _one_dimensional(
-        "rational", {"lambda": lam}, eps=eps, p0=abs(lam), ddbar_inv_h=2.0 * lam * lam,
+        "rational", {"lambda": lam}, p0=abs(lam), ddbar_inv_h=2.0 * lam * lam,
         rho=lambda s: lam * s, drho=lambda s: complex(lam),
         h=lambda s: 1 / (1 + lam * lam * (s * s)))
 
 
-def family_exponential(lam: float, eps: int = 1) -> SolutionFamily:
+def family_exponential(lam: float) -> SolutionFamily:
     """Exponential profile rho = exp(lam s); H real analytic everywhere."""
     if lam == 0:
         raise ValueError("parameter must be nonzero")
     lam = float(lam)
     return _one_dimensional(
-        "exponential", {"lambda": lam}, eps=eps, p0=abs(lam),
+        "exponential", {"lambda": lam}, p0=abs(lam),
         rho=lambda s: exp(lam * s), drho=lambda s: lam * exp(lam * s),
         h=lambda s: exp(lam * s) / (1 + exp(2 * lam * s)))
 
 
-def family_trigonometric(a: float, eps: int = 1) -> SolutionFamily:
+def family_trigonometric(a: float) -> SolutionFamily:
     """Oscillatory profile rho = sin(A s) with H = cos(A s)/(2 - cos(A s)^2).
 
     Admissible on the strip 0 < s < pi/(2|A|) shrunk by a guard band of
@@ -172,12 +167,12 @@ def family_trigonometric(a: float, eps: int = 1) -> SolutionFamily:
         return ~((s > lo) & (s < hi))
 
     return _one_dimensional(
-        "trig", {"A": a}, eps=eps, p0=abs(a),
+        "trig", {"A": a}, p0=abs(a),
         rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h, guard=guard,
         default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0))
 
 
-def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFamily:
+def family_unimodular(lam: float, h0: float = 1.0) -> SolutionFamily:
     """Unimodular rho = exp(i lam s); exists only with constant H = h0 > 0."""
     if not h0 > 0:      # nan fails this test too
         raise ValueError("constant mean curvature must be positive")
@@ -191,18 +186,17 @@ def family_unimodular(lam: float, h0: float = 1.0, eps: int = 1) -> SolutionFami
         root = np.sqrt(1j * lam)
         w = lambda s: root * exp(1j * lam * s / 2)
         den = math.sqrt(h0) * 2
-        psi1 = diagonal_form(lambda s: eps * (rho(s) * conj(w(s)) / den))
-        psi2 = diagonal_form(lambda s: eps * (w(s) / den))
+        psi1 = diagonal_form(lambda s: rho(s) * conj(w(s)) / den)
+        psi2 = diagonal_form(lambda s: w(s) / den)
 
     return SolutionFamily(
         name="unimodular", params={"lambda": lam, "H0": h0},
         h_form=diagonal_form(lambda s: h0), rho_form=diagonal_form(rho),
         psi1_form=psi1, psi2_form=psi2, constant_h=True, unit_rho=True, constant_rho=not lam,
-        p0=abs(lam) / (2 * h0) if lam else None, ddbar_inv_h=0.0, eps=eps)
+        p0=abs(lam) / (2 * h0) if lam else None, ddbar_inv_h=0.0)
 
 
-def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
-                       eps: int = 1) -> SolutionFamily:
+def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0) -> SolutionFamily:
     """Holomorphic rho = f(z), a solution exactly when H is constant.
 
     Defaults to f(z) = z; f must not be constant. The spinor pair is
@@ -217,23 +211,23 @@ def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0,
     return SolutionFamily(
         name="holomorphic", params={"H0": h0}, h_form=diagonal_form(lambda s: h0), rho_form=f,
         psi1_form=None, psi2_form=None, constant_h=True, unit_rho=False, constant_rho=False,
-        p0=None, ddbar_inv_h=0.0, eps=eps)
+        p0=None, ddbar_inv_h=0.0)
 
 
 FAMILY_NAMES = ("rational", "exponential", "trig", "unimodular", "holomorphic")
 
 
 def build_family(name: str, lam: float | None = None, a: float | None = None,
-                 h0: float = 1.0, eps: int = 1) -> SolutionFamily:
+                 h0: float = 1.0) -> SolutionFamily:
     """Registry front door used by the command line."""
     if name == "rational":
-        return family_rational(1.0 if lam is None else lam, eps=eps)
+        return family_rational(1.0 if lam is None else lam)
     if name == "exponential":
-        return family_exponential(1.0 if lam is None else lam, eps=eps)
+        return family_exponential(1.0 if lam is None else lam)
     if name == "trig":
-        return family_trigonometric(1.0 if a is None else a, eps=eps)
+        return family_trigonometric(1.0 if a is None else a)
     if name == "unimodular":
-        return family_unimodular(1.0 if lam is None else lam, h0=h0, eps=eps)
+        return family_unimodular(1.0 if lam is None else lam, h0=h0)
     if name == "holomorphic":
-        return family_holomorphic(h0=h0, eps=eps)
+        return family_holomorphic(h0=h0)
     raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")

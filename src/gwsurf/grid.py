@@ -8,7 +8,9 @@ entries are stored as zero and never contribute to norms, and derivative
 stencils treat them as missing data.
 
 Fields are immutable after construction. Every operation downstream is a
-pure function of its inputs.
+pure function of its inputs. A field keeps two memos, neither of which
+changes a value: its first-derivative stencils by axis (see calculus)
+and, for a `pointwise` result, the jet its source keeps (see closedform).
 
 Storage. A field stores its values and mask as two arrays of one shape:
 the grid's (nx, ny), or one column (nx, 1) when both depend on x only,
@@ -165,8 +167,7 @@ class _Field:
         self._values = values
         self._mask = mask
         self.source = source
-        # first-derivative stencils by axis, filled lazily by calculus and
-        # shared with the without_source() views of the same arrays
+        # first-derivative stencils by axis, filled lazily by calculus
         self._grad = {}
 
     @property
@@ -204,9 +205,7 @@ class _Field:
         return field
 
     def without_source(self):
-        view = self._derived(self.grid, self._values, self._mask, finite=True)
-        view._grad = self._grad
-        return view
+        return self._derived(self.grid, self._values, self._mask, finite=True)
 
     @property
     def n_masked(self) -> int:

@@ -22,7 +22,6 @@ the density.
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -390,18 +389,16 @@ def _write_faces(fh, keep: np.ndarray) -> int:
     return 2 * int(np.count_nonzero(whole))
 
 
-def export_mesh(srf: Surface, path, csv_path=None,
-                ff: FundamentalForms | None = None) -> tuple[int, int]:
-    """Write the surface as an OBJ mesh to `path`, and with `csv_path` the
-    rows x, y, X1, X2, X3, H_num, K_num for external plotting, in one pass;
+def export_mesh(srf: Surface, path, csv_path, ff: FundamentalForms) -> tuple[int, int]:
+    """Write the surface as an OBJ mesh to `path` and the rows x, y, X1, X2,
+    X3, H_num, K_num to `csv_path` for external plotting, in one pass;
     deterministic byte-for-byte. Returns the mesh's (vertex count, face
     count).
 
     The OBJ has one `v` line per unmasked grid vertex in row-major (i, j)
     order, then two triangles per fully-unmasked grid cell; the CSV has a
     row per grid point, row-major. `ff` are the surface's fundamental
-    forms, for the CSV's curvatures, when the caller already has them;
-    they are computed otherwise. Values print as Python float reprs. The
+    forms, for the CSV's curvatures. Values print as Python float reprs. The
     files are written a block of grid rows at a time: each distinct value
     in the block is formatted once, for both files, and the lines are
     assembled as byte arrays, ending in LF on every platform.
@@ -410,21 +407,16 @@ def export_mesh(srf: Surface, path, csv_path=None,
     if not keep.any():
         raise NumericalBreakdown("fully masked surface; nothing to export")
     grid = srf.grid
-    cols = [srf.x1.values, srf.x2.values, srf.x3.values]
-    if csv_path is not None:
-        ff = fundamental_forms(srf) if ff is None else ff
-        cols += [ff.mean_curvature.values, ff.gauss_curvature.values]
+    cols = [srf.x1.values, srf.x2.values, srf.x3.values,
+            ff.mean_curvature.values, ff.gauss_curvature.values]
     xs, ys = _reprs(grid.xs()), _reprs(grid.ys())
-    with (open(path, "wb") as obj,
-          nullcontext() if csv_path is None else open(csv_path, "wb") as csv):
-        if csv is not None:
-            csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
+    with open(path, "wb") as obj, open(csv_path, "wb") as csv:
+        csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
         for i in range(0, grid.nx, _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
             strings = [_reprs(c[rows]) for c in cols]
-            if csv is not None:
-                cells = [p for s in strings for p in (b",", s)]
-                csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
+            cells = [p for s in strings for p in (b",", s)]
+            csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
             x1, x2, x3 = (s[keep[rows]] for s in strings[:3])
             obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
         nfaces = _write_faces(obj, keep)

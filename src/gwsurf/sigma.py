@@ -12,7 +12,8 @@ together with its conjugate. The inverse transform
 
 requires H > 0 and a square-root branch. Branch policy: principal branch
 pointwise, then a sign-continuation sweep from a reference point so that
-grid neighbors stay continuous; only the global sign eps remains free.
+grid neighbors stay continuous. gwsurf takes eps = +1: the spinor system
+is linear in (psi1, psi2), so -psi is the other preimage of rho.
 The sweep is the single sequential pass in this module; everything else
 is pointwise.
 
@@ -78,21 +79,20 @@ def _continue_sign(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return sign
 
 
-def psi_pair(rho, drho, h, eps):
-    """The square-root transform: (psi1, psi2) from rho, d rho, H and eps.
+def psi_pair(rho, drho, h):
+    """The square-root transform: (psi1, psi2) from rho, d rho and H.
 
-    w = sqrt(d rho), den = sqrt(H) (1 + rho conj(rho)), psi1 = eps rho
-    conj(w) / den and psi2 = eps w / den, written with closedform's
+    w = sqrt(d rho), den = sqrt(H) (1 + rho conj(rho)), psi1 = rho
+    conj(w) / den and psi2 = w / den, written with closedform's
     functions so that it runs on jets and on plain arrays alike.
     """
     w = sqrt(drho)
     den = sqrt(h) * (1 + rho * conj(rho))
-    return eps * (rho * conj(w) / den), eps * (w / den)
+    return rho * conj(w) / den, w / den
 
 
-def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1) -> SpinorField:
-    """Invert the representation: build the spinor pair from rho and H,
-    with the global sign `eps` (+1 or -1) of the transform.
+def psi_from_rho(rho: ComplexField, h: RealField) -> SpinorField:
+    """Invert the representation: build the spinor pair from rho and H.
 
     Points where |d rho| is below 1e-12 of its largest value are masked
     (the square root degenerates there); H must be positive on the
@@ -100,8 +100,6 @@ def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1) -> SpinorField:
     with an analytic source when all three have one, unless the branch
     continuation flipped a sign: the flipped values carry no source.
     """
-    if eps not in (+1, -1):
-        raise ValueError("branch sign must be +1 or -1")
     grid, mask = _shared(rho, h)
     if np.any((h.stored[0] <= 0) & ~mask):
         raise NumericalBreakdown("transform requires H > 0 at unmasked points")
@@ -110,7 +108,7 @@ def psi_from_rho(rho: ComplexField, h: RealField, eps: int = 1) -> SpinorField:
     dr, dmask = drho.stored
     scale = float(np.max(np.abs(dr), initial=0.0))
     mask = mask | dmask | (np.abs(dr) < 1e-12 * max(scale, 1e-300))
-    psi = [pointwise(lambda r, dr, hv, k=k: psi_pair(r, dr, hv, eps)[k],
+    psi = [pointwise(lambda r, dr, hv, k=k: psi_pair(r, dr, hv)[k],
                      rho, drho, h, mask=mask) for k in (0, 1)]
 
     # flipping sqrt(d rho) flips both components; on a column, the sweep
@@ -161,10 +159,6 @@ class SpinMatrix:
     @property
     def grid(self) -> GridSpec:
         return self.s11.grid
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.s11.mask | self.s12.mask | self.s21.mask | self.s22.mask
 
     def entries(self):
         return (self.s11, self.s12, self.s21, self.s22)

@@ -52,14 +52,13 @@ def holomorphic_slots(expr):
     return (at(f0), at(f1), zero, at(f2), zero, zero)
 
 
-def _transform(rho, h, eps):
+def _transform(rho, h):
     drho = sp.diff(rho, S)
     den = sp.sqrt(h) * (1 + rho * sp.conjugate(rho))
-    return (eps * rho * sp.conjugate(sp.sqrt(drho)) / den,
-            eps * sp.sqrt(drho) / den)
+    return rho * sp.conjugate(sp.sqrt(drho)) / den, sp.sqrt(drho) / den
 
 
-def family_exprs(name, lam=1.0, a=1.0, h0=1.0, eps=1):
+def family_exprs(name, lam=1.0, a=1.0, h0=1.0):
     """{form name: slot callables} of a family, from its sympy expressions."""
     degenerate = float(lam) == 0
     # 17 significant digits: lambdify prints a Float at its own precision, and
@@ -82,9 +81,9 @@ def family_exprs(name, lam=1.0, a=1.0, h0=1.0, eps=1):
         if not degenerate:
             # the smooth global branch of sqrt(d rho)
             w = sp.sqrt(sp.I * lam) * sp.exp(sp.I * lam * S / 2)
-            out["psi1_form"] = diagonal_slots(eps * rho * sp.conjugate(w) / (sp.sqrt(h0) * 2))
-            out["psi2_form"] = diagonal_slots(eps * w / (sp.sqrt(h0) * 2))
+            out["psi1_form"] = diagonal_slots(rho * sp.conjugate(w) / (sp.sqrt(h0) * 2))
+            out["psi2_form"] = diagonal_slots(w / (sp.sqrt(h0) * 2))
         return out
-    psi1, psi2 = _transform(rho, h, eps)
+    psi1, psi2 = _transform(rho, h)
     out["psi1_form"], out["psi2_form"] = diagonal_slots(psi1), diagonal_slots(psi2)
     return out

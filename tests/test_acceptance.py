@@ -63,7 +63,7 @@ def test_criterion_1_exact_identities():
         worst = max(worst, weierstrass_residual(s, h).max_norm)
         worst = max(worst, sigma_residual(rho, h).max_norm)
         worst = max(worst, potential_conservation_residual(s).max_norm)
-        back = rho_from_psi(psi_from_rho(rho, h, fam.eps))
+        back = rho_from_psi(psi_from_rho(rho, h))
         ok = ~(back.mask | rho.mask)
         worst = max(worst, float(np.max(np.abs(back.values - rho.values)[ok])))
     verdict(1, worst <= 1e-12,

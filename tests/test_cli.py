@@ -286,10 +286,10 @@ class TestSharedInputs:
         assert set(rational_101_counts["line_sizes"]) == {101, 201}
 
     def test_sample_calls(self, rational_101_counts):
-        # h, rho and the two spinor components, once each per level for the
-        # exact suites and once more for spinor_fd; a derivative reads its
-        # field's jet and samples nothing
-        assert rational_101_counts["sample"] <= 12
+        # h, rho and the two spinor components, once each per level: the
+        # *_fd inputs are views of the same samples, and a derivative reads
+        # its field's jet and samples nothing
+        assert rational_101_counts["sample"] <= 8
 
     def test_psi_pair_runs_once_on_values_and_once_on_jets(self, monkeypatch, tmp_path):
         # holomorphic's spinor is the transform of rho: each component's

@@ -37,7 +37,7 @@ def _grid_shaped(fam, name, grid):
     if name in ("rho", "h"):
         return rho if name == "rho" else h
     s = (SpinorField(on_mesh(fam.psi1_form), on_mesh(fam.psi2_form)) if fam.spinor_forms
-         else psi_from_rho(rho, h, fam.eps))
+         else psi_from_rho(rho, h))
     return s if name == "spinor" else s.without_sources()
 
 
@@ -96,7 +96,7 @@ def test_inputs_hold_their_forms_at_every_grid_point(name):
         with np.errstate(all="ignore"):
             rho, h = fam.rho_form.jet(z, 1), fam.h_form.jet(z, 0).f
             psi = ((fam.psi1_form.jet(z, 0).f, fam.psi2_form.jet(z, 0).f) if fam.spinor_forms
-                   else psi_pair(rho.f, rho.fz, h, fam.eps))
+                   else psi_pair(rho.f, rho.fz, h))
         s = fam.spinor(grid)
         for field, want in ((fam.rho(grid), rho.f), (fam.h(grid), h), (s.psi1, psi[0]),
                             (s.psi2, psi[1])):

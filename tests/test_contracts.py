@@ -83,12 +83,13 @@ def _public_callables():
 
 
 def _fixed_value(param) -> bool:
-    """A report label, a tolerance or a guard that the library fixes
-    itself rather than takes from its caller."""
+    """A report label, a tolerance, a guard or the spinor's branch sign
+    (the transform takes +1; -psi is the other preimage) that the library
+    fixes itself rather than takes from its caller."""
     p = param.name
     return ((p == "name" and param.default is not param.empty)
             or p == "tol" or p.startswith("tol_") or p.endswith(("_tol", "_eps"))
-            or p in ("guard_band", "admissible"))
+            or p in ("guard_band", "admissible", "eps"))
 
 
 def test_no_label_or_tolerance_options():
@@ -98,6 +99,13 @@ def test_no_label_or_tolerance_options():
     for fn in (gwsurf.weierstrass_residual, gwsurf.potential_conservation_residual,
                gwsurf.SpinMatrix.algebra_report):
         assert "exclude_rings" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_export_mesh_writes_both_files_from_given_forms():
+    # the OBJ, the CSV and the fundamental forms behind its curvatures are
+    # all required: the writer has no optional output and computes no forms
+    params = inspect.signature(gwsurf.export_mesh).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == []
 
 
 def test_one_name_per_curvature_and_one_switch_to_stencils():

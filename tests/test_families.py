@@ -173,11 +173,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build_family("spherical")
 
-    @pytest.mark.parametrize("name", FAMILY_NAMES)
-    def test_branch_sign_must_be_unit(self, name):
-        # the sign scales the stored spinor forms, so 2 would break the system
-        with pytest.raises(ValueError, match="branch sign"):
-            build_family(name, eps=2)
 
 
 class TestParameterSweeps:
@@ -199,18 +194,6 @@ class TestParameterSweeps:
         assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-11
         assert sigma_residual(fam.rho(g), fam.h(g)).max_norm < 1e-11
 
-    @pytest.mark.parametrize("make,g", [
-        (lambda: family_rational(1.0, eps=-1), G),
-        (lambda: family_exponential(1.0, eps=-1), G),
-        (lambda: family_trigonometric(1.0, eps=-1), TRIG_G),
-    ])
-    def test_negative_branch_sign_still_solves(self, make, g):
-        fam = make()
-        assert weierstrass_residual(fam.spinor(g), fam.h(g)).max_norm < 1e-12
-        back = rho_from_psi(fam.spinor(g))
-        ok = ~back.mask
-        assert np.max(np.abs(back.values - fam.rho(g).values)[ok]) < 1e-12
-
     def test_negative_parameters_supported(self):
         # the transform square roots go complex for lam < 0 but the triple
         # remains an exact solution with density |lam|
@@ -229,7 +212,7 @@ FORMS = ("h_form", "rho_form", "psi1_form", "psi2_form")
 
 
 CASES = ([(n, {}) for n in FAMILY_NAMES]
-         + [("rational", {"lam": -1.3, "eps": -1}), ("exponential", {"lam": 2.0}),
+         + [("rational", {"lam": -1.3}), ("exponential", {"lam": 2.0}),
             ("trig", {"a": 1.5}), ("unimodular", {"lam": -1.0, "h0": 2.0}),
             ("holomorphic", {"h0": 2.0})])
 

@@ -169,20 +169,6 @@ class TestGradientOnce:
         for got, op in ((dz, d_z), (dzb, d_zbar), (fx, dx), (fy, dy)):
             assert np.array_equal(got.values, op(plain(g, self.fn)).values)
 
-    def test_without_source_view_shares_the_gradient(self, d1_calls):
-        g = grid(21)
-        # a diagonal sample is one column: its y-derivative needs no stencil
-        sampled = sample(diagonal_form(lambda s: s * exp(s)), g)
-        view = sampled.without_source()
-        d_z(view)
-        d_zbar(view.without_source())
-        d_z(sampled.without_source())
-        assert d1_calls == [(21, 1)]
-        plain_field = plain(g, self.fn)
-        d_zbar(plain_field.without_source())
-        d_z(plain_field)
-        assert len(d1_calls) == 3
-
     def test_fit_then_residual_differences_rho_once(self, d1_calls):
         rho = family_rational(1.0).rho(grid(21)).without_source()
         coeffs = fit_riccati_coeffs(rho)

@@ -317,7 +317,7 @@ class TestExport:
     def test_small_plane_counts(self, tmp_path):
         g = GridSpec(0, 1, 0, 1, 3, 3)
         pl = param_surface(g, lambda x, y: x, lambda x, y: y, lambda x, y: 0 * x)
-        nv, nf = export_mesh(pl, tmp_path / "m.obj")
+        nv, nf = export_mesh(pl, tmp_path / "m.obj", tmp_path / "m.csv", fundamental_forms(pl))
         assert (nv, nf) == (9, 8)
 
     def test_masked_cells_omitted(self, tmp_path):
@@ -326,7 +326,7 @@ class TestExport:
         mask[0, 0] = True
         pl = param_surface(g, lambda x, y: x, lambda x, y: y, lambda x, y: 0 * x,
                            mask=mask)
-        nv, nf = export_mesh(pl, tmp_path / "m.obj")
+        nv, nf = export_mesh(pl, tmp_path / "m.obj", tmp_path / "m.csv", fundamental_forms(pl))
         assert nv == 8
         assert nf == 6      # the corner cell is dropped
 
@@ -335,7 +335,7 @@ class TestExport:
         g = GridSpec(-1, 1, -1, 1, 21, 21)
         srf = induce_surface(fam.spinor(g), 0.0)
         path = tmp_path / "m.obj"
-        export_mesh(srf, path)
+        export_mesh(srf, path, tmp_path / "m.csv", fundamental_forms(srf))
         verts = load_mesh_vertices(path)
         stacked = np.stack([srf.x1.values, srf.x2.values, srf.x3.values],
                            axis=-1).reshape(-1, 3)
@@ -345,8 +345,9 @@ class TestExport:
         fam = family_rational(1.0)
         g = GridSpec(-1, 1, -1, 1, 11, 11)
         srf = induce_surface(fam.spinor(g), 0.0)
-        export_mesh(srf, tmp_path / "a.obj")
-        export_mesh(srf, tmp_path / "b.obj")
+        ff = fundamental_forms(srf)
+        export_mesh(srf, tmp_path / "a.obj", tmp_path / "a.csv", ff)
+        export_mesh(srf, tmp_path / "b.obj", tmp_path / "b.csv", ff)
         assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
     def test_fully_masked_rejected(self, tmp_path):
@@ -354,15 +355,16 @@ class TestExport:
         mask = np.ones(g.shape, bool)
         pl = param_surface(g, lambda x, y: x, lambda x, y: y, lambda x, y: 0 * x,
                            mask=mask)
+        ff = fundamental_forms(pl)
         with pytest.raises(ValueError):
-            export_mesh(pl, tmp_path / "m.obj")
+            export_mesh(pl, tmp_path / "m.obj", tmp_path / "m.csv", ff)
 
     def test_csv_dump(self, tmp_path):
         fam = family_rational(1.0)
         g = GridSpec(-1, 1, -1, 1, 11, 11)
         srf = induce_surface(fam.spinor(g), 0.0)
         path = tmp_path / "s.csv"
-        export_mesh(srf, tmp_path / "s.obj", csv_path=path)
+        export_mesh(srf, tmp_path / "s.obj", path, fundamental_forms(srf))
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,X1,X2,X3,H_num,K_num"
         assert len(lines) == 1 + 11 * 11
@@ -493,16 +495,11 @@ def test_export_bytes_match_per_element_writers(make, tmp_path):
     expect_obj = (tmp_path / "loop.obj").read_bytes()
     expect_csv = (tmp_path / "loop.csv").read_bytes()
 
-    assert export_mesh(srf, tmp_path / "new.obj") == expect_counts
+    # OBJ and CSV from one pass
+    assert export_mesh(srf, tmp_path / "new.obj", tmp_path / "new.csv",
+                       fundamental_forms(srf)) == expect_counts
     assert (tmp_path / "new.obj").read_bytes() == expect_obj
-
-    # OBJ and CSV from one pass, with the fundamental forms computed by the
-    # writer and given by the caller
-    for name, ff in (("new", None), ("given_forms", fundamental_forms(srf))):
-        assert export_mesh(srf, tmp_path / f"{name}.obj", csv_path=tmp_path / f"{name}.csv",
-                           ff=ff) == expect_counts
-        assert (tmp_path / f"{name}.obj").read_bytes() == expect_obj
-        assert (tmp_path / f"{name}.csv").read_bytes() == expect_csv
+    assert (tmp_path / "new.csv").read_bytes() == expect_csv
 
 
 def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):
@@ -558,8 +555,7 @@ def test_export_peak_memory(tmp_path):
     srf = param_surface(g, *(lambda x, y: rng.standard_normal(x.shape) for _ in range(3)))
     ff = fundamental_forms(srf)
     ff.mean_curvature, ff.gauss_curvature      # cached before tracing starts
-    peak = traced_peak(lambda: export_mesh(srf, tmp_path / "m.obj",
-                                           csv_path=tmp_path / "m.csv", ff=ff))
+    peak = traced_peak(lambda: export_mesh(srf, tmp_path / "m.obj", tmp_path / "m.csv", ff))
     assert peak <= 3 * 2**20
 
 
@@ -580,7 +576,7 @@ def test_face_labels_peak_memory():
 
 def test_masked_interior_point_drops_its_four_cells(tmp_path):
     srf = masked_surface()
-    nv, nf = export_mesh(srf, tmp_path / "m.obj")
+    nv, nf = export_mesh(srf, tmp_path / "m.obj", tmp_path / "m.csv", fundamental_forms(srf))
     cells = (13 - 1) * (9 - 1)
     # corner: 1 cell, interior point: 4 cells, edge point: 2 cells
     assert (nv, nf) == (13 * 9 - 3, 2 * (cells - 1 - 4 - 2))

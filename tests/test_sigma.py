@@ -50,7 +50,7 @@ class TestRhoFromPsi:
 
 class TestPsiFromRho:
     def test_rational_point_values(self):
-        # at z=0: (psi1, psi2) = (0, eps); at z=1 (s=2): (2 eps/sqrt5, eps/sqrt5)
+        # at z=0: (psi1, psi2) = (0, 1); at z=1 (s=2): (2/sqrt5, 1/sqrt5)
         fam = family_rational(1.0)
         s = psi_from_rho(fam.rho(G), fam.h(G))
         i0, j0 = G.index_of(0.0, 0.0)
@@ -59,17 +59,6 @@ class TestPsiFromRho:
         i1, j1 = G.index_of(1.0, 0.0)
         assert s.psi1.values[i1, j1] == pytest.approx(2 / np.sqrt(5))
         assert s.psi2.values[i1, j1] == pytest.approx(1 / np.sqrt(5))
-
-    def test_negative_branch_sign(self):
-        fam = family_rational(1.0, eps=-1)
-        s = psi_from_rho(fam.rho(G), fam.h(G), fam.eps)
-        i1, j1 = G.index_of(1.0, 0.0)
-        assert s.psi2.values[i1, j1] == pytest.approx(-1 / np.sqrt(5))
-
-    def test_branch_sign_must_be_unit(self):
-        fam = family_rational(1.0)
-        with pytest.raises(ValueError, match="branch sign"):
-            psi_from_rho(fam.rho(G), fam.h(G), 2)
 
     def test_round_trip_rho_psi_rho(self):
         fam = family_rational(1.0)
