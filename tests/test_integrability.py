@@ -1,6 +1,4 @@
 """Riccati constraints, zero-curvature conditions, sinh-Gordon, linearization."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from gwsurf import (ComplexField, GridSpec, RealField, SpinorField, constant_for
                     sinh_gordon_residual, zero_curvature_residual)
 from gwsurf import integrability
 from gwsurf.integrability import HolomorphicProfile, RiccatiCoeffs
+from memtrace import traced_peak
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -152,17 +151,7 @@ class TestRiccati:
         g = GridSpec(-1, 1, -1, 1, 201, 201)
         for fam, bound in ((family_rational(1.0), 12), (family_holomorphic(), 32)):
             rho = fam.rho(g).without_source()
-            tracing = tracemalloc.is_tracing()
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                fit_riccati_coeffs(rho)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
-            assert peak < bound * 2**20, fam.name
+            assert traced_peak(lambda: fit_riccati_coeffs(rho)) < bound * 2**20, fam.name
 
 
 def _fit_riccati_reference(r):
