@@ -325,13 +325,13 @@ def run_roundtrip_fd(fam, s, h):
 def run_modified_current_fd(fam, s, h):
     grid = s.grid
     cur = modified_current(s, h, grid.xs()[(grid.nx - 1) // 2])
-    return conservation_defect(cur, exclude_rings=2)
+    return conservation_defect(cur)
 
 
 def run_riccati_fd(fam, rho):
     coeffs = fit_riccati_coeffs(rho)
-    a = riccati_residual(rho, coeffs, exclude_rings=2)
-    b = zero_curvature_residual(coeffs, exclude_rings=2)
+    a = riccati_residual(rho, coeffs)
+    b = zero_curvature_residual(coeffs)
     return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm),
                           constraint=a.max_norm, zero_curvature=b.max_norm)
 
@@ -347,13 +347,13 @@ def run_path_independence_fd(fam, s):
 
 def run_ll_necessity_control(fam, comm, h):
     """Undeformed spin equation must fail where the deformation is needed."""
-    undeformed = landau_lifshitz_residual(comm, exclude_rings=2)
-    deformed = deformed_ll_residual(comm, h, exclude_rings=2)
+    undeformed = landau_lifshitz_residual(comm)
+    deformed = deformed_ll_residual(comm, h)
     return _report_scalar(comm.grid, undeformed.max_norm, deformed=deformed.max_norm)
 
 
 def run_h_classification(fam, h):
-    rep = h_integrability_residual(h, exclude_rings=2)
+    rep = h_integrability_residual(h)
     details = dict(rep.details)
     if fam.ddbar_inv_h is not None:
         details["expected"] = fam.ddbar_inv_h
@@ -384,15 +384,13 @@ SUITES = (
     SuiteSpec("constraints_exact", "exact", {"constant_density": True, "constant_h": False},
               ("spinor",), run_constraints_exact, POINTWISE_TOL),
     SuiteSpec("linear_system_exact", "exact", {"constant_density": True, "constant_h": False},
-              ("spinor", "h"),
-              lambda fam, s, h: linear_system_residual(s, h, fam.p0, exclude_rings=2),
+              ("spinor", "h"), lambda fam, s, h: linear_system_residual(s, h, fam.p0),
               POINTWISE_TOL),
     # varying H: for constant H this is the undeformed equation of ll_fd
     SuiteSpec("deformed_ll_exact", "exact", {"constant_h": False}, ("rho", "h"),
               lambda fam, rho, h: deformed_ll_residual(ll_commutator(rho), h), POINTWISE_TOL),
     SuiteSpec("compatibility_exact", "exact", {"unit_rho": True, "constant_rho": False},
-              ("rho", "h"), lambda fam, rho, h: compatibility_residual(rho, h, exclude_rings=2),
-              POINTWISE_TOL),
+              ("rho", "h"), lambda fam, rho, h: compatibility_residual(rho, h), POINTWISE_TOL),
     SuiteSpec("h_constancy_exact", "exact", {"unit_rho": True}, ("rho", "h"),
               run_h_constancy_exact, POINTWISE_TOL),
     SuiteSpec("multisoliton_exact", "exact", {"unit_rho": True}, ("rho", "h"),
@@ -401,32 +399,28 @@ SUITES = (
     # they check the stencils where the terms in H are not zero
     SuiteSpec("dirac_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
               lambda fam, s, h: weierstrass_residual(s, h)),
-    # the mixed second derivative composes two stencils, so the boundary
-    # seam converges one order slower; the interior carries the O(h^2) claim
     SuiteSpec("sigma_fd", "fd", {"constant_h": False}, ("rho_fd", "h_fd"),
-              lambda fam, rho, h: sigma_residual(rho, h, exclude_rings=2)),
+              lambda fam, rho, h: sigma_residual(rho, h)),
     SuiteSpec("conservation_fd", "fd", {"constant_h": False}, ("spinor_fd",),
               lambda fam, s: potential_conservation_residual(s)),
     SuiteSpec("roundtrip_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
               run_roundtrip_fd),
     # spinor forms: holomorphic's transform spinor passes too, never run there
     SuiteSpec("current_defect_fd", "fd", {"spinor_forms": True}, ("spinor_fd", "h_fd"),
-              lambda fam, s, h: dbar_J_defect(s, h, exclude_rings=2)),
+              lambda fam, s, h: dbar_J_defect(s, h)),
     # integrates p^2 dH along rows, exact for data of z + conj(z)
     SuiteSpec("modified_current_fd", "fd", {"constant_h": False, "one_dimensional": True},
               ("spinor_fd", "h_fd"), run_modified_current_fd),
     SuiteSpec("sinh_gordon_fd", "fd", {"constant_h": False}, ("spinor_fd", "h_fd"),
-              lambda fam, s, h: sinh_gordon_residual(s, h, exclude_rings=2)),
+              lambda fam, s, h: sinh_gordon_residual(s, h)),
     SuiteSpec("deformed_ll_fd", "fd", {"constant_h": False}, ("ll_commutator_fd", "h_fd"),
-              lambda fam, comm, h: deformed_ll_residual(comm, h, exclude_rings=2)),
+              lambda fam, comm, h: deformed_ll_residual(comm, h)),
     SuiteSpec("riccati_fd", "fd", {"constant_h": False}, ("rho_fd",), run_riccati_fd,
               roundoff_on_1d=True),
     SuiteSpec("linear_system_fd", "fd", {"constant_density": True, "constant_h": False},
-              ("spinor_fd", "h_fd"),
-              lambda fam, s, h: linear_system_residual(s, h, fam.p0, exclude_rings=2)),
+              ("spinor_fd", "h_fd"), lambda fam, s, h: linear_system_residual(s, h, fam.p0)),
     SuiteSpec("ll_fd", "fd", {"constant_h": True}, ("ll_commutator_fd",),
-              lambda fam, comm: landau_lifshitz_residual(comm, exclude_rings=2),
-              roundoff_on_1d=True),
+              lambda fam, comm: landau_lifshitz_residual(comm), roundoff_on_1d=True),
     # |rho| != 1: also round-off on unimodular, never run there
     SuiteSpec("path_independence_fd", "fd", {"unit_rho": False}, ("spinor",),
               run_path_independence_fd, roundoff_on_1d=True),

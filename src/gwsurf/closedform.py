@@ -378,7 +378,7 @@ def diagonal_form(fn, guard=None) -> ClosedForm:
     return ClosedForm(jet_fn, 2, guard, diagonal=True)
 
 
-def holomorphic_form(fn, guard=None) -> ClosedForm:
+def holomorphic_form(fn) -> ClosedForm:
     """Closed form holomorphic in z; the dbar slots vanish.
 
     `fn(z)` is a formula as for `diagonal_form` without `conj`; on the seed
@@ -388,7 +388,7 @@ def holomorphic_form(fn, guard=None) -> ClosedForm:
     def jet_fn(z, order):
         return _run(fn, np.asarray(z, dtype=complex), (1.0, 0.0, 0.0, 0.0, 0.0), order, z)
 
-    return ClosedForm(jet_fn, 2, guard)
+    return ClosedForm(jet_fn, 2)
 
 
 def constant_form(c) -> ClosedForm:

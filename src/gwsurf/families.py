@@ -19,7 +19,7 @@ the rest.
 Two constant-H families feed the spin-matrix and multisoliton checks:
 
   unimodular   rho = exp(i*lam*s), |rho| = 1, H = H0 > 0
-  holomorphic  rho = f(z),         H = H0 > 0
+  holomorphic  rho = z,            H = H0 > 0
 
 The unimodular spinor uses the globally smooth square-root branch
 w = sqrt(i*lam) * exp(i*lam*s/2) rather than the pointwise principal
@@ -196,22 +196,19 @@ def family_unimodular(lam: float, h0: float = 1.0) -> SolutionFamily:
         p0=abs(lam) / (2 * h0) if lam else None, ddbar_inv_h=0.0)
 
 
-def family_holomorphic(f: ClosedForm | None = None, h0: float = 1.0) -> SolutionFamily:
-    """Holomorphic rho = f(z), a solution exactly when H is constant.
-
-    Defaults to f(z) = z; f must not be constant. The spinor pair is
-    produced by the generic transform at sampling time (dbar rho
-    vanishes, but dbar conj(rho) does not).
+def family_holomorphic(h0: float = 1.0) -> SolutionFamily:
+    """Holomorphic rho = z, a solution exactly when H is constant (any
+    non-constant holomorphic rho is). The spinor pair is produced by the
+    generic transform at sampling time (dbar rho vanishes, but dbar
+    conj(rho) does not).
     """
     if not h0 > 0:      # nan fails this test too
         raise ValueError("constant mean curvature must be positive")
-    if f is None:
-        f = holomorphic_form(lambda z: z)
     h0 = float(h0)
     return SolutionFamily(
-        name="holomorphic", params={"H0": h0}, h_form=diagonal_form(lambda s: h0), rho_form=f,
-        psi1_form=None, psi2_form=None, constant_h=True, unit_rho=False, constant_rho=False,
-        p0=None, ddbar_inv_h=0.0)
+        name="holomorphic", params={"H0": h0}, h_form=diagonal_form(lambda s: h0),
+        rho_form=holomorphic_form(lambda z: z), psi1_form=None, psi2_form=None,
+        constant_h=True, unit_rho=False, constant_rho=False, p0=None, ddbar_inv_h=0.0)
 
 
 FAMILY_NAMES = ("rational", "exponential", "trig", "unimodular", "holomorphic")

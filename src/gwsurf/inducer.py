@@ -27,10 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _integrate_from, _once, d_z, d_zbar, dx, dxx, dy, dyy
+from .calculus import _integrate_from, _once, dx, dxx, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import RATIO_MIN, ResidualReport, norms
-from .weierstrass import SpinorField, density_p
+from .reporting import RATIO_MIN, ResidualReport
+from .weierstrass import SpinorField, density_p, potential_conservation_residual
 
 __all__ = [
     "Surface", "FundamentalForms",
@@ -109,45 +109,33 @@ def _resolve_basepoint(grid: GridSpec, z0) -> tuple[int, int]:
     return grid.index_of(x0, y0)
 
 
-def _defect(forms, grid: GridSpec, mask: np.ndarray) -> float:
-    """Max norm of d(B) - dbar(A) over the one-forms (A, B) sampled on `grid`."""
-    worst = 0.0
-    for A, B in forms:
-        fa = ComplexField._derived(grid, np.where(mask, 0, A), mask)
-        fb = ComplexField._derived(grid, np.where(mask, 0, B), mask)
-        da, ma = d_zbar(fa).stored
-        db, mb = d_z(fb).stored
-        mx, _ = norms(db - da, grid, ma | mb)
-        worst = max(worst, mx)
-    return worst
-
-
-def _shrinks_like_h2(forms, grid: GridSpec, mask: np.ndarray, defect: float) -> bool:
+def _shrinks_like_h2(s: SpinorField, defect: float) -> bool:
     """Whether the every-other-point subgrid (spacings 2hx, 2hy) measures at
-    least RATIO_MIN times `defect`, the defect on `grid`: then `defect` is
-    the O(h^2) error of the stencils, not forms that fail to close. False
-    when that subgrid is too small for the stencils."""
+    least RATIO_MIN times `defect`, the conservation residual of the
+    stencil-path spinor `s` on its grid: then `defect` is the O(h^2) error
+    of the stencils, not forms that fail to close. False when that subgrid
+    is too small for the stencils."""
+    grid = s.grid
     nx, ny = (grid.nx + 1) // 2, (grid.ny + 1) // 2
     if min(nx, ny) < 3:
         return False
     coarse = GridSpec(grid.x_min, grid.x_min + 2 * grid.hx * (nx - 1),
                       grid.y_min, grid.y_min + 2 * grid.hy * (ny - 1), nx, ny)
-    sub = [(A[::2, ::2], B[::2, ::2]) for A, B in forms]
-    return _defect(sub, coarse, mask[::2, ::2]) >= RATIO_MIN * defect
-
-
-def closedness_defect(s: SpinorField) -> float:
-    """Max norm of d(B) - dbar(A) over the three inducing one-forms."""
-    return _defect(_one_forms(s), *_shared(s))
+    sub = SpinorField(*(ComplexField._derived(coarse, v[::2, ::2], m[::2, ::2], finite=True)
+                        for v, m in (s.psi1.stored, s.psi2.stored)))
+    return potential_conservation_residual(sub).max_norm >= RATIO_MIN * defect
 
 
 def induce_surface(s: SpinorField, z0=None) -> Surface:
     """Build the surface coordinates from a spinor by L-path integrals.
 
     Warns (does not fail) when the inducing one-forms are measurably not
-    closed, since then the result is path dependent: when their defect
-    exceeds 1e-3 and does not shrink like h^2 (the stencils leave an
-    O(h^2) defect on exact solutions too). A vanishing spinor produces the
+    closed, since then the result is path dependent. Their closedness
+    conditions are the two conservation laws (d(B) - dbar(A) is -2i times
+    the potential law or its conjugate, or -2 times the bilinear law), so
+    it warns when the stencil-path `potential_conservation_residual`
+    exceeds 5e-4 and does not shrink like h^2 (the stencils leave an O(h^2)
+    defect on exact solutions too). A vanishing spinor produces the
     degenerate single-point surface, flagged as such.
     """
     grid, mask = _shared(s)
@@ -155,15 +143,15 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     if s.mask[i0, j0]:
         raise ValueError("basepoint is masked")
 
-    forms = _one_forms(s)
-    defect = _defect(forms, grid, mask)
-    if defect > 1e-3 and not _shrinks_like_h2(forms, grid, mask, defect):
+    stencil = s.without_sources()
+    defect = potential_conservation_residual(stencil).max_norm
+    if defect > 5e-4 and not _shrinks_like_h2(stencil, defect):
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
     phis = []
     badmask = np.zeros(grid.shape, dtype=bool)
-    for A, B in forms:
+    for A, B in _one_forms(s):
         phi, bad = _integrate_path(A, B, grid, i0, j0, mask)
         phis.append(phi)
         badmask |= bad

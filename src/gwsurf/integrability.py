@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import ClosedForm, Jet, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import ResidualReport, _unmasked, report_from_parts
+from .reporting import STENCIL_RINGS, ResidualReport, _unmasked, report_from_parts
 from .weierstrass import SpinorField, current_J, density_p, log_derivatives
 
 __all__ = [
@@ -105,19 +105,20 @@ def h_from_profile(q) -> ClosedForm:
     return ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard)
 
 
-def h_integrability_residual(h: RealField, exclude_rings: int = 0) -> ResidualReport:
-    """Norm of d dbar (1/H); zero exactly for the integrable class."""
+def h_integrability_residual(h: RealField) -> ResidualReport:
+    """Norm of d dbar (1/H) off the STENCIL_RINGS boundary rings; zero
+    exactly for the integrable class."""
     hv, mask = h.stored
     if np.any((np.abs(hv) < 1e-12) & ~mask):
         raise NumericalBreakdown("H vanishes at unmasked points; 1/H undefined")
     mix, mmask = mixed_dzbar_dz(pointwise(lambda hv: 1.0 / hv, h)).stored
     return report_from_parts(h.grid, [("ddbar_inv_h", mix, mmask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)
 
 
-def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
-                     exclude_rings: int = 0) -> ResidualReport:
-    """Defects of both first-order Riccati constraints on rho."""
+def riccati_residual(rho: ComplexField, c: RiccatiCoeffs) -> ResidualReport:
+    """Defects of both first-order Riccati constraints on rho, off the
+    STENCIL_RINGS boundary rings."""
     grid, mask = _shared(rho, *c.fields())
     drho, m1 = d_z(rho).stored
     dbrho, m2 = d_zbar(rho).stored
@@ -127,7 +128,7 @@ def riccati_residual(rho: ComplexField, c: RiccatiCoeffs,
     d1 = drho - (a10 + a11 * r + a12 * r**2)
     d2 = dbrho - (a20 + a21 * r + a22 * r**2)
     return report_from_parts(grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)
 
 
 def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
@@ -181,8 +182,9 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     return RiccatiCoeffs(*(ComplexField._derived(rho.grid, c, mask) for c in coef))
 
 
-def zero_curvature_residual(c: RiccatiCoeffs, exclude_rings: int = 0) -> ResidualReport:
-    """The three compatibility conditions on the Riccati coefficients.
+def zero_curvature_residual(c: RiccatiCoeffs) -> ResidualReport:
+    """The three compatibility conditions on the Riccati coefficients, off
+    the STENCIL_RINGS boundary rings.
 
     Each coefficient is differentiated once, so its stencils go as soon as
     its derivative is formed, and each pair of derivatives once its
@@ -200,15 +202,15 @@ def zero_curvature_residual(c: RiccatiCoeffs, exclude_rings: int = 0) -> Residua
     mask = _shared(*c.fields())[1] | mask0 | mask1 | mask2
     return report_from_parts(c.grid, [
         ("order0", cond0, mask), ("order1", cond1, mask), ("order2", cond2, mask)],
-        exclude_rings=exclude_rings)
+        exclude_rings=STENCIL_RINGS)
 
 
-def sinh_gordon_residual(s: SpinorField, h: RealField,
-                         exclude_rings: int = 0) -> ResidualReport:
+def sinh_gordon_residual(s: SpinorField, h: RealField) -> ResidualReport:
     """Residual of d dbar ln p = |J|^2 / p^2 - p^2 H^2.
 
     Holds modulo the spinor system; the expected tolerance is one
-    derivative worse than the system residual because of d dbar ln p.
+    derivative worse than the system residual because of d dbar ln p,
+    and the STENCIL_RINGS boundary rings are left out.
     """
     p = density_p(s)
     _, mask = _shared(p, h)
@@ -220,7 +222,7 @@ def sinh_gordon_residual(s: SpinorField, h: RealField,
     totmask = mask | mmask | jmask
     vals = mix.real - np.abs(J) ** 2 / safe**2 + safe**2 * h.stored[0]**2
     return report_from_parts(s.grid, [("sinh_gordon", np.where(totmask, 0, vals), totmask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)
 
 
 def linearization_constraint_residual(s: SpinorField) -> ResidualReport:
@@ -250,12 +252,13 @@ def linearization_constraint_residual(s: SpinorField) -> ResidualReport:
                              details=details)
 
 
-def linear_system_residual(s: SpinorField, h: RealField, p0: float,
-                           exclude_rings: int = 0) -> ResidualReport:
+def linear_system_residual(s: SpinorField, h: RealField, p0: float) -> ResidualReport:
     """Residual of the decoupled linear system obeyed under the constraints:
 
     dbar d psi1 - dbar(ln H) d psi1 + p0^2 H^2 psi1 = 0,
-    d dbar psi2 - d(ln H) dbar psi2 + p0^2 H^2 psi2 = 0.
+    d dbar psi2 - d(ln H) dbar psi2 + p0^2 H^2 psi2 = 0,
+
+    off the STENCIL_RINGS boundary rings.
     """
     _, mask = _shared(s, h)
     lz, lzb, lmask = log_derivatives(h)
@@ -270,4 +273,4 @@ def linear_system_residual(s: SpinorField, h: RealField, p0: float,
     l1 = dd1 - lzb * d1.stored[0] + coeff * s.psi1.stored[0]
     l2 = dd2 - lz * d2.stored[0] + coeff * s.psi2.stored[0]
     return report_from_parts(s.grid, [("psi1", l1, mask), ("psi2", l2, mask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)

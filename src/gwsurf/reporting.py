@@ -20,6 +20,10 @@ __all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms", "wors
 # convergence (ratio 4) is expected
 RATIO_MIN = 2.5
 
+# boundary rings a stencil-path residual leaves out: on them a derivative of
+# an already-differenced field composes one-sided stencils and drops an order
+STENCIL_RINGS = 2
+
 
 def _unmasked(values, grid: GridSpec, mask=None) -> np.ndarray:
     """The values at the unmasked points (all points when `mask` is None),

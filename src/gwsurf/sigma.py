@@ -32,7 +32,7 @@ import numpy as np
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import ResidualReport, _unmasked, norms, report_from_parts
+from .reporting import STENCIL_RINGS, ResidualReport, _unmasked, norms, report_from_parts
 from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
@@ -120,8 +120,13 @@ def psi_from_rho(rho: ComplexField, h: RealField) -> SpinorField:
     return SpinorField(*psi)
 
 
-def sigma_residual(rho: ComplexField, h: RealField, exclude_rings: int = 0) -> ResidualReport:
-    """Residuals of the second-order sigma-model system and its conjugate."""
+def sigma_residual(rho: ComplexField, h: RealField) -> ResidualReport:
+    """Residuals of the second-order sigma-model system and its conjugate.
+
+    A rho with an analytic source is judged at every point; a stencil-path
+    rho (no source) leaves out STENCIL_RINGS boundary rings, where its
+    mixed derivative composes two one-sided stencils.
+    """
     grid, mask = _shared(rho, h)
     lz, lzb, lmask = log_derivatives(h)
 
@@ -135,7 +140,7 @@ def sigma_residual(rho: ComplexField, h: RealField, exclude_rings: int = 0) -> R
     res1 = mix - 2.0 * np.conj(r) / m * drho * dbrho - lzb * drho
     res2 = np.conj(mix) - 2.0 * r / m * np.conj(drho) * np.conj(dbrho) - lz * np.conj(drho)
     return report_from_parts(grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=0 if rho.source is not None else STENCIL_RINGS)
 
 
 def apply_discrete_symmetry(rho: ComplexField, which: str) -> ComplexField:
@@ -219,14 +224,14 @@ def ll_commutator(rho: ComplexField) -> LLCommutator:
     return LLCommutator(rho, (c11, c12, c21, c22), mask)
 
 
-def landau_lifshitz_residual(c: LLCommutator, exclude_rings: int = 0) -> ResidualReport:
-    """Max norm of the commutator [S, d dbar S] over the grid."""
+def landau_lifshitz_residual(c: LLCommutator) -> ResidualReport:
+    """Max norm of the commutator [S, d dbar S] off the STENCIL_RINGS
+    boundary rings."""
     parts = [(k, e, c.mask) for k, e in zip(("c11", "c12", "c21", "c22"), c.entries)]
-    return report_from_parts(c.grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(c.grid, parts, exclude_rings=STENCIL_RINGS)
 
 
-def deformed_ll_residual(c: LLCommutator, h: RealField,
-                         exclude_rings: int = 0) -> ResidualReport:
+def deformed_ll_residual(c: LLCommutator, h: RealField) -> ResidualReport:
     """Residual of [S, d dbar S] + R*Hmat, the inhomogeneous spin equation,
     for the commutator `c` of rho and the mean curvature `h`.
 
@@ -242,7 +247,8 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
     conjugate), derived by formal jet computation; R*Hmat must cancel the
     ln-H part of f and fb entrywise. Hmat's lower-right entry contains
     1/rho, so points with |rho| < 1e-8 are masked rather than regularized
-    (regularizing would change the identity being certified).
+    (regularizing would change the identity being certified). Boundary
+    rings are left out as in `sigma_residual`, by the source of `c.rho`.
     """
     rho = c.rho
     grid, _ = _shared(rho, h)
@@ -269,7 +275,8 @@ def deformed_ll_residual(c: LLCommutator, h: RealField,
         ("e21", c21 + (r21 * lzb + r22 * lz), mask),
         ("e22", c22 + (r21 * h12 + r22 * h22), mask),
     ]
-    return report_from_parts(grid, parts, exclude_rings=exclude_rings)
+    return report_from_parts(grid, parts,
+                             exclude_rings=0 if rho.source is not None else STENCIL_RINGS)
 
 
 # how far |rho| may be from 1 in a unimodular input, and H from its mean in a
@@ -315,15 +322,15 @@ def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualRep
     )
 
 
-def compatibility_residual(rho: ComplexField, h: RealField,
-                           exclude_rings: int = 0) -> ResidualReport:
+def compatibility_residual(rho: ComplexField, h: RealField) -> ResidualReport:
     """Cross-derivative compatibility of the potential defined by
     d phi = ln(d ln rho), dbar phi = ln H.
 
     The residual dbar(ln(d ln rho)) - d(ln H) is computed via logarithmic
     derivatives, avoiding branch cuts. Points with d ln rho = 0 are masked
     (a constant rho has no admissible potential). w = d ln rho keeps an
-    analytic source when rho has one, so dbar w is then exact.
+    analytic source when rho has one, so dbar w is then exact. The
+    STENCIL_RINGS boundary rings are left out.
     """
     grid, _ = _shared(rho, h)
     _require_unimodular(rho)
@@ -339,4 +346,4 @@ def compatibility_residual(rho: ComplexField, h: RealField,
     with np.errstate(all="ignore"):
         vals = np.where(totmask, 0, dw / np.where(totmask, 1.0, wv) - lz)
     return report_from_parts(grid, [("compatibility", vals, totmask)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)

@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import _integrate_from, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import ResidualReport, report_from_parts
+from .reporting import STENCIL_RINGS, ResidualReport, report_from_parts
 
 __all__ = [
     "SpinorField", "log_derivatives",
@@ -129,15 +129,16 @@ def current_J(s: SpinorField) -> ComplexField:
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask)
 
 
-def dbar_J_defect(s: SpinorField, h: RealField, exclude_rings: int = 0) -> ResidualReport:
-    """Norm of dbar J + p^2 dH; zero modulo the spinor system."""
+def dbar_J_defect(s: SpinorField, h: RealField) -> ResidualReport:
+    """Norm of dbar J + p^2 dH off the STENCIL_RINGS boundary rings; zero
+    modulo the spinor system."""
     _, mask = _shared(s, h)
     dJ, mj = d_zbar(current_J(s)).stored
     p = density_p(s).stored[0]
     hz, mh = d_z(h).stored
     vals = dJ + p**2 * hz
     return report_from_parts(s.grid, [("dbar_J_plus_p2_dH", vals, mask | mj | mh)],
-                             exclude_rings=exclude_rings)
+                             exclude_rings=STENCIL_RINGS)
 
 
 def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField:
@@ -165,10 +166,11 @@ def modified_current(s: SpinorField, h: RealField, zbar0: float) -> ComplexField
     return ComplexField._derived(grid, vals, outmask)
 
 
-def conservation_defect(j: ComplexField, exclude_rings: int = 0) -> ResidualReport:
-    """Norms of dbar applied to a current."""
+def conservation_defect(j: ComplexField) -> ResidualReport:
+    """Norms of dbar applied to a current, off the STENCIL_RINGS boundary
+    rings."""
     d, mask = d_zbar(j).stored
-    return report_from_parts(j.grid, [("dbar", d, mask)], exclude_rings=exclude_rings)
+    return report_from_parts(j.grid, [("dbar", d, mask)], exclude_rings=STENCIL_RINGS)
 
 
 def gaussian_curvature_from_p(p: RealField) -> RealField:

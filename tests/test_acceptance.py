@@ -80,8 +80,7 @@ def test_criterion_2_fd_convergence():
             ("system", lambda gg: weierstrass_residual(
                 fam.spinor(gg).without_sources(), fam.h(gg).without_source()).max_norm),
             ("sigma", lambda gg: sigma_residual(
-                fam.rho(gg).without_source(), fam.h(gg).without_source(),
-                exclude_rings=2).max_norm),
+                fam.rho(gg).without_source(), fam.h(gg).without_source()).max_norm),
             ("conservation", lambda gg: potential_conservation_residual(
                 fam.spinor(gg).without_sources()).max_norm),
             ("roundtrip", lambda gg: _roundtrip_gap(fam, gg)),
@@ -168,22 +167,20 @@ def test_criterion_5_currents():
         gc = coarse(g)
         hc, hf = max(gc.hx, gc.hy), max(g.hx, g.hy)
 
-        dc = dbar_J_defect(fam.spinor(gc), fam.h(gc), exclude_rings=2).max_norm
-        df = dbar_J_defect(fam.spinor(g), fam.h(g), exclude_rings=2).max_norm
+        dc = dbar_J_defect(fam.spinor(gc), fam.h(gc)).max_norm
+        df = dbar_J_defect(fam.spinor(g), fam.h(g)).max_norm
         ok &= df <= fd_tol(dc, hc, hf)
 
         x0 = g.xs()[(g.nx - 1) // 2]
         mc = conservation_defect(
-            modified_current(fam.spinor(gc), fam.h(gc), gc.xs()[(gc.nx - 1) // 2]),
-            exclude_rings=2).max_norm
+            modified_current(fam.spinor(gc), fam.h(gc), gc.xs()[(gc.nx - 1) // 2])).max_norm
         mf = conservation_defect(
-            modified_current(fam.spinor(g), fam.h(g), x0),
-            exclude_rings=2).max_norm
+            modified_current(fam.spinor(g), fam.h(g), x0)).max_norm
         ok &= mf <= fd_tol(mc, hc, hf)
         worst_note.append(f"{fam.name}: dbarJ {df:.1e}, corrected {mf:.1e}")
 
     const = family_unimodular(1.0, 1.0)
-    raw = conservation_defect(current_J(const.spinor(SQUARE)), exclude_rings=2).max_norm
+    raw = conservation_defect(current_J(const.spinor(SQUARE))).max_norm
     ok &= raw <= 1e-3
     verdict(5, ok,
             "current defect and corrected current within tol(h) for all families "
@@ -196,10 +193,8 @@ def test_criterion_6_sinh_gordon():
     notes = []
     for fam, g in FAMILIES:
         gc = coarse(g)
-        rc = sinh_gordon_residual(fam.spinor(gc), fam.h(gc),
-                                  exclude_rings=2).max_norm
-        rf = sinh_gordon_residual(fam.spinor(g), fam.h(g),
-                                  exclude_rings=2).max_norm
+        rc = sinh_gordon_residual(fam.spinor(gc), fam.h(gc)).max_norm
+        rf = sinh_gordon_residual(fam.spinor(g), fam.h(g)).max_norm
         ok &= rf <= fd_tol(rc, max(gc.hx, gc.hy), max(g.hx, g.hy))
 
         s = fam.spinor(g)
@@ -217,7 +212,7 @@ def test_criterion_6_sinh_gordon():
 
 def test_criterion_7_integrability_classifier():
     profile_h = sample_real(h_from_profile(np.cosh), SQUARE)
-    in_class = h_integrability_residual(profile_h, exclude_rings=2).max_norm
+    in_class = h_integrability_residual(profile_h).max_norm
     fam = family_rational(1.0)
     defect = h_integrability_residual(fam.h(SQUARE)).max_norm
     ok = in_class <= 1e-3 and abs(defect - 2.0) <= 1e-6
@@ -228,27 +223,23 @@ def test_criterion_7_integrability_classifier():
 
 def test_criterion_8_landau_lifshitz():
     uni = family_unimodular(1.0, 1.0)
-    ll = landau_lifshitz_residual(ll_commutator(uni.rho(SQUARE).without_source()),
-                                  exclude_rings=2).max_norm
+    ll = landau_lifshitz_residual(ll_commutator(uni.rho(SQUARE).without_source())).max_norm
     ok = ll <= 1e-9
 
     notes = [f"unimodular LL {ll:.1e}"]
     for fam, g in ((family_rational(1.0), SQUARE), (family_trigonometric(1.0), STRIP)):
         gc = coarse(g)
         dc = deformed_ll_residual(ll_commutator(fam.rho(gc).without_source()),
-                                  fam.h(gc).without_source(),
-                                  exclude_rings=2).max_norm
+                                  fam.h(gc).without_source()).max_norm
         df = deformed_ll_residual(ll_commutator(fam.rho(g).without_source()),
-                                  fam.h(g).without_source(),
-                                  exclude_rings=2).max_norm
+                                  fam.h(g).without_source()).max_norm
         tol = fd_tol(dc, max(gc.hx, gc.hy), max(g.hx, g.hy))
         ok &= df <= tol
         notes.append(f"{fam.name} deformed {df:.1e} <= {tol:.1e}")
         if fam.name == "rational":
             # deformation necessity: the homogeneous equation must miss by
             # at least an order of magnitude relative to the deformed one
-            undeformed = landau_lifshitz_residual(ll_commutator(fam.rho(g)),
-                                                  exclude_rings=2).max_norm
+            undeformed = landau_lifshitz_residual(ll_commutator(fam.rho(g))).max_norm
             ok &= undeformed >= 10 * max(df, 1e-9)
             notes.append(f"undeformed control {undeformed:.1e} >= 10x deformed")
     verdict(8, ok, "; ".join(notes))
@@ -261,7 +252,7 @@ def test_criterion_9_multisoliton():
     h0 = sample_real(constant_form(1.0), SQUARE)
     res = sigma_residual(prod, h0).max_norm
     unimod = float(np.max(np.abs(np.abs(prod.values) - 1.0)))
-    compat = compatibility_residual(prod, h0, exclude_rings=2).max_norm
+    compat = compatibility_residual(prod, h0).max_norm
     flagged = unimodular_H_constancy_check(
         r1, family_rational(1.0).h(SQUARE)).details["consistent"] is False
     ok = res <= 1e-10 and unimod <= 1e-10 and compat <= 1e-10 and flagged
@@ -273,8 +264,7 @@ def test_criterion_9_multisoliton():
 def test_criterion_10_constrained_linearization():
     fam = family_rational(1.0)
     rep = linearization_constraint_residual(fam.spinor(SQUARE))
-    lin = linear_system_residual(fam.spinor(SQUARE), fam.h(SQUARE), 1.0,
-                                 exclude_rings=2).max_norm
+    lin = linear_system_residual(fam.spinor(SQUARE), fam.h(SQUARE), 1.0).max_norm
     ok = (rep.max_norm <= 1e-12 and rep.details["p_variance"] <= 1e-10
           and lin <= 1e-10)
     verdict(10, ok,

@@ -199,6 +199,29 @@ def test_riccati_fit_reads_one_column():
     assert sorted(fitted) == ["exponential", "rational", "trig"]
 
 
+@pytest.mark.parametrize("suite, call", [
+    ("sigma_exact", lambda get: gwsurf.sigma_residual(get("rho"), get("h"))),
+    ("sigma_fd", lambda get: gwsurf.sigma_residual(get("rho_fd"), get("h_fd"))),
+    ("deformed_ll_exact",
+     lambda get: gwsurf.deformed_ll_residual(gwsurf.ll_commutator(get("rho")), get("h"))),
+    ("deformed_ll_fd",
+     lambda get: gwsurf.deformed_ll_residual(gwsurf.ll_commutator(get("rho_fd")), get("h_fd"))),
+    ("sinh_gordon_fd", lambda get: gwsurf.sinh_gordon_residual(get("spinor_fd"), get("h_fd"))),
+    ("current_defect_fd", lambda get: gwsurf.dbar_J_defect(get("spinor_fd"), get("h_fd"))),
+])
+@pytest.mark.parametrize("family", ["rational", "trig"])
+def test_library_call_returns_what_its_suite_reports(family, suite, call):
+    # a residual decides its own boundary rings, so calling it on a suite's
+    # inputs gives the suite's number on both derivative paths; on trig at
+    # 21x21 every stencil row's largest residual lies on a boundary ring
+    from gwsurf.cli import SUITES, _level_inputs, _run_level
+    fam = gwsurf.build_family(family)
+    g = fam.default_grid(21, 21)
+    (spec,) = [s for s in SUITES if s.name == suite]
+    (rep,) = _run_level([spec], fam, g)
+    assert call(_level_inputs(fam, g)).max_norm == rep.max_norm
+
+
 @pytest.fixture(scope="module")
 def rational_101_counts():
     """One `verify --family rational --grid 101x101` (two levels), counting

@@ -4,7 +4,8 @@ keeps one name for each curvature and one switch to stencils, every
 field shows grid-shaped, read-only values and mask, however it is
 stored, the command line decides nothing by a family's name, only the
 inducer and the command line open files, the package runs on one
-thread, and a field gets an analytic source only from closedform."""
+thread, a field gets an analytic source only from closedform, and every
+optional parameter is one that some call in the package sets."""
 import ast
 import importlib
 import inspect
@@ -96,9 +97,61 @@ def test_no_label_or_tolerance_options():
     offenders = [f"{name}({p.name})" for name, fn in _public_callables()
                  for p in inspect.signature(fn).parameters.values() if _fixed_value(p)]
     assert not offenders
-    for fn in (gwsurf.weierstrass_residual, gwsurf.potential_conservation_residual,
-               gwsurf.SpinMatrix.algebra_report):
-        assert "exclude_rings" not in inspect.signature(fn).parameters, fn.__name__
+    # each residual leaves out the boundary rings its derivative path needs
+    # (reporting.STENCIL_RINGS); only the report builder takes a count
+    rings = [name for name, fn in _public_callables()
+             if "exclude_rings" in inspect.signature(fn).parameters]
+    assert rings == ["report_from_parts"]
+
+
+def _call_sites() -> dict:
+    """name -> [(positional count, keyword names)] for every call in the
+    package, by the called name or attribute; a starred argument sets every
+    positional parameter and a ** argument every keyword (None)."""
+    sites = {}
+    for path in Path(gwsurf.__file__).parent.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                npos = (float("inf") if any(isinstance(a, ast.Starred) for a in n.args)
+                        else len(n.args))
+                sites.setdefault(name, []).append((npos, {k.arg for k in n.keywords}))
+    return sites
+
+
+# defaults that no call in the package sets, kept for callers outside it
+UNSET_DEFAULTS = {
+    "ComplexField(mask)": "a field built from user values is unmasked unless told",
+    "RealField(mask)": "a field built from user values is unmasked unless told",
+    "SolutionFamily.default_grid(nx)": "101x101 is the documented default grid",
+    "SolutionFamily.default_grid(ny)": "101x101 is the documented default grid",
+}
+
+
+def test_every_default_is_set_by_some_call():
+    # an optional parameter that every caller leaves at its default is a
+    # constant: the code should state it, not take it
+    sites = _call_sites()
+    unset = []
+    for name, obj in vars(gwsurf).items():
+        if inspect.isclass(obj) and not issubclass(obj, Exception):
+            targets = [(name, name, obj, 0)] + [
+                (f"{name}.{attr}", attr, fn, 1) for attr, fn in vars(obj).items()
+                if inspect.isfunction(fn) and attr != "__init__"]
+        elif inspect.isfunction(obj):
+            targets = [(name, name, obj, 0)]
+        else:
+            continue
+        for label, called, fn, skip in targets:
+            params = list(inspect.signature(fn).parameters.values())[skip:]
+            for k, p in enumerate(params):
+                if p.default is p.empty:
+                    continue
+                if not any(p.name in kws or None in kws
+                           or (p.kind != p.KEYWORD_ONLY and npos > k)
+                           for npos, kws in sites.get(called, [])):
+                    unset.append(f"{label}({p.name})")
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
 def test_export_mesh_writes_both_files_from_given_forms():

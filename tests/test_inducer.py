@@ -7,10 +7,11 @@ import pytest
 from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gaussian_curvature_from_p, induce_surface,
-                    load_mesh_vertices, norms, path_independence_report)
+                    load_mesh_vertices, norms, path_independence_report,
+                    potential_conservation_residual)
 from gwsurf.cli import main
 from gwsurf.calculus import dx, dxx, dxy, dy, dyy
-from gwsurf.inducer import _DEGENERATE, FundamentalForms, Surface, closedness_defect
+from gwsurf.inducer import _DEGENERATE, FundamentalForms, Surface
 from memtrace import traced_peak
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -77,12 +78,12 @@ class TestInduce:
 
     @pytest.mark.parametrize("n", [31, 41, 51])
     def test_exact_solution_does_not_warn(self, n):
-        # the O(h^2) stencil defect of an exact solution exceeds the 1e-3
+        # the O(h^2) stencil defect of an exact solution exceeds the 5e-4
         # warning threshold at these grids but shrinks like h^2, so it is
         # not reported
         fam = family_holomorphic(h0=1.0)
         s = fam.spinor(GridSpec(*fam.default_domain, n, n))
-        assert closedness_defect(s) > 1e-3
+        assert potential_conservation_residual(s.without_sources()).max_norm > 5e-4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             induce_surface(s)

@@ -34,7 +34,7 @@ def coeffs(g=G, **kw):
 class TestProfiles:
     def test_cosh_profile_satisfies_criterion(self):
         h = sample_real(h_from_profile(np.cosh), G)
-        rep = h_integrability_residual(h, exclude_rings=2)
+        rep = h_integrability_residual(h)
         assert rep.max_norm < 1e-3
 
     def test_constant_profile_gives_constant_h(self):
@@ -102,8 +102,8 @@ class TestRiccati:
         for fam in (family_rational(1.0), family_exponential(1.0)):
             rho = fam.rho(G)
             c = fit_riccati_coeffs(rho)
-            assert riccati_residual(rho, c, exclude_rings=2).max_norm < 1e-9, fam.name
-            assert zero_curvature_residual(c, exclude_rings=2).max_norm < 1e-9, fam.name
+            assert riccati_residual(rho, c).max_norm < 1e-9, fam.name
+            assert zero_curvature_residual(c).max_norm < 1e-9, fam.name
 
 
     @pytest.mark.parametrize("case", ["rational", "trig", "holomorphic", "patched"])
@@ -188,7 +188,7 @@ class TestZeroCurvature:
 class TestSinhGordon:
     def test_rational_family(self):
         fam = family_rational(1.0)
-        rep = sinh_gordon_residual(fam.spinor(G), fam.h(G), exclude_rings=2)
+        rep = sinh_gordon_residual(fam.spinor(G), fam.h(G))
         assert rep.max_norm < 1e-10
 
     def test_pointwise_identity_constant_density(self):
@@ -203,8 +203,7 @@ class TestSinhGordon:
 
     def test_trig_family_strip(self):
         fam = family_trigonometric(1.0)
-        rep = sinh_gordon_residual(fam.spinor(TRIG_G), fam.h(TRIG_G),
-                                   exclude_rings=2)
+        rep = sinh_gordon_residual(fam.spinor(TRIG_G), fam.h(TRIG_G))
         assert rep.max_norm < 1e-10
 
     def test_zero_density_rejected(self):
@@ -240,8 +239,7 @@ class TestLinearSystem:
     def test_families_with_their_density(self, lam):
         for make in (family_rational, family_exponential):
             fam = make(lam)
-            rep = linear_system_residual(fam.spinor(G), fam.h(G), lam,
-                                         exclude_rings=2)
+            rep = linear_system_residual(fam.spinor(G), fam.h(G), lam)
             assert rep.max_norm < 1e-10, fam.name
 
     def test_zero_spinor(self):
@@ -252,6 +250,5 @@ class TestLinearSystem:
 
     def test_wrong_density_constant_fails(self):
         fam = family_rational(1.0)
-        rep = linear_system_residual(fam.spinor(G), fam.h(G), 3.0,
-                                     exclude_rings=2)
+        rep = linear_system_residual(fam.spinor(G), fam.h(G), 3.0)
         assert rep.max_norm > 1e-2

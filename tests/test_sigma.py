@@ -251,8 +251,7 @@ class TestDeformedLandauLifshitz:
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
             return deformed_ll_residual(ll_commutator(fam.rho(g).without_source()),
-                                        fam.h(g).without_source(),
-                                        exclude_rings=2).max_norm
+                                        fam.h(g).without_source()).max_norm
 
         r1, r2 = res(51), res(101)
         assert 3.0 < r1 / r2 < 5.0
@@ -318,8 +317,7 @@ class TestCompatibility:
     def test_product_solution(self):
         r1 = family_unimodular(1.0, 1.0).rho(G)
         r2 = family_unimodular(2.0, 1.0).rho(G)
-        rep = compatibility_residual(multisoliton_product(r1, r2),
-                                     const_h(1.0), exclude_rings=2)
+        rep = compatibility_residual(multisoliton_product(r1, r2), const_h(1.0))
         assert rep.max_norm < 1e-10
 
 

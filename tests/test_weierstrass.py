@@ -90,8 +90,7 @@ class TestCurrent:
         for fam in (family_rational(1.0), family_exponential(1.0)):
             def res(n):
                 g = GridSpec(-1, 1, -1, 1, n, n)
-                return dbar_J_defect(fam.spinor(g), fam.h(g),
-                                     exclude_rings=2).max_norm
+                return dbar_J_defect(fam.spinor(g), fam.h(g)).max_norm
             r1, r2 = res(51), res(101)
             assert r2 < 1e-2
             assert 3.0 < r1 / r2 < 5.0, fam.name
@@ -99,13 +98,13 @@ class TestCurrent:
     def test_constant_h_current_conserved(self):
         # dbar J = -p^2 dH vanishes outright when H is constant
         fam = family_unimodular(1.0, 1.0)
-        rep = conservation_defect(current_J(fam.spinor(G)), exclude_rings=2)
+        rep = conservation_defect(current_J(fam.spinor(G)))
         assert rep.max_norm < 1e-3
 
     def test_constant_h_holomorphic_solution_conserved(self):
         from gwsurf import family_holomorphic
         fam = family_holomorphic(h0=1.0)
-        rep = conservation_defect(current_J(fam.spinor(G)), exclude_rings=2)
+        rep = conservation_defect(current_J(fam.spinor(G)))
         assert rep.max_norm < 1e-3
 
     def test_zero_spinor_defect(self):
@@ -120,7 +119,7 @@ class TestModifiedCurrent:
         def res(n):
             g = GridSpec(-1, 1, -1, 1, n, n)
             cur = modified_current(fam.spinor(g), fam.h(g), 0.0)
-            return conservation_defect(cur, exclude_rings=2).max_norm
+            return conservation_defect(cur).max_norm
 
         r1, r2 = res(51), res(101)
         assert r2 < 1e-3
