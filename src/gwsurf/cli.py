@@ -45,7 +45,8 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import RATIO_MIN, ResidualReport, _unmasked, report_from_parts, worst
+from .reporting import (RATIO_MIN, ResidualReport, _selection, _unmasked, report_from_parts,
+                        worst)
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
@@ -251,8 +252,9 @@ class SuiteSpec:
 
 
 def _max_abs(grid, values, mask) -> float:
-    """max |values| over the points not in `mask`; 0 when all are masked."""
-    return float(np.max(np.abs(_unmasked(values, grid, mask)), initial=0.0))
+    """max |values| over the points not in `mask`; 0 when all are masked.
+    A column is read as stored (see reporting._selection)."""
+    return float(np.max(np.abs(_selection(values, grid, mask)[0]), initial=0.0))
 
 
 def _report_scalar(grid, value, **details) -> ResidualReport:
@@ -549,6 +551,10 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # only induce integrates from a basepoint: stamped into verify's reports,
+    # it would shape no result, like a family parameter the family does not read
+    if cfg.basepoint is not None:
+        raise ValueError("--basepoint: verify takes no basepoint; induce does")
     fam, grids = _setup(cfg)
     suites = _suites_for(fam)
     levels = [_run_level(suites, fam, g) for g in grids]

@@ -19,14 +19,16 @@ the only mark of a compact field. `stored` gives the two arrays and the
 package's arithmetic runs on them: numpy broadcasting carries a column
 through elementwise formulas, and a column that meets a grid-shaped
 array becomes grid-shaped. A compact field's y-derivative is exactly
-zero (see calculus). A column is expanded to the grid only where the y
-direction matters: in `reporting._unmasked`, which selects the unmasked
-values on the grid for the norms and the other sums over points, so they
-run over the same values in the same order; in the inducer's integrals
-along y (over the whole grid for a surface, along one grid line for
-path independence); and in the public `values` and `mask`, which are
-always grid-shaped and read-only (for a compact field, each read expands
-the column into a new array).
+zero (see calculus). The norms read a column as stored: a max is taken
+over the column's unmasked entries, and a sum over points runs over the
+column's entries (or their squares) repeated once per unmasked point of
+their row, the same values in the same order as boolean indexing of the
+expanded grid gives, so it keeps its bits (see reporting). A column is
+expanded to the grid only where the y direction matters: in the
+inducer's integrals along y (over the whole grid for a surface, along
+one grid line for path independence); and in the public `values` and
+`mask`, which are always grid-shaped and read-only (for a compact field,
+each read expands the column into a new array).
 
 The public constructors validate what they are given: shapes (the
 grid's), a private copy of the mask, masked points zeroed, then every

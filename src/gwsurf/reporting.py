@@ -4,7 +4,8 @@ Every verification operation returns a ResidualReport: the grid, the max
 norm and the grid-weighted L2 norm of one or more residual fields, and
 the masked-point count. Its `parts` break a multi-equation residual into
 its named components (`part(name)` looks one up), and its `details`
-carry operation-specific scalars (variances, flags).
+carry operation-specific scalars (variances, flags). Values and masks
+may be stored columns (see grid); the norms read them at that shape.
 """
 from __future__ import annotations
 
@@ -25,26 +26,78 @@ RATIO_MIN = 2.5
 STENCIL_RINGS = 2
 
 
+def _selection(values, grid: GridSpec, mask=None, rings: int = 0):
+    """The values at the unmasked points outside `rings` boundary rings,
+    as (kept, counts) read at the stored shape (see grid).
+
+    For a stored column (nx, 1), `kept` holds its entries on the rows that
+    keep a point and `counts` how many points each of those rows keeps
+    (the row's interior width, or its unmasked points under a grid-shaped
+    mask), so np.repeat(kept, counts) is, value for value, the sequence
+    that boolean indexing of the expanded grid gives. Any other shape is
+    broadcast to the grid and `kept` is that sequence itself, flat in grid
+    order, with counts None. The column is never expanded to the grid."""
+    nx, ny = grid.shape
+    rows, cols = slice(rings, nx - rings), slice(rings, ny - rings)
+    values = np.asarray(values)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+    if values.shape == (nx, 1):
+        width = max(ny - 2 * rings, 0)
+        column = values[rows, 0]
+        if mask is None:
+            counts = np.full(column.shape, width)
+        elif mask.shape == (nx, 1):
+            counts = np.where(mask[rows, 0], 0, width)
+        else:
+            counts = np.count_nonzero(~np.broadcast_to(mask, grid.shape)[rows, cols], axis=1)
+        keep = counts > 0
+        return column[keep], counts[keep]
+    values = np.broadcast_to(values, grid.shape)[rows, cols]
+    if mask is None:
+        return values.ravel(), None
+    return values[~np.broadcast_to(mask, grid.shape)[rows, cols]], None
+
+
 def _unmasked(values, grid: GridSpec, mask=None) -> np.ndarray:
     """The values at the unmasked points (all points when `mask` is None),
-    flat in grid order. `values` and `mask` may be stored columns (see
-    grid): both are expanded to the grid first, so a sum over the result
-    runs over the same values in the same order either way."""
-    values = np.broadcast_to(values, grid.shape)
-    if mask is None:
-        return values.ravel()
-    return values[~np.broadcast_to(np.asarray(mask, dtype=bool), grid.shape)]
+    flat in grid order. `values` and `mask` may be stored columns: a
+    column's entries are repeated once per unmasked point of their row
+    (see `_selection`), so a sum over the result runs over the same values
+    in the same order as over the expanded grid, and keeps its bits."""
+    kept, counts = _selection(values, grid, mask)
+    return kept if counts is None else np.repeat(kept, counts)
+
+
+def _masked_count(mask, grid: GridSpec) -> int:
+    """The number of grid points that `mask`, stored at any shape that
+    broadcasts to the grid, marks."""
+    mask = np.asarray(mask, dtype=bool)
+    return int(np.count_nonzero(mask)) * (grid.nx * grid.ny // mask.size)
 
 
 def norms(values: np.ndarray, grid: GridSpec, mask=None) -> tuple[float, float]:
     """(max |v|, sqrt(sum |v|^2 hx hy)) over unmasked points; zeros if empty.
-    `values` and `mask` may be columns (see `_unmasked`)."""
-    absvals = _unmasked(np.abs(np.asarray(values)), grid, mask)
-    if absvals.size == 0:
+    `values` and `mask` may be columns, read without expanding them (see
+    `_norms`)."""
+    return _norms(values, grid, mask, 0)
+
+
+def _norms(values, grid: GridSpec, mask, rings: int) -> tuple[float, float]:
+    """`norms` over the points outside `rings` boundary rings.
+
+    On a column the max is taken over its kept entries, and its squares
+    are repeated once per kept point before they are summed: the sum then
+    runs over the array that squaring the grid's unmasked values gives,
+    so numpy's pairwise summation returns the same bits. (Summing
+    count * square per row would not: it rounds differently.)"""
+    kept, counts = _selection(np.abs(np.asarray(values)), grid, mask, rings)
+    if kept.size == 0:
         return 0.0, 0.0
-    max_norm = float(np.max(absvals))
-    l2_norm = float(np.sqrt(np.sum(absvals.astype(float) ** 2) * grid.hx * grid.hy))
-    return max_norm, l2_norm
+    squares = np.asarray(kept, dtype=float) ** 2
+    if counts is not None:
+        squares = np.repeat(squares, counts)
+    return float(np.max(kept)), float(np.sqrt(np.sum(squares) * grid.hx * grid.hy))
 
 
 def worst(*values: float) -> float:
@@ -78,42 +131,28 @@ class ResidualReport:
         raise KeyError(name)
 
 
-def interior_ring_mask(grid: GridSpec, rings: int) -> np.ndarray:
-    """Mask that excludes `rings` boundary layers."""
-    m = np.zeros(grid.shape, dtype=bool)
-    if rings > 0:
-        m[:rings, :] = True
-        m[-rings:, :] = True
-        m[:, :rings] = True
-        m[:, -rings:] = True
-    return m
-
-
 def report_from_parts(grid: GridSpec, parts, details=None,
                       exclude_rings: int = 0) -> ResidualReport:
     """Assemble a report from (part_name, values, mask) triples; values
-    and masks are grid-shaped or columns (see `norms`).
+    and masks are grid-shaped or columns, read at their stored shape (see
+    `norms`). Each part's norms leave out `exclude_rings` boundary rings.
 
     The headline max_norm is the largest part max, NaN if any part's is;
     l2_norm likewise. The masked count is taken over the union mask of all
     parts (boundary-ring exclusion, when requested, is not counted as
     masking).
     """
-    ring = interior_ring_mask(grid, exclude_rings)
-    out_parts = []
-    union = np.zeros(grid.shape, dtype=bool)
+    out_parts, union = [], None
     for pname, values, mask in parts:
-        eff = ring.copy()
         if mask is not None:
-            union |= np.asarray(mask, dtype=bool)
-            eff |= np.asarray(mask, dtype=bool)
-        mx, l2 = norms(values, grid, eff)
-        out_parts.append(ResidualPart(pname, mx, l2))
+            mask = np.asarray(mask, dtype=bool)
+            union = mask if union is None else union | mask
+        out_parts.append(ResidualPart(pname, *_norms(values, grid, mask, exclude_rings)))
     return ResidualReport(
         grid=grid,
         max_norm=worst(*(p.max_norm for p in out_parts)),
         l2_norm=worst(*(p.l2_norm for p in out_parts)),
-        masked_points=int(np.count_nonzero(union)),
+        masked_points=0 if union is None else _masked_count(union, grid),
         parts=tuple(out_parts),
         details=details or {},
     )

@@ -32,7 +32,8 @@ import numpy as np
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import STENCIL_RINGS, ResidualReport, _unmasked, norms, report_from_parts
+from .reporting import (STENCIL_RINGS, ResidualReport, _masked_count, _unmasked, norms,
+                        report_from_parts)
 from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
@@ -225,10 +226,11 @@ def ll_commutator(rho: ComplexField) -> LLCommutator:
 
 
 def landau_lifshitz_residual(c: LLCommutator) -> ResidualReport:
-    """Max norm of the commutator [S, d dbar S] off the STENCIL_RINGS
-    boundary rings."""
+    """Max norm of the commutator [S, d dbar S]. Boundary rings are left
+    out as in `sigma_residual`, by the source of `c.rho`."""
     parts = [(k, e, c.mask) for k, e in zip(("c11", "c12", "c21", "c22"), c.entries)]
-    return report_from_parts(c.grid, parts, exclude_rings=STENCIL_RINGS)
+    return report_from_parts(c.grid, parts,
+                             exclude_rings=0 if c.rho.source is not None else STENCIL_RINGS)
 
 
 def deformed_ll_residual(c: LLCommutator, h: RealField) -> ResidualReport:
@@ -315,7 +317,7 @@ def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualRep
     mx, l2 = norms(h.stored[0] - mean, grid, mask)
     return ResidualReport(
         grid=grid, max_norm=mx, l2_norm=l2,
-        masked_points=int(np.count_nonzero(_unmasked(mask, grid))),
+        masked_points=_masked_count(mask, grid),
         parts=(),
         details={"h_mean": mean, "h_spread": spread, "h_variance": variance,
                  "consistent": bool(spread <= _UNIMODULAR_TOL)},

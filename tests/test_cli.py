@@ -462,6 +462,20 @@ class TestInduce:
                     "--basepoint", "0.5,0.5", "--out", str(tmp_path)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_verify_rejects_a_basepoint(self, tmp_path, capsys, source):
+        # verify integrates nothing from a basepoint, so it would only be stamped
+        out = tmp_path / "out"
+        argv = ["verify", "--family", "unimodular", "--grid", "21x21", "--levels", "1",
+                "--out", str(out)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("basepoint=0.5,0.5\n")
+        given = ["--basepoint", "0.5,0.5"] if source == "flag" else ["--config", str(cfg)]
+        assert run(argv + given) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --basepoint: ")
+        assert run(argv + ["--basepoint", "default"]) == EXIT_OK
+
 
 @pytest.mark.parametrize("command", ["verify", "induce"])
 def test_out_naming_a_file_cannot_be_created(tmp_path, capsys, command):

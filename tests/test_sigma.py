@@ -244,6 +244,8 @@ class TestDeformedLandauLifshitz:
         a = deformed_ll_residual(ll_commutator(r), fam.h(G))
         b = landau_lifshitz_residual(ll_commutator(r))
         assert a.max_norm == pytest.approx(b.max_norm, abs=1e-14)
+        # both judge every point of an analytic rho: the same point set
+        assert a.masked_points == b.masked_points
 
     def test_fd_path_converges(self):
         fam = family_rational(1.0)
