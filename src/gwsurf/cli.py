@@ -45,8 +45,8 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import (RATIO_MIN, ResidualReport, _selection, _unmasked, report_from_parts,
-                        worst)
+from .reporting import (RATIO_MIN, ResidualReport, _masked_count, _selection, _unmasked,
+                        report_from_parts, worst)
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
@@ -221,8 +221,9 @@ def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
 # verify's inputs at one level, each built on first use and kept until the
 # level ends; `reads` names the inputs one is built from. The *_fd inputs take
 # the stencil path: h, rho and the spinor are the same samples without their
-# analytic sources, so a level samples each form once. SUITES lists every exact
-# suite first, so no *_fd input exists while they run.
+# analytic sources, so a level samples each form once (without spinor forms,
+# the spinor is the transform of rho and h). SUITES lists every exact suite
+# first, so no *_fd input exists while they run.
 @dataclass(frozen=True)
 class _Input:
     build: Callable             # fn(fam, grid, *reads) -> the input
@@ -231,7 +232,8 @@ class _Input:
 
 _INPUTS = {
     "rho": _Input(lambda fam, g: fam.rho(g)),
-    "spinor": _Input(lambda fam, g: fam.spinor(g)),
+    "spinor": _Input(lambda fam, g, rho, h: fam.spinor(g) if fam.spinor_forms
+                     else psi_from_rho(rho, h), ("rho", "h")),
     "h": _Input(lambda fam, g: fam.h(g)),
     "h_fd": _Input(lambda fam, g, h: h.without_source(), ("h",)),
     "spinor_fd": _Input(lambda fam, g, s: s.without_sources(), ("spinor",)),
@@ -578,10 +580,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_induce(cfg: RunConfig) -> int:
+    # induce builds one grid: levels would be stamped, like verify's basepoint
+    if cfg.levels != RunConfig.levels:
+        raise ValueError("--levels: induce builds one grid; verify refines it")
     fam, grids = _setup(cfg)
     grid = grids[0]
     s = fam.spinor(grid)
-    if s.mask.all():
+    if s.stored[1].all():
         print("degenerate immersion", file=sys.stderr)
         return EXIT_NUMERICAL
     srf = induce_surface(s, cfg.basepoint)
@@ -595,11 +600,12 @@ def cmd_induce(cfg: RunConfig) -> int:
                                  csv_path=os.path.join(cfg.out, f"{fam.name}_surface.csv"),
                                  ff=ff)
 
-    h_num, h_pre = ff.mean_curvature, fam.h(grid)
-    k_num, k_form = ff.gauss_curvature, gaussian_curvature_from_p(density_p(s))
+    # the stored columns of H and K broadcast against the surface's curvatures
+    h_num, (h_pre, h_mask) = ff.mean_curvature, fam.h(grid).stored
+    k_num, (k_form, k_mask) = ff.gauss_curvature, gaussian_curvature_from_p(density_p(s)).stored
     check = report_from_parts(grid, [
-        ("closure", np.abs(h_num.values) - np.abs(h_pre.values), h_num.mask | h_pre.mask),
-        ("k_consistency", k_num.values - k_form.values, k_num.mask | k_form.mask),
+        ("closure", np.abs(h_num.values) - np.abs(h_pre), h_num.mask | h_mask),
+        ("k_consistency", k_num.values - k_form, k_num.mask | k_mask),
     ], exclude_rings=1)
     closure, k_err = (p.max_norm for p in check.parts)
 
@@ -607,10 +613,9 @@ def cmd_induce(cfg: RunConfig) -> int:
     tol = max(50.0 * h**2, FD_FLOOR) * cfg.tol_scale
     passed = closure <= tol and k_err <= tol
     level = ResidualReport(
-        grid=grid, max_norm=closure, l2_norm=closure, masked_points=int(s.mask.sum()),
-        details={"k_consistency": k_err, "imag_residue": srf.imag_residue,
-                 "determination_consistency": srf.determination_consistency,
-                 "vertices": nverts, "faces": nfaces})
+        grid=grid, max_norm=closure, l2_norm=closure,
+        masked_points=_masked_count(s.stored[1], grid),
+        details={"k_consistency": k_err, "vertices": nverts, "faces": nfaces})
     notes = [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"]
     _write_report(cfg, fam, _result("curvature_closure", "fd", notes, [level], [], [tol]))
     print(f"{'PASS' if passed else 'FAIL'}  {fam.name}:curvature_closure  "

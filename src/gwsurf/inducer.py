@@ -8,10 +8,13 @@ bilinears,
     X3       = -2 Int( conj(psi1) psi2 dz' + psi1 conj(psi2) dzbar' ),
 
 taken from a base point along grid-aligned paths (composite trapezoid,
-second order, matching the stencil order everywhere else). The two
-conservation laws make the integrands closed forms, so the integrals are
-path independent up to discretization error; the module measures that
-honestly (L-path against reversed-L) instead of assuming it.
+second order, matching the stencil order everywhere else). For any
+spinor, the form of X1 - i X2 is the conjugate of that of X1 + i X2, and
+X3's is real: X1 - i X2 is not integrated but taken as the conjugate of
+X1 + i X2. The two conservation laws make the integrands closed forms,
+so the integrals are path independent up to discretization error; the
+module measures that honestly (L-path against reversed-L) instead of
+assuming it.
 
 Closing the loop: first and second fundamental forms of the sampled
 surface give a numeric mean curvature to compare against the prescribed
@@ -29,7 +32,7 @@ import numpy as np
 
 from .calculus import _integrate_from, _once, dx, dxx, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import RATIO_MIN, ResidualReport
+from .reporting import RATIO_MIN, ResidualReport, _masked_count
 from .weierstrass import SpinorField, density_p, potential_conservation_residual
 
 __all__ = [
@@ -42,20 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Surface:
-    """Coordinate fields over the grid plus inducing diagnostics.
-
-    imag_residue is the largest imaginary part left in the coordinate
-    integrals (they are real by construction; the residue is reported, not
-    dropped silently). determination_consistency compares the two
-    independent determinations of X1 + i X2.
-    """
+    """Coordinate fields over the grid, integrated from `basepoint`;
+    `degenerate` when the spinor vanishes (a single-point surface). X1 - i X2
+    is the conjugate of the integral of X1 + i X2 and is not integrated."""
 
     x1: RealField
     x2: RealField
     x3: RealField
     basepoint: complex
-    imag_residue: float
-    determination_consistency: float
     degenerate: bool
 
     @property
@@ -68,29 +65,34 @@ class Surface:
 
 
 def _one_forms(s: SpinorField):
-    """(A, B) coefficient arrays of the three inducing one-forms A dz + B dzbar,
-    as stored (columns for a compact spinor, see grid)."""
+    """(A, B) coefficient arrays of the inducing one-forms A dz + B dzbar of
+    X1 + i X2 and of X3, as stored (columns for a compact spinor, see grid).
+    X1 - i X2's form, (2i psi2^2, -2i psi1^2), is (conj B, conj A) of the
+    first; X3's B is conj A."""
     p1, p2 = s.psi1.stored[0], s.psi2.stored[0]
     c1, c2 = np.conj(p1), np.conj(p2)
     return [
         (2j * c1**2, -2j * c2**2),        # X1 + i X2
-        (2j * p2**2, -2j * p1**2),        # X1 - i X2
         (-2 * c1 * p2, -2 * p1 * c2),     # X3
     ]
 
 
-def _line_forms(A, B, grid):
-    """A dz + B dzbar along a row (dz = dzbar = dx) and along a column
-    (dz = i dy, dzbar = -i dy), on the grid's shape (views of columns)."""
-    return [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
+def _line_forms(s: SpinorField, grid: GridSpec):
+    """The line forms A dz + B dzbar along a row (dz = dzbar = dx) and along
+    a column (dz = i dy, dzbar = -i dy) of X1 + i X2 and of X3, on the
+    grid's shape (views of columns). X3's are the real parts: their
+    imaginary parts are zero (-0.0 where a part of psi is an exact zero)."""
+    plus, x3 = ([np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
+                for A, B in _one_forms(s))
+    return plus, [f.real for f in x3]
 
 
-def _integrate_path(A, B, grid, i0, j0, mask):
-    """Trapezoid line integral of A dz + B dzbar from (i0, j0) to every grid
-    point, along the base row (real direction) then along the column, and
-    where that path crosses a masked point. A, B and `mask` may be
-    columns; they are integrated on the whole grid."""
-    fx, fy = _line_forms(A, B, grid)
+def _integrate_path(fx, fy, grid, i0, j0, mask):
+    """Trapezoid line integral of the line forms `fx` (along a row) and
+    `fy` (along a column) from (i0, j0) to every grid point, along the base
+    row (real direction) then along the column, and where that path
+    crosses a masked point. `mask` may be a column; the forms are
+    integrated on the whole grid."""
     mask = np.broadcast_to(mask, grid.shape)
     # the base row through the basepoint, kept two-dimensional to broadcast
     phi0, bad0 = _integrate_from(fx[:, [j0]], mask[:, [j0]], grid.hx, 0, i0)
@@ -127,20 +129,22 @@ def _shrinks_like_h2(s: SpinorField, defect: float) -> bool:
 
 
 def induce_surface(s: SpinorField, z0=None) -> Surface:
-    """Build the surface coordinates from a spinor by L-path integrals.
+    """Build the surface coordinates from a spinor by L-path integrals of
+    X1 + i X2 and X3.
 
     Warns (does not fail) when the inducing one-forms are measurably not
     closed, since then the result is path dependent. Their closedness
     conditions are the two conservation laws (d(B) - dbar(A) is -2i times
-    the potential law or its conjugate, or -2 times the bilinear law), so
-    it warns when the stencil-path `potential_conservation_residual`
-    exceeds 5e-4 and does not shrink like h^2 (the stencils leave an O(h^2)
-    defect on exact solutions too). A vanishing spinor produces the
-    degenerate single-point surface, flagged as such.
+    the conjugate of the potential law for X1 + i X2, -2 times the
+    bilinear law for X3), so it warns when the stencil-path
+    `potential_conservation_residual` exceeds 5e-4 and does not shrink
+    like h^2 (the stencils leave an O(h^2) defect on exact solutions too).
+    A vanishing spinor produces the degenerate single-point surface,
+    flagged as such.
     """
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
-    if s.mask[i0, j0]:
+    if np.broadcast_to(mask, grid.shape)[i0, j0]:
         raise ValueError("basepoint is masked")
 
     stencil = s.without_sources()
@@ -149,23 +153,15 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
-    phis = []
-    badmask = np.zeros(grid.shape, dtype=bool)
-    for A, B in _one_forms(s):
-        phi, bad = _integrate_path(A, B, grid, i0, j0, mask)
-        phis.append(phi)
-        badmask |= bad
+    forms, x3_forms = _line_forms(s, grid)
+    plus, badmask = _integrate_path(*forms, grid, i0, j0, mask)
     if badmask.all():
         raise NumericalBreakdown("every integration path crosses a masked point")
+    x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
 
-    plus, minus, three = phis
+    minus = np.conj(plus)
     x1c = 0.5 * (plus + minus)
     x2c = (plus - minus) / 2j
-    x3c = three
-
-    imag_residue = max(float(np.max(np.abs(c.imag[~badmask]), initial=0.0))
-                       for c in (x1c, x2c, x3c))
-    consistency = float(np.max(np.abs(plus - np.conj(minus))[~badmask], initial=0.0))
     degenerate = float(np.max(density_p(s).stored[0], initial=0.0)) < 1e-14
 
     xs = grid.xs()
@@ -173,10 +169,8 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     return Surface(
         x1=RealField._derived(grid, np.where(badmask, 0, x1c.real), badmask),
         x2=RealField._derived(grid, np.where(badmask, 0, x2c.real), badmask),
-        x3=RealField._derived(grid, np.where(badmask, 0, x3c.real), badmask),
+        x3=RealField._derived(grid, np.where(badmask, 0, x3), badmask),
         basepoint=complex(xs[i0], ys[j0]),
-        imag_residue=imag_residue,
-        determination_consistency=consistency,
         degenerate=degenerate,
     )
 
@@ -189,10 +183,10 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
     through z0, then along the row through z1. Only those four grid lines
     are integrated. Raises NumericalBreakdown when a path passes a masked
     point, its ends included."""
-    grid, mask = _shared(s)
+    grid, stored = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
     i1, j1 = _resolve_basepoint(grid, z1)
-    mask = np.broadcast_to(mask, grid.shape)
+    mask = np.broadcast_to(stored, grid.shape)
 
     def along(form, line, h, k0, k1):
         phi, bad = _integrate_from(form[line], mask[line], h, 0, k0)
@@ -202,8 +196,7 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
 
     worst = 0.0
     per = {}
-    for label, (A, B) in zip(("plus", "minus", "x3"), _one_forms(s)):
-        fx, fy = _line_forms(A, B, grid)
+    for label, (fx, fy) in zip(("plus", "x3"), _line_forms(s, grid)):
         phi_a = (along(fx, np.s_[:, j0], grid.hx, i0, i1)
                  + along(fy, np.s_[i1, :], grid.hy, j0, j1))
         phi_b = (along(fy, np.s_[i0, :], grid.hy, j0, j1)
@@ -211,7 +204,7 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
         per[label] = float(abs(phi_a - phi_b))
         worst = max(worst, per[label])
     return ResidualReport(grid=grid, max_norm=worst, l2_norm=worst,
-                          masked_points=int(np.count_nonzero(s.mask)),
+                          masked_points=_masked_count(stored, grid),
                           details=per)
 
 

@@ -327,6 +327,20 @@ class TestSharedInputs:
         levels, components = 2, 2
         assert 0 < len(runs) <= 2 * components * levels
 
+    def test_transform_spinor_reads_the_levels_rho_and_h(self, monkeypatch, tmp_path):
+        # a family without spinor forms gets its spinor by the transform of
+        # the level's rho and H: two samples per level, not four
+        from gwsurf import families
+        samples = []
+        for name in ("sample", "sample_real"):
+            fn = getattr(families, name)
+            monkeypatch.setattr(families, name,
+                                lambda *a, fn=fn, **k: samples.append(fn) or fn(*a, **k))
+        assert main(["verify", "--family", "holomorphic", "--grid", "41x41",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        levels = 2
+        assert len(samples) == 2 * levels
+
     @pytest.mark.parametrize("name", gwsurf.FAMILY_NAMES)
     def test_stencil_inputs_built_after_exact_suites(self, name, monkeypatch):
         # each level keeps every input it builds until it ends, so the
@@ -356,6 +370,27 @@ class TestSharedInputs:
             fd = [k for k, (tag, n) in enumerate(events) if tag == "build" and n.endswith("_fd")]
             assert exact and fd, (name, events)
             assert max(exact) < min(fd), (name, g.nx, events)
+
+
+def test_no_command_expands_a_stored_column(monkeypatch, tmp_path):
+    # a compact field's column is read as stored: broadcast against
+    # grid-shaped arrays and counted by reporting._masked_count, never
+    # expanded into a new grid
+    from gwsurf import grid
+    expanded = []
+    keep = grid._expanded
+
+    def spy(arr, g):
+        if arr.shape != g.shape:
+            expanded.append(arr.shape)
+        return keep(arr, g)
+
+    monkeypatch.setattr(grid, "_expanded", spy)
+    for argv in (["induce", "--family", "rational"], ["induce", "--family", "trig"],
+                 ["verify", "--family", "rational"]):
+        out = tmp_path / "-".join(argv)
+        assert main(argv + ["--grid", "41x41", "--out", str(out)]) == EXIT_OK
+        assert not expanded, argv
 
 
 class TestVerify:
@@ -476,13 +511,28 @@ class TestInduce:
         assert capsys.readouterr().err.startswith("error: --basepoint: ")
         assert run(argv + ["--basepoint", "default"]) == EXIT_OK
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("levels", ["1", "3"])
+    def test_induce_rejects_levels(self, tmp_path, capsys, source, levels):
+        # induce builds one grid, so levels would only be stamped
+        out = tmp_path / "out"
+        argv = ["induce", "--family", "rational", "--grid", "21x21", "--out", str(out)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"levels={levels}\n")
+        given = ["--levels", levels] if source == "flag" else ["--config", str(cfg)]
+        assert run(argv + given) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "error: --levels: induce builds one grid; verify refines it\n"
+        assert run(argv + ["--levels", "2"]) == EXIT_OK
+
 
 @pytest.mark.parametrize("command", ["verify", "induce"])
 def test_out_naming_a_file_cannot_be_created(tmp_path, capsys, command):
     out = tmp_path / "out"
     out.write_text("")
-    assert run([command, "--grid", "11x11", "--levels", "1", "--out", str(out)]) == \
-        EXIT_CANTCREAT
+    levels = ["--levels", "1"] if command == "verify" else []
+    assert run([command, "--grid", "11x11", *levels, "--out", str(out)]) == EXIT_CANTCREAT
     assert capsys.readouterr().err == f"error: {out}: File exists\n"
 
 

@@ -11,7 +11,7 @@ from gwsurf.cli import _INPUTS, _level_entry, _run_level, _suites_for
 from gwsurf.closedform import sample, sample_real
 from gwsurf.families import build_family
 from gwsurf.grid import GridSpec
-from gwsurf.sigma import psi_from_rho, psi_pair
+from gwsurf.sigma import psi_pair
 from gwsurf.weierstrass import SpinorField
 
 # small non-square grids; trig's crosses the guard band at s = 0.05
@@ -27,18 +27,16 @@ STENCIL_TOL = 1e-13
 
 
 def _grid_shaped(fam, name, grid):
-    """verify's input `name`, built from the family alone, rebuilt
-    grid-shaped: the family's forms sampled on the whole mesh (a spinor
-    built by the transform, the transform of those samples of rho and H)."""
+    """verify's input `name`, sampled from the family's forms, rebuilt
+    grid-shaped: the forms sampled on the whole mesh."""
     def on_mesh(form, sampler=sample):
         return sampler(dataclasses.replace(form, diagonal=False), grid)
 
-    rho, h = on_mesh(fam.rho_form), on_mesh(fam.h_form, sample_real)
-    if name in ("rho", "h"):
-        return rho if name == "rho" else h
-    s = (SpinorField(on_mesh(fam.psi1_form), on_mesh(fam.psi2_form)) if fam.spinor_forms
-         else psi_from_rho(rho, h))
-    return s if name == "spinor" else s.without_sources()
+    if name == "h":
+        return on_mesh(fam.h_form, sample_real)
+    if name == "rho":
+        return on_mesh(fam.rho_form)
+    return SpinorField(on_mesh(fam.psi1_form), on_mesh(fam.psi2_form))
 
 
 def _reports(fam, grid, inputs):
@@ -59,10 +57,12 @@ def _levels(name):
 @pytest.mark.parametrize("name", CASES)
 def test_suites_agree_on_compact_and_grid_shaped_inputs(name):
     fam, grids = _levels(name)
-    # the inputs built from the family alone are rebuilt; the others are
-    # derived from them as verify derives them
-    rebuilt = {key: spec if spec.reads else
-               dataclasses.replace(spec, build=lambda f, g, key=key: _grid_shaped(f, key, g))
+    # the inputs sampled from the family's forms are rebuilt; the others are
+    # derived from them as verify derives them (a spinor without spinor
+    # forms by the transform of rho and h)
+    sampled = {"rho", "h"} | ({"spinor"} if fam.spinor_forms else set())
+    rebuilt = {key: dataclasses.replace(spec, build=lambda f, g, *_, key=key:
+                                        _grid_shaped(f, key, g)) if key in sampled else spec
                for key, spec in _INPUTS.items()}
     for grid in grids:
         rho, h = fam.rho(grid), fam.h(grid)

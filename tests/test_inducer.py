@@ -4,14 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+import gwsurf
 from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, SpinorField,
                     build_family, density_p, export_mesh, family_holomorphic, family_rational,
                     fundamental_forms, gaussian_curvature_from_p, induce_surface,
                     load_mesh_vertices, norms, path_independence_report,
                     potential_conservation_residual)
 from gwsurf.cli import main
-from gwsurf.calculus import dx, dxx, dxy, dy, dyy
-from gwsurf.inducer import _DEGENERATE, FundamentalForms, Surface
+from gwsurf.calculus import _integrate_from, dx, dxx, dxy, dy, dyy
+from gwsurf.grid import _shared
+from gwsurf.inducer import (_DEGENERATE, FundamentalForms, Surface, _line_forms,
+                            _one_forms, _resolve_basepoint)
 from memtrace import traced_peak
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -25,8 +28,7 @@ def zero_spinor(g=G):
 def param_surface(g, fx, fy, fz, mask=None):
     X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     return Surface(RealField(g, fx(X, Y), mask), RealField(g, fy(X, Y), mask),
-                   RealField(g, fz(X, Y), mask), basepoint=0j, imag_residue=0.0,
-                   determination_consistency=0.0, degenerate=False)
+                   RealField(g, fz(X, Y), mask), basepoint=0j, degenerate=False)
 
 
 def sphere_surface(r=2.0, n=81):
@@ -54,12 +56,6 @@ class TestInduce:
         xs = G.xs()
         expect = -np.log(1.0 + (2 * xs) ** 2)
         assert np.max(np.abs(srf.x3.values[:, j0] - expect)) < 5e-4
-
-    def test_integrals_are_real(self):
-        fam = family_rational(1.0)
-        srf = induce_surface(fam.spinor(G), 0.0)
-        assert srf.imag_residue < 1e-10
-        assert srf.determination_consistency < 1e-10
 
     def test_nonsolution_warns(self):
         s = zero_spinor()
@@ -153,15 +149,13 @@ def full_grid_paths(s, z0, z1):
     """Reference for path_independence_report: both L-paths of each one-form
     integrated to every grid point and read at z1, as ({label: |difference|},
     whether a path crosses a masked point)."""
-    from gwsurf.calculus import _integrate_from
-    from gwsurf.inducer import _one_forms, _resolve_basepoint, _shared
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
     i1, j1 = _resolve_basepoint(grid, z1)
     mask = np.broadcast_to(mask, grid.shape)
     steps, base = (grid.hx, grid.hy), (i0, j0)
     per, crossed = {}, False
-    for label, (A, B) in zip(("plus", "minus", "x3"), _one_forms(s)):
+    for label, (A, B) in zip(("plus", "x3"), _one_forms(s)):
         forms = [np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
         ends = []
         for a, b in ((0, 1), (1, 0)):   # base-line axis, sweep axis
@@ -238,6 +232,125 @@ class TestPathIndependenceReference:
         assert rep.details == want
         assert rep.max_norm == max(want.values())
         assert rep.masked_points == 1
+
+
+def three_form_surface(s, z0=None):
+    """[X1, X2, X3, mask] as the three one-forms of X1 + i X2, X1 - i X2 and
+    X3 integrated one by one over the whole grid, X1 and X2 read off as
+    0.5 (plus + minus) and (plus - minus) / 2i: the oracle that
+    induce_surface, which integrates X1 + i X2 once and X3's real line
+    forms, must match bit for bit."""
+    grid, mask = _shared(s)
+    i0, j0 = _resolve_basepoint(grid, z0)
+    mask = np.broadcast_to(mask, grid.shape)
+    p1, p2 = s.psi1.stored[0], s.psi2.stored[0]
+    c1, c2 = np.conj(p1), np.conj(p2)
+    phis, crossed = [], np.zeros(grid.shape, bool)
+    for A, B in ((2j * c1**2, -2j * c2**2), (2j * p2**2, -2j * p1**2),
+                 (-2 * c1 * p2, -2 * p1 * c2)):
+        fx, fy = (np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B)))
+        phi0, bad0 = _integrate_from(fx[:, [j0]], mask[:, [j0]], grid.hx, 0, i0)
+        phi, bad = _integrate_from(fy, mask, grid.hy, 1, j0)
+        phis.append(phi0 + phi)
+        crossed |= bad0 | bad
+    plus, minus, x3 = phis
+    coords = (0.5 * (plus + minus), (plus - minus) / 2j, x3)
+    return [np.where(crossed, 0, c.real) for c in coords] + [crossed]
+
+
+def random_parts(rng, shape, zeros):
+    """Complex standard normal values of `shape`; with `zeros`, a third of
+    the real and imaginary parts are exact zeros of either sign, and in two
+    draws of three every value is real, or every value imaginary."""
+    parts = rng.standard_normal((2, *shape))
+    if zeros:
+        parts[rng.random(parts.shape) < 1 / 3] = 0.0
+        parts *= rng.choice([1.0, -1.0], parts.shape)
+        kind = rng.integers(3)
+        if kind:
+            parts[kind - 1] = 0.0
+    return parts[0] + 1j * parts[1]
+
+
+def random_spinor(seed):
+    """A spinor that solves nothing, on a 3x3 to 11x11 grid: random parts
+    with exact zeros, stored as columns in every third case, masked at
+    random in every other one; and a basepoint at a random unmasked point."""
+    rng = np.random.default_rng(seed)
+    g = GridSpec(-1, 1, -0.5, 1.5, *map(int, rng.integers(3, 12, 2)))
+    shape = (g.nx, 1) if seed % 3 == 0 else g.shape
+    mask = rng.random(shape) < 0.15 if seed % 2 else np.zeros(shape, bool)
+    psi = [ComplexField._derived(g, np.where(mask, 0, random_parts(rng, shape, True)), mask)
+           for _ in range(2)]
+    free = np.argwhere(~np.broadcast_to(mask, g.shape))
+    i0, j0 = free[rng.integers(len(free))]
+    return SpinorField(*psi), (g.xs()[i0], g.ys()[j0])
+
+
+def family_case(name, grid=None, domain=None, z0=None):
+    fam = build_family(name)
+    g = GridSpec(*(domain or fam.default_domain), *(grid or (31, 27)))
+    return fam.spinor(g), z0
+
+
+ONE_INTEGRAL_CASES = {
+    **{name: lambda name=name: family_case(name) for name in gwsurf.FAMILY_NAMES},
+    # the guard band masks the strip's ends, and whatever lies behind them
+    "trig-guard-band": lambda: family_case("trig", (41, 37), (-0.2, 1.0, -1.0, 1.0)),
+    "exponential-off-centre": lambda: family_case("exponential", (41, 21), z0=(0.5, 0.5)),
+    "holomorphic-off-centre": lambda: family_case("holomorphic", (61, 33), z0=(0.2, -0.25)),
+    **{f"random-{k}": lambda k=k: random_spinor(k) for k in range(40)},
+}
+
+
+class TestOneIntegral:
+    """induce_surface integrates X1 + i X2 once and takes its conjugate for
+    X1 - i X2, and integrates X3's real line forms."""
+
+    @pytest.mark.parametrize("case", list(ONE_INTEGRAL_CASES))
+    def test_matches_three_form_integration_bitwise(self, case):
+        s, z0 = ONE_INTEGRAL_CASES[case]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # a random spinor's forms are not closed
+            srf = induce_surface(s, z0)
+        *want, crossed = three_form_surface(s, z0)
+        for got, ref in zip((srf.x1, srf.x2, srf.x3), want):
+            assert np.array_equal(got.values.view(np.int64), ref.view(np.int64)), case
+        assert np.array_equal(srf.mask, crossed)
+        assert not crossed.all()
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["generic", "zero-parts"])
+    def test_minus_form_is_the_conjugate_and_x3_is_real(self, zeros):
+        # for any spinor, not just solutions. Bit for bit on generic values;
+        # where a part of psi is an exact zero, only the signs of zeros may
+        # differ (+0.0 against -0.0), and the integrals above still agree
+        rng = np.random.default_rng(11)
+        g = GridSpec(-1, 1, -1, 1, 40, 25)
+        p1, p2 = (random_parts(rng, g.shape, zeros) for _ in range(2))
+        s = SpinorField(ComplexField(g, p1), ComplexField(g, p2))
+        (A, B), (A3, B3) = _one_forms(s)
+        minus = (2j * p2**2, -2j * p1**2)           # the paper's X1 - i X2
+        for got, want in zip(minus, (np.conj(B), np.conj(A))):
+            assert np.array_equal(got, want)
+            assert zeros or np.array_equal(got.view(np.int64), want.view(np.int64))
+        for f in (A3 + B3, 1j * (A3 - B3)):     # X3's line forms, complex
+            assert np.all(f.imag == 0)
+            assert zeros or not np.signbit(f.imag).any()
+        assert np.array_equal(_line_forms(s, g)[1][1], (1j * (A3 - B3)).real)
+
+    def test_two_integrals_and_x3_is_real(self, monkeypatch):
+        # the base row and the columns of X1 + i X2, then of X3's real line
+        # forms; integrating X1 - i X2 as well took six calls
+        from gwsurf import inducer
+        kinds = []
+
+        def spy(values, *args):
+            kinds.append(np.asarray(values).dtype.kind)
+            return _integrate_from(values, *args)
+
+        monkeypatch.setattr(inducer, "_integrate_from", spy)
+        induce_surface(family_holomorphic().spinor(GridSpec(-1, 1, -1, 1, 21, 21)))
+        assert kinds == ["c", "c", "f", "f"]
 
 
 class TestFundamentalForms:
