@@ -6,9 +6,9 @@ central in the interior, one-sided at edges and next to masked points, so
 boundary rows do not degrade the global O(h^2) error. When a field has
 an analytic source (its jet, see closedform), d_z and d_zbar read the
 jet's slot instead, bypassing discretization error entirely, and the
-result's source is the derivative of that jet. The first-derivative stencils
-of a field are computed once per axis and kept on the field, so d_z,
-d_zbar, dx and dy of one field share them.
+result's jet is the derivative of that jet, the same slot arrays. The
+first-derivative stencils of a field are computed once per axis and kept
+on the field, so d_z, d_zbar, dx and dy of one field share them.
 
 A compact field (one stored as a single column, see grid) stays one:
 d/dx is the stencil on its column, and d/dy and d^2/dy^2 are exact zeros
@@ -176,7 +176,7 @@ def _analytic(field, step):
     if src is None or src.order == 0:
         return None
     mask = field.stored[1]
-    deriv = _Source(src.order - 1, lambda k: step(src.jet(k + 1)))
+    deriv = _Source(src.order - 1, lambda: step(src.jet()))
     return ComplexField._derived(field.grid, np.where(mask, 0, deriv.jet(0).f), mask,
                                  source=deriv)
 

@@ -591,7 +591,7 @@ def cmd_induce(cfg: RunConfig) -> int:
         return EXIT_NUMERICAL
     srf = induce_surface(s, cfg.basepoint)
     ff = fundamental_forms(srf)
-    if ff.fully_degenerate or srf.degenerate:
+    if ff.fully_degenerate:
         print("degenerate immersion", file=sys.stderr)
         return EXIT_NUMERICAL
 

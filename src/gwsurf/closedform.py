@@ -6,8 +6,9 @@ for order 0, with d and dbar for order 1, with dd, d dbar and dbar dbar
 for order 2. Each form states the highest order it supplies. Operations
 that would otherwise fall back to finite differences read these slots,
 which is what lets exact solution families verify identities to machine
-precision; each caller asks for the order it needs, so a value-only
-sample computes no derivative.
+precision. A form is asked for order 0 for a sample's values, and for
+its own order for the sample's jet, so a value-only sample computes no
+derivative.
 
 `Jet` is the one jet type. It holds the six slots and applies the usual
 calculus rules under `+ - * /` and this module's `exp`, `sin`, `cos`,
@@ -19,14 +20,14 @@ bit for bit. No symbolic algebra is involved.
 
 `diagonal_form` and `holomorphic_form` build closed forms from such
 formulas of one variable, run on a seed jet in that variable. A field's
-analytic source is its own jet on the points it stores: `sample` gives
-the field the form on those points, and `pointwise`, which derives a
-field from fields through one such formula, runs it on their values for
-the field's values and on their sources' jets for its source, so a
-derived field's formula is written once. A `pointwise` result keeps the
-jet it makes; a sample evaluates its form again for each jet asked of
-it. A derivative reads a slot of its field's jet (see calculus). Every
-source starts at `sample`; the public field constructors take none.
+analytic source is its own jet on the points it stores, made once at the
+source's order on first use and kept: `sample` gives the field the form
+on those points, and `pointwise`, which derives a field from fields
+through one such formula, runs it on their values for the field's values
+and once on their sources' jets for its source, so a derived field's
+formula is written once. A derivative's jet is slots of its field's jet
+(see calculus). Every source starts at `sample`; the public field
+constructors take none.
 
 `sample` evaluates a diagonal form (one that depends on z only through
 s = z + conj(z)) on the grid's first column only, and the field it
@@ -243,41 +244,34 @@ class ClosedForm:
 class _Source:
     """A field's analytic source: its Wirtinger jet on the field's stored points.
 
-    `jet(k)` returns a jet with every slot up to min(k, order), made by
-    `make(k)` with floating-point warnings off. With `keep` (a `pointwise`
-    result) the highest-order jet made so far is kept and returned while it
-    reaches k.
+    The jet is made once, at the source's order, by `make()` with
+    floating-point warnings off, on first use, and kept. `jet(k)` returns
+    it cut to min(k, order): the kept slot arrays themselves, not copies.
     """
 
-    __slots__ = ("order", "_make", "_keep", "_jet")
+    __slots__ = ("order", "_make", "_jet")
 
-    def __init__(self, order: int, make: Callable, keep: bool = False):
+    def __init__(self, order: int, make: Callable):
         self.order = order
         self._make = make
-        self._keep = keep
         self._jet = None
 
-    def jet(self, k: int) -> Jet:
-        k = min(k, self.order)
-        if self._jet is not None and self._jet.order >= k:
-            return self._jet
-        with np.errstate(all="ignore"):
-            got = self._make(k)
-        if self._keep:
-            self._jet = got
-        return got
+    def jet(self, k: int = 2) -> Jet:
+        if self._jet is None:
+            with np.errstate(all="ignore"):
+                self._jet = self._make()
+        return Jet(*self._jet.slots()[:(1, 3, 6)[min(k, self.order)]])
 
     def conj(self) -> "_Source":
         """The source of the conjugate field: the z and zbar slots swap."""
-        return _Source(self.order, lambda k: conj(self.jet(k)))
+        return _Source(self.order, lambda: conj(self.jet()))
 
 
 def _broadcast(vals, z) -> np.ndarray:
+    """`vals` as complex values of z's shape; a constant, or any other
+    shape, becomes a read-only broadcast view, not a copy."""
     a = np.asarray(vals, dtype=complex)
-    shape = np.shape(z)
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape).copy()
-    return a
+    return a if a.shape == np.shape(z) else np.broadcast_to(a, np.shape(z))
 
 
 def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
@@ -287,8 +281,8 @@ def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
     and the field stores that column. Its guard also runs on the last
     column, and ValueError is raised when the two columns' guards differ,
     as a guard that depends on y does. A non-finite value at an unguarded
-    point raises NumericalBreakdown. The field's source is the form on
-    the same points, evaluated again for each jet it is asked for.
+    point raises NumericalBreakdown. The field's source is the form's jet
+    on the same points, at the form's order.
     """
     # the first column is computed as zmesh() computes it, bit for bit
     z = grid.xs()[:, None] + 1j * grid.ys()[:1] if cf.diagonal else grid.zmesh()
@@ -302,7 +296,7 @@ def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
             raise ValueError("the guard of a diagonal form depends on y")
         mask |= guard[:, :1] if cf.diagonal else guard
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask,
-                                 source=_Source(cf.order, lambda k: cf.jet(z, k)))
+                                 source=_Source(cf.order, lambda: cf.jet(z)))
 
 
 def sample_real(cf: ClosedForm, grid: GridSpec) -> RealField:
@@ -327,11 +321,11 @@ def pointwise(fn: Callable, *fields, mask=None):
     `Jet`) that keeps the lowest order of its jet arguments. It runs once
     on the fields' stored values, which must share a grid, for the
     result's values; when every field has an analytic source, the
-    result's source runs it on their jets, at the lowest of their orders,
-    and keeps the jet it makes. The result is masked on the union of the
-    fields' masks and `mask` (grid-shaped or a column), and zero there; it
-    is a column when every input is one. It is a ComplexField when `fn`
-    gives complex values and a RealField otherwise.
+    result's source runs it once on their jets cut to the lowest of their
+    orders. The result is masked on the union of the fields' masks and
+    `mask` (grid-shaped or a column), and zero there; it is a column when
+    every input is one. It is a ComplexField when `fn` gives complex
+    values and a RealField otherwise.
     """
     grid, m = _shared(*fields)
     if mask is not None:
@@ -339,8 +333,10 @@ def pointwise(fn: Callable, *fields, mask=None):
     with np.errstate(all="ignore"):
         vals = fn(*(f.stored[0] for f in fields))
     sources = [f.source for f in fields]
-    src = None if any(s is None for s in sources) else _Source(
-        min(s.order for s in sources), lambda k: fn(*(s.jet(k) for s in sources)), keep=True)
+    src = None
+    if all(s is not None for s in sources):
+        k = min(s.order for s in sources)
+        src = _Source(k, lambda: fn(*(s.jet(k) for s in sources)))
     cls = ComplexField if np.iscomplexobj(vals) else RealField
     return cls._derived(grid, np.where(m, 0, vals), m, source=src)
 

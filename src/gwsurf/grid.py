@@ -10,7 +10,8 @@ stencils treat them as missing data.
 Fields are immutable after construction. Every operation downstream is a
 pure function of its inputs. A field keeps two memos, neither of which
 changes a value: its first-derivative stencils by axis (see calculus)
-and, for a `pointwise` result, the jet its source keeps (see closedform).
+and, when it has an analytic source, the jet that source makes on first
+use (see closedform).
 
 Storage. A field stores its values and mask as two arrays of one shape:
 the grid's (nx, ny), or one column (nx, 1) when both depend on x only,
@@ -208,10 +209,6 @@ class _Field:
 
     def without_source(self):
         return self._derived(self.grid, self._values, self._mask, finite=True)
-
-    @property
-    def n_masked(self) -> int:
-        return int(np.count_nonzero(self.mask))
 
 
 def _expanded(arr: np.ndarray, grid: GridSpec) -> np.ndarray:

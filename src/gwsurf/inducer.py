@@ -33,7 +33,7 @@ import numpy as np
 from .calculus import _integrate_from, _once, dx, dxx, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import RATIO_MIN, ResidualReport, _masked_count
-from .weierstrass import SpinorField, density_p, potential_conservation_residual
+from .weierstrass import SpinorField, potential_conservation_residual
 
 __all__ = [
     "Surface", "FundamentalForms",
@@ -45,15 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Surface:
-    """Coordinate fields over the grid, integrated from `basepoint`;
-    `degenerate` when the spinor vanishes (a single-point surface). X1 - i X2
+    """Coordinate fields over the grid, integrated from `basepoint`. X1 - i X2
     is the conjugate of the integral of X1 + i X2 and is not integrated."""
 
     x1: RealField
     x2: RealField
     x3: RealField
     basepoint: complex
-    degenerate: bool
 
     @property
     def grid(self) -> GridSpec:
@@ -139,8 +137,8 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     bilinear law for X3), so it warns when the stencil-path
     `potential_conservation_residual` exceeds 5e-4 and does not shrink
     like h^2 (the stencils leave an O(h^2) defect on exact solutions too).
-    A vanishing spinor produces the degenerate single-point surface,
-    flagged as such.
+    A vanishing spinor produces the single-point surface, whose
+    fundamental forms are fully degenerate.
     """
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
@@ -162,7 +160,6 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     minus = np.conj(plus)
     x1c = 0.5 * (plus + minus)
     x2c = (plus - minus) / 2j
-    degenerate = float(np.max(density_p(s).stored[0], initial=0.0)) < 1e-14
 
     xs = grid.xs()
     ys = grid.ys()
@@ -171,7 +168,6 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         x2=RealField._derived(grid, np.where(badmask, 0, x2c.real), badmask),
         x3=RealField._derived(grid, np.where(badmask, 0, x3), badmask),
         basepoint=complex(xs[i0], ys[j0]),
-        degenerate=degenerate,
     )
 
 

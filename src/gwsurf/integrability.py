@@ -55,13 +55,6 @@ class RiccatiCoeffs:
     def grid(self) -> GridSpec:
         return self.a10.grid
 
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.grid.shape, dtype=bool)
-        for f in self.fields():
-            m |= f.mask
-        return m
-
 
 @dataclass(frozen=True)
 class HolomorphicProfile:

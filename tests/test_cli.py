@@ -226,13 +226,14 @@ def test_library_call_returns_what_its_suite_reports(family, suite, call):
 def rational_101_counts():
     """One `verify --family rational --grid 101x101` (two levels), counting
     the builds of each (input, level), the `_d1` stencil calls and the
-    distinct inputs they see, and the `sample` calls, and recording the
-    shape of the values that each `_d1` and `_d2` call differences and the
-    number of values that each `_integrate_from` call integrates."""
+    distinct inputs they see, and the `sample` and `ClosedForm.jet` calls,
+    and recording the shape of the values that each `_d1` and `_d2` call
+    differences and the number of values that each `_integrate_from` call
+    integrates."""
     import hashlib
     from gwsurf import calculus, cli, closedform, inducer, weierstrass
     builds, d1_calls, d1_inputs, samples, stencil_shapes = {}, [], set(), [], []
-    line_sizes = []
+    line_sizes, jets = [], []
 
     def counted_build(name, build):
         def wrapper(fam, g, *reads):
@@ -267,6 +268,7 @@ def rational_101_counts():
         mp.setattr(cli, "_INPUTS", inputs)
         mp.setattr(calculus, "_d1", d1)
         mp.setattr(calculus, "_d2", d2)
+        mp.setattr(closedform.ClosedForm, "jet", _counted_jet(jets))
         # every namespace that binds sample, as `from .closedform import sample` copies it
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "gwsurf"]:
             if getattr(module, "sample", None) is sample.__wrapped__:
@@ -277,7 +279,18 @@ def rational_101_counts():
                      "--out", out]) == EXIT_OK
     return {"builds": builds, "d1": len(d1_calls), "d1_inputs": len(d1_inputs),
             "sample": len(samples), "stencil_shapes": stencil_shapes,
-            "line_sizes": line_sizes}
+            "line_sizes": line_sizes, "jet": len(jets)}
+
+
+def _counted_jet(calls):
+    """`ClosedForm.jet` that appends each order it is asked for to `calls`."""
+    from gwsurf.closedform import ClosedForm
+    jet = ClosedForm.jet
+
+    def counted(self, z, order=2):
+        calls.append(order)
+        return jet(self, z, order)
+    return counted
 
 
 class TestSharedInputs:
@@ -313,6 +326,20 @@ class TestSharedInputs:
         # *_fd inputs are views of the same samples, and a derivative reads
         # its field's jet and samples nothing
         assert rational_101_counts["sample"] <= 8
+
+    def test_jet_calls(self, rational_101_counts):
+        # each sample asks its form for the values, then once for the jet
+        # its source keeps: derivatives and formulas of it read that jet
+        assert rational_101_counts["jet"] <= 16
+
+    def test_holomorphic_jet_calls(self, monkeypatch, tmp_path):
+        # rho and H, sampled once each per level, asked twice each
+        from gwsurf import closedform
+        calls = []
+        monkeypatch.setattr(closedform.ClosedForm, "jet", _counted_jet(calls))
+        assert main(["verify", "--family", "holomorphic", "--grid", "41x41",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) <= 8
 
     def test_psi_pair_runs_once_on_values_and_once_on_jets(self, monkeypatch, tmp_path):
         # holomorphic's spinor is the transform of rho: each component's
@@ -496,6 +523,18 @@ class TestInduce:
                     "--grid", "41x41", "--domain", "-1,1,-1,1",
                     "--basepoint", "0.5,0.5", "--out", str(tmp_path)])
         assert code == EXIT_OK
+
+    def test_density_computed_once(self, monkeypatch, tmp_path):
+        # K's formula reads the density; degeneracy is read off the
+        # fundamental forms, which need none
+        calls, density_p = [], gwsurf.density_p
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "gwsurf"]:
+            if getattr(module, "density_p", None) is density_p:
+                monkeypatch.setattr(module, "density_p",
+                                    lambda s: calls.append(1) or density_p(s))
+        assert run(["induce", "--family", "holomorphic", "--grid", "41x41",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_verify_rejects_a_basepoint(self, tmp_path, capsys, source):

@@ -131,7 +131,8 @@ def _counted_leaf(asked, diagonal=False):
 
 
 # `pointwise` lifts its formula to its inputs' jets: the source of its
-# result runs the formula on them and keeps the jet it makes
+# result runs the formula on them once and keeps the jet it makes, as a
+# sample's source keeps its form's jet
 
 
 def test_nested_lift_evaluates_each_leaf_once_per_level():
@@ -143,13 +144,15 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
 
     depth = 4
     g = GridSpec(-1, 1, -1, 1, 5, 5)
-    f = pointwise(lambda v: v, sample(_counted_leaf(asked), g))     # a leaf that keeps its jet
+    f = sample(_counted_leaf(asked), g)
     for _ in range(depth):
         f = pointwise(op, f, f)
-    # one jet per level and order, where evaluating the two inputs of each
-    # level separately would cost 2**depth leaf calls; d_zbar reads the jet
-    # that d_z made, and dbar d makes the second-order one
-    for op_, want in ((d_z, [1]), (d_zbar, []), (mixed_dzbar_dz, [2])):
+    # the values ask the leaf for its values only
+    assert asked == [0] and len(levels) == depth
+    # the first derivative makes one jet per level, at the full order, where
+    # evaluating the two inputs of each level separately would cost 2**depth
+    # leaf calls; every later derivative reads the jets made
+    for op_, want in ((d_z, [2]), (d_zbar, []), (mixed_dzbar_dz, [])):
         asked.clear()
         levels.clear()
         vals = op_(f).values
@@ -159,12 +162,12 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
     assert np.allclose(f.source.jet(0).f, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
 
 
-def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
+def test_lift_asks_its_leaves_for_values_and_full_order_once_each():
     asked = []
     g = GridSpec(-1, 1, -1, 1, 5, 5)
     for diagonal in (False, True):
         leaf = _counted_leaf(asked, diagonal)
-        for op, orders in ((d_z, [1, 1]), (d_zbar, [1, 1]), (mixed_dzbar_dz, [1, 1, 2, 2])):
+        for op in (d_z, d_zbar, mixed_dzbar_dz):
             asked.clear()
             fl = sample(leaf, g)
             f = pointwise(lambda a, b: a * conj(b) / b, fl, pointwise(sqrt, fl))
@@ -172,16 +175,40 @@ def test_lift_asks_its_leaves_for_the_order_its_caller_needs():
             # come from its inputs' values
             assert asked == [0]
             asked.clear()
-            # the leaf enters twice, directly and through the inner field;
-            # dbar d differentiates d f, whose source asks f for one more order
+            # the leaf enters twice, directly and through the inner field, and
+            # both read the one jet its sample makes, at the leaf's order
             op(f)
-            assert asked == orders, op.__name__
+            assert asked == [2], op.__name__
+            for again in (d_z, d_zbar, mixed_dzbar_dz):
+                again(f)
+            assert asked == [2], op.__name__
 
 
-def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
-    # psi_from_rho's sources run on rho, d rho and H, and d rho (the
-    # derivative of rho's jet) asks rho for one more order: asking a
-    # component for order k asks rho's form for k and k + 1, and H's for k
+def test_lift_runs_on_jets_cut_to_its_order_and_keeps_their_slots():
+    orders = []
+
+    def op(a, b):
+        orders.append((getattr(a, "order", None), getattr(b, "order", None)))
+        return a * b
+
+    g = GridSpec(-1, 1, -1, 1, 5, 5)
+    a = sample(_counted_leaf([]), g)
+    b = sample(dataclasses.replace(_counted_leaf([]), order=1), g)
+    f = pointwise(op, a, b)
+    assert f.source.order == 1 and orders == [(None, None)]
+    # the order-2 input is cut to the result's order for the one run on jets
+    d = d_z(f)
+    assert orders == [(None, None), (1, 1)]
+    # a cut and a derivative hold the kept jet's slot arrays, not copies
+    jet = f.source.jet()
+    assert f.source.jet(0).f is jet.f and d.source.jet().f is jet.fz
+    assert a.source.jet(1).fz is a.source.jet().fz
+
+
+def test_psi_from_rho_asks_each_form_for_values_and_full_order_once_each():
+    # psi_from_rho's sources run on rho, d rho and H; d rho's source reads
+    # rho's kept jet, so rho's form runs once for values and once for its
+    # jet, and so does H's, whatever is asked of the component
     from gwsurf import build_family, psi_from_rho, sample_real
     fam = build_family("rational", lam=1.3)
     g = fam.default_grid(9, 7)
@@ -193,15 +220,15 @@ def test_lift_asks_each_input_for_the_order_the_op_needs_of_it():
             return form.jet(z, order)
         return ClosedForm(jet_fn, form.order, form.domain_guard, form.diagonal)
 
-    for op, k in ((lambda f: f.source.jet(0), 0), (d_z, 1), (d_zbar, 1)):
+    for op in (lambda f: f.source.jet(0), d_z, d_zbar, mixed_dzbar_dz):
         for component in ("psi1", "psi2"):
+            for orders in asked.values():
+                orders.clear()
             psi = getattr(psi_from_rho(sample(recorded("rho", fam.rho_form), g),
                                        sample_real(recorded("h", fam.h_form), g)), component)
             assert psi.source is not None
-            for orders in asked.values():
-                orders.clear()
             op(psi)
-            assert sorted(asked["rho"]) == [k, k + 1] and asked["h"] == [k], asked
+            assert asked == {"rho": [0, 2], "h": [0, 2]}, asked
 
 
 def _slots(f):
@@ -278,7 +305,7 @@ def test_diagonal_lift_runs_its_op_on_one_column():
                                 (7, 1)),
                                ((holomorphic_form(lambda z: z * z), diag), ((7, 5), (7, 1)),
                                 (7, 5))):
-        for deriv, runs in ((d_z, 1), (d_zbar, 1), (mixed_dzbar_dz, 2)):
+        for deriv in (d_z, d_zbar, mixed_dzbar_dz):
             shapes.clear()
             f = pointwise(op, *(sample(form, g) for form in forms))
             assert shapes == [seen]
@@ -286,7 +313,7 @@ def test_diagonal_lift_runs_its_op_on_one_column():
             shapes.clear()
             out = deriv(f)
             assert out.values.shape == (7, 5) and out.stored[0].shape == shape
-            assert shapes == [seen] * runs, deriv.__name__
+            assert shapes == [seen], deriv.__name__
     f = sample(diag, g)
     assert [a.shape for a in f.stored] == [(7, 1), (7, 1)]
     assert f.source.jet(2).fzzb.shape == (7, 1)
@@ -426,14 +453,16 @@ DERIVATIVES = {"d": d_z, "dbar": d_zbar, "dbar d": mixed_dzbar_dz,
                "dbar dbar": lambda f: d_zbar(d_zbar(f))}
 
 
-def _build(tree, grids):
+def _build(tree, grids, orders=None):
     """The tree as nested `pointwise` fields over sampled leaves, one
-    independent copy per grid in `grids`, whose first is FINE; sqrt and
-    log need Re > 0, inv and div |.| > 0."""
+    independent copy per grid in `grids`, whose first is FINE; `orders`
+    caps the order of each copy's leaf forms (2 by default). sqrt and log
+    need Re > 0, inv and div |.| > 0."""
     if isinstance(tree, str):
-        return [sample(LEAVES[tree], g) for g in grids]
+        return [sample(dataclasses.replace(LEAVES[tree], order=k), g)
+                for g, k in zip(grids, orders or [2] * len(grids))]
     name, *kids = tree
-    args = [_build(k, grids) for k in kids]
+    args = [_build(k, grids, orders) for k in kids]
     # FINE holds every point of COARSE, so checking it covers both grids
     arg = args[-1][0].values
     if name in ("sqrt", "log"):
@@ -447,13 +476,14 @@ def _build(tree, grids):
 @given(TREES)
 @settings(max_examples=30, deadline=5000, derandomize=True)
 def test_random_lift_slots_do_not_depend_on_the_order_asked(tree):
-    # a fresh copy for each order, since a derived field keeps its jet
+    # one copy per order, its leaf forms capped at that order: a field's
+    # jet is made at the lowest order of its leaves
     g = GridSpec(-1, 1, -1, 1, 9, 7)
-    _, *copies = _build(tree, [FINE] + [g] * 4)
-    assert all(f.source.order == 2 for f in copies)
-    full = copies[0].source.jet(2)
-    for order, f in enumerate(copies[1:]):
-        jet = f.source.jet(order)
+    _, full, *copies = _build(tree, [FINE] + [g] * 4, orders=[2, 2, 0, 1, 2])
+    full = full.source.jet()
+    for order, f in enumerate(copies):
+        assert f.source.order == order
+        jet = f.source.jet()
         for k, slot in enumerate(Jet.__slots__):
             got = getattr(jet, slot)
             if k >= (1, 3, 6)[order]:

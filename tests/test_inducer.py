@@ -28,7 +28,7 @@ def zero_spinor(g=G):
 def param_surface(g, fx, fy, fz, mask=None):
     X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     return Surface(RealField(g, fx(X, Y), mask), RealField(g, fy(X, Y), mask),
-                   RealField(g, fz(X, Y), mask), basepoint=0j, degenerate=False)
+                   RealField(g, fz(X, Y), mask), basepoint=0j)
 
 
 def sphere_surface(r=2.0, n=81):
@@ -44,7 +44,7 @@ def sphere_surface(r=2.0, n=81):
 class TestInduce:
     def test_zero_spinor_degenerate_point(self):
         srf = induce_surface(zero_spinor(), 0.0)
-        assert srf.degenerate
+        assert fundamental_forms(srf).fully_degenerate
         for c in (srf.x1, srf.x2, srf.x3):
             assert np.all(c.values == 0)
 
