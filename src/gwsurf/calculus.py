@@ -3,12 +3,16 @@
 d = (d/dx - i d/dy)/2 and dbar = (d/dx + i d/dy)/2 act on fields sampled
 over z = x + iy. Finite-difference stencils are second order everywhere:
 central in the interior, one-sided at edges and next to masked points, so
-boundary rows do not degrade the global O(h^2) error. When a field has
-an analytic source (its jet, see closedform), d_z and d_zbar read the
-jet's slot instead, bypassing discretization error entirely, and the
-result's jet is the derivative of that jet, the same slot arrays. The
-first-derivative stencils of a field are computed once per axis and kept
-on the field, so d_z, d_zbar, dx and dy of one field share them.
+boundary rows do not degrade the global O(h^2) error. The central stencil
+runs on whole slices; only the points that fall back to a one-sided
+stencil gather their windows along the axis, one fancy index for the
+values and one for the validity, so a stencil makes a fixed number of
+numpy calls whatever the mask. When a field has an analytic source (its
+jet, see closedform), d_z and d_zbar read the jet's slot instead,
+bypassing discretization error entirely, and the result's jet is the
+derivative of that jet, the same slot arrays. The first-derivative
+stencils of a field are computed once per axis and kept on the field, so
+d_z, d_zbar, dx and dy of one field share them.
 
 A compact field (one stored as a single column, see grid) stays one:
 d/dx is the stencil on its column, and d/dy and d^2/dy^2 are exact zeros
@@ -25,7 +29,23 @@ import numpy as np
 from .grid import ComplexField, RealField
 from .closedform import _Source, jet_dz, jet_dzbar
 
-__all__ = ["dx", "dy", "dxx", "dyy", "dxy", "d_z", "d_zbar", "mixed_dzbar_dz"]
+__all__ = ["dx", "dy", "dxx", "dyy", "d_z", "d_zbar", "mixed_dzbar_dz"]
+
+
+def _windows(values: np.ndarray, valid: np.ndarray, idx: tuple, reach: int):
+    """(a, ok): the values and validity k steps along axis 0 from the
+    points `idx`, for k in -reach..reach, invalid off the grid. Row k of
+    each holds offset k: rows 0..reach, then -reach..-1, so a[-1] is one
+    step back. The window index is clamped to the grid once and read with
+    one fancy index per array; it is freed on return, before the caller's
+    arithmetic."""
+    n = len(values)
+    i = np.array([*range(reach + 1), *range(-reach, 0)])[:, None] + idx[0]
+    on_grid = (i >= 0) & (i < n)
+    # two ufuncs in place: np.clip's wrapper costs more on a short column
+    np.minimum(np.maximum(i, 0, out=i), n - 1, out=i)
+    at = (i,) + idx[1:]
+    return values[at], valid[at] & on_grid
 
 
 def _stencil(values: np.ndarray, valid: np.ndarray, central: np.ndarray,
@@ -35,28 +55,21 @@ def _stencil(values: np.ndarray, valid: np.ndarray, central: np.ndarray,
     `central` is the central stencil on the interior, values[1:-1]; a point
     keeps it when both its neighbours are valid. Only the other valid
     points (edges and neighbours of masked points) go to
-    `one_sided(a, ok)`, where a[k] and ok[k] are the values and validity k
-    steps along axis 0 for k in -reach..reach (invalid off the grid); it
+    `one_sided(a, ok)`, with their ±reach windows from `_windows`; it
     returns (forward, can_forward, backward, can_backward). Preference
     order per point: central, then forward, then backward. Points with no
     admissible stencil are masked in the output.
     """
-    n = len(values)
-    out = np.zeros_like(values, dtype=central.dtype)
+    # every point is written below: the central stencil, a fallback or 0
+    out = np.empty_like(values, dtype=central.dtype)
     out[1:-1] = central
-    has_central = np.zeros_like(valid)
-    has_central[1:-1] = valid[2:] & valid[:-2]
-    bad = ~valid
+    fallback = valid.copy()
+    fallback[1:-1] &= ~(valid[2:] & valid[:-2])
 
-    idx = np.nonzero(valid & ~has_central)
-    a, ok = {}, {}
-    for k in range(-reach, reach + 1):
-        i = idx[0] + k
-        at = (np.clip(i, 0, n - 1),) + idx[1:]
-        a[k] = values[at]
-        ok[k] = valid[at] & (i >= 0) & (i < n)
-    forward, can_f, backward, can_b = one_sided(a, ok)
+    idx = np.nonzero(fallback)
+    forward, can_f, backward, can_b = one_sided(*_windows(values, valid, idx, reach))
     out[idx] = np.where(can_f, forward, backward)
+    bad = ~valid
     bad[idx] = ~(can_f | can_b)
     out[bad] = 0
     return out, bad
@@ -85,10 +98,11 @@ def _axis_apply(op, field, h, axis):
     values, mask = field.stored
     if values.shape[axis] == 1:     # a column, constant along y
         return np.zeros_like(values), mask
-    vals = np.moveaxis(values, axis, 0)
-    valid = np.moveaxis(~mask, axis, 0)
-    out, bad = op(vals, valid, h)
-    return np.moveaxis(out, 0, axis), np.moveaxis(bad, 0, axis)
+    if axis == 0:
+        return op(values, ~mask, h)
+    # stored arrays are 2-D, so .T puts axis 1 first
+    out, bad = op(values.T, ~mask.T, h)
+    return out.T, bad.T
 
 
 def _integrate_from(values: np.ndarray, mask: np.ndarray, h: float, axis: int,
@@ -155,10 +169,6 @@ def dxx(field):
 
 def dyy(field):
     return _wrap(field, *_axis_apply(_d2, field, field.grid.hy, 1))
-
-
-def dxy(field):
-    return dy(dx(field))
 
 
 def _fd_wirtinger(field, sign: float) -> ComplexField:

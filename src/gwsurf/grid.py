@@ -172,6 +172,9 @@ class _Field:
         self.source = source
         # first-derivative stencils by axis, filled lazily by calculus
         self._grad = {}
+        # (d ln H, dbar ln H, mask) of a mean curvature, filled lazily by
+        # weierstrass.log_derivatives
+        self._log_derivatives = None
 
     @property
     def stored(self) -> tuple[np.ndarray, np.ndarray]:

@@ -64,13 +64,21 @@ class SpinorField:
 
 def log_derivatives(h: RealField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d ln H, dbar ln H, mask) of the mean curvature `h`, as stored
-    arrays (see grid); requires H > 0 on the unmasked region."""
-    if np.any((h.stored[0] <= 0) & ~h.stored[1]):
-        raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
-    ln = pointwise(log, h)
-    lz = d_z(ln)
-    lzb = d_zbar(ln)
-    return lz.stored[0], lzb.stored[0], lz.stored[1] | lzb.stored[1]
+    arrays (see grid); requires H > 0 on the unmasked region.
+
+    Fields are immutable, so ln H is built and differenced once per field
+    and the result kept on it, as its stencils are (see calculus)."""
+    got = h._log_derivatives
+    if got is None:
+        if np.any((h.stored[0] <= 0) & ~h.stored[1]):
+            raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
+        ln = pointwise(log, h)
+        lz = d_z(ln)
+        lzb = d_zbar(ln)
+        mask = lz.stored[1] | lzb.stored[1]
+        mask.setflags(write=False)
+        got = h._log_derivatives = (lz.stored[0], lzb.stored[0], mask)
+    return got
 
 
 def density_p(s: SpinorField) -> RealField:

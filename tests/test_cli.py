@@ -302,17 +302,17 @@ class TestSharedInputs:
         assert builds == {(name, n): 1 for name in _INPUTS for n in (101, 201)}
 
     def test_one_stencil_per_distinct_input(self, rational_101_counts):
-        # what repeats is left to current_J, log_derivatives and the
-        # commutator, which difference fields built afresh from the inputs,
-        # and to the Riccati coefficients, equal in pairs for a real rho
+        # what repeats is left to current_J and the commutator, which
+        # difference fields built afresh from the inputs, and to the Riccati
+        # coefficients, equal in pairs for a real rho
         counts = rational_101_counts
-        assert counts["d1"] - counts["d1_inputs"] <= 22, counts
+        assert counts["d1"] - counts["d1_inputs"] <= 16, counts
 
     def test_every_stencil_runs_on_one_column(self, rational_101_counts):
         # every field of the rational family depends on x only: it is stored
         # as one column, and only its x-derivative is a stencil
         shapes = rational_101_counts["stencil_shapes"]
-        assert len(shapes) == rational_101_counts["d1"] == 78
+        assert len(shapes) == rational_101_counts["d1"] == 72
         assert set(shapes) == {(101, 1), (201, 1)}
 
     def test_every_integral_runs_along_one_grid_line(self, rational_101_counts):

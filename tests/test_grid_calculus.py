@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsurf import (ComplexField, GridSpec, RealField, d_z, d_zbar, dx, dxx, dy,
-                    family_rational, fit_riccati_coeffs, mixed_dzbar_dz, riccati_residual,
-                    sample, zero_curvature_residual)
+                    family_rational, fit_riccati_coeffs, log_derivatives, mixed_dzbar_dz,
+                    riccati_residual, sample, zero_curvature_residual)
 from gwsurf import calculus
 from gwsurf.closedform import ClosedForm, Jet, diagonal_form, exp
+from memtrace import traced_peak
 
 NON_FINITE = re.escape("non-finite entries at unmasked points; supply a mask for singular points")
 
@@ -183,6 +184,16 @@ class TestGradientOnce:
         zero_curvature_residual(coeffs)
         assert d1_calls == [(21, 1)] * (1 + 6)
         assert not any(f._grad for f in coeffs.fields())
+
+    def test_log_derivatives_once_per_field(self, d1_calls):
+        # the sigma, deformed-LL and linear-system residuals share one ln H
+        h = family_rational(1.0).h(grid(21)).without_source()
+        first = log_derivatives(h)
+        assert d1_calls == [(21, 1)]
+        second = log_derivatives(h)
+        assert d1_calls == [(21, 1)]
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(a.flags.writeable for a in first)
 
     def test_conj_differences_its_own_values(self, d1_calls):
         g = grid(21)
@@ -401,20 +412,16 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
     from gwsurf.calculus import _axis_apply, _d1, _d2
     from gwsurf import RealField
     op, reference = {1: (_d1, _d1_reference), 2: (_d2, _d2_reference)}[order]
+    cls = RealField if dtype is float else ComplexField
     rng = np.random.default_rng(100 * order + 10 * axis + (dtype is complex))
-    for trial in range(60):
-        nx, ny = rng.choice(np.arange(3, 40), 2, replace=False)
-        g = GridSpec(-1.0, 0.7, -0.3, 1.9, nx, ny)
-        vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-6, 6)
+
+    def random_values(shape):
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)
         if dtype is complex:
-            vals = vals + 1j * rng.standard_normal(g.shape)
-        # sparse masks leave isolated masked points, dense ones isolated valid points
-        mask = rng.random(g.shape) < (0.05, 0.3, 0.8)[trial % 3]
-        if trial % 4 == 0:
-            mask[rng.integers(nx), :] = True
-        if trial % 4 == 1:
-            mask[:, rng.integers(ny)] = True
-        f = (RealField if dtype is float else ComplexField)(g, vals, mask)
+            vals = vals + 1j * rng.standard_normal(shape)
+        return vals
+
+    def check(f, g):
         h = (g.hx, g.hy)[axis]
         got, got_bad = _axis_apply(op, f, h, axis)
         ref, ref_bad = _axis_apply(reference, f, h, axis)
@@ -422,6 +429,49 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
         assert got.dtype == ref.dtype and got.flags.c_contiguous == ref.flags.c_contiguous
         assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                               np.ascontiguousarray(ref).view(np.uint64))
+
+    for trial in range(60):
+        nx, ny = rng.choice(np.arange(3, 40), 2, replace=False)
+        g = GridSpec(-1.0, 0.7, -0.3, 1.9, nx, ny)
+        vals = random_values(g.shape)
+        # sparse masks leave isolated masked points, dense ones isolated valid points
+        mask = rng.random(g.shape) < (0.05, 0.3, 0.8)[trial % 3]
+        if trial % 4 == 0:
+            mask[rng.integers(nx), :] = True
+        if trial % 4 == 1:
+            mask[:, rng.integers(ny)] = True
+        check(cls(g, vals, mask), g)
+
+    # stored columns (n, 1) along x, the only stencil shape of x-only
+    # fields, and axes shorter than _d2's 7-point window, whose windows are
+    # clamped at both ends; every other mask has both ends of the axis masked
+    cases = [((n, 9), (n, 1)) for n in (3, 4, 5, 6, 7, 101)] if axis == 0 else []
+    for n in (3, 4, 5):
+        shape = (n, 6) if axis == 0 else (6, n)
+        cases.append((shape, shape))
+    for shape, stored in cases:
+        g = GridSpec(-1.0, 0.7, -0.3, 1.9, *shape)
+        for trial in range(12):
+            vals = random_values(stored)
+            mask = rng.random(stored) < (0.0, 0.2, 0.5)[trial % 3]
+            if trial % 2:
+                ends = np.moveaxis(mask, axis, 0)
+                ends[0] = ends[-1] = True
+            check(cls._derived(g, np.where(mask, 0, vals), mask), g)
+
+
+@pytest.mark.parametrize("order, masked, bound_mib", [
+    (1, 0.05, 3.91), (1, 0.3, 7.06), (2, 0.05, 4.16), (2, 0.3, 8.0)])
+def test_stencil_peak_memory(order, masked, bound_mib):
+    # 1.25x the peak of the per-offset gather the windowed one replaced
+    # (3.13, 5.65, 3.33 and 6.40 MiB here); a window gathered at every grid
+    # point, not only at the fallback points, would break the bound
+    from gwsurf.calculus import _d1, _d2
+    op = {1: _d1, 2: _d2}[order]
+    rng = np.random.default_rng(order)
+    values = rng.standard_normal((251, 251)) + 1j * rng.standard_normal((251, 251))
+    valid = rng.random(values.shape) >= masked
+    assert traced_peak(lambda: op(values, valid, 0.01)) <= bound_mib * 2**20
 
 
 class TestTrapezoid:

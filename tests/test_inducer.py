@@ -11,7 +11,7 @@ from gwsurf import (ComplexField, GridSpec, NumericalBreakdown, RealField, Spino
                     load_mesh_vertices, norms, path_independence_report,
                     potential_conservation_residual)
 from gwsurf.cli import main
-from gwsurf.calculus import _integrate_from, dx, dxx, dxy, dy, dyy
+from gwsurf.calculus import _integrate_from, dx, dxx, dy, dyy
 from gwsurf.grid import _shared
 from gwsurf.inducer import (_DEGENERATE, FundamentalForms, Surface, _line_forms,
                             _one_forms, _resolve_basepoint)
@@ -387,7 +387,7 @@ def stacked_fundamental_forms(srf):
     coordinate derivatives stacked by coordinate: the oracle that the
     streamed `fundamental_forms` must match bit for bit."""
     comps = (srf.x1, srf.x2, srf.x3)
-    derivs = [[op(c) for c in comps] for op in (dx, dy, dxx, dyy, dxy)]
+    derivs = [[op(c) for c in comps] for op in (dx, dy, dxx, dyy, lambda f: dy(dx(f)))]
     mask = srf.mask.copy()
     for fields in derivs:
         for f in fields:
