@@ -70,7 +70,7 @@ FD_SAFETY = 10.0
 
 # ---------------------------------------------------------------------------
 # configuration: one row per key drives the config file, the flags, the
-# report stamp and the glue for negative values
+# report stamp, the glue for negative values and the commands that read it
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,7 +96,9 @@ class RunConfig:
             raise ValueError(f"jobs must be 1, got {self.jobs}")
 
     def describe(self) -> dict:
-        """The settings that shape results, as stamped into every report."""
+        """The settings that shape results, as stamped into every report.
+        verify stamps basepoint and induce stamps levels, always at their
+        defaults: a command takes a key it does not read only there."""
         return {k.key: k.report(getattr(self, k.field)) for k in _KEYS if k.report}
 
 
@@ -169,6 +171,8 @@ class _Key:
     report: Callable | None = None  # value -> report-config JSON; None: not stamped
     signed: bool = False        # the flag takes values that begin with '-'
     param: str | None = None    # a family parameter: its key in SolutionFamily.params
+    # the commands that read the key; any other takes it only at its default
+    commands: tuple = ("verify", "induce")
 
 
 _KEYS = (
@@ -181,12 +185,13 @@ _KEYS = (
     _Key("domain", "domain", "--domain", _optional(_domain),
          report=_json, signed=True),
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
-         report=_json, signed=True),
+         report=_json, signed=True, commands=("induce",)),
     _Key("tol_scale", "tol_scale", "--tol-scale", _tol_scale, report=_json, signed=True),
-    _Key("levels", "levels", "--levels", int, report=_json),
-    _Key("jobs", "jobs", "--jobs", int),
-    _Key("out", "out", "--out", str),
-    _Key("format", "format", "--format", _choice("format", ("json", "csv"))),
+    _Key("levels", "levels", "--levels", int, report=_json, commands=("verify",)),
+    _Key("jobs", "jobs", "--jobs", int, commands=()),
+    _Key("out", "out", "--out", str, commands=("verify", "induce", "report")),
+    _Key("format", "format", "--format", _choice("format", ("json", "csv")),
+         commands=("report",)),
 )
 
 
@@ -205,6 +210,11 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         cfg = _set(cfg, keys[key], val, f"line {lineno}: {key}")
     return cfg
+
+
+def _away(cfg: RunConfig, key: _Key) -> bool:
+    """Whether `cfg` sets `key` away from its default."""
+    return getattr(cfg, key.field) != getattr(RunConfig, key.field)
 
 
 def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
@@ -376,9 +386,11 @@ SUITES = (
     # varying H: also round-off on unimodular and holomorphic, never run there
     SuiteSpec("roundtrip_exact", "exact", {"constant_h": False}, ("rho", "h"),
               run_roundtrip_exact),
-    # varying H: on unimodular, psi_from_rho's sign sweep drops the jets (8.3e-6)
-    SuiteSpec("transform_exact", "exact", {"constant_h": False}, ("rho", "h", "spinor"),
-              run_transform_exact),
+    # varying rho: at --lambda 0 rho_from_psi raises (psi2 vanishes); spinor
+    # forms: holomorphic's transform spinor has order-1 jets, which would reach
+    # a stencil
+    SuiteSpec("transform_exact", "exact", {"constant_rho": False, "spinor_forms": True},
+              ("rho", "h", "spinor"), run_transform_exact),
     SuiteSpec("spin_algebra_exact", "exact", {}, ("rho",),
               lambda fam, rho: spin_matrix(rho).algebra_report()),
     # |J|^2 = p^4 H^2 is sinh-Gordon at d dbar ln p = 0
@@ -535,8 +547,7 @@ def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
     report without shaping any result."""
     fam = build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
     for key in _KEYS:
-        if (key.param and key.param not in fam.params
-                and getattr(cfg, key.field) != getattr(RunConfig, key.field)):
+        if key.param and key.param not in fam.params and _away(cfg, key):
             raise ValueError(f"{key.flag}: the {cfg.family} family takes no {key.flag[2:]}")
     grids = [GridSpec(*(cfg.domain or fam.default_domain), *cfg.grid)]
     for _ in range(cfg.levels - 1):
@@ -553,10 +564,6 @@ def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    # only induce integrates from a basepoint: stamped into verify's reports,
-    # it would shape no result, like a family parameter the family does not read
-    if cfg.basepoint is not None:
-        raise ValueError("--basepoint: verify takes no basepoint; induce does")
     fam, grids = _setup(cfg)
     suites = _suites_for(fam)
     levels = [_run_level(suites, fam, g) for g in grids]
@@ -580,9 +587,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_induce(cfg: RunConfig) -> int:
-    # induce builds one grid: levels would be stamped, like verify's basepoint
-    if cfg.levels != RunConfig.levels:
-        raise ValueError("--levels: induce builds one grid; verify refines it")
     fam, grids = _setup(cfg)
     grid = grids[0]
     s = fam.spinor(grid)
@@ -697,7 +701,8 @@ def _resolve(argv) -> tuple[str, RunConfig]:
     """The command and its configuration: defaults < --config < flags < WSL_OUT.
 
     Raises SystemExit on a command-line usage error, OSError when the config
-    file cannot be read and ValueError on a bad value."""
+    file cannot be read and ValueError on a bad value, or on a key that the
+    command does not read set away from its default (it would shape no result)."""
     parser = argparse.ArgumentParser(
         prog="gwsurf", description="verify and induce prescribed mean curvature surfaces")
     parser.add_argument("--version", action="version", version=__version__)
@@ -718,6 +723,9 @@ def _resolve(argv) -> tuple[str, RunConfig]:
             cfg = _set(cfg, key, getattr(ns, key.field), key.flag)
     if os.environ.get("WSL_OUT"):
         cfg = replace(cfg, out=os.environ["WSL_OUT"])
+    for key in _KEYS:
+        if ns.command not in key.commands and _away(cfg, key):
+            raise ValueError(f"{key.flag}: {ns.command} does not read {key.key}")
     return ns.command, cfg
 
 

@@ -98,10 +98,11 @@ def psi_from_rho(rho: ComplexField, h: RealField) -> SpinorField:
     Points where |d rho| is below 1e-12 of its largest value are masked
     (the square root degenerates there); H must be positive on the
     unmasked region. Each component is `psi_pair` of rho, d rho and H,
-    with an analytic source when all three have one, unless the branch
-    continuation flipped a sign: the flipped values carry no source.
+    with an analytic source when all three have one. Where the branch
+    continuation flips a sign, a component is the principal one times
+    that sign, in its values and in every slot of its source alike.
     """
-    grid, mask = _shared(rho, h)
+    _, mask = _shared(rho, h)
     if np.any((h.stored[0] <= 0) & ~mask):
         raise NumericalBreakdown("transform requires H > 0 at unmasked points")
 
@@ -113,11 +114,11 @@ def psi_from_rho(rho: ComplexField, h: RealField) -> SpinorField:
                      rho, drho, h, mask=mask) for k in (0, 1)]
 
     # flipping sqrt(d rho) flips both components; on a column, the sweep
-    # along y finds nothing to flip
+    # along y finds nothing to flip. The sign is constant between flips, so
+    # the continued branch's jet is the principal jet times the sign
     sign = _continue_sign(np.sqrt(dr), ~mask)
     if np.any((sign < 0) & ~mask):
-        psi = [ComplexField._derived(grid, np.where(m, 0, sign * v), m)
-               for v, m in (f.stored for f in psi)]
+        psi = [pointwise(lambda v: sign * v, f) for f in psi]
     return SpinorField(*psi)
 
 

@@ -17,6 +17,9 @@ from gwsurf.cli import (_KEYS, EXIT_CANTCREAT, EXIT_NOINPUT, EXIT_NUMERICAL, EXI
                         EXIT_USAGE, RunConfig, _resolve, main, parse_config_text)
 
 
+COMMANDS = ("verify", "induce", "report")
+
+
 def run(args):
     return main(args)
 
@@ -71,10 +74,11 @@ class TestConfig:
     def test_flag_and_config_file_agree(self, key, tmp_path, monkeypatch):
         monkeypatch.delenv("WSL_OUT", raising=False)
         (row,) = [k for k in _KEYS if k.key == key]
-        from_flag = _resolve(["verify", row.flag, self.SAMPLES[key]])[1]
+        command = row.commands[0]
+        from_flag = _resolve([command, row.flag, self.SAMPLES[key]])[1]
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key}={self.SAMPLES[key]}\n")
-        from_file = _resolve(["verify", "--config", str(cfg_file)])[1]
+        from_file = _resolve([command, "--config", str(cfg_file)])[1]
         assert from_flag == from_file == parse_config_text(cfg_file.read_text())
         assert from_flag != RunConfig()
         every_key = self._text({**self.DEFAULTS, key: self.SAMPLES[key]})
@@ -91,6 +95,63 @@ class TestConfig:
     def test_default_literal_on_flags(self, flag):
         # keys whose default is None take the literal `default`, as in the file
         assert _resolve(["verify", flag, "default"])[1] == RunConfig()
+
+    # the command and key of every pair, and whether the command reads the key
+    PAIRS = [(c, k.key, c in k.commands) for k in _KEYS for c in COMMANDS]
+    # more non-default values: fewer levels than the default, as well as more
+    MORE = {"levels": ("1",)}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, reads", PAIRS)
+    def test_each_command_takes_only_the_keys_it_reads(self, tmp_path, capsys, monkeypatch,
+                                                       command, key, reads, source):
+        # a key that a command does not read would shape no result: it is
+        # taken only at its default, and set away from it is a usage error
+        # before any output is made. jobs takes no value but its default
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        (row,) = [k for k in _KEYS if k.key == key]
+        for value in ({**self.SAMPLES, "jobs": "2"}[key], *self.MORE.get(key, ())):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"{key}={value}\n")
+            given = [row.flag, value] if source == "flag" else ["--config", str(cfg_file)]
+            if reads:
+                resolved = _resolve([command, *given])
+                assert resolved == (command, parse_config_text(cfg_file.read_text()))
+                assert resolved[1] != RunConfig()
+                continue
+            out = tmp_path / "out"
+            assert run([command, *given, "--out", str(out)]) == EXIT_USAGE
+            assert not out.exists()
+            err = capsys.readouterr().err
+            if key == "jobs":
+                # the value check names where the value came from
+                where = row.flag if source == "flag" else "line 1: jobs"
+                assert err.startswith(f"error: {where}: "), err
+            else:
+                assert err == f"error: {row.flag}: {command} does not read {key}\n"
+
+    def test_read_sets(self):
+        # 20 settable values in all; the other 16 pairs take only the default
+        shared = {"family", "lambda", "a", "h0", "grid", "domain", "tol_scale", "out"}
+        reads = {c: {k for c2, k, r in self.PAIRS if c2 == c and r} for c in COMMANDS}
+        assert reads == {"verify": shared | {"levels"}, "induce": shared | {"basepoint"},
+                         "report": {"out", "format"}}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_default_is_taken_by_every_command(self, tmp_path, monkeypatch, command):
+        # a config file that spells every default shapes nothing, so any
+        # command takes it
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(self._text(self.DEFAULTS))
+        assert _resolve([command, "--config", str(cfg_file)]) == (command, RunConfig())
+
+    def test_unread_keys_at_their_defaults_run(self, tmp_path):
+        # the benchmark's argv shape: induce reads neither levels nor jobs
+        assert run(["induce", "--grid", "21x21", "--levels", "2", "--jobs", "1",
+                    "--out", str(tmp_path / "induce")]) == EXIT_OK
+        assert run(["verify", "--family", "unimodular", "--grid", "21x21", "--levels", "1",
+                    "--basepoint", "default", "--out", str(tmp_path / "verify")]) == EXIT_OK
 
 
 _E, _P = 1e-12, 1e-10   # exact and pointwise tolerances
@@ -122,6 +183,7 @@ _SUITE_SETS = {
     "trig": _VARYING_H_SUITES,
     "unimodular": _CONSTANT_RHO_SUITES | {
         ("dirac_exact", "exact", _E, True), ("conservation_exact", "exact", _E, True),
+        ("transform_exact", "exact", _E, True),
         ("current_identity_exact", "exact", _P, True),
         ("compatibility_exact", "exact", _P, True),
         ("current_defect_fd", "fd", _E, True),
@@ -536,35 +598,6 @@ class TestInduce:
                     "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_verify_rejects_a_basepoint(self, tmp_path, capsys, source):
-        # verify integrates nothing from a basepoint, so it would only be stamped
-        out = tmp_path / "out"
-        argv = ["verify", "--family", "unimodular", "--grid", "21x21", "--levels", "1",
-                "--out", str(out)]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("basepoint=0.5,0.5\n")
-        given = ["--basepoint", "0.5,0.5"] if source == "flag" else ["--config", str(cfg)]
-        assert run(argv + given) == EXIT_USAGE
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: --basepoint: ")
-        assert run(argv + ["--basepoint", "default"]) == EXIT_OK
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("levels", ["1", "3"])
-    def test_induce_rejects_levels(self, tmp_path, capsys, source, levels):
-        # induce builds one grid, so levels would only be stamped
-        out = tmp_path / "out"
-        argv = ["induce", "--family", "rational", "--grid", "21x21", "--out", str(out)]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"levels={levels}\n")
-        given = ["--levels", levels] if source == "flag" else ["--config", str(cfg)]
-        assert run(argv + given) == EXIT_USAGE
-        assert not out.exists()
-        assert capsys.readouterr().err == \
-            "error: --levels: induce builds one grid; verify refines it\n"
-        assert run(argv + ["--levels", "2"]) == EXIT_OK
-
 
 @pytest.mark.parametrize("command", ["verify", "induce"])
 def test_out_naming_a_file_cannot_be_created(tmp_path, capsys, command):
@@ -842,16 +875,16 @@ def _settings(draw):
 @settings(max_examples=60, deadline=20000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_config_and_flags_exit_with_a_documented_code(command, grid, lines, flags):
-    # the config file starts from a grid of 3 to 5 points per axis, which
-    # later lines and flags may only replace by another such grid
+    # verify's and induce's config file starts from a grid of 3 to 5 points
+    # per axis, which later lines and flags may only replace by another such grid
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ), warnings.catch_warnings():
         os.environ.pop("WSL_OUT", None)
         warnings.simplefilter("ignore")
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="ascii") as fh:
-            fh.write(f"grid={grid[0]}x{grid[1]}\n" + "".join(f"{k}={v}\n" for k, v in lines)
-                     + "# a comment\n")
+            start = f"grid={grid[0]}x{grid[1]}\n" if command != "report" else ""
+            fh.write(start + "".join(f"{k}={v}\n" for k, v in lines) + "# a comment\n")
         argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
         for key, value in flags:
             argv += [_FLAGS.get(key, f"--{key}"), value]

@@ -3,17 +3,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry,
-                    compatibility_residual, constant_form,
+from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry, build_family,
+                    compatibility_residual, constant_form, d_z,
                     deformed_ll_residual, family_exponential, family_rational,
                     family_trigonometric, family_unimodular,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
                     pointwise, rho_from_psi, sample, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
 from gwsurf.closedform import holomorphic_form
+from gwsurf.sigma import _continue_sign, psi_pair
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
+
+
+def _bits(values):
+    # a constant slot is a broadcast view, whose bits need a contiguous copy
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def rho_of(values, g=G):
@@ -85,6 +91,26 @@ class TestPsiFromRho:
         s = psi_from_rho(fam.rho(G).without_source(), fam.h(G))
         steps = np.abs(np.diff(s.psi2.values, axis=0))
         assert np.max(steps) < 0.1    # no O(1) sign-flip line
+
+    def test_flipped_components_keep_signed_jets(self):
+        # the continued branch is the principal one times a sign that is
+        # constant between flips, so every slot of its jet is the principal
+        # slot times that sign, bit for bit
+        fam = build_family("unimodular")
+        g = fam.default_grid()
+        rho, h = fam.rho(g), fam.h(g)
+        s = psi_from_rho(rho, h)
+        drho = d_z(rho)
+        mask = s.psi1.stored[1]
+        sign = _continue_sign(np.sqrt(drho.stored[0]), ~mask)
+        assert np.any((sign < 0) & ~mask)
+        for k, f in enumerate((s.psi1, s.psi2)):
+            principal = pointwise(lambda r, dr, hv: psi_pair(r, dr, hv)[k], rho, drho, h,
+                                  mask=mask)
+            assert f.source is not None
+            assert f.source.order == principal.source.order >= 1
+            for a, b in zip(f.source.jet().slots(), principal.source.jet().slots()):
+                assert np.array_equal(_bits(a), _bits(sign * b))
 
     def test_transform_on_partially_masked_grid(self):
         # sampling the trig profile beyond its admissible strip masks the
