@@ -598,6 +598,20 @@ class TestInduce:
                     "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("levels", ["1", "3"])
+    def test_induce_rejects_levels(self, tmp_path, capsys, source, levels):
+        # induce builds one grid, so levels would only be stamped
+        out = tmp_path / "out"
+        argv = ["induce", "--family", "rational", "--grid", "21x21", "--out", str(out)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"levels={levels}\n")
+        given = ["--levels", levels] if source == "flag" else ["--config", str(cfg)]
+        assert run(argv + given) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --levels: induce does not read levels\n"
+        assert run(argv + ["--levels", "2"]) == EXIT_OK
+
 
 @pytest.mark.parametrize("command", ["verify", "induce"])
 def test_out_naming_a_file_cannot_be_created(tmp_path, capsys, command):
