@@ -28,7 +28,7 @@ from .integrability import (RiccatiCoeffs, HolomorphicProfile, h_integrability_r
                             zero_curvature_residual, sinh_gordon_residual,
                             linearization_constraint_residual, linear_system_residual)
 from .inducer import (Surface, FundamentalForms, induce_surface, path_independence_report,
-                      fundamental_forms, export_mesh, load_mesh_vertices)
+                      fundamental_forms, export_mesh)
 from .families import (SolutionFamily, family_rational, family_exponential,
                        family_trigonometric, family_unimodular, family_holomorphic,
                        build_family, FAMILY_NAMES)

@@ -10,23 +10,22 @@ bilinears,
 taken from a base point along grid-aligned paths (composite trapezoid,
 second order, matching the stencil order everywhere else). For any
 spinor, the form of X1 - i X2 is the conjugate of that of X1 + i X2, and
-X3's is real: X1 - i X2 is not integrated but taken as the conjugate of
-X1 + i X2. The two conservation laws make the integrands closed forms,
-so the integrals are path independent up to discretization error; the
-module measures that honestly (L-path against reversed-L) instead of
-assuming it.
+X3's is real: X1 and X2 are the real and imaginary parts of the one
+integral of X1 + i X2. The two conservation laws make the integrands
+closed forms, so the integrals are path independent up to discretization
+error; the module measures that honestly (L-path against reversed-L)
+instead of assuming it.
 
-Closing the loop: first and second fundamental forms of the sampled
+Closing the loop: the first and second fundamental forms of the sampled
 surface give a numeric mean curvature to compare against the prescribed
 one (on |H|, since the inducing formulas fix no normal orientation), and
 a numeric Gauss curvature to compare against the intrinsic formula from
-the density.
+the density; `fundamental_forms` returns those two curvatures.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +38,14 @@ __all__ = [
     "Surface", "FundamentalForms",
     "induce_surface", "path_independence_report",
     "fundamental_forms",
-    "export_mesh", "load_mesh_vertices",
+    "export_mesh",
 ]
 
 
 @dataclass(frozen=True)
 class Surface:
-    """Coordinate fields over the grid, integrated from `basepoint`. X1 - i X2
-    is the conjugate of the integral of X1 + i X2 and is not integrated."""
+    """Coordinate fields over the grid, integrated from `basepoint`. X1 and
+    X2 are the real and imaginary parts of the one integral of X1 + i X2."""
 
     x1: RealField
     x2: RealField
@@ -128,7 +127,8 @@ def _shrinks_like_h2(s: SpinorField, defect: float) -> bool:
 
 def induce_surface(s: SpinorField, z0=None) -> Surface:
     """Build the surface coordinates from a spinor by L-path integrals of
-    X1 + i X2 and X3.
+    X1 + i X2 and X3; X1 and X2 are the real and imaginary parts of the
+    first.
 
     Warns (does not fail) when the inducing one-forms are measurably not
     closed, since then the result is path dependent. Their closedness
@@ -138,12 +138,12 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     `potential_conservation_residual` exceeds 5e-4 and does not shrink
     like h^2 (the stencils leave an O(h^2) defect on exact solutions too).
     A vanishing spinor produces the single-point surface, whose
-    fundamental forms are fully degenerate.
+    fundamental forms are fully degenerate. Raises NumericalBreakdown when
+    every path crosses a masked point, as every path from a masked
+    basepoint does.
     """
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
-    if np.broadcast_to(mask, grid.shape)[i0, j0]:
-        raise ValueError("basepoint is masked")
 
     stencil = s.without_sources()
     defect = potential_conservation_residual(stencil).max_norm
@@ -157,15 +157,11 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         raise NumericalBreakdown("every integration path crosses a masked point")
     x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
 
-    minus = np.conj(plus)
-    x1c = 0.5 * (plus + minus)
-    x2c = (plus - minus) / 2j
-
     xs = grid.xs()
     ys = grid.ys()
     return Surface(
-        x1=RealField._derived(grid, np.where(badmask, 0, x1c.real), badmask),
-        x2=RealField._derived(grid, np.where(badmask, 0, x2c.real), badmask),
+        x1=RealField._derived(grid, np.where(badmask, 0, plus.real), badmask),
+        x2=RealField._derived(grid, np.where(badmask, 0, plus.imag), badmask),
         x3=RealField._derived(grid, np.where(badmask, 0, x3), badmask),
         basepoint=complex(xs[i0], ys[j0]),
     )
@@ -206,45 +202,16 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First (E, F, G) and second (e, f, g) fundamental forms."""
+    """The mean and Gauss curvatures of a sampled surface, from its first
+    (E, F, G) and second (e, f, g) fundamental forms, both masked where
+    the surface is masked or not an immersion."""
 
-    E: RealField
-    F: RealField
-    G: RealField
-    e: RealField
-    f: RealField
-    g: RealField
-    degenerate_mask: np.ndarray   # immersion failure: EG - F^2 <= 1e-18
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.E.grid
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.E.mask
+    mean_curvature: RealField    # H = (eG - 2fF + gE) / (2 (EG - F^2)); sign by orientation
+    gauss_curvature: RealField   # K = (eg - f^2) / (EG - F^2)
 
     @property
     def fully_degenerate(self) -> bool:
-        free = ~self.E.mask
-        return bool(np.all(self.degenerate_mask[free])) if free.any() else True
-
-    @cached_property
-    def mean_curvature(self) -> RealField:
-        """H = (eG - 2fF + gE) / (2 (EG - F^2)); sign depends on orientation."""
-        E, F, G = self.E.values, self.F.values, self.G.values
-        e, f, g = self.e.values, self.f.values, self.g.values
-        w2 = np.where(self.mask, 1.0, E * G - F**2)
-        return self._curvature((e * G - 2 * f * F + g * E) / (2 * w2))
-
-    @cached_property
-    def gauss_curvature(self) -> RealField:
-        """K = (eg - f^2) / (EG - F^2)."""
-        w2 = np.where(self.mask, 1.0, self.E.values * self.G.values - self.F.values**2)
-        return self._curvature((self.e.values * self.g.values - self.f.values**2) / w2)
-
-    def _curvature(self, vals) -> RealField:
-        return RealField._derived(self.grid, np.where(self.mask, 0, vals), self.mask)
+        return bool(self.mean_curvature.mask.all())
 
 
 # EG - F^2 at or below which the sampled surface is not an immersion
@@ -252,10 +219,11 @@ _DEGENERATE = 1e-18
 
 
 def fundamental_forms(srf: Surface) -> FundamentalForms:
-    """Forms of the sampled surface from second-order stencils.
+    """Mean and Gauss curvatures of the sampled surface from its forms,
+    made with second-order stencils.
 
-    Points where EG - F^2 <= 1e-18 are flagged degenerate (not an immersion
-    there) and masked in the curvature fields derived from the forms.
+    Points where EG - F^2 <= 1e-18 are degenerate (not an immersion there)
+    and masked in both curvatures.
 
     The forms are summed one coordinate at a time: each of E, F, G, e, f
     and g starts from +0.0 and adds the products of X1, X2 and X3 in that
@@ -301,14 +269,15 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
         f += normal[k] * take(dy(xs[k]))
         xs[k] = None
 
-    formmask = mask | low
+    del normal
+    mask |= low
+    w2 = np.where(mask, 1.0, E * G - F**2)
 
     def fld(v):
-        np.copyto(v, 0, where=formmask)
-        return RealField._derived(grid, v, formmask)
+        return RealField._derived(grid, np.where(mask, 0, v), mask)
 
-    return FundamentalForms(E=fld(E), F=fld(F), G=fld(G),
-                            e=fld(e), f=fld(f), g=fld(g), degenerate_mask=low & ~mask)
+    return FundamentalForms(mean_curvature=fld((e * G - 2 * f * F + g * E) / (2 * w2)),
+                            gauss_curvature=fld((e * g - f**2) / w2))
 
 
 # grid rows formatted together: enough repeats to share each string, while
@@ -409,13 +378,3 @@ def export_mesh(srf: Surface, path, csv_path, ff: FundamentalForms) -> tuple[int
         nfaces = _write_faces(obj, keep)
     return int(np.count_nonzero(keep)), nfaces
 
-
-def load_mesh_vertices(path) -> np.ndarray:
-    """Read back OBJ vertex coordinates (row-major order of export)."""
-    verts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("v "):
-                _, xs, ys, zs = line.split()
-                verts.append((float(xs), float(ys), float(zs)))
-    return np.asarray(verts, dtype=float)

@@ -586,6 +586,17 @@ class TestInduce:
                     "--basepoint", "0.5,0.5", "--out", str(tmp_path)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("basepoint", [[], ["--basepoint", "0.003,0"]],
+                             ids=["default", "explicit"])
+    def test_masked_basepoint_is_numerical_failure(self, tmp_path, capsys, basepoint):
+        # trig's guard masks the strip's centre and the grid point x = 0.003:
+        # every path from there crosses a masked point
+        code = run(["induce", "--family", "trig", "--domain", "0,0.03,-1,1",
+                    "--grid", "21x21", *basepoint, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: every integration path crosses a masked point\n"
+        assert not list(tmp_path.glob("*.obj"))
+
     def test_density_computed_once(self, monkeypatch, tmp_path):
         # K's formula reads the density; degeneracy is read off the
         # fundamental forms, which need none

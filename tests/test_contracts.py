@@ -8,6 +8,7 @@ thread, a field gets an analytic source only from closedform, every
 optional parameter is one that some call in the package sets, and every
 public name is one that some module of the package loads."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -160,7 +161,6 @@ UNLOADED_NAMES = {
     "apply_discrete_symmetry": "the sigma system's Z2 and inversion; no verify row reads it yet",
     "constant_form": "the constant H that the tests and acceptance criterion 9 sample",
     "h_from_profile": "acceptance criterion 7 builds its in-class H from a profile",
-    "load_mesh_vertices": "reads back the OBJ that induce writes",
 }
 
 
@@ -182,10 +182,17 @@ def test_every_public_name_is_loaded_in_the_package():
 
 
 def test_export_mesh_writes_both_files_from_given_forms():
-    # the OBJ, the CSV and the fundamental forms behind its curvatures are
-    # all required: the writer has no optional output and computes no forms
+    # the OBJ, the CSV and the curvatures that fundamental_forms returns
+    # for it are all required: the writer has no optional output and
+    # computes no forms
     params = inspect.signature(gwsurf.export_mesh).parameters.values()
     assert [p.name for p in params if p.default is not p.empty] == []
+
+
+def test_fundamental_forms_are_the_two_curvatures_induce_reads():
+    # no form field, degenerate mask or cached value beside them
+    names = [f.name for f in dataclasses.fields(gwsurf.FundamentalForms)]
+    assert names == ["mean_curvature", "gauss_curvature"]
 
 
 def test_one_name_per_curvature_and_one_switch_to_stencils():
