@@ -23,8 +23,8 @@ from .sigma import (SpinMatrix, LLCommutator, rho_from_psi, psi_from_rho, sigma_
                     landau_lifshitz_residual,
                     deformed_ll_residual, multisoliton_product,
                     unimodular_H_constancy_check, compatibility_residual)
-from .integrability import (RiccatiCoeffs, HolomorphicProfile, h_integrability_residual,
-                            h_from_profile, riccati_residual, fit_riccati_coeffs,
+from .integrability import (RiccatiCoeffs, h_integrability_residual, h_from_profile,
+                            riccati_residual, fit_riccati_coeffs,
                             zero_curvature_residual, sinh_gordon_residual,
                             linearization_constraint_residual, linear_system_residual)
 from .inducer import (Surface, FundamentalForms, induce_surface, path_independence_report,

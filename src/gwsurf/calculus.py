@@ -136,15 +136,15 @@ def _gradient(field, axis: int):
     """(d/dx or d/dy stencil, its mask) of a field, for axis 0 or 1.
 
     Fields are immutable, so each axis is differenced at most once per
-    field; the result is kept on the field.
+    field; the result is kept in the field's memo, keyed by the axis.
     """
-    got = field._grad.get(axis)
+    got = field._memo.get(axis)
     if got is None:
         h = field.grid.hx if axis == 0 else field.grid.hy
         got = _axis_apply(_d1, field, h, axis)
         for arr in got:
             arr.setflags(write=False)
-        field._grad[axis] = got
+        field._memo[axis] = got
     return got
 
 

@@ -70,7 +70,7 @@ FD_SAFETY = 10.0
 
 # ---------------------------------------------------------------------------
 # configuration: one row per key drives the config file, the flags, the
-# report stamp, the glue for negative values and the commands that read it
+# report stamp and the commands that read it
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -169,7 +169,6 @@ class _Key:
     flag: str                   # command-line flag
     parse: Callable             # text (flag or config file) -> value
     report: Callable | None = None  # value -> report-config JSON; None: not stamped
-    signed: bool = False        # the flag takes values that begin with '-'
     param: str | None = None    # a family parameter: its key in SolutionFamily.params
     # the commands that read the key; any other takes it only at its default
     commands: tuple = ("verify", "induce")
@@ -177,16 +176,14 @@ class _Key:
 
 _KEYS = (
     _Key("family", "family", "--family", _choice("family", FAMILY_NAMES), report=_json),
-    _Key("lambda", "lam", "--lambda", _optional(_finite), report=_json, signed=True,
-         param="lambda"),
-    _Key("a", "a", "--A", _optional(_finite), report=_json, signed=True, param="A"),
-    _Key("h0", "h0", "--H0", _finite, report=_json, signed=True, param="H0"),
+    _Key("lambda", "lam", "--lambda", _optional(_finite), report=_json, param="lambda"),
+    _Key("a", "a", "--A", _optional(_finite), report=_json, param="A"),
+    _Key("h0", "h0", "--H0", _finite, report=_json, param="H0"),
     _Key("grid", "grid", "--grid", _parse_grid, report=lambda g: f"{g[0]}x{g[1]}"),
-    _Key("domain", "domain", "--domain", _optional(_domain),
-         report=_json, signed=True),
+    _Key("domain", "domain", "--domain", _optional(_domain), report=_json),
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
-         report=_json, signed=True, commands=("induce",)),
-    _Key("tol_scale", "tol_scale", "--tol-scale", _tol_scale, report=_json, signed=True),
+         report=_json, commands=("induce",)),
+    _Key("tol_scale", "tol_scale", "--tol-scale", _tol_scale, report=_json),
     _Key("levels", "levels", "--levels", int, report=_json, commands=("verify",)),
     _Key("jobs", "jobs", "--jobs", int, commands=()),
     _Key("out", "out", "--out", str, commands=("verify", "induce", "report")),
@@ -730,12 +727,13 @@ def _resolve(argv) -> tuple[str, RunConfig]:
 
 
 def _glue_negative_values(argv):
-    """Join signed-value flags with a next argument that begins with a minus
-    sign, so invocations like --domain -1,1,-1,1 parse as intended."""
-    signed = {key.flag for key in _KEYS if key.signed}
+    """Join every key's flag with a next argument that begins with a minus
+    sign, so invocations like --domain -1,1,-1,1 parse as intended: each
+    flag takes a value, and its own parser judges one like -3x3."""
+    flags = {key.flag for key in _KEYS}
     out = []
     for tok in argv:
-        if out and out[-1] in signed and tok.startswith("-"):
+        if out and out[-1] in flags and tok.startswith("-"):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -98,10 +98,6 @@ class SolutionFamily:
             return psi_from_rho(self.rho(grid), self.h(grid))
         return SpinorField(sample(self.psi1_form, grid), sample(self.psi2_form, grid))
 
-    def default_grid(self, nx: int = 101, ny: int = 101) -> GridSpec:
-        x0, x1, y0, y1 = self.default_domain
-        return GridSpec(x0, x1, y0, y1, nx, ny)
-
 
 def _one_dimensional(name, params, rho, drho, h, p0, ddbar_inv_h=None, guard=None,
                      default_domain=(-1.0, 1.0, -1.0, 1.0)) -> SolutionFamily:

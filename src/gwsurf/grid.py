@@ -8,10 +8,10 @@ entries are stored as zero and never contribute to norms, and derivative
 stencils treat them as missing data.
 
 Fields are immutable after construction. Every operation downstream is a
-pure function of its inputs. A field keeps two memos, neither of which
-changes a value: its first-derivative stencils by axis (see calculus)
-and, when it has an analytic source, the jet that source makes on first
-use (see closedform).
+pure function of its inputs. What a field keeps changes no value: one
+memo dict, where the operators that read the field store what they
+derived from it once, and, when it has an analytic source, the jet that
+source makes on first use (see closedform).
 
 Storage. A field stores its values and mask as two arrays of one shape:
 the grid's (nx, ny), or one column (nx, 1) when both depend on x only,
@@ -170,11 +170,9 @@ class _Field:
         self._values = values
         self._mask = mask
         self.source = source
-        # first-derivative stencils by axis, filled lazily by calculus
-        self._grad = {}
-        # (d ln H, dbar ln H, mask) of a mean curvature, filled lazily by
-        # weierstrass.log_derivatives
-        self._log_derivatives = None
+        # values derived from this field once and kept, filled lazily by the
+        # operators that read it, each under its own keys
+        self._memo = {}
 
     @property
     def stored(self) -> tuple[np.ndarray, np.ndarray]:

@@ -44,13 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Surface:
-    """Coordinate fields over the grid, integrated from `basepoint`. X1 and
+    """Coordinate fields over the grid, integrated from a basepoint. X1 and
     X2 are the real and imaginary parts of the one integral of X1 + i X2."""
 
     x1: RealField
     x2: RealField
     x3: RealField
-    basepoint: complex
 
     @property
     def grid(self) -> GridSpec:
@@ -157,13 +156,10 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         raise NumericalBreakdown("every integration path crosses a masked point")
     x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
 
-    xs = grid.xs()
-    ys = grid.ys()
     return Surface(
         x1=RealField._derived(grid, np.where(badmask, 0, plus.real), badmask),
         x2=RealField._derived(grid, np.where(badmask, 0, plus.imag), badmask),
         x3=RealField._derived(grid, np.where(badmask, 0, x3), badmask),
-        basepoint=complex(xs[i0], ys[j0]),
     )
 
 

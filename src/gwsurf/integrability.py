@@ -24,8 +24,7 @@ from .reporting import STENCIL_RINGS, ResidualReport, _unmasked, report_from_par
 from .weierstrass import SpinorField, current_J, density_p, log_derivatives
 
 __all__ = [
-    "RiccatiCoeffs", "HolomorphicProfile",
-    "h_integrability_residual", "h_from_profile",
+    "RiccatiCoeffs", "h_integrability_residual", "h_from_profile",
     "riccati_residual", "fit_riccati_coeffs", "zero_curvature_residual",
     "sinh_gordon_residual", "linearization_constraint_residual",
     "linear_system_residual",
@@ -56,36 +55,29 @@ class RiccatiCoeffs:
         return self.a10.grid
 
 
-@dataclass(frozen=True)
-class HolomorphicProfile:
-    """One-argument profile Q, holomorphic and real-valued on the real axis."""
-
-    q: Callable
-
-    def __post_init__(self):
-        try:
-            probe = complex(np.asarray(self.q(0.37 + 0.0j)).reshape(()))
-        except TypeError as exc:
-            raise ValueError("profile must be a callable of one argument") from exc
-        if not np.isfinite(probe):
-            raise ValueError("profile is singular at the probe point")
-        for x in (0.11, 0.37, 0.73):
-            val = complex(np.asarray(self.q(complex(x))).reshape(()))
-            if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-                raise ValueError("profile is not real-valued on the real axis")
-
-
-def h_from_profile(q) -> ClosedForm:
+def h_from_profile(q: Callable) -> ClosedForm:
     """H = 1/(Q(z) + Q(zbar)); points where |Q(z) + Q(zbar)| < 1e-12 are masked.
 
+    `q` is a one-argument profile Q, holomorphic and real-valued on the
+    real axis; ValueError when it takes another number of arguments, is
+    singular at the probe point 0.37 or is not real at 0.11, 0.37, 0.73.
     The construction satisfies the integrability criterion by design:
     the z-term is killed by dbar and the zbar-term by d.
     """
-    profile = q if isinstance(q, HolomorphicProfile) else HolomorphicProfile(q)
+    try:
+        probe = complex(np.asarray(q(0.37 + 0.0j)).reshape(()))
+    except TypeError as exc:
+        raise ValueError("profile must be a callable of one argument") from exc
+    if not np.isfinite(probe):
+        raise ValueError("profile is singular at the probe point")
+    for x in (0.11, 0.37, 0.73):
+        val = complex(np.asarray(q(complex(x))).reshape(()))
+        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+            raise ValueError("profile is not real-valued on the real axis")
 
     def denominator(z):
         z = np.asarray(z, dtype=complex)
-        return np.asarray(profile.q(z)) + np.asarray(profile.q(np.conj(z)))
+        return np.asarray(q(z)) + np.asarray(q(np.conj(z)))
 
     def value(z):
         den = denominator(z)

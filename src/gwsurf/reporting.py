@@ -3,9 +3,9 @@
 Every verification operation returns a ResidualReport: the grid, the max
 norm and the grid-weighted L2 norm of one or more residual fields, and
 the masked-point count. Its `parts` break a multi-equation residual into
-its named components (`part(name)` looks one up), and its `details`
-carry operation-specific scalars (variances, flags). Values and masks
-may be stored columns (see grid); the norms read them at that shape.
+its named components, and its `details` carry operation-specific
+scalars (variances, flags). Values and masks may be stored columns (see
+grid); the norms read them at that shape.
 """
 from __future__ import annotations
 
@@ -123,12 +123,6 @@ class ResidualReport:
     masked_points: int
     parts: tuple = ()
     details: dict = dc_field(default_factory=dict)
-
-    def part(self, name: str) -> ResidualPart:
-        for p in self.parts:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
 
 def report_from_parts(grid: GridSpec, parts, details=None,

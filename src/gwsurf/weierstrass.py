@@ -50,10 +50,6 @@ class SpinorField:
         return self.psi1.grid
 
     @property
-    def mask(self) -> np.ndarray:
-        return self.psi1.mask
-
-    @property
     def stored(self) -> tuple[np.ndarray, np.ndarray]:
         """psi1's stored (values, mask); its mask is the pair's (see grid)."""
         return self.psi1.stored
@@ -67,8 +63,8 @@ def log_derivatives(h: RealField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arrays (see grid); requires H > 0 on the unmasked region.
 
     Fields are immutable, so ln H is built and differenced once per field
-    and the result kept on it, as its stencils are (see calculus)."""
-    got = h._log_derivatives
+    and the result kept in its memo, as its stencils are (see calculus)."""
+    got = h._memo.get("log_derivatives")
     if got is None:
         if np.any((h.stored[0] <= 0) & ~h.stored[1]):
             raise NumericalBreakdown("ln H undefined: H <= 0 at unmasked points")
@@ -77,7 +73,7 @@ def log_derivatives(h: RealField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lzb = d_zbar(ln)
         mask = lz.stored[1] | lzb.stored[1]
         mask.setflags(write=False)
-        got = h._log_derivatives = (lz.stored[0], lzb.stored[0], mask)
+        got = h._memo["log_derivatives"] = (lz.stored[0], lzb.stored[0], mask)
     return got
 
 

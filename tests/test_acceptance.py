@@ -105,7 +105,7 @@ def test_criterion_2_fd_convergence():
 def _roundtrip_gap(fam, g):
     s = fam.spinor(g).without_sources()
     back = psi_from_rho(rho_from_psi(s), fam.h(g).without_source())
-    mask = s.mask | back.mask
+    mask = s.psi1.mask | back.psi1.mask
     err = np.maximum(np.abs(back.psi1.values - s.psi1.values),
                      np.abs(back.psi2.values - s.psi2.values))
     return float(np.max(err[~mask], initial=0.0))

@@ -278,7 +278,7 @@ def test_library_call_returns_what_its_suite_reports(family, suite, call):
     # 21x21 every stencil row's largest residual lies on a boundary ring
     from gwsurf.cli import SUITES, _level_inputs, _run_level
     fam = gwsurf.build_family(family)
-    g = fam.default_grid(21, 21)
+    g = gwsurf.GridSpec(*fam.default_domain, 21, 21)
     (spec,) = [s for s in SUITES if s.name == suite]
     (rep,) = _run_level([spec], fam, g)
     assert call(_level_inputs(fam, g)).max_norm == rep.max_norm
@@ -742,6 +742,15 @@ class TestCountValidation:
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert run(["verify", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("flag", [k.flag for k in _KEYS if k.flag != "--out"])
+    def test_value_with_a_minus_sign_reaches_the_flags_parser(self, tmp_path, capsys, flag):
+        # every flag takes a value, so one that begins with '-' is the
+        # flag's to judge, not argparse's (--out -d names a directory)
+        out = tmp_path / "out"
+        assert run(["verify", flag, "-zzz", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 

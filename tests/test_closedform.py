@@ -211,7 +211,7 @@ def test_psi_from_rho_asks_each_form_for_values_and_full_order_once_each():
     # jet, and so does H's, whatever is asked of the component
     from gwsurf import build_family, psi_from_rho, sample_real
     fam = build_family("rational", lam=1.3)
-    g = fam.default_grid(9, 7)
+    g = GridSpec(*fam.default_domain, 9, 7)
     asked = {"rho": [], "h": []}
 
     def recorded(name, form):
@@ -275,7 +275,7 @@ def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
     for name, kw in (("rational", {"lam": 1.3}), ("exponential", {"lam": 0.7}),
                      ("trig", {"a": 1.5})):
         fam = build_family(name, **kw)
-        g = fam.default_grid(19, 13)
+        g = GridSpec(*fam.default_domain, 19, 13)
         rho, h = fam.rho(g), fam.h(g)
         assert rho.stored[0].shape == h.stored[0].shape == (g.nx, 1)
         mesh_rho = sample(dataclasses.replace(fam.rho_form, diagonal=False), g)

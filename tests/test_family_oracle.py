@@ -7,7 +7,7 @@ pytest.importorskip("sympy")
 
 from sympy_oracle import family_exprs  # noqa: E402
 
-from gwsurf import build_family, d_z, d_zbar, mixed_dzbar_dz, sample  # noqa: E402
+from gwsurf import GridSpec, build_family, d_z, d_zbar, mixed_dzbar_dz, sample  # noqa: E402
 from gwsurf.closedform import Jet  # noqa: E402
 
 SWEEP = ([("rational", {"lam": v}) for v in (0.5, 1.0, 1.3, 2.0)]
@@ -44,7 +44,7 @@ def test_random_parameters_match_symbolic_derivatives(name, data):
 def _check_slots(name, kw):
     fam = build_family(name, **kw)
     oracle = family_exprs(name, **kw)
-    g = fam.default_grid(101, 3)
+    g = GridSpec(*fam.default_domain, 101, 3)
     z, keep = g.zmesh(), ~fam.rho(g).mask
     forms = {attr: getattr(fam, attr) for attr in ("h_form", "rho_form", "psi1_form", "psi2_form")
              if getattr(fam, attr) is not None}

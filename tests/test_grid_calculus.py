@@ -143,8 +143,9 @@ class TestValidationContract:
 
 
 class TestGradientOnce:
-    """The x and y stencils of a field are computed once and shared by
-    d_z, d_zbar, dx, dy and the field's without_source() views."""
+    """The x and y stencils of a field are computed once, kept in its
+    memo and shared by d_z, d_zbar, dx and dy. A without_source() view is
+    a new field: it starts with an empty memo."""
 
     @pytest.fixture
     def d1_calls(self, monkeypatch):
@@ -183,7 +184,7 @@ class TestGradientOnce:
         coeffs = fit_riccati_coeffs(rho)
         zero_curvature_residual(coeffs)
         assert d1_calls == [(21, 1)] * (1 + 6)
-        assert not any(f._grad for f in coeffs.fields())
+        assert not any(f._memo for f in coeffs.fields())
 
     def test_log_derivatives_once_per_field(self, d1_calls):
         # the sigma, deformed-LL and linear-system residuals share one ln H

@@ -27,7 +27,7 @@ def zero_spinor(g=G):
 def param_surface(g, fx, fy, fz, mask=None):
     X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     return Surface(RealField(g, fx(X, Y), mask), RealField(g, fy(X, Y), mask),
-                   RealField(g, fz(X, Y), mask), basepoint=0j)
+                   RealField(g, fz(X, Y), mask))
 
 
 def sphere_surface(r=2.0, n=81):
@@ -108,8 +108,10 @@ class TestInduce:
 
     def test_default_basepoint_is_domain_center(self):
         s = family_rational(1.0).spinor(G)
-        srf = induce_surface(s)
-        assert srf.basepoint == 0j
+        srf, centred = induce_surface(s), induce_surface(s, 0j)
+        for a, b in zip((srf.x1, srf.x2, srf.x3), (centred.x1, centred.x2, centred.x3)):
+            assert np.array_equal(a.values, b.values)
+            assert a.values[G.center_index()] == 0.0
 
 
 class TestPathIndependence:
@@ -462,7 +464,7 @@ def test_fundamental_forms_match_the_stacked_einsum_bitwise(name):
 def test_fundamental_forms_leave_no_stencil_on_the_surface():
     srf = induced("rational")
     fundamental_forms(srf)
-    assert all(not c._grad for c in (srf.x1, srf.x2, srf.x3))
+    assert all(not c._memo for c in (srf.x1, srf.x2, srf.x3))
 
 
 def test_fundamental_forms_peak_memory():

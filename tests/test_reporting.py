@@ -18,7 +18,7 @@ def test_report_fields():
     assert rep.max_norm == 3.0
     assert rep.masked_points == 0
     assert [p.name for p in rep.parts] == ["only"]
-    assert rep.part("only").max_norm == 3.0
+    assert rep.parts[0].max_norm == 3.0
     assert rep.details == {"extra": 1.0}
 
 
@@ -59,7 +59,7 @@ def test_headline_is_worst_part():
     b = np.full(g.shape, 2.0)
     rep = report_from_parts(g, [("a", a, None), ("b", b, None)])
     assert rep.max_norm == 2.0
-    assert rep.part("a").max_norm == 0.5
+    assert rep.parts[0].max_norm == 0.5
 
 
 def test_headline_propagates_nan():
@@ -71,7 +71,7 @@ def test_headline_propagates_nan():
                   [("b", broken, None), ("a", finite, None)]):
         rep = report_from_parts(g, parts)
         assert np.isnan(rep.max_norm) and np.isnan(rep.l2_norm)
-        assert rep.part("a").max_norm == 1.0
+        assert {p.name: p.max_norm for p in rep.parts}["a"] == 1.0
 
 
 def test_worst():
@@ -159,7 +159,7 @@ def _check_column_case(grid, column, mask, rings):
     expanded = report_from_parts(grid, [(n, _expanded(v, grid), _expanded(m, grid))
                                         for n, v, m in parts], exclude_rings=rings)
     assert _report_bits_equal(got, expanded)
-    assert all(map(_same, (got.part("v").max_norm, got.part("v").l2_norm), want))
+    assert all(map(_same, (got.parts[0].max_norm, got.parts[0].l2_norm), want))
     # the sums over points that verify's runners take (run_roundtrip_fd,
     # the constraint residual's p mean and variance) and cli._max_abs
     assert _same(_max_abs(grid, column, mask), _max_abs(grid, full, full_mask))
