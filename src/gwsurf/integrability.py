@@ -116,12 +116,6 @@ def riccati_residual(rho: ComplexField, c: RiccatiCoeffs) -> ResidualReport:
                              exclude_rings=STENCIL_RINGS)
 
 
-def _neighbourhoods(arr: np.ndarray) -> np.ndarray:
-    """(nx, ny, 3, 3) view of every point's clamped 3x3 neighbourhood:
-    [i, j, 1 + di, 1 + dj] is arr at (i + di, j + dj), clamped to the grid."""
-    return sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
-
-
 _FIT_POINTS = 4096
 
 
@@ -131,8 +125,13 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     Coefficients solving the constraints are not unique pointwise; the fit
     turns the existence statement into a testable field. Each point's six
     coefficients come from two independent min-norm least-squares fits
-    (one per constraint) against the monomials 1, rho, rho^2 of its
-    clamped 3x3 neighborhood. Masked neighbors drop out with zero weight.
+    (one per constraint) against 1, u, u^2 over its clamped 3x3
+    neighborhood, mapped back to 1, rho, rho^2. u = (rho - rho0) / s is
+    centred on the point's own rho0 and scaled by the largest |rho - rho0|
+    over its valid neighbours (1 where that is 0): in rho itself the
+    design's condition, and the round-off, would grow like 1/h^2. On data
+    of z + conj(z) the fit interpolates exactly. Masked neighbors drop out
+    with zero weight.
 
     Points are fitted in blocks of whole grid rows, about _FIT_POINTS
     points and at least one row each: a block's designs are built and
@@ -148,8 +147,11 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
     dbrho, m2 = d_zbar(rho).stored
     valid = ~(rho.stored[1] | m1 | m2)
     nx, ny = valid.shape
-    rho_n, drho_n, dbrho_n, ok_n = (_neighbourhoods(np.broadcast_to(a, valid.shape))
-                                    for a in (rho.stored[0], drho, dbrho, valid))
+    # every point's clamped 3x3 neighbourhood: [i, j, 1 + di, 1 + dj] is the
+    # value at (i + di, j + dj), clamped to the grid; flattened, entry 4 is (i, j)
+    rho_n, drho_n, dbrho_n, ok_n = (
+        sliding_window_view(np.pad(np.broadcast_to(a, valid.shape), 1, mode="edge"), (3, 3))
+        for a in (rho.stored[0], drho, dbrho, valid))
 
     coef = np.empty((6, nx, ny), dtype=complex)
     step = max(1, _FIT_POINTS // ny)
@@ -157,10 +159,16 @@ def fit_riccati_coeffs(rho: ComplexField) -> RiccatiCoeffs:
         rows = slice(i, i + step)
         r = rho_n[rows].reshape(-1, 9)
         w = ok_n[rows].reshape(-1, 9).astype(float)
-        pinv = np.linalg.pinv(np.stack([np.ones_like(r), r, r**2], axis=-1) * w[..., None])
+        r0 = r[:, 4]
+        s = np.max(np.abs(r - r0[:, None]) * w, axis=1)
+        s[s == 0] = 1.0
+        u = (r - r0[:, None]) / s[:, None]
+        pinv = np.linalg.pinv(np.stack([np.ones_like(u), u, u**2], axis=-1) * w[..., None])
         for rhs_n, out in ((drho_n, coef[:3]), (dbrho_n, coef[3:])):
-            c = np.einsum("...ck,...k->...c", pinv, rhs_n[rows].reshape(-1, 9) * w)
-            out[:, rows] = c.T.reshape(3, -1, ny)
+            c0, c1, c2 = np.einsum("...ck,...k->...c", pinv, rhs_n[rows].reshape(-1, 9) * w).T
+            a2 = c2 / s**2
+            a = (c0 - c1 * r0 / s + a2 * r0**2, c1 / s - 2 * a2 * r0, a2)
+            out[:, rows] = np.reshape(a, (3, -1, ny))
     mask = ~valid
     coef[:, mask] = 0
     mask.setflags(write=False)

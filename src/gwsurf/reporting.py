@@ -76,17 +76,12 @@ def _masked_count(mask, grid: GridSpec) -> int:
     return int(np.count_nonzero(mask)) * (grid.nx * grid.ny // mask.size)
 
 
-def norms(values: np.ndarray, grid: GridSpec, mask=None) -> tuple[float, float]:
-    """(max |v|, sqrt(sum |v|^2 hx hy)) over unmasked points; zeros if empty.
-    `values` and `mask` may be columns, read without expanding them (see
-    `_norms`)."""
-    return _norms(values, grid, mask, 0)
+def norms(values, grid: GridSpec, mask=None, rings: int = 0) -> tuple[float, float]:
+    """(max |v|, sqrt(sum |v|^2 hx hy)) over the unmasked points outside
+    `rings` boundary rings; zeros if there are none.
 
-
-def _norms(values, grid: GridSpec, mask, rings: int) -> tuple[float, float]:
-    """`norms` over the points outside `rings` boundary rings.
-
-    On a column the max is taken over its kept entries, and its squares
+    `values` and `mask` may be columns, read without expanding them. On a
+    column the max is taken over its kept entries, and its squares
     are repeated once per kept point before they are summed: the sum then
     runs over the array that squaring the grid's unmasked values gives,
     so numpy's pairwise summation returns the same bits. (Summing
@@ -141,7 +136,7 @@ def report_from_parts(grid: GridSpec, parts, details=None,
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             union = mask if union is None else union | mask
-        out_parts.append(ResidualPart(pname, *_norms(values, grid, mask, exclude_rings)))
+        out_parts.append(ResidualPart(pname, *norms(values, grid, mask, exclude_rings)))
     return ResidualReport(
         grid=grid,
         max_norm=worst(*(p.max_norm for p in out_parts)),
