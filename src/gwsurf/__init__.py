@@ -9,8 +9,7 @@ explicit solution families attached to it.
 __version__ = "0.1.0"
 
 from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown
-from .closedform import (ClosedForm, Jet, sample, sample_real, diagonal_form, holomorphic_form,
-                         constant_form, pointwise, jet_dz, jet_dzbar,
+from .closedform import (ClosedForm, Jet, sample, sample_real, form, diagonal_form, pointwise,
                          exp, sin, cos, sqrt, log, conj)
 from .calculus import d_z, d_zbar, mixed_dzbar_dz, dx, dy, dxx, dyy
 from .reporting import ResidualReport, ResidualPart, report_from_parts, norms, worst

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, RealField
-from .closedform import _Source, jet_dz, jet_dzbar
+from .closedform import Jet, _Source
 
 __all__ = ["dx", "dy", "dxx", "dyy", "d_z", "d_zbar", "mixed_dzbar_dz"]
 
@@ -179,27 +179,32 @@ def _fd_wirtinger(field, sign: float) -> ComplexField:
     return ComplexField._derived(field.grid, vals, mask)
 
 
-def _analytic(field, step):
-    """d_z (step = jet_dz) or d_zbar (jet_dzbar) as a slot of the field's
-    jet; None unless the field has a source of order 1 or more."""
+def _derivative(j, i) -> Jet:
+    """The jet of d_i f from f's jet j (its third-order slots are unknown)."""
+    return Jet(j.d[i], *j.dd[i:i + 2])
+
+
+def _analytic(field, i):
+    """d_z (i = 0) or d_zbar (i = 1) as a slot of the field's jet; None
+    unless the field has a source of order 1 or more."""
     src = getattr(field, "source", None)
     if src is None or src.order == 0:
         return None
     mask = field.stored[1]
-    deriv = _Source(src.order - 1, lambda: step(src.jet()))
+    deriv = _Source(src.order - 1, lambda: _derivative(src.jet(), i))
     return ComplexField._derived(field.grid, np.where(mask, 0, deriv.jet(0).f), mask,
                                  source=deriv)
 
 
 def d_z(field) -> ComplexField:
     """Wirtinger derivative d/dz; analytic when the field's source provides it."""
-    out = _analytic(field, jet_dz)
+    out = _analytic(field, 0)
     return out if out is not None else _fd_wirtinger(field, -1.0)
 
 
 def d_zbar(field) -> ComplexField:
     """Wirtinger derivative d/dzbar; analytic when available."""
-    out = _analytic(field, jet_dzbar)
+    out = _analytic(field, 1)
     return out if out is not None else _fd_wirtinger(field, +1.0)
 
 

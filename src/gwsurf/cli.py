@@ -536,12 +536,17 @@ def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
 
     A family parameter set away from its default for a family that does not
     read it is a usage error (ValueError): it would be stamped into every
-    report without shaping any result."""
+    report without shaping any result. So is a run without --domain where
+    the family has no default domain at its parameters."""
     fam = build_family(cfg.family, lam=cfg.lam, a=cfg.a, h0=cfg.h0)
     for key in _KEYS:
         if key.param and key.param not in fam.params and _away(cfg, key):
             raise ValueError(f"{key.flag}: the {cfg.family} family takes no {key.flag[2:]}")
-    grids = [GridSpec(*(cfg.domain or fam.default_domain), *cfg.grid)]
+    domain = cfg.domain or fam.default_domain
+    if domain is None:
+        raise ValueError(f"--domain: the {cfg.family} family has no default domain at "
+                         + ", ".join(f"{k} = {v}" for k, v in fam.params.items()) + "; set one")
+    grids = [GridSpec(*domain, *cfg.grid)]
     for _ in range(cfg.levels - 1):
         grids.append(grids[-1].refined())
     return fam, grids

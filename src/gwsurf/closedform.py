@@ -18,20 +18,19 @@ values and derivatives in one forward-mode pass, and the value slot of
 every operation is computed exactly as on the plain path, so the two agree
 bit for bit. No symbolic algebra is involved.
 
-`diagonal_form` and `holomorphic_form` build closed forms from such
-formulas of one variable, run on a seed jet in that variable. A field's
-analytic source is its own jet on the points it stores, made once at the
-source's order on first use and kept: `sample` gives the field the form
-on those points, and `pointwise`, which derives a field from fields
-through one such formula, runs it on their values for the field's values
-and once on their sources' jets for its source, so a derived field's
-formula is written once. A derivative's jet is slots of its field's jet
-(see calculus). Every source starts at `sample`; the public field
-constructors take none.
+`form(fn)` builds a closed form from such a formula of z, `conj`
+included, and `diagonal_form` is `form` of a formula of s = z + conj(z).
+A field's analytic source is its own jet on the points it stores, made
+once at the source's order on first use and kept: `sample` gives the
+field the form on those points, and `pointwise`, which derives a field
+from fields through one such formula, runs it on their values for the
+field's values and once on their sources' jets for its source, so a
+derived field's formula is written once. A derivative's jet is slots of
+its field's jet (see calculus). Every source starts at `sample`; the
+public field constructors take none.
 
-`sample` evaluates a diagonal form (one that depends on z only through
-s = z + conj(z)) on the grid's first column only, and the field it
-returns stores that column (see grid).
+`sample` evaluates a diagonal form, and its guard, on the grid's first
+column only, and the field it returns stores that column (see grid).
 """
 from __future__ import annotations
 
@@ -43,9 +42,7 @@ import numpy as np
 from .grid import ComplexField, GridSpec, RealField, _shared
 
 __all__ = [
-    "ClosedForm", "Jet", "sample", "sample_real",
-    "diagonal_form", "holomorphic_form", "constant_form",
-    "pointwise", "jet_dz", "jet_dzbar",
+    "ClosedForm", "Jet", "sample", "sample_real", "form", "diagonal_form", "pointwise",
     "exp", "sin", "cos", "sqrt", "log", "conj",
 ]
 
@@ -158,16 +155,6 @@ def _rule(order, f, first, second) -> Jet:
     return Jet(f, *d, second(0, 0, d), second(0, 1, d), second(1, 1, d))
 
 
-def jet_dz(a: Jet) -> Jet:
-    """Jet of the z-derivative (third-order slots are unknown)."""
-    return Jet(a.fz, a.fzz, a.fzzb) if a.fz is not None else None
-
-
-def jet_dzbar(a: Jet) -> Jet:
-    """Jet of the zbar-derivative (third-order slots are unknown)."""
-    return Jet(a.fzb, a.fzzb, a.fzbzb) if a.fzb is not None else None
-
-
 def exp(t):
     if not isinstance(t, Jet):
         return np.exp(t)
@@ -227,8 +214,8 @@ class ClosedForm:
     order asked for. domain_guard(z) returns True at singular points;
     sampling masks them. `diagonal` records that every slot, and the
     guard, depend on z only through s = z + conj(z) (set by
-    `diagonal_form`): `sample` then evaluates the form and its guard on
-    the grid's first column only.
+    `diagonal_form`, which builds both from functions of s): `sample`
+    then evaluates the form and its guard on the grid's first column.
     """
 
     jet_fn: Callable = field(repr=False)
@@ -277,12 +264,10 @@ def _broadcast(vals, z) -> np.ndarray:
 def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
     """Evaluate a closed form on a grid; guard-marked points are masked.
 
-    A diagonal form is evaluated on the grid's first column, x + 1j*y_min,
-    and the field stores that column. Its guard also runs on the last
-    column, and ValueError is raised when the two columns' guards differ,
-    as a guard that depends on y does. A non-finite value at an unguarded
-    point raises NumericalBreakdown. The field's source is the form's jet
-    on the same points, at the form's order.
+    A diagonal form, and its guard, are evaluated on the grid's first
+    column, x + 1j*y_min, and the field stores that column. A non-finite
+    value at an unguarded point raises NumericalBreakdown. The field's
+    source is the form's jet on the same points, at the form's order.
     """
     # the first column is computed as zmesh() computes it, bit for bit
     z = grid.xs()[:, None] + 1j * grid.ys()[:1] if cf.diagonal else grid.zmesh()
@@ -290,11 +275,7 @@ def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
         vals = _broadcast(cf.jet(z, 0).f, z)
     mask = np.zeros(z.shape, dtype=bool)
     if cf.domain_guard is not None:
-        zg = grid.xs()[:, None] + 1j * grid.ys()[[0, -1]] if cf.diagonal else z
-        guard = np.broadcast_to(np.asarray(cf.domain_guard(zg), dtype=bool), zg.shape)
-        if cf.diagonal and not np.array_equal(guard[:, 0], guard[:, 1]):
-            raise ValueError("the guard of a diagonal form depends on y")
-        mask |= guard[:, :1] if cf.diagonal else guard
+        mask |= np.asarray(cf.domain_guard(z), dtype=bool)
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask,
                                  source=_Source(cf.order, lambda: cf.jet(z)))
 
@@ -342,51 +323,41 @@ def pointwise(fn: Callable, *fields, mask=None):
 
 
 # ---------------------------------------------------------------------------
-# builders that run formulas of one variable on seed jets
+# the builder: a formula of z run on the seed jet of z
 
-def _run(fn, t, seed, order, z) -> Jet:
-    """fn's jet up to `order` at t, where t's derivative slots are `seed`,
-    broadcast to z's shape. Order 0 runs fn on the plain array t; a result
-    that is a constant has zero derivatives."""
+def _run(fn, z, order) -> Jet:
+    """fn's jet up to `order` at z, broadcast to z's shape. Order 0 runs fn
+    on the plain array z, higher orders on the seed Jet(z, 1, 0, 0, 0, 0);
+    a result that is a constant has zero derivatives."""
+    z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        out = fn(Jet(t, *seed[:(0, 2, 5)[order]]) if order else t)
+        out = fn(Jet(z, *(1.0, 0.0, 0.0, 0.0, 0.0)[:(0, 2, 5)[order]]) if order else z)
     slots = out.slots() if isinstance(out, Jet) else (out, 0.0, 0.0, 0.0, 0.0, 0.0)
     return Jet(*(_broadcast(v, z) for v in slots[:(1, 3, 6)[order]]))
+
+
+def form(fn) -> ClosedForm:
+    """Closed form of order 2 given by a formula of z.
+
+    `fn(z)` is a formula in the operators and the functions `exp`, `sin`,
+    `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`). It runs on the
+    seed Jet(z, 1, 0, 0, 0, 0), whose `conj` is the seed of zbar, so every
+    slot of a formula of z and conj(z) is exact.
+    """
+    return ClosedForm(lambda z, order: _run(fn, z, order), 2)
 
 
 def diagonal_form(fn, guard=None) -> ClosedForm:
     """Closed form depending on z only through s = z + conj(z).
 
-    `fn(s)` is a formula in the operators and the functions `exp`, `sin`,
-    `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`). All Wirtinger
-    derivatives collapse to d/ds, which is what makes the one-dimensional
-    solution families exactly differentiable: the jet is (f, f', f', f'',
-    f'', f''), from one run of `fn` on the seed Jet(s, 1, 1, 0, 0, 0).
-    `guard`, like `fn`, depends on z only through s: `sample` runs both on
-    the grid's first column only.
+    It is `form` of fn(z + conj(z)): d s = dbar s = 1, so the z and zbar
+    slots agree bit for bit and the jet is (f, f', f', f'', f'', f'').
+    `guard(s)` is composed the same way, so `sample` runs both on the
+    grid's first column only. s is complex with a zero imaginary part,
+    which keeps square roots of negative reals on the principal branch.
     """
-    def jet_fn(z, order):
-        # complex-typed s keeps square roots of negative reals on the
-        # principal branch instead of collapsing to nan
-        s = (2.0 * np.real(z)).astype(complex)
-        return _run(fn, s, (1.0, 1.0, 0.0, 0.0, 0.0), order, z)
+    def of_s(g):
+        return lambda z: g(z + conj(z))
 
-    return ClosedForm(jet_fn, 2, guard, diagonal=True)
-
-
-def holomorphic_form(fn) -> ClosedForm:
-    """Closed form holomorphic in z; the dbar slots vanish.
-
-    `fn(z)` is a formula as for `diagonal_form` without `conj`; on the seed
-    Jet(z, 1, 0, 0, 0, 0) it gives the complex derivatives d/dz and
-    d^2/dz^2, and its dbar slots stay zero.
-    """
-    def jet_fn(z, order):
-        return _run(fn, np.asarray(z, dtype=complex), (1.0, 0.0, 0.0, 0.0, 0.0), order, z)
-
-    return ClosedForm(jet_fn, 2)
-
-
-def constant_form(c) -> ClosedForm:
-    c = complex(c)
-    return holomorphic_form(lambda z: c)
+    return ClosedForm(form(of_s(fn)).jet_fn, 2, None if guard is None else of_s(guard),
+                      diagonal=True)

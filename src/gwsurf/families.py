@@ -1,9 +1,9 @@
 """Closed-form solution families with analytic derivatives.
 
 Each family packages a compatible triple (H, rho, spinor pair) written as
-formulas of one variable that also run on jets, so every Wirtinger
-derivative needed by the residual suites is exact to round-off. The
-one-dimensional families depend on z only through s = z + conj(z):
+formulas that also run on jets (closedform's `form`, or `diagonal_form`
+of s = z + conj(z) with a guard of s), so every Wirtinger derivative the
+suites need is exact to round-off. The one-dimensional families use s:
 
   rational     rho = lam*s,        H = 1/(1 + lam^2 s^2)
   exponential  rho = exp(lam*s),   H = exp(lam*s)/(1 + exp(2*lam*s))
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, holomorphic_form, sample,
-                         sample_real, sin)
+from .closedform import (ClosedForm, conj, cos, diagonal_form, exp, form, sample, sample_real,
+                         sin)
 from .grid import ComplexField, GridSpec, RealField
 from .sigma import psi_from_rho, psi_pair
 from .weierstrass import SpinorField
@@ -73,7 +73,7 @@ class SolutionFamily:
     constant_rho: bool          # rho is constant: there is no spinor pair
     p0: float | None            # the constant density |psi1|^2 + |psi2|^2, or None
     ddbar_inv_h: float | None   # the constant d dbar(1/H), or None
-    default_domain: tuple = (-1.0, 1.0, -1.0, 1.0)
+    default_domain: tuple | None = (-1.0, 1.0, -1.0, 1.0)  # None: the caller gives one
 
     @property
     def constant_density(self) -> bool:
@@ -118,7 +118,7 @@ def _one_dimensional(name, params, rho, drho, h, p0, ddbar_inv_h=None, guard=Non
 def family_rational(lam: float) -> SolutionFamily:
     """Rationally decaying mean curvature; admissible on the whole plane."""
     if lam == 0:
-        raise ValueError("parameter must be nonzero (rho would be constant)")
+        raise ValueError("lambda must be nonzero (rho would be constant)")
     lam = float(lam)
     # d rho/ds is complex so that sqrt of a negative lam takes the principal branch
     return _one_dimensional(
@@ -130,7 +130,7 @@ def family_rational(lam: float) -> SolutionFamily:
 def family_exponential(lam: float) -> SolutionFamily:
     """Exponential profile rho = exp(lam s); H real analytic everywhere."""
     if lam == 0:
-        raise ValueError("parameter must be nonzero")
+        raise ValueError("lambda must be nonzero (rho would be constant)")
     lam = float(lam)
     return _one_dimensional(
         "exponential", {"lambda": lam}, p0=abs(lam),
@@ -143,10 +143,12 @@ def family_trigonometric(a: float) -> SolutionFamily:
 
     Admissible on the strip 0 < s < pi/(2|A|) shrunk by a guard band of
     0.05 at both ends; there cos(A s) > 0 and H > 0, so the square roots in
-    the spinor transform stay real.
+    the spinor transform stay real. The default domain keeps 0.025 in x
+    inside the band, and is None where that leaves nothing (|A| from about
+    pi/0.4 on).
     """
     if a == 0:
-        raise ValueError("parameter must be nonzero")
+        raise ValueError("A must be nonzero (rho would be constant)")
     a = float(a)
 
     def h(s):
@@ -156,22 +158,22 @@ def family_trigonometric(a: float) -> SolutionFamily:
     s_hi = math.pi / (2 * abs(a))
     lo, hi = 0.05, s_hi - 0.05
     if lo >= hi:
-        raise ValueError("guard band leaves no admissible strip")
+        raise ValueError("|A| must be below pi/0.2: the guard band leaves no admissible strip")
 
-    def guard(z):
-        s = 2.0 * np.real(np.asarray(z))
-        return ~((s > lo) & (s < hi))
+    def guard(s):
+        return ~((s.real > lo) & (s.real < hi))
 
+    x_lo, x_hi = lo / 2 + 0.025, hi / 2 - 0.025
     return _one_dimensional(
         "trig", {"A": a}, p0=abs(a),
         rho=lambda s: sin(a * s), drho=lambda s: a * cos(a * s), h=h, guard=guard,
-        default_domain=(lo / 2 + 0.025, hi / 2 - 0.025, -1.0, 1.0))
+        default_domain=(x_lo, x_hi, -1.0, 1.0) if x_lo < x_hi else None)
 
 
 def family_unimodular(lam: float, h0: float = 1.0) -> SolutionFamily:
     """Unimodular rho = exp(i lam s); exists only with constant H = h0 > 0."""
     if not h0 > 0:      # nan fails this test too
-        raise ValueError("constant mean curvature must be positive")
+        raise ValueError("H0 must be positive (the constant mean curvature)")
     lam, h0 = float(lam), float(h0)
     rho = lambda s: exp(1j * lam * s)
 
@@ -199,11 +201,11 @@ def family_holomorphic(h0: float = 1.0) -> SolutionFamily:
     conj(rho) does not).
     """
     if not h0 > 0:      # nan fails this test too
-        raise ValueError("constant mean curvature must be positive")
+        raise ValueError("H0 must be positive (the constant mean curvature)")
     h0 = float(h0)
     return SolutionFamily(
         name="holomorphic", params={"H0": h0}, h_form=diagonal_form(lambda s: h0),
-        rho_form=holomorphic_form(lambda z: z), psi1_form=None, psi2_form=None,
+        rho_form=form(lambda z: z), psi1_form=None, psi2_form=None,
         constant_h=True, unit_rho=False, constant_rho=False, p0=None, ddbar_inv_h=0.0)
 
 

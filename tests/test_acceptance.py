@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gwsurf import (ComplexField, GridSpec, SpinorField, constant_form, sample_real,
+from gwsurf import (ComplexField, GridSpec, SpinorField, form, sample_real,
                     compatibility_residual, conservation_defect, current_J,
                     dbar_J_defect, deformed_ll_residual, density_p,
                     family_exponential, family_holomorphic, family_rational,
@@ -249,7 +249,7 @@ def test_criterion_9_multisoliton():
     r1 = family_unimodular(1.0, 1.0).rho(SQUARE)
     r2 = family_unimodular(2.0, 1.0).rho(SQUARE)
     prod = multisoliton_product(r1, r2)
-    h0 = sample_real(constant_form(1.0), SQUARE)
+    h0 = sample_real(form(lambda z: 1.0), SQUARE)
     res = sigma_residual(prod, h0).max_norm
     unimod = float(np.max(np.abs(np.abs(prod.values) - 1.0)))
     compat = compatibility_residual(prod, h0).max_norm

@@ -823,6 +823,27 @@ class TestFamilyParameters:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: --H0: ")
 
+    @pytest.mark.parametrize("family, flag, value, name", [
+        ("rational", "--lambda", "0", "lambda"), ("exponential", "--lambda", "0", "lambda"),
+        ("trig", "--A", "0", "A"), ("trig", "--A", "16", "|A|"),
+        ("unimodular", "--H0", "-1", "H0"), ("holomorphic", "--H0", "-1", "H0"),
+    ])
+    def test_bad_parameter_is_named(self, tmp_path, capsys, family, flag, value, name):
+        out = tmp_path / "out"
+        assert run(["verify", "--family", family, flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+
+    def test_family_without_a_default_domain_needs_one(self, tmp_path, capsys):
+        # from |A| = pi/0.4 on, trig's default domain keeps nothing inside its
+        # guard band, while its strip is not empty
+        out = tmp_path / "out"
+        assert run(["verify", "--family", "trig", "--A", "8", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --domain: ")
+        assert run(["verify", "--family", "trig", "--A", "8", "--domain", "0.03,0.07,-1,1",
+                    "--out", str(out)]) == EXIT_OK
+
     @pytest.mark.parametrize("family, params", [
         ("rational", ["--lambda", "1.5", "--H0", "1.0"]),
         ("exponential", ["--lambda", "1.5", "--A", "default"]),

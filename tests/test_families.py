@@ -10,7 +10,7 @@ from gwsurf import (FAMILY_NAMES, GridSpec, RealField, apply_discrete_symmetry,
                     multisoliton_product, psi_from_rho, rho_from_psi, sigma_residual,
                     spin_matrix, weierstrass_residual)
 from gwsurf.calculus import _d1, d_z, dy, mixed_dzbar_dz
-from gwsurf.closedform import holomorphic_form, pointwise, sample
+from gwsurf.closedform import form, pointwise, sample
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
 TRIG_G = GridSpec(0.05, 0.6, -1, 1, 101, 101)
@@ -149,7 +149,7 @@ class TestHolomorphic:
         # family's constant H; the family itself takes rho = z
         h = family_holomorphic(h0=1.0).h(G)
         for fn in (lambda z: z, lambda z: z * z):
-            rep = sigma_residual(sample(holomorphic_form(fn), G), h)
+            rep = sigma_residual(sample(form(fn), G), h)
             assert rep.max_norm < 1e-12
 
     def test_spinor_solves_system(self):

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from gwsurf import (ComplexField, GridSpec, RealField, SpinorField, constant_form,
+from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
                     current_J, d_z, d_zbar, density_p, family_exponential,
                     family_holomorphic, family_rational,
-                    family_trigonometric, fit_riccati_coeffs, h_from_profile,
+                    family_trigonometric, fit_riccati_coeffs, form, h_from_profile,
                     h_integrability_residual, linear_system_residual,
                     linearization_constraint_residual, riccati_residual, sample_real,
                     sinh_gordon_residual, zero_curvature_residual)
@@ -22,7 +22,7 @@ def const_field(c, g=G):
 
 
 def const_h(c, g=G):
-    return sample_real(constant_form(c), g)
+    return sample_real(form(lambda z: c), g)
 
 
 def coeffs(g=G, **kw):

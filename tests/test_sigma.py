@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry, build_family,
-                    compatibility_residual, constant_form, d_z,
+                    compatibility_residual, d_z,
                     deformed_ll_residual, family_exponential, family_rational,
-                    family_trigonometric, family_unimodular,
+                    family_trigonometric, family_unimodular, form,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
                     pointwise, rho_from_psi, sample, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
-from gwsurf.closedform import holomorphic_form
 from gwsurf.sigma import _continue_sign, psi_pair
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
@@ -27,7 +26,7 @@ def rho_of(values, g=G):
 
 
 def const_h(c, g=G):
-    return sample_real(constant_form(c), g)
+    return sample_real(form(lambda z: c), g)
 
 
 class TestRhoFromPsi:
@@ -365,6 +364,6 @@ class TestTransformTheorem:
 
     def test_holomorphic_direction(self):
         h = const_h(1.0)
-        r = sample(holomorphic_form(lambda z: z), G)
+        r = sample(form(lambda z: z), G)
         s = psi_from_rho(r, h)
         assert weierstrass_residual(s, h).max_norm < 1e-12

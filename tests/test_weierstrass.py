@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 
 from gwsurf import (ComplexField, GridSpec, RealField, SpinorField, conservation_defect,
-                    constant_form, current_J, d_zbar, dbar_J_defect, density_p,
-                    family_exponential, family_rational, family_unimodular,
+                    current_J, d_zbar, dbar_J_defect, density_p,
+                    family_exponential, family_rational, family_unimodular, form,
                     gaussian_curvature_from_p, modified_current,
                     potential_conservation_residual, sample_real, weierstrass_residual)
 
 G = GridSpec(-1, 1, -1, 1, 101, 101)
-ONE = sample_real(constant_form(1.0), G)
+ONE = sample_real(form(lambda z: 1.0), G)
 
 
 def zero_spinor(g=G):
