@@ -24,6 +24,7 @@ the density; `fundamental_forms` returns those two curvatures.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -276,32 +277,60 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
                             gauss_curvature=fld((e * g - f**2) / w2))
 
 
-# grid rows formatted together: enough repeats to share each string, while
-# the table stays small when every value is distinct
+# grid rows formatted together: enough repeats to share each string within
+# a block, while the tables stay small when every value is distinct; a
+# value that recurs in the next block keeps its string
 _BLOCK_ROWS = 8
 
 
-def _reprs(values) -> np.ndarray:
+def _reprs(values, last=None):
     """The Python float repr of each of `values`, as an "S" array of their
-    shape. Values are grouped by bit pattern, so 0.0 and -0.0 stay apart,
-    and each distinct one is formatted once."""
+    shape, and the (keys, table) pair of their distinct bit patterns,
+    sorted, and those patterns' reprs. Keying by bit pattern keeps 0.0
+    and -0.0 apart. One argsort gives the keys, by comparing neighbours in
+    sorted order, and each value's key index, by scattering the running
+    key count back through it (a binary search per value is slower when
+    most values are distinct). `last` is the pair of the same column's
+    previous block: only the keys not in it are formatted, so a value is
+    formatted once per run of consecutive blocks it appears in."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    table = np.array(list(map(repr, keys.view(float).tolist())), dtype="S")
-    return table[inverse.reshape(bits.shape)]
+    order = np.argsort(bits, axis=None)
+    ordered = bits.ravel()[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    keys = ordered[first]
+    new = np.ones(len(keys), dtype=bool)
+    if last is not None:
+        old_keys, old_table = last
+        at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
+        np.not_equal(old_keys[at], keys, out=new)
+    fresh = np.array(list(map(repr, keys[new].view(float).tolist())), dtype="S")
+    if new.all():
+        table = fresh
+    else:
+        table = np.empty(len(keys), np.promote_types(fresh.dtype, old_table.dtype))
+        table[new] = fresh
+        table[~new] = old_table[at[~new]]
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return table[inverse.reshape(bits.shape)], (keys, table)
 
 
-def _text(*cols) -> np.ndarray:
+def _text(*cols) -> bytearray:
     """The text of `cols` side by side, element by element in row-major
-    order, as a uint8 array that a binary file's `write` takes as it is:
-    each column is an "S" array, all broadcasting together, or a bytes
-    constant such as b",". The NUL padding of the shorter values is
-    dropped, so no value may contain a NUL byte."""
+    order, as bytes that a binary file's `write` takes as they are: each
+    column is an "S" array, all broadcasting together, or a bytes constant
+    such as b",". The columns are the fields of one structured array laid
+    over one buffer, so each is written into it by one assignment. The
+    NUL padding of the shorter values is dropped, so no value may contain
+    a NUL byte."""
     cols = [np.asarray(c) for c in cols]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
-    buf = np.concatenate([np.broadcast_to(c[..., None].view(np.uint8), (*shape, c.itemsize))
-                          for c in cols], axis=-1).ravel()
-    return buf[buf != 0]
+    dtype = np.dtype([(f"f{k}", c.dtype) for k, c in enumerate(cols)])
+    buf = bytearray(dtype.itemsize * math.prod(shape))
+    lines = np.frombuffer(buf, dtype).reshape(shape)
+    for k, c in enumerate(cols):
+        lines[f"f{k}"] = c
+    return buf.translate(None, b"\0")
 
 
 def _labels(n: int) -> np.ndarray:
@@ -341,9 +370,9 @@ def _write_faces(fh, keep: np.ndarray) -> int:
     return 2 * int(np.count_nonzero(whole))
 
 
-def export_mesh(srf: Surface, path, csv_path, ff: FundamentalForms) -> tuple[int, int]:
-    """Write the surface as an OBJ mesh to `path` and the rows x, y, X1, X2,
-    X3, H_num, K_num to `csv_path` for external plotting, in one pass;
+def export_mesh(srf: Surface, obj_path, csv_path, ff: FundamentalForms) -> tuple[int, int]:
+    """Write the surface as an OBJ mesh to `obj_path` and the rows x, y, X1,
+    X2, X3, H_num, K_num to `csv_path` for external plotting, in one pass;
     deterministic byte-for-byte. Returns the mesh's (vertex count, face
     count).
 
@@ -351,9 +380,10 @@ def export_mesh(srf: Surface, path, csv_path, ff: FundamentalForms) -> tuple[int
     order, then two triangles per fully-unmasked grid cell; the CSV has a
     row per grid point, row-major. `ff` are the surface's fundamental
     forms, for the CSV's curvatures. Values print as Python float reprs. The
-    files are written a block of grid rows at a time: each distinct value
-    in the block is formatted once, for both files, and the lines are
-    assembled as byte arrays, ending in LF on every platform.
+    files are written a block of grid rows at a time: each value is
+    formatted once per run of consecutive blocks it appears in, for both
+    files, and each block's lines are laid into one byte buffer, ending in
+    LF on every platform.
     """
     keep = ~srf.mask
     if not keep.any():
@@ -361,12 +391,13 @@ def export_mesh(srf: Surface, path, csv_path, ff: FundamentalForms) -> tuple[int
     grid = srf.grid
     cols = [srf.x1.values, srf.x2.values, srf.x3.values,
             ff.mean_curvature.values, ff.gauss_curvature.values]
-    xs, ys = _reprs(grid.xs()), _reprs(grid.ys())
-    with open(path, "wb") as obj, open(csv_path, "wb") as csv:
+    (xs, _), (ys, _) = _reprs(grid.xs()), _reprs(grid.ys())
+    last = [None] * len(cols)
+    with open(obj_path, "wb") as obj, open(csv_path, "wb") as csv:
         csv.write(b"x,y,X1,X2,X3,H_num,K_num\n")
         for i in range(0, grid.nx, _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
-            strings = [_reprs(c[rows]) for c in cols]
+            strings, last = zip(*(_reprs(c[rows], t) for c, t in zip(cols, last)))
             cells = [p for s in strings for p in (b",", s)]
             csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
             x1, x2, x3 = (s[keep[rows]] for s in strings[:3])

@@ -683,6 +683,23 @@ def awkward_surface():
     return param_surface(g, *(lambda x, y, c=c: c for c in cols), mask=mask)
 
 
+def carried_surface():
+    """Three export row blocks whose strings carry from block to block: a
+    -0.0 in the first block is 0.0 at the same point of the second, a
+    24-character repr is carried into a block whose new strings are all
+    shorter, and the third block shares no value with the second."""
+    g = GridSpec(-1, 1, -2, 2, 24, 5)
+    widest = -1.2345678901234567e-100
+    first = np.resize([widest, 0.1, 0.30000000000000004, 1e16], (8, 5))
+    first[3, 2] = -0.0
+    second = np.resize([widest, 0.5, 2.0], (8, 5))
+    second[3, 2] = 0.0
+    third = np.resize([3.5, -7.25], (8, 5))
+    x = np.vstack([first, second, third])
+    cols = [x, np.roll(x, 1, axis=1), -x]
+    return param_surface(g, *(lambda u, v, c=c: c for c in cols))
+
+
 def saddle_surface(nx, ny, mask=None):
     g = GridSpec(-1, 1, -1, 1, nx, ny)
     return param_surface(g, lambda x, y: x, lambda x, y: y, lambda x, y: x * y, mask=mask)
@@ -713,8 +730,8 @@ def masked_block_surface():
 
 
 @pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface,
-                                  hundred_vertices, thousand_vertices, ninety_nine_vertices,
-                                  masked_block_surface])
+                                  carried_surface, hundred_vertices, thousand_vertices,
+                                  ninety_nine_vertices, masked_block_surface])
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
     expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
@@ -727,6 +744,22 @@ def test_export_bytes_match_per_element_writers(make, tmp_path):
                        fundamental_forms(srf)) == expect_counts
     assert (tmp_path / "new.obj").read_bytes() == expect_obj
     assert (tmp_path / "new.csv").read_bytes() == expect_csv
+
+
+def test_export_formats_each_value_once_per_run_of_blocks(tmp_path, monkeypatch):
+    # the benchmark's induce: on a diagonal family X1 depends on y only,
+    # so its 251 values recur in every block and are formatted once;
+    # formatting each block's distinct values anew made 13,316 calls
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(gwsurf.inducer, "repr", counted, raising=False)
+    assert main(["induce", "--family", "rational", "--grid", "251x251", "--lambda", "0.9395",
+                 "--levels", "2", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3301
 
 
 def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):

@@ -1,0 +1,46 @@
+"""The benchmark's command lines stay ones the command line accepts:
+perfbench/run.py is loaded read-only and every workload's argv resolves to
+its command, family, grid and drawn parameter, so a removed or renamed
+option shows here before every benchmark sample exits 64."""
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from gwsurf.cli import _KEYS, _resolve
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py as a module, with no bytecode written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)     # dataclasses look it up
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        if Path(getattr(sys.modules[name], "__file__", None) or ROOT).parent == PERFBENCH:
+            del sys.modules[name]           # reference and tracing, imported by run.py
+
+
+def test_workloads_are_the_benchmark_json_ones(perfbench_run):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(perfbench_run.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])
+
+
+def test_workload_argv_resolves_to_its_command(perfbench_run, tmp_path):
+    field = {key.flag: key.field for key in _KEYS}
+    for name, wl in perfbench_run.WORKLOADS.items():
+        value = wl.draw(name, 1)
+        command, cfg = _resolve(wl.argv(value, tmp_path / name))
+        assert command == wl.command, name
+        assert (cfg.family, cfg.grid, cfg.out) == (wl.family, wl.shape(), str(tmp_path / name))
+        assert getattr(cfg, field[wl.flag]) == value, name
