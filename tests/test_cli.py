@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, config handling."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -910,6 +911,40 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]
+
+
+ONE_LEVEL = "one refinement level: no convergence ratio gated"
+
+
+@pytest.mark.parametrize("kind", ["exact", "fd", "control", "classify"])
+@pytest.mark.parametrize("residual", [1e-3, float("nan")])
+def test_one_level_fd_row_notes_that_no_ratio_was_gated(kind, residual):
+    # the note is a remark: passed is decided by the checks alone
+    from gwsurf import GridSpec
+    from gwsurf.cli import SuiteSpec, _gate, _report_scalar
+    grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
+    grids.append(grids[0].refined())
+    spec = SuiteSpec("row", kind, {"constant_h": False}, (), None)
+    one = _gate(spec, [_report_scalar(grids[0], residual, deformed=1e-6)], 1.0)
+    two = _gate(spec, [_report_scalar(g, residual, deformed=1e-6) for g in grids], 1.0)
+    assert (ONE_LEVEL in one["notes"]) == (kind == "fd")
+    assert ONE_LEVEL not in two["notes"]
+    failed = [n for n in one["notes"] if n != ONE_LEVEL]
+    assert one["passed"] == (not failed)
+    if kind == "fd":
+        assert one["passed"] == math.isfinite(residual) and one["notes"][-1] == ONE_LEVEL
+
+
+def test_verify_at_one_level_notes_every_fd_row(tmp_path, capsys):
+    assert run(["verify", "--family", "unimodular", "--grid", "21x21", "--levels", "1",
+                "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
+    assert reports and all(r["passed"] for r in reports)
+    for r in reports:
+        assert r["notes"] == ([ONE_LEVEL] if r["kind"] == "fd" else [])
+    fd_lines = [ln for ln in out.splitlines() if f"  [{ONE_LEVEL}]" in ln]
+    assert len(fd_lines) == sum(r["kind"] == "fd" for r in reports) > 0
 
 
 # fuzzed command lines: mostly well-formed values, one in six a malformed

@@ -461,6 +461,55 @@ def test_stencils_bitwise_equal_shifted_copy_reference(order, dtype, axis):
             check(cls._derived(g, np.where(mask, 0, vals), mask), g)
 
 
+def _stencil_nonzero_reference(values, valid, central, one_sided, reach):
+    """calculus._stencil with its fallback points found by the 2-D
+    np.nonzero search."""
+    out = np.empty_like(values, dtype=central.dtype)
+    out[1:-1] = central
+    fallback = valid.copy()
+    fallback[1:-1] &= ~(valid[2:] & valid[:-2])
+    idx = np.nonzero(fallback)
+    forward, can_f, backward, can_b = one_sided(*calculus._windows(values, valid, idx, reach))
+    out[idx] = np.where(can_f, forward, backward)
+    bad = ~valid
+    bad[idx] = ~(can_f | can_b)
+    out[bad] = 0
+    return out, bad
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("order", [1, 2])
+def test_flat_fallback_search_matches_nonzero_bitwise(order, dtype, monkeypatch):
+    # the flat search must find the fallback points of np.nonzero, in its
+    # order, on both axes and on transposed (non-contiguous) views
+    op = {1: calculus._d1, 2: calculus._d2}[order]
+    rng = np.random.default_rng(10 * order + (dtype is complex))
+
+    def apply(values, valid, axis, stencil):
+        with monkeypatch.context() as mp:
+            mp.setattr(calculus, "_stencil", stencil)
+            if axis == 0:
+                return op(values, valid, 0.03)
+            out, bad = op(values.T, valid.T, 0.03)
+            return out.T, bad.T
+
+    for trial in range(40):
+        shape = tuple(rng.integers(3, 60, 2))
+        values = rng.standard_normal(shape)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(shape)
+        valid = rng.random(shape) >= (0.05, 0.3, 0.8)[trial % 3]
+        if trial % 2:
+            values, valid = values.T, valid.T
+        for axis in (0, 1):
+            got, got_bad = apply(values, valid, axis, calculus._stencil)
+            ref, ref_bad = apply(values, valid, axis, _stencil_nonzero_reference)
+            assert np.array_equal(got_bad, ref_bad)
+            assert got.dtype == ref.dtype and got.strides == ref.strides
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(ref).view(np.uint64))
+
+
 @pytest.mark.parametrize("order, masked, bound_mib", [
     (1, 0.05, 3.91), (1, 0.3, 7.06), (2, 0.05, 4.16), (2, 0.3, 8.0)])
 def test_stencil_peak_memory(order, masked, bound_mib):
@@ -491,6 +540,46 @@ class TestTrapezoid:
         assert got.shape == expect.shape and got.dtype == expect.dtype
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         assert not crossed.any()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_interior_base_matches_concatenated_sum_bitwise(self, axis, dtype):
+        # the running sum written after a zero row of one array, and the
+        # base taken off in place, against a zero row concatenated to the
+        # sum and the base subtracted into a new array; the result keeps
+        # the input's layout (C, Fortran, strided or broadcast)
+        from gwsurf.calculus import _integrate_from
+
+        def reference(values, mask, h, axis, k0):
+            y = np.moveaxis(values, axis, 0)
+            bad = np.moveaxis(mask, axis, 0)
+            steps = np.cumsum(h * (y[1:] + y[:-1]) / 2.0, axis=0)
+            total = np.concatenate([np.zeros((1,) + steps.shape[1:], dtype=steps.dtype),
+                                    steps])
+            crossed = np.zeros_like(bad)
+            crossed[k0:] = np.logical_or.accumulate(bad[k0:], axis=0)
+            crossed[: k0 + 1] |= np.logical_or.accumulate(bad[k0::-1], axis=0)[::-1]
+            return np.moveaxis(total - total[k0], 0, axis), np.moveaxis(crossed, 0, axis)
+
+        rng = np.random.default_rng(11 + axis + 2 * (dtype is complex))
+        for trial in range(40):
+            shape = tuple(rng.integers(3, 40, 2))
+            y = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)
+            if dtype is complex:
+                y = y + 1j * rng.standard_normal(shape)
+            y = (y, np.asfortranarray(y), np.repeat(y, 2, axis=0)[::2],
+                 np.broadcast_to(y[:, :1], shape))[trial % 4]
+            mask = rng.random(shape) < 0.1
+            k0 = int(rng.integers(1, shape[axis] - 1))
+            got, crossed = _integrate_from(y, mask, 0.0371, axis, k0)
+            want, want_crossed = reference(y, mask, 0.0371, axis, k0)
+            assert got.dtype == want.dtype and got.strides == want.strides
+            if trial % 4 < 2:
+                assert got.flags.c_contiguous == y.flags.c_contiguous
+                assert got.flags.f_contiguous == y.flags.f_contiguous
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+            assert np.array_equal(crossed, want_crossed)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_crossed_on_both_sides_of_the_base(self, axis):
