@@ -46,7 +46,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Surface:
     """Coordinate fields over the grid, integrated from a basepoint. X1 and
-    X2 are the real and imaginary parts of the one integral of X1 + i X2."""
+    X2 are the real and imaginary parts of the one integral of X1 + i X2.
+    A coordinate may be stored as one column (see grid), as
+    `induce_surface` stores one that is constant along y."""
 
     x1: RealField
     x2: RealField
@@ -58,7 +60,12 @@ class Surface:
 
     @property
     def mask(self) -> np.ndarray:
-        return self.x1.mask | self.x2.mask | self.x3.mask
+        """The union of the coordinates' stored masks, as a new array of
+        the grid's shape."""
+        mask = np.zeros(self.grid.shape, dtype=bool)
+        for c in (self.x1, self.x2, self.x3):
+            mask |= c.stored[1]
+        return mask
 
 
 def _one_forms(s: SpinorField):
@@ -141,6 +148,13 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     fundamental forms are fully degenerate. Raises NumericalBreakdown when
     every path crosses a masked point, as every path from a masked
     basepoint does.
+
+    The integrals run over the whole grid. A coordinate whose every
+    column, masked values and crossed mask alike, equals its first column
+    bit for bit is stored as that column (see grid). On a real spinor the
+    y-line forms of X2 and X3 are zeros, so on rational, exponential and
+    trig X2 and X3 are columns and X1 is grid-shaped; on unimodular and
+    holomorphic every coordinate is grid-shaped.
     """
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
@@ -157,11 +171,22 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         raise NumericalBreakdown("every integration path crosses a masked point")
     x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
 
-    return Surface(
-        x1=RealField._derived(grid, np.where(badmask, 0, plus.real), badmask),
-        x2=RealField._derived(grid, np.where(badmask, 0, plus.imag), badmask),
-        x3=RealField._derived(grid, np.where(badmask, 0, x3), badmask),
-    )
+    # a coordinate whose every column, masked values and crossed mask
+    # alike, is its first column bit for bit is stored as that column.
+    # Under a mask constant along y a masked row is zeros throughout, so
+    # only the unmasked rows are compared, on the unmasked values; the
+    # last column against the first turns most other data away at once
+    rows = badmask[:, :1]
+    column = bool((badmask == rows).all())
+
+    def coordinate(values):
+        bits = values.view(np.int64)
+        if (column and ((bits[:, -1] == bits[:, 0]) | rows[:, 0]).all()
+                and ((bits == bits[:, :1]).all(axis=1) | rows[:, 0]).all()):
+            return RealField._derived(grid, np.where(rows, 0, values[:, :1]), rows.copy())
+        return RealField._derived(grid, np.where(badmask, 0, values), badmask)
+
+    return Surface(x1=coordinate(plus.real), x2=coordinate(plus.imag), x3=coordinate(x3))
 
 
 def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
@@ -230,17 +255,22 @@ def fundamental_forms(srf: Surface) -> FundamentalForms:
     into its form and dropped; the first derivatives are stencilled through
     `_once` and dropped once the normal is formed (the x-derivatives once
     their dxy is), so no coordinate derivative outlives the forms or stays
-    on the surface. On induced rational data the function traces 7.8 MiB
-    at 251x251 and 19.9 MiB at 401x401, against 25.2 and 64.3 MiB with the
-    fifteen derivatives held at once and stacked for einsum.
+    on the surface. The coordinates are read as stored: a column's
+    derivatives are columns, its y-derivatives exact zeros (see calculus),
+    and they broadcast into the grid-shaped forms. On induced rational
+    data, whose X2 and X3 are columns, the function traces 6.2 MiB at
+    251x251 and 15.8 MiB at 401x401 (7.8 and 19.8 MiB with every
+    coordinate grid-shaped), against 25.2 and 64.3 MiB with the fifteen
+    derivatives held at once and stacked for einsum.
     """
     grid = srf.grid
     mask = srf.mask
 
     def take(field):
-        # the field's values; its mask joins the forms'
-        np.logical_or(mask, field.mask, out=mask)
-        return field.values
+        # the field's stored values; its mask joins the forms'
+        values, fmask = field.stored
+        np.logical_or(mask, fmask, out=mask)
+        return values
 
     comps = (srf.x1, srf.x2, srf.x3)
     xs = [_once(dx, c) for c in comps]      # kept for dxy = dy(dx)
@@ -289,15 +319,22 @@ def _reprs(values, last=None):
     """The Python float repr of each of `values`, as an "S" array of their
     shape, and the (keys, table) pair of their distinct bit patterns,
     sorted, and those patterns' reprs. Keying by bit pattern keeps 0.0
-    and -0.0 apart. One argsort gives the keys, by comparing neighbours in
-    sorted order, and each value's key index, by scattering the running
-    key count back through it (a binary search per value is slower when
-    most values are distinct). `last` is the pair of the same column's
-    previous block: only the keys not in it are formatted, so a value is
-    formatted once per run of consecutive blocks it appears in."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    order = np.argsort(bits, axis=None)
-    ordered = bits.ravel()[order]
+    and -0.0 apart. Each run of equal neighbouring patterns, in row-major
+    order, is first reduced to its head, as a curvature constant along y
+    repeats along each row. One argsort of the heads gives the keys, by
+    comparing neighbours in sorted order, and each head's key index, by
+    scattering the running key count back through it (a binary search per
+    value is slower when most values are distinct); each value takes its
+    run's. `last` is the pair of the same column's previous block: only
+    the keys not in it are formatted, so a value is formatted once per run
+    of consecutive blocks it appears in."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel()
+    head = np.empty(bits.size, dtype=bool)
+    head[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    heads = bits[head]
+    order = np.argsort(heads)
+    ordered = heads[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     keys = ordered[first]
     new = np.ones(len(keys), dtype=bool)
@@ -312,9 +349,11 @@ def _reprs(values, last=None):
         table = np.empty(len(keys), np.promote_types(fresh.dtype, old_table.dtype))
         table[new] = fresh
         table[~new] = old_table[at[~new]]
-    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse = np.empty(heads.size, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return table[inverse.reshape(bits.shape)], (keys, table)
+    if heads.size < bits.size:
+        inverse = inverse[np.cumsum(head) - 1]
+    return table[inverse.reshape(np.shape(values))], (keys, table)
 
 
 def _text(*cols) -> bytearray:
@@ -385,14 +424,16 @@ def export_mesh(srf: Surface, obj_path, csv_path, ff: FundamentalForms) -> tuple
     files are written a block of _BLOCK_ROWS (16) grid rows at a time: each
     value is formatted once per run of consecutive blocks it appears in,
     for both files, and each block's lines are laid into one byte buffer,
-    ending in LF on every platform.
+    ending in LF on every platform. Every field is read as stored: a
+    coordinate kept as a column is formatted on its column, whose strings
+    broadcast along the block's rows.
     """
     keep = ~srf.mask
     if not keep.any():
         raise NumericalBreakdown("fully masked surface; nothing to export")
     grid = srf.grid
-    cols = [srf.x1.values, srf.x2.values, srf.x3.values,
-            ff.mean_curvature.values, ff.gauss_curvature.values]
+    cols = [f.stored[0] for f in (srf.x1, srf.x2, srf.x3,
+                                  ff.mean_curvature, ff.gauss_curvature)]
     (xs, _), (ys, _) = _reprs(grid.xs()), _reprs(grid.ys())
     last = [None] * len(cols)
     with open(obj_path, "wb") as obj, open(csv_path, "wb") as csv:
@@ -402,7 +443,8 @@ def export_mesh(srf: Surface, obj_path, csv_path, ff: FundamentalForms) -> tuple
             strings, last = zip(*(_reprs(c[rows], t) for c, t in zip(cols, last)))
             cells = [p for s in strings for p in (b",", s)]
             csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
-            x1, x2, x3 = (s[keep[rows]] for s in strings[:3])
+            x1, x2, x3 = (np.broadcast_to(s, keep[rows].shape)[keep[rows]]
+                          for s in strings[:3])
             obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
         nfaces = _write_faces(obj, keep)
     return int(np.count_nonzero(keep)), nfaces

@@ -106,6 +106,23 @@ class TestInduce:
         assert srf.mask[i_b + 1, j_b]          # behind the block on the base row
         assert not srf.mask[i_b - 1, j_b]      # in front of it is fine
 
+    def test_crossed_mask_keeps_constant_coordinates_on_the_grid(self):
+        # every coordinate of a zero spinor is +0.0 along y, but a masked
+        # point off the base row crosses only part of its column: a column
+        # would lose that
+        g = GridSpec(-1, 1, -1, 1, 9, 9)
+        mask = np.zeros(g.shape, bool)
+        mask[6, 7] = True
+        z = np.zeros(g.shape, complex)
+        srf = induce_surface(SpinorField(ComplexField(g, z, mask), ComplexField(g, z, mask)))
+        crossed = np.zeros(g.shape, bool)
+        crossed[6, 7:] = True
+        for c in (srf.x1, srf.x2, srf.x3):
+            values, stored_mask = c.stored
+            assert values.shape == g.shape
+            assert not np.signbit(values).any()
+            assert np.array_equal(stored_mask, crossed)
+
     def test_default_basepoint_is_domain_center(self):
         s = family_rational(1.0).spinor(G)
         srf, centred = induce_surface(s), induce_surface(s, 0j)
@@ -369,6 +386,41 @@ class TestOneIntegral:
             assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
 
 
+# rational's, exponential's and trig's spinors are real, so the y-line forms
+# of X2 and X3 vanish: both are constant along y. The guard band masks whole
+# rows
+COLUMN_CASES = {
+    "rational": ("rational", (31, 27), None),
+    "exponential": ("exponential", (31, 27), None),
+    "trig": ("trig", (31, 27), None),
+    "trig-guard-band": ("trig", (41, 37), (-0.2, 1.0, -1.0, 1.0)),
+}
+GRID_CASES = {name: (name, (31, 27), None) for name in ("unimodular", "holomorphic")}
+
+
+@pytest.mark.parametrize("case", [*COLUMN_CASES, *GRID_CASES])
+def test_y_constant_coordinates_are_stored_as_columns(case):
+    family, shape, domain = {**COLUMN_CASES, **GRID_CASES}[case]
+    s, _ = family_case(family, shape, domain)
+    srf = induce_surface(s)
+    grid, mask = _shared(s)
+    i0, j0 = _resolve_basepoint(grid, None)
+    forms, x3_forms = _line_forms(s, grid)
+    plus, bad = _integrate_path(*forms, grid, i0, j0, mask)
+    x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
+    columns = ("x2", "x3") if case in COLUMN_CASES else ()
+    for name, whole in (("x1", plus.real), ("x2", plus.imag), ("x3", x3)):
+        values, stored_mask = getattr(srf, name).stored
+        want = (grid.nx, 1) if name in columns else grid.shape
+        assert values.shape == stored_mask.shape == want, (case, name)
+        # the stored array broadcasts to the whole-grid integral, bit for bit
+        whole = np.where(bad, 0, whole).view(np.int64)
+        assert (values.view(np.int64) == whole).all(), (case, name)
+        assert (stored_mask == bad).all(), (case, name)
+    if case == "trig-guard-band":
+        assert srf.x2.stored[1].any()
+
+
 class TestFundamentalForms:
     def test_plane(self):
         g = GridSpec(0, 1, 0, 1, 21, 21)
@@ -459,6 +511,49 @@ def test_fundamental_forms_match_the_stacked_einsum_bitwise(name):
         assert np.array_equal(*(k.values.view(np.int64) for k in fields)), part
         assert np.array_equal(*(k.mask for k in fields)), part
     assert got.fully_degenerate == want.fully_degenerate
+
+
+def grid_shaped(srf):
+    """`srf` with every coordinate stored on the whole grid."""
+    return Surface(*(RealField(srf.grid, c.values, c.mask) for c in (srf.x1, srf.x2, srf.x3)))
+
+
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_column_coordinates_move_curvatures_only_on_the_y_boundary_lines(case, tmp_path,
+                                                                         monkeypatch, capsys):
+    # a column's y-derivatives are exact zeros, where the one-sided
+    # y-stencils of its grid-shaped twin leave round-off on the boundary
+    # lines j = 0 and j = ny - 1; the central stencil gives exact zeros
+    family, shape, domain = COLUMN_CASES[case]
+    s, _ = family_case(family, shape, domain)
+    srf = induce_surface(s)
+    got, want = fundamental_forms(srf), fundamental_forms(grid_shaped(srf))
+    moved = 0.0
+    for part in ("mean_curvature", "gauss_curvature"):
+        a, b = (getattr(ff, part) for ff in (got, want))
+        assert np.array_equal(a.mask, b.mask), part
+        inner = (a.values[:, 1:-1], b.values[:, 1:-1])
+        assert np.array_equal(*(v.view(np.int64) for v in inner)), part
+        gap = np.abs(a.values[:, [0, -1]] - b.values[:, [0, -1]]).max()
+        assert gap <= 1e-11, part
+        moved = max(moved, gap)
+    assert moved > 0
+
+    # induce's closure report leaves the boundary ring out (exclude_rings=1)
+    args = ["induce", "--family", family, "--grid", "%dx%d" % shape]
+    if domain is not None:
+        args += ["--domain", ",".join(map(str, domain))]
+    reports, printed = [], []
+    for twin in (False, True):
+        if twin:
+            monkeypatch.setattr(gwsurf.cli, "induce_surface",
+                                lambda *a: grid_shaped(induce_surface(*a)))
+        out = tmp_path / str(twin)
+        assert main(args + ["--out", str(out)]) == 0
+        reports.append((out / f"{family}_curvature_closure.json").read_bytes())
+        printed.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert printed[0] == printed[1]
 
 
 def test_fundamental_forms_leave_no_stencil_on_the_surface():
@@ -729,9 +824,38 @@ def masked_block_surface():
     return saddle_surface(30, 7, mask)
 
 
+def column_run_surface():
+    """X2 stored as one column (nx, 1) and X1, X3 grid-shaped with masked
+    points inside the export's row blocks of 16, and runs of equal
+    neighbours in row-major order: rows that are one value, a run that
+    wraps from one row into the next, rows 15 and 16 of one value across
+    the first block boundary, and a 0.0 next to a -0.0 inside a run of
+    zeros, along a row of X1 and down X2's column (their bits differ, so
+    they must not merge)."""
+    g = GridSpec(-1, 1, -2, 2, 40, 9)
+    rng = np.random.default_rng(5)
+    x1 = rng.choice(AWKWARD, g.shape)
+    x1[3] = 2.5
+    x1[4] = [0.0, 0.0, -0.0, 0.0, 0.0, 2.5, 2.5, 2.5, 7.0]
+    x1[15:17] = 1e16
+    x1[20, -3:] = x1[21, :3] = 0.1
+    x3 = np.repeat(rng.choice(AWKWARD, (g.nx, 1)), g.ny, axis=1)
+    x3[15:17] = -0.0
+    x3[30, 2:6] = 0.1
+    column = np.resize(AWKWARD[::-1], (g.nx, 1))
+    column[9:12] = [[0.0], [-0.0], [0.0]]
+    column[15:17] = 0.30000000000000004
+    mask = np.zeros(g.shape, bool)
+    mask[5, 4] = mask[17, 0] = mask[30, 3] = mask[37, 8] = True
+    x2 = RealField._derived(g, column, np.zeros((g.nx, 1), bool))
+    assert x2.stored[0].shape == (g.nx, 1)
+    return Surface(RealField(g, x1, mask), x2, RealField(g, x3, mask))
+
+
 @pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface,
                                   carried_surface, hundred_vertices, thousand_vertices,
-                                  ninety_nine_vertices, masked_block_surface])
+                                  ninety_nine_vertices, masked_block_surface,
+                                  column_run_surface])
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
     expect_counts = loop_export_mesh(srf, tmp_path / "loop.obj")
@@ -750,7 +874,10 @@ def test_export_formats_each_value_once_per_run_of_blocks(tmp_path, monkeypatch)
     # the benchmark's induce: on a diagonal family X1 depends on y only,
     # so its 251 values recur in every block and are formatted once;
     # formatting each block's distinct values anew made 13,316 calls, and
-    # blocks of 8 rows in place of 16 make 3,301
+    # blocks of 8 rows in place of 16 make 3,301. X2 and X3 are columns
+    # and their y-derivatives exact zeros, so H_num and K_num on the
+    # y-boundary lines repeat their row: differenced on the whole grid,
+    # those lines' round-off made 3,275 calls
     calls = []
 
     def counted(value):
@@ -760,7 +887,7 @@ def test_export_formats_each_value_once_per_run_of_blocks(tmp_path, monkeypatch)
     monkeypatch.setattr(gwsurf.inducer, "repr", counted, raising=False)
     assert main(["induce", "--family", "rational", "--grid", "251x251", "--lambda", "0.9395",
                  "--levels", "2", "--jobs", "1", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 3275
+    assert len(calls) == 2507
 
 
 def check_induce_bytes(tmp_path, family, shape, domain=None, basepoint=None):
