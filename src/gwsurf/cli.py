@@ -259,9 +259,10 @@ class SuiteSpec:
     tol: float = EXACT_TOL      # for exact suites
 
 
-def _report_scalar(grid, value, **details) -> ResidualReport:
+def _report_scalar(grid, value, mask, **details) -> ResidualReport:
+    """A row of one number, taken over the points `mask` leaves."""
     return ResidualReport(grid=grid, max_norm=float(value), l2_norm=float(value),
-                          masked_points=0, details=details)
+                          masked_points=_masked_count(mask, grid), details=details)
 
 
 # --- exact-path runners -----------------------------------------------------
@@ -269,7 +270,8 @@ def _report_scalar(grid, value, **details) -> ResidualReport:
 def run_roundtrip_exact(fam, rho, h):
     back = rho_from_psi(psi_from_rho(rho, h))
     (b, bmask), (r, rmask) = back.stored, rho.stored
-    return _report_scalar(rho.grid, norms(b - r, rho.grid, rmask | bmask)[0])
+    mask = rmask | bmask
+    return _report_scalar(rho.grid, norms(b - r, rho.grid, mask)[0], mask)
 
 
 def run_transform_exact(fam, rho, h, spinor):
@@ -282,14 +284,15 @@ def run_transform_exact(fam, rho, h, spinor):
     mix, mmask = mixed_dzbar_dz(derived).stored
     scale = max(1.0, norms(mix, rho.grid, mmask)[0])
     return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm / scale),
-                          spinor_direction=a.max_norm, rho_direction=b.max_norm,
-                          rho_direction_scale=scale)
+                          _shared(rho, h, spinor)[1], spinor_direction=a.max_norm,
+                          rho_direction=b.max_norm, rho_direction_scale=scale)
 
 
 def run_current_identity_exact(fam, s, h):
     (J, jmask), (p, pmask) = current_J(s).stored, density_p(s).stored
     vals = np.abs(J) ** 2 - p**4 * h.stored[0]**2
-    return _report_scalar(s.grid, norms(vals, s.grid, jmask | pmask | h.stored[1])[0])
+    mask = jmask | pmask | h.stored[1]
+    return _report_scalar(s.grid, norms(vals, s.grid, mask)[0], mask)
 
 
 def run_constraints_exact(fam, s):
@@ -324,7 +327,7 @@ def run_roundtrip_fd(fam, s, h):
     use_minus = float(np.sum(d_minus)) < float(np.sum(d_plus))
     sgn = -1.0 if use_minus else 1.0
     err = np.maximum(np.abs(sgn * b1 - p1), np.abs(sgn * b2 - p2))
-    return _report_scalar(grid, norms(err, grid, mask)[0])
+    return _report_scalar(grid, norms(err, grid, mask)[0], mask)
 
 
 def run_modified_current_fd(fam, s, h):
@@ -337,7 +340,7 @@ def run_riccati_fd(fam, rho):
     coeffs = fit_riccati_coeffs(rho)
     a = riccati_residual(rho, coeffs)
     b = zero_curvature_residual(coeffs)
-    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm),
+    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm), rho.stored[1],
                           constraint=a.max_norm, zero_curvature=b.max_norm)
 
 
@@ -354,7 +357,8 @@ def run_ll_necessity_control(fam, comm, h):
     """Undeformed spin equation must fail where the deformation is needed."""
     undeformed = landau_lifshitz_residual(comm)
     deformed = deformed_ll_residual(comm, h)
-    return _report_scalar(comm.grid, undeformed.max_norm, deformed=deformed.max_norm)
+    return _report_scalar(comm.grid, undeformed.max_norm, comm.mask | h.stored[1],
+                          deformed=deformed.max_norm)
 
 
 def run_h_classification(fam, h):

@@ -1,14 +1,13 @@
 """Closed-form inputs: pointwise functions with their analytic derivatives.
 
-A ClosedForm is a function z -> complex given by one callable,
-`jet(z, order)`, which returns its Wirtinger jet up to `order`: the value
+A ClosedForm is a formula of z and the guard of its domain. `jet(z,
+order)` runs the formula for its Wirtinger jet up to `order`: the value
 for order 0, with d and dbar for order 1, with dd, d dbar and dbar dbar
-for order 2. Each form states the highest order it supplies. Operations
-that would otherwise fall back to finite differences read these slots,
-which is what lets exact solution families verify identities to machine
-precision. A form is asked for order 0 for a sample's values, and for
-its own order for the sample's jet, so a value-only sample computes no
-derivative.
+for order 2. Operations that would otherwise fall back to finite
+differences read these slots, which is what lets exact solution families
+verify identities to machine precision. A sample asks its form for order
+0 for its values, and for order 2 for its jet, so a sample whose
+derivatives are never read computes none.
 
 `Jet` is the one jet type. It holds the six slots and applies the usual
 calculus rules under `+ - * /` and this module's `exp`, `sin`, `cos`,
@@ -18,7 +17,7 @@ values and derivatives in one forward-mode pass, and the value slot of
 every operation is computed exactly as on the plain path, so the two agree
 bit for bit. No symbolic algebra is involved.
 
-`form(fn)` builds a closed form from such a formula of z, `conj`
+`form(fn, guard)` builds a closed form from such a formula of z, `conj`
 included, and `diagonal_form` is `form` of a formula of s = z + conj(z).
 A field's analytic source is its own jet on the points it stores, made
 once at the source's order on first use and kept: `sample` gives the
@@ -204,28 +203,26 @@ def conj(t):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A pure function z -> complex and its Wirtinger jet up to `order`.
+    """A formula of z, and the guard of its domain.
 
-    `jet_fn(z, order)` returns the `Jet` of the form at z with every slot
-    up to `order` (0, 1 or 2) filled and the slots above it None; it is
-    never asked for more than the form's own `order`. Every slot must
-    agree with finite differences of the value to O(h^2) on the
-    guard-admissible region, and a slot's bits must not depend on the
+    `fn(z)` is written in the operators and this module's functions (see
+    `Jet`), so it runs on a plain array for its values and on the seed
+    Jet(z, 1, 0, 0, 0, 0) for every slot, and `conj` of the seed is the
+    seed of zbar. So each slot is exact, and its bits do not depend on the
     order asked for. domain_guard(z) returns True at singular points;
-    sampling masks them. `diagonal` records that every slot, and the
+    sampling masks them. `diagonal` records that the formula, and the
     guard, depend on z only through s = z + conj(z) (set by
-    `diagonal_form`, which builds both from functions of s): `sample`
-    then evaluates the form and its guard on the grid's first column.
+    `diagonal_form`): `sample` then evaluates both on the grid's first
+    column. `form` and `diagonal_form` build it.
     """
 
-    jet_fn: Callable = field(repr=False)
-    order: int = 0
+    fn: Callable = field(repr=False)
     domain_guard: Optional[Callable] = None
     diagonal: bool = False
 
     def jet(self, z, order: int = 2) -> Jet:
-        """Slots up to `order`, or up to the form's own order if that is lower."""
-        return self.jet_fn(z, min(order, self.order))
+        """The form's jet at z, with every slot up to `order` filled."""
+        return _run(self.fn, z, order)
 
 
 class _Source:
@@ -267,17 +264,16 @@ def sample(cf: ClosedForm, grid: GridSpec) -> ComplexField:
     A diagonal form, and its guard, are evaluated on the grid's first
     column, x + 1j*y_min, and the field stores that column. A non-finite
     value at an unguarded point raises NumericalBreakdown. The field's
-    source is the form's jet on the same points, at the form's order.
+    source is the form's jet on the same points, of order 2.
     """
     # the first column is computed as zmesh() computes it, bit for bit
     z = grid.xs()[:, None] + 1j * grid.ys()[:1] if cf.diagonal else grid.zmesh()
-    with np.errstate(all="ignore"):
-        vals = _broadcast(cf.jet(z, 0).f, z)
+    vals = cf.jet(z, 0).f
     mask = np.zeros(z.shape, dtype=bool)
     if cf.domain_guard is not None:
         mask |= np.asarray(cf.domain_guard(z), dtype=bool)
     return ComplexField._derived(grid, np.where(mask, 0, vals), mask,
-                                 source=_Source(cf.order, lambda: cf.jet(z)))
+                                 source=_Source(2, lambda: cf.jet(z)))
 
 
 def sample_real(cf: ClosedForm, grid: GridSpec) -> RealField:
@@ -336,15 +332,15 @@ def _run(fn, z, order) -> Jet:
     return Jet(*(_broadcast(v, z) for v in slots[:(1, 3, 6)[order]]))
 
 
-def form(fn) -> ClosedForm:
-    """Closed form of order 2 given by a formula of z.
+def form(fn, guard=None) -> ClosedForm:
+    """Closed form given by a formula of z, and the guard of its domain.
 
     `fn(z)` is a formula in the operators and the functions `exp`, `sin`,
-    `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`). It runs on the
-    seed Jet(z, 1, 0, 0, 0, 0), whose `conj` is the seed of zbar, so every
-    slot of a formula of z and conj(z) is exact.
+    `cos`, `sqrt`, `log`, `conj` of this module (see `Jet`), `conj`
+    included, so every slot of a formula of z and conj(z) is exact.
+    `guard(z)`, if given, is True at the points that sampling masks.
     """
-    return ClosedForm(lambda z, order: _run(fn, z, order), 2)
+    return ClosedForm(fn, guard)
 
 
 def diagonal_form(fn, guard=None) -> ClosedForm:
@@ -359,5 +355,4 @@ def diagonal_form(fn, guard=None) -> ClosedForm:
     def of_s(g):
         return lambda z: g(z + conj(z))
 
-    return ClosedForm(form(of_s(fn)).jet_fn, 2, None if guard is None else of_s(guard),
-                      diagonal=True)
+    return ClosedForm(of_s(fn), None if guard is None else of_s(guard), diagonal=True)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
-from .closedform import ClosedForm, Jet, log, pointwise
+from .closedform import ClosedForm, conj, form, log, pointwise
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
 from .reporting import STENCIL_RINGS, ResidualReport, _unmasked, report_from_parts
 from .weierstrass import SpinorField, current_J, density_p, log_derivatives
@@ -59,10 +59,12 @@ def h_from_profile(q: Callable) -> ClosedForm:
     """H = 1/(Q(z) + Q(zbar)); points where |Q(z) + Q(zbar)| < 1e-12 are masked.
 
     `q` is a one-argument profile Q, holomorphic and real-valued on the
-    real axis; ValueError when it takes another number of arguments, is
-    singular at the probe point 0.37 or is not real at 0.11, 0.37, 0.73.
-    The construction satisfies the integrability criterion by design:
-    the z-term is killed by dbar and the zbar-term by d.
+    real axis, written as a formula (see closedform.Jet) so that H has
+    exact derivatives; ValueError when it takes another number of
+    arguments, is singular at the probe point 0.37, is not real at 0.11,
+    0.37, 0.73 or does not run on a jet (np.cosh does not; closedform's
+    cos(1j * z) does). The construction satisfies the integrability
+    criterion by design: the z-term is killed by dbar and the zbar-term by d.
     """
     try:
         probe = complex(np.asarray(q(0.37 + 0.0j)).reshape(()))
@@ -74,20 +76,14 @@ def h_from_profile(q: Callable) -> ClosedForm:
         val = complex(np.asarray(q(complex(x))).reshape(()))
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ValueError("profile is not real-valued on the real axis")
-
-    def denominator(z):
-        z = np.asarray(z, dtype=complex)
-        return np.asarray(q(z)) + np.asarray(q(np.conj(z)))
-
-    def value(z):
-        den = denominator(z)
-        with np.errstate(all="ignore"):
-            return np.where(np.abs(den) < 1e-12, np.nan, 1.0 / den)
-
-    def guard(z):
-        return np.abs(denominator(z)) < 1e-12
-
-    return ClosedForm(lambda z, order: Jet(value(z)), domain_guard=guard)
+    h = form(lambda z: 1 / (q(z) + q(conj(z))),
+             lambda z: np.abs(q(z) + q(conj(z))) < 1e-12)
+    try:
+        h.jet(0.37)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("profile must run on a jet: write it with closedform's "
+                         "functions") from exc
+    return h
 
 
 def h_integrability_residual(h: RealField) -> ResidualReport:

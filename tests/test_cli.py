@@ -541,6 +541,22 @@ class TestVerify:
         assert run(["verify", "--family", family, "--grid", "401x401",
                     "--out", str(tmp_path)]) == EXIT_OK
 
+    def test_hand_built_rows_count_their_masked_points(self, tmp_path):
+        # trig's guard band crosses this domain at x < 0.025; the rows that
+        # cli builds from one number count the mask they were taken over,
+        # which here is the guard band that sigma_exact counts
+        run(["verify", "--family", "trig", "--domain", "0,0.6,-1,1", "--grid", "41x41",
+             "--out", str(tmp_path)])
+        masked = {}
+        for name in os.listdir(tmp_path):
+            rep = json.loads((tmp_path / name).read_text())
+            masked[rep["suite"]] = [level["masked_points"] for level in rep["levels"]]
+        band = masked["sigma_exact"]
+        assert len(band) == 2 and min(band) > 0
+        for suite in ("roundtrip_exact", "transform_exact", "current_identity_exact",
+                      "roundtrip_fd", "riccati_fd", "ll_necessity_control"):
+            assert masked[suite] == band, suite
+
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["verify", "--family", "rational", "--lambda", "1",
@@ -894,6 +910,9 @@ def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
+UNMASKED = np.zeros((1, 1), dtype=bool)      # broadcasts to any grid
+
+
 @pytest.mark.parametrize("kind", ["exact", "fd", "control", "classify"])
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -904,7 +923,7 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     from gwsurf.cli import SuiteSpec, _gate, _report_scalar
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
-    reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, deformed=1e-6)
+    reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, UNMASKED, deformed=1e-6)
                for g in grids]
     spec = SuiteSpec("broken", kind, {"constant_h": False}, (), None)
     res = _gate(spec, reports, 1.0)
@@ -925,8 +944,9 @@ def test_one_level_fd_row_notes_that_no_ratio_was_gated(kind, residual):
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
     spec = SuiteSpec("row", kind, {"constant_h": False}, (), None)
-    one = _gate(spec, [_report_scalar(grids[0], residual, deformed=1e-6)], 1.0)
-    two = _gate(spec, [_report_scalar(g, residual, deformed=1e-6) for g in grids], 1.0)
+    one = _gate(spec, [_report_scalar(grids[0], residual, UNMASKED, deformed=1e-6)], 1.0)
+    two = _gate(spec, [_report_scalar(g, residual, UNMASKED, deformed=1e-6) for g in grids],
+                1.0)
     assert (ONE_LEVEL in one["notes"]) == (kind == "fd")
     assert ONE_LEVEL not in two["notes"]
     failed = [n for n in one["notes"] if n != ONE_LEVEL]

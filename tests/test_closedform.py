@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gwsurf import (ComplexField, GridSpec, RealField, d_z, d_zbar, mixed_dzbar_dz, sample,
                     sample_real)
-from gwsurf.closedform import (ClosedForm, Jet, conj, cos, diagonal_form, exp, form, log,
+from gwsurf.closedform import (Jet, _Source, conj, cos, diagonal_form, exp, form, log,
                                pointwise, sin, sqrt)
 
 
@@ -68,7 +68,9 @@ def test_lift_conj_mul_jets():
 def test_lift_drops_unavailable_slots():
     g = GridSpec(-1, 1, -1, 1, 5, 3)
     z = g.zmesh()
-    value_only = sample(ClosedForm(lambda z, order: Jet(np.cos(z))), g)
+    # a second derivative's source is of order 0: its jet holds the value only
+    value_only = d_z(d_z(sample(form(lambda z: -cos(z)), g)))
+    assert np.array_equal(value_only.values, np.cos(z))
     out = pointwise(operator.mul, value_only, value_only)
     assert out.source.order == 0
     jet = out.source.jet(2)
@@ -122,12 +124,13 @@ def test_field_mul_requires_matching_grids():
 
 
 def _counted_leaf(asked, diagonal=False):
-    """Order-2 leaf with constant slots that records each order it is asked for."""
-    def jet_fn(z, order):
-        asked.append(order)
-        c = np.full(np.shape(z), 1.5 + 0.5j)
-        return Jet(*[c] * (1, 3, 6)[order])
-    return ClosedForm(jet_fn, 2, diagonal=diagonal)
+    """The form 1.5 + 0.5j + z/8 (of s = z + conj(z) when diagonal), whose
+    formula records the order of each argument it runs on: 0 for a plain
+    array, 2 for a jet."""
+    def fn(z):
+        asked.append(getattr(z, "order", 0))
+        return 1.5 + 0.5j + z / 8
+    return diagonal_form(fn) if diagonal else form(fn)
 
 
 # `pointwise` lifts its formula to its inputs' jets: the source of its
@@ -158,8 +161,9 @@ def test_nested_lift_evaluates_each_leaf_once_per_level():
         vals = op_(f).values
         assert asked == want and len(levels) == depth * len(want), op_.__name__
         assert np.all(np.isfinite(vals))
-    assert np.allclose(f.values, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
-    assert np.allclose(f.source.jet(0).f, (1.5 + 0.5j) ** (2 ** depth), rtol=1e-12)
+    leaf = 1.5 + 0.5j + g.zmesh() / 8
+    assert np.allclose(f.values, leaf ** (2 ** depth), rtol=1e-12)
+    assert np.allclose(f.source.jet(0).f, leaf ** (2 ** depth), rtol=1e-12)
 
 
 def test_lift_asks_its_leaves_for_values_and_full_order_once_each():
@@ -176,7 +180,7 @@ def test_lift_asks_its_leaves_for_values_and_full_order_once_each():
             assert asked == [0]
             asked.clear()
             # the leaf enters twice, directly and through the inner field, and
-            # both read the one jet its sample makes, at the leaf's order
+            # both read the one jet its sample makes, of order 2
             op(f)
             assert asked == [2], op.__name__
             for again in (d_z, d_zbar, mixed_dzbar_dz):
@@ -193,7 +197,7 @@ def test_lift_runs_on_jets_cut_to_its_order_and_keeps_their_slots():
 
     g = GridSpec(-1, 1, -1, 1, 5, 5)
     a = sample(_counted_leaf([]), g)
-    b = sample(dataclasses.replace(_counted_leaf([]), order=1), g)
+    b = d_z(sample(_counted_leaf([]), g))       # a derivative's source is of order 1
     f = pointwise(op, a, b)
     assert f.source.order == 1 and orders == [(None, None)]
     # the order-2 input is cut to the result's order for the one run on jets
@@ -215,10 +219,10 @@ def test_psi_from_rho_asks_each_form_for_values_and_full_order_once_each():
     asked = {"rho": [], "h": []}
 
     def recorded(name, form):
-        def jet_fn(z, order):
-            asked[name].append(order)
-            return form.jet(z, order)
-        return ClosedForm(jet_fn, form.order, form.domain_guard, form.diagonal)
+        def fn(z):
+            asked[name].append(getattr(z, "order", 0))
+            return form.fn(z)
+        return dataclasses.replace(form, fn=fn)
 
     for op in (lambda f: f.source.jet(0), d_z, d_zbar, mixed_dzbar_dz):
         for component in ("psi1", "psi2"):
@@ -453,14 +457,23 @@ DERIVATIVES = {"d": d_z, "dbar": d_zbar, "dbar d": mixed_dzbar_dz,
                "dbar dbar": lambda f: d_zbar(d_zbar(f))}
 
 
+def _capped(f, form, order):
+    """The sample f of `form` with a source of `order`: the form's jet asked
+    at that order on f's stored points."""
+    z = f.grid.zmesh()[:, :1] if form.diagonal else f.grid.zmesh()
+    return ComplexField._derived(f.grid, *f.stored,
+                                 source=_Source(order, lambda: form.jet(z, order)))
+
+
 def _build(tree, grids, orders=None):
     """The tree as nested `pointwise` fields over sampled leaves, one
     independent copy per grid in `grids`, whose first is FINE; `orders`
-    caps the order of each copy's leaf forms (2 by default). sqrt and log
-    need Re > 0, inv and div |.| > 0."""
+    caps the order of each copy's leaf sources (2, a sample's, by
+    default). sqrt and log need Re > 0, inv and div |.| > 0."""
     if isinstance(tree, str):
-        return [sample(dataclasses.replace(LEAVES[tree], order=k), g)
-                for g, k in zip(grids, orders or [2] * len(grids))]
+        fields = [sample(LEAVES[tree], g) for g in grids]
+        return fields if orders is None else [_capped(f, LEAVES[tree], k)
+                                              for f, k in zip(fields, orders)]
     name, *kids = tree
     args = [_build(k, grids, orders) for k in kids]
     # FINE holds every point of COARSE, so checking it covers both grids
@@ -476,8 +489,9 @@ def _build(tree, grids, orders=None):
 @given(TREES)
 @settings(max_examples=30, deadline=5000, derandomize=True)
 def test_random_lift_slots_do_not_depend_on_the_order_asked(tree):
-    # one copy per order, its leaf forms capped at that order: a field's
-    # jet is made at the lowest order of its leaves
+    # one copy per order, its leaf sources capped at that order, each the
+    # form's jet asked at that order: a field's jet is made at the lowest
+    # order of its leaves
     g = GridSpec(-1, 1, -1, 1, 9, 7)
     _, full, *copies = _build(tree, [FINE] + [g] * 4, orders=[2, 2, 0, 1, 2])
     full = full.source.jet()

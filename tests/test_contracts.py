@@ -163,7 +163,8 @@ def test_every_default_is_set_by_some_call():
 UNLOADED_NAMES = {
     "apply_discrete_symmetry": "README documents the sigma system's Z2 and inversion; "
                                "a verify row of them would add a report per family",
-    "h_from_profile": "acceptance criterion 7 builds its in-class H from a profile",
+    "h_from_profile": "acceptance criterion 7 builds its in-class H from a profile Q: "
+                      "the form of 1/(Q(z) + Q(zbar)) and its guard",
 }
 
 

@@ -7,9 +7,10 @@ from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
                     family_holomorphic, family_rational,
                     family_trigonometric, fit_riccati_coeffs, form, h_from_profile,
                     h_integrability_residual, linear_system_residual,
-                    linearization_constraint_residual, riccati_residual, sample_real,
-                    sinh_gordon_residual, zero_curvature_residual)
+                    linearization_constraint_residual, mixed_dzbar_dz, riccati_residual,
+                    sample, sample_real, sinh_gordon_residual, zero_curvature_residual)
 from gwsurf import integrability
+from gwsurf.closedform import cos
 from gwsurf.integrability import RiccatiCoeffs
 from memtrace import traced_peak
 
@@ -31,11 +32,60 @@ def coeffs(g=G, **kw):
     return RiccatiCoeffs(**fields)
 
 
+# profiles written as formulas, so that they run on jets; both are
+# positive on G's square: cosh z + cosh zbar = 2 cosh x cos y
+PROFILES = {"cosh": lambda z: cos(1j * z), "quadratic": lambda z: 3 + z * z}
+
+
 class TestProfiles:
     def test_cosh_profile_satisfies_criterion(self):
-        h = sample_real(h_from_profile(np.cosh), G)
-        rep = h_integrability_residual(h)
+        # the stencil classifier on a profile H
+        h = sample_real(h_from_profile(PROFILES["cosh"]), G)
+        rep = h_integrability_residual(h.without_source())
         assert rep.max_norm < 1e-3
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_profile_satisfies_criterion_on_jets(self, name):
+        h = sample_real(h_from_profile(PROFILES[name]), G)
+        assert h.source is not None
+        assert h_integrability_residual(h).max_norm <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_profile_slots_converge_to_stencils(self, name):
+        # d and dbar at second order over the whole grid, as fd_check judges
+        # them; d dbar composes one-sided edge stencils, which are first
+        # order, so it is judged on the interior
+        h = h_from_profile(PROFILES[name])
+        for op, inner in ((d_z, None), (d_zbar, None), (mixed_dzbar_dz, 0.9)):
+            errs = []
+            for n in (51, 101):
+                g = GridSpec(-1, 1, -1, 1, n, n)
+                f = sample(h, g)
+                err = np.abs(op(f.without_source()).values - op(f).values)
+                if inner is not None:
+                    z = g.zmesh()
+                    err = err[(np.abs(z.real) < inner) & (np.abs(z.imag) < inner)]
+                errs.append(np.max(err))
+            ratio = errs[0] / errs[1]
+            assert errs[1] < 1e-2, (op.__name__, errs)
+            assert (3.0 < ratio < 5.0) if inner is None else ratio > 3.0, (op.__name__, ratio)
+
+    @pytest.mark.parametrize("q", [lambda z: 3 + z * z, lambda z: z], ids=["quadratic", "linear"])
+    def test_profile_values_are_the_plain_expression(self, q):
+        # a profile that runs on plain arrays and on jets gives H the bits of
+        # 1/(Q(z) + Q(zbar)) computed on plain arrays, zero where guarded
+        z = G.zmesh()
+        den = q(z) + q(np.conj(z))
+        guard = np.abs(den) < 1e-12
+        with np.errstate(all="ignore"):
+            want = np.where(guard, 0, 1.0 / den).real
+        h = sample_real(h_from_profile(q), G)
+        assert np.array_equal(h.mask, guard)
+        assert np.array_equal(h.values.view(np.uint64), want.view(np.uint64))
+
+    def test_profile_that_does_not_run_on_a_jet_rejected(self):
+        with pytest.raises(ValueError, match="must run on a jet"):
+            h_from_profile(np.cosh)
 
     def test_constant_profile_gives_constant_h(self):
         H = h_from_profile(lambda z: np.full(np.shape(z), 4.0, dtype=complex))

@@ -1,9 +1,14 @@
 """The benchmark's command lines stay ones the command line accepts:
 perfbench/run.py is loaded read-only and every workload's argv resolves to
 its command, family, grid and drawn parameter, so a removed or renamed
-option shows here before every benchmark sample exits 64."""
+option shows here before every benchmark sample exits 64. Its traced child
+runs each workload on a small grid, so a renamed function that the tracer
+patches shows here too."""
+import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +49,32 @@ def test_workload_argv_resolves_to_its_command(perfbench_run, tmp_path):
         assert command == wl.command, name
         assert (cfg.family, cfg.grid, cfg.out) == (wl.family, wl.shape(), str(tmp_path / name))
         assert getattr(cfg, field[wl.flag]) == value, name
+
+
+def _files(path):
+    return {p: p.stat().st_mtime_ns for p in path.rglob("*")}
+
+
+def test_traced_child_runs_every_workload_on_a_small_grid(perfbench_run, tmp_path):
+    # child.py times build_family returning and tracing.py patches
+    # ClosedForm.jet and the export functions: each layer below is reached
+    # only through those names
+    before = _files(PERFBENCH)
+    env = {k: v for k, v in os.environ.items() if k != "WSL_OUT"}     # it overrides --out
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)])
+    for name, wl in perfbench_run.WORKLOADS.items():
+        small = dataclasses.replace(wl, grid="21x21")
+        result = tmp_path / f"{name}.json"
+        argv = small.argv(small.draw(name, 1), tmp_path / name)
+        proc = subprocess.run([sys.executable, "-B", str(PERFBENCH / "child.py"), str(result),
+                               "1", *argv], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
+        child = json.loads(result.read_text(encoding="utf-8"))
+        assert child["rc"] == 0 and child["t_built"] is not None, name
+        layers = {span[0] for span in child["spans"]}      # tracing.LAYER
+        want = {"closedform.jet", "closedform.sample", "calculus", "families.build"}
+        if wl.command == "induce":
+            want.add("inducer.export")
+        assert want <= layers, (name, sorted(want - layers))
+    assert _files(PERFBENCH) == before
