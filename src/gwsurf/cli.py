@@ -485,7 +485,9 @@ def _gate(spec: SuiteSpec, reports, tol_scale) -> dict:
     """A suite's result from its reports at every level."""
     grids = [r.grid for r in reports]
     maxes = [r.max_norm for r in reports]
-    ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else float("inf")
+    # a finer level that reads 0 gives no ratio; None, since JSON has no
+    # Infinity and jq or JSON.parse would reject the file
+    ratios = [maxes[i] / maxes[i + 1] if maxes[i + 1] > 0 else None
               for i in range(len(maxes) - 1)]
 
     # one note per failed check; the suite passes when there are none. A NaN
@@ -509,7 +511,7 @@ def _gate(spec: SuiteSpec, reports, tol_scale) -> dict:
                 notes.append(f"residual {m:.3e} above tol {tol:.3e} at h={h:.4g}")
         if maxes[0] > 100 * FD_FLOOR:
             for k, ratio in enumerate(ratios):
-                if ratio < RATIO_MIN:
+                if ratio is not None and ratio < RATIO_MIN:
                     notes.append(f"nonconvergent: ratio {ratio:.2f} < {RATIO_MIN} "
                                  f"at level {k} (4 expected)")
     elif spec.kind == "control":

@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 import sys
@@ -350,3 +351,32 @@ def test_public_field_constructors_take_no_source(cls):
     # sample and pointwise give a field its analytic source; a public
     # constructor builds a field of plain values
     assert "source" not in inspect.signature(cls).parameters
+
+
+@pytest.fixture(scope="module")
+def default_run_dir(tmp_path_factory):
+    """verify and induce of every family at their defaults, then report,
+    all writing into one directory."""
+    from gwsurf.cli import main
+    out = tmp_path_factory.mktemp("defaults")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("WSL_OUT", raising=False)         # it would override --out
+        for name in gwsurf.FAMILY_NAMES:
+            for command in ("verify", "induce"):
+                assert main([command, "--family", name, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+    return out
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_reports_and_summary_are_json(default_run_dir):
+    # json.dumps writes inf and nan as Infinity and NaN, which jq and
+    # JSON.parse reject; a ratio over a finer level that reads 0 is null
+    names = sorted(p.name for p in default_run_dir.glob("*.json"))
+    assert len(names) == 23 + 23 + 23 + 11 + 6 + 5 + 1 and "summary.json" in names
+    for name in names:
+        json.loads((default_run_dir / name).read_text(encoding="ascii"),
+                   parse_constant=_not_json)
