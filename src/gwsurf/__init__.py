@@ -12,7 +12,7 @@ from .grid import GridSpec, ComplexField, RealField, NumericalBreakdown
 from .closedform import (ClosedForm, Jet, sample, sample_real, form, diagonal_form, pointwise,
                          exp, sin, cos, sqrt, log, conj)
 from .calculus import d_z, d_zbar, mixed_dzbar_dz, dx, dy, dxx, dyy
-from .reporting import ResidualReport, ResidualPart, report_from_parts, norms, worst
+from .reporting import ResidualReport, ResidualPart, joined, report_from_parts, norms, worst
 from .weierstrass import (SpinorField, log_derivatives, density_p,
                           weierstrass_residual, potential_conservation_residual,
                           current_J, dbar_J_defect, modified_current,

@@ -8,6 +8,9 @@ verify   run every residual suite applicable to the configured family at
 induce   build the surface, write OBJ + CSV + a curvature-closure report.
 report   merge suite JSONs from the output directory into one summary.
 
+Each level of a report lists its row's named parts, and its max_norm and
+l2_norm are the worst of them (reporting builds every row).
+
 Exit codes: 0 pass, 2 numerical failure, 64 usage error, 66 missing or
 unreadable inputs, 73 an output that cannot be created or written (the
 sysexits table). The environment variable WSL_OUT overrides --out.
@@ -45,8 +48,8 @@ from .integrability import (fit_riccati_coeffs, h_integrability_residual,
                             linear_system_residual,
                             linearization_constraint_residual, riccati_residual,
                             sinh_gordon_residual, zero_curvature_residual)
-from .reporting import (RATIO_MIN, ResidualReport, _masked_count, _unmasked, norms,
-                        report_from_parts, worst)
+from .reporting import (RATIO_MIN, ResidualPart, ResidualReport, _masked_count, _unmasked,
+                        joined, norms, report_from_parts, worst)
 from .sigma import (compatibility_residual, deformed_ll_residual,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product,
                     psi_from_rho, rho_from_psi, sigma_residual, spin_matrix,
@@ -259,19 +262,12 @@ class SuiteSpec:
     tol: float = EXACT_TOL      # for exact suites
 
 
-def _report_scalar(grid, value, mask, **details) -> ResidualReport:
-    """A row of one number, taken over the points `mask` leaves."""
-    return ResidualReport(grid=grid, max_norm=float(value), l2_norm=float(value),
-                          masked_points=_masked_count(mask, grid), details=details)
-
-
 # --- exact-path runners -----------------------------------------------------
 
 def run_roundtrip_exact(fam, rho, h):
     back = rho_from_psi(psi_from_rho(rho, h))
     (b, bmask), (r, rmask) = back.stored, rho.stored
-    mask = rmask | bmask
-    return _report_scalar(rho.grid, norms(b - r, rho.grid, mask)[0], mask)
+    return report_from_parts(rho.grid, [("rho", b - r, rmask | bmask)])
 
 
 def run_transform_exact(fam, rho, h, spinor):
@@ -283,36 +279,33 @@ def run_transform_exact(fam, rho, h, spinor):
     # second-derivative term it has to cancel
     mix, mmask = mixed_dzbar_dz(derived).stored
     scale = max(1.0, norms(mix, rho.grid, mmask)[0])
-    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm / scale),
-                          _shared(rho, h, spinor)[1], spinor_direction=a.max_norm,
-                          rho_direction=b.max_norm, rho_direction_scale=scale)
+    relative = tuple(ResidualPart(p.name, p.max_norm / scale, p.l2_norm / scale)
+                     for p in b.parts)
+    grid, mask = _shared(rho, h, spinor)
+    return joined(grid, _masked_count(mask, grid), a.parts + relative,
+                  {"rho_direction_scale": scale})
 
 
 def run_current_identity_exact(fam, s, h):
     (J, jmask), (p, pmask) = current_J(s).stored, density_p(s).stored
     vals = np.abs(J) ** 2 - p**4 * h.stored[0]**2
-    mask = jmask | pmask | h.stored[1]
-    return _report_scalar(s.grid, norms(vals, s.grid, mask)[0], mask)
+    return report_from_parts(s.grid, [("current_identity", vals, jmask | pmask | h.stored[1])])
 
 
 def run_constraints_exact(fam, s):
     rep = linearization_constraint_residual(s)
-    return replace(rep, max_norm=worst(rep.max_norm, rep.details.get("p_variance", 0.0)))
-
-
-def run_h_constancy_exact(fam, rho, h):
-    rep = unimodular_H_constancy_check(rho, h)
-    if not rep.details.get("consistent", False):
-        return replace(rep, max_norm=worst(rep.max_norm, 1.0))
-    return rep
+    variance = rep.details["p_variance"]
+    return joined(rep.grid, rep.masked_points,
+                  rep.parts + (ResidualPart("p_variance", variance, variance),),
+                  {"p_mean": rep.details["p_mean"]})
 
 
 def run_multisoliton_exact(fam, rho, h):
     prod = multisoliton_product(rho, rho)
     rep = sigma_residual(prod, h)
     values, mask = prod.stored
-    dev = norms(np.abs(values) - 1.0, prod.grid, mask)[0]
-    return replace(rep, max_norm=worst(rep.max_norm, dev), details={"unimodularity": dev})
+    dev = ResidualPart("unimodularity", *norms(np.abs(values) - 1.0, prod.grid, mask))
+    return joined(prod.grid, rep.masked_points, rep.parts + (dev,))
 
 
 # --- finite-difference runners ----------------------------------------------
@@ -327,7 +320,7 @@ def run_roundtrip_fd(fam, s, h):
     use_minus = float(np.sum(d_minus)) < float(np.sum(d_plus))
     sgn = -1.0 if use_minus else 1.0
     err = np.maximum(np.abs(sgn * b1 - p1), np.abs(sgn * b2 - p2))
-    return _report_scalar(grid, norms(err, grid, mask)[0], mask)
+    return report_from_parts(grid, [("spinor", err, mask)])
 
 
 def run_modified_current_fd(fam, s, h):
@@ -338,10 +331,8 @@ def run_modified_current_fd(fam, s, h):
 
 def run_riccati_fd(fam, rho):
     coeffs = fit_riccati_coeffs(rho)
-    a = riccati_residual(rho, coeffs)
-    b = zero_curvature_residual(coeffs)
-    return _report_scalar(rho.grid, worst(a.max_norm, b.max_norm), rho.stored[1],
-                          constraint=a.max_norm, zero_curvature=b.max_norm)
+    parts = riccati_residual(rho, coeffs).parts + zero_curvature_residual(coeffs).parts
+    return joined(rho.grid, _masked_count(rho.stored[1], rho.grid), parts)
 
 
 def run_path_independence_fd(fam, s):
@@ -357,8 +348,8 @@ def run_ll_necessity_control(fam, comm, h):
     """Undeformed spin equation must fail where the deformation is needed."""
     undeformed = landau_lifshitz_residual(comm)
     deformed = deformed_ll_residual(comm, h)
-    return _report_scalar(comm.grid, undeformed.max_norm, comm.mask | h.stored[1],
-                          deformed=deformed.max_norm)
+    return joined(comm.grid, _masked_count(comm.mask | h.stored[1], comm.grid),
+                  undeformed.parts, {"deformed": deformed.max_norm})
 
 
 def run_h_classification(fam, h):
@@ -403,7 +394,7 @@ SUITES = (
     SuiteSpec("compatibility_exact", "exact", {"unit_rho": True, "constant_rho": False},
               ("rho", "h"), lambda fam, rho, h: compatibility_residual(rho, h), POINTWISE_TOL),
     SuiteSpec("h_constancy_exact", "exact", {"unit_rho": True}, ("rho", "h"),
-              run_h_constancy_exact, POINTWISE_TOL),
+              lambda fam, rho, h: unimodular_H_constancy_check(rho, h), POINTWISE_TOL),
     SuiteSpec("multisoliton_exact", "exact", {"unit_rho": True}, ("rho", "h"),
               run_multisoliton_exact, POINTWISE_TOL),
     # the stencil rows below that need a varying H pass for constant H too;
@@ -470,7 +461,9 @@ def _level_entry(rep: ResidualReport) -> dict:
     """One level of a suite result, as its report file stores it."""
     g = rep.grid
     return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "max_norm": rep.max_norm,
-            "l2_norm": rep.l2_norm, "masked_points": rep.masked_points, "details": rep.details}
+            "l2_norm": rep.l2_norm, "masked_points": rep.masked_points,
+            "parts": [{"name": p.name, "max_norm": p.max_norm, "l2_norm": p.l2_norm}
+                      for p in rep.parts], "details": rep.details}
 
 
 def _result(name: str, kind: str, notes: list, reports, ratios, tolerances) -> dict:
@@ -619,15 +612,14 @@ def cmd_induce(cfg: RunConfig) -> int:
         ("closure", np.abs(h_num.values) - np.abs(h_pre), h_num.mask | h_mask),
         ("k_consistency", k_num.values - k_form, k_num.mask | k_mask),
     ], exclude_rings=1)
-    closure, k_err = (p.max_norm for p in check.parts)
+    # the row counts the points the spinor masks, which the mesh leaves out
+    level = joined(grid, _masked_count(s.stored[1], grid), check.parts,
+                   {"vertices": nverts, "faces": nfaces})
+    closure, k_err = (p.max_norm for p in level.parts)
 
     h = max(grid.hx, grid.hy)
     tol = max(50.0 * h**2, FD_FLOOR) * cfg.tol_scale
-    passed = closure <= tol and k_err <= tol
-    level = ResidualReport(
-        grid=grid, max_norm=closure, l2_norm=closure,
-        masked_points=_masked_count(s.stored[1], grid),
-        details={"k_consistency": k_err, "vertices": nverts, "faces": nfaces})
+    passed = level.max_norm <= tol
     notes = [] if passed else [f"closure {closure:.3e} or K error {k_err:.3e} above {tol:.3e}"]
     _write_report(cfg, fam, _result("curvature_closure", "fd", notes, [level], [], [tol]))
     print(f"{'PASS' if passed else 'FAIL'}  {fam.name}:curvature_closure  "

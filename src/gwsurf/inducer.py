@@ -32,7 +32,7 @@ import numpy as np
 
 from .calculus import _integrate_from, _once, dx, dxx, dy, dyy
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import RATIO_MIN, ResidualReport, _masked_count
+from .reporting import RATIO_MIN, ResidualPart, ResidualReport, _masked_count, joined
 from .weierstrass import SpinorField, potential_conservation_residual
 
 __all__ = [
@@ -190,7 +190,8 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
 
 
 def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
-    """|X(L-path) - X(reversed-L)| at z1, maximized over the coordinates.
+    """|X(L-path) - X(reversed-L)| at z1: one part per integrated form,
+    `plus` (X1 + i X2) and `x3`, each gap its part's max and L2 norm.
 
     The L-path runs along the row through z0, then along the column
     through z1 (`_integrate_path`'s); the reversed L runs along the column
@@ -208,18 +209,15 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
             raise NumericalBreakdown("a comparison path crosses a masked point")
         return phi[k1]
 
-    worst = 0.0
-    per = {}
+    parts = []
     for label, (fx, fy) in zip(("plus", "x3"), _line_forms(s, grid)):
         phi_a = (along(fx, np.s_[:, j0], grid.hx, i0, i1)
                  + along(fy, np.s_[i1, :], grid.hy, j0, j1))
         phi_b = (along(fy, np.s_[i0, :], grid.hy, j0, j1)
                  + along(fx, np.s_[:, j1], grid.hx, i0, i1))
-        per[label] = float(abs(phi_a - phi_b))
-        worst = max(worst, per[label])
-    return ResidualReport(grid=grid, max_norm=worst, l2_norm=worst,
-                          masked_points=_masked_count(stored, grid),
-                          details=per)
+        gap = float(abs(phi_a - phi_b))
+        parts.append(ResidualPart(label, gap, gap))
+    return joined(grid, _masked_count(stored, grid), parts)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Residual reports: norms over unmasked grid points.
 
-Every verification operation returns a ResidualReport: the grid, the max
-norm and the grid-weighted L2 norm of one or more residual fields, and
-the masked-point count. Its `parts` break a multi-equation residual into
-its named components, and its `details` carry operation-specific
-scalars (variances, flags). Values and masks may be stored columns (see
-grid); the norms read them at that shape.
+Every verification operation returns a ResidualReport, and only this
+module builds one. Its named `parts` carry the max norm and the
+grid-weighted L2 norm of each residual: a field, or a scalar such as a
+point gap, whose two norms are the scalar itself. Its own max_norm and
+l2_norm are the worst of its parts'; its `details` carry scalars that are
+not residuals (a mean, a reference, a flag). Values and masks may be
+stored columns (see grid); the norms read them at that shape.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .grid import GridSpec
 
-__all__ = ["ResidualPart", "ResidualReport", "report_from_parts", "norms", "worst"]
+__all__ = ["ResidualPart", "ResidualReport", "joined", "report_from_parts", "norms", "worst"]
 
 # least accepted residual ratio between refinement levels where second-order
 # convergence (ratio 4) is expected
@@ -120,14 +121,23 @@ class ResidualReport:
     details: dict = dc_field(default_factory=dict)
 
 
+def joined(grid: GridSpec, masked_points: int, parts, details=None) -> ResidualReport:
+    """The report of `parts`, ResidualParts that carry their norms, in their
+    order: its max_norm and l2_norm are the worst of the parts' (`worst`).
+    `masked_points` counts the row's mask (`_masked_count`), or is the
+    count of the report whose parts the row joins."""
+    parts = tuple(parts)
+    return ResidualReport(grid=grid, max_norm=worst(*(p.max_norm for p in parts)),
+                          l2_norm=worst(*(p.l2_norm for p in parts)),
+                          masked_points=masked_points, parts=parts, details=details or {})
+
+
 def report_from_parts(grid: GridSpec, parts, details=None,
                       exclude_rings: int = 0) -> ResidualReport:
-    """Assemble a report from (part_name, values, mask) triples; values
-    and masks are grid-shaped or columns, read at their stored shape (see
-    `norms`). Each part's norms leave out `exclude_rings` boundary rings.
-
-    The headline max_norm is the largest part max, NaN if any part's is;
-    l2_norm likewise. The masked count is taken over the union mask of all
+    """`joined` of (part_name, values, mask) triples, each normed over its
+    mask (see `norms`); values and masks are grid-shaped or columns, read
+    at their stored shape. Each part's norms leave out `exclude_rings`
+    boundary rings. The masked count is taken over the union mask of all
     parts (boundary-ring exclusion, when requested, is not counted as
     masking).
     """
@@ -137,11 +147,4 @@ def report_from_parts(grid: GridSpec, parts, details=None,
             mask = np.asarray(mask, dtype=bool)
             union = mask if union is None else union | mask
         out_parts.append(ResidualPart(pname, *norms(values, grid, mask, exclude_rings)))
-    return ResidualReport(
-        grid=grid,
-        max_norm=worst(*(p.max_norm for p in out_parts)),
-        l2_norm=worst(*(p.l2_norm for p in out_parts)),
-        masked_points=0 if union is None else _masked_count(union, grid),
-        parts=tuple(out_parts),
-        details=details or {},
-    )
+    return joined(grid, 0 if union is None else _masked_count(union, grid), out_parts, details)

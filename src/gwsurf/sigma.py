@@ -32,8 +32,8 @@ import numpy as np
 from .calculus import _once, d_z, d_zbar, mixed_dzbar_dz
 from .closedform import conj, pointwise, sqrt
 from .grid import ComplexField, GridSpec, NumericalBreakdown, RealField, _shared
-from .reporting import (STENCIL_RINGS, ResidualReport, _masked_count, _unmasked, norms,
-                        report_from_parts)
+from .reporting import (STENCIL_RINGS, ResidualPart, ResidualReport, _masked_count, _unmasked,
+                        joined, norms, report_from_parts)
 from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
@@ -304,9 +304,9 @@ def multisoliton_product(r1: ComplexField, r2: ComplexField) -> ComplexField:
 def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualReport:
     """Unimodular solutions force constant H; report the observed spread.
 
-    max_norm is the spread max |H - mean(H)| over unmasked points; details
-    carry it as h_spread, with the mean, the variance, and a consistency
-    flag (1 = constant within 1e-10).
+    The one part, h_spread, is H - mean(H) over unmasked points, so
+    max_norm is the spread max |H - mean(H)|; details carry the mean, the
+    variance, and a consistency flag (1 = constant within 1e-10).
     """
     grid, mask = _shared(rho, h)
     _require_unimodular(rho)
@@ -314,15 +314,10 @@ def unimodular_H_constancy_check(rho: ComplexField, h: RealField) -> ResidualRep
     if vals.size == 0:
         raise ValueError("no unmasked points to test")
     mean = float(np.mean(vals))
-    variance = float(np.var(vals))
-    spread, l2 = norms(h.stored[0] - mean, grid, mask)
-    return ResidualReport(
-        grid=grid, max_norm=spread, l2_norm=l2,
-        masked_points=_masked_count(mask, grid),
-        parts=(),
-        details={"h_mean": mean, "h_spread": spread, "h_variance": variance,
-                 "consistent": bool(spread <= _UNIMODULAR_TOL)},
-    )
+    spread = ResidualPart("h_spread", *norms(h.stored[0] - mean, grid, mask))
+    return joined(grid, _masked_count(mask, grid), [spread], {
+        "h_mean": mean, "h_variance": float(np.var(vals)),
+        "consistent": bool(spread.max_norm <= _UNIMODULAR_TOL)})
 
 
 def compatibility_residual(rho: ComplexField, h: RealField) -> ResidualReport:

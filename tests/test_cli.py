@@ -543,7 +543,7 @@ class TestVerify:
 
     def test_hand_built_rows_count_their_masked_points(self, tmp_path):
         # trig's guard band crosses this domain at x < 0.025; the rows that
-        # cli builds from one number count the mask they were taken over,
+        # cli joins from parts count the mask their parts were taken over,
         # which here is the guard band that sigma_exact counts
         run(["verify", "--family", "trig", "--domain", "0,0.6,-1,1", "--grid", "41x41",
              "--out", str(tmp_path)])
@@ -910,7 +910,11 @@ def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
-UNMASKED = np.zeros((1, 1), dtype=bool)      # broadcasts to any grid
+def scalar_row(grid, value):
+    """A row of one part whose two norms are `value`, unmasked, with the
+    reference `deformed` that the control's gate reads."""
+    return gwsurf.joined(grid, 0, [gwsurf.ResidualPart("row", value, value)],
+                         {"deformed": 1e-6})
 
 
 @pytest.mark.parametrize("kind", ["exact", "fd", "control", "classify"])
@@ -920,11 +924,10 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     # nan > tol is False and max(nan * h^2, floor) is nan, so a NaN residual
     # slipped through every tolerance comparison
     from gwsurf import GridSpec
-    from gwsurf.cli import SuiteSpec, _gate, _report_scalar
+    from gwsurf.cli import SuiteSpec, _gate
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
-    reports = [_report_scalar(g, bad if g is grids[level] else 1e-3, UNMASKED, deformed=1e-6)
-               for g in grids]
+    reports = [scalar_row(g, bad if g is grids[level] else 1e-3) for g in grids]
     spec = SuiteSpec("broken", kind, {"constant_h": False}, (), None)
     res = _gate(spec, reports, 1.0)
     assert not res["passed"]
@@ -940,13 +943,12 @@ ONE_LEVEL = "one refinement level: no convergence ratio gated"
 def test_one_level_fd_row_notes_that_no_ratio_was_gated(kind, residual):
     # the note is a remark: passed is decided by the checks alone
     from gwsurf import GridSpec
-    from gwsurf.cli import SuiteSpec, _gate, _report_scalar
+    from gwsurf.cli import SuiteSpec, _gate
     grids = [GridSpec(-1, 1, -1, 1, 11, 11)]
     grids.append(grids[0].refined())
     spec = SuiteSpec("row", kind, {"constant_h": False}, (), None)
-    one = _gate(spec, [_report_scalar(grids[0], residual, UNMASKED, deformed=1e-6)], 1.0)
-    two = _gate(spec, [_report_scalar(g, residual, UNMASKED, deformed=1e-6) for g in grids],
-                1.0)
+    one = _gate(spec, [scalar_row(grids[0], residual)], 1.0)
+    two = _gate(spec, [scalar_row(g, residual) for g in grids], 1.0)
     assert (ONE_LEVEL in one["notes"]) == (kind == "fd")
     assert ONE_LEVEL not in two["notes"]
     failed = [n for n in one["notes"] if n != ONE_LEVEL]

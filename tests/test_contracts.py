@@ -7,8 +7,9 @@ inducer and the command line open files, the package runs on one
 thread, a field gets an analytic source only from closedform, every
 optional parameter is one that some call in the package sets, every
 public name is one that some module of the package loads, every public
-callable is one that some command runs, and every call README names is
-a public one."""
+callable is one that some command runs, every call README names is a
+public one, every report is RFC 8259 JSON, and only reporting builds a
+report, whose norms are the worst of its named parts."""
 import ast
 import dataclasses
 import importlib
@@ -380,3 +381,37 @@ def test_reports_and_summary_are_json(default_run_dir):
     for name in names:
         json.loads((default_run_dir / name).read_text(encoding="ascii"),
                    parse_constant=_not_json)
+
+
+def test_only_reporting_builds_a_report():
+    # a row's max_norm and l2_norm are the worst of its parts': one module
+    # builds reports, and no caller overrides their norms afterwards
+    built, overridden = {}, []
+    for path in sorted(Path(gwsurf.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name == "ResidualReport":
+                built[path.stem] = built.get(path.stem, 0) + 1
+            elif name == "replace" and {k.arg for k in n.keywords} & {"max_norm", "l2_norm"}:
+                overridden.append(f"{path.name}:{n.lineno}")
+    assert list(built) == ["reporting"] and not overridden, (built, overridden)
+
+
+LEVEL_KEYS = {"nx", "ny", "hx", "hy", "max_norm", "l2_norm", "masked_points", "parts", "details"}
+
+
+def test_every_level_is_the_worst_of_its_named_parts(default_run_dir):
+    reports = [p for p in sorted(default_run_dir.glob("*.json")) if p.name != "summary.json"]
+    assert len(reports) == 23 + 23 + 23 + 11 + 6 + 5
+    for path in reports:
+        for level in json.loads(path.read_text(encoding="ascii"))["levels"]:
+            assert set(level) == LEVEL_KEYS, path.name
+            parts = level["parts"]
+            assert parts and all(set(p) == {"name", "max_norm", "l2_norm"} for p in parts)
+            names = [p["name"] for p in parts]
+            # a part is named once, and details hold no residual
+            assert len(set(names)) == len(names) and not set(names) & set(level["details"])
+            assert level["max_norm"] == max(p["max_norm"] for p in parts), path.name
+            assert level["l2_norm"] == max(p["l2_norm"] for p in parts), path.name

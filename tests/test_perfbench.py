@@ -3,7 +3,8 @@ perfbench/run.py is loaded read-only and every workload's argv resolves to
 its command, family, grid and drawn parameter, so a removed or renamed
 option shows here before every benchmark sample exits 64. Its traced child
 runs each workload on a small grid, so a renamed function that the tracer
-patches shows here too."""
+patches shows here too, and each workload's outputs on a small grid pass
+the checks that every benchmark sample runs on them."""
 import dataclasses
 import importlib.util
 import json
@@ -78,3 +79,18 @@ def test_traced_child_runs_every_workload_on_a_small_grid(perfbench_run, tmp_pat
             want.add("inducer.export")
         assert want <= layers, (name, sorted(want - layers))
     assert _files(PERFBENCH) == before
+
+
+def test_outputs_pass_the_benchmarks_own_checks(perfbench_run, tmp_path, monkeypatch):
+    # every benchmark sample runs _check_outputs on what the command wrote: the
+    # report count, every report passed, and induce's masked_points, vertices
+    # and faces against its OBJ and CSV. A report format that fails it would
+    # fail every sample, so it fails here first
+    from gwsurf.cli import main
+    monkeypatch.delenv("WSL_OUT", raising=False)        # it would override --out
+    for name, wl in perfbench_run.WORKLOADS.items():
+        small = dataclasses.replace(wl, grid="21x21")
+        out = tmp_path / name
+        assert main(small.argv(small.draw(name, 1), out)) == 0, name
+        problems, _, _ = perfbench_run._check_outputs(small, out)
+        assert problems == [], (name, problems)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsurf import (ComplexField, GridSpec, SpinorField, apply_discrete_symmetry, build_family,
-                    compatibility_residual, d_z,
+from gwsurf import (ComplexField, GridSpec, ResidualPart, SpinorField, apply_discrete_symmetry,
+                    build_family, compatibility_residual, d_z,
                     deformed_ll_residual, family_exponential, family_rational,
                     family_trigonometric, family_unimodular, form,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
@@ -316,7 +316,7 @@ class TestUnimodularConstancy:
         r = family_unimodular(1.0, 1.0).rho(G)
         rep = unimodular_H_constancy_check(r, const_h(2.5))
         assert rep.details["consistent"] is True
-        assert rep.details["h_spread"] == 0.0
+        assert rep.parts == (ResidualPart("h_spread", 0.0, 0.0),)
 
     def test_varying_h_flagged(self):
         r = family_unimodular(1.0, 1.0).rho(G)
