@@ -22,8 +22,6 @@ expanded grid up to the round-off of the one-sided edge stencils.
 Stencils commute with complex conjugation, which keeps identities like
 d(conj f) = conj(dbar f) exact in floating point.
 """
-from __future__ import annotations
-
 import numpy as np
 
 from .grid import ComplexField, RealField

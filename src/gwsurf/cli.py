@@ -26,15 +26,13 @@ meaningless ratios; ratios are enforced (>= 2.5 where 4 is expected) only
 when the coarsest residual sits clearly above that floor. All tolerances
 scale with --tol-scale.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +73,7 @@ FD_SAFETY = 10.0
 # configuration: one row per key drives the config file, the flags, the
 # report stamp and the commands that read it
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     family: str = "rational"
     lam: float | None = None
     a: float | None = None
@@ -89,14 +86,6 @@ class RunConfig:
     jobs: int = 1
     out: str = "out"
     format: str = "json"
-
-    def __post_init__(self):
-        # zero levels would compute no ratios and silently skip the ratio gate
-        if self.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {self.levels}")
-        # verify runs on one thread; the key stays so that `--jobs 1` parses
-        if self.jobs != 1:
-            raise ValueError(f"jobs must be 1, got {self.jobs}")
 
     def describe(self) -> dict:
         """The settings that shape results, as stamped into every report.
@@ -161,12 +150,27 @@ def _tol_scale(text: str) -> float:
     return value
 
 
+def _levels(text: str) -> int:
+    value = int(text)
+    # zero levels would compute no ratios and silently skip the ratio gate
+    if value < 1:
+        raise ValueError(f"levels must be at least 1, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    # verify runs on one thread; the key stays so that `--jobs 1` parses
+    if value != 1:
+        raise ValueError(f"jobs must be 1, got {value}")
+    return value
+
+
 def _json(v):
     return list(v) if isinstance(v, tuple) else v
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     key: str                    # config-file key, also the report-config key
     field: str                  # RunConfig field
     flag: str                   # command-line flag
@@ -187,8 +191,8 @@ _KEYS = (
     _Key("basepoint", "basepoint", "--basepoint", _optional(_floats(2, "basepoint")),
          report=_json, commands=("induce",)),
     _Key("tol_scale", "tol_scale", "--tol-scale", _tol_scale, report=_json),
-    _Key("levels", "levels", "--levels", int, report=_json, commands=("verify",)),
-    _Key("jobs", "jobs", "--jobs", int, commands=()),
+    _Key("levels", "levels", "--levels", _levels, report=_json, commands=("verify",)),
+    _Key("jobs", "jobs", "--jobs", _jobs, commands=()),
     _Key("out", "out", "--out", str, commands=("verify", "induce", "report")),
     _Key("format", "format", "--format", _choice("format", ("json", "csv")),
          commands=("report",)),
@@ -214,13 +218,13 @@ def parse_config_text(text: str) -> RunConfig:
 
 def _away(cfg: RunConfig, key: _Key) -> bool:
     """Whether `cfg` sets `key` away from its default."""
-    return getattr(cfg, key.field) != getattr(RunConfig, key.field)
+    return getattr(cfg, key.field) != RunConfig._field_defaults[key.field]
 
 
 def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
     """`cfg` with `key` parsed from `text`; a bad value names `where` it came from."""
     try:
-        return replace(cfg, **{key.field: key.parse(text)})
+        return cfg._replace(**{key.field: key.parse(text)})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -234,8 +238,7 @@ def _set(cfg: RunConfig, key: _Key, text: str, where: str) -> RunConfig:
 # analytic sources, so a level samples each form once (without spinor forms,
 # the spinor is the transform of rho and h). SUITES lists every exact suite
 # first, so no *_fd input exists while they run.
-@dataclass(frozen=True)
-class _Input:
+class _Input(NamedTuple):
     build: Callable             # fn(fam, grid, *reads) -> the input
     reads: tuple = ()
 
@@ -252,8 +255,7 @@ _INPUTS = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     name: str
     kind: str                   # exact | fd | control | classify
     needs: dict                 # SolutionFamily fact -> the value the suite runs for
@@ -358,7 +360,7 @@ def run_h_classification(fam, h):
     if fam.ddbar_inv_h is not None:
         details["expected"] = fam.ddbar_inv_h
     details["classified_integrable"] = bool(rep.max_norm <= 1e-6)
-    return replace(rep, details=details)
+    return rep._replace(details=details)
 
 
 # `needs` states each suite's hypothesis as facts of the family; a comment
@@ -556,12 +558,40 @@ def _setup(cfg: RunConfig) -> tuple[SolutionFamily, list[GridSpec]]:
     return fam, grids
 
 
+def _json_text(v) -> str:
+    """`v` as the text of a report file. JSON has no NaN or Infinity, which
+    json.dumps would write and jq or JSON.parse reject, so each is written
+    as null, and `report` reads it back as NaN (`_number`). Only a value
+    that holds one is walked: the walk costs a fifth of the dump."""
+    try:
+        text = json.dumps(v, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(v), sort_keys=True, indent=1)
+    return text + "\n"
+
+
+def _finite_or_null(v):
+    """`v` with every non-finite float in it replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
+def _number(v) -> float:
+    """A number of a report file, where null stands for a non-finite one."""
+    return math.nan if v is None else float(v)
+
+
 def _write_report(cfg: RunConfig, fam: SolutionFamily, res: dict) -> None:
     """Stamp a suite result and write it as <family>_<suite>.json."""
     res.update(family=fam.name, config=cfg.describe(), version=__version__)
     path = os.path.join(cfg.out, f"{fam.name}_{res['suite']}.json")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(res, sort_keys=True, indent=1) + "\n")
+        fh.write(_json_text(res))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -627,8 +657,18 @@ def cmd_induce(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
+def _worst_part(level: dict) -> str:
+    """`  (worst: name max_norm)` of a level's part with the largest
+    max_norm, a NaN the largest of all; empty when it lists no parts."""
+    parts = [(p["name"], _number(p["max_norm"])) for p in level.get("parts") or []]
+    if not parts:
+        return ""
+    name, value = max(parts, key=lambda p: (math.isnan(p[1]), p[1]))
+    return f"  (worst: {name} {value:.1e})"
+
+
 def cmd_report(cfg: RunConfig) -> int:
-    rows = []
+    rows, worst_parts = [], []
     names = sorted(os.listdir(cfg.out)) if os.path.isdir(cfg.out) else []
     for fname in names:
         if not fname.endswith(".json") or fname.startswith("summary"):
@@ -646,16 +686,18 @@ def cmd_report(cfg: RunConfig) -> int:
                     raise ValueError(f"{key} is not a string")
             if not isinstance(data.get("passed", False), bool):
                 raise ValueError("passed is not true or false")
+            finest = data["levels"][-1]
             rows.append({
                 "file": fname,
                 "family": data.get("family", "?"),
                 "suite": data["suite"],
                 "kind": data.get("kind", "?"),
-                "max_norm": float(data["levels"][-1]["max_norm"]),
-                "tolerance": float((data.get("tolerances") or [float("nan")])[-1]),
+                "max_norm": _number(finest["max_norm"]),
+                "tolerance": _number((data.get("tolerances") or [None])[-1]),
                 "ratio": (data.get("ratios") or [None])[-1],
                 "passed": data.get("passed", False),
             })
+            worst_parts.append("" if rows[-1]["passed"] else _worst_part(finest))
         except OSError as exc:  # not a readable file
             print(f"error: {path}: {exc.strerror}", file=sys.stderr)
             return EXIT_NOINPUT
@@ -670,19 +712,18 @@ def cmd_report(cfg: RunConfig) -> int:
     header = f"{'family':<12} {'suite':<26} {'kind':<9} {'max_norm':>12} {'tol':>12} {'ratio':>8}  status"
     print(header)
     print("-" * len(header))
-    for r in rows:
+    for r, worst_part in zip(rows, worst_parts):
         ratio = f"{r['ratio']:.2f}" if isinstance(r["ratio"], float) else "-"
         print(f"{r['family']:<12} {r['suite']:<26} {r['kind']:<9} "
               f"{r['max_norm']:>12.3e} {r['tolerance']:>12.3e} {ratio:>8}  "
-              f"{'PASS' if r['passed'] else 'FAIL'}")
+              f"{'PASS' if r['passed'] else 'FAIL'}{worst_part}")
     print(f"overall: {'PASS' if overall else 'FAIL'} ({len(rows)} suites)")
 
     if cfg.format == "json":
         out = os.path.join(cfg.out, "summary.json")
         with open(out, "w", encoding="ascii") as fh:
-            json.dump({"overall_passed": overall, "suites": rows, "version": __version__},
-                      fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(_json_text({"overall_passed": overall, "suites": rows,
+                                 "version": __version__}))
     else:
         out = os.path.join(cfg.out, "summary.csv")
         with open(out, "w", encoding="ascii") as fh:
@@ -722,7 +763,7 @@ def _resolve(argv) -> tuple[str, RunConfig]:
         if getattr(ns, key.field) is not None:
             cfg = _set(cfg, key, getattr(ns, key.field), key.flag)
     if os.environ.get("WSL_OUT"):
-        cfg = replace(cfg, out=os.environ["WSL_OUT"])
+        cfg = cfg._replace(out=os.environ["WSL_OUT"])
     for key in _KEYS:
         if ns.command not in key.commands and _away(cfg, key):
             raise ValueError(f"{key.flag}: {ns.command} does not read {key.key}")

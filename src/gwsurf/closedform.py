@@ -31,10 +31,7 @@ public field constructors take none.
 `sample` evaluates a diagonal form, and its guard, on the grid's first
 column only, and the field it returns stores that column (see grid).
 """
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -201,8 +198,7 @@ def conj(t):
     return Jet(*map(np.conj, swapped[:len(t.slots())]))
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A formula of z, and the guard of its domain.
 
     `fn(z)` is written in the operators and this module's functions (see
@@ -216,7 +212,7 @@ class ClosedForm:
     column. `form` and `diagonal_form` build it.
     """
 
-    fn: Callable = field(repr=False)
+    fn: Callable
     domain_guard: Optional[Callable] = None
     diagonal: bool = False
 

@@ -31,10 +31,8 @@ pair: unimodular at lam = 0), the constant density p0 (|lam|/(2*H0) for
 unimodular) and the constant d dbar(1/H) (2*lam^2 for rational, 0 for
 constant H), the last two None where not constant.
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +47,7 @@ __all__ = ["SolutionFamily", "family_rational", "family_exponential",
            "build_family", "FAMILY_NAMES"]
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     """A named (H, rho, psi) triple of closed forms and the facts its
     solution has: whether H is constant, |rho| = 1 and rho constant, and
     the constant density p0 and d dbar(1/H), each None where not constant;

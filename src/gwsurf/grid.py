@@ -47,9 +47,7 @@ except for the ops that preserve finiteness exactly (`conj`,
 non-finite value there was computed from well-formed inputs, so it
 raises NumericalBreakdown.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +62,7 @@ class NumericalBreakdown(ValueError):
     produced were not usable."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform sampling of the rectangle [x_min, x_max] x [y_min, y_max].
-
-    Spacings hx, hy are derived from the sample counts; central
-    differences need at least three points per axis.
-    """
-
+class _Bounds(NamedTuple):
     x_min: float
     x_max: float
     y_min: float
@@ -79,17 +70,34 @@ class GridSpec:
     nx: int
     ny: int
 
-    def __post_init__(self):
-        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(np.isfinite(b) for b in bounds):
+
+class GridSpec(_Bounds):
+    """Uniform sampling of the rectangle [x_min, x_max] x [y_min, y_max].
+
+    Spacings hx, hy are derived from the sample counts; central
+    differences need at least three points per axis. A named tuple whose
+    every construction is checked, `_make` and `_replace` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x_min, x_max, y_min, y_max, nx, ny):
+        if not all(np.isfinite(b) for b in (x_min, x_max, y_min, y_max)):
             raise ValueError("grid bounds must be finite")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
+        if not (x_max > x_min and y_max > y_min):
             raise ValueError("grid bounds must be ordered: x_max > x_min, y_max > y_min")
-        if self.nx < 3 or self.ny < 3:
+        if nx < 3 or ny < 3:
             raise ValueError("need nx >= 3 and ny >= 3 for interior stencils")
+        self = super().__new__(cls, x_min, x_max, y_min, y_max, nx, ny)
         # a subnormal spacing cannot tell grid points apart, nor divide a stencil
         if min(self.hx, self.hy) < np.finfo(float).tiny:
             raise NumericalBreakdown(f"grid spacing {min(self.hx, self.hy):.3g} is subnormal")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
     @property
     def hx(self) -> float:

@@ -22,11 +22,9 @@ one (on |H|, since the inducing formulas fix no normal orientation), and
 a numeric Gauss curvature to compare against the intrinsic formula from
 the density; `fundamental_forms` returns those two curvatures.
 """
-from __future__ import annotations
-
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """Coordinate fields over the grid, integrated from a basepoint. X1 and
     X2 are the real and imaginary parts of the one integral of X1 + i X2.
     A coordinate may be stored as one column (see grid), as
@@ -220,8 +217,7 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
     return joined(grid, _masked_count(stored, grid), parts)
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """The mean and Gauss curvatures of a sampled surface, from its first
     (E, F, G) and second (e, f, g) fundamental forms, both masked where
     the surface is masked or not an immersion."""

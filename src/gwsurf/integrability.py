@@ -9,10 +9,7 @@ dbar analogue) have no canonical coefficient construction, so a fitting
 oracle estimates the six coefficient fields by least squares over 3x3
 neighborhoods; the zero-curvature conditions are then tested on the fit.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,10 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RiccatiCoeffs:
-    """Coefficient fields of the coupled Riccati constraints (shared grid)."""
-
+class _Coefficients(NamedTuple):
     a10: ComplexField
     a11: ComplexField
     a12: ComplexField
@@ -42,13 +36,24 @@ class RiccatiCoeffs:
     a21: ComplexField
     a22: ComplexField
 
-    def __post_init__(self):
-        grids = {f.grid for f in self.fields()}
-        if len(grids) != 1:
-            raise ValueError("coefficient fields live on different grids")
 
-    def fields(self):
-        return (self.a10, self.a11, self.a12, self.a20, self.a21, self.a22)
+class RiccatiCoeffs(_Coefficients):
+    """Coefficient fields of the coupled Riccati constraints (shared grid):
+    a named tuple whose every construction checks the grid, `_make` and
+    `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, a10, a11, a12, a20, a21, a22):
+        self = super().__new__(cls, a10, a11, a12, a20, a21, a22)
+        if len({f.grid for f in self}) != 1:
+            raise ValueError("coefficient fields live on different grids")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
     @property
     def grid(self) -> GridSpec:
@@ -100,12 +105,12 @@ def h_integrability_residual(h: RealField) -> ResidualReport:
 def riccati_residual(rho: ComplexField, c: RiccatiCoeffs) -> ResidualReport:
     """Defects of both first-order Riccati constraints on rho, off the
     STENCIL_RINGS boundary rings."""
-    grid, mask = _shared(rho, *c.fields())
+    grid, mask = _shared(rho, *c)
     drho, m1 = d_z(rho).stored
     dbrho, m2 = d_zbar(rho).stored
     mask = mask | m1 | m2
     r = rho.stored[0]
-    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c.fields())
+    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c)
     d1 = drho - (a10 + a11 * r + a12 * r**2)
     d2 = dbrho - (a20 + a21 * r + a22 * r**2)
     return report_from_parts(grid, [("d_rho", d1, mask), ("dbar_rho", d2, mask)],
@@ -184,11 +189,11 @@ def zero_curvature_residual(c: RiccatiCoeffs) -> ResidualReport:
         (dlow, mlow), (dhigh, mhigh) = _once(d_zbar, low).stored, _once(d_z, high).stored
         return dlow - dhigh + p - q, mlow | mhigh
 
-    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c.fields())
+    a10, a11, a12, a20, a21, a22 = (f.stored[0] for f in c)
     cond0, mask0 = condition(c.a10, c.a20, a11 * a20, a21 * a10)
     cond1, mask1 = condition(c.a11, c.a21, 2 * a12 * a20, 2 * a22 * a10)
     cond2, mask2 = condition(c.a12, c.a22, a12 * a21, a11 * a22)
-    mask = _shared(*c.fields())[1] | mask0 | mask1 | mask2
+    mask = _shared(*c)[1] | mask0 | mask1 | mask2
     return report_from_parts(c.grid, [
         ("order0", cond0, mask), ("order1", cond1, mask), ("order2", cond2, mask)],
         exclude_rings=STENCIL_RINGS)

@@ -8,9 +8,7 @@ l2_norm are the worst of its parts'; its `details` carry scalars that are
 not residuals (a mean, a reference, a flag). Values and masks may be
 stored columns (see grid); the norms read them at that shape.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,21 +102,19 @@ def worst(*values: float) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-@dataclass(frozen=True)
-class ResidualPart:
+class ResidualPart(NamedTuple):
     name: str
     max_norm: float
     l2_norm: float
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     grid: GridSpec
     max_norm: float
     l2_norm: float
     masked_points: int
-    parts: tuple = ()
-    details: dict = dc_field(default_factory=dict)
+    parts: tuple
+    details: dict
 
 
 def joined(grid: GridSpec, masked_points: int, parts, details=None) -> ResidualReport:

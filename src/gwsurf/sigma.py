@@ -22,10 +22,8 @@ from rho, the time-independent Landau-Lifshitz commutator [S, d dbar S],
 and its deformed analogue [S, d dbar S] + R*Hmat whose inhomogeneity
 carries the ln H derivatives when the mean curvature is not constant.
 """
-from __future__ import annotations
-
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,8 +192,7 @@ def spin_matrix(rho: ComplexField) -> SpinMatrix:
                         for e in entries))
 
 
-@dataclass(frozen=True)
-class LLCommutator:
+class LLCommutator(NamedTuple):
     """The commutator [S, d dbar S] for the spin matrix S of `rho`: its
     four entries (c11, c12, c21, c22) and the union of their masks, as
     stored arrays (columns when rho is one, see grid)."""

@@ -13,8 +13,6 @@ integrals path independent, the current J = conj(psi1) d psi2
 - psi2 d conj(psi1) with its defect dbar J = -p^2 dH, and the corrected
 current that restores dbar-conservation for nonconstant H.
 """
-from __future__ import annotations
-
 import operator
 
 import numpy as np

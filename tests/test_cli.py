@@ -1,5 +1,4 @@
 """Command-line behavior: exit codes, determinism, config handling."""
-import dataclasses
 import json
 import math
 import os
@@ -87,7 +86,7 @@ class TestConfig:
 
     def test_table_covers_every_field_once(self):
         fields = [k.field for k in _KEYS]
-        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert sorted(fields) == sorted(RunConfig._fields)
         assert sorted(self.DEFAULTS) == sorted(k.key for k in _KEYS)
         assert sorted(self.SAMPLES) == sorted(set(self.DEFAULTS) - {"jobs"})
         assert parse_config_text(self._text(self.DEFAULTS)) == RunConfig()
@@ -339,7 +338,7 @@ def rational_101_counts():
 
     d1.__wrapped__, d2.__wrapped__, sample.__wrapped__ = calculus._d1, calculus._d2, \
         closedform.sample
-    inputs = {name: dataclasses.replace(spec, build=counted_build(name, spec.build))
+    inputs = {name: spec._replace(build=counted_build(name, spec.build))
               for name, spec in cli._INPUTS.items()}
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setattr(cli, "_INPUTS", inputs)
@@ -460,10 +459,10 @@ class TestSharedInputs:
             return wrapper
 
         monkeypatch.setattr(cli, "_INPUTS", {
-            n: dataclasses.replace(spec, build=recorded(("build", n), spec.build))
+            n: spec._replace(build=recorded(("build", n), spec.build))
             for n, spec in cli._INPUTS.items()})
         fam, grids = cli._setup(RunConfig(family=name, grid=(21, 21)))
-        suites = [dataclasses.replace(spec, runner=recorded(("run", spec.kind), spec.runner))
+        suites = [spec._replace(runner=recorded(("run", spec.kind), spec.runner))
                   for spec in cli._suites_for(fam)]
         for g in grids:
             events.clear()
@@ -933,6 +932,67 @@ def test_non_finite_residual_fails_the_gate(kind, level, bad):
     assert not res["passed"]
     h = max(grids[level].hx, grids[level].hy)
     assert f"non-finite residual {bad} at h={h:.4g}" in res["notes"]
+
+
+def _written_row(out, name, kind, levels):
+    """A row of `kind` whose levels hold the parts `levels` lists as (name,
+    norm) pairs, gated and written into `out` as verify writes it."""
+    from gwsurf.cli import SuiteSpec, _gate, _write_report
+    grids = [gwsurf.GridSpec(-1, 1, -1, 1, 11, 11)]
+    while len(grids) < len(levels):
+        grids.append(grids[-1].refined())
+    reports = [gwsurf.joined(g, 0, [gwsurf.ResidualPart(n, v, v) for n, v in parts])
+               for g, parts in zip(grids, levels)]
+    res = _gate(SuiteSpec(name, kind, {}, (), None), reports, 1.0)
+    out.mkdir(exist_ok=True)
+    _write_report(RunConfig(out=str(out)), gwsurf.build_family("rational"), res)
+    return out / f"rational_{name}.json"
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_row_is_written_as_json(tmp_path, bad):
+    # json.dumps writes NaN and Infinity, which jq and JSON.parse reject;
+    # every non-finite number of the file is null, the finite ones stay
+    path = _written_row(tmp_path, "broken", "fd", [[("rho", bad)], [("rho", 1e-3)]])
+    data = json.loads(path.read_text(encoding="ascii"), parse_constant=_not_json)
+    coarse, fine = data["levels"]
+    assert coarse["max_norm"] is coarse["l2_norm"] is coarse["parts"][0]["max_norm"] is None
+    assert fine["max_norm"] == fine["parts"][0]["l2_norm"] == 1e-3
+    # the coarse level calibrates the bound of both, so neither is finite
+    assert data["ratios"] == [None] and data["tolerances"] == [None, None]
+    assert data["passed"] is False
+
+
+def test_report_reads_a_null_as_nan(tmp_path, capsys):
+    _written_row(tmp_path, "broken", "fd", [[("rho", 1e-2)], [("h", 1.0), ("rho", math.nan)]])
+    assert run(["report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    (row,) = [ln for ln in capsys.readouterr().out.splitlines() if "broken" in ln]
+    assert row.split()[3:] == ["nan", "2.500e-02", "-", "FAIL", "(worst:", "rho", "nan)"]
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"),
+                         parse_constant=_not_json)
+    (entry,) = summary["suites"]
+    assert entry["max_norm"] is None and entry["ratio"] is None and entry["passed"] is False
+
+
+def test_report_names_a_failing_rows_worst_part(tmp_path, capsys):
+    # the part with the largest max_norm at the finest level; only the
+    # failing row's line says more than it did
+    _written_row(tmp_path, "broken", "exact",
+                 [[("rho", 5e-2), ("h", 1e-2)], [("h", 3e-4), ("rho", 1.2e-3), ("x3", 5e-5)]])
+    _written_row(tmp_path, "fine", "exact", [[("rho", 1e-15)], [("rho", 2e-16)]])
+    assert run(["report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    lines = capsys.readouterr().out.splitlines()
+    (broken,) = [ln for ln in lines if "broken" in ln]
+    (fine,) = [ln for ln in lines if " fine " in ln]
+    assert broken.endswith(" 41.67  FAIL  (worst: rho 1.2e-03)")
+    assert fine.endswith("  5.00  PASS")
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"))
+    assert all(set(r) == {"file", "family", "suite", "kind", "max_norm", "tolerance",
+                          "ratio", "passed"} for r in summary["suites"])
 
 
 ONE_LEVEL = "one refinement level: no convergence ratio gated"

@@ -1,5 +1,4 @@
 """Jet calculus and closed-form combinators against finite differences."""
-import dataclasses
 import operator
 
 import numpy as np
@@ -222,7 +221,7 @@ def test_psi_from_rho_asks_each_form_for_values_and_full_order_once_each():
         def fn(z):
             asked[name].append(getattr(z, "order", 0))
             return form.fn(z)
-        return dataclasses.replace(form, fn=fn)
+        return form._replace(fn=fn)
 
     for op in (lambda f: f.source.jet(0), d_z, d_zbar, mixed_dzbar_dz):
         for component in ("psi1", "psi2"):
@@ -282,8 +281,8 @@ def test_diagonal_form_mesh_evaluation_is_bitwise_pointwise():
         g = GridSpec(*fam.default_domain, 19, 13)
         rho, h = fam.rho(g), fam.h(g)
         assert rho.stored[0].shape == h.stored[0].shape == (g.nx, 1)
-        mesh_rho = sample(dataclasses.replace(fam.rho_form, diagonal=False), g)
-        mesh_h = sample_real(dataclasses.replace(fam.h_form, diagonal=False), g)
+        mesh_rho = sample(fam.rho_form._replace(diagonal=False), g)
+        mesh_h = sample_real(fam.h_form._replace(diagonal=False), g)
         for compact, mesh in zip(_derived_fields(rho, h), _derived_fields(mesh_rho, mesh_h)):
             assert compact.stored[0].shape == (g.nx, 1) and mesh.stored[0].shape == g.shape
             got, want = _slots(compact), _slots(mesh)

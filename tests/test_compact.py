@@ -1,7 +1,6 @@
 """Compact storage: a field that depends on x only is stored as one column
 (see gwsurf.grid), and the suites give on it the reports that the same
 inputs give stored grid-shaped."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ def _grid_shaped(fam, name, grid):
     """verify's input `name`, sampled from the family's forms, rebuilt
     grid-shaped: the forms sampled on the whole mesh."""
     def on_mesh(form, sampler=sample):
-        return sampler(dataclasses.replace(form, diagonal=False), grid)
+        return sampler(form._replace(diagonal=False), grid)
 
     if name == "h":
         return on_mesh(fam.h_form, sample_real)
@@ -61,8 +60,8 @@ def test_suites_agree_on_compact_and_grid_shaped_inputs(name):
     # derived from them as verify derives them (a spinor without spinor
     # forms by the transform of rho and h)
     sampled = {"rho", "h"} | ({"spinor"} if fam.spinor_forms else set())
-    rebuilt = {key: dataclasses.replace(spec, build=lambda f, g, *_, key=key:
-                                        _grid_shaped(f, key, g)) if key in sampled else spec
+    rebuilt = {key: spec._replace(build=lambda f, g, *_, key=key: _grid_shaped(f, key, g))
+               if key in sampled else spec
                for key, spec in _INPUTS.items()}
     for grid in grids:
         rho, h = fam.rho(grid), fam.h(grid)

@@ -179,7 +179,7 @@ class TestGradientOnce:
         coeffs = fit_riccati_coeffs(rho)
         zero_curvature_residual(coeffs)
         assert d1_calls == [(21, 1)] * (1 + 6)
-        assert not any(f._memo for f in coeffs.fields())
+        assert not any(f._memo for f in coeffs)
 
     def test_log_derivatives_once_per_field(self, d1_calls):
         # the sigma, deformed-LL and linear-system residuals share one ln H

@@ -194,11 +194,11 @@ class TestRiccati:
         for points in (30, 100):
             monkeypatch.setattr(integrability, "_FIT_POINTS", points)
             got = fit_riccati_coeffs(rho)
-            for f, r in zip(got.fields(), ref):
+            for f, r in zip(got, ref):
                 assert np.array_equal(f.values.view(np.uint64), r.view(np.uint64)), points
         if case == "patched":
             # its neighbours fall back to one-sided stencils and fit around it
-            mask = np.any([f.mask for f in got.fields()], axis=0)
+            mask = np.any([f.mask for f in got], axis=0)
             assert mask[12, 9] and mask.sum() == 1
 
     def test_fit_peak_memory(self):
