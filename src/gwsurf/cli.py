@@ -26,7 +26,6 @@ meaningless ratios; ratios are enforced (>= 2.5 where 4 is expected) only
 when the coarsest residual sits clearly above that floor. All tolerances
 scale with --tol-scale.
 """
-import argparse
 import json
 import math
 import os
@@ -719,14 +718,11 @@ def cmd_report(cfg: RunConfig) -> int:
               f"{'PASS' if r['passed'] else 'FAIL'}{worst_part}")
     print(f"overall: {'PASS' if overall else 'FAIL'} ({len(rows)} suites)")
 
-    if cfg.format == "json":
-        out = os.path.join(cfg.out, "summary.json")
-        with open(out, "w", encoding="ascii") as fh:
+    with open(os.path.join(cfg.out, f"summary.{cfg.format}"), "w", encoding="ascii") as fh:
+        if cfg.format == "json":
             fh.write(_json_text({"overall_passed": overall, "suites": rows,
                                  "version": __version__}))
-    else:
-        out = os.path.join(cfg.out, "summary.csv")
-        with open(out, "w", encoding="ascii") as fh:
+        else:
             fh.write("family,suite,kind,max_norm,tolerance,ratio,passed\n")
             for r in rows:
                 ratio = repr(r["ratio"]) if isinstance(r["ratio"], float) else ""
@@ -738,50 +734,53 @@ def cmd_report(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _resolve(argv) -> tuple[str, RunConfig]:
-    """The command and its configuration: defaults < --config < flags < WSL_OUT.
+_COMMANDS = {"verify": cmd_verify, "induce": cmd_induce, "report": cmd_report}
 
-    Raises SystemExit on a command-line usage error, OSError when the config
-    file cannot be read and ValueError on a bad value, or on a key that the
-    command does not read set away from its default (it would shape no result)."""
-    parser = argparse.ArgumentParser(
-        prog="gwsurf", description="verify and induce prescribed mean curvature surfaces")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "induce", "report"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file; flags override it")
-        for key in _KEYS:
-            p.add_argument(key.flag, dest=key.field, metavar=key.key.upper())
-    ns = parser.parse_args(_glue_negative_values(argv))
+
+def _usage(command: str) -> str:
+    """The usage of gwsurf, or of `command` with the flags of the keys it reads."""
+    if command not in _COMMANDS:
+        return "usage: gwsurf {verify,induce,report} [--FLAG VALUE]... | gwsurf --version"
+    return f"usage: gwsurf {command} [--config FILE]" + "".join(
+        f" [{k.flag} {k.key.upper()}]" for k in _KEYS if command in k.commands)
+
+
+def _resolve(argv) -> tuple[str, RunConfig | None]:
+    """The command and its configuration: defaults < --config < flags < WSL_OUT;
+    or, when --version, -h or --help asks for a text, what it is asked of
+    (gwsurf or the command) and None. Each flag is spelled in full and takes
+    the next argument, whatever it begins with, or the text after `=`.
+
+    Raises OSError when the config file cannot be read and ValueError on a
+    usage error, or on a key that the command does not read set away from
+    its default (it would shape no result)."""
+    if argv[:1] in (["--version"], ["-h"], ["--help"]):
+        return argv[0], None
+    command = _choice("command", _COMMANDS)(argv[0] if argv else "")
+    given, args = {}, iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return command, None
+        flag, eq, value = arg.partition("=")
+        if flag not in ("--config", *(k.flag for k in _KEYS)):
+            raise ValueError(f"{command} takes no argument {arg!r} (see gwsurf {command} --help)")
+        given[flag] = value if eq else next(args, None)
+        if given[flag] is None:
+            raise ValueError(f"{flag}: expected a value")
 
     cfg = RunConfig()
-    if ns.config:
-        with open(ns.config, "r", encoding="ascii") as fh:
+    if given.get("--config"):
+        with open(given["--config"], "r", encoding="ascii") as fh:
             cfg = parse_config_text(fh.read())
     for key in _KEYS:
-        if getattr(ns, key.field) is not None:
-            cfg = _set(cfg, key, getattr(ns, key.field), key.flag)
+        if key.flag in given:
+            cfg = _set(cfg, key, given[key.flag], key.flag)
     if os.environ.get("WSL_OUT"):
         cfg = cfg._replace(out=os.environ["WSL_OUT"])
     for key in _KEYS:
-        if ns.command not in key.commands and _away(cfg, key):
-            raise ValueError(f"{key.flag}: {ns.command} does not read {key.key}")
-    return ns.command, cfg
-
-
-def _glue_negative_values(argv):
-    """Join --config and every key's flag with a next argument that begins
-    with a minus sign, so invocations like --domain -1,1,-1,1 parse as
-    intended: each flag takes a value, and its own parser judges one like -3x3."""
-    flags = {"--config"} | {key.flag for key in _KEYS}
-    out = []
-    for tok in argv:
-        if out and out[-1] in flags and tok.startswith("-"):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
+        if command not in key.commands and _away(cfg, key):
+            raise ValueError(f"{key.flag}: {command} does not read {key.key}")
+    return command, cfg
 
 
 def main(argv=None) -> int:
@@ -792,12 +791,12 @@ def main(argv=None) -> int:
             print(f"cannot read config file {exc.filename}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_NOINPUT
-        commands = {"verify": cmd_verify, "induce": cmd_induce, "report": cmd_report}
+        if cfg is None:
+            print(__version__ if command == "--version" else _usage(command))
+            return EXIT_OK
         # a breakdown is reported by its one error line, not by numpy warnings
         with np.errstate(all="ignore"):
-            return commands[command](cfg)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else EXIT_USAGE
+            return _COMMANDS[command](cfg)
     except NumericalBreakdown as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

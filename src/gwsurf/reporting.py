@@ -20,14 +20,33 @@ __all__ = ["ResidualPart", "ResidualReport", "joined", "report_from_parts", "nor
 # convergence (ratio 4) is expected
 RATIO_MIN = 2.5
 
-# boundary rings a stencil-path residual leaves out: on them a derivative of
-# an already-differenced field composes one-sided stencils and drops an order
+# boundary rings a stencil-path residual leaves out, next to the grid's edge
+# and next to a mask: on them a derivative of an already-differenced field
+# composes one-sided stencils and drops an order
 STENCIL_RINGS = 2
 
 
+def _grown(mask: np.ndarray, rings: int) -> np.ndarray:
+    """`mask`, stored as a column or at the grid's shape, with every point
+    within `rings` points of a marked one marked: a grid-shaped mask in
+    every direction, diagonals included (a mixed stencil composes x and y),
+    a column along x only. A mask that marks nothing is returned as is."""
+    if not mask.any():
+        return mask
+    grown = mask.copy()
+    # along x, then along y on the transposed view of the x-grown mask
+    for view in (grown, grown.T) if grown.shape[1] > 1 else (grown,):
+        before = view.copy()
+        for k in range(1, rings + 1):
+            view[k:] |= before[:-k]
+            view[:-k] |= before[k:]
+    return grown
+
+
 def _selection(values, grid: GridSpec, mask=None, rings: int = 0):
-    """The values at the unmasked points outside `rings` boundary rings,
-    as (kept, counts) read at the stored shape (see grid).
+    """The values at the unmasked points outside `rings` boundary rings and
+    `rings` points off the mask (`_grown`), as (kept, counts) read at the
+    stored shape (see grid).
 
     For a stored column (nx, 1), `kept` holds its entries on the rows that
     keep a point and `counts` how many points each of those rows keeps
@@ -41,6 +60,9 @@ def _selection(values, grid: GridSpec, mask=None, rings: int = 0):
     values = np.asarray(values)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
+        if rings:
+            mask = _grown(mask if mask.shape == (nx, 1) else np.broadcast_to(mask, grid.shape),
+                          rings)
     if values.shape == (nx, 1):
         width = max(ny - 2 * rings, 0)
         column = values[rows, 0]
@@ -77,7 +99,8 @@ def _masked_count(mask, grid: GridSpec) -> int:
 
 def norms(values, grid: GridSpec, mask=None, rings: int = 0) -> tuple[float, float]:
     """(max |v|, sqrt(sum |v|^2 hx hy)) over the unmasked points outside
-    `rings` boundary rings; zeros if there are none.
+    `rings` boundary rings and `rings` points off the mask; zeros if there
+    are none.
 
     `values` and `mask` may be columns, read without expanding them. On a
     column the max is taken over its kept entries, and its squares
@@ -133,9 +156,9 @@ def report_from_parts(grid: GridSpec, parts, details=None,
     """`joined` of (part_name, values, mask) triples, each normed over its
     mask (see `norms`); values and masks are grid-shaped or columns, read
     at their stored shape. Each part's norms leave out `exclude_rings`
-    boundary rings. The masked count is taken over the union mask of all
-    parts (boundary-ring exclusion, when requested, is not counted as
-    masking).
+    boundary rings and the points that many off its mask. The masked count
+    is taken over the union mask of all parts (neither boundary-ring
+    exclusion, when requested, nor the growth of a mask counts as masking).
     """
     out_parts, union = [], None
     for pname, values, mask in parts:

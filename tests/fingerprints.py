@@ -24,22 +24,25 @@ from pathlib import Path
 
 import numpy as np
 
+from gwsurf import FAMILY_NAMES
+
 MANIFEST = Path(__file__).resolve().parent / "fingerprints.json"
 
-FAMILIES = ("rational", "exponential", "trig", "unimodular", "holomorphic")
-
 # every command at its defaults, the benchmark's two command lines at its
-# first drawn parameter (perfbench/run.py, seed 1), the trig guard band and
-# a finer holomorphic grid
+# first drawn parameter (perfbench/run.py, seed 1), the trig guard band, a
+# finer holomorphic grid and three usage errors, each one `error:` line
 ARGVS = {
     **{f"{command}-{family}": [command, "--family", family]
-       for command in ("verify", "induce") for family in FAMILIES},
+       for command in ("verify", "induce") for family in FAMILY_NAMES},
     "verify-rational-101": ["verify", "--family", "rational", "--grid", "101x101",
                             "--lambda", "0.9917", "--levels", "2", "--jobs", "1"],
     "induce-rational-251": ["induce", "--family", "rational", "--grid", "251x251",
                             "--lambda", "0.9395", "--levels", "2", "--jobs", "1"],
     "verify-trig-band": ["verify", "--family", "trig", "--domain", "0,0.6,-1,1"],
     "verify-holomorphic-201": ["verify", "--family", "holomorphic", "--grid", "201x201"],
+    "usage-negative-grid": ["verify", "--grid", "-3x3"],
+    "usage-unknown-flag": ["verify", "--no-such-flag"],
+    "usage-abbreviated-flag": ["verify", "--fam", "rational"],
 }
 
 

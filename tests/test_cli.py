@@ -154,6 +154,66 @@ class TestConfig:
                     "--basepoint", "default", "--out", str(tmp_path / "verify")]) == EXIT_OK
 
 
+class TestParser:
+    """The command line is read against the key table: the first argument
+    names the command, and --config and each key's flag, spelled in full,
+    take the next argument as their value, or the text after `=`."""
+
+    @pytest.mark.parametrize("args, want", [
+        (["--domain", "-1,1,-1,1"], {"domain": (-1.0, 1.0, -1.0, 1.0)}),
+        (["--lambda", "-2"], {"lam": -2.0}),
+        (["--lambda=-2"], {"lam": -2.0}),
+        (["--out", "-d"], {"out": "-d"}),
+        (["--family=trig", "--domain=0,0.6,-1,1", "--A", "-1.5"],
+         {"family": "trig", "domain": (0.0, 0.6, -1.0, 1.0), "a": -1.5}),
+        (["--grid", "21x21", "--grid", "31x31"], {"grid": (31, 31)}),
+    ])
+    def test_each_flag_takes_the_next_argument_as_its_value(self, monkeypatch, args, want):
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        assert _resolve(["verify", *args]) == ("verify", RunConfig(**want))
+
+    def test_a_config_file_that_begins_with_a_minus_sign_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-x.cfg").write_text("grid=21x21\n")
+        assert _resolve(["verify", "--config", "-x.cfg"]) == ("verify", RunConfig(grid=(21, 21)))
+        assert _resolve(["verify", "--config=-x.cfg", "--grid", "31x31"])[1].grid == (31, 31)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--fam", "rational"], ["verify", "--gri", "21x21"], ["verify", "--grid"],
+        ["verify", "--family", "trig", "--config"], [], ["bogus"], ["verify", "extra"],
+        ["verify", "--grid", "-3x3"], ["verify", "--no-such-flag"], ["verify", "--"],
+        ["verify", "-x"], ["--family", "rational", "verify"]])
+    def test_a_usage_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.delenv("WSL_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("ask", ["--help", "-h"])
+    def test_help_lists_the_flags_the_command_reads(self, capsys, command, ask):
+        # asked for anywhere a flag may stand; it runs nothing
+        for argv in ([command, ask], [command, "--grid", "-3x3", ask]):
+            assert main(argv) == EXIT_OK
+            (usage,) = capsys.readouterr().out.splitlines()
+            listed = [item.split()[0] for item in usage.split("[")[1:]]
+            assert usage.startswith(f"usage: gwsurf {command} [")
+            assert listed == ["--config"] + [k.flag for k in _KEYS if command in k.commands]
+
+    @pytest.mark.parametrize("ask", ["--help", "-h"])
+    def test_help_before_a_command_names_the_commands(self, capsys, ask):
+        assert main([ask]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: gwsurf {verify,induce,report} ")
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"{gwsurf.__version__}\n"
+
+
 _E, _P = 1e-12, 1e-10   # exact and pointwise tolerances
 _VARYING_H_SUITES = {
     ("dirac_exact", "exact", _E), ("sigma_exact", "exact", _E),
@@ -556,6 +616,21 @@ class TestVerify:
                       "roundtrip_fd", "riccati_fd", "ll_necessity_control"):
             assert masked[suite] == band, suite
 
+    @pytest.mark.parametrize("grid", ["51x51", "101x101"])
+    def test_trig_guard_band_passes(self, tmp_path, capsys, grid):
+        # the guard band masks x < 0.025 inside this domain, more rows at
+        # each level. A stencil row leaves out STENCIL_RINGS points next to
+        # the mask, as next to the grid's edge, where a derivative of a
+        # differenced field composes one-sided stencils and drops an order:
+        # the rows next to the band read ratios near 2 (they failed the gate)
+        assert run(["verify", "--family", "trig", "--domain", "0,0.6,-1,1", "--grid", grid,
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        for suite in ("sigma_fd", "current_defect_fd", "modified_current_fd", "deformed_ll_fd",
+                      "linear_system_fd"):
+            rep = json.loads((tmp_path / f"trig_{suite}.json").read_text())
+            assert rep["passed"] and rep["ratios"][0] > 3.5, suite
+
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["verify", "--family", "rational", "--lambda", "1",
@@ -793,8 +868,8 @@ class TestCountValidation:
 
     @pytest.mark.parametrize("flag", [k.flag for k in _KEYS if k.flag != "--out"])
     def test_value_with_a_minus_sign_reaches_the_flags_parser(self, tmp_path, capsys, flag):
-        # every flag takes a value, so one that begins with '-' is the
-        # flag's to judge, not argparse's (--out -d names a directory)
+        # every flag takes the next argument as its value, so one that
+        # begins with '-' is the flag's to judge (--out -d names a directory)
         out = tmp_path / "out"
         assert run(["verify", flag, "-zzz", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()

@@ -20,17 +20,31 @@ RECORDS = [gwsurf.GridSpec, gwsurf.ClosedForm, gwsurf.SolutionFamily, gwsurf.Sur
            cli.SuiteSpec]
 
 
-def test_importing_the_command_line_loads_no_dataclasses():
-    # a frozen dataclass compiles its generated methods with exec on every
-    # import, close to 1 ms a record; numpy does not load the module either
+def _loaded_in_a_fresh_interpreter(code: str, module: str) -> bool:
+    """Whether `module` is in sys.modules after `code` runs in a fresh
+    interpreter that imports this gwsurf."""
     src = os.path.dirname(os.path.dirname(gwsurf.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, gwsurf.cli; print('dataclasses' in sys.modules)"
+    code = f"import sys; {code}; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[out.stdout]
+
+
+def test_importing_the_command_line_loads_no_dataclasses():
+    # a frozen dataclass compiles its generated methods with exec on every
+    # import, close to 1 ms a record; numpy does not load the module either
+    assert not _loaded_in_a_fresh_interpreter("import gwsurf.cli", "dataclasses")
+
+
+def test_reading_a_command_line_loads_no_argparse():
+    # the key table reads the command line; argparse would cost its import
+    # and a parser built on every call
+    code = ("import gwsurf.cli; "
+            "gwsurf.cli._resolve(['verify', '--grid', '21x21', '--domain', '-1,1,-1,1'])")
+    assert not _loaded_in_a_fresh_interpreter(code, "argparse")
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)

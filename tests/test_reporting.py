@@ -39,17 +39,32 @@ def test_empty_selection_gives_zero():
 
 
 def test_rings_leave_out_the_boundary():
-    g = GridSpec(0, 1, 0, 1, 5, 5)
+    g = GridSpec(0, 1, 0, 1, 7, 7)
     vals = np.full(g.shape, 7.0)
-    vals[2, 2] = 1.0
+    vals[2:5, 2:5] = 1.0
     mask = np.zeros(g.shape, bool)
     mask[0, 0] = True
     rep = report_from_parts(g, [("a", vals, mask)], exclude_rings=2)
-    # only the center survives two rings; the ring is not counted as masked
-    assert (rep.max_norm, rep.l2_norm) == (1.0, np.sqrt(g.hx * g.hy))
+    # the center 3x3 survives two rings, less (2, 2), two points off the
+    # mask; neither the rings nor the grown mask count as masked
+    assert (rep.max_norm, rep.l2_norm) == (1.0, np.sqrt(8 * g.hx * g.hy))
     assert rep.masked_points == 1
-    empty = report_from_parts(g, [("a", vals, None)], exclude_rings=3)
+    empty = report_from_parts(g, [("a", vals, None)], exclude_rings=4)
     assert (empty.max_norm, empty.l2_norm, empty.masked_points) == (0.0, 0.0, 0)
+
+
+def test_a_mask_grows_at_its_stored_shape():
+    # row 4 masked, as a column or at the grid's shape, grows by one ring to
+    # rows 3 to 5 (a column along x only), for grid-shaped and column values
+    g = GridSpec(0, 1, 0, 1, 9, 7)
+    column = np.zeros((9, 1), bool)
+    column[4] = True
+    values = np.arange(9.0)[:, None] + np.zeros(g.shape)
+    kept_rows = np.array([1, 2, 6, 7])      # inside one ring, off the grown mask
+    want = (7.0, np.sqrt(np.sum(kept_rows ** 2) * (g.ny - 2) * g.hx * g.hy))
+    for v in (values, values[:, :1]):
+        for m in (column, np.broadcast_to(column, g.shape)):
+            assert np.allclose(norms(v, g, m, 1), want, rtol=1e-15, atol=0)
 
 
 def test_headline_is_worst_part():
@@ -98,11 +113,14 @@ def _report_bits_equal(a, b) -> bool:
 
 def _reference_norms(values, grid, mask, rings):
     """The norms as boolean indexing of the expanded grid gives them, with
-    the boundary rings marked in a grid-shaped mask."""
+    the boundary rings, and every point within `rings` points of a masked
+    one (diagonals included), marked in a grid-shaped mask."""
     excluded = np.ones(grid.shape, bool)
     excluded[rings:grid.nx - rings, rings:grid.ny - rings] = False
     if mask is not None:
-        excluded |= np.broadcast_to(mask, grid.shape)
+        full = np.broadcast_to(mask, grid.shape)
+        for i, j in zip(*np.nonzero(full)):
+            excluded[max(i - rings, 0):i + rings + 1, max(j - rings, 0):j + rings + 1] = True
     absvals = np.broadcast_to(np.abs(values), grid.shape)[~excluded]
     if absvals.size == 0:
         return 0.0, 0.0
