@@ -453,9 +453,20 @@ def _level_inputs(fam: SolutionFamily, grid: GridSpec) -> Callable[[str], object
 
 
 def _run_level(suites, fam, grid) -> list[ResidualReport]:
-    """Each suite's report at `grid`, in the order of `suites`."""
+    """Each suite's report at `grid`, in the order of `suites`. A suite
+    whose runner, or an input it reads, raises NumericalBreakdown gets a
+    broken report instead: one part `breakdown` whose norms are NaN, no
+    masked point counted, and the message as the `breakdown` detail, which
+    `_gate` fails. The other suites run as they would on their own."""
     get = _level_inputs(fam, grid)
-    return [spec.runner(fam, *map(get, spec.inputs)) for spec in suites]
+    reports = []
+    for spec in suites:
+        try:
+            reports.append(spec.runner(fam, *map(get, spec.inputs)))
+        except NumericalBreakdown as exc:
+            reports.append(joined(grid, 0, [ResidualPart("breakdown", math.nan, math.nan)],
+                                  {"breakdown": str(exc)}))
+    return reports
 
 
 def _level_entry(rep: ResidualReport) -> dict:
@@ -486,8 +497,12 @@ def _gate(spec: SuiteSpec, reports, tol_scale) -> dict:
 
     # one note per failed check; the suite passes when there are none. A NaN
     # compares false with every tolerance, so the checks below would miss it
-    notes = [f"non-finite residual {m} at h={max(g.hx, g.hy):.4g}"
-             for g, m in zip(grids, maxes) if not math.isfinite(m)]
+    notes = []
+    for k, r in enumerate(reports):
+        if "breakdown" in r.details:
+            notes.append(f"numerical breakdown at level {k}: {r.details['breakdown']}")
+        elif not math.isfinite(r.max_norm):
+            notes.append(f"non-finite residual {r.max_norm} at h={max(r.grid.hx, r.grid.hy):.4g}")
     tolerances = []
     if spec.kind == "exact":
         tol = spec.tol * tol_scale

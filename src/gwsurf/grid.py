@@ -27,11 +27,11 @@ their row, the same values in the same order as boolean indexing of the
 expanded grid gives, so it keeps its bits (see reporting). A column is
 expanded to the grid only where the y direction matters: in the
 inducer's integrals along y (over the whole grid for a surface, along
-one grid line for path independence), after which the surface keeps as
-a column each coordinate whose every column, of values and of mask,
-equals its first bit for bit; and in the public `values` and `mask`,
-which are always grid-shaped and read-only (for a compact field, each
-read expands the column into a new array).
+one grid line for path independence), where a surface coordinate whose
+y-line form is zero under a column mask is integrated along x alone and
+kept as a column; and in the public `values` and `mask`, which are
+always grid-shaped and read-only (for a compact field, each read
+expands the column into a new array).
 
 The public constructors validate what they are given: shapes (the
 grid's), a private copy of the mask, masked points zeroed, then every

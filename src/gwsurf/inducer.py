@@ -14,7 +14,9 @@ X3's is real: X1 and X2 are the real and imaginary parts of the one
 integral of X1 + i X2. The two conservation laws make the integrands
 closed forms, so the integrals are path independent up to discretization
 error; the module measures that honestly (L-path against reversed-L)
-instead of assuming it.
+instead of assuming it. Each coordinate is integrated from its line
+forms as stored, and is a column (see grid) when its y-line form is
+zero and the spinor's mask is a column.
 
 Closing the loop: the first and second fundamental forms of the sampled
 surface give a numeric mean curvature to compare against the prescribed
@@ -45,7 +47,8 @@ class Surface(NamedTuple):
     """Coordinate fields over the grid, integrated from a basepoint. X1 and
     X2 are the real and imaginary parts of the one integral of X1 + i X2.
     A coordinate may be stored as one column (see grid), as
-    `induce_surface` stores one that is constant along y."""
+    `induce_surface` stores one whose y-line form is zero under a column
+    mask."""
 
     x1: RealField
     x2: RealField
@@ -78,13 +81,12 @@ def _one_forms(s: SpinorField):
     ]
 
 
-def _line_forms(s: SpinorField, grid: GridSpec):
+def _line_forms(s: SpinorField):
     """The line forms A dz + B dzbar along a row (dz = dzbar = dx) and along
-    a column (dz = i dy, dzbar = -i dy) of X1 + i X2 and of X3, on the
-    grid's shape (views of columns). X3's are the real parts: their
+    a column (dz = i dy, dzbar = -i dy) of X1 + i X2 and of X3, as stored
+    (columns for a compact spinor). X3's are the real parts: their
     imaginary parts are zero (-0.0 where a part of psi is an exact zero)."""
-    plus, x3 = ([np.broadcast_to(f, grid.shape) for f in (A + B, 1j * (A - B))]
-                for A, B in _one_forms(s))
+    plus, x3 = ([A + B, 1j * (A - B)] for A, B in _one_forms(s))
     return plus, [f.real for f in x3]
 
 
@@ -92,12 +94,17 @@ def _integrate_path(fx, fy, grid, i0, j0, mask):
     """Trapezoid line integral of the line forms `fx` (along a row) and
     `fy` (along a column) from (i0, j0) to every grid point, along the base
     row (real direction) then along the column, and where that path
-    crosses a masked point. `mask` may be a column; the forms are
-    integrated on the whole grid."""
-    mask = np.broadcast_to(mask, grid.shape)
+    crosses a masked point. The forms and `mask` may be columns. Under a
+    column mask, a `fy` with no nonzero entry gives the base row's
+    integral as a column, plus the +0.0 that the integral along y is at
+    j0; otherwise `fy` is integrated on the whole grid."""
+    wide = np.broadcast_to(mask, grid.shape)
     # the base row through the basepoint, kept two-dimensional to broadcast
-    phi0, bad0 = _integrate_from(fx[:, [j0]], mask[:, [j0]], grid.hx, 0, i0)
-    phi, bad = _integrate_from(fy, mask, grid.hy, 1, j0)
+    phi0, bad0 = _integrate_from(np.broadcast_to(fx, grid.shape)[:, [j0]], wide[:, [j0]],
+                                 grid.hx, 0, i0)
+    if mask.shape[1] == 1 and not fy.any():
+        return phi0 + 0.0, bad0 | mask
+    phi, bad = _integrate_from(np.broadcast_to(fy, grid.shape), wide, grid.hy, 1, j0)
     return phi0 + phi, bad0 | bad
 
 
@@ -146,12 +153,14 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
     every path crosses a masked point, as every path from a masked
     basepoint does.
 
-    The integrals run over the whole grid. A coordinate whose every
-    column, masked values and crossed mask alike, equals its first column
-    bit for bit is stored as that column (see grid). On a real spinor the
-    y-line forms of X2 and X3 are zeros, so on rational, exponential and
-    trig X2 and X3 are columns and X1 is grid-shaped; on unimodular and
-    holomorphic every coordinate is grid-shaped.
+    X1, X2 and X3 are three real line integrals: of the real and the
+    imaginary parts of X1 + i X2's line forms, then of X3's. A coordinate
+    is stored as a column (see grid) when its y-line form is zero and the
+    spinor's mask is a column: then it is constant along y and nothing is
+    integrated along y. On a real spinor the y-line forms of X2 and X3 are
+    zeros, so on rational, exponential and trig X2 and X3 are columns and
+    X1 is grid-shaped; on unimodular and holomorphic every coordinate is
+    grid-shaped.
     """
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, z0)
@@ -162,28 +171,14 @@ def induce_surface(s: SpinorField, z0=None) -> Surface:
         warnings.warn(f"inducing one-forms are not closed (defect {defect:.3e}); "
                       "surface coordinates will be path dependent", stacklevel=2)
 
-    forms, x3_forms = _line_forms(s, grid)
-    plus, badmask = _integrate_path(*forms, grid, i0, j0, mask)
-    if badmask.all():
-        raise NumericalBreakdown("every integration path crosses a masked point")
-    x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
-
-    # a coordinate whose every column, masked values and crossed mask
-    # alike, is its first column bit for bit is stored as that column.
-    # Under a mask constant along y a masked row is zeros throughout, so
-    # only the unmasked rows are compared, on the unmasked values; the
-    # last column against the first turns most other data away at once
-    rows = badmask[:, :1]
-    column = bool((badmask == rows).all())
-
-    def coordinate(values):
-        bits = values.view(np.int64)
-        if (column and ((bits[:, -1] == bits[:, 0]) | rows[:, 0]).all()
-                and ((bits == bits[:, :1]).all(axis=1) | rows[:, 0]).all()):
-            return RealField._derived(grid, np.where(rows, 0, values[:, :1]), rows.copy())
-        return RealField._derived(grid, np.where(badmask, 0, values), badmask)
-
-    return Surface(x1=coordinate(plus.real), x2=coordinate(plus.imag), x3=coordinate(x3))
+    (fx, fy), x3_forms = _line_forms(s)
+    coords = []
+    for forms in ((fx.real, fy.real), (fx.imag, fy.imag), x3_forms):
+        values, bad = _integrate_path(*forms, grid, i0, j0, mask)
+        if bad.all():
+            raise NumericalBreakdown("every integration path crosses a masked point")
+        coords.append(RealField._derived(grid, np.where(bad, 0, values), bad))
+    return Surface(*coords)
 
 
 def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
@@ -207,7 +202,8 @@ def path_independence_report(s: SpinorField, z0, z1) -> ResidualReport:
         return phi[k1]
 
     parts = []
-    for label, (fx, fy) in zip(("plus", "x3"), _line_forms(s, grid)):
+    for label, forms in zip(("plus", "x3"), _line_forms(s)):
+        fx, fy = (np.broadcast_to(f, grid.shape) for f in forms)
         phi_a = (along(fx, np.s_[:, j0], grid.hx, i0, i1)
                  + along(fy, np.s_[i1, :], grid.hy, j0, j1))
         phi_b = (along(fy, np.s_[i0, :], grid.hy, j0, j1)
@@ -365,7 +361,7 @@ def _text(*cols) -> bytearray:
     lines = np.frombuffer(buf, dtype).reshape(shape)
     for k, c in enumerate(cols):
         lines[f"f{k}"] = c
-    return buf.translate(None, b"\0")
+    return buf.translate(None, b"\0") if b"\0" in buf else buf
 
 
 def _labels(n: int) -> np.ndarray:
@@ -389,18 +385,20 @@ def _labels(n: int) -> np.ndarray:
 def _write_faces(fh, keep: np.ndarray) -> int:
     """Write two triangles per grid cell whose four corners are all kept,
     indexing the kept vertices 1, 2, ... in row-major order; returns the
-    face count. The lines of a block of _BLOCK_ROWS cell rows are assembled
-    as byte arrays from one table of index strings."""
+    face count. The index strings are gathered once into a grid, whose
+    four shifted views are the cells' corners; a block of _BLOCK_ROWS cell
+    rows drops the cells with a masked corner only when it holds one."""
     n = int(np.count_nonzero(keep))
-    labels = _labels(n)
     idx = np.zeros(keep.shape, dtype=np.int64)
     idx[keep] = np.arange(1, n + 1)
+    labels = _labels(n)[idx]
     # cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
-    corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
-    whole = np.all([c > 0 for c in corners], axis=0)
+    corners = (labels[:-1, :-1], labels[1:, :-1], labels[1:, 1:], labels[:-1, 1:])
+    whole = keep[:-1, :-1] & keep[1:, :-1] & keep[1:, 1:] & keep[:-1, 1:]
     for i in range(0, len(whole), _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
-        a, b, c, d = (labels[k[rows][whole[rows]]] for k in corners)
+        cells = np.s_[:] if whole[rows].all() else whole[rows]
+        a, b, c, d = (k[rows][cells] for k in corners)
         fh.write(_text(b"f ", a, b" ", b, b" ", c, b"\nf ", a, b" ", c, b" ", d, b"\n"))
     return 2 * int(np.count_nonzero(whole))
 
@@ -437,8 +435,8 @@ def export_mesh(srf: Surface, obj_path, csv_path, ff: FundamentalForms) -> tuple
             strings, last = zip(*(_reprs(c[rows], t) for c, t in zip(cols, last)))
             cells = [p for s in strings for p in (b",", s)]
             csv.write(_text(xs[rows, None], b",", ys, *cells, b"\n"))
-            x1, x2, x3 = (np.broadcast_to(s, keep[rows].shape)[keep[rows]]
-                          for s in strings[:3])
+            points = np.s_[:] if keep[rows].all() else keep[rows]
+            x1, x2, x3 = (np.broadcast_to(s, keep[rows].shape)[points] for s in strings[:3])
             obj.write(_text(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
         nfaces = _write_faces(obj, keep)
     return int(np.count_nonzero(keep)), nfaces

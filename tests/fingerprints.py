@@ -29,7 +29,8 @@ from gwsurf import FAMILY_NAMES
 MANIFEST = Path(__file__).resolve().parent / "fingerprints.json"
 
 # every command at its defaults, the benchmark's two command lines at its
-# first drawn parameter (perfbench/run.py, seed 1), the trig guard band, a
+# first drawn parameter (perfbench/run.py, seed 1), the trig guard band, the
+# band at A = 1.5, where path_independence_fd breaks down and fails alone, a
 # finer holomorphic grid and three usage errors, each one `error:` line
 ARGVS = {
     **{f"{command}-{family}": [command, "--family", family]
@@ -39,6 +40,8 @@ ARGVS = {
     "induce-rational-251": ["induce", "--family", "rational", "--grid", "251x251",
                             "--lambda", "0.9395", "--levels", "2", "--jobs", "1"],
     "verify-trig-band": ["verify", "--family", "trig", "--domain", "0,0.6,-1,1"],
+    "verify-trig-breakdown": ["verify", "--family", "trig", "--A", "1.5",
+                              "--domain", "0,0.6,-1,1"],
     "verify-holomorphic-201": ["verify", "--family", "holomorphic", "--grid", "201x201"],
     "usage-negative-grid": ["verify", "--grid", "-3x3"],
     "usage-unknown-flag": ["verify", "--no-such-flag"],

@@ -616,6 +616,67 @@ class TestVerify:
                       "roundtrip_fd", "riccati_fd", "ll_necessity_control"):
             assert masked[suite] == band, suite
 
+    def test_a_suite_that_breaks_down_fails_alone(self, tmp_path, capsys):
+        # at A = 1.5 the guard band masks a strip of this domain that every
+        # comparison path of path_independence_fd crosses: that suite fails
+        # with the breakdown, and the run still writes all 23 reports
+        from gwsurf.cli import _gate, _json_text, _run_level, _setup, _suites_for
+        args = ["verify", "--family", "trig", "--A", "1.5", "--domain", "0,0.6,-1,1"]
+        assert run([*args, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "FAILED suites: path_independence_fd\n"
+        reports = {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+        assert len(reports) == 23
+        broken = reports.pop("trig_path_independence_fd.json")
+        message = "a comparison path crosses a masked point"
+        assert not broken["passed"]
+        assert broken["notes"] == [f"numerical breakdown at level {k}: {message}"
+                                   for k in (0, 1)]
+        for level in broken["levels"]:
+            assert level["max_norm"] is level["l2_norm"] is None
+            assert level["parts"] == [{"name": "breakdown", "max_norm": None, "l2_norm": None}]
+            assert level["details"] == {"breakdown": message}
+        # every other report is what its suite writes when run on its own
+        cfg = _resolve(args)[1]
+        fam, grids = _setup(cfg)
+        for spec in _suites_for(fam):
+            if spec.name != "path_independence_fd":
+                alone = _gate(spec, [_run_level([spec], fam, g)[0] for g in grids],
+                              cfg.tol_scale)
+                got = reports.pop(f"trig_{spec.name}.json")
+                assert got["passed"], spec.name
+                assert {k: got[k] for k in alone} == json.loads(_json_text(alone)), spec.name
+        assert not reports
+        # report reads the broken levels' nulls as NaN and fails the row
+        assert run(["report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        row = [r for r in capsys.readouterr().out.splitlines() if "path_independence_fd" in r]
+        assert row[0].split()[3:] == ["nan", "nan", "-", "FAIL", "(worst:", "breakdown", "nan)"]
+
+    def test_an_input_that_breaks_down_fails_its_readers(self, tmp_path):
+        # a breakdown while an input is built fails every suite that reads
+        # it, directly or through another input; the others pass
+        from gwsurf import cli
+
+        def broken(fam, g, rho):
+            raise gwsurf.NumericalBreakdown("rho_fd broke down")
+
+        inputs = {**cli._INPUTS, "rho_fd": cli._Input(broken, ("rho",))}
+        readers = {"rho_fd", *(n for n, i in inputs.items() if "rho_fd" in i.reads)}
+        with mock.patch.dict(cli._INPUTS, inputs):
+            assert run(["verify", "--family", "rational", "--grid", "21x21",
+                        "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        fam = gwsurf.build_family("rational")
+        failing = set()
+        for spec in cli._suites_for(fam):
+            rep = json.loads((tmp_path / f"rational_{spec.name}.json").read_text())
+            if not rep["passed"]:
+                failing.add(spec.name)
+                # the control's own check fails on NaN too, after these
+                assert rep["notes"][:2] == [f"numerical breakdown at level {k}: rho_fd broke down"
+                                            for k in (0, 1)], spec.name
+        assert failing == {spec.name for spec in cli._suites_for(fam)
+                           if readers & set(spec.inputs)}
+        assert {"sigma_fd", "deformed_ll_fd", "riccati_fd"} <= failing
+
     @pytest.mark.parametrize("grid", ["51x51", "101x101"])
     def test_trig_guard_band_passes(self, tmp_path, capsys, grid):
         # the guard band masks x < 0.025 inside this domain, more rows at
@@ -977,11 +1038,15 @@ def test_python_dash_m_gwsurf():
     ["--family", "holomorphic", "--H0", "1e-320"],
 ], ids=["subnormal-spacing", "subnormal-H"])
 def test_breakdown_prints_only_the_error_line(tmp_path, command, args):
-    # numpy warnings raised on the way to the breakdown stay silent
+    # numpy warnings raised on the way to the breakdown stay silent. A
+    # subnormal H breaks down inside verify's suites, which fail one by
+    # one, so the one line is the list of failed suites
     out = run_child(command + args + ["--out", str(tmp_path)])
     assert out.returncode == EXIT_NUMERICAL
     lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    suites = command[0] == "verify" and "--H0" in args
+    assert len(lines) == 1, out.stderr
+    assert lines[0].startswith("FAILED suites: " if suites else "error: "), out.stderr
 
 
 def scalar_row(grid, value):

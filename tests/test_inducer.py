@@ -328,8 +328,8 @@ ONE_INTEGRAL_CASES = {
 
 
 class TestOneIntegral:
-    """induce_surface integrates X1 + i X2 once and takes its conjugate for
-    X1 - i X2, and integrates X3's real line forms."""
+    """induce_surface integrates the real and imaginary parts of X1 + i X2's
+    line forms, not X1 - i X2's, and X3's real line forms."""
 
     @pytest.mark.parametrize("case", list(ONE_INTEGRAL_CASES))
     def test_matches_three_form_integration_bitwise(self, case):
@@ -360,21 +360,28 @@ class TestOneIntegral:
         for f in (A3 + B3, 1j * (A3 - B3)):     # X3's line forms, complex
             assert np.all(f.imag == 0)
             assert zeros or not np.signbit(f.imag).any()
-        assert np.array_equal(_line_forms(s, g)[1][1], (1j * (A3 - B3)).real)
+        assert np.array_equal(_line_forms(s)[1][1], (1j * (A3 - B3)).real)
 
-    def test_two_integrals_and_x3_is_real(self, monkeypatch):
-        # the base row and the columns of X1 + i X2, then of X3's real line
-        # forms; integrating X1 - i X2 as well took six calls
+    def test_three_real_integrals_and_no_y_integral_of_a_zero_form(self, monkeypatch):
+        # the base row and the columns of X1's, X2's and X3's real line
+        # forms: a complex cumsum of X1 + i X2 is two real ones, so this is
+        # the arithmetic of one complex and one real integral. On rational
+        # the y-line forms of X2 and X3 are zeros under a column mask, and
+        # only X1's columns are integrated on the whole grid
         from gwsurf import inducer
-        kinds = []
+        calls = []
 
         def spy(values, *args):
-            kinds.append(np.asarray(values).dtype.kind)
+            calls.append((np.asarray(values).dtype.kind, np.shape(values)))
             return _integrate_from(values, *args)
 
         monkeypatch.setattr(inducer, "_integrate_from", spy)
-        induce_surface(family_holomorphic().spinor(GridSpec(-1, 1, -1, 1, 21, 21)))
-        assert kinds == ["c", "c", "f", "f"]
+        g = GridSpec(-1, 1, -1, 1, 21, 21)
+        induce_surface(family_holomorphic().spinor(g))
+        assert calls == [("f", (21, 1)), ("f", (21, 21))] * 3
+        calls.clear()
+        induce_surface(family_rational(1.0).spinor(g))
+        assert calls == [("f", (21, 1)), ("f", (21, 21)), ("f", (21, 1)), ("f", (21, 1))]
 
     @pytest.mark.parametrize("name", ["rational", "holomorphic", "trig", "unimodular"])
     def test_x1_x2_are_the_parts_of_the_one_integral(self, name):
@@ -383,7 +390,7 @@ class TestOneIntegral:
         fam = build_family(name)
         s = fam.spinor(GridSpec(*fam.default_domain, 31, 31))
         grid, mask = _shared(s)
-        plus, bad = _integrate_path(*_line_forms(s, grid)[0], grid,
+        plus, bad = _integrate_path(*_line_forms(s)[0], grid,
                                     *_resolve_basepoint(grid, None), mask)
         minus = np.conj(plus)
         srf = induce_surface(s)
@@ -411,7 +418,7 @@ def test_y_constant_coordinates_are_stored_as_columns(case):
     srf = induce_surface(s)
     grid, mask = _shared(s)
     i0, j0 = _resolve_basepoint(grid, None)
-    forms, x3_forms = _line_forms(s, grid)
+    forms, x3_forms = _line_forms(s)
     plus, bad = _integrate_path(*forms, grid, i0, j0, mask)
     x3, _ = _integrate_path(*x3_forms, grid, i0, j0, mask)
     columns = ("x2", "x3") if case in COLUMN_CASES else ()
@@ -822,6 +829,16 @@ def ninety_nine_vertices():
     return saddle_surface(10, 10, mask)
 
 
+def ten_thousand_vertices():
+    """14,640 kept vertices on 121x121, one point masked in the third export
+    row block: that block alone drops cells. Face indices are five digits
+    wide, and every vertex from row 83 on has five, so the last two
+    blocks' face lines hold no NUL padding."""
+    mask = np.zeros((121, 121), bool)
+    mask[40, 60] = True
+    return saddle_surface(121, 121, mask)
+
+
 def masked_block_surface():
     """Rows 8-15, the whole second export row block, masked: that block
     writes no `v` line and no face; 154 vertices, 240 faces."""
@@ -860,7 +877,8 @@ def column_run_surface():
 
 @pytest.mark.parametrize("make", [rational_surface, masked_surface, awkward_surface,
                                   carried_surface, hundred_vertices, thousand_vertices,
-                                  ninety_nine_vertices, masked_block_surface,
+                                  ninety_nine_vertices, ten_thousand_vertices,
+                                  masked_block_surface,
                                   column_run_surface])
 def test_export_bytes_match_per_element_writers(make, tmp_path):
     srf = make()
