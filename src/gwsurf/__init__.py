@@ -18,8 +18,7 @@ from .weierstrass import (SpinorField, log_derivatives, density_p,
                           current_J, dbar_J_defect, modified_current,
                           conservation_defect, gaussian_curvature_from_p)
 from .sigma import (SpinMatrix, LLCommutator, rho_from_psi, psi_from_rho, sigma_residual,
-                    apply_discrete_symmetry, spin_matrix, ll_commutator,
-                    landau_lifshitz_residual,
+                    spin_matrix, ll_commutator, landau_lifshitz_residual,
                     deformed_ll_residual, multisoliton_product,
                     unimodular_H_constancy_check, compatibility_residual)
 from .integrability import (RiccatiCoeffs, h_integrability_residual, h_from_profile,

@@ -66,6 +66,8 @@ EXACT_TOL = 1e-12
 POINTWISE_TOL = 1e-10
 FD_FLOOR = 1e-9
 FD_SAFETY = 10.0
+# d dbar(1/H) at or below this classifies H as integrable; not scaled by --tol-scale
+INTEGRABLE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +360,7 @@ def run_h_classification(fam, h):
     details = dict(rep.details)
     if fam.ddbar_inv_h is not None:
         details["expected"] = fam.ddbar_inv_h
-    details["classified_integrable"] = bool(rep.max_norm <= 1e-6)
+    details["classified_integrable"] = bool(rep.max_norm <= INTEGRABLE_TOL)
     return rep._replace(details=details)
 
 
@@ -536,8 +538,8 @@ def _gate(spec: SuiteSpec, reports, tol_scale) -> dict:
             if abs(maxes[-1] - expected) > tolerances[-1]:
                 notes.append(f"classifier value {maxes[-1]:.6f} != {expected:.6f}")
         else:
-            tolerances = [1e-3] * len(maxes)
-            if maxes[-1] < 1e-3:
+            tolerances = [INTEGRABLE_TOL] * len(maxes)
+            if maxes[-1] <= INTEGRABLE_TOL:
                 notes.append("expected a non-integrable-class mean curvature")
 
     res = _result(spec.name, spec.kind, notes, reports, ratios, tolerances)

@@ -71,14 +71,20 @@ def h_from_profile(q: Callable) -> ClosedForm:
     cos(1j * z) does). The construction satisfies the integrability
     criterion by design: the z-term is killed by dbar and the zbar-term by d.
     """
+    # numpy scalars with warnings off: a pole or a log of zero gives a
+    # non-finite value, where Python's complex division raises
+    def at(x):
+        with np.errstate(all="ignore"):
+            return complex(np.asarray(q(np.complex128(x))).reshape(()))
+
     try:
-        probe = complex(np.asarray(q(0.37 + 0.0j)).reshape(()))
+        probe = at(0.37)
     except TypeError as exc:
         raise ValueError("profile must be a callable of one argument") from exc
     if not np.isfinite(probe):
         raise ValueError("profile is singular at the probe point")
     for x in (0.11, 0.37, 0.73):
-        val = complex(np.asarray(q(complex(x))).reshape(()))
+        val = at(x)
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ValueError("profile is not real-valued on the real axis")
     h = form(lambda z: 1 / (q(z) + q(conj(z))),

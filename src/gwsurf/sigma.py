@@ -36,7 +36,7 @@ from .weierstrass import SpinorField, log_derivatives
 
 __all__ = [
     "SpinMatrix", "LLCommutator",
-    "rho_from_psi", "psi_from_rho", "sigma_residual", "apply_discrete_symmetry",
+    "rho_from_psi", "psi_from_rho", "sigma_residual",
     "spin_matrix", "ll_commutator", "landau_lifshitz_residual",
     "deformed_ll_residual", "multisoliton_product",
     "unimodular_H_constancy_check", "compatibility_residual",
@@ -141,16 +141,6 @@ def sigma_residual(rho: ComplexField, h: RealField) -> ResidualReport:
     res2 = np.conj(mix) - 2.0 * r / m * np.conj(drho) * np.conj(dbrho) - lz * np.conj(drho)
     return report_from_parts(grid, [("rho", res1, mask), ("conj_rho", res2, mask)],
                              exclude_rings=0 if rho.source is not None else STENCIL_RINGS)
-
-
-def apply_discrete_symmetry(rho: ComplexField, which: str) -> ComplexField:
-    """Discrete symmetries of the sigma system: 'Z2' (rho -> -rho) and
-    'I' (rho -> 1/rho, zeros masked)."""
-    if which == "Z2":
-        return pointwise(operator.neg, rho)
-    if which == "I":
-        return pointwise(lambda r: 1.0 / r, rho, mask=np.abs(rho.stored[0]) < 1e-8)
-    raise ValueError(f"unknown symmetry {which!r}; expected 'Z2' or 'I'")
 
 
 class SpinMatrix:
@@ -287,7 +277,9 @@ _UNIMODULAR_TOL = 1e-10
 def _require_unimodular(rho: ComplexField) -> None:
     values, mask = rho.stored
     dev = np.abs(np.abs(values[~mask]) - 1.0)
-    if dev.size == 0 or float(np.max(dev)) > _UNIMODULAR_TOL:
+    if dev.size == 0:
+        raise ValueError("input is masked at every point (no |rho| to test)")
+    if float(np.max(dev)) > _UNIMODULAR_TOL:
         raise ValueError("input is not unimodular (|rho| must equal 1)")
 
 

@@ -677,6 +677,32 @@ class TestVerify:
                            if readers & set(spec.inputs)}
         assert {"sigma_fd", "deformed_ll_fd", "riccati_fd"} <= failing
 
+    def test_a_small_nonzero_classifier_value_passes(self, tmp_path, capsys):
+        # exponential states no constant d dbar(1/H); at lambda 0.02 it reads
+        # 8.0e-4, small but far above the integrable class's threshold, and
+        # the row's gate and its classified_integrable detail agree on it
+        assert run(["verify", "--family", "exponential", "--lambda", "0.02",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rep = json.loads((tmp_path / "exponential_h_classification.json").read_text())
+        assert rep["passed"] and rep["notes"] == []
+        assert 1e-4 < rep["levels"][-1]["max_norm"] < 1e-3
+        assert [level["details"]["classified_integrable"] for level in rep["levels"]] == [
+            False, False]
+
+    def test_an_in_class_h_without_a_stated_value_fails_the_classifier(self):
+        from gwsurf.cli import SUITES, _gate, _run_level
+        (spec,) = [s for s in SUITES if s.name == "h_classification"]
+        fam = gwsurf.build_family("rational")._replace(
+            h_form=gwsurf.h_from_profile(lambda z: 1 + z), ddbar_inv_h=None)
+        grids = [gwsurf.GridSpec(-1, 1, -1, 1, 21, 21)]
+        grids.append(grids[0].refined())
+        reports = [_run_level([spec], fam, g)[0] for g in grids]
+        assert all(r.details["classified_integrable"] for r in reports)
+        res = _gate(spec, reports, 1.0)
+        assert not res["passed"]
+        assert res["notes"] == ["expected a non-integrable-class mean curvature"]
+
     @pytest.mark.parametrize("grid", ["51x51", "101x101"])
     def test_trig_guard_band_passes(self, tmp_path, capsys, grid):
         # the guard band masks x < 0.025 inside this domain, more rows at

@@ -122,6 +122,15 @@ def test_field_mul_requires_matching_grids():
         pointwise(operator.mul, a, b)
 
 
+def test_sample_real_judges_imaginary_parts_against_the_real_scale():
+    g = GridSpec(-1, 1, -1, 1, 11, 11)
+    # 1e-8 is within 1e-12 of a real part of 1e6, but not of 1
+    assert sample_real(form(lambda z: 1e6 + 1e-8j + 0 * z), g).values.max() == 1e6
+    for fn in (lambda z: 1 + 1e-8j + 0 * z, lambda z: z):
+        with pytest.raises(ValueError, match="not real-valued on the grid"):
+            sample_real(form(fn), g)
+
+
 def _counted_leaf(asked, diagonal=False):
     """The form 1.5 + 0.5j + z/8 (of s = z + conj(z) when diagonal), whose
     formula records the order of each argument it runs on: 0 for a plain

@@ -162,8 +162,6 @@ def test_every_default_is_set_by_some_call():
 # public names that no module of the package loads and no command runs,
 # kept for callers outside it
 UNLOADED_NAMES = {
-    "apply_discrete_symmetry": "README documents the sigma system's Z2 and inversion; "
-                               "a verify row of them would add a report per family",
     "h_from_profile": "acceptance criterion 7 builds its in-class H from a profile Q: "
                       "the form of 1/(Q(z) + Q(zbar)) and its guard",
 }

@@ -75,6 +75,15 @@ class TestFields:
         assert f.values[2, 2] == 0          # sanitized
         assert np.count_nonzero(f.mask) == 1
 
+    @pytest.mark.parametrize("cls", [ComplexField, RealField])
+    def test_rejects_shapes_other_than_the_grids(self, cls):
+        g = grid(5)
+        with pytest.raises(ValueError, match=re.escape("values shape (5, 4) does not match")):
+            cls(g, np.ones((5, 4)))
+        for mask in (np.zeros((5, 1), bool), np.zeros((4, 5), bool)):
+            with pytest.raises(ValueError, match="mask shape does not match grid"):
+                cls(g, np.ones(g.shape), mask)
+
     def test_values_read_only(self):
         f = ComplexField(grid(5), np.zeros((5, 5)))
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from gwsurf import (ComplexField, GridSpec, RealField, SpinorField,
                     linearization_constraint_residual, mixed_dzbar_dz, riccati_residual,
                     sample, sample_real, sinh_gordon_residual, zero_curvature_residual)
 from gwsurf import integrability
-from gwsurf.closedform import cos
+from gwsurf.closedform import cos, log
 from gwsurf.integrability import RiccatiCoeffs
 from memtrace import traced_peak
 
@@ -99,6 +99,13 @@ class TestProfiles:
     def test_complex_on_real_axis_rejected(self):
         with pytest.raises(ValueError, match="not real-valued on the real axis"):
             h_from_profile(lambda z: 1j * z + 1j)
+
+    @pytest.mark.parametrize("q", [lambda z: 1 / (z - 0.37), lambda z: log(z - 0.37)],
+                             ids=["pole", "log"])
+    def test_profile_singular_at_the_probe_point_rejected(self, q):
+        # a ValueError, with no ZeroDivisionError or RuntimeWarning first
+        with pytest.raises(ValueError, match="singular at the probe point"):
+            h_from_profile(q)
 
     def test_denominator_zeros_masked(self):
         H = h_from_profile(lambda z: z)          # Q(z)+Q(zbar) = 2x

@@ -1,12 +1,13 @@
 """rho-representation: transforms, symmetries, spin matrix, deformations."""
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsurf import (ComplexField, GridSpec, ResidualPart, SpinorField, apply_discrete_symmetry,
-                    build_family, compatibility_residual, d_z,
-                    deformed_ll_residual, family_exponential, family_rational,
-                    family_trigonometric, family_unimodular, form,
+from gwsurf import (ComplexField, GridSpec, RealField, ResidualPart, SpinorField, build_family,
+                    compatibility_residual, d_z, deformed_ll_residual, family_exponential,
+                    family_rational, family_trigonometric, family_unimodular, form,
                     landau_lifshitz_residual, ll_commutator, multisoliton_product, psi_from_rho,
                     pointwise, rho_from_psi, sample, sample_real, sigma_residual, spin_matrix,
                     unimodular_H_constancy_check, weierstrass_residual)
@@ -140,17 +141,23 @@ class TestSigmaResidual:
             sigma_residual(rho_of(G.zmesh()), const_h(0.0))
 
 
+def _inverted(rho):
+    # the inversion rho -> 1/rho, with rho's zeros masked
+    return pointwise(lambda r: 1.0 / r, rho, mask=np.abs(rho.stored[0]) < 1e-8)
+
+
 class TestDiscreteSymmetries:
+    # the sigma system's Z2 (rho -> -rho) and inversion (rho -> 1/rho)
     def test_inversion_twice_is_identity(self):
         fam = family_exponential(1.0)
         r = fam.rho(G)
-        twice = apply_discrete_symmetry(apply_discrete_symmetry(r, "I"), "I")
+        twice = _inverted(_inverted(r))
         ok = ~twice.mask
         assert np.max(np.abs(twice.values[ok] - r.values[ok])) < 1e-12
 
     def test_sign_flip_preserves_residual(self):
         fam = family_rational(1.0)
-        r2 = apply_discrete_symmetry(fam.rho(G), "Z2")
+        r2 = pointwise(operator.neg, fam.rho(G))
         rep = sigma_residual(r2, fam.h(G))
         assert rep.max_norm < 1e-12
 
@@ -158,15 +165,11 @@ class TestDiscreteSymmetries:
         # the sigma operator obeys LHS(1/rho) = -LHS(rho)/rho^2, so the
         # inverse of a solution is a solution wherever rho is not small
         fam = family_rational(1.0)
-        inv = apply_discrete_symmetry(fam.rho(G), "I")
+        inv = _inverted(fam.rho(G))
         extra = np.abs(fam.rho(G).values) < 0.25
         masked = pointwise(lambda v: v, inv, mask=extra)
         rep = sigma_residual(masked, fam.h(G))
         assert rep.max_norm < 1e-10
-
-    def test_unknown_symmetry_rejected(self):
-        with pytest.raises(ValueError):
-            apply_discrete_symmetry(rho_of(G.zmesh()), "Z9")
 
 
 class TestSpinMatrix:
@@ -307,8 +310,15 @@ class TestMultisoliton:
 
     def test_nonunimodular_rejected(self):
         r1 = family_unimodular(1.0, 1.0).rho(G)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unimodular"):
             multisoliton_product(r1, rho_of(2 * np.ones(G.shape, complex)))
+
+    def test_fully_masked_factor_rejected(self):
+        # no point is left to test |rho| = 1 on: not a claim that it fails
+        r1 = family_unimodular(1.0, 1.0).rho(G)
+        hidden = ComplexField(G, np.ones(G.shape, complex), np.ones(G.shape, bool))
+        with pytest.raises(ValueError, match="masked at every point"):
+            multisoliton_product(r1, hidden)
 
 
 class TestUnimodularConstancy:
@@ -325,8 +335,15 @@ class TestUnimodularConstancy:
         assert rep.max_norm > 0.1
 
     def test_nonunimodular_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unimodular"):
             unimodular_H_constancy_check(rho_of(G.zmesh()), const_h(1.0))
+
+    def test_h_masked_wherever_rho_is_not_rejected(self):
+        # rho passes its own check; the points both leave unmasked are none
+        r = family_unimodular(1.0, 1.0).rho(G)
+        h = RealField(G, np.ones(G.shape), np.ones(G.shape, bool))
+        with pytest.raises(ValueError, match="no unmasked points to test"):
+            unimodular_H_constancy_check(r, h)
 
 
 class TestCompatibility:
